@@ -5,8 +5,7 @@
 // mean-min between two member sets, answered by the pruned
 // internal/setdist engine) over HTTP, with admin hot-swap rebuilds,
 // incremental edge-churn updates (/v1/update, delta-patched tables with
-// a -damage-threshold rebuild cutoff), micro-batched oracle dispatch, a
-// route LRU, and per-shard stats.
+// a -damage-threshold rebuild cutoff), a route LRU, and per-shard stats.
 //
 // Usage:
 //
@@ -18,8 +17,7 @@
 //	          [-h 0] [-sigma 0] [-seed 1] [-build-workers 0]
 //	          [-k 0] [-strategy none] [-l0 0] [-sample-prob 0]
 //	          [-shards '{"name": {"scheme": "...", "topology": "...", ...}}']
-//	          [-max-batch 65536] [-coalesce-limit 16384]
-//	          [-coalesce-wait 0] [-workers 0] [-route-cache 4096]
+//	          [-max-batch 65536] [-workers 0] [-route-cache 4096]
 //	          [-damage-threshold 0]
 //
 // With -shards, the JSON object maps shard names to full specs
@@ -82,9 +80,7 @@ func main() {
 	sampleProb := flag.Float64("sample-prob", 0, "rtc skeleton sampling probability override (0 = paper's)")
 	shardsJSON := flag.String("shards", "", `multi-shard spec: {"name": {"topology": ..., "n": ..., "eps": ..., ...}}`)
 	maxBatch := flag.Int("max-batch", 0, "largest query batch one request may carry (0 = default 65536)")
-	coalesceLimit := flag.Int("coalesce-limit", 0, "point lookups per micro-batch flush (0 = default 16384)")
-	coalesceWait := flag.Duration("coalesce-wait", 0, "hold a lone request open this long for coalescing (0 = opportunistic)")
-	workers := flag.Int("workers", 0, "oracle fan-out per flush (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "oracle fan-out per request (0 = GOMAXPROCS)")
 	routeCache := flag.Int("route-cache", 0, "per-shard route LRU capacity (0 = default 4096, negative disables)")
 	damageThreshold := flag.Float64("damage-threshold", 0, "/v1/update delta-vs-rebuild cutoff: affected-instance fraction above which an update rebuilds from scratch (0 = scheme default)")
 	flag.Parse()
@@ -115,8 +111,6 @@ func main() {
 
 	cfg := server.Config{
 		MaxBatch:        *maxBatch,
-		CoalesceLimit:   *coalesceLimit,
-		CoalesceWait:    *coalesceWait,
 		Workers:         *workers,
 		RouteCacheSize:  *routeCache,
 		DamageThreshold: *damageThreshold,
@@ -128,7 +122,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pde-serve: %v\n", err)
 		os.Exit(1)
 	}
-	defer srv.Close()
 	for _, name := range srv.Shards() {
 		fp, _ := srv.Fingerprint(name)
 		fmt.Fprintf(os.Stderr, "pde-serve: shard %q ready (fingerprint %s)\n", name, fp)
@@ -174,6 +167,10 @@ func main() {
 		}
 	case <-ctx.Done():
 		fmt.Fprintln(os.Stderr, "pde-serve: shutting down...")
+		// Flag first, then drain: a point query that still arrives while
+		// Shutdown waits for in-flight requests gets the 503 a coordinator
+		// fails over on.
+		srv.Close()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutdownCtx); err != nil {

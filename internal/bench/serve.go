@@ -42,8 +42,9 @@ package bench
 //	serve_wall_ns      int64   – wall clock of the end-to-end pass
 //	serve_qps          float64 – queries/sec end-to-end over loopback
 //	ratio              float64 – serve_qps / inproc_qps (acceptance: ≥ 0.5)
-//	server_flushes     int64   – micro-batch flushes the daemon performed
-//	server_avg_batch   float64 – average point lookups per flush
+//	server_flushes     int64   – HTTP point-query requests the daemon answered
+//	                             (one AnswerInto call each; nothing is coalesced)
+//	server_avg_batch   float64 – average point lookups per request
 //	answers_match      bool    – every end-to-end answer equals the
 //	                             in-process one (a mismatch fails the run)
 //	wire_wall_ns       int64   – wall clock of the stream over the PDE2

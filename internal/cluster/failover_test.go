@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -147,4 +150,107 @@ func TestClusterKillOneReplicaMidStream(t *testing.T) {
 			t.Fatalf("post-failover query: %v", err)
 		}
 	}
+}
+
+// TestSweepPolicy pins the one failover policy both relays answer
+// through, without a network: pass count, backoff waits, health-first
+// ordering and which outcomes mark a daemon down.
+func TestSweepPolicy(t *testing.T) {
+	newFleet := func(healthy ...bool) (*Coordinator, []*backend) {
+		c := &Coordinator{cfg: Config{Retries: 2, RetryBackoff: time.Millisecond}}
+		reps := make([]*backend, len(healthy))
+		for i, h := range healthy {
+			reps[i] = &backend{url: string(rune('a' + i))}
+			reps[i].healthy.Store(h)
+		}
+		return c, reps
+	}
+	ctx := context.Background()
+
+	t.Run("every replica unreachable", func(t *testing.T) {
+		c, reps := newFleet(true, true)
+		tries := 0
+		err := c.sweep(ctx, reps, func(b *backend) (bool, error) {
+			tries++
+			return false, fmt.Errorf("dial %s refused", b.url)
+		})
+		if err == nil || !strings.Contains(err.Error(), "b: dial b refused") {
+			t.Fatalf("sweep error = %v, want the last replica's failure", err)
+		}
+		// 1+Retries passes over 2 replicas, a backoff before each extra pass.
+		if tries != 6 || c.failovers.Load() != 6 || c.retryWaits.Load() != 2 {
+			t.Fatalf("tries=%d failovers=%d retryWaits=%d, want 6, 6, 2", tries, c.failovers.Load(), c.retryWaits.Load())
+		}
+		for _, b := range reps {
+			if b.healthy.Load() {
+				t.Fatalf("replica %s still healthy after transport failures", b.url)
+			}
+		}
+	})
+
+	t.Run("first replica unreachable, second answers", func(t *testing.T) {
+		c, reps := newFleet(true, true)
+		var served string
+		err := c.sweep(ctx, reps, func(b *backend) (bool, error) {
+			if b == reps[0] {
+				return false, errors.New("connection reset")
+			}
+			served = b.url
+			return true, nil
+		})
+		if err != nil || served != "b" {
+			t.Fatalf("sweep = %v, served by %q, want nil and b", err, served)
+		}
+		if c.failovers.Load() != 1 || c.retryWaits.Load() != 0 {
+			t.Fatalf("failovers=%d retryWaits=%d, want 1 and 0", c.failovers.Load(), c.retryWaits.Load())
+		}
+		if reps[0].healthy.Load() || !reps[1].healthy.Load() {
+			t.Fatalf("health after failover: a=%v b=%v, want a down and b up", reps[0].healthy.Load(), reps[1].healthy.Load())
+		}
+	})
+
+	t.Run("alive refusal fails over without marking down", func(t *testing.T) {
+		c, reps := newFleet(true, true)
+		err := c.sweep(ctx, reps, func(b *backend) (bool, error) {
+			if b == reps[0] {
+				return true, errors.New("HTTP 503")
+			}
+			return true, nil
+		})
+		if err != nil || c.failovers.Load() != 1 || !reps[0].healthy.Load() {
+			t.Fatalf("sweep = %v, failovers=%d, a healthy=%v; want nil, 1, true", err, c.failovers.Load(), reps[0].healthy.Load())
+		}
+	})
+
+	t.Run("healthy replicas are tried first, in placement order", func(t *testing.T) {
+		c, reps := newFleet(false, true, false, true)
+		var order []string
+		c.sweep(ctx, reps, func(b *backend) (bool, error) {
+			order = append(order, b.url)
+			return true, errors.New("refused")
+		})
+		if got := strings.Join(order[:4], ""); got != "bdac" {
+			t.Fatalf("first pass tried %s, want bdac", got)
+		}
+	})
+
+	t.Run("cancelled context stops the backoff", func(t *testing.T) {
+		c, reps := newFleet(true)
+		c.cfg.RetryBackoff = time.Hour
+		cctx, cancel := context.WithCancel(ctx)
+		err := c.sweep(cctx, reps, func(*backend) (bool, error) {
+			cancel()
+			return true, errors.New("refused")
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("sweep error = %v, want context.Canceled", err)
+		}
+	})
+
+	t.Run("empty replica set", func(t *testing.T) {
+		c, _ := newFleet()
+		if err := c.sweep(ctx, nil, func(*backend) (bool, error) { return true, nil }); !errors.Is(err, errNoReplica) {
+			t.Fatalf("sweep over no replicas = %v, want errNoReplica", err)
+		}
+	})
 }

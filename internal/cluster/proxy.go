@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -109,59 +110,81 @@ func relay(w http.ResponseWriter, res *proxyResult) {
 	w.Write(res.body)
 }
 
-// forward tries the replicas in placement order, healthy ones first,
-// and sweeps the set up to 1+Retries times with doubling backoff.
-// Transport failures mark the replica down (the prober revives it);
-// 5xx answers fail over without unmarking health — the daemon is alive,
-// this request just cannot be served there. 4xx and 2xx answers are
-// relayed as-is: a bad request is bad on every replica.
-func (c *Coordinator) forward(ctx context.Context, reps []*backend, path, rawQuery, contentType string, body []byte) (*proxyResult, error) {
-	ordered := make([]*backend, 0, len(reps))
+// errNoReplica is what a sweep over an empty replica set fails with.
+var errNoReplica = errors.New("no daemon serves the shard")
+
+// sweep is the coordinator's one failover policy; the HTTP proxy and the
+// PDE2 relay both answer through it. It offers the replicas to try in
+// placement order, healthy ones first, and passes over the whole set up
+// to 1+Retries times, sleeping a doubling backoff (capped at 1s) before
+// each extra pass. try returns a nil error once the request is settled —
+// answered, or refused in a way every replica would repeat — and the
+// sweep stops. Any other outcome counts as a failover and moves on to
+// the next replica: alive=false is a transport failure and also marks
+// the daemon down (the prober revives it); alive=true leaves its health
+// alone — the daemon answered, it just cannot serve this request.
+func (c *Coordinator) sweep(ctx context.Context, reps []*backend, try func(*backend) (alive bool, err error)) error {
+	// Replica sets are a handful of daemons: ordering them in stack
+	// buffers keeps the relay's per-frame sweep off the heap.
+	var upBuf, downBuf [8]*backend
+	ordered, down := upBuf[:0], downBuf[:0]
 	for _, b := range reps {
 		if b.healthy.Load() {
 			ordered = append(ordered, b)
+		} else {
+			down = append(down, b)
 		}
 	}
-	for _, b := range reps {
-		if !b.healthy.Load() {
-			ordered = append(ordered, b)
-		}
-	}
+	ordered = append(ordered, down...)
 
 	backoff := c.cfg.RetryBackoff
-	var lastErr error
+	lastErr := errNoReplica
 	for pass := 0; pass <= c.cfg.Retries; pass++ {
 		if pass > 0 {
 			c.retryWaits.Add(1)
 			select {
 			case <-ctx.Done():
-				return nil, ctx.Err()
+				return ctx.Err()
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
+			backoff = min(2*backoff, time.Second)
 		}
 		for _, b := range ordered {
-			res, err := c.attempt(ctx, b, path, rawQuery, contentType, body)
-			if err != nil {
+			alive, err := try(b)
+			if err == nil {
+				return nil
+			}
+			c.failovers.Add(1)
+			lastErr = fmt.Errorf("%s: %w", b.url, err)
+			if !alive {
 				b.markDown(err)
-				c.failovers.Add(1)
-				lastErr = fmt.Errorf("%s: %w", b.url, err)
 				if ctx.Err() != nil {
-					return nil, lastErr
+					return lastErr
 				}
-				continue
 			}
-			if res.status >= 500 {
-				c.failovers.Add(1)
-				lastErr = fmt.Errorf("%s: HTTP %d: %s", b.url, res.status, truncateForError(res.body))
-				continue
-			}
-			return res, nil
 		}
 	}
-	return nil, lastErr
+	return lastErr
+}
+
+// forward relays one HTTP query through the sweep. Transport failures
+// mark the replica down; 5xx answers fail over without touching health.
+// 4xx and 2xx answers are relayed as-is: a bad request is bad on every
+// replica.
+func (c *Coordinator) forward(ctx context.Context, reps []*backend, path, rawQuery, contentType string, body []byte) (*proxyResult, error) {
+	var res *proxyResult
+	err := c.sweep(ctx, reps, func(b *backend) (bool, error) {
+		r, err := c.attempt(ctx, b, path, rawQuery, contentType, body)
+		if err != nil {
+			return false, err
+		}
+		if r.status >= 500 {
+			return true, fmt.Errorf("HTTP %d: %s", r.status, truncateForError(r.body))
+		}
+		res = r
+		return true, nil
+	})
+	return res, err
 }
 
 func (c *Coordinator) attempt(ctx context.Context, b *backend, path, rawQuery, contentType string, body []byte) (*proxyResult, error) {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 
 	"pde/internal/oracle"
 	"pde/internal/server"
@@ -26,13 +25,8 @@ import (
 // eligible; a shard whose replicas all lack a wire listener fails with
 // an upstream error frame rather than falling back to HTTP.
 type WireRelay struct {
-	c  *Coordinator
-	ln net.Listener
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	*wire.Listener
+	c *Coordinator
 }
 
 // ServeWire starts a PDE2 relay on ln and returns immediately. The
@@ -40,118 +34,20 @@ type WireRelay struct {
 // /v1/stats, so pde-query -cluster -codec wire discovers it the same
 // way it would a daemon's.
 func (c *Coordinator) ServeWire(ln net.Listener) *WireRelay {
-	r := &WireRelay{c: c, ln: ln, conns: make(map[net.Conn]struct{})}
+	r := &WireRelay{c: c}
 	addr := ln.Addr().String()
 	c.wireAddr.Store(&addr)
-	r.wg.Add(1)
-	go r.acceptLoop()
+	r.Listener = wire.Listen(ln, 1, r.handleConn)
 	return r
 }
 
-// Addr is the relay listener's bound address.
-func (r *WireRelay) Addr() string { return r.ln.Addr().String() }
-
-// Close stops the listener, closes live client connections and waits
-// for their handlers (and upstream connections) to wind down.
-func (r *WireRelay) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		r.wg.Wait()
-		return nil
-	}
-	r.closed = true
-	for conn := range r.conns {
-		conn.Close()
-	}
-	r.mu.Unlock()
-	err := r.ln.Close()
-	r.wg.Wait()
-	return err
-}
-
-func (r *WireRelay) acceptLoop() {
-	defer r.wg.Done()
-	for {
-		conn, err := r.ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return
-			}
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return
-			}
-			continue
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			conn.Close()
-			return
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go r.handleConn(conn)
-	}
-}
-
-var errNoWireReplica = errors.New("no healthy replica with a wire endpoint")
-
-// dialShard finds a replica of shard with a live wire endpoint, healthy
-// daemons first, and returns a bound upstream connection. Transport
-// failures mark the daemon down, exactly like the HTTP forwarding path.
-func (r *WireRelay) dialShard(shard string) (*wire.Conn, error) {
-	reps := r.c.replicasFor(shard)
-	ordered := make([]*backend, 0, len(reps))
-	for _, b := range reps {
-		if b.healthy.Load() {
-			ordered = append(ordered, b)
-		}
-	}
-	for _, b := range reps {
-		if !b.healthy.Load() {
-			ordered = append(ordered, b)
-		}
-	}
-	lastErr := errNoWireReplica
-	for _, b := range ordered {
-		ctx, cancel := context.WithTimeout(context.Background(), r.c.cfg.ProbeTimeout)
-		st, err := b.client.Stats(ctx)
-		cancel()
-		if err != nil {
-			b.markDown(err)
-			lastErr = fmt.Errorf("%s: %w", b.url, err)
-			continue
-		}
-		if st.WireAddr == "" {
-			lastErr = fmt.Errorf("%s serves no wire endpoint (-wire-addr)", b.url)
-			continue
-		}
-		uc, err := wire.DialTimeout(server.ResolveWireAddr(b.url, st.WireAddr), r.c.cfg.ProbeTimeout)
-		if err != nil {
-			b.markDown(err)
-			lastErr = fmt.Errorf("%s: dialing wire endpoint: %w", b.url, err)
-			continue
-		}
-		if _, _, err := uc.Bind(shard); err != nil {
-			uc.Close()
-			lastErr = fmt.Errorf("%s: bind %q: %w", b.url, shard, err)
-			continue
-		}
-		return uc, nil
-	}
-	return nil, lastErr
-}
-
 // relayState is one client connection's scratch: the bound shard, its
-// current upstream, and reused frame buffers.
+// current upstream and the daemon it leads to, and reused frame buffers.
 type relayState struct {
 	shard   string
 	up      *wire.Conn
+	upB     *backend   // the daemon up is connected to; nil with up
+	reps    []*backend // replicas() scratch
 	payload []byte
 	qs      []oracle.Query
 	out     []oracle.Answer
@@ -162,8 +58,51 @@ type relayState struct {
 func (st *relayState) dropUpstream() {
 	if st.up != nil {
 		st.up.Close()
-		st.up = nil
+		st.up, st.upB = nil, nil
 	}
+}
+
+// replicas is shard's replica set for a sweep, with the daemon this
+// connection is already on moved to the front. The stream stays
+// where it is while that daemon is healthy: a replica whose HTTP plane
+// answers probes but whose wire listener is gone would otherwise be
+// re-dialled, and fail, on every frame.
+func (r *WireRelay) replicas(st *relayState, shard string) []*backend {
+	st.reps = append(st.reps[:0], r.c.replicasFor(shard)...)
+	for i, b := range st.reps {
+		if b == st.upB {
+			copy(st.reps[1:i+1], st.reps[:i])
+			st.reps[0] = b
+			break
+		}
+	}
+	return st.reps
+}
+
+// connect is one sweep attempt at giving st an upstream bound to shard
+// on b's wire endpoint, discovered from the daemon's /v1/stats. Failing to
+// reach the daemon is a transport failure; a daemon that answers but
+// serves no wire endpoint, or refuses the bind, is alive.
+func (r *WireRelay) connect(st *relayState, b *backend, shard string) (alive bool, err error) {
+	ctx, cancel := context.WithTimeout(context.Background(), r.c.cfg.ProbeTimeout)
+	stats, err := b.client.Stats(ctx)
+	cancel()
+	if err != nil {
+		return false, err
+	}
+	if stats.WireAddr == "" {
+		return true, errors.New("serves no wire endpoint (-wire-addr)")
+	}
+	uc, err := wire.DialTimeout(server.ResolveWireAddr(b.url, stats.WireAddr), r.c.cfg.ProbeTimeout)
+	if err != nil {
+		return false, fmt.Errorf("dialing wire endpoint: %w", err)
+	}
+	if _, _, err := uc.Bind(shard); err != nil {
+		uc.Close()
+		return true, fmt.Errorf("bind %q: %w", shard, err)
+	}
+	st.up, st.upB = uc, b
+	return true, nil
 }
 
 // handleConn runs one client connection's relay loop: the same framing
@@ -171,16 +110,6 @@ func (st *relayState) dropUpstream() {
 // frame is buffered), with each query frame answered through the bound
 // shard's upstream.
 func (r *WireRelay) handleConn(conn net.Conn) {
-	defer r.wg.Done()
-	defer func() {
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-	}()
-	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
 	br := bufio.NewReaderSize(conn, 1<<16)
 	bw := bufio.NewWriterSize(conn, 1<<16)
 	defer bw.Flush()
@@ -203,11 +132,11 @@ func (r *WireRelay) handleConn(conn net.Conn) {
 		}
 		t, corr, plen, err := wire.ParseHeader(hdr[:])
 		if err != nil {
-			relayError(bw, corr, wire.ErrCodeBadFrame, err.Error())
+			wire.WriteErrorFrame(bw, corr, wire.ErrCodeBadFrame, err.Error())
 			return
 		}
 		if int(plen) > maxPayload {
-			relayError(bw, corr, wire.ErrCodeBadFrame, "payload length exceeds the frame limit")
+			wire.WriteErrorFrame(bw, corr, wire.ErrCodeBadFrame, "payload length exceeds the frame limit")
 			return
 		}
 		if cap(st.payload) < int(plen) {
@@ -232,7 +161,7 @@ func (r *WireRelay) handleConn(conn net.Conn) {
 				return
 			}
 		default:
-			relayError(bw, corr, wire.ErrCodeBadFrame, "unknown frame type")
+			wire.WriteErrorFrame(bw, corr, wire.ErrCodeBadFrame, "unknown frame type")
 			return
 		}
 	}
@@ -243,22 +172,23 @@ func (r *WireRelay) handleConn(conn net.Conn) {
 // fingerprint). It reports whether the connection stays open.
 func (r *WireRelay) relayBind(bw *bufio.Writer, st *relayState, corr uint64, payload []byte) bool {
 	if len(payload) == 0 || len(payload) > wire.MaxShardName {
-		return relayError(bw, corr, wire.ErrCodeBadFrame, "shard name must be 1..256 bytes")
+		return wire.WriteErrorFrame(bw, corr, wire.ErrCodeBadFrame, "shard name must be 1..256 bytes")
 	}
 	name := string(payload)
 	if len(r.c.replicasFor(name)) == 0 {
-		return relayError(bw, corr, wire.ErrCodeUnknownShard, "no daemon serves shard "+name)
+		return wire.WriteErrorFrame(bw, corr, wire.ErrCodeUnknownShard, "no daemon serves shard "+name)
 	}
 	st.dropUpstream()
-	up, err := r.dialShard(name)
+	err := r.c.sweep(context.Background(), r.replicas(st, name), func(b *backend) (bool, error) {
+		return r.connect(st, b, name)
+	})
 	if err != nil {
-		return relayError(bw, corr, wire.ErrCodeUpstream, "shard "+name+": "+err.Error())
+		return wire.WriteErrorFrame(bw, corr, wire.ErrCodeUpstream, "shard "+name+": "+err.Error())
 	}
 	st.shard = name
-	st.up = up
 	var buf [wire.HeaderSize + wire.BoundPayloadLen]byte
 	wire.PutHeader(buf[:], wire.FrameBound, corr, wire.BoundPayloadLen)
-	wire.PutBoundPayload(buf[wire.HeaderSize:], up.N(), up.FingerprintRaw())
+	wire.PutBoundPayload(buf[wire.HeaderSize:], st.up.N(), st.up.FingerprintRaw())
 	if _, werr := bw.Write(buf[:]); werr != nil {
 		return false
 	}
@@ -266,21 +196,21 @@ func (r *WireRelay) relayBind(bw *bufio.Writer, st *relayState, corr uint64, pay
 }
 
 // relayQueries forwards one Estimate or NextHop frame: decode the
-// queries, answer through the upstream (re-establishing it across
-// replicas on transport failure, with the coordinator's retry budget),
-// and re-encode the answers under the client's correlation id. Protocol
-// errors from the daemon (out_of_range above all) relay verbatim.
+// queries, answer through the upstream — moving it across replicas under
+// the coordinator's failover sweep when it breaks — and re-encode the
+// answers under the client's correlation id. Protocol errors from the
+// daemon (out_of_range above all) relay verbatim.
 func (r *WireRelay) relayQueries(bw *bufio.Writer, st *relayState, t wire.FrameType, corr uint64, payload []byte) bool {
 	if st.shard == "" {
-		return relayError(bw, corr, wire.ErrCodeNotBound, "no shard bound; send a Bind frame first")
+		return wire.WriteErrorFrame(bw, corr, wire.ErrCodeNotBound, "no shard bound; send a Bind frame first")
 	}
 	count, err := wire.CheckQueryPayload(payload)
 	if err != nil {
-		relayError(bw, corr, wire.ErrCodeBadFrame, err.Error())
+		wire.WriteErrorFrame(bw, corr, wire.ErrCodeBadFrame, err.Error())
 		return false
 	}
 	if count == 0 {
-		return relayError(bw, corr, wire.ErrCodeBadFrame, "frame carries no queries")
+		return wire.WriteErrorFrame(bw, corr, wire.ErrCodeBadFrame, "frame carries no queries")
 	}
 	if cap(st.qs) < count {
 		st.qs = make([]oracle.Query, count)
@@ -292,18 +222,15 @@ func (r *WireRelay) relayQueries(bw *bufio.Writer, st *relayState, t wire.FrameT
 		qs[i] = wire.QueryAt(payload, i)
 	}
 
-	var lastErr error
-	attempts := r.c.cfg.Retries + 1
-	for attempt := 0; attempt < attempts; attempt++ {
-		if st.up == nil {
-			up, derr := r.dialShard(st.shard)
-			if derr != nil {
-				lastErr = derr
-				break // dialShard already swept the replica set
+	var fp uint64
+	var refusal *wire.RemoteError
+	err = r.c.sweep(context.Background(), r.replicas(st, st.shard), func(b *backend) (bool, error) {
+		if st.upB != b {
+			st.dropUpstream()
+			if alive, err := r.connect(st, b, st.shard); err != nil {
+				return alive, err
 			}
-			st.up = up
 		}
-		var fp uint64
 		var qerr error
 		if t == wire.FrameEstimate {
 			fp, qerr = st.up.Estimate(qs, st.out[:count])
@@ -311,25 +238,31 @@ func (r *WireRelay) relayQueries(bw *bufio.Writer, st *relayState, t wire.FrameT
 			fp, qerr = st.up.NextHop(qs, st.hops[:count])
 		}
 		if qerr == nil {
-			r.c.proxied.Add(1)
-			return r.writeAnswers(bw, st, t, corr, count, fp)
+			return true, nil
 		}
 		var re *wire.RemoteError
 		if errors.As(qerr, &re) {
-			// The daemon answered: this is a protocol-level refusal
-			// (out_of_range, too_large), identical on every replica —
-			// relay it rather than failing over.
-			if re.Fatal() {
-				st.dropUpstream()
-			}
-			return relayError(bw, corr, re.Code, re.Message)
+			// The daemon answered: a protocol-level refusal
+			// (out_of_range, too_large) is identical on every replica,
+			// so it settles the request like an answer does.
+			refusal = re
+			return true, nil
 		}
 		st.dropUpstream()
-		r.c.failovers.Add(1)
-		lastErr = qerr
+		return false, qerr
+	})
+	switch {
+	case err != nil:
+		return wire.WriteErrorFrame(bw, corr, wire.ErrCodeUpstream,
+			fmt.Sprintf("shard %s: every replica failed: %v", st.shard, err))
+	case refusal != nil:
+		if refusal.Fatal() {
+			st.dropUpstream()
+		}
+		return wire.WriteErrorFrame(bw, corr, refusal.Code, refusal.Message)
 	}
-	return relayError(bw, corr, wire.ErrCodeUpstream,
-		fmt.Sprintf("shard %s: every replica failed: %v", st.shard, lastErr))
+	r.c.proxied.Add(1)
+	return r.writeAnswers(bw, st, t, corr, count, fp)
 }
 
 // writeAnswers re-frames the upstream's answers for the client. The
@@ -364,19 +297,4 @@ func (r *WireRelay) writeAnswers(bw *bufio.Writer, st *relayState, t wire.FrameT
 	}
 	_, err := bw.Write(frame)
 	return err == nil
-}
-
-// relayError mirrors the daemon-side error discipline: emit an Error
-// frame and keep the connection open unless the code is fatal.
-func relayError(bw *bufio.Writer, corr uint64, code uint16, msg string) bool {
-	payload := wire.ErrorPayload(code, msg)
-	var hdr [wire.HeaderSize]byte
-	wire.PutHeader(hdr[:], wire.FrameError, corr, len(payload))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return false
-	}
-	if _, err := bw.Write(payload); err != nil {
-		return false
-	}
-	return code != wire.ErrCodeBadFrame && code != wire.ErrCodeShuttingDown
 }

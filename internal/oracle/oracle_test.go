@@ -324,9 +324,9 @@ func TestAnswerAllLengthContract(t *testing.T) {
 
 // TestOracleOutOfRangeIsMiss pins the bounds contract: a node id outside
 // [0, n) is a miss, never a panic. The serving daemon validates queries
-// against one table snapshot but may answer them from a hot-swapped
-// replacement with a smaller n; a panic here would kill the dispatcher
-// goroutine and with it the whole process.
+// against the table snapshot it answers from; should a transport ever
+// answer from a hot-swapped replacement with a smaller n instead, a
+// panic here would kill the whole process.
 func TestOracleOutOfRangeIsMiss(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	g := graph.RandomConnected(16, 6.0/16, 8, r)

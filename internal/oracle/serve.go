@@ -19,6 +19,16 @@ type Query struct {
 	S int32
 }
 
+// InRange reports whether both ids lie in [0, n): the one bounds check
+// ids from outside the process pass before they may index the tables.
+// Every transport applies it against the snapshot it answers from; the
+// rtc and compact backends repeat it so a bad id is a miss, not a panic.
+//
+//pde:hotpath
+func (q Query) InRange(n int32) bool {
+	return q.V >= 0 && q.V < n && q.S >= 0 && q.S < n
+}
+
 // Answer is the result of one Query: the PDEA wire record (a fixed-width
 // core.Estimate plus the ok byte).
 //

@@ -121,13 +121,12 @@ func (in *CompactInstance) Accounting() Accounting { return in.acct }
 
 // answer mirrors the rtc contract: Dist from the §2.4 local-table
 // estimate, Via from the origin's level selection and first hop.
-// Out-of-range ids answer as misses, like the oracle backend: the server
-// validates at ingress against one snapshot but may flush against a
-// hot-swapped, smaller one, and a serving path must never panic on that
-// race.
+// Out-of-range ids answer as misses, like the oracle backend: every
+// transport validates ids against the snapshot it answers from, but a
+// serving path must never panic on an id it was handed.
 func (in *CompactInstance) answer(q oracle.Query) oracle.Answer {
 	v := int(q.V)
-	if n := int32(in.Gr.N()); q.V < 0 || q.V >= n || q.S < 0 || q.S >= n {
+	if !q.InRange(int32(in.Gr.N())) {
 		return oracle.Answer{}
 	}
 	dst := in.Sch.Labels[q.S]

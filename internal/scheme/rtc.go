@@ -110,12 +110,12 @@ func (in *RTCInstance) Accounting() Accounting { return in.acct }
 // answer is the per-query serving contract: Dist is DistEstimate's local
 // table answer (§2.4), Via the stateless forwarding function's first hop
 // (v itself when v == s, -1 when the scheme cannot forward). Out-of-range
-// ids answer as misses, like the oracle backend: the server validates at
-// ingress against one snapshot but may flush against a hot-swapped,
-// smaller one, and a serving path must never panic on that race.
+// ids answer as misses, like the oracle backend: every transport
+// validates ids against the snapshot it answers from, but a serving path
+// must never panic on an id it was handed.
 func (in *RTCInstance) answer(q oracle.Query) oracle.Answer {
 	v := int(q.V)
-	if n := int32(in.Gr.N()); q.V < 0 || q.V >= n || q.S < 0 || q.S >= n {
+	if !q.InRange(int32(in.Gr.N())) {
 		return oracle.Answer{}
 	}
 	dst := in.Sch.Labels[q.S]

@@ -311,9 +311,9 @@ func TestAnswerIntoWidthInvariance(t *testing.T) {
 	}
 }
 
-// TestAnswerIntoOutOfRangeIsMiss pins the hot-swap shrink contract for
-// every backend: the server validates query ids at ingress against one
-// snapshot but may flush against a smaller hot-swapped one, so an
+// TestAnswerIntoOutOfRangeIsMiss pins the bounds contract for every
+// backend: transports validate query ids against the snapshot they
+// answer from, and should one ever not — the hot-swap shrink race — an
 // out-of-range id must answer as a miss, never panic (the oracle backend
 // inherits this from Oracle.find's bounds guard; rtc/compact enforce it
 // in answer()).

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,98 +11,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"pde/internal/core"
-	"pde/internal/graph"
 	"pde/internal/oracle"
-	"pde/internal/scheme"
 	"pde/internal/setdist"
 )
 
-// blockingInstance is a stub scheme.Instance whose AnswerInto parks on a
-// gate, so tests can hold the dispatcher mid-flush and observe exactly
-// what close() does to the jobs queued behind it.
-type blockingInstance struct {
-	gate    chan struct{} // closed to release every parked AnswerInto
-	entered chan struct{} // one receive per AnswerInto entry
-}
-
-func (b *blockingInstance) Scheme() string                        { return "stub" }
-func (b *blockingInstance) Spec() scheme.Spec                     { return scheme.Spec{} }
-func (b *blockingInstance) Graph() *graph.Graph                   { return nil }
-func (b *blockingInstance) Fingerprint() uint64                   { return 0 }
-func (b *blockingInstance) BuildNS() int64                        { return 0 }
-func (b *blockingInstance) Accounting() scheme.Accounting         { return scheme.Accounting{} }
-func (b *blockingInstance) Route(int, int32) (*core.Route, error) { return nil, errors.New("stub") }
-func (b *blockingInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int) {
-	b.entered <- struct{}{}
-	<-b.gate
-}
-
-// TestCloseFailsPendingSubmitsAndReturns pins the batcher shutdown
-// contract: close() waits for the dispatcher to exit, and every submit
-// still queued — or arriving after — returns errClosing instead of
-// blocking forever. Before the drain-then-fail protocol, jobs queued
-// behind an in-flight flush when the stop signal landed were simply
-// abandoned and their submit callers hung.
-func TestCloseFailsPendingSubmitsAndReturns(t *testing.T) {
-	inst := &blockingInstance{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	sh := &shard{inst: inst, fp: "stub"}
-	b := newBatcher(&slot{name: "t"}, 1, 0, 1) // limit 1: one job per flush
-
-	qs := []oracle.Query{{V: 0, S: 0}}
-	results := make(chan error, 8)
-	submit := func() {
-		_, err := b.submit(qs, sh)
-		results <- err
-	}
-	go submit()
-	<-inst.entered // the dispatcher is now parked answering job 1
-	const queued = 3
-	for i := 0; i < queued; i++ {
-		go submit()
-	}
-	// Wait until the extra jobs are actually in the channel, behind the
-	// parked flush.
-	for deadline := time.Now().Add(5 * time.Second); len(b.jobs) < queued; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d jobs queued", len(b.jobs), queued)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	closed := make(chan struct{})
-	go func() {
-		b.close()
-		close(closed)
-	}()
-	close(inst.gate) // release the parked flush so the dispatcher can exit
-
-	for i := 0; i < queued+1; i++ {
-		select {
-		case err := <-results:
-			if err != nil && !errors.Is(err, errClosing) {
-				t.Fatalf("submit returned %v, want nil or errClosing", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("a submit hung across close — pending jobs were not failed")
-		}
-	}
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("close did not return after the dispatcher exited")
-	}
-	if _, err := b.submit(qs, sh); !errors.Is(err, errClosing) {
-		t.Fatalf("submit after close returned %v, want errClosing", err)
-	}
-	b.close() // second close must be a no-op, not a deadlock or double-close panic
-}
-
-// TestCloseRejectsRequestsWith503 checks the server-level face of the
-// same contract: a request arriving after Close gets the shutting_down
-// envelope, not a hang.
+// TestCloseRejectsRequestsWith503 pins the shutdown contract: a point
+// query arriving after Close gets the shutting_down envelope — a 5xx a
+// coordinator fails over on — not a hang and not an answer.
 func TestCloseRejectsRequestsWith503(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	srv.Close()

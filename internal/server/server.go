@@ -2,13 +2,13 @@
 // sharded distance-query daemon over the unified scheme engine
 // (internal/scheme). Each named shard is an independently built scenario
 // (topology + PDE parameters + scheme: oracle | rtc | compact) compiled
-// into its own immutable instance; queries against a shard are coalesced
-// into micro-batches and served by the instance's batch path — for
-// oracle shards that is the same oracle.AnswerInto indexed lookup the
-// in-process benchmarks measure, for rtc and compact it is the scheme's
-// stateless per-query forwarding/estimation functions. The wire
-// protocol, hot-swap semantics, coalescing, route LRU and binary codec
-// are identical for every backend.
+// into its own immutable instance; each request's queries are answered
+// by one call into the instance's batch path, on the handler's own
+// goroutine — for oracle shards that is the same oracle.AnswerInto
+// indexed lookup the in-process benchmarks measure, for rtc and compact
+// it is the scheme's stateless per-query forwarding/estimation
+// functions. The wire protocol, hot-swap semantics, route LRU and binary
+// codec are identical for every backend.
 //
 // Hot swaps: a shard's tables live behind an atomic pointer. The admin
 // /v1/rebuild endpoint constructs a complete replacement off to the side
@@ -29,7 +29,7 @@
 //	POST /v1/update     apply edge churn (reweight/insert/delete) to a
 //	                    shard's graph, patching compiled tables in place
 //	                    when the damage is small enough
-//	GET  /v1/stats      per-shard counters, batch shape, cache hit rate
+//	GET  /v1/stats      per-shard counters, request shape, cache hit rate
 //	GET  /healthz       liveness + shard inventory
 //
 // /v1/estimate, /v1/nexthop and /v1/setdist also speak the
@@ -61,6 +61,7 @@ import (
 	"pde/internal/graph"
 	"pde/internal/oracle"
 	"pde/internal/scheme"
+	"pde/internal/wire"
 )
 
 // Config tunes the serving layer. The zero value gets sensible defaults.
@@ -68,12 +69,7 @@ type Config struct {
 	// MaxBatch is the largest number of queries (or route pairs) one
 	// request may carry; bigger bodies are rejected with 413.
 	MaxBatch int
-	// CoalesceLimit caps the point lookups one micro-batch flush carries.
-	CoalesceLimit int
-	// CoalesceWait > 0 holds a lone request open that long waiting for
-	// companions (latency-for-throughput); 0 coalesces opportunistically.
-	CoalesceWait time.Duration
-	// Workers is the oracle.AnswerInto fan-out per flush (0 = GOMAXPROCS).
+	// Workers is the AnswerInto fan-out per request (0 = GOMAXPROCS).
 	Workers int
 	// RouteCacheSize is the per-shard LRU capacity for expanded routes;
 	// < 0 disables the cache.
@@ -88,9 +84,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 65536
-	}
-	if c.CoalesceLimit <= 0 {
-		c.CoalesceLimit = 16384
 	}
 	if c.RouteCacheSize == 0 {
 		c.RouteCacheSize = 4096
@@ -108,6 +101,9 @@ type Server struct {
 	names []string // sorted shard names
 	start time.Time
 	mux   *http.ServeMux
+	// closing is set by Close; point-query handlers answer 503
+	// shutting_down once it is.
+	closing atomic.Bool
 	// wireAddr is the bound PDE2 listener address advertised in
 	// /v1/stats; atomic because stats requests may race the daemon's
 	// wire-listener boot.
@@ -172,14 +168,13 @@ func assemble(cfg Config, shards []namedShard) (*Server, error) {
 		}
 		sl := &slot{name: p.name, cache: newRouteCache(cfg.RouteCacheSize)}
 		sl.swap(p.sh)
-		sl.batch = newBatcher(sl, cfg.CoalesceLimit, cfg.CoalesceWait, cfg.Workers)
 		s.slots[p.name] = sl
 		s.names = append(s.names, p.name)
 	}
 	sort.Strings(s.names)
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/v1/estimate", s.handleEstimate)
-	s.mux.HandleFunc("/v1/nexthop", s.handleNextHop)
+	s.mux.HandleFunc("/v1/estimate", func(w http.ResponseWriter, r *http.Request) { s.handlePoint(w, r, wire.FrameEstimate) })
+	s.mux.HandleFunc("/v1/nexthop", func(w http.ResponseWriter, r *http.Request) { s.handlePoint(w, r, wire.FrameNextHop) })
 	s.mux.HandleFunc("/v1/route", s.handleRoute)
 	s.mux.HandleFunc("/v1/setdist", s.handleSetDist)
 	s.mux.HandleFunc("/v1/rebuild", s.handleRebuild)
@@ -192,16 +187,13 @@ func assemble(cfg Config, shards []namedShard) (*Server, error) {
 // ServeHTTP dispatches to the endpoint handlers.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// Close stops the per-shard dispatcher goroutines and returns only once
-// every one of them has exited. Requests still queued in a batcher when
-// Close is called are failed with the 503 shutting_down envelope rather
-// than left blocked, so Close never strands an in-flight handler; it is
-// safe to call at any time and more than once.
-func (s *Server) Close() {
-	for _, sl := range s.slots {
-		sl.batch.close()
-	}
-}
+// Close marks the daemon as shutting down: from here on /v1/estimate and
+// /v1/nexthop answer the 503 shutting_down envelope, so a coordinator in
+// front fails the request over to another replica without marking this
+// daemon down. Requests already answering finish normally. The server
+// owns no goroutines, so there is nothing to wait for; Close is safe to
+// call at any time and more than once.
+func (s *Server) Close() { s.closing.Store(true) }
 
 // Shards returns the sorted shard names.
 func (s *Server) Shards() []string { return append([]string(nil), s.names...) }
@@ -363,20 +355,18 @@ func isBinary(r *http.Request) bool {
 	return strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary)
 }
 
-// readBatch parses a query batch in either encoding and resolves its
-// slot, writing the protocol error itself when it returns ok=false. The
-// returned shard is the snapshot the ids were validated against; the
-// caller must answer and stamp from that same snapshot (the batcher
-// honors this via job.sh), so validation and answering always use the
-// same generation even when a rebuild swaps the slot mid-request.
-func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) (*slot, *shard, []oracle.Query, bool) {
+// readBatch parses a query batch in either encoding, resolves its slot
+// and checks the batch size, writing the protocol error itself when it
+// returns ok=false. The ids are not yet validated: that needs a table
+// generation, and handlePoint loads the one it also answers from.
+func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) (*slot, []oracle.Query, bool) {
 	var shardName string
 	var qs []oracle.Query
 	if isBinary(r) {
 		shardName = r.URL.Query().Get("shard")
 		if shardName == "" {
 			writeError(w, http.StatusBadRequest, "bad_request", "binary batches name the shard in the ?shard= query parameter")
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 		// Read the exact announced length when the client sends one (the
 		// hot path: no growth reallocs); fall back to a capped ReadAll.
@@ -388,27 +378,27 @@ func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) (*slot, *shar
 			_, err = io.ReadFull(r.Body, body)
 		} else if cl > limit {
 			writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch exceeds the %d-query limit", s.cfg.MaxBatch)
-			return nil, nil, nil, false
+			return nil, nil, false
 		} else {
 			body, err = io.ReadAll(io.LimitReader(r.Body, limit))
 		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 		if count := (len(body) - 8) / queryRecordSize; count > s.cfg.MaxBatch {
 			writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch exceeds the %d-query limit", s.cfg.MaxBatch)
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 		qs, err = DecodeQueries(body)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad_request", "binary batch: %v", err)
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 	} else {
 		var req BatchRequest
 		if !decodeJSON(w, r, &req, s.jsonBatchLimit()) {
-			return nil, nil, nil, false
+			return nil, nil, false
 		}
 		shardName = req.Shard
 		qs = make([]oracle.Query, len(req.Queries))
@@ -419,44 +409,68 @@ func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) (*slot, *shar
 	sl, ok := s.slots[shardName]
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown_shard", "no shard named %q (have %s)", shardName, strings.Join(s.names, ", "))
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	if len(qs) == 0 {
 		writeError(w, http.StatusBadRequest, "empty_batch", "batch carries no queries")
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
 	if len(qs) > s.cfg.MaxBatch {
 		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch carries %d queries, limit is %d", len(qs), s.cfg.MaxBatch)
-		return nil, nil, nil, false
+		return nil, nil, false
 	}
-	sh := sl.load()
-	n := int32(sh.g.N())
-	for i, q := range qs {
-		if q.V < 0 || q.V >= n || q.S < 0 || q.S >= n {
-			writeError(w, http.StatusBadRequest, "out_of_range", "query %d: (v=%d, s=%d) outside [0, %d)", i, q.V, q.S, n)
-			return nil, nil, nil, false
-		}
-	}
-	return sl, sh, qs, true
+	return sl, qs, true
 }
 
 // --- endpoint handlers -------------------------------------------------
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
+// handlePoint serves /v1/estimate and /v1/nexthop, which differ only in
+// the counter they bump and the records they encode: next hops are
+// derived from the same table entries the estimates are. The one
+// sl.load() below is the generation that validates the ids, answers them
+// and stamps the response, so a rebuild that swaps the slot (or shrinks
+// n) mid-request can neither tear the response nor drive a validated id
+// out of bounds.
+func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, kind wire.FrameType) {
 	if !requirePost(w, r) {
 		return
 	}
-	binary := isBinary(r)
-	sl, sh, qs, ok := s.readBatch(w, r)
+	sl, qs, ok := s.readBatch(w, r)
 	if !ok {
 		return
 	}
-	answers, err := sl.batch.submit(qs, sh)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "shutting_down", "shard %q: %v", sl.name, err)
+	sh := sl.load()
+	n := sh.NodeCount()
+	for i, q := range qs {
+		if !q.InRange(n) {
+			writeError(w, http.StatusBadRequest, "out_of_range", "query %d: (v=%d, s=%d) outside [0, %d)", i, q.V, q.S, n)
+			return
+		}
+	}
+	// A draining daemon still answers, with a 5xx: behind pde-cluster the
+	// request then fails over and this replica is not marked down.
+	if s.closing.Load() {
+		writeError(w, http.StatusServiceUnavailable, "shutting_down", "shard %q: server: shutting down", sl.name)
 		return
 	}
-	sl.stats.estimateQueries.Add(int64(len(qs)))
+	answers := make([]oracle.Answer, len(qs))
+	sh.AnswerInto(qs, answers, s.cfg.Workers)
+	sl.stats.recordBatch(1, len(qs))
+	sl.stats.countPoint(kind, len(qs))
+
+	binary := isBinary(r)
+	if kind == wire.FrameNextHop {
+		hops := make([]Hop, len(qs))
+		for i, q := range qs {
+			hops[i] = wire.DeriveHop(q, answers[i])
+		}
+		if binary {
+			writeBinary(w, sl.name, sh.fp, EncodeHops(hops))
+			return
+		}
+		writeJSON(w, &NexthopResponse{Shard: sl.name, Fingerprint: sh.fp, Hops: hops})
+		return
+	}
 	if binary {
 		writeBinary(w, sl.name, sh.fp, EncodeAnswers(answers))
 		return
@@ -469,43 +483,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, &resp)
-}
-
-func (s *Server) handleNextHop(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	binary := isBinary(r)
-	sl, sh, qs, ok := s.readBatch(w, r)
-	if !ok {
-		return
-	}
-	// Next hops are derived from the same oracle entries the estimate
-	// path serves, so the queries ride the same micro-batcher and the
-	// whole request is answered by one snapshot. The v == s terminal
-	// convention (core.Router.NextHop) is applied after the lookup.
-	answers, err := sl.batch.submit(qs, sh)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "shutting_down", "shard %q: %v", sl.name, err)
-		return
-	}
-	sl.stats.nexthopQueries.Add(int64(len(qs)))
-	hops := make([]Hop, len(qs))
-	for i, q := range qs {
-		switch {
-		case q.V == q.S:
-			hops[i] = Hop{Next: q.V, OK: true}
-		case answers[i].OK && answers[i].Est.Via >= 0:
-			hops[i] = Hop{Next: answers[i].Est.Via, OK: true}
-		default:
-			hops[i] = Hop{Next: -1, OK: false}
-		}
-	}
-	if binary {
-		writeBinary(w, sl.name, sh.fp, EncodeHops(hops))
-		return
-	}
-	writeJSON(w, &NexthopResponse{Shard: sl.name, Fingerprint: sh.fp, Hops: hops})
 }
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
@@ -532,9 +509,9 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 	// One snapshot serves the whole request; the cache key carries its
 	// fingerprint so a hot-swap can never serve a stale expansion.
 	sh := sl.load()
-	n := int32(sh.g.N())
+	n := sh.NodeCount()
 	for i, p := range req.Pairs {
-		if p.From < 0 || p.From >= n || p.To < 0 || p.To >= n {
+		if !(oracle.Query{V: p.From, S: p.To}).InRange(n) {
 			writeError(w, http.StatusBadRequest, "out_of_range", "pair %d: (from=%d, to=%d) outside [0, %d)", i, p.From, p.To, n)
 			return
 		}
@@ -687,8 +664,11 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 
 // --- stats & health ----------------------------------------------------
 
-// BatchStats describes the micro-batch shape a shard achieved:
-// point lookups per coalesced flush.
+// BatchStats describes the shape of a shard's HTTP point-query
+// requests. Every request is answered by its own AnswerInto call —
+// nothing is coalesced — so Flushes equals Requests and AvgQueries is
+// the mean request size; the block keeps its fields for the consumers
+// that read them.
 type BatchStats struct {
 	Flushes    int64   `json:"flushes"`
 	Requests   int64   `json:"requests"`

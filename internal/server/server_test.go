@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pde/internal/oracle"
 )
@@ -513,10 +515,12 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
-// TestCoalescing checks that concurrent single-query requests get merged
-// into multi-request flushes when a coalesce window is open.
-func TestCoalescing(t *testing.T) {
-	_, ts := newTestServer(t, Config{CoalesceWait: 2_000_000 /* 2ms */})
+// TestRequestsAreNotCoalesced pins the one-call-per-request execution
+// model through the counters consumers read: N concurrent single-query
+// clients are N AnswerInto calls, so /v1/stats must report exactly N
+// requests, N flushes and N point lookups — under any interleaving.
+func TestRequestsAreNotCoalesced(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
 	const clients = 8
 	errs := make(chan error, clients)
 	for c := 0; c < clients; c++ {
@@ -540,11 +544,65 @@ func TestCoalescing(t *testing.T) {
 	}
 	var st StatsResponse
 	getJSON(t, ts.URL+"/v1/stats", &st)
-	b := st.Shards["main"].Batches
-	if b.Requests != clients {
-		t.Fatalf("batched requests = %d, want %d", b.Requests, clients)
+	main := st.Shards["main"]
+	b := main.Batches
+	if b.Requests != clients || b.Flushes != clients {
+		t.Fatalf("batches: requests=%d flushes=%d, want both %d", b.Requests, b.Flushes, clients)
 	}
-	if b.Flushes >= clients {
-		t.Logf("no coalescing observed (flushes=%d for %d requests) — timing-dependent, not fatal", b.Flushes, clients)
+	if b.Queries != clients || main.Queries.Estimate != clients {
+		t.Fatalf("batches.queries=%d queries.estimate=%d, want both %d", b.Queries, main.Queries.Estimate, clients)
+	}
+	if b.AvgQueries != 1 || b.MaxQueries != 1 {
+		t.Fatalf("single-query requests report avg=%g max=%d, want 1 and 1", b.AvgQueries, b.MaxQueries)
+	}
+}
+
+// TestServerOwnsNoGoroutines pins "no goroutine per shard": a daemon
+// that has been built, has served requests and has been closed runs
+// exactly the goroutines the process ran before it existed — while it
+// serves, not only after Close. Requests go through ServeHTTP directly
+// so no listener or connection goroutine muddies the count.
+func TestServerOwnsNoGoroutines(t *testing.T) {
+	// Earlier tests leave keep-alive connections behind and build workers
+	// exit on their own schedule, so counts are read once they stop
+	// falling, and the daemon may only ever not add to them.
+	http.DefaultClient.CloseIdleConnections()
+	settled := func(want int) int {
+		got := runtime.NumGoroutine()
+		for deadline := time.Now().Add(2 * time.Second); got > want && time.Now().Before(deadline); got = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		return got
+	}
+	time.Sleep(50 * time.Millisecond)
+	before := runtime.NumGoroutine()
+	ring := testSpec
+	ring.Topology, ring.N = "ring", 16
+	srv, err := New(map[string]Spec{"main": testSpec, "ring16": ring}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, shard string) int {
+		body, _ := json.Marshal(BatchRequest{Shard: shard, Queries: []WireQuery{{V: 1, S: 2}, {V: 3, S: 3}}})
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec.Code
+	}
+	for _, shard := range srv.Shards() {
+		for _, path := range []string{"/v1/estimate", "/v1/nexthop"} {
+			if code := post(path, shard); code != http.StatusOK {
+				t.Fatalf("%s on %s: status %d", path, shard, code)
+			}
+		}
+	}
+	if got := settled(before); got > before {
+		t.Fatalf("a serving daemon with 2 shards runs %d goroutines, the process ran %d before it", got, before)
+	}
+	srv.Close()
+	if code := post("/v1/estimate", "main"); code != http.StatusServiceUnavailable {
+		t.Fatalf("estimate after Close: status %d, want 503", code)
+	}
+	if got := settled(before); got > before {
+		t.Fatalf("after Close %d goroutines run, the process ran %d before New", got, before)
 	}
 }

@@ -79,7 +79,7 @@ func instShard(inst scheme.Instance) *shard {
 
 // slot is the long-lived holder of one named shard: the atomic pointer
 // the hot-swap happens through, plus everything that survives a swap
-// (stats, the route cache, the micro-batcher). The slot map itself is
+// (stats, the route cache). The slot map itself is
 // immutable after New; only the pointer inside a slot ever changes.
 type slot struct {
 	name    string
@@ -87,7 +87,6 @@ type slot struct {
 	buildMu sync.Mutex // serializes rebuilds and updates of this shard
 	stats   shardStats
 	cache   *routeCache
-	batch   *batcher
 	// mutated is set once /v1/update has drifted the serving graph away
 	// from the spec's generated one, and cleared by /v1/rebuild. While
 	// set, the spec in /v1/stats no longer reproduces the tables.

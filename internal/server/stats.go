@@ -1,6 +1,10 @@
 package server
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"pde/internal/wire"
+)
 
 // shardStats are the per-shard serving counters behind /v1/stats. They
 // live on the slot, not the shard, so a hot-swap resets nothing: traffic
@@ -12,9 +16,10 @@ type shardStats struct {
 	routeQueries    atomic.Int64 // route expansions served by /v1/route
 	setdistPairs    atomic.Int64 // candidate pairs served by /v1/setdist
 
-	// Micro-batch shape: batches is dispatcher flushes, batchedRequests
-	// the HTTP requests coalesced into them, batchedQueries the point
-	// lookups those flushes carried, maxBatch the largest single flush.
+	// HTTP point-query request shape: batches is AnswerInto calls,
+	// batchedRequests the requests they served (one each: nothing is
+	// coalesced), batchedQueries the point lookups they carried, maxBatch
+	// the largest single request.
 	batches         atomic.Int64
 	batchedRequests atomic.Int64
 	batchedQueries  atomic.Int64
@@ -53,6 +58,20 @@ func (st *shardStats) recordBatch(requests, queries int) {
 		if int64(queries) <= cur || st.maxBatch.CompareAndSwap(cur, int64(queries)) {
 			return
 		}
+	}
+}
+
+// countPoint adds served point lookups to the per-endpoint tally. The
+// tally is transport-agnostic: the HTTP handler and PDE2 frames both
+// count here, keyed by the frame type that names the query kind.
+//
+//pde:hotpath
+func (st *shardStats) countPoint(kind wire.FrameType, queries int) {
+	switch kind {
+	case wire.FrameEstimate:
+		st.estimateQueries.Add(int64(queries))
+	case wire.FrameNextHop:
+		st.nexthopQueries.Add(int64(queries))
 	}
 }
 

@@ -233,14 +233,13 @@ func TestHotSwapNoTornReads(t *testing.T) {
 	}
 }
 
-// TestHotSwapShrinkDoesNotCrash pins the validation/answer coherence
-// fix: a request's node ids are range-checked against the snapshot
-// current at ingress, and the batcher answers from exactly that snapshot
-// (job.sh) even when a concurrent rebuild has replaced it with a
-// *smaller* graph. Before the fix the dispatcher loaded whatever
-// snapshot was current at flush time, so a query validated against the
-// big generation could be answered — or panic — against the small one;
-// now every 200 response must be internally consistent with its stamped
+// TestHotSwapShrinkDoesNotCrash pins validation/answer coherence: a
+// request's node ids are range-checked against the snapshot its handler
+// loaded, and answered from exactly that snapshot, even when a
+// concurrent rebuild has replaced it with a *smaller* graph. Were the
+// snapshot loaded a second time for answering, a query validated against
+// the big generation could be answered — or panic — against the small
+// one; every 200 response must be internally consistent with its stamped
 // generation, and the daemon must survive the whole shrink/grow churn.
 func TestHotSwapShrinkDoesNotCrash(t *testing.T) {
 	big := Spec{Topology: "random", N: 48, Eps: 1, MaxW: 4, Seed: 1}

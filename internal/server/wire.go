@@ -60,19 +60,14 @@ func (sl *slot) Snapshot() wire.Snapshot { return sl.load() }
 
 // ObserveWire feeds the serving counters after a wire frame is answered.
 // Point lookups land in the same per-endpoint counters HTTP requests use
-// (the tally is transport-agnostic); wireFrames/wireQueries additionally
-// break out the PDE2 share. All counters are atomic — the wire path runs
-// one goroutine per connection with no handler serialization, so any
-// non-atomic read or write here would be a race under -race churn.
+// (countPoint); wireFrames/wireQueries additionally break out the PDE2
+// share. All counters are atomic — the wire path runs one goroutine per
+// connection with no handler serialization, so any non-atomic read or
+// write here would be a race under -race churn.
 //
 //pde:hotpath
 func (sl *slot) ObserveWire(t wire.FrameType, queries int) {
-	switch t {
-	case wire.FrameEstimate:
-		sl.stats.estimateQueries.Add(int64(queries))
-	case wire.FrameNextHop:
-		sl.stats.nexthopQueries.Add(int64(queries))
-	}
+	sl.stats.countPoint(t, queries)
 	sl.stats.wireFrames.Add(1)
 	sl.stats.wireQueries.Add(int64(queries))
 }

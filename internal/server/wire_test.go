@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,7 +13,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"pde/internal/core"
+	"pde/internal/graph"
 	"pde/internal/oracle"
+	"pde/internal/scheme"
 	"pde/internal/wire"
 )
 
@@ -126,6 +130,88 @@ func TestGoldenWirePDE2Session(t *testing.T) {
 	httpHops := EncodeHops(wantHops)
 	if !bytes.Equal(hopPayload[12:], httpHops[8:]) {
 		t.Fatal("PDE2 hop records differ from the HTTP binary codec records for the same hops")
+	}
+}
+
+// hopTableInstance is a stub scheme.Instance whose answers are chosen by
+// the queried source id, so a test can put every branch of the next-hop
+// convention on the wire without hunting for a topology that has them:
+// s = 1 has no table entry, s = 2 has an entry that cannot forward
+// (Via -1), every other s forwards via node s.
+type hopTableInstance struct{ g *graph.Graph }
+
+func (h hopTableInstance) Scheme() string                        { return "stub" }
+func (h hopTableInstance) Spec() scheme.Spec                     { return scheme.Spec{} }
+func (h hopTableInstance) Graph() *graph.Graph                   { return h.g }
+func (h hopTableInstance) Fingerprint() uint64                   { return 0x5eed }
+func (h hopTableInstance) BuildNS() int64                        { return 0 }
+func (h hopTableInstance) Accounting() scheme.Accounting         { return scheme.Accounting{} }
+func (h hopTableInstance) Route(int, int32) (*core.Route, error) { return nil, errors.New("stub") }
+func (h hopTableInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int) {
+	for i, q := range qs {
+		switch q.S {
+		case 1:
+			out[i] = oracle.Answer{}
+		case 2:
+			out[i] = oracle.Answer{OK: true, Est: core.Estimate{Dist: 1, Src: q.S, Via: -1}}
+		default:
+			out[i] = oracle.Answer{OK: true, Est: core.Estimate{Dist: 1, Src: q.S, Via: q.S}}
+		}
+	}
+}
+
+// TestNextHopConventionAcrossTransports pins the single wire.DeriveHop
+// from all three entry points: JSON /v1/nexthop, binary /v1/nexthop and a
+// PDE2 NextHop frame must return the same hop for every branch of the
+// convention.
+func TestNextHopConventionAcrossTransports(t *testing.T) {
+	b := graph.NewBuilder(8)
+	for v := 0; v+1 < 8; v++ {
+		b.AddEdge(v, v+1, 1)
+	}
+	srv, err := assemble(Config{}, []namedShard{{name: "hops", sh: instShard(hopTableInstance{g: b.MustBuild()})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	ws := startWire(t, srv, wire.Config{})
+
+	cases := []struct {
+		name string
+		q    oracle.Query
+		want Hop
+	}{
+		{"v == s is terminal delivery", oracle.Query{V: 3, S: 3}, Hop{Next: 3, OK: true}},
+		{"v == s wins over a missing entry", oracle.Query{V: 1, S: 1}, Hop{Next: 1, OK: true}},
+		{"no table entry", oracle.Query{V: 0, S: 1}, Hop{Next: -1, OK: false}},
+		{"entry with Via < 0", oracle.Query{V: 0, S: 2}, Hop{Next: -1, OK: false}},
+		{"ordinary entry", oracle.Query{V: 0, S: 5}, Hop{Next: 5, OK: true}},
+	}
+	qs := make([]oracle.Query, len(cases))
+	for i, c := range cases {
+		qs[i] = c.q
+	}
+
+	ctx := context.Background()
+	cl := &Client{BaseURL: ts.URL, Shard: "hops"}
+	jsonHops, _, err := cl.NextHop(ctx, qs, true)
+	if err != nil {
+		t.Fatalf("JSON /v1/nexthop: %v", err)
+	}
+	binHops, _, err := cl.NextHop(ctx, qs, false)
+	if err != nil {
+		t.Fatalf("binary /v1/nexthop: %v", err)
+	}
+	wireHops := make([]wire.Hop, len(qs))
+	if _, err := dialWire(t, ws.Addr(), "hops").NextHop(qs, wireHops); err != nil {
+		t.Fatalf("PDE2 NextHop: %v", err)
+	}
+	for i, c := range cases {
+		if jsonHops[i] != c.want || binHops[i] != c.want || wireHops[i] != c.want {
+			t.Errorf("%s %+v: JSON %+v, binary %+v, PDE2 %+v, want %+v",
+				c.name, c.q, jsonHops[i], binHops[i], wireHops[i], c.want)
+		}
 	}
 }
 

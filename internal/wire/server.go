@@ -92,13 +92,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server owns one PDE2 listener: AcceptLoops goroutines feeding
-// per-connection handler goroutines. Close stops the listener, closes
-// every live connection and waits for the handlers to exit.
-type Server struct {
-	cfg Config
-	be  Backend
-	ln  net.Listener
+// Listener is the accept side of a PDE2 endpoint: accept loops feeding one
+// handler goroutine per connection, with every live connection tracked
+// so Close can sever them and wait. The daemon's Server and the cluster
+// coordinator's relay both listen through it.
+type Listener struct {
+	ln     net.Listener
+	handle func(net.Conn)
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -106,77 +106,96 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// Serve starts accept loops on ln and returns immediately.
-func Serve(ln net.Listener, be Backend, cfg Config) *Server {
-	s := &Server{cfg: cfg.withDefaults(), be: be, ln: ln, conns: make(map[net.Conn]struct{})}
-	for i := 0; i < s.cfg.AcceptLoops; i++ {
-		s.wg.Add(1)
-		go s.acceptLoop()
+// Listen starts acceptLoops accept loops on ln and returns immediately.
+// handle runs once per connection, on its own goroutine; the connection
+// is closed when it returns.
+func Listen(ln net.Listener, acceptLoops int, handle func(net.Conn)) *Listener {
+	l := &Listener{ln: ln, handle: handle, conns: make(map[net.Conn]struct{})}
+	for i := 0; i < acceptLoops; i++ {
+		l.wg.Add(1)
+		go l.acceptLoop()
 	}
-	return s
+	return l
 }
 
 // Addr is the listener's bound address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (l *Listener) Addr() string { return l.ln.Addr().String() }
 
 // Close stops accepting, closes live connections and waits for every
 // handler to exit. Safe to call more than once.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
+func (l *Listener) Close() error {
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		l.wg.Wait()
 		return nil
 	}
-	s.closed = true
-	for c := range s.conns {
+	l.closed = true
+	for c := range l.conns {
 		c.Close()
 	}
-	s.mu.Unlock()
-	err := s.ln.Close()
-	s.wg.Wait()
+	l.mu.Unlock()
+	err := l.ln.Close()
+	l.wg.Wait()
 	return err
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+func (l *Listener) acceptLoop() {
+	defer l.wg.Done()
 	for {
-		conn, err := s.ln.Accept()
+		conn, err := l.ln.Accept()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return
 			}
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
+			l.mu.Lock()
+			closed := l.closed
+			l.mu.Unlock()
 			if closed {
 				return
 			}
 			continue
 		}
-		if !s.track(conn) {
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
 			conn.Close()
 			return
 		}
-		s.wg.Add(1)
-		go s.handleConn(conn)
+		l.conns[conn] = struct{}{}
+		l.mu.Unlock()
+		l.wg.Add(1)
+		go l.serve(conn)
 	}
 }
 
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
+func (l *Listener) serve(conn net.Conn) {
+	defer l.wg.Done()
+	defer func() {
+		l.mu.Lock()
+		delete(l.conns, conn)
+		l.mu.Unlock()
+	}()
+	defer conn.Close()
+	if tc, ok := conn.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
 	}
-	s.conns[conn] = struct{}{}
-	return true
+	l.handle(conn)
 }
 
-func (s *Server) untrack(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
+// Server is the daemon's PDE2 endpoint: a Listener whose connections
+// answer frames from a Backend's shards.
+type Server struct {
+	*Listener
+	cfg Config
+	be  Backend
+}
+
+// Serve starts accept loops on ln and returns immediately.
+func Serve(ln net.Listener, be Backend, cfg Config) *Server {
+	s := &Server{cfg: cfg.withDefaults(), be: be}
+	s.Listener = Listen(ln, s.cfg.AcceptLoops, s.handleConn)
+	return s
 }
 
 // arena is the per-connection scratch memory: every steady-state frame
@@ -241,12 +260,6 @@ func (s *Server) maxRequestPayload() int {
 // answers coalesce into large writes, and the moment the handler would
 // block it pushes everything out.
 func (s *Server) handleConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer s.untrack(conn)
-	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
 	a := arenaPool.Get().(*arena)
 	defer arenaPool.Put(a)
 	br := bufio.NewReaderSize(conn, 1<<16)
@@ -266,13 +279,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		t, corr, plen, err := ParseHeader(a.hdr[:])
 		if err != nil {
-			writeErrorFrame(bw, corr, ErrCodeBadFrame, err.Error())
+			WriteErrorFrame(bw, corr, ErrCodeBadFrame, err.Error())
 			return
 		}
 		if int(plen) > maxPayload {
 			// A lying length prefix destroys the stream boundary: there
 			// is no way to skip to the next frame, so answer and close.
-			writeErrorFrame(bw, corr, ErrCodeBadFrame, "payload length exceeds the frame limit")
+			WriteErrorFrame(bw, corr, ErrCodeBadFrame, "payload length exceeds the frame limit")
 			return
 		}
 		payload := a.ensurePayload(int(plen))
@@ -290,7 +303,7 @@ func (s *Server) handleConn(conn net.Conn) {
 			}
 		case FrameEstimate, FrameNextHop:
 			if sh == nil {
-				if !writeErrorFrame(bw, corr, ErrCodeNotBound, "no shard bound; send a Bind frame first") {
+				if !WriteErrorFrame(bw, corr, ErrCodeNotBound, "no shard bound; send a Bind frame first") {
 					return
 				}
 				continue
@@ -304,7 +317,7 @@ func (s *Server) handleConn(conn net.Conn) {
 				return
 			}
 		default:
-			writeErrorFrame(bw, corr, ErrCodeBadFrame, "unknown frame type")
+			WriteErrorFrame(bw, corr, ErrCodeBadFrame, "unknown frame type")
 			return
 		}
 	}
@@ -314,12 +327,12 @@ func (s *Server) handleConn(conn net.Conn) {
 // keep the current binding) and whether the connection stays open.
 func (s *Server) serveBind(bw *bufio.Writer, corr uint64, payload []byte) (Shard, bool) {
 	if len(payload) == 0 || len(payload) > MaxShardName {
-		return nil, writeErrorFrame(bw, corr, ErrCodeBadFrame, "shard name must be 1..256 bytes")
+		return nil, WriteErrorFrame(bw, corr, ErrCodeBadFrame, "shard name must be 1..256 bytes")
 	}
 	name := string(payload)
 	sh, ok := s.be.WireShard(name)
 	if !ok {
-		return nil, writeErrorFrame(bw, corr, ErrCodeUnknownShard, "no shard named "+name+" (have "+s.be.WireShardNames()+")")
+		return nil, WriteErrorFrame(bw, corr, ErrCodeUnknownShard, "no shard named "+name+" (have "+s.be.WireShardNames()+")")
 	}
 	snap := sh.Snapshot()
 	var buf [HeaderSize + BoundPayloadLen]byte
@@ -384,14 +397,14 @@ func radixSortRecs(ord, scratch []sortRec, keyBits int) []sortRec {
 func (s *Server) serveQueries(bw *bufio.Writer, a *arena, sh Shard, t FrameType, corr uint64, payload []byte) bool {
 	count, err := CheckQueryPayload(payload)
 	if err != nil {
-		writeErrorFrame(bw, corr, ErrCodeBadFrame, err.Error())
+		WriteErrorFrame(bw, corr, ErrCodeBadFrame, err.Error())
 		return false
 	}
 	if count == 0 {
-		return writeErrorFrame(bw, corr, ErrCodeBadFrame, "frame carries no queries")
+		return WriteErrorFrame(bw, corr, ErrCodeBadFrame, "frame carries no queries")
 	}
 	if count > s.cfg.MaxBatch {
-		return writeErrorFrame(bw, corr, ErrCodeTooLarge, "frame exceeds the query limit")
+		return WriteErrorFrame(bw, corr, ErrCodeTooLarge, "frame exceeds the query limit")
 	}
 	a.ensure(count)
 	snap := sh.Snapshot()
@@ -399,7 +412,7 @@ func (s *Server) serveQueries(bw *bufio.Writer, a *arena, sh Shard, t FrameType,
 	qs := a.qs[:count]
 	for i := 0; i < count; i++ {
 		q := QueryAt(payload, i)
-		if q.V < 0 || q.V >= n || q.S < 0 || q.S >= n {
+		if !q.InRange(n) {
 			return writeOutOfRange(bw, corr, i, q, n)
 		}
 		qs[i] = q
@@ -455,27 +468,29 @@ func (s *Server) serveQueries(bw *bufio.Writer, a *arena, sh Shard, t FrameType,
 		PutHopsPrefix(body, fp, count)
 		if ord != nil {
 			for i := 0; i < count; i++ {
-				PutHopAt(body, int(ord[i].idx), deriveHop(qs[ord[i].idx], out[i]))
+				PutHopAt(body, int(ord[i].idx), DeriveHop(qs[ord[i].idx], out[i]))
 			}
 		} else {
 			for i := 0; i < count; i++ {
-				PutHopAt(body, i, deriveHop(qs[i], out[i]))
+				PutHopAt(body, i, DeriveHop(qs[i], out[i]))
 			}
 		}
 	}
-	if _, err := bw.Write(frame); err != nil {
-		return false
-	}
+	// Count before writing, as the HTTP handler does: a client that reads
+	// /v1/stats the moment its answer arrives must find the frame counted.
 	sh.ObserveWire(t, count)
-	return true
+	_, err = bw.Write(frame)
+	return err == nil
 }
 
-// deriveHop applies the next-hop convention to one answered query: v == s
-// is terminal delivery, otherwise the estimate's via is the hop — the
-// same derivation as the HTTP /v1/nexthop handler.
+// DeriveHop applies the next-hop convention to one answered query: v == s
+// is terminal delivery (core.Router.NextHop), otherwise the estimate's
+// via is the hop, and a pair with no table entry or no via has none. This
+// is the only definition; HTTP /v1/nexthop and PDE2 NextHop frames both
+// answer through it.
 //
 //pde:hotpath
-func deriveHop(q oracle.Query, a oracle.Answer) Hop {
+func DeriveHop(q oracle.Query, a oracle.Answer) Hop {
 	switch {
 	case q.V == q.S:
 		return Hop{Next: q.V, OK: true}
@@ -485,10 +500,10 @@ func deriveHop(q oracle.Query, a oracle.Answer) Hop {
 	return Hop{Next: -1, OK: false}
 }
 
-// writeErrorFrame sends an Error frame and reports whether the
-// connection should stay open (fatal codes close it). Error frames are
-// the cold path; they may allocate.
-func writeErrorFrame(bw *bufio.Writer, corr uint64, code uint16, msg string) bool {
+// WriteErrorFrame sends an Error frame and reports whether the
+// connection should stay open: false for the fatal codes and for a write
+// failure. Error frames are the cold path; they may allocate.
+func WriteErrorFrame(bw *bufio.Writer, corr uint64, code uint16, msg string) bool {
 	payload := ErrorPayload(code, msg)
 	var hdr [HeaderSize]byte
 	PutHeader(hdr[:], FrameError, corr, len(payload))
@@ -498,12 +513,12 @@ func writeErrorFrame(bw *bufio.Writer, corr uint64, code uint16, msg string) boo
 	if _, err := bw.Write(payload); err != nil {
 		return false
 	}
-	return code != ErrCodeBadFrame && code != ErrCodeShuttingDown
+	return !fatalCode(code)
 }
 
 // writeOutOfRange reports an out-of-range query id. Split from the hot
 // path so serveQueries itself stays allocation-free.
 func writeOutOfRange(bw *bufio.Writer, corr uint64, i int, q oracle.Query, n int32) bool {
-	return writeErrorFrame(bw, corr, ErrCodeOutOfRange,
+	return WriteErrorFrame(bw, corr, ErrCodeOutOfRange,
 		fmt.Sprintf("query %d: (v=%d, s=%d) outside [0, %d)", i, q.V, q.S, n))
 }

@@ -418,8 +418,13 @@ func (e *RemoteError) Error() string {
 }
 
 // Fatal reports whether the code closes the connection by protocol rule.
-func (e *RemoteError) Fatal() bool {
-	return e.Code == ErrCodeBadFrame || e.Code == ErrCodeShuttingDown
+func (e *RemoteError) Fatal() bool { return fatalCode(e.Code) }
+
+// fatalCode is the protocol's one fatal-code rule: after a malformed
+// frame the stream boundary is gone, and a server shutting down will not
+// read another frame, so both ends close on these two codes.
+func fatalCode(code uint16) bool {
+	return code == ErrCodeBadFrame || code == ErrCodeShuttingDown
 }
 
 func codeName(code uint16) string {

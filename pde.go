@@ -165,7 +165,7 @@ func NewRouter(g *Graph, res *Estimation) *Router { return core.NewRouter(g, res
 // internal/server and cmd/pde-serve: a long-lived daemon that holds one
 // or more scenarios as independently built oracle shards behind
 // /v1/estimate, /v1/nexthop and /v1/route (JSON or the binary batch
-// codec), coalesces concurrent requests into micro-batches, and
+// codec), answers each request with one batch call into the tables, and
 // hot-swaps a shard's tables via /v1/rebuild without dropping or tearing
 // a single query — every response names the build fingerprint of the
 // table generation that answered it.
