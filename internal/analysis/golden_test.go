@@ -179,16 +179,20 @@ func TestWireFrameGolden(t *testing.T) {
 }
 
 func TestHotPathAllocGolden(t *testing.T) {
-	suppressed := runGolden(t, HotPathAlloc, "hotpathalloc", "pde/internal/wire")
-	if len(suppressed) != 1 {
-		t.Errorf("want exactly 1 //pde:allow-suppressed finding in the fixture, got %d", len(suppressed))
+	// Every package that carries //pde:hotpath markers is in scope.
+	for _, pkg := range []string{"pde/internal/wire", "pde/internal/oracle", "pde/internal/server", "pde/internal/detection"} {
+		suppressed := runGolden(t, HotPathAlloc, "hotpathalloc", pkg)
+		if len(suppressed) != 1 {
+			t.Errorf("%s: want exactly 1 //pde:allow-suppressed finding in the fixture, got %d", pkg, len(suppressed))
+		}
 	}
 }
 
 func TestHotPathAllocScope(t *testing.T) {
 	// The same fixture analyzed under an out-of-scope import path must
 	// produce nothing: the marker contract is enforced only where the
-	// zero-alloc guards run (internal/wire, internal/oracle).
+	// allocation guards run (internal/wire, internal/oracle,
+	// internal/server, internal/detection).
 	fset, typed := goldenUniverse(t)
 	var files []*ast.File
 	entries, _ := os.ReadDir(filepath.Join("testdata", "hotpathalloc"))
@@ -201,8 +205,8 @@ func TestHotPathAllocScope(t *testing.T) {
 			files = append(files, af)
 		}
 	}
-	tpkg, info, _ := TypeCheckFiles(fset, "pde/internal/server", files, mapImporter{typed: typed}, true)
-	if diags := RunAnalyzers([]*Analyzer{HotPathAlloc}, fset, "pde/internal/server", files, tpkg, info); len(diags) != 0 {
+	tpkg, info, _ := TypeCheckFiles(fset, "pde/internal/cluster", files, mapImporter{typed: typed}, true)
+	if diags := RunAnalyzers([]*Analyzer{HotPathAlloc}, fset, "pde/internal/cluster", files, tpkg, info); len(diags) != 0 {
 		t.Errorf("hotpathalloc fired outside its scope: %v", diags)
 	}
 }

@@ -6,17 +6,19 @@ import (
 	"strings"
 )
 
-// HotPathAlloc enforces the zero-allocation contract of the serving hot
-// path: a function marked with a //pde:hotpath doc comment is part of
-// the steady-state frame loop of the PDE2 wire protocol or the oracle's
-// answer path, whose "zero allocations per frame" promise is guarded
-// end-to-end by testing.AllocsPerRun tests. An allocation that sneaks
+// HotPathAlloc enforces the zero-allocation contract of the hot paths: a
+// function marked with a //pde:hotpath doc comment is part of the
+// steady-state frame loop of the PDE2 wire protocol, the server's frame
+// handlers, the oracle's answer path or a detection round, whose
+// allocation promises are guarded end-to-end by testing.AllocsPerRun
+// tests. An allocation that sneaks
 // into one of these functions — an append, a make, a string<->[]byte
 // conversion — turns the serving path GC-bound long before a human
 // reads the benchmark again, so the analyzer flags the allocating
 // construct the moment it is written. Buffer growth belongs in an
-// unmarked helper (arena.ensure, Conn.ensureWbuf, Pipeline.ensureRbuf):
-// the marker — and therefore the rule — deliberately does not reach it.
+// unmarked helper (arena.ensure, Conn.ensureWbuf, Pipeline.ensureRbuf,
+// detection's unit.grow): the marker — and therefore the rule —
+// deliberately does not reach it.
 //
 // Function literals declared inside a marked function are checked too:
 // they run on the same hot path, and the closure itself is a second
@@ -25,7 +27,7 @@ var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc: "//pde:hotpath functions must not allocate " +
 		"(append, make, string<->[]byte conversions)",
-	Scope: scopeSuffix("internal/wire", "internal/oracle"),
+	Scope: scopeSuffix("internal/wire", "internal/oracle", "internal/server", "internal/detection"),
 	Run:   runHotPathAlloc,
 }
 

@@ -67,6 +67,39 @@ func ensure(buf []byte, n int) []byte {
 	return append(buf[:0], make([]byte, n)...)
 }
 
+// list is a stand-in for detection's per-unit entry list.
+type list struct{ entries []answer }
+
+// Negative: the detection shape — the marked function shifts in place
+// inside capacity it already has and calls an unmarked helper to grow.
+//
+//pde:hotpath
+func (l *list) hotPlace(i int, a answer) {
+	n := len(l.entries)
+	if n == cap(l.entries) {
+		l.grow()
+	}
+	l.entries = l.entries[:n+1]
+	copy(l.entries[i+1:], l.entries[i:n])
+	l.entries[i] = a
+}
+
+func (l *list) grow() {
+	grown := make([]answer, len(l.entries), 2*cap(l.entries)+1)
+	copy(grown, l.entries)
+	l.entries = grown
+}
+
+// Positive: the same insertion written with append reallocates whenever
+// the list is at capacity.
+//
+//pde:hotpath
+func (l *list) hotPlaceAppend(i int, a answer) {
+	l.entries = append(l.entries, answer{}) // want `append in //pde:hotpath function hotPlaceAppend`
+	copy(l.entries[i+1:], l.entries[i:])
+	l.entries[i] = a
+}
+
 // Negative: conversions that only change the view, not the memory.
 //
 //pde:hotpath

@@ -37,6 +37,7 @@ package bench
 //	                              scenario, so committed artifacts always
 //	                              say true; -check guarded)
 //	update_wall_ns      int64   – summed wall clock of the update path
+//	max_update_ns       int64   – wall clock of its slowest single step
 //	rebuild_wall_ns     int64   – summed wall clock of the from-scratch
 //	                              builds on the same updated graphs
 //	speedup             float64 – rebuild_wall_ns / update_wall_ns: the
@@ -111,6 +112,7 @@ type UpdateReport struct {
 	Identical       bool    `json:"identical"`
 
 	UpdateWallNS  int64   `json:"update_wall_ns"`
+	MaxUpdateNS   int64   `json:"max_update_ns"`
 	RebuildWallNS int64   `json:"rebuild_wall_ns"`
 	Speedup       float64 `json:"speedup"`
 	UpdatesPerSec float64 `json:"updates_per_sec"`
@@ -197,6 +199,9 @@ func RunUpdateScenario(s UpdateScenario) (*UpdateReport, error) {
 	}
 	g := inst.Graph()
 	sp := inst.Spec()
+	// The loop below replaces inst with each patched generation, whose
+	// BuildNS is that patch's time: the cold build's must be read now.
+	buildNS := inst.BuildNS()
 	steps := s.Updates
 	if steps <= 0 {
 		steps = 8
@@ -205,6 +210,7 @@ func RunUpdateScenario(s UpdateScenario) (*UpdateReport, error) {
 
 	var (
 		updateWall, rebuildWall time.Duration
+		maxUpdate               time.Duration
 		deltaSteps              int
 		damageSum               float64
 	)
@@ -227,7 +233,9 @@ func RunUpdateScenario(s UpdateScenario) (*UpdateReport, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench %s: step %d: update: %w", s.Name, step, err)
 		}
-		updateWall += time.Since(t0)
+		d := time.Since(t0)
+		updateWall += d
+		maxUpdate = max(maxUpdate, d)
 
 		t0 = time.Now()
 		cold, err := scheme.BuildOn(sp, g2)
@@ -255,7 +263,7 @@ func RunUpdateScenario(s UpdateScenario) (*UpdateReport, error) {
 		N:        g.N(),
 		M:        g.M(),
 		Seed:     sp.Seed,
-		BuildNS:  inst.BuildNS(),
+		BuildNS:  buildNS,
 
 		Instances:       core.NumInstances(graph.Weight(sp.MaxW), sp.Eps),
 		Probe:           s.Probe,
@@ -267,6 +275,7 @@ func RunUpdateScenario(s UpdateScenario) (*UpdateReport, error) {
 		Identical:       true,
 
 		UpdateWallNS:  updateWall.Nanoseconds(),
+		MaxUpdateNS:   maxUpdate.Nanoseconds(),
 		RebuildWallNS: rebuildWall.Nanoseconds(),
 
 		Fingerprint: fmt.Sprintf("%016x", inst.Fingerprint()),

@@ -66,6 +66,33 @@ func TestRunUpdateScenario(t *testing.T) {
 	}
 }
 
+// TestUpdateReportBuildNSIsTheColdBuild pins build_ns to the initial
+// construction. On a delta-only stream every step re-detects a strict
+// subset of the rounding instances the cold build ran, so the cold build
+// outlasts the slowest step; a build_ns read off the last patched
+// generation (that patch's own time) cannot.
+func TestUpdateReportBuildNSIsTheColdBuild(t *testing.T) {
+	s := UpdateScenario{
+		Name:    "update_roadgrid-12x12",
+		Spec:    scheme.Spec{Topology: "roadgrid", N: 144, Eps: 0.5, MaxW: 1024, Seed: 5, Scheme: "oracle", H: 24, Sigma: 8},
+		Updates: 4,
+		Probe:   8,
+	}
+	rep, err := RunUpdateScenario(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DeltaUpdates != rep.Updates {
+		t.Fatalf("%d of %d steps took the delta path; the stream must be delta-only for the comparison to hold", rep.DeltaUpdates, rep.Updates)
+	}
+	if rep.MaxUpdateNS <= 0 || rep.MaxUpdateNS > rep.UpdateWallNS {
+		t.Fatalf("max_update_ns %d outside (0, update_wall_ns %d]", rep.MaxUpdateNS, rep.UpdateWallNS)
+	}
+	if rep.BuildNS < rep.MaxUpdateNS {
+		t.Fatalf("build_ns %d is below the slowest update step %d: it is not the cold build's time", rep.BuildNS, rep.MaxUpdateNS)
+	}
+}
+
 // TestRunUpdateScenarioIsDeterministic pins the -check contract: the
 // deterministic fields of two runs of the same scenario must agree
 // exactly.

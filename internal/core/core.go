@@ -22,7 +22,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -409,38 +408,88 @@ func run(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, P
 	}
 	res.BudgetRounds += res.SetupRounds
 
-	// Combine: w̃d(v,s) = min_i b(i)·hd_i(v,s), output the σ smallest.
-	res.Lists = make([][]Estimate, n)
-	for v := 0; v < n; v++ {
-		best := make(map[int32]Estimate)
-		for i, inst := range res.Instances {
-			for _, e := range inst.Det.Lists[v] {
-				d := float64(e.Dist) * inst.Base
-				cur, ok := best[e.Src]
-				if !ok || d < cur.Dist {
-					best[e.Src] = Estimate{Dist: d, Src: e.Src, Via: e.Via, Instance: int32(i), Flag: e.Flag}
-				}
-			}
-		}
-		lst := make([]Estimate, 0, len(best))
-		// Iteration order cannot be observed: Src keys are unique and the
-		// sort below imposes a total (Dist, Src) order before anything
-		// reads lst.
-		for _, e := range best { //pde:allow(determinism) sorted with a total order immediately below
-			lst = append(lst, e)
-		}
-		sort.Slice(lst, func(a, b int) bool {
-			if lst[a].Dist != lst[b].Dist {
-				return lst[a].Dist < lst[b].Dist
-			}
-			return lst[a].Src < lst[b].Src
-		})
-		if len(lst) > p.Sigma {
-			lst = lst[:p.Sigma]
-		}
-		res.Lists[v] = lst
-	}
+	res.Lists = combine(res.Instances, n, p.Sigma)
 	return res, ps, nil
+}
+
+// head is the next unread entry of one instance's list in combine's merge.
+type head struct {
+	dist float64
+	src  int32
+	inst int32
+	pos  int32
+}
+
+// less orders heads by (dist, src), the lower instance first on a tie.
+func (a head) less(b head) bool {
+	if a.dist != b.dist {
+		return a.dist < b.dist
+	}
+	if a.src != b.src {
+		return a.src < b.src
+	}
+	return a.inst < b.inst
+}
+
+// combine computes w̃d(v,s) = min_i b(i)·hd_i(v,s) and outputs each node's
+// σ smallest by (Dist, Src). Every instance's list is already sorted by
+// (Dist, Src) — scaling by the instance's base keeps the order — so a
+// merge over the list heads meets each source first at its minimum, the
+// lowest instance winning a tie, and can stop at σ sources.
+func combine(insts []*Instance, n, sigma int) [][]Estimate {
+	lists := make([][]Estimate, n)
+	heap := make([]head, 0, len(insts))
+	taken := make([]int32, n) // taken[s] == v+1: s is already in v's output
+	var out []Estimate
+	for v := range lists {
+		heap = heap[:0]
+		for i, inst := range insts {
+			if l := inst.Det.Lists[v]; len(l) > 0 {
+				heap = append(heap, head{dist: float64(l[0].Dist) * inst.Base, src: l[0].Src, inst: int32(i)})
+			}
+		}
+		for i := len(heap)/2 - 1; i >= 0; i-- {
+			siftDown(heap, i)
+		}
+		out = out[:0]
+		for len(heap) > 0 && len(out) < sigma {
+			h := &heap[0]
+			inst := insts[h.inst]
+			l := inst.Det.Lists[v]
+			if taken[h.src] != int32(v)+1 {
+				taken[h.src] = int32(v) + 1
+				e := l[h.pos]
+				out = append(out, Estimate{Dist: h.dist, Src: e.Src, Via: e.Via, Instance: h.inst, Flag: e.Flag})
+			}
+			if h.pos++; int(h.pos) < len(l) {
+				h.dist, h.src = float64(l[h.pos].Dist)*inst.Base, l[h.pos].Src
+			} else {
+				heap[0] = heap[len(heap)-1]
+				heap = heap[:len(heap)-1]
+			}
+			siftDown(heap, 0)
+		}
+		lists[v] = append(make([]Estimate, 0, len(out)), out...)
+	}
+	return lists
+}
+
+// siftDown restores the min-heap order below position i.
+func siftDown(h []head, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].less(h[c]) {
+			c++
+		}
+		if !h[c].less(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // PerInstanceDelays returns an InstanceDelays stream for Priority

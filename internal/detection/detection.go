@@ -8,9 +8,12 @@
 // endpoints (each owns its half), and only the emission that crosses the
 // midpoint of the line is charged as a real CONGEST message — exactly the
 // simulation the paper's round accounting assumes. Relay cells run the same
-// detection logic as real nodes. Cells are materialized lazily, and edges
-// with ℓ(e) > h are excluded: no source within h virtual hops can be
-// detected through them, so outputs are unchanged.
+// detection logic as real nodes. A node lays all the cells it owns out in
+// one slab when the run starts, but a round only visits the stretch of each
+// line where something was announced or is waiting to be, so an idle cell
+// costs memory and no time. Edges with ℓ(e) > h are excluded: no source
+// within h virtual hops can be detected through them, so outputs are
+// unchanged.
 package detection
 
 import (
@@ -128,12 +131,22 @@ func (m *pairMsg) Bits() int {
 
 // entry is a unit's knowledge about one source.
 type entry struct {
-	dist     int32
-	src      int32
-	via      int32
-	flag     uint8
-	lastSent int32 // dist value last announced; -1 if never
+	dist int32
+	src  int32
+	via  int32
+	flag uint8
+	sent bool // announced at the current dist; an improvement clears it
 }
+
+// reserveEntries bounds the list capacity every unit is handed from its
+// node's slab in Init. With σ ≤ reserveEntries a list never reallocates;
+// a longer one (APSP has σ = n) doubles from here in unit.grow, so relay
+// cells that stay short never pay for σ slots.
+const reserveEntries = 16
+
+// shortScan is the list length up to which looking a source up by walking
+// the list beats a hash probe; a list that outgrows it gets a srcIndex.
+const shortScan = 32
 
 // unit is one node of the virtual graph: either a real node or a relay
 // cell on a subdivided edge. Entries are kept sorted by (dist, src) and
@@ -141,172 +154,265 @@ type entry struct {
 // argument behind Lemma 3.4, never matter to this unit's neighbors.
 type unit struct {
 	entries  []entry
-	scanFrom int
+	scanFrom int32
 	sentCnt  int32
-	emit     pairMsg
+	emit     pairMsg // last emitPhase's announcement, valid while hasEmit
 	hasEmit  bool
+	idx      *srcIndex // nil until the list outgrows shortScan
 	fifo     []int32
 }
 
+// srcIndex maps a source to the distance its entry holds in one unit's
+// list, so that insert need not walk a long list to learn that a pair
+// brings nothing new. It is an open-addressed table over the sources the
+// list holds, rebuilt from the list as that grows; a slot left behind by
+// an evicted source is harmless, because lists only ever improve: a pair
+// no better than an evicted one is still beyond rank σ.
+type srcIndex struct {
+	slots []idxSlot // power-of-two length; key 0 marks an empty slot
+	log2  uint8     // of len(slots)
+	used  int
+}
+
+type idxSlot struct {
+	key  int32 // src + 1
+	dist int32
+}
+
+// slot returns the slot holding s, or the empty one where s belongs. Node
+// ids are dense and a neighbour announces in (dist, src) order, so the
+// low bits alone keep successive probes on neighbouring slots; folding
+// the high bits in keeps a strided source set from piling onto a few.
+//
+//pde:hotpath
+func (x *srcIndex) slot(s int32) *idxSlot {
+	mask := uint32(len(x.slots) - 1)
+	for i := (uint32(s) ^ uint32(s)>>x.log2) & mask; ; i = (i + 1) & mask {
+		if k := x.slots[i].key; k == s+1 || k == 0 {
+			return &x.slots[i]
+		}
+	}
+}
+
+// reindex rebuilds u's index from its list, at a quarter load or less.
+func (u *unit) reindex() {
+	want := 4 * shortScan
+	for want < 4*len(u.entries) {
+		want <<= 1
+	}
+	if u.idx == nil {
+		u.idx = &srcIndex{}
+	}
+	x := u.idx
+	if len(x.slots) < want {
+		x.slots = make([]idxSlot, want)
+		x.log2 = uint8(bits.TrailingZeros(uint(want)))
+	} else {
+		clear(x.slots)
+	}
+	x.used = len(u.entries)
+	for i := range u.entries {
+		*x.slot(u.entries[i].src) = idxSlot{key: u.entries[i].src + 1, dist: u.entries[i].dist}
+	}
+}
+
+// grow doubles the list's capacity, up to σ.
+func (u *unit) grow(sigma int) {
+	grown := make([]entry, len(u.entries), min(2*cap(u.entries), sigma))
+	copy(grown, u.entries)
+	u.entries = grown
+}
+
+// enqueue records a changed source in FIFO arrival order.
+func (u *unit) enqueue(s int32) { u.fifo = append(u.fifo, s) }
+
+// rank returns how many of the first n entries sort before (d, s).
+//
+//pde:hotpath
+func (u *unit) rank(d, s int32, n int) int {
+	lo := 0
+	for hi := n; lo < hi; {
+		m := int(uint(lo+hi) >> 1)
+		if e := &u.entries[m]; e.dist < d || (e.dist == d && e.src < s) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // insert merges a received pair (already incremented for the hop) and
-// reports whether anything changed.
-func (u *unit) insert(d, s int32, via int32, flag uint8, h int32, sigma int, sched Scheduling) bool {
-	if d > h {
+// reports whether anything changed. The tests run cheapest first: the hop
+// bound, then a full list's last key, and only then the search for the
+// source's present entry.
+//
+//pde:hotpath
+func (u *unit) insert(d, s, via int32, flag uint8, sh *shared) bool {
+	if d > sh.h {
 		return false
 	}
-	// Locate an existing entry for s.
-	for i := range u.entries {
-		if u.entries[i].src != s {
-			continue
-		}
-		if u.entries[i].dist <= d {
+	n := len(u.entries)
+	if n == sh.sigma {
+		// Either s is held at ≤ d, or (d, s) ranks beyond σ.
+		if n == 0 {
 			return false
 		}
-		// Improvement: remove and re-insert at the new rank.
-		e := u.entries[i]
-		e.dist = d
-		e.via = via
-		e.flag = flag
-		copy(u.entries[i:], u.entries[i+1:])
-		u.entries = u.entries[:len(u.entries)-1]
-		u.place(e, sigma)
-		if sched == FIFO {
-			u.fifo = append(u.fifo, s)
+		if last := &u.entries[n-1]; last.dist < d || (last.dist == d && last.src <= s) {
+			return false
 		}
-		return true
 	}
-	e := entry{dist: d, src: s, via: via, flag: flag, lastSent: -1}
-	if !u.place(e, sigma) {
-		return false
+	// Locate an existing entry for s.
+	at := -1
+	var sl *idxSlot
+	if u.idx != nil {
+		if sl = u.idx.slot(s); sl.key != 0 {
+			if sl.dist <= d {
+				return false
+			}
+			if i := u.rank(sl.dist, s, n); i < n && u.entries[i].src == s {
+				at = i
+			}
+		}
+	} else {
+		for i := range u.entries {
+			if u.entries[i].src == s {
+				if u.entries[i].dist <= d {
+					return false
+				}
+				at = i
+				break
+			}
+		}
 	}
-	if sched == FIFO {
-		u.fifo = append(u.fifo, s)
+	e := entry{dist: d, src: s, via: via, flag: flag}
+	if at >= 0 {
+		// Improvement: move the entry up to its new rank.
+		i := u.rank(d, s, at)
+		copy(u.entries[i+1:at+1], u.entries[i:at])
+		u.entries[i] = e
+		u.scanFrom = min(u.scanFrom, int32(i))
+	} else {
+		u.place(e, sh.sigma)
+	}
+	switch {
+	case sl != nil:
+		if sl.key == 0 {
+			u.idx.used++
+		}
+		*sl = idxSlot{key: s + 1, dist: d}
+		if 2*u.idx.used > len(u.idx.slots) {
+			u.reindex()
+		}
+	case len(u.entries) > shortScan:
+		u.reindex()
+	}
+	if sh.sched == FIFO {
+		u.enqueue(s)
 	}
 	return true
 }
 
-// place inserts e at its sorted rank, enforcing the σ storage cap, and
-// reports whether e was retained.
-func (u *unit) place(e entry, sigma int) bool {
-	i := sort.Search(len(u.entries), func(i int) bool {
-		if u.entries[i].dist != e.dist {
-			return u.entries[i].dist > e.dist
+// place inserts a new source's entry at its sorted rank, which insert has
+// already shown to be below σ; a full list drops its last entry.
+//
+//pde:hotpath
+func (u *unit) place(e entry, sigma int) {
+	n := len(u.entries)
+	i := u.rank(e.dist, e.src, n)
+	if n < sigma {
+		if n == cap(u.entries) {
+			u.grow(sigma)
 		}
-		return u.entries[i].src > e.src
-	})
-	if i >= sigma {
-		return false
+		n++
+		u.entries = u.entries[:n]
 	}
-	u.entries = append(u.entries, entry{})
-	copy(u.entries[i+1:], u.entries[i:])
+	copy(u.entries[i+1:n], u.entries[i:n-1])
 	u.entries[i] = e
-	if len(u.entries) > sigma {
-		u.entries = u.entries[:sigma]
-	}
-	if i < u.scanFrom {
-		u.scanFrom = i
-	}
-	return true
+	u.scanFrom = min(u.scanFrom, int32(i))
 }
 
-// pickEmit selects this round's announcement, if any.
-func (u *unit) pickEmit(sh *shared) (pairMsg, bool) {
+// pickEmit selects this round's announcement into u.emit, if any.
+//
+//pde:hotpath
+func (u *unit) pickEmit(sh *shared) bool {
 	if u.sentCnt >= sh.capLimit {
-		return pairMsg{}, false
+		return false
 	}
+	pick := -1
 	switch sh.sched {
 	case FIFO:
-		for len(u.fifo) > 0 {
+		for pick < 0 && len(u.fifo) > 0 {
 			s := u.fifo[0]
 			u.fifo = u.fifo[1:]
 			for i := range u.entries {
-				e := &u.entries[i]
-				if e.src != s {
-					continue
+				if u.entries[i].src == s {
+					if !u.entries[i].sent { // else a stale queue entry
+						pick = i
+					}
+					break
 				}
-				if e.lastSent == e.dist {
-					break // stale queue entry
-				}
-				e.lastSent = e.dist
-				u.sentCnt++
-				return pairMsg{dist: e.dist, src: e.src, flag: e.flag}, true
 			}
 		}
-		return pairMsg{}, false
 	case Priority:
 		// Announce the pending pair minimizing delay(src) + dist, the
 		// random-delay BFS order of [14].
-		best := -1
 		var bestKey int64
 		for i := range u.entries {
 			e := &u.entries[i]
-			if e.lastSent == e.dist {
+			if e.sent {
 				continue
 			}
 			key := int64(e.dist)
 			if sh.p.Delays != nil {
 				key += int64(sh.p.Delays[e.src])
 			}
-			if best < 0 || key < bestKey {
-				best = i
+			if pick < 0 || key < bestKey {
+				pick = i
 				bestKey = key
 			}
 		}
-		if best < 0 {
-			return pairMsg{}, false
-		}
-		e := &u.entries[best]
-		e.lastSent = e.dist
-		u.sentCnt++
-		return pairMsg{dist: e.dist, src: e.src, flag: e.flag}, true
 	default: // LexSmallest
-		limit := len(u.entries)
-		if limit > sh.sigma {
-			limit = sh.sigma
-		}
-		for i := u.scanFrom; i < limit; i++ {
-			e := &u.entries[i]
-			if e.lastSent == e.dist {
-				if i == u.scanFrom {
-					u.scanFrom++
-				}
-				continue
+		for i := int(u.scanFrom); i < len(u.entries); i++ {
+			if !u.entries[i].sent {
+				pick = i
+				break
 			}
-			e.lastSent = e.dist
-			u.sentCnt++
-			return pairMsg{dist: e.dist, src: e.src, flag: e.flag}, true
+			if int32(i) == u.scanFrom {
+				u.scanFrom++
+			}
 		}
-		return pairMsg{}, false
 	}
+	if pick < 0 {
+		return false
+	}
+	e := &u.entries[pick]
+	e.sent = true
+	u.sentCnt++
+	u.emit = pairMsg{dist: e.dist, src: e.src, flag: e.flag}
+	return true
 }
 
 // pending reports whether the unit still has unannounced work.
+//
+//pde:hotpath
 func (u *unit) pending(sh *shared) bool {
 	if u.sentCnt >= sh.capLimit {
 		return false
 	}
+	from := 0
 	switch sh.sched {
 	case FIFO:
 		return len(u.fifo) > 0
-	case Priority:
-		for i := range u.entries {
-			if u.entries[i].lastSent != u.entries[i].dist {
-				return true
-			}
-		}
-		return false
-	default:
-		limit := len(u.entries)
-		if limit > sh.sigma {
-			limit = sh.sigma
-		}
-		for i := u.scanFrom; i < limit; i++ {
-			if u.entries[i].lastSent != u.entries[i].dist {
-				return true
-			}
-		}
-		return false
+	case LexSmallest:
+		from = int(u.scanFrom) // everything before it is announced
 	}
+	for i := from; i < len(u.entries); i++ {
+		if !u.entries[i].sent {
+			return true
+		}
+	}
+	return false
 }
 
 // shared is the run-wide immutable configuration all node procs read.
@@ -323,97 +429,137 @@ type shared struct {
 // the boundary cell whose emission crosses the real edge.
 type edgeSim struct {
 	excluded bool
-	cells    []unit
-	newEmit  []pairMsg
-	newHas   []bool
+	cells    []unit // a span of the node's cell slab
+	// [lo, hi) is the line's hot range: it covers every cell that emitted
+	// in the last emitPhase or still holds unannounced entries, plus every
+	// cell an insert has changed since. Cells outside it are idle — no
+	// emission to integrate, nothing to announce — and are not visited.
+	// Empty is lo = len(cells), hi = 0.
+	lo, hi int32
 	// wire double-buffers the boundary emission that crosses the real
 	// edge, indexed by round parity, so sends need no allocation.
 	wire [2]pairMsg
 }
 
+// touch widens the hot range to cell j.
+//
+//pde:hotpath
+func (es *edgeSim) touch(j int) {
+	es.lo = min(es.lo, int32(j))
+	es.hi = max(es.hi, int32(j)+1)
+}
+
 type nodeProc struct {
-	sh      *shared
-	self    unit
-	selfNew pairMsg
-	selfHas bool
+	sh   *shared
+	self unit
 	// selfWire double-buffers self's emission for zero-cell edges.
 	selfWire [2]pairMsg
 	edges    []edgeSim
 }
 
+// Init lays the node's virtual units out in two slabs — one of cells, one
+// of list storage — so that a steady-state round allocates nothing.
 func (n *nodeProc) Init(ctx *congest.Ctx) {
 	v := ctx.Node()
+	sh := n.sh
 	n.edges = make([]edgeSim, ctx.Degree())
+	total := 0
 	for p, e := range ctx.Neighbors() {
 		length := int32(1)
-		if n.sh.p.Lengths != nil {
-			length = n.sh.p.Lengths[e.ID]
+		if sh.p.Lengths != nil {
+			length = sh.p.Lengths[e.ID]
 		}
 		es := &n.edges[p]
-		if int(length) > int(n.sh.h) {
+		if int(length) > int(sh.h) {
 			es.excluded = true
 			continue
 		}
 		// Lower endpoint owns cells 1..ℓ/2 of the line; the higher owns
 		// the rest. Both sides order their cells by distance from self.
-		var own int
+		// The count waits in lo, where it also says "empty range".
 		if v < e.To {
-			own = int(length) / 2
+			es.lo = length / 2
 		} else {
-			own = int(length-1) - int(length)/2
+			es.lo = length - 1 - length/2
 		}
-		es.cells = make([]unit, own)
-		es.newEmit = make([]pairMsg, own)
-		es.newHas = make([]bool, own)
+		total += int(es.lo)
 	}
-	if n.sh.p.IsSource[v] {
+	cells := make([]unit, total)
+	reserve := min(sh.sigma, reserveEntries)
+	lists := make([]entry, (total+1)*reserve)
+	n.self.entries = lists[:0:reserve]
+	for j := range cells {
+		cells[j].entries = lists[(j+1)*reserve : (j+1)*reserve : (j+2)*reserve]
+	}
+	for p := range n.edges {
+		es := &n.edges[p]
+		es.cells, cells = cells[:es.lo:es.lo], cells[es.lo:]
+	}
+	if sh.p.IsSource[v] {
 		var flag uint8
-		if n.sh.p.Flags != nil {
-			flag = n.sh.p.Flags[v]
+		if sh.p.Flags != nil {
+			flag = sh.p.Flags[v]
 		}
-		n.self.insert(0, int32(v), -1, flag, n.sh.h, n.sh.sigma, n.sh.sched)
+		n.self.insert(0, int32(v), -1, flag, sh)
 	}
 	n.emitPhase(ctx)
 }
 
+// Round integrates last round's emissions (real and local), then emits.
+// Every unit sees its inserts in a fixed order — self: the inbox, then
+// cell 0 of each line in port order; cell j: cell j-1 (self for cell 0),
+// then cell j+1 (the inbox for the boundary cell, which comes first) —
+// because the first of two equal pairs wins Via, and FIFO announces in
+// arrival order. Restricting the walk to the hot range keeps that order:
+// the iterations skipped are the ones that found nothing to insert.
+//
+//pde:hotpath
 func (n *nodeProc) Round(ctx *congest.Ctx) {
-	// Pass 1: integrate last round's emissions (local and real).
+	sh := n.sh
+	self := &n.self
 	for _, in := range ctx.In() {
 		m := in.Msg.(*pairMsg)
 		es := &n.edges[in.Port]
 		if es.excluded {
 			continue
 		}
-		if len(es.cells) == 0 {
-			n.self.insert(m.dist+1, m.src, int32(in.From), m.flag, n.sh.h, n.sh.sigma, n.sh.sched)
-		} else {
-			es.cells[len(es.cells)-1].insert(m.dist+1, m.src, -1, m.flag, n.sh.h, n.sh.sigma, n.sh.sched)
+		if last := len(es.cells) - 1; last < 0 {
+			self.insert(m.dist+1, m.src, int32(in.From), m.flag, sh)
+		} else if es.cells[last].insert(m.dist+1, m.src, -1, m.flag, sh) {
+			es.touch(last)
 		}
 	}
 	for p := range n.edges {
 		es := &n.edges[p]
-		if es.excluded || len(es.cells) == 0 {
+		c := es.cells
+		if len(c) == 0 || (es.lo >= es.hi && !self.hasEmit) {
 			continue
 		}
-		via := int32(ctx.Neighbors()[p].To)
-		// Cell 0's emission feeds self; self's emission feeds cell 0;
-		// cell j's emission feeds cells j-1 and j+1.
-		if es.cells[0].hasEmit {
-			m := es.cells[0].emit
-			n.self.insert(m.dist+1, m.src, via, m.flag, n.sh.h, n.sh.sigma, n.sh.sched)
+		lo, hi := int(es.lo), int(es.hi)
+		if lo == 0 && c[0].hasEmit {
+			m := &c[0].emit
+			self.insert(m.dist+1, m.src, int32(ctx.Neighbors()[p].To), m.flag, sh)
 		}
-		if n.self.hasEmit {
-			m := n.self.emit
-			es.cells[0].insert(m.dist+1, m.src, -1, m.flag, n.sh.h, n.sh.sigma, n.sh.sched)
-		}
-		for j := 1; j < len(es.cells); j++ {
-			if es.cells[j].hasEmit {
-				m := es.cells[j].emit
-				es.cells[j-1].insert(m.dist+1, m.src, -1, m.flag, n.sh.h, n.sh.sigma, n.sh.sched)
+		if self.hasEmit {
+			m := &self.emit
+			if c[0].insert(m.dist+1, m.src, -1, m.flag, sh) {
+				es.touch(0)
 			}
-			if es.cells[j-1].hasEmit {
-				m := es.cells[j-1].emit
-				es.cells[j].insert(m.dist+1, m.src, -1, m.flag, n.sh.h, n.sh.sigma, n.sh.sched)
+		}
+		// Only a cell in [lo, hi) can have emitted, so only iterations
+		// lo..hi have anything to pass between cells j-1 and j.
+		for j := max(lo, 1); j <= hi && j < len(c); j++ {
+			if c[j].hasEmit {
+				m := &c[j].emit
+				if c[j-1].insert(m.dist+1, m.src, -1, m.flag, sh) {
+					es.touch(j - 1)
+				}
+			}
+			if c[j-1].hasEmit {
+				m := &c[j-1].emit
+				if c[j].insert(m.dist+1, m.src, -1, m.flag, sh) {
+					es.touch(j)
+				}
 			}
 		}
 	}
@@ -422,48 +568,48 @@ func (n *nodeProc) Round(ctx *congest.Ctx) {
 	n.emitPhase(ctx)
 }
 
-// emitPhase computes this round's emissions into fresh buffers, sends the
-// boundary crossings as real messages, then publishes the buffers for the
-// neighbors' next round.
+// emitPhase picks this round's announcement of every unit in a hot range,
+// sends the boundary crossings as real messages, and narrows each range
+// to the cells that emitted or still have something to announce.
+//
+//pde:hotpath
 func (n *nodeProc) emitPhase(ctx *congest.Ctx) {
 	sh := n.sh
 	par := ctx.Round() & 1
-	n.selfNew, n.selfHas = n.self.pickEmit(sh)
-	if n.selfHas {
-		n.selfWire[par] = n.selfNew
+	self := &n.self
+	self.hasEmit = self.pickEmit(sh)
+	if self.hasEmit {
+		n.selfWire[par] = self.emit
 	}
+	wake := self.hasEmit || self.pending(sh)
 	for p := range n.edges {
 		es := &n.edges[p]
-		if es.excluded {
-			continue
-		}
-		for j := range es.cells {
-			es.newEmit[j], es.newHas[j] = es.cells[j].pickEmit(sh)
-		}
-		// The boundary emission crosses the real edge: it is the last
-		// cell's, or self's when this side owns no cells.
-		if len(es.cells) == 0 {
-			if n.selfHas {
+		c := es.cells
+		if len(c) == 0 {
+			// This side owns no cells: self's emission crosses the edge.
+			if self.hasEmit && !es.excluded {
 				ctx.Send(p, &n.selfWire[par])
 			}
-		} else if es.newHas[len(es.cells)-1] {
-			es.wire[par] = es.newEmit[len(es.cells)-1]
-			ctx.Send(p, &es.wire[par])
+			continue
 		}
-	}
-	// Publish and decide wake-up.
-	wake := false
-	n.self.emit, n.self.hasEmit = n.selfNew, n.selfHas
-	if n.selfHas || n.self.pending(sh) {
-		wake = true
-	}
-	for p := range n.edges {
-		es := &n.edges[p]
-		for j := range es.cells {
-			es.cells[j].emit, es.cells[j].hasEmit = es.newEmit[j], es.newHas[j]
-			if es.newHas[j] || es.cells[j].pending(sh) {
-				wake = true
+		lo, hi := len(c), 0
+		for j := int(es.lo); j < int(es.hi); j++ {
+			u := &c[j]
+			u.hasEmit = u.pickEmit(sh)
+			if u.hasEmit || u.pending(sh) {
+				lo = min(lo, j)
+				hi = j + 1
 			}
+		}
+		es.lo, es.hi = int32(lo), int32(hi)
+		if hi == 0 {
+			continue
+		}
+		wake = true
+		// The boundary cell's emission crosses the real edge.
+		if last := &c[len(c)-1]; hi == len(c) && last.hasEmit {
+			es.wire[par] = last.emit
+			ctx.Send(p, &es.wire[par])
 		}
 	}
 	if wake {
