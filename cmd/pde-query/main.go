@@ -933,20 +933,23 @@ func runUpdates(opt updateOpts) {
 	if err != nil {
 		fail("regenerating shard %q graph from its spec: %v", opt.shard, err)
 	}
-	if fmt.Sprintf("%d", g.N()) != fmt.Sprintf("%d", status.N) {
+	if g.N() != status.N {
 		fail("regenerated graph has n=%d, shard reports n=%d", g.N(), status.N)
 	}
 
+	// Reweights never change the mirror's edge set, so the candidates
+	// are listed once and only the picked entry's weight moves.
+	edges := make([]graph.Change, 0, g.M())
+	g.Edges(func(u, v int, w graph.Weight, _ int32) {
+		edges = append(edges, graph.Change{Op: graph.OpReweight, U: u, V: v, W: w})
+	})
 	rng := rand.New(rand.NewSource(opt.seed))
 	sum := updateSummary{Shard: opt.shard, Updates: opt.updates}
 	var damage float64
 	t0 := time.Now()
 	for step := 0; step < opt.updates; step++ {
-		edges := make([]graph.Change, 0, g.M())
-		g.Edges(func(u, v int, w graph.Weight, _ int32) {
-			edges = append(edges, graph.Change{Op: graph.OpReweight, U: u, V: v, W: w})
-		})
-		c := edges[rng.Intn(len(edges))]
+		pick := rng.Intn(len(edges))
+		c := edges[pick]
 		switch {
 		case c.W <= 1:
 			c.W++
@@ -978,7 +981,7 @@ func runUpdates(opt updateOpts) {
 		}
 		damage += resp.Damage
 		sum.Fingerprint = resp.NewFingerprint
-		g = g2
+		g, edges[pick].W = g2, c.W
 	}
 	wall := time.Since(t0)
 	sum.WallNS = wall.Nanoseconds()

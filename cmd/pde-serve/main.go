@@ -4,8 +4,8 @@
 // aggregate set-distance queries (/v1/setdist: Chamfer, Hausdorff and
 // mean-min between two member sets, answered by the pruned
 // internal/setdist engine) over HTTP, with admin hot-swap rebuilds,
-// incremental edge-churn updates (/v1/update, delta-patched tables with
-// a -damage-threshold rebuild cutoff), a route LRU, and per-shard stats.
+// incremental edge-churn updates (/v1/update, delta-patched tables), a
+// route LRU, and per-shard stats.
 //
 // Usage:
 //
@@ -18,7 +18,6 @@
 //	          [-k 0] [-strategy none] [-l0 0] [-sample-prob 0]
 //	          [-shards '{"name": {"scheme": "...", "topology": "...", ...}}']
 //	          [-max-batch 65536] [-workers 0] [-route-cache 4096]
-//	          [-damage-threshold 0]
 //
 // With -shards, the JSON object maps shard names to full specs
 // (internal/scheme.Spec: topology + PDE knobs + scheme selector) and the
@@ -82,7 +81,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "largest query batch one request may carry (0 = default 65536)")
 	workers := flag.Int("workers", 0, "oracle fan-out per request (0 = GOMAXPROCS)")
 	routeCache := flag.Int("route-cache", 0, "per-shard route LRU capacity (0 = default 4096, negative disables)")
-	damageThreshold := flag.Float64("damage-threshold", 0, "/v1/update delta-vs-rebuild cutoff: affected-instance fraction above which an update rebuilds from scratch (0 = scheme default)")
 	flag.Parse()
 
 	specs := map[string]server.Spec{}
@@ -110,10 +108,9 @@ func main() {
 	}
 
 	cfg := server.Config{
-		MaxBatch:        *maxBatch,
-		Workers:         *workers,
-		RouteCacheSize:  *routeCache,
-		DamageThreshold: *damageThreshold,
+		MaxBatch:       *maxBatch,
+		Workers:        *workers,
+		RouteCacheSize: *routeCache,
 	}
 	t0 := time.Now()
 	fmt.Fprintf(os.Stderr, "pde-serve: building %d shard(s)...\n", len(specs))

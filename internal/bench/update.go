@@ -1,7 +1,7 @@
 package bench
 
-// This file pins the incremental-update tier (scheme.Update over
-// core.Patch): BENCH_update_*.json drives a seeded churn stream of
+// This file pins the incremental-update tier (scheme.Update: core.Build
+// with the previous result): BENCH_update_*.json drives a seeded churn stream of
 // single-edge ±1 reweights through a built oracle instance and, at every
 // step, both patches the compiled tables incrementally AND rebuilds them
 // from scratch on the updated graph. The two must be fingerprint-
@@ -23,13 +23,10 @@ package bench
 //	                              localized-jitter stream (absent for the
 //	                              uniform-random stream); see churnStep
 //	updates             int     – churn steps applied (deterministic)
-//	delta_updates       int     – steps the patch path served; the rest
-//	                              fell back to a full rebuild because
-//	                              their damage exceeded the threshold
+//	delta_updates       int     – steps the patch path served: every
+//	                              step of a weight-only stream
 //	                              (deterministic; -check guarded)
 //	rebuild_updates     int     – updates − delta_updates
-//	damage_threshold    float64 – affected-fraction cutoff the stream ran
-//	                              under (0 = scheme default)
 //	avg_damage          float64 – mean affected fraction across steps
 //	identical           bool    – every step's patched tables were
 //	                              fingerprint-identical to a from-scratch
@@ -80,8 +77,6 @@ type UpdateScenario struct {
 	// Updates is the churn-stream length: that many seeded single-edge ±1
 	// reweights, applied one per step.
 	Updates int
-	// DamageThreshold is the delta/rebuild cutoff (0 = scheme default).
-	DamageThreshold float64
 	// Probe is the per-step candidate count for the localized-jitter
 	// stream: each step draws Probe seeded reweights and applies the one
 	// affecting the fewest rounding instances. 0 or 1 keeps the stream
@@ -102,14 +97,13 @@ type UpdateReport struct {
 	Params   map[string]float64 `json:"params,omitempty"`
 	BuildNS  int64              `json:"build_ns"`
 
-	Instances       int     `json:"instances"`
-	Probe           int     `json:"probe,omitempty"`
-	Updates         int     `json:"updates"`
-	DeltaUpdates    int     `json:"delta_updates"`
-	RebuildUpdates  int     `json:"rebuild_updates"`
-	DamageThreshold float64 `json:"damage_threshold"`
-	AvgDamage       float64 `json:"avg_damage"`
-	Identical       bool    `json:"identical"`
+	Instances      int     `json:"instances"`
+	Probe          int     `json:"probe,omitempty"`
+	Updates        int     `json:"updates"`
+	DeltaUpdates   int     `json:"delta_updates"`
+	RebuildUpdates int     `json:"rebuild_updates"`
+	AvgDamage      float64 `json:"avg_damage"`
+	Identical      bool    `json:"identical"`
 
 	UpdateWallNS  int64   `json:"update_wall_ns"`
 	MaxUpdateNS   int64   `json:"max_update_ns"`
@@ -229,7 +223,7 @@ func RunUpdateScenario(s UpdateScenario) (*UpdateReport, error) {
 		}
 
 		t0 := time.Now()
-		ni, st, err := scheme.Update(inst, g2, scheme.UpdateOptions{DamageThreshold: s.DamageThreshold})
+		ni, st, err := scheme.Update(inst, g2)
 		if err != nil {
 			return nil, fmt.Errorf("bench %s: step %d: update: %w", s.Name, step, err)
 		}
@@ -265,14 +259,13 @@ func RunUpdateScenario(s UpdateScenario) (*UpdateReport, error) {
 		Seed:     sp.Seed,
 		BuildNS:  buildNS,
 
-		Instances:       core.NumInstances(graph.Weight(sp.MaxW), sp.Eps),
-		Probe:           s.Probe,
-		Updates:         steps,
-		DeltaUpdates:    deltaSteps,
-		RebuildUpdates:  steps - deltaSteps,
-		DamageThreshold: s.DamageThreshold,
-		AvgDamage:       damageSum / float64(steps),
-		Identical:       true,
+		Instances:      core.NumInstances(graph.Weight(sp.MaxW), sp.Eps),
+		Probe:          s.Probe,
+		Updates:        steps,
+		DeltaUpdates:   deltaSteps,
+		RebuildUpdates: steps - deltaSteps,
+		AvgDamage:      damageSum / float64(steps),
+		Identical:      true,
 
 		UpdateWallNS:  updateWall.Nanoseconds(),
 		MaxUpdateNS:   maxUpdate.Nanoseconds(),

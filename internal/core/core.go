@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -220,16 +219,19 @@ const maxHierarchyInstances = 1 << 16
 // parameters always produce the same output, rounds and messages — the
 // derandomization claim of Theorem 4.1.
 func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
-	res, _, err := run(g, p, cfg, nil)
+	res, _, err := Build(g, p, cfg, nil)
 	return res, err
 }
 
-// run is the shared build path behind Run and Patch. When prev is
-// non-nil, any rounding instance whose base and subdivided lengths on g
-// are identical to prev's is reused by pointer instead of re-detected;
-// merge and combine always re-run, so the output is bit-identical to a
-// fresh Run on g either way.
-func run(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, PatchStats, error) {
+// Build is the one build path: Run is Build without a previous result,
+// Patch is Build with one. When prev is non-nil it must be a result of
+// the same Params on a graph with g's structure (same nodes, edges and
+// edge ids); every rounding instance whose base and subdivided lengths
+// on g are identical to prev's is then reused by pointer instead of
+// re-detected. Merge and combine always re-run, so the output is
+// bit-identical to a fresh Run on g either way, and the stats say how
+// much of the hierarchy was reused.
+func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, PatchStats, error) {
 	var ps PatchStats
 	n := g.N()
 	if len(p.IsSource) != n {
@@ -294,22 +296,9 @@ func run(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, P
 	}
 	buildOne := func(i int, sub congest.Config) (*Instance, error) {
 		base := math.Pow(1+p.Epsilon, float64(i))
-		lengths := make([]int32, g.M())
-		g.Edges(func(_, _ int, w graph.Weight, id int32) {
-			l := int32(math.Ceil(float64(w) / base))
-			if l < 1 {
-				l = 1
-			}
-			lengths[id] = l
-		})
-		if prev != nil && i < len(prev.Instances) {
-			if pi := prev.Instances[i]; pi.Base == base && slices.Equal(pi.Lengths, lengths) {
-				// Identical base and subdivided lengths mean detection.Run
-				// would reproduce pi.Det bit-for-bit on this graph (Patch
-				// guarantees unchanged structure), so the old instance is
-				// the new one.
-				return pi, nil
-			}
+		lengths := instanceLengths(g, base)
+		if pi := prev.reusable(i, base, lengths); pi != nil {
+			return pi, nil
 		}
 		delays := p.Delays
 		if p.InstanceDelays != nil {

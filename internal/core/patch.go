@@ -9,9 +9,9 @@ import (
 	"pde/internal/graph"
 )
 
-// PatchStats accounts one Patch (or Run, where everything is rebuilt):
-// how many rounding instances the hierarchy has and how many of them
-// were rebuilt versus reused from the previous result.
+// PatchStats accounts one Build: how many rounding instances the
+// hierarchy has and how many of them were rebuilt versus reused from the
+// previous result (none reused when there was no previous result).
 type PatchStats struct {
 	// Instances is i_max+1 on the updated graph.
 	Instances int
@@ -30,10 +30,10 @@ func (ps PatchStats) Damage() float64 {
 	return float64(ps.Rebuilt) / float64(ps.Instances)
 }
 
-// instanceLengths returns instance i's subdivided lengths on g — the
-// exact vector Run's buildOne computes.
-func instanceLengths(g *graph.Graph, eps float64, i int) []int32 {
-	base := math.Pow(1+eps, float64(i))
+// instanceLengths returns the subdivided lengths ⌈W(e)/base⌉ (at least
+// 1) of one rounding instance on g, indexed by edge id — the only
+// definition of the §3 rounding.
+func instanceLengths(g *graph.Graph, base float64) []int32 {
 	lengths := make([]int32, g.M())
 	g.Edges(func(_, _ int, w graph.Weight, id int32) {
 		l := int32(math.Ceil(float64(w) / base))
@@ -45,6 +45,21 @@ func instanceLengths(g *graph.Graph, eps float64, i int) []int32 {
 	return lengths
 }
 
+// reusable returns prev's instance i when detection on a graph of the
+// same structure with this base and these lengths would reproduce it
+// bit-for-bit — identical base and subdivided lengths — and nil when
+// the instance must be re-detected (or prev is nil or has no instance
+// i).
+func (prev *Result) reusable(i int, base float64, lengths []int32) *Instance {
+	if prev == nil || i >= len(prev.Instances) {
+		return nil
+	}
+	if pi := prev.Instances[i]; pi.Base == base && slices.Equal(pi.Lengths, lengths) {
+		return pi
+	}
+	return nil
+}
+
 // AffectedInstances reports, for each rounding instance the updated
 // graph g needs, whether prev's instance can NOT be reused: index i is
 // true when instance i must be re-detected (its subdivided lengths on g
@@ -53,19 +68,13 @@ func instanceLengths(g *graph.Graph, eps float64, i int) []int32 {
 // change that deepens the hierarchy marks the new tail instances
 // affected and one that shrinks it just drops the prev tail.
 //
-// This is the damage metric a caller consults before choosing between
-// Patch and a full rebuild; it costs O(m·i_max) with no detection work.
+// It predicts, at O(m·i_max) with no detection work, exactly the reuse
+// decisions Build makes; Build does not need it called first.
 func AffectedInstances(g *graph.Graph, prev *Result) []bool {
-	num := NumInstances(g.MaxWeight(), prev.Params.Epsilon)
-	affected := make([]bool, num)
+	affected := make([]bool, NumInstances(g.MaxWeight(), prev.Params.Epsilon))
 	for i := range affected {
-		if i >= len(prev.Instances) {
-			affected[i] = true
-			continue
-		}
-		pi := prev.Instances[i]
-		affected[i] = pi.Base != math.Pow(1+prev.Params.Epsilon, float64(i)) ||
-			!slices.Equal(pi.Lengths, instanceLengths(g, prev.Params.Epsilon, i))
+		base := math.Pow(1+prev.Params.Epsilon, float64(i))
+		affected[i] = prev.reusable(i, base, instanceLengths(g, base)) == nil
 	}
 	return affected
 }
@@ -97,5 +106,5 @@ func Patch(g *graph.Graph, cfg congest.Config, prev *Result) (*Result, PatchStat
 		return nil, PatchStats{}, fmt.Errorf("core: Patch across edge-count change (%d -> %d): rebuild instead",
 			len(prev.Instances[0].Lengths), g.M())
 	}
-	return run(g, p, cfg, prev)
+	return Build(g, p, cfg, prev)
 }

@@ -130,6 +130,45 @@ func TestPatchAcrossMaxWeightGrowth(t *testing.T) {
 	}
 }
 
+// TestPatchAtMaximalDamage: incrementing every edge's weight moves the
+// lengths of every instance whose base is below the new w_max, so at
+// most the top instance survives. Nothing selects a different path for
+// damage this high, and the result is still a fresh Run's.
+func TestPatchAtMaximalDamage(t *testing.T) {
+	g := patchTestGraph(t, 23)
+	p := patchTestParams(g.N())
+	cfg := congest.Config{}
+	prev, err := Run(g, p, cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var all []graph.Change
+	g.Edges(func(u, v int, w graph.Weight, _ int32) {
+		all = append(all, graph.Change{Op: graph.OpReweight, U: u, V: v, W: w + 1})
+	})
+	ng, _, err := g.ApplyChanges(all)
+	if err != nil {
+		t.Fatalf("ApplyChanges: %v", err)
+	}
+	got, st, err := Patch(ng, cfg, prev)
+	if err != nil {
+		t.Fatalf("Patch: %v", err)
+	}
+	want, err := Run(ng, p, cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Fatalf("patched fingerprint %016x != fresh %016x", got.Fingerprint(), want.Fingerprint())
+	}
+	if st.Instances != len(want.Instances) || st.Rebuilt+st.Reused != st.Instances {
+		t.Fatalf("inconsistent stats %+v for %d instances", st, len(want.Instances))
+	}
+	if st.Reused > 1 || st.Damage() <= 0.5 {
+		t.Fatalf("every weight changed, yet stats are %+v (damage %.2f)", st, st.Damage())
+	}
+}
+
 func TestPatchParallelMatchesSequential(t *testing.T) {
 	g := patchTestGraph(t, 13)
 	p := patchTestParams(g.N())
@@ -191,9 +230,9 @@ func TestPatchRejectsStructuralDrift(t *testing.T) {
 // Run path: no prev means nothing reused.
 func TestPatchStatsOnFreshRun(t *testing.T) {
 	g := patchTestGraph(t, 19)
-	res, st, err := run(g, patchTestParams(g.N()), congest.Config{}, nil)
+	res, st, err := Build(g, patchTestParams(g.N()), congest.Config{}, nil)
 	if err != nil {
-		t.Fatalf("run: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
 	if st.Reused != 0 || st.Rebuilt != st.Instances || st.Instances != len(res.Instances) {
 		t.Fatalf("fresh run stats = %+v for %d instances", st, len(res.Instances))

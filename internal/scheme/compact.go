@@ -10,11 +10,6 @@ import (
 	"pde/internal/oracle"
 )
 
-func init() {
-	Register("compact", buildCompact)
-	RegisterOn("compact", buildCompactOn)
-}
-
 // compactC matches the C the pde-compact CLI and experiment tables have
 // always used.
 const compactC = 1.5
@@ -53,14 +48,6 @@ type CompactInstance struct {
 	buildNS int64
 	fp      uint64
 	acct    Accounting
-}
-
-func buildCompact(sp Spec) (Instance, error) {
-	g, err := sp.BuildGraph()
-	if err != nil {
-		return nil, err
-	}
-	return buildCompactOn(sp, g)
 }
 
 func buildCompactOn(sp Spec, g *graph.Graph) (Instance, error) {
@@ -147,7 +134,7 @@ func (in *CompactInstance) answer(q oracle.Query) oracle.Answer {
 // AnswerInto fans the batch across workers; answers read only immutable
 // tables, so the result is identical at any width.
 func (in *CompactInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int) {
-	fanOut(len(qs), workers, func(lo, hi int) {
+	FanOut(len(qs), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = in.answer(qs[i])
 		}

@@ -9,11 +9,6 @@ import (
 	"pde/internal/oracle"
 )
 
-func init() {
-	Register("oracle", buildOracle)
-	RegisterOn("oracle", buildOracleOn)
-}
-
 // OracleInstance is the compiled-CSR backend: the exact serving path the
 // daemon had before the registry existed, byte-for-byte. Its answers and
 // fingerprint are those of the underlying core.Result, so pre-registry
@@ -30,28 +25,40 @@ type OracleInstance struct {
 	acct    Accounting
 }
 
-func buildOracle(sp Spec) (Instance, error) {
-	g, err := sp.BuildGraph()
-	if err != nil {
-		return nil, err
-	}
-	return buildOracleOn(sp, g)
+func buildOracleOn(sp Spec, g *graph.Graph) (Instance, error) {
+	in, _, err := buildOracle(sp, g, nil)
+	return in, err
 }
 
-func buildOracleOn(sp Spec, g *graph.Graph) (Instance, error) {
+// buildOracle is the one oracle build — cold, rebuild and update alike.
+// prev, when non-nil, is the served result for a graph of g's structure:
+// core.Build reuses its untouched rounding instances and the stats say
+// how many. A nil prev builds them all.
+func buildOracle(sp Spec, g *graph.Graph, prev *core.Result) (Instance, core.PatchStats, error) {
+	p := sp.Params(g.N())
+	if prev != nil {
+		// A prebuilt instance's result need not be sp's recipe; reuse is
+		// only sound under the params prev was built with.
+		p = prev.Params
+	}
 	var res *core.Result
+	var ps core.PatchStats
 	buildNS, err := buildCost(func() error {
 		var rerr error
-		res, rerr = core.Run(g, sp.Params(g.N()), congest.Config{Parallel: true, Workers: sp.BuildWorkers})
+		res, ps, rerr = core.Build(g, p, congest.Config{Parallel: true, Workers: sp.BuildWorkers}, prev)
 		if rerr != nil {
 			return fmt.Errorf("pde build: %w", rerr)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, ps, err
 	}
-	return NewOracleInstance(sp, g, res, buildNS)
+	in, err := NewOracleInstance(sp, g, res, buildNS)
+	if err != nil {
+		return nil, ps, err
+	}
+	return in, ps, nil
 }
 
 // NewOracleInstance compiles an already-built PDE result into a serving

@@ -8,11 +8,6 @@ import (
 	"pde/internal/rtc"
 )
 
-func init() {
-	Register("rtc", buildRTC)
-	RegisterOn("rtc", buildRTCOn)
-}
-
 // rtcC scales the h = σ = C·ln(n)/p sweep widths; 1.5 sharpens the
 // w.h.p. detection guarantees at serving scale (the CLIs always used it
 // for compact; rtc inherits the same margin).
@@ -44,14 +39,6 @@ type RTCInstance struct {
 	buildNS int64
 	fp      uint64
 	acct    Accounting
-}
-
-func buildRTC(sp Spec) (Instance, error) {
-	g, err := sp.BuildGraph()
-	if err != nil {
-		return nil, err
-	}
-	return buildRTCOn(sp, g)
 }
 
 func buildRTCOn(sp Spec, g *graph.Graph) (Instance, error) {
@@ -136,7 +123,7 @@ func (in *RTCInstance) answer(q oracle.Query) oracle.Answer {
 // AnswerInto fans the batch across workers; every answer reads only the
 // immutable tables, so the result is identical at any width.
 func (in *RTCInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int) {
-	fanOut(len(qs), workers, func(lo, hi int) {
+	FanOut(len(qs), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = in.answer(qs[i])
 		}

@@ -111,7 +111,7 @@ func (sp Spec) Normalized() Spec {
 // normalized specs.
 func (sp Spec) Validate() error {
 	sp = sp.Normalized()
-	if _, ok := registry[sp.Scheme]; !ok {
+	if _, ok := backends[sp.Scheme]; !ok {
 		return fmt.Errorf("unknown scheme %q (want %s)", sp.Scheme, List())
 	}
 	if !graph.IsGenerator(sp.Topology) {
@@ -237,26 +237,18 @@ type Instance interface {
 	Accounting() Accounting
 }
 
-// Builder constructs one backend's Instance from a normalized, validated
-// spec.
-type Builder func(sp Spec) (Instance, error)
-
-var registry = map[string]Builder{}
-
-// Register installs a backend; the three built-in backends register in
-// their init functions. Registering a duplicate name is a programming
-// error.
-func Register(name string, b Builder) {
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("scheme: duplicate backend %q", name))
-	}
-	registry[name] = b
+// backends is the one registry: each backend builds its Instance from a
+// normalized, validated spec over an explicit graph.
+var backends = map[string]func(sp Spec, g *graph.Graph) (Instance, error){
+	"oracle":  buildOracleOn,
+	"rtc":     buildRTCOn,
+	"compact": buildCompactOn,
 }
 
-// Names returns the sorted registered scheme names.
+// Names returns the sorted backend names.
 func Names() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry { //pde:allow(determinism) sort.Strings below imposes a total order
+	names := make([]string, 0, len(backends))
+	for name := range backends { //pde:allow(determinism) sort.Strings below imposes a total order
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -266,18 +258,26 @@ func Names() []string {
 // List renders the scheme names for flag docs and error messages.
 func List() string { return strings.Join(Names(), " | ") }
 
-// Build validates and normalizes sp, then dispatches to its backend. The
+// Build generates sp's topology and builds its backend over it. The
 // returned instance's Spec() is the normalized spec.
 func Build(sp Spec) (Instance, error) {
+	g, err := sp.BuildGraph()
+	if err != nil {
+		return nil, err
+	}
+	return BuildOn(sp, g)
+}
+
+// BuildOn validates and normalizes sp, then builds its backend over g —
+// the generated topology for Build, a mutated serving graph for updates.
+// The graph must use dense ids [0, g.N()) and be connected, like every
+// generated topology.
+func BuildOn(sp Spec, g *graph.Graph) (Instance, error) {
 	sp = sp.Normalized()
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	b, ok := registry[sp.Scheme]
-	if !ok {
-		return nil, fmt.Errorf("unknown scheme %q (want %s)", sp.Scheme, List())
-	}
-	inst, err := b(sp)
+	inst, err := backends[sp.Scheme](sp, g)
 	if err != nil {
 		return nil, fmt.Errorf("scheme %s: %w", sp.Scheme, err)
 	}
@@ -286,9 +286,10 @@ func Build(sp Spec) (Instance, error) {
 
 // --- shared backend plumbing -------------------------------------------
 
-// fanOut splits [0, total) across workers goroutines. Each chunk is
-// independent, so the result is identical at any width.
-func fanOut(total, workers int, fn func(lo, hi int)) {
+// FanOut splits [0, total) across workers goroutines (0 = GOMAXPROCS,
+// 1 = sequential). Each chunk is independent, so the result is identical
+// at any width.
+func FanOut(total, workers int, fn func(lo, hi int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -1,86 +1,30 @@
 package scheme
 
 import (
-	"fmt"
-
-	"pde/internal/congest"
 	"pde/internal/core"
 	"pde/internal/graph"
 )
 
-// GraphBuilder constructs one backend's Instance over an explicit graph
-// instead of generating sp.Topology — the primitive behind incremental
-// updates, where the served graph has drifted from anything a Spec can
-// regenerate.
-type GraphBuilder func(sp Spec, g *graph.Graph) (Instance, error)
-
-var graphRegistry = map[string]GraphBuilder{}
-
-// RegisterOn installs a backend's explicit-graph builder; the built-in
-// backends register theirs alongside Register in their init functions.
-func RegisterOn(name string, b GraphBuilder) {
-	if _, dup := graphRegistry[name]; dup {
-		panic(fmt.Sprintf("scheme: duplicate graph backend %q", name))
-	}
-	graphRegistry[name] = b
-}
-
-// BuildOn validates and normalizes sp, then builds its backend over g.
-// BuildOn(sp, mustBuildGraph(sp)) and Build(sp) produce instances with
-// identical answers and fingerprints; the point of BuildOn is every
-// other graph — mutated serving graphs above all. The graph must use
-// dense ids [0, g.N()) and be connected, like every generated topology.
-func BuildOn(sp Spec, g *graph.Graph) (Instance, error) {
-	sp = sp.Normalized()
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	b, ok := graphRegistry[sp.Scheme]
-	if !ok {
-		return nil, fmt.Errorf("unknown scheme %q (want %s)", sp.Scheme, List())
-	}
-	inst, err := b(sp, g)
-	if err != nil {
-		return nil, fmt.Errorf("scheme %s: %w", sp.Scheme, err)
-	}
-	return inst, nil
-}
-
-// DefaultDamageThreshold is the affected-instance fraction above which
-// UpdateGraph abandons the delta path: patching most of the hierarchy
-// costs about as much as a rebuild and reuses almost nothing.
-const DefaultDamageThreshold = 0.5
-
-// UpdateOptions tunes one incremental update.
-type UpdateOptions struct {
-	// DamageThreshold is the affected-instance fraction above which the
-	// delta path falls back to a full rebuild. Zero or negative selects
-	// DefaultDamageThreshold; 1 never falls back on damage alone.
-	DamageThreshold float64
-	// TopologyChanged declares that the update inserted or deleted
-	// edges. Structure feeds every instance's detection, so this forces
-	// the rebuild path outright.
-	TopologyChanged bool
-	// ForceRebuild skips the delta path regardless of damage — the
-	// knob behind a wire-level damage_threshold of exactly 0, which
-	// means "always rebuild from scratch" rather than "use the
-	// default".
-	ForceRebuild bool
-}
+// UpdateOptions is field-less: the delta-vs-rebuild decision is made
+// from the graphs alone. The type survives only because the frozen
+// benchmark module calls Update(inst, g, UpdateOptions{}).
+type UpdateOptions struct{}
 
 // UpdateStats reports which path an update took and how much of the
 // build it reused.
 type UpdateStats struct {
-	// Path is "delta" (patched tables) or "rebuild" (built from
-	// scratch on the updated graph).
+	// Path is "delta" (the graph's structure held, so the previous
+	// build's rounding instances were offered for reuse) or "rebuild"
+	// (structure changed, or the backend has no incremental path:
+	// everything was built from scratch on the updated graph).
 	Path string
 	// InstancesTotal, InstancesRebuilt and InstancesReused break the
 	// rounding hierarchy down (all zero for backends without one).
 	InstancesTotal   int
 	InstancesRebuilt int
 	InstancesReused  int
-	// Damage is the affected-instance fraction the threshold was
-	// compared against (1 when the delta path was never applicable).
+	// Damage is InstancesRebuilt/InstancesTotal, the fraction of the
+	// hierarchy that was re-detected (1 on the rebuild path).
 	Damage float64
 }
 
@@ -90,16 +34,16 @@ type UpdateStats struct {
 // — incremental is an optimization, never a different answer.
 type Updatable interface {
 	Instance
-	UpdateGraph(g *graph.Graph, opt UpdateOptions) (Instance, UpdateStats, error)
+	UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error)
 }
 
 // Update rebuilds inst's backend for the updated graph g, taking the
 // backend's incremental path when it has one and an explicit-graph full
 // rebuild otherwise. Either way the result is exactly what BuildOn
 // (inst.Spec(), g) would produce.
-func Update(inst Instance, g *graph.Graph, opt UpdateOptions) (Instance, UpdateStats, error) {
+func Update(inst Instance, g *graph.Graph, _ ...UpdateOptions) (Instance, UpdateStats, error) {
 	if up, ok := inst.(Updatable); ok {
-		return up.UpdateGraph(g, opt)
+		return up.UpdateGraph(g)
 	}
 	ni, err := BuildOn(inst.Spec(), g)
 	if err != nil {
@@ -108,60 +52,22 @@ func Update(inst Instance, g *graph.Graph, opt UpdateOptions) (Instance, UpdateS
 	return ni, UpdateStats{Path: "rebuild", Damage: 1}, nil
 }
 
-// UpdateGraph implements Updatable: when the update was weight-only and
-// damaged at most opt.DamageThreshold of the rounding hierarchy, the
-// unaffected instances are reused and only the rest re-detected
-// (core.Patch); otherwise the tables are rebuilt from scratch. Both
-// paths recompile the serving tables, so the result is bit-identical to
-// a cold build on g — core.Patch guarantees the underlying Result is.
-func (in *OracleInstance) UpdateGraph(g *graph.Graph, opt UpdateOptions) (Instance, UpdateStats, error) {
-	st := UpdateStats{Path: "rebuild", Damage: 1}
-	if !opt.TopologyChanged && !opt.ForceRebuild && g.SameStructure(in.Gr) {
-		affected := core.AffectedInstances(g, in.Res)
-		st.InstancesTotal = len(affected)
-		rebuilt := 0
-		for _, a := range affected {
-			if a {
-				rebuilt++
-			}
-		}
-		st.Damage = float64(rebuilt) / float64(len(affected))
-		thr := opt.DamageThreshold
-		if thr <= 0 {
-			thr = DefaultDamageThreshold
-		}
-		if st.Damage <= thr {
-			var res *core.Result
-			var ps core.PatchStats
-			buildNS, err := buildCost(func() error {
-				var perr error
-				res, ps, perr = core.Patch(g, congest.Config{Parallel: true, Workers: in.Sp.BuildWorkers}, in.Res)
-				if perr != nil {
-					return fmt.Errorf("pde patch: %w", perr)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, st, err
-			}
-			ni, err := NewOracleInstance(in.Sp, g, res, buildNS)
-			if err != nil {
-				return nil, st, err
-			}
-			st.Path = "delta"
-			st.InstancesTotal = ps.Instances
-			st.InstancesRebuilt = ps.Rebuilt
-			st.InstancesReused = ps.Reused
-			return ni, st, nil
-		}
+// UpdateGraph implements Updatable: the oracle build with the previous
+// result handed in when the update was weight-only, so every rounding
+// instance whose subdivided lengths did not move is reused, and without
+// it when the structure changed. Either way the tables are recompiled
+// from a core.Result bit-identical to a cold build on g.
+func (in *OracleInstance) UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error) {
+	st := UpdateStats{Path: "rebuild"}
+	var prev *core.Result
+	if g.SameStructure(in.Gr) {
+		prev, st.Path = in.Res, "delta"
 	}
-	ni, err := buildOracleOn(in.Sp, g)
+	ni, ps, err := buildOracle(in.Sp, g, prev)
 	if err != nil {
 		return nil, st, err
 	}
-	if oi, ok := ni.(*OracleInstance); ok {
-		st.InstancesTotal = len(oi.Res.Instances)
-		st.InstancesRebuilt = st.InstancesTotal
-	}
+	st.InstancesTotal, st.InstancesRebuilt, st.InstancesReused = ps.Instances, ps.Rebuilt, ps.Reused
+	st.Damage = ps.Damage()
 	return ni, st, nil
 }

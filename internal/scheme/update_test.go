@@ -32,6 +32,9 @@ func mutateWeights(t *testing.T, g *graph.Graph) *graph.Graph {
 	return ng
 }
 
+// TestBuildOnMatchesBuild and TestRegistryNames together guard the one
+// registry: exactly three backends, each giving Build and BuildOn the
+// same tables.
 func TestBuildOnMatchesBuild(t *testing.T) {
 	for _, sp := range []Spec{oracleSpec(), rtcSpec(), compactSpec()} {
 		inst := mustBuild(t, sp)
@@ -69,7 +72,7 @@ func TestOracleUpdateDeltaMatchesColdBuild(t *testing.T) {
 	sp := oracleSpec()
 	inst := mustBuild(t, sp)
 	g2 := mutateWeights(t, inst.Graph())
-	ni, st, err := Update(inst, g2, UpdateOptions{})
+	ni, st, err := Update(inst, g2)
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
@@ -112,11 +115,11 @@ func TestOracleUpdateTopologyChangeRebuilds(t *testing.T) {
 	if changes == nil {
 		t.Skip("graph is complete")
 	}
-	g2, sum, err := g.ApplyChanges(changes)
+	g2, _, err := g.ApplyChanges(changes)
 	if err != nil {
 		t.Fatalf("ApplyChanges: %v", err)
 	}
-	ni, st, err := Update(inst, g2, UpdateOptions{TopologyChanged: sum.TopologyChanged})
+	ni, st, err := Update(inst, g2)
 	if err != nil {
 		t.Fatalf("Update: %v", err)
 	}
@@ -132,35 +135,11 @@ func TestOracleUpdateTopologyChangeRebuilds(t *testing.T) {
 	}
 }
 
-func TestOracleUpdateDamageThresholdFallsBack(t *testing.T) {
-	sp := oracleSpec()
-	inst := mustBuild(t, sp)
-	g2 := mutateWeights(t, inst.Graph())
-	// A threshold below any positive damage forces the rebuild path.
-	ni, st, err := Update(inst, g2, UpdateOptions{DamageThreshold: 1e-9})
-	if err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	if st.Path != "rebuild" {
-		t.Fatalf("path = %q (stats %+v), want rebuild below threshold", st.Path, st)
-	}
-	if st.Damage <= 0 || st.Damage > 1 {
-		t.Fatalf("damage %v out of (0,1]", st.Damage)
-	}
-	cold, err := BuildOn(sp, g2)
-	if err != nil {
-		t.Fatalf("BuildOn: %v", err)
-	}
-	if ni.Fingerprint() != cold.Fingerprint() {
-		t.Fatalf("rebuild fingerprint %016x != cold build %016x", ni.Fingerprint(), cold.Fingerprint())
-	}
-}
-
 func TestUpdateFallbackForNonUpdatableSchemes(t *testing.T) {
 	for _, sp := range []Spec{rtcSpec(), compactSpec()} {
 		inst := mustBuild(t, sp)
 		g2 := mutateWeights(t, inst.Graph())
-		ni, st, err := Update(inst, g2, UpdateOptions{})
+		ni, st, err := Update(inst, g2)
 		if err != nil {
 			t.Fatalf("Update(%s): %v", sp.Scheme, err)
 		}

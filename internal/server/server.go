@@ -74,11 +74,6 @@ type Config struct {
 	// RouteCacheSize is the per-shard LRU capacity for expanded routes;
 	// < 0 disables the cache.
 	RouteCacheSize int
-	// DamageThreshold caps the fraction of the rounding hierarchy an
-	// incremental /v1/update may rebuild before the delta path gives up
-	// and falls back to a full rebuild; <= 0 uses
-	// scheme.DefaultDamageThreshold.
-	DamageThreshold float64
 }
 
 func (c Config) withDefaults() Config {
@@ -540,7 +535,8 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 // RebuildRequest is the admin hot-swap body: the shard to rebuild plus
 // any spec fields to override (absent fields keep their current value,
 // so {"shard": "main", "seed": 7} regenerates the same scenario family
-// with a fresh topology).
+// with a fresh topology). Its JSON keys must stay scheme.Spec's plus
+// "shard": the handler overlays the body on the current spec.
 type RebuildRequest struct {
 	Shard        string   `json:"shard"`
 	Scheme       *string  `json:"scheme,omitempty"`
@@ -575,8 +571,13 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
+	var body json.RawMessage
+	if !decodeJSON(w, r, &body, 1<<20) {
+		return
+	}
 	var req RebuildRequest
-	if !decodeJSON(w, r, &req, 1<<20) {
+	if err := json.Unmarshal(body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "parsing JSON body: %v", err)
 		return
 	}
 	sl, ok := s.slots[req.Shard]
@@ -590,45 +591,12 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	sl.buildMu.Lock()
 	defer sl.buildMu.Unlock()
 
+	// The request's keys are Spec's plus "shard", so decoding the body
+	// onto the current spec overrides exactly the fields it carries.
 	spec := sl.load().spec
-	if req.Scheme != nil {
-		spec.Scheme = *req.Scheme
-	}
-	if req.Topology != nil {
-		spec.Topology = *req.Topology
-	}
-	if req.N != nil {
-		spec.N = *req.N
-	}
-	if req.Eps != nil {
-		spec.Eps = *req.Eps
-	}
-	if req.MaxW != nil {
-		spec.MaxW = *req.MaxW
-	}
-	if req.H != nil {
-		spec.H = *req.H
-	}
-	if req.Sigma != nil {
-		spec.Sigma = *req.Sigma
-	}
-	if req.Seed != nil {
-		spec.Seed = *req.Seed
-	}
-	if req.BuildWorkers != nil {
-		spec.BuildWorkers = *req.BuildWorkers
-	}
-	if req.K != nil {
-		spec.K = *req.K
-	}
-	if req.Strategy != nil {
-		spec.Strategy = *req.Strategy
-	}
-	if req.L0 != nil {
-		spec.L0 = *req.L0
-	}
-	if req.SampleProb != nil {
-		spec.SampleProb = *req.SampleProb
+	if err := json.Unmarshal(body, &spec); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "parsing JSON body: %v", err)
+		return
 	}
 	if err := spec.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "invalid spec: %v", err)

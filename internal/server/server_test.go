@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -463,6 +464,34 @@ func TestRebuildHotSwap(t *testing.T) {
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if got := st.Shards["main"].Builds; got != 3 {
 		t.Fatalf("builds = %d, want 3 (initial + 2 rebuilds)", got)
+	}
+}
+
+// TestRebuildRequestKeysMatchSpec keeps the typed client body and the
+// handler's overlay from drifting: /v1/rebuild decodes the body onto the
+// current scheme.Spec, so every override RebuildRequest can carry must
+// be a Spec key of the same type, and every Spec key must be offered.
+func TestRebuildRequestKeysMatchSpec(t *testing.T) {
+	keys := func(typ reflect.Type, deref bool) map[string]reflect.Type {
+		out := map[string]reflect.Type{}
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			ft := f.Type
+			if deref && ft.Kind() == reflect.Pointer {
+				ft = ft.Elem()
+			}
+			out[name] = ft
+		}
+		return out
+	}
+	req := keys(reflect.TypeOf(RebuildRequest{}), true)
+	if _, ok := req["shard"]; !ok {
+		t.Fatal("RebuildRequest lost its shard key")
+	}
+	delete(req, "shard")
+	if spec := keys(reflect.TypeOf(Spec{}), false); !reflect.DeepEqual(req, spec) {
+		t.Fatalf("RebuildRequest keys minus shard = %v, Spec keys = %v", req, spec)
 	}
 }
 

@@ -22,32 +22,29 @@ type WireChange struct {
 }
 
 // UpdateRequest is the admin churn body: the shard to mutate plus the
-// edge changes to apply as one atomic batch. DamageThreshold overrides
-// the server's configured delta/rebuild cutoff for this request only:
-// nil (absent) keeps the server default, exactly 0 forces a full
-// rebuild, and negative values are rejected — 0 and "unset" are
-// different requests, which a plain float64 could not express. Verify
-// additionally rebuilds the scheme from scratch on the updated graph
-// and refuses to publish unless the patched tables are
-// fingerprint-identical — the correctness contract, paid for on demand.
+// edge changes to apply as one atomic batch. Verify additionally
+// rebuilds the scheme from scratch on the updated graph and refuses to
+// publish unless the patched tables are fingerprint-identical — the
+// correctness contract, paid for on demand. A legacy damage_threshold
+// key is ignored like any unknown key: there is no cutoff to tune.
 type UpdateRequest struct {
-	Shard           string       `json:"shard"`
-	Changes         []WireChange `json:"changes"`
-	DamageThreshold *float64     `json:"damage_threshold,omitempty"`
-	Verify          bool         `json:"verify,omitempty"`
+	Shard   string       `json:"shard"`
+	Changes []WireChange `json:"changes"`
+	Verify  bool         `json:"verify,omitempty"`
 }
 
 // UpdateResponse reports one applied churn batch: the generation swap
-// (old/new fingerprint), which path served it ("delta" = compiled tables
-// patched in place, "rebuild" = full reconstruction), the damage that
-// drove the choice, and the batch's shape.
+// (old/new fingerprint), which path served it ("delta" = structure held
+// and the previous build's instances were offered for reuse, "rebuild" =
+// structure changed or the scheme has no incremental path), how much of
+// the hierarchy was re-detected, and the batch's shape.
 type UpdateResponse struct {
 	Shard          string `json:"shard"`
 	OldFingerprint string `json:"old_fingerprint"`
 	NewFingerprint string `json:"new_fingerprint"`
 	Changed        bool   `json:"changed"`
-	// Path is "delta" or "rebuild"; Damage the affected fraction of the
-	// rounding hierarchy ([0,1], 1 whenever topology changed).
+	// Path is "delta" or "rebuild"; Damage the rebuilt fraction of the
+	// rounding hierarchy ([0,1], 1 on every rebuild).
 	Path             string  `json:"path"`
 	Damage           float64 `json:"damage"`
 	InstancesTotal   int     `json:"instances_total"`
@@ -93,18 +90,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		}
 		changes[i] = graph.Change{Op: op, U: c.U, V: c.V, W: c.W}
 	}
-	thr, force := s.cfg.DamageThreshold, false
-	if req.DamageThreshold != nil {
-		switch t := *req.DamageThreshold; {
-		case t < 0:
-			writeError(w, http.StatusBadRequest, "bad_request", "damage_threshold must be >= 0, got %g (omit it for the server default, 0 to force a rebuild)", t)
-			return
-		case t == 0:
-			force = true
-		default:
-			thr = t
-		}
-	}
 
 	// Serialize with rebuilds: queries keep flowing against the current
 	// tables for the whole update and only the final pointer swap is
@@ -124,11 +109,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ni, st, err := scheme.Update(cur.inst, g2, scheme.UpdateOptions{
-		DamageThreshold: thr,
-		TopologyChanged: sum.TopologyChanged,
-		ForceRebuild:    force,
-	})
+	ni, st, err := scheme.Update(cur.inst, g2)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "update_failed", "updating shard %q: %v", req.Shard, err)
 		return

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"pde/internal/graph"
@@ -13,8 +14,7 @@ import (
 // oddEdgeChange picks a +1 reweight on an odd-weight edge of the shard's
 // serving graph: an odd weight never crosses a multiple of any 2^i when
 // incremented, so with the test spec's eps=1 only rounding instance 0 is
-// affected and the update deterministically stays under the damage
-// threshold.
+// affected and most of the hierarchy is deterministically reused.
 func oddEdgeChange(t *testing.T, g *graph.Graph) WireChange {
 	t.Helper()
 	var c WireChange
@@ -171,75 +171,43 @@ func TestUpdateTopologyChangeTakesRebuildPath(t *testing.T) {
 	}
 }
 
-func TestUpdateDamageThresholdOverride(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	change := oddEdgeChange(t, srv.slots["main"].load().g)
-	thr := 1e-9
+// TestUpdateHighDamageReweightIsDelta: on ε=1, maxw=4 the bases are 1,
+// 2 and 4, so reweighting an edge from 2 to 3 moves the lengths of
+// instances 0 and 1 — damage 2/3. There is no cutoff: structure held, so
+// the update is a verified delta that reuses the one untouched instance.
+// The body still carries the legacy damage_threshold key (0 once forced
+// a rebuild), which must be ignored.
+func TestUpdateHighDamageReweightIsDelta(t *testing.T) {
+	srv, err := New(map[string]Spec{"main": {Topology: "random", N: 96, Eps: 1, MaxW: 4, Seed: 9}}, Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	var change *WireChange
+	srv.slots["main"].load().g.Edges(func(u, v int, w graph.Weight, _ int32) {
+		if change == nil && w == 2 {
+			change = &WireChange{Op: "reweight", U: u, V: v, W: 3}
+		}
+	})
+	if change == nil {
+		t.Fatal("test graph has no weight-2 edge")
+	}
 	var ur UpdateResponse
-	resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
-		Shard: "main", Changes: []WireChange{change}, DamageThreshold: &thr, Verify: true,
+	resp := postJSON(t, ts.URL+"/v1/update", map[string]any{
+		"shard": "main", "changes": []WireChange{*change}, "verify": true, "damage_threshold": 0,
 	}, &ur)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update status %d: %+v", resp.StatusCode, ur)
 	}
-	if ur.Path != "rebuild" {
-		t.Fatalf("path = %q, want rebuild below the per-request threshold", ur.Path)
+	if ur.Path != "delta" || !ur.Verified || ur.InstancesReused < 1 {
+		t.Fatalf("want a verified delta reusing >= 1 instance, got %+v", ur)
 	}
-}
-
-// TestUpdateDamageThresholdZeroForcesRebuild pins the pointer semantics
-// of damage_threshold: a reweight small enough for the delta path under
-// the server default must take the delta path when the field is absent,
-// and a full rebuild when the client sends exactly 0 — "always rebuild"
-// and "use the default" are different requests.
-func TestUpdateDamageThresholdZeroForcesRebuild(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	change := oddEdgeChange(t, srv.slots["main"].load().g)
-
-	var unset UpdateResponse
-	resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
-		Shard: "main", Changes: []WireChange{change}, Verify: true,
-	}, &unset)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("unset threshold: status %d: %+v", resp.StatusCode, unset)
-	}
-	if unset.Path != "delta" {
-		t.Fatalf("unset threshold served by %q (damage %.3f), want delta — the scenario no longer distinguishes 0 from unset", unset.Path, unset.Damage)
-	}
-
-	change.W++ // a fresh live change on the mutated graph
-	zero := 0.0
-	var forced UpdateResponse
-	resp = postJSON(t, ts.URL+"/v1/update", UpdateRequest{
-		Shard: "main", Changes: []WireChange{change}, DamageThreshold: &zero, Verify: true,
-	}, &forced)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("zero threshold: status %d: %+v", resp.StatusCode, forced)
-	}
-	if forced.Path != "rebuild" {
-		t.Fatalf("damage_threshold 0 served by %q, want a forced rebuild", forced.Path)
-	}
-	if got, _ := srv.Fingerprint("main"); got != forced.NewFingerprint {
-		t.Fatalf("serving %s but update reported %s", got, forced.NewFingerprint)
-	}
-}
-
-// TestUpdateDamageThresholdNegativeRejected: negative thresholds are a
-// client bug, not a request for the default.
-func TestUpdateDamageThresholdNegativeRejected(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	change := oddEdgeChange(t, srv.slots["main"].load().g)
-	before, _ := srv.Fingerprint("main")
-	neg := -0.25
-	var env ErrorEnvelope
-	resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
-		Shard: "main", Changes: []WireChange{change}, DamageThreshold: &neg,
-	}, &env)
-	if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "bad_request" {
-		t.Fatalf("negative threshold: status %d, envelope %+v, want 400 bad_request", resp.StatusCode, env)
-	}
-	if after, _ := srv.Fingerprint("main"); after != before {
-		t.Fatalf("rejected update still swapped the tables: %s -> %s", before, after)
+	if ur.InstancesTotal != 3 || ur.InstancesRebuilt != 2 || ur.Damage <= 0.5 {
+		t.Fatalf("2->3 at bases 1,2,4 must rebuild 2 of 3 instances, got %+v", ur)
 	}
 }
 

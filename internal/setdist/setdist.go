@@ -50,9 +50,7 @@ package setdist
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"pde/internal/graph"
@@ -202,7 +200,7 @@ func estimate(ans oracle.Answer) float64 {
 // x[i], evaluating every non-self candidate — the |X|×|Y| reference.
 func naiveMins(inst scheme.Instance, x, y []int32, minD []float64, workers int) int64 {
 	var evaluated atomic.Int64
-	fanOut(len(x), workers, func(lo, hi int) {
+	scheme.FanOut(len(x), workers, func(lo, hi int) {
 		qs := make([]oracle.Query, len(y))
 		out := make([]oracle.Answer, len(y))
 		var local int64
@@ -266,7 +264,7 @@ func prunedMins(inst scheme.Instance, x, y []int32, lm landmarks, minD []float64
 	}
 
 	var evaluated atomic.Int64
-	fanOut(len(x), workers, func(lo, hi int) {
+	scheme.FanOut(len(x), workers, func(lo, hi int) {
 		var qs [evalChunk]oracle.Query
 		var out [evalChunk]oracle.Answer
 		var local int64
@@ -429,31 +427,4 @@ func lowerBound(ka, kb graph.Weight) float64 {
 		d = -d
 	}
 	return float64(d)
-}
-
-// fanOut splits [0, total) across workers goroutines (0 = GOMAXPROCS,
-// 1 = sequential). Chunks are independent, so results are identical at
-// any width.
-func fanOut(total, workers int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		fn(0, total)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (total + workers - 1) / workers
-	for lo := 0; lo < total; lo += chunk {
-		hi := min(lo+chunk, total)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
