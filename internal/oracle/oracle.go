@@ -21,7 +21,7 @@
 package oracle
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"pde/internal/core"
@@ -51,66 +51,57 @@ type Oracle struct {
 
 // Compile flattens res into an Oracle. The input is not retained; the
 // oracle is self-contained and immutable.
+//
+// Time is linear in the instance lists plus, per node, a sort of the
+// source ids that survive deduplication (~σ of the σ·(i_max+1)
+// candidates on a partial build).
 func Compile(res *core.Result) *Oracle {
 	start := time.Now()
 	n := len(res.Lists)
 	o := &Oracle{n: n, off: make([]int64, n+1)}
 
-	type cand struct {
-		src  int32
-		dist float64
-		via  int32
-		inst int32
-		flag uint8
-	}
-	var buf []cand
+	seen := make([]int32, n) // seen[s] == v+1: s is in v's row, at slot[s]
+	slot := make([]int32, n)
+	var row []core.Estimate
 	for v := 0; v < n; v++ {
-		buf = buf[:0]
+		row = row[:0]
+		// Ascending instances, replacing only on a strictly smaller
+		// product: the first instance with the smallest value wins,
+		// exactly as the legacy scan decides.
 		for i, inst := range res.Instances {
 			for _, e := range inst.Det.Lists[v] {
-				buf = append(buf, cand{
-					src:  e.Src,
-					dist: float64(e.Dist) * inst.Base,
-					via:  e.Via,
-					inst: int32(i),
-					flag: e.Flag,
-				})
+				c := core.Estimate{Dist: float64(e.Dist) * inst.Base, Src: e.Src, Via: e.Via, Instance: int32(i), Flag: e.Flag}
+				if seen[e.Src] != int32(v)+1 {
+					seen[e.Src] = int32(v) + 1
+					slot[e.Src] = int32(len(row))
+					row = append(row, c)
+				} else if k := slot[e.Src]; c.Dist < row[k].Dist {
+					row[k] = c
+				}
 			}
 		}
-		// Group by source; within a source the winner is the minimum
-		// distance, ties to the lowest instance — exactly the order the
-		// legacy scan (ascending instances, strict improvement) keeps.
-		sort.Slice(buf, func(a, b int) bool {
-			if buf[a].src != buf[b].src {
-				return buf[a].src < buf[b].src
+		first := len(o.srcs)
+		for _, c := range row {
+			o.srcs = append(o.srcs, c.Src)
+		}
+		slices.Sort(o.srcs[first:])
+		for k, s := range o.srcs[first:] {
+			c := &row[slot[s]]
+			o.dists = append(o.dists, c.Dist)
+			o.vias = append(o.vias, c.Via)
+			o.insts = append(o.insts, c.Instance)
+			o.flags = append(o.flags, c.Flag)
+			o.inList = append(o.inList, false)
+			slot[s] = int32(k) // from here on: s's position in the sorted row
+		}
+		// Mark σ-capped output-list membership so Lookup answers match
+		// Result.Lookup bit-for-bit.
+		for _, e := range res.Lists[v] {
+			if seen[e.Src] == int32(v)+1 {
+				o.inList[first+int(slot[e.Src])] = true
 			}
-			if buf[a].dist != buf[b].dist {
-				return buf[a].dist < buf[b].dist
-			}
-			return buf[a].inst < buf[b].inst
-		})
-		for k := range buf {
-			if k > 0 && buf[k].src == buf[k-1].src {
-				continue
-			}
-			o.srcs = append(o.srcs, buf[k].src)
-			o.dists = append(o.dists, buf[k].dist)
-			o.vias = append(o.vias, buf[k].via)
-			o.insts = append(o.insts, buf[k].inst)
-			o.flags = append(o.flags, buf[k].flag)
 		}
 		o.off[v+1] = int64(len(o.srcs))
-	}
-
-	// Mark σ-capped output-list membership so Lookup answers match
-	// Result.Lookup bit-for-bit.
-	o.inList = make([]bool, len(o.srcs))
-	for v := 0; v < n; v++ {
-		for _, e := range res.Lists[v] {
-			if k := o.find(v, e.Src); k >= 0 {
-				o.inList[k] = true
-			}
-		}
 	}
 	o.BuildTime = time.Since(start)
 	return o

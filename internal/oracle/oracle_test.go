@@ -11,7 +11,7 @@ import (
 	"pde/internal/graph"
 )
 
-func buildResult(t *testing.T, g *graph.Graph, p core.Params) *core.Result {
+func buildResult(t testing.TB, g *graph.Graph, p core.Params) *core.Result {
 	t.Helper()
 	res, err := core.Run(g, p, congest.Config{})
 	if err != nil {

@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"fmt"
+	"sync"
 
 	"pde/internal/congest"
 	"pde/internal/core"
@@ -23,6 +24,11 @@ type OracleInstance struct {
 
 	buildNS int64
 	acct    Accounting
+	// fp is Res.Fingerprint, digested on first use and held: a
+	// generation's identity is asked for many times (stamp, stats,
+	// divergence probes) and walking the whole result costs milliseconds
+	// — but not inside the build, which never needs it.
+	fp func() uint64
 }
 
 func buildOracleOn(sp Spec, g *graph.Graph) (Instance, error) {
@@ -77,6 +83,7 @@ func NewOracleInstance(sp Spec, g *graph.Graph, res *core.Result, buildNS int64)
 		O:       o,
 		Rtr:     core.NewRouterWith(g, res, o),
 		buildNS: buildNS,
+		fp:      sync.OnceValue(res.Fingerprint),
 	}
 	maxS, meanS, routes, err := measureStretch(g, sp.Seed, in.Route, func(v int) []int32 {
 		// Only list members are guaranteed routable (Corollary 3.5);
@@ -109,11 +116,14 @@ func NewOracleInstance(sp Spec, g *graph.Graph, res *core.Result, buildNS int64)
 func (in *OracleInstance) Scheme() string      { return "oracle" }
 func (in *OracleInstance) Spec() Spec          { return in.Sp }
 func (in *OracleInstance) Graph() *graph.Graph { return in.Gr }
-func (in *OracleInstance) Fingerprint() uint64 { return in.Res.Fingerprint() }
 func (in *OracleInstance) BuildNS() int64      { return in.buildNS }
 func (in *OracleInstance) Accounting() Accounting {
 	return in.acct
 }
+
+// Fingerprint is the result's digest as of its first call; the result is
+// immutable once served, so that is the generation's identity.
+func (in *OracleInstance) Fingerprint() uint64 { return in.fp() }
 
 // AnswerInto delegates to the compiled oracle's batch path — the same
 // indexed lookup the in-process benchmarks measure.

@@ -35,7 +35,7 @@ type shard struct {
 	o      *oracle.Oracle
 	router *core.Router
 
-	fp      string // %016x of inst.Fingerprint(); returned with every answer
+	fp      string // %016x of fpRaw; returned with every answer
 	fpRaw   uint64 // the raw fingerprint, stamped on PDE2 answer frames
 	buildNS int64
 }
@@ -63,12 +63,13 @@ func newShard(sp Spec, g *graph.Graph, res *core.Result, buildNS int64) (*shard,
 
 // instShard wraps a built instance into the serving snapshot.
 func instShard(inst scheme.Instance) *shard {
+	fp := inst.Fingerprint()
 	sh := &shard{
 		spec:    inst.Spec(),
 		inst:    inst,
 		g:       inst.Graph(),
-		fp:      fmt.Sprintf("%016x", inst.Fingerprint()),
-		fpRaw:   inst.Fingerprint(),
+		fp:      fmt.Sprintf("%016x", fp),
+		fpRaw:   fp,
 		buildNS: inst.BuildNS(),
 	}
 	if oi, ok := inst.(*scheme.OracleInstance); ok {

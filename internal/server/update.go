@@ -37,7 +37,9 @@ type UpdateRequest struct {
 // (old/new fingerprint), which path served it ("delta" = structure held
 // and the previous build's instances were offered for reuse, "rebuild" =
 // structure changed or the scheme has no incremental path), how much of
-// the hierarchy was re-detected, and the batch's shape.
+// the hierarchy was re-detected, and the batch's shape. UpdateNS runs from
+// the request decoded to the new generation published: changes applied,
+// build, verify, digest, swap.
 type UpdateResponse struct {
 	Shard          string `json:"shard"`
 	OldFingerprint string `json:"old_fingerprint"`
@@ -104,7 +106,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "applying changes: %v", err)
 		return
 	}
-	if !g2.Connected() {
+	// A weight-only batch keeps the edge set (ApplyChanges validated that
+	// and w >= 1), so only inserts and deletes can disconnect.
+	if sum.TopologyChanged && !g2.Connected() {
 		writeError(w, http.StatusBadRequest, "bad_request", "update would disconnect the graph; rejected")
 		return
 	}
@@ -126,7 +130,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	updateNS := time.Since(began).Nanoseconds()
 
 	sh := instShard(ni)
 	if want := fmt.Sprintf("%016x", ni.Fingerprint()); sh.fp != want {
@@ -134,6 +137,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	oldFP := sl.swap(sh)
+	updateNS := time.Since(began).Nanoseconds()
 	sl.mutated.Store(true)
 	sl.stats.updates.Add(1)
 	if st.Path == "delta" {

@@ -211,6 +211,45 @@ func TestUpdateHighDamageReweightIsDelta(t *testing.T) {
 	}
 }
 
+// TestUpdateVerifyRefusesDivergentTables: verify compares the patched
+// tables with a from-scratch build, and a difference must keep the old
+// generation serving. The divergence is planted in a rounding instance the
+// update reuses by pointer (oddEdgeChange re-detects only instance 0), so
+// the patched result carries it and the cold build does not.
+func TestUpdateVerifyRefusesDivergentTables(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	sl := srv.slots["main"]
+	before := sl.load()
+	change := oddEdgeChange(t, before.g)
+
+	last := before.res.Instances[len(before.res.Instances)-1]
+	v := 0
+	for len(last.Det.Lists[v]) == 0 {
+		v++
+	}
+	last.Det.Lists[v][0].Via ^= 1
+
+	resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
+		Shard: "main", Changes: []WireChange{change}, Verify: true,
+	}, nil)
+	wantErrorEnvelope(t, resp, http.StatusInternalServerError, "update_failed")
+	if sl.load() != before {
+		t.Fatal("a failed verify published a new generation")
+	}
+	if sl.mutated.Load() || sl.stats.updates.Load() != 0 {
+		t.Fatal("a failed verify was counted as an applied update")
+	}
+
+	// The same batch without verify is published: it was the comparison
+	// that refused, not the build.
+	var ur UpdateResponse
+	if resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
+		Shard: "main", Changes: []WireChange{change},
+	}, &ur); resp.StatusCode != http.StatusOK || ur.Path != "delta" || ur.InstancesReused == 0 {
+		t.Fatalf("unverified update: status %d, response %+v", resp.StatusCode, ur)
+	}
+}
+
 func TestUpdateErrors(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	g := srv.slots["main"].load().g
