@@ -492,18 +492,20 @@ func (sch *Scheme) buildTruncated(p Params, hFor func(int) int, sigma int, lnN f
 }
 
 // levelEstimate returns the level-l estimate from x to s ∈ S_l and whether
-// it exists; for truncated levels it is the Lemma 4.10 combination.
-func (sch *Scheme) levelEstimate(x int, l int, s int32) (float64, bool) {
+// it exists, with the next hop the same table row records (-1 when it
+// records none). For truncated levels the estimate is the Lemma 4.10
+// combination and the row holds no hop: levelNextHop derives one.
+func (sch *Scheme) levelEstimate(x int, l int, s int32) (d float64, via int32, ok bool) {
 	if sch.R[l] != nil {
-		e, ok := sch.oracles[l].Estimate(x, s)
-		if !ok {
-			return 0, false
+		e, found := sch.oracles[l].Estimate(x, s)
+		if !found {
+			return 0, -1, false
 		}
-		return e.Dist, true
+		return e.Dist, e.Via, true
 	}
-	dist, ok := sch.simDist[l][s]
-	if !ok {
-		return 0, false
+	dist, found := sch.simDist[l][s]
+	if !found {
+		return 0, -1, false
 	}
 	best := math.Inf(1)
 	for _, e := range sch.SkelR.Lists[x] {
@@ -513,9 +515,9 @@ func (sch *Scheme) levelEstimate(x int, l int, s int32) (float64, bool) {
 		}
 	}
 	if math.IsInf(best, 1) {
-		return 0, false
+		return 0, -1, false
 	}
-	return best, true
+	return best, -1, true
 }
 
 // levelNextHop returns x's next hop toward s at level l.
@@ -587,7 +589,7 @@ func (sch *Scheme) computePivots() error {
 			} else {
 				// Truncated: minimize the combined estimate over S_l.
 				for _, s := range sch.Levels[l] {
-					if d, ok := sch.levelEstimate(v, l, s); ok {
+					if d, _, ok := sch.levelEstimate(v, l, s); ok {
 						if d < sch.PivotDist[l][v] ||
 							(d == sch.PivotDist[l][v] && s < sch.Pivot[l][v]) {
 							sch.Pivot[l][v] = s
@@ -621,7 +623,7 @@ func (sch *Scheme) computePivots() error {
 				}
 			} else {
 				for _, s := range sch.Levels[l] {
-					if d, ok := sch.levelEstimate(v, l, s); ok {
+					if d, _, ok := sch.levelEstimate(v, l, s); ok {
 						if d < thrD || (d == thrD && s < thrS) {
 							count++
 						}

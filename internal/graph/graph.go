@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 )
 
 // Weight is the type of edge weights and exact distances.
@@ -35,6 +36,10 @@ type Graph struct {
 	adj [][]Edge
 	m   int
 	max Weight
+
+	// lm is derived from adj on first use (see Landmarks).
+	lmOnce sync.Once
+	lm     *Landmarks
 }
 
 // Builder accumulates edges and produces an immutable Graph.

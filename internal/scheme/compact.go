@@ -107,33 +107,37 @@ func (in *CompactInstance) BuildNS() int64         { return in.buildNS }
 func (in *CompactInstance) Accounting() Accounting { return in.acct }
 
 // answer mirrors the rtc contract: Dist from the §2.4 local-table
-// estimate, Via from the origin's level selection and first hop.
+// estimate, Via from the origin's level selection and first hop — one
+// pass over the hierarchy (compact.Scheme.Answer) yields both.
 // Out-of-range ids answer as misses, like the oracle backend: every
 // transport validates ids against the snapshot it answers from, but a
 // serving path must never panic on an id it was handed.
 func (in *CompactInstance) answer(q oracle.Query) oracle.Answer {
-	v := int(q.V)
 	if !q.InRange(int32(in.Gr.N())) {
 		return oracle.Answer{}
 	}
-	dst := in.Sch.Labels[q.S]
-	d, err := in.Sch.DistEstimate(v, dst)
-	if err != nil {
+	a := in.Sch.Answer(int(q.V), in.Sch.Labels[q.S])
+	if !a.OK {
 		// Misses answer with the zero Estimate, like the oracle backend:
 		// only the OK flag is contract, and +Inf would not survive the
 		// JSON wire encoding.
 		return oracle.Answer{}
 	}
-	via := int32(-1)
-	if next, herr := in.Sch.FirstHop(v, dst); herr == nil {
-		via = int32(next)
-	}
-	return oracle.Answer{Est: core.Estimate{Dist: d, Src: q.S, Via: via}, OK: true}
+	return oracle.Answer{Est: core.Estimate{Dist: a.Dist, Src: q.S, Via: a.Hop}, OK: true}
 }
 
 // AnswerInto fans the batch across workers; answers read only immutable
-// tables, so the result is identical at any width.
+// tables, so the result is identical at any width. A batch that resolves
+// to one worker is answered inline: the closure FanOut takes escapes
+// through its go statement, and the pruned set-distance evaluation sends
+// hundreds of ≤16-query batches per request.
 func (in *CompactInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int) {
+	if Width(len(qs), workers) <= 1 {
+		for i, q := range qs {
+			out[i] = in.answer(q)
+		}
+		return
+	}
 	FanOut(len(qs), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = in.answer(qs[i])

@@ -121,8 +121,15 @@ func (in *RTCInstance) answer(q oracle.Query) oracle.Answer {
 }
 
 // AnswerInto fans the batch across workers; every answer reads only the
-// immutable tables, so the result is identical at any width.
+// immutable tables, so the result is identical at any width. As in
+// CompactInstance.AnswerInto, a one-worker batch is answered inline.
 func (in *RTCInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int) {
+	if Width(len(qs), workers) <= 1 {
+		for i, q := range qs {
+			out[i] = in.answer(q)
+		}
+		return
+	}
 	FanOut(len(qs), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = in.answer(qs[i])

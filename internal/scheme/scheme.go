@@ -286,16 +286,21 @@ func BuildOn(sp Spec, g *graph.Graph) (Instance, error) {
 
 // --- shared backend plumbing -------------------------------------------
 
+// Width resolves a workers setting against a batch of total items: the
+// number of goroutines FanOut would use (0 = GOMAXPROCS, never more than
+// one per item).
+func Width(total, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, total)
+}
+
 // FanOut splits [0, total) across workers goroutines (0 = GOMAXPROCS,
 // 1 = sequential). Each chunk is independent, so the result is identical
 // at any width.
 func FanOut(total, workers int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > total {
-		workers = total
-	}
+	workers = Width(total, workers)
 	if workers <= 1 {
 		fn(0, total)
 		return

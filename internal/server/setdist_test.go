@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 
+	"pde/internal/graph"
 	"pde/internal/setdist"
 )
 
@@ -191,6 +194,91 @@ func TestSetDistAnswerCodecRoundTrip(t *testing.T) {
 	} {
 		if _, err := DecodeSetDistAnswer(data); err == nil {
 			t.Errorf("%s: want decode error", name)
+		}
+	}
+}
+
+// TestSetDistAfterShorteningUpdate is the test that fails if landmark
+// keys outlive their graph. The pruned evaluation discards a candidate
+// when a key difference — a lower bound on the true distance — reaches the
+// best estimate seen; keys measured before an update that *shortens*
+// distances over-bound the new graph and would drop true minima. So: warm
+// the old generation's keys, pull every heavy road down to weight 1
+// through /v1/update, and require the pruned answer on the new generation
+// to equal the naive one bit for bit, over the binary codec (raw IEEE
+// doubles).
+func TestSetDistAfterShorteningUpdate(t *testing.T) {
+	srv, err := New(map[string]Spec{"main": {Topology: "roadgrid", N: 64, Eps: 0.5, MaxW: 64, Seed: 5}}, Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	cl := &Client{BaseURL: ts.URL, Shard: "main"}
+	before := srv.slots["main"].load()
+	n := before.g.N()
+
+	rng := rand.New(rand.NewSource(77))
+	sets := make([][2][]int32, 6)
+	for i := range sets {
+		for side, size := range [2]int{12, 20} {
+			for j := 0; j < size; j++ {
+				sets[i][side] = append(sets[i][side], int32(rng.Intn(n)))
+			}
+		}
+		if _, err := cl.SetDist(context.Background(), sets[i][0], sets[i][1], false, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oldKeys := before.g.Landmarks()
+
+	var changes []WireChange
+	before.g.Edges(func(u, v int, w graph.Weight, _ int32) {
+		if w > 8 {
+			changes = append(changes, WireChange{Op: "reweight", U: u, V: v, W: 1})
+		}
+	})
+	if len(changes) == 0 {
+		t.Fatal("test graph has no heavy edge to shorten")
+	}
+	var ur UpdateResponse
+	if resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{Shard: "main", Changes: changes}, &ur); resp.StatusCode != http.StatusOK || !ur.Changed {
+		t.Fatalf("update status %d: %+v", resp.StatusCode, ur)
+	}
+
+	after := srv.slots["main"].load()
+	newKeys := after.g.Landmarks()
+	shrunk := 0
+	for v, k := range newKeys.Key1 {
+		if k < oldKeys.Key1[v] {
+			shrunk++
+		}
+	}
+	if newKeys == oldKeys || shrunk == 0 {
+		t.Fatalf("the new generation's keys do not reflect the update (%d of %d shrank)", shrunk, n)
+	}
+
+	for i, s := range sets {
+		pruned, err := cl.SetDist(context.Background(), s[0], s[1], false, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive, err := cl.SetDist(context.Background(), s[0], s[1], true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pruned.Fingerprint != ur.NewFingerprint || naive.Fingerprint != ur.NewFingerprint {
+			t.Fatalf("sets %d: answered by %s / %s, update published %s", i, pruned.Fingerprint, naive.Fingerprint, ur.NewFingerprint)
+		}
+		if pruned.AB != naive.AB || pruned.BA != naive.BA ||
+			math.Float64bits(pruned.Hausdorff) != math.Float64bits(naive.Hausdorff) {
+			t.Errorf("sets %d: pruned %+v != naive %+v on the updated generation", i, pruned, naive)
+		}
+		if pruned.Evaluated >= naive.Evaluated {
+			t.Errorf("sets %d: pruned evaluated %d of naive's %d — the bound pruned nothing", i, pruned.Evaluated, naive.Evaluated)
 		}
 	}
 }

@@ -509,6 +509,41 @@ func TestAllocsPerRunWireOracleServe(t *testing.T) {
 	}
 }
 
+// TestAllocsPerRunWireCompactServe is the same guard over a compact
+// shard: the wire layer answers each frame with AnswerInto(…, 1), which
+// the compact backend must run inline — a closure handed to a fan-out
+// helper escapes and costs one allocation per frame.
+func TestAllocsPerRunWireCompactServe(t *testing.T) {
+	sp := schemeSpecs()["compact"]
+	srv, err := New(map[string]Spec{"main": sp}, Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(srv.Close)
+	ws := startWire(t, srv, wire.Config{})
+	c := dialWire(t, ws.Addr(), "main")
+
+	qs := make([]oracle.Query, 16)
+	out := make([]oracle.Answer, len(qs))
+	rng := uint32(7)
+	for i := range qs {
+		rng = rng*1664525 + 1013904223
+		qs[i] = oracle.Query{V: int32(rng % uint32(sp.N)), S: int32((rng >> 8) % uint32(sp.N))}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Estimate(qs, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.Estimate(qs, out); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("compact-backed Estimate round trip allocates %.2f objects/op, want 0", allocs)
+	}
+}
+
 // TestStatsCoherentUnderWireTraffic is the satellite audit behind "stats
 // counters must be race-clean": wire and HTTP readers hammer one shard
 // while /v1/stats is polled concurrently (the -race CI lane covers the

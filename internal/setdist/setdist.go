@@ -16,28 +16,40 @@
 //
 // Concretely, one evaluation:
 //
-//  1. Runs exact Dijkstra from two landmarks shared by both directions —
-//     B's first member, then the node farthest from it — giving every
-//     node two keys key₁(x) = d(c₁, x), key₂(x) = d(c₂, x). By the
-//     triangle inequality d(a, b) ≥ |keyᵢ(a) − keyᵢ(b)| for each
-//     landmark; two far-apart landmarks discriminate candidates that a
-//     single one would see as equidistant rings.
-//  2. Sorts the candidate set by key₁, so candidates near a query
-//     member's key are the promising ones and the first-landmark bound
-//     grows monotonically away from it.
+//  1. Reads the landmark keys of the instance's graph
+//     (graph.Graph.Landmarks): exact Dijkstra distance vectors from a few
+//     mutually far-apart nodes — node 0, then farthest-point picks —
+//     giving every node a key key₁(x) = d(c₁, x) and up to three
+//     auxiliary keys. By the triangle inequality
+//     d(a, b) ≥ |keyᵢ(a) − keyᵢ(b)| for each landmark; far-apart
+//     landmarks discriminate candidates that a single one would see as
+//     equidistant rings. The keys are a table of the graph generation,
+//     not a computation of the request: the graph computes them on first
+//     use and every later evaluation — any sets, any direction — reads
+//     the same arrays, so a request pays no graph search. They do not
+//     depend on A or B, and need not: the bound holds for any landmark
+//     whatsoever, so where the landmarks sit changes how much is pruned,
+//     never what is answered. They die with the graph they were measured
+//     on — an update builds a new graph value, which measures its own —
+//     so a key never bounds a graph whose distances have since shrunk.
+//  2. Sorts each set by key₁ (once, serving both directions), so
+//     candidates near a query member's key are the promising ones and
+//     the first-landmark bound grows monotonically away from it.
 //  3. For each member, expands candidates outward from its key₁
 //     position in small AnswerInto batches, keeping the best (smallest)
 //     estimate seen. A side of the expansion is abandoned — all its
 //     remaining candidates pruned — as soon as its key₁ bound reaches
 //     the running best; an individual candidate is skipped without a
-//     query when its key₂ bound does. The first candidates evaluated are
-//     the nearest-by-key ones, so the first bound is already tight.
+//     query when an auxiliary bound does. The first candidates evaluated
+//     are the nearest-by-key ones, so the first bound is already tight.
 //
 // Pruning never changes an answer: a pruned candidate b satisfies
 // d̃(a, b) ≥ d(a, b) ≥ |keyᵢ(a) − keyᵢ(b)| ≥ best, so it cannot lower
 // the min. The differential tests (and the BENCH_setdist_* artifacts'
 // naive twin) pin pruned aggregates bit-identical to the naive double
-// loop on every scheme.
+// loop on every scheme. On a disconnected graph, members outside node
+// 0's component carry infinite keys, which bound nothing among
+// themselves: they are evaluated exhaustively, still exactly.
 //
 // Conventions: a member of A that also belongs to B contributes a zero
 // min-distance without a query (matching the server's v == s terminal
@@ -48,9 +60,10 @@
 package setdist
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"pde/internal/graph"
@@ -149,31 +162,38 @@ func Eval(inst scheme.Instance, a, b []int32, opt Options) (*Result, error) {
 		}
 	}
 	res := &Result{Pairs: 2 * int64(len(a)) * int64(len(b))}
-	var lm landmarks
-	if !opt.Naive {
-		lm = newLandmarks(inst.Graph(), b)
+	mins := make([]float64, len(a)+len(b))
+	minAB, minBA := mins[:len(a)], mins[len(a):]
+	if opt.Naive {
+		res.Evaluated = naiveMins(inst, a, b, minAB, opt.Workers) +
+			naiveMins(inst, b, a, minBA, opt.Workers)
+	} else {
+		// Everything the two directions share is made once: the
+		// generation's landmark keys, each set sorted by them, and the
+		// membership stamps behind the free self matches.
+		lm := inst.Graph().Landmarks()
+		ca, cb := sortedCandidates(lm, a), sortedCandidates(lm, b)
+		member := make([]uint8, n)
+		for _, v := range a {
+			member[v] |= inA
+		}
+		for _, v := range b {
+			member[v] |= inB
+		}
+		res.Evaluated = prunedMins(inst, a, cb, lm, member, inB, minAB, opt.Workers) +
+			prunedMins(inst, b, ca, lm, member, inA, minBA, opt.Workers)
 	}
-	var evaluated int64
-	res.AB = evalDirection(inst, a, b, lm, opt, &evaluated)
-	res.BA = evalDirection(inst, b, a, lm, opt, &evaluated)
-	res.Evaluated = evaluated
-	res.Pruned = res.Pairs - evaluated
+	res.AB, res.BA = aggregate(minAB), aggregate(minBA)
+	res.Pruned = res.Pairs - res.Evaluated
 	res.Hausdorff = math.Max(res.AB.Hausdorff, res.BA.Hausdorff)
 	return res, nil
 }
 
-// evalDirection computes the X→Y aggregates, adding the number of scheme
-// estimates it issued to evaluated.
-func evalDirection(inst scheme.Instance, x, y []int32, lm landmarks, opt Options, evaluated *int64) Aggregates {
-	minD := make([]float64, len(x))
-	if opt.Naive {
-		*evaluated += naiveMins(inst, x, y, minD, opt.Workers)
-	} else {
-		*evaluated += prunedMins(inst, x, y, lm, minD, opt.Workers)
-	}
-	// Reduce in member order, independent of the worker fan-out, so the
-	// float sums are bit-identical at any width.
-	agg := Aggregates{Members: int32(len(x))}
+// aggregate reduces one direction's per-member minima in member order,
+// independent of the worker fan-out, so the float sums are bit-identical
+// at any width.
+func aggregate(minD []float64) Aggregates {
+	agg := Aggregates{Members: int32(len(minD))}
 	for _, d := range minD {
 		if math.IsInf(d, 1) {
 			agg.Unreachable++
@@ -183,7 +203,7 @@ func evalDirection(inst scheme.Instance, x, y []int32, lm landmarks, opt Options
 			agg.Hausdorff = d
 		}
 	}
-	agg.MeanMin = agg.Chamfer / float64(len(x))
+	agg.MeanMin = agg.Chamfer / float64(len(minD))
 	return agg
 }
 
@@ -232,37 +252,50 @@ func naiveMins(inst scheme.Instance, x, y []int32, minD []float64, workers int) 
 	return evaluated.Load()
 }
 
-// prunedMins is the landmark-ordered, bound-pruned evaluation described
-// in the package comment. It produces exactly the minima of naiveMins.
-func prunedMins(inst scheme.Instance, x, y []int32, lm landmarks, minD []float64, workers int) int64 {
-	g := inst.Graph()
+// Membership stamps: member[v] carries one bit per set v belongs to.
+const (
+	inA uint8 = 1 << iota
+	inB
+)
 
-	// Y sorted ascending by (key₁, id): the expansion order. Infinite
-	// keys (nodes unreachable from the landmark) sort last.
-	ynodes := append([]int32(nil), y...)
-	sort.Slice(ynodes, func(i, j int) bool {
-		ki, kj := lm.key1[ynodes[i]], lm.key1[ynodes[j]]
-		if ki != kj {
-			return ki < kj
+// candidates is one set in expansion order — ascending by (key₁, id),
+// infinite keys (nodes unreachable from the landmark) last — with every
+// landmark's keys gathered alongside, so the expansion reads them
+// sequentially.
+type candidates struct {
+	nodes []int32
+	key1  []graph.Weight
+	aux   [graph.MaxAuxLandmarks][]graph.Weight
+}
+
+func sortedCandidates(lm *graph.Landmarks, set []int32) candidates {
+	c := candidates{nodes: slices.Clone(set)}
+	slices.SortFunc(c.nodes, func(p, q int32) int {
+		if byKey := cmp.Compare(lm.Key1[p], lm.Key1[q]); byKey != 0 {
+			return byKey
 		}
-		return ynodes[i] < ynodes[j]
+		return cmp.Compare(p, q)
 	})
-	ykeys1 := make([]graph.Weight, len(ynodes))
-	yaux := make([][]graph.Weight, len(lm.aux))
-	for i, v := range ynodes {
-		ykeys1[i] = lm.key1[v]
+	m := len(set)
+	keys := make([]graph.Weight, (1+len(lm.Aux))*m)
+	c.key1 = keys[:m]
+	for i, v := range c.nodes {
+		c.key1[i] = lm.Key1[v]
 	}
-	for j, key := range lm.aux {
-		yaux[j] = make([]graph.Weight, len(ynodes))
-		for i, v := range ynodes {
-			yaux[j][i] = key[v]
+	for j, key := range lm.Aux {
+		c.aux[j] = keys[(j+1)*m : (j+2)*m]
+		for i, v := range c.nodes {
+			c.aux[j][i] = key[v]
 		}
 	}
-	inY := make([]bool, g.N())
-	for _, v := range y {
-		inY[v] = true
-	}
+	return c
+}
 
+// prunedMins is the landmark-ordered, bound-pruned evaluation described
+// in the package comment: minD[i] becomes the min over the candidate set
+// y (whose membership bit is yBit) of the estimate from x[i]. It produces
+// exactly the minima of naiveMins.
+func prunedMins(inst scheme.Instance, x []int32, y candidates, lm *graph.Landmarks, member []uint8, yBit uint8, minD []float64, workers int) int64 {
 	var evaluated atomic.Int64
 	scheme.FanOut(len(x), workers, func(lo, hi int) {
 		var qs [evalChunk]oracle.Query
@@ -270,19 +303,19 @@ func prunedMins(inst scheme.Instance, x, y []int32, lm landmarks, minD []float64
 		var local int64
 		for i := lo; i < hi; i++ {
 			xi := x[i]
-			if inY[xi] {
+			if member[xi]&yBit != 0 {
 				minD[i] = 0 // xi ∈ Y: the self match wins outright
 				continue
 			}
-			ka1 := lm.key1[xi]
-			var kaux [maxAuxLandmarks]graph.Weight
-			for j, key := range lm.aux {
+			ka1 := lm.Key1[xi]
+			var kaux [graph.MaxAuxLandmarks]graph.Weight
+			for j, key := range lm.Aux {
 				kaux[j] = key[xi]
 			}
 			// First candidate position: the smallest key₁ ≥ key₁(xi).
 			// The two pointers expand outward from it, so candidates
 			// arrive in nondecreasing key₁-bound order per side.
-			up := sort.Search(len(ykeys1), func(j int) bool { return ykeys1[j] >= ka1 })
+			up, _ := slices.BinarySearch(y.key1, ka1)
 			down := up - 1
 			best := math.Inf(1)
 			// The flush size starts tiny and doubles: the first flush runs
@@ -295,24 +328,24 @@ func prunedMins(inst scheme.Instance, x, y []int32, lm landmarks, minD []float64
 				k := 0
 				for k < limit {
 					lbUp, lbDown := math.Inf(1), math.Inf(1)
-					if up < len(ykeys1) {
-						lbUp = lowerBound(ka1, ykeys1[up])
+					if up < len(y.key1) {
+						lbUp = lowerBound(ka1, y.key1[up])
 					}
 					if down >= 0 {
-						lbDown = lowerBound(ka1, ykeys1[down])
+						lbDown = lowerBound(ka1, y.key1[down])
 					}
 					// A side whose key₁ bound reached the running best is
 					// done: every remaining candidate on it bounds at
 					// least as high.
 					if lbUp >= best {
-						up = len(ykeys1)
+						up = len(y.key1)
 						lbUp = math.Inf(1)
 					}
 					if lbDown >= best {
 						down = -1
 						lbDown = math.Inf(1)
 					}
-					if up >= len(ykeys1) && down < 0 {
+					if up >= len(y.key1) && down < 0 {
 						break
 					}
 					var pick int
@@ -328,8 +361,8 @@ func prunedMins(inst scheme.Instance, x, y []int32, lm landmarks, minD []float64
 					// on opposite sides of the graph have very different
 					// auxiliary keys.
 					skipped := false
-					for j := range lm.aux {
-						if lowerBound(kaux[j], yaux[j][pick]) >= best {
+					for j := range lm.Aux {
+						if lowerBound(kaux[j], y.aux[j][pick]) >= best {
 							skipped = true
 							break
 						}
@@ -337,7 +370,7 @@ func prunedMins(inst scheme.Instance, x, y []int32, lm landmarks, minD []float64
 					if skipped {
 						continue
 					}
-					qs[k] = oracle.Query{V: xi, S: ynodes[pick]}
+					qs[k] = oracle.Query{V: xi, S: y.nodes[pick]}
 					k++
 				}
 				if k == 0 {
@@ -359,54 +392,6 @@ func prunedMins(inst scheme.Instance, x, y []int32, lm landmarks, minD []float64
 		evaluated.Add(local)
 	})
 	return evaluated.Load()
-}
-
-// maxAuxLandmarks bounds the auxiliary (skip-filter) landmark count: the
-// first landmark orders the expansion, the auxiliaries only veto
-// candidates, and each one costs one more exact Dijkstra per Eval.
-const maxAuxLandmarks = 3
-
-// landmarks are the exact-Dijkstra key vectors every pruned evaluation
-// shares across both directions: key[v] = d(c, v), Infinity where
-// unreachable. key1's landmark orders the candidate expansion; the aux
-// landmarks' bounds veto individual candidates.
-type landmarks struct {
-	key1 []graph.Weight
-	aux  [][]graph.Weight
-}
-
-// newLandmarks picks the landmark set by farthest-point traversal: c₁ is
-// B's first member (a node certain to be near the candidate mass of at
-// least one direction), then each auxiliary landmark is the node
-// maximizing the minimum distance to the landmarks picked so far
-// (smallest id on ties) — maximally spread, so the key differences bound
-// distances along roughly orthogonal directions of the graph.
-func newLandmarks(g *graph.Graph, b []int32) landmarks {
-	c1 := int(b[0])
-	sp1 := graph.Dijkstra(g, c1)
-	lm := landmarks{key1: sp1.Dist}
-	minDist := append([]graph.Weight(nil), sp1.Dist...)
-	for len(lm.aux) < maxAuxLandmarks {
-		c, far := c1, graph.Weight(0)
-		for v, d := range minDist {
-			if d != graph.Infinity && d > far {
-				far, c = d, v
-			}
-		}
-		if c == c1 {
-			// Every node is at distance 0 from a chosen landmark (or
-			// unreachable): further landmarks add no information.
-			break
-		}
-		sp := graph.Dijkstra(g, c)
-		lm.aux = append(lm.aux, sp.Dist)
-		for v, d := range sp.Dist {
-			if d < minDist[v] {
-				minDist[v] = d
-			}
-		}
-	}
-	return lm
 }
 
 // lowerBound is the triangle-inequality bound on the true distance

@@ -1,8 +1,10 @@
 package setdist
 
 import (
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"pde/internal/congest"
@@ -367,4 +369,125 @@ func TestNaiveMatchesDirectBatch(t *testing.T) {
 		wantChamfer += best
 	}
 	sameBits(t, "AB.Chamfer", res.AB.Chamfer, wantChamfer)
+}
+
+// TestLandmarksOncePerGeneration pins where the pruned evaluation's keys
+// come from: the graph the instance carries computes them on first use
+// and every later Eval — any sets, either direction — reads the same
+// arrays.
+func TestLandmarksOncePerGeneration(t *testing.T) {
+	inst, err := scheme.Build(testSpecs()[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := inst.Graph()
+	var first *graph.Landmarks
+	for seed := int64(1); seed <= 3; seed++ {
+		a, b := seededSets(g.N(), seed)
+		if _, err := Eval(inst, a, b, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		lm := g.Landmarks()
+		if first == nil {
+			first = lm
+		}
+		if lm != first || &lm.Key1[0] != &first.Key1[0] {
+			t.Fatalf("eval %d: landmark keys were recomputed", seed)
+		}
+	}
+	if len(first.Key1) != g.N() || len(first.Aux) == 0 {
+		t.Fatalf("landmarks: %d keys, %d auxiliaries on a connected %d-node graph", len(first.Key1), len(first.Aux), g.N())
+	}
+}
+
+// TestConcurrentFirstUse races 8 evaluations into a generation whose keys
+// nobody has computed yet (run under -race in CI): all of them must read
+// one key set and agree with the naive evaluation.
+func TestConcurrentFirstUse(t *testing.T) {
+	inst, err := scheme.Build(testSpecs()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := seededSets(inst.Graph().N(), 9)
+	naive, err := Eval(inst, a, b, Options{Naive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const racers = 8
+	results := make([]*Result, racers)
+	keys := make([]*graph.Landmarks, racers)
+	var wg sync.WaitGroup
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := Eval(inst, a, b, Options{Workers: 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i], keys[i] = res, inst.Graph().Landmarks()
+		}()
+	}
+	wg.Wait()
+	for i, res := range results {
+		if res == nil {
+			continue // its goroutine already reported
+		}
+		if keys[i] != keys[0] {
+			t.Errorf("racer %d read a different key set", i)
+		}
+		sameAggregates(t, "AB", res.AB, naive.AB)
+		sameAggregates(t, "BA", res.BA, naive.BA)
+		if res.Evaluated != results[0].Evaluated {
+			t.Errorf("racer %d evaluated %d estimates, racer 0 %d", i, res.Evaluated, results[0].Evaluated)
+		}
+	}
+}
+
+// BenchmarkEval is the grid behind the landmark-pruning row of the
+// keep-or-delete ledger (docs/architecture.md): pruned against naive, on
+// a cheap-estimate instance (the compiled oracle) and an
+// expensive-estimate one (the compact hierarchy), at the three set sizes
+// callers send. One op is one request; eight seeded requests are cycled.
+func BenchmarkEval(b *testing.B) {
+	base := scheme.Spec{Topology: "community", N: 256, Eps: 0.5, MaxW: 8, Seed: 21}
+	compactSpec := base
+	compactSpec.Scheme, compactSpec.K = "compact", 3
+	for _, sp := range []scheme.Spec{base, compactSpec} {
+		inst, err := scheme.Build(sp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := inst.Graph().N()
+		for _, size := range [][2]int{{32, 64}, {48, 128}, {64, 224}} {
+			rng := rand.New(rand.NewSource(int64(size[0])))
+			reqs := make([][2][]int32, 8)
+			for i := range reqs {
+				for side, m := range size {
+					for j := 0; j < m; j++ {
+						reqs[i][side] = append(reqs[i][side], int32(rng.Intn(n)))
+					}
+				}
+			}
+			for _, naive := range []bool{true, false} {
+				mode := "pruned"
+				if naive {
+					mode = "naive"
+				}
+				b.Run(fmt.Sprintf("%s/%dx%d/%s", inst.Scheme(), size[0], size[1], mode), func(b *testing.B) {
+					var issued, pairs int64
+					for i := 0; i < b.N; i++ {
+						r := reqs[i%len(reqs)]
+						res, err := Eval(inst, r[0], r[1], Options{Naive: naive})
+						if err != nil {
+							b.Fatal(err)
+						}
+						issued, pairs = issued+res.Evaluated, pairs+res.Pairs
+					}
+					b.ReportMetric(float64(issued)/float64(pairs), "issued/pair")
+				})
+			}
+		}
+	}
 }
