@@ -10,13 +10,12 @@
 //	          community|roadgrid] [-eps 0.5] [-maxw 16] [-h 0] [-sigma 0]
 //	          [-scheme oracle|rtc|compact] [-k 0] [-sample-prob 0]
 //	          [-queries 1000000] [-workers 1] [-build-workers 0]
-//	          [-workload estimate|nexthop|route] [-seed 1] [-legacy] [-json]
+//	          [-workload estimate|nexthop|route] [-seed 1] [-json]
 //
 // With -scheme rtc or compact, the tables are built through the unified
 // registry (internal/scheme) and the stream is served from that scheme's
 // AnswerInto/Route surface — the same code path a pde-serve scheme shard
 // uses — with the scheme's table/label/stretch accounting in the summary.
-// The oracle-specific -legacy comparison is unavailable there.
 //
 //	-h/-sigma 0   means full APSP (S = V, h = σ = n); positive values run
 //	              a partial sweep with every third node a source
@@ -24,15 +23,11 @@
 //	              to the next perfect square; the emitted n field reports
 //	              the actual size
 //	-workers N    fan the estimate workload's oracle pass across N
-//	              goroutines (0 = GOMAXPROCS). The legacy scan path and
-//	              the nexthop/route workloads are always single-threaded,
-//	              so leave the default of 1 when comparing a run against
-//	              its -legacy twin apples-to-apples; workers > 1 measures
-//	              the additional concurrent-serving headroom on top.
+//	              goroutines (0 = GOMAXPROCS). The nexthop/route
+//	              workloads are always single-threaded.
 //	-build-workers N  worker-pool width of the parallel table build (the
 //	              rounding-instance pipeline; 0 = GOMAXPROCS). The build is
 //	              bit-identical at any width; this only moves build_ns.
-//	-legacy       serve from the legacy scan path instead of the oracle
 //	-json         emit a machine-readable summary instead of prose
 //
 // Cluster mode points the same remote workloads at a pde-cluster
@@ -126,7 +121,6 @@ type summary struct {
 	M             int     `json:"m"`
 	Queries       int     `json:"queries"`
 	Workers       int     `json:"workers"`
-	Legacy        bool    `json:"legacy"`
 	BuildNS       int64   `json:"build_ns"`
 	BuildWorkers  int     `json:"build_workers"`
 	BuildFP       string  `json:"build_fingerprint"`
@@ -170,11 +164,10 @@ func main() {
 	h := flag.Int("h", 0, "hop bound (0 = APSP)")
 	sigma := flag.Int("sigma", 0, "list size (0 = APSP)")
 	queries := flag.Int("queries", 1_000_000, "number of queries to fire")
-	workers := flag.Int("workers", 1, "oracle estimate-pass fan-out; 1 = apples-to-apples vs -legacy (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 1, "oracle estimate-pass fan-out (0 = GOMAXPROCS)")
 	buildWorkers := flag.Int("build-workers", 0, "parallel table-build worker-pool width (0 = GOMAXPROCS)")
 	workload := flag.String("workload", "estimate", "estimate | nexthop | route")
 	seed := flag.Int64("seed", 1, "graph and query stream seed")
-	legacy := flag.Bool("legacy", false, "serve from the legacy scan path instead of the oracle")
 	asJSON := flag.Bool("json", false, "emit a JSON summary")
 	remote := flag.String("remote", "", "base URL of a pde-serve daemon; fire the stream over HTTP instead of building locally")
 	clusterURL := flag.String("cluster", "", "base URL of a pde-cluster coordinator; like -remote but prints the cluster topology first and routes every request through the coordinator")
@@ -241,7 +234,7 @@ func main() {
 			maxW: *maxW, h: *h, sigma: *sigma, seed: *seed, k: *k,
 			sampleProb: *sampleProb, buildWorkers: *buildWorkers,
 			workload: *workload, queries: *queries, workers: *workers,
-			asJSON: *asJSON, legacy: *legacy,
+			asJSON: *asJSON,
 		})
 		return
 	}
@@ -285,7 +278,7 @@ func main() {
 	}
 	sum := summary{
 		Workload: *workload, Topology: *topology, N: g.N(), M: g.M(),
-		Queries: *queries, Workers: w, Legacy: *legacy,
+		Queries: *queries, Workers: w,
 		BuildNS:       buildNS,
 		BuildWorkers:  buildCfg.EffectiveWorkers(),
 		BuildFP:       fmt.Sprintf("%016x", res.Fingerprint()),
@@ -325,13 +318,7 @@ func main() {
 	var wall time.Duration
 	switch *workload {
 	case "estimate":
-		if *legacy {
-			t0 = time.Now()
-			for _, q := range qs {
-				res.Estimate(int(q.V), q.S)
-			}
-			wall = time.Since(t0)
-		} else if w == 1 {
+		if w == 1 {
 			out := make([]oracle.Answer, len(qs))
 			t0 = time.Now()
 			o.AnswerAll(qs, out)
@@ -342,24 +329,14 @@ func main() {
 			wall = time.Since(t0)
 		}
 	case "nexthop":
-		var router *core.Router
-		if *legacy {
-			router = core.NewRouter(g, res)
-		} else {
-			router = core.NewRouterWith(g, res, o)
-		}
+		router := core.NewRouterWith(g, res, o)
 		t0 = time.Now()
 		for _, q := range qs {
 			router.NextHop(int(q.V), q.S)
 		}
 		wall = time.Since(t0)
 	case "route":
-		var router *core.Router
-		if *legacy {
-			router = core.NewRouter(g, res)
-		} else {
-			router = core.NewRouterWith(g, res, o)
-		}
+		router := core.NewRouterWith(g, res, o)
 		t0 = time.Now()
 		for _, q := range qs {
 			if _, err := router.Route(int(q.V), q.S); err != nil {
@@ -388,16 +365,12 @@ func main() {
 		os.Stdout.Write(append(data, '\n'))
 		return
 	}
-	path := "oracle"
-	if *legacy {
-		path = "legacy scan"
-	}
 	fmt.Printf("pde-query: %s/%s n=%d m=%d — built tables in %.1fms (%d build workers, fp %s), oracle in %.2fms (%d entries, %.1f KiB)\n",
 		*workload, *topology, g.N(), g.M(),
 		float64(buildNS)/1e6, sum.BuildWorkers, sum.BuildFP, float64(sum.OracleBuildNS)/1e6,
 		sum.OracleEntries, float64(sum.OracleBytes)/1024)
-	fmt.Printf("pde-query: served %d queries from the %s path with %d worker(s) in %.1fms: %.0f queries/sec (%.0f ns/query)\n",
-		*queries, path, w, float64(sum.WallNS)/1e6, sum.QPS, sum.NSPerQuery)
+	fmt.Printf("pde-query: served %d queries from the oracle with %d worker(s) in %.1fms: %.0f queries/sec (%.0f ns/query)\n",
+		*queries, w, float64(sum.WallNS)/1e6, sum.QPS, sum.NSPerQuery)
 }
 
 // schemeOpts parameterizes a local run against a non-oracle scheme from
@@ -413,7 +386,7 @@ type schemeOpts struct {
 	buildWorkers     int
 	workload         string
 	queries, workers int
-	asJSON, legacy   bool
+	asJSON           bool
 }
 
 // runScheme builds an rtc or compact instance through the registry and
@@ -423,9 +396,6 @@ func runScheme(opt schemeOpts) {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "pde-query: "+format+"\n", args...)
 		os.Exit(1)
-	}
-	if opt.legacy {
-		fail("-legacy only applies to the oracle scheme's scan-vs-index comparison")
 	}
 	sp := scheme.Spec{
 		Scheme: opt.scheme, Topology: opt.topology, N: opt.n, Eps: opt.eps,

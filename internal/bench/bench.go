@@ -1,20 +1,15 @@
-// Package bench holds the repository's two measurement harnesses.
+// Package bench holds the paper-reproduction experiments and the
+// golden-pin test.
 //
 // The experiment harness (experiments.go) has one runner per paper
 // claim, each producing a markdown table of paper-predicted vs.
 // measured values; the cmd/pde-experiments binary and the root
-// bench_test.go both drive these runners, and EXPERIMENTS.md records
-// their output.
+// bench_test.go both drive these runners.
 //
-// The benchmark harness emits the committed BENCH_*.json artifact
-// families driven by cmd/pde-bench — simulation runs (harness.go), the
-// parallel build pipeline (build.go), in-process serving (query.go),
-// end-to-end serving over loopback HTTP (serve.go), the cross-scheme
-// tradeoff (scheme.go) and aggregate set distances (setdist.go). Each
-// file's header comment documents its artifact schema field by field;
-// docs/benchmarks.md is the overview. Scenarios that compare two
-// execution paths fail on any output divergence, and the deterministic
-// report fields are held in lockstep with the code by pde-bench -check.
+// pins_test.go holds every deterministic output of 28 seeded scenarios to
+// the exact values in testdata/pins.json. Nothing in this package reports
+// a wall clock: those numbers come from the benchmark/ module only
+// (docs/benchmarks.md).
 package bench
 
 import (

@@ -8,8 +8,9 @@ import "pde/internal/fingerprint"
 // FNV-1a value. Two runs produce the same fingerprint iff they produced
 // bit-identical results (up to hash collisions), so the parallel build
 // pipeline is *verified* against the sequential one by comparing
-// fingerprints: the bench build layer errors on a mismatch and
-// BENCH_build_*.json commits the value so CI catches cross-PR divergence.
+// fingerprints (TestParallelBuildFingerprintAcrossFamilies), and
+// internal/bench/testdata/pins.json commits the value so CI catches
+// cross-PR divergence.
 func (r *Result) Fingerprint() uint64 {
 	f := fingerprint.New()
 	f.I64(int64(r.HPrime))

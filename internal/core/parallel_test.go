@@ -10,7 +10,7 @@ import (
 	"pde/internal/graph"
 )
 
-// buildFamilies is every generator family the bench matrix can target,
+// buildFamilies is every generator family a build can target,
 // each at a size small enough to build quickly but large enough for the
 // instance pool and the sharded engine to engage.
 func buildFamilies(seed int64) map[string]func() *graph.Graph {

@@ -45,9 +45,8 @@
 //
 // Pruning never changes an answer: a pruned candidate b satisfies
 // d̃(a, b) ≥ d(a, b) ≥ |keyᵢ(a) − keyᵢ(b)| ≥ best, so it cannot lower
-// the min. The differential tests (and the BENCH_setdist_* artifacts'
-// naive twin) pin pruned aggregates bit-identical to the naive double
-// loop on every scheme. On a disconnected graph, members outside node
+// the min. The differential tests pin pruned aggregates bit-identical to
+// the naive double loop on every scheme. On a disconnected graph, members outside node
 // 0's component carry infinite keys, which bound nothing among
 // themselves: they are evaluated exhaustively, still exactly.
 //

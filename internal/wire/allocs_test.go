@@ -13,7 +13,7 @@ import (
 // loopback socket it covers both sides of the protocol at once — a
 // regression on either side (a forgotten buffer reuse, an accidental
 // interface boxing, an append in the frame loop) fails here before it
-// shows up as a throughput cliff in BENCH_serve.
+// shows up as a throughput cliff on the serve-* workloads of benchmark/.
 //
 // CI runs these via `go test -run AllocsPerRun -count=1 ./internal/wire
 // ./internal/server`.
