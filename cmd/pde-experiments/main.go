@@ -1,53 +1,85 @@
-// Command pde-experiments regenerates every experiment table in
-// EXPERIMENTS.md: one table per theorem/figure of the paper, each showing
-// paper-predicted against measured values.
-//
-// Usage:
+// Command pde-experiments reproduces the paper's results from the command
+// line. With no subcommand it regenerates every experiment table in
+// EXPERIMENTS.md — one table per theorem/figure, each showing
+// paper-predicted against measured values. A subcommand (demos.go) runs
+// one construction at one configuration and prints its accounting.
 //
 //	pde-experiments [-quick] [-only E3]
+//	pde-experiments apsp     [-n 80] [-eps 0.5] [-maxw 32] [-topology random|geometric|internet] [-seed 1] [-baselines]
+//	pde-experiments rtc      [-topology random] [-n 60] [-k 2] [-eps 0.25] [-maxw 16] [-p 0.25] [-seed 1] [-trees]
+//	pde-experiments compact  [-topology random] [-n 50] [-k 3] [-l0 0] [-strategy none|simulate|broadcast] [-maxw 12] [-seed 1]
+//	pde-experiments figure1  [-h 8] [-sigma 8] [-eps 1]
+//	pde-experiments pdesweep [-n 100] [-maxw 32] [-seed 1] [-messages]
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"pde/internal/bench"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "run the reduced-scale configuration")
-	only := flag.String("only", "", "run only the experiment with this ID (e.g. E3)")
-	flag.Parse()
+// usageError marks a bad invocation (exit 2, not a failed run's 1).
+type usageError struct{ error }
 
+func (e usageError) Unwrap() error { return e.error }
+
+var subcommands = map[string]func(args []string, out io.Writer) error{
+	"apsp":     apsp,
+	"rtc":      rtcTables,
+	"compact":  compactTables,
+	"figure1":  figure1,
+	"pdesweep": pdeSweep,
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	cmd := func(args []string, out io.Writer) error { return tables(args, out, stderr) }
+	if len(args) > 0 && subcommands[args[0]] != nil {
+		cmd, args = subcommands[args[0]], args[1:]
+	}
+	err := cmd(args, stdout)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	fmt.Fprintln(stderr, "pde-experiments:", err)
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+// tables prints the E1–E9 tables as markdown, each as soon as it is
+// done, with a progress line per table on stderr.
+func tables(args []string, out, progress io.Writer) error {
+	fs := flag.NewFlagSet("pde-experiments", flag.ContinueOnError)
+	quick := fs.Bool("quick", false, "run the reduced-scale configuration")
+	only := fs.String("only", "", "run only the experiment with this ID (e.g. E3)")
+	if err := fs.Parse(args); err != nil {
+		return usageError{err}
+	}
 	scale := bench.Full
 	if *quick {
 		scale = bench.Quick
 	}
-	runners := map[string]func(bench.Scale) *bench.Table{
-		"E1":  bench.E1APSP,
-		"E1b": bench.E1Baselines,
-		"E2":  bench.E2PDESweep,
-		"E3":  bench.E3Figure1,
-		"E4":  bench.E4Messages,
-		"E5":  bench.E5RTC,
-		"E6":  bench.E6Compact,
-		"E7":  bench.E7Trees,
-		"E8":  bench.E8Spanner,
-		"E9":  bench.E9Ablation,
-	}
-	if *only != "" {
-		run, ok := runners[*only]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; known: E1 E1b E2 E3 E4 E5 E6 E7 E8 E9\n", *only)
-			os.Exit(2)
+	var known []string
+	for _, e := range bench.Experiments {
+		known = append(known, e.ID)
+		if *only == "" || *only == e.ID {
+			fmt.Fprint(out, e.Run(scale).Markdown())
 		}
-		fmt.Print(run(scale).Markdown())
-		return
+		if *only == "" {
+			fmt.Fprintln(progress, strings.Repeat("-", 20), e.ID, "done")
+		}
 	}
-	for _, t := range bench.All(scale) {
-		fmt.Print(t.Markdown())
-		fmt.Fprintln(os.Stderr, strings.Repeat("-", 20), t.ID, "done")
+	if *only != "" && !slices.Contains(known, *only) {
+		return usageError{fmt.Errorf("unknown experiment %q; known: %s", *only, strings.Join(known, " "))}
 	}
+	return nil
 }

@@ -1,866 +1,482 @@
-// Command pde-query is a load generator for the serving side of the
-// repository: it builds a PDE result (Theorem 4.1 APSP or a partial
-// (S, h, σ) sweep), compiles it into the flat indexed oracle
-// (internal/oracle), and fires a randomized stream of distance / next-hop
-// / route queries at it, reporting sustained queries per second.
+// Command pde-query is the client-side load generator and smoke driver
+// for a running pde-serve daemon (-remote URL) or pde-cluster coordinator
+// (-cluster URL: the same, plus a topology banner on stderr). It discovers
+// the target -shard from /v1/stats, fires seeded traffic at it, fails on
+// the first request that does, and reports what was delivered, as prose
+// or -json on stdout. It builds no tables of its own and its qps line is
+// a smoke reading: wall-clock numbers of record come from benchmark/.
+// docs/serving.md ("pde-query: the load generator") has the long form.
 //
-// Usage:
+//	[-workload estimate|nexthop|route] [-codec binary|json|wire] [-depth 16]
+//	[-queries N] [-batch 4096] [-workers N] [-seed 1]
 //
-//	pde-query [-n 256] [-topology random|grid|internet|ring|powerlaw|
-//	          community|roadgrid] [-eps 0.5] [-maxw 16] [-h 0] [-sigma 0]
-//	          [-scheme oracle|rtc|compact] [-k 0] [-sample-prob 0]
-//	          [-queries 1000000] [-workers 1] [-build-workers 0]
-//	          [-workload estimate|nexthop|route] [-seed 1] [-json]
+// fires a query stream in -batch sized requests from -workers concurrent
+// clients (0 = GOMAXPROCS), each on its own warm connection. Routes are
+// always JSON. -codec wire moves estimate and nexthop onto the PDE2
+// raw-TCP protocol at the wire_addr /v1/stats advertises, -depth frames
+// in flight per connection, and lists every generation fingerprint the
+// answer frames were stamped with.
 //
-// With -scheme rtc or compact, the tables are built through the unified
-// registry (internal/scheme) and the stream is served from that scheme's
-// AnswerInto/Route surface — the same code path a pde-serve scheme shard
-// uses — with the scheme's table/label/stretch accounting in the summary.
+//	-setdist [-set-a 32] [-set-b 64] [-codec binary|json] [-naive] [-seed 1]
 //
-//	-h/-sigma 0   means full APSP (S = V, h = σ = n); positive values run
-//	              a partial sweep with every third node a source
-//	-n            node count. The grid and roadgrid topologies round n up
-//	              to the next perfect square; the emitted n field reports
-//	              the actual size
-//	-workers N    fan the estimate workload's oracle pass across N
-//	              goroutines (0 = GOMAXPROCS). The nexthop/route
-//	              workloads are always single-threaded.
-//	-build-workers N  worker-pool width of the parallel table build (the
-//	              rounding-instance pipeline; 0 = GOMAXPROCS). The build is
-//	              bit-identical at any width; this only moves build_ns.
-//	-json         emit a machine-readable summary instead of prose
+// fires one aggregate /v1/setdist query over two seeded member sets
+// (-naive: the reference |A|×|B| evaluation instead of the pruned one).
 //
-// Cluster mode points the same remote workloads at a pde-cluster
-// coordinator instead of a single daemon: every request is routed (and
-// failed over) by the coordinator, and the run starts with a topology
-// banner on stderr listing the daemons and shard placements behind it:
+//	-updates 50 [-update-seed 1] [-update-verify]
 //
-//	pde-query -cluster http://127.0.0.1:7480 [-shard main] [every remote flag]
-//
-// Remote mode turns the same load generator into the stress tool for the
-// pde-serve daemon (internal/server): instead of building tables locally
-// it discovers the target shard's size from /v1/stats and fires the query
-// stream over HTTP in -batch sized requests from -workers concurrent
-// clients:
-//
-//	pde-query -remote http://127.0.0.1:7475 [-shard main] [-batch 4096]
-//	          [-codec binary|json|wire] [-depth 16]
-//	          [-workload estimate|nexthop|route]
-//	          [-queries N] [-workers N] [-seed 1] [-json]
-//
-// The route workload is always JSON (routes are variable-length); with
-// partial-sweep shards unroutable pairs are counted, not fatal.
-//
-// -codec wire switches the estimate and nexthop workloads onto the PDE2
-// raw-TCP framed protocol: the daemon's wire endpoint is discovered from
-// /v1/stats (wire_addr, so the daemon must run with -wire-addr), each
-// worker holds one persistent connection, and -depth frames are kept in
-// flight per connection (pipelining). Same batches, same answers, no
-// HTTP framing on the hot path.
-//
-// Set-distance mode fires one aggregate /v1/setdist query instead of a
-// batch stream: two seeded member sets are sampled from the shard and
-// the daemon answers their Chamfer / Hausdorff / mean-min aggregates
-// (docs/serving.md describes the endpoint):
-//
-//	pde-query -remote http://127.0.0.1:7475 -setdist [-set-a 32] [-set-b 64]
-//	          [-shard main] [-codec binary|json] [-naive] [-seed 1] [-json]
-//
-// -naive asks the server for the reference |A|×|B| evaluation instead of
-// the pruned engine; the aggregates are bit-identical either way, so the
-// flag exists to compare served wall clock and evaluated counts.
-//
-// Update mode drives edge churn instead of queries: it regenerates the
-// target shard's graph client-side from the spec in /v1/stats, then
-// applies -updates seeded single-edge ±1 reweights one at a time through
-// /v1/update, mirroring each change locally so every reweight names a
-// live edge with its current weight:
-//
-//	pde-query -remote http://127.0.0.1:7475 -updates 50 [-shard main]
-//	          [-update-seed 1] [-update-verify] [-json]
-//
-// The summary reports how many updates the incremental delta path served
-// versus full rebuilds, the mean damage (affected rounding-instance
-// fraction), and the final serving fingerprint. -update-verify makes the
-// daemon check every published generation against a from-scratch build
-// on the same graph (refusing to publish on mismatch) — the CI churn
-// smoke runs with it on. The shard must not already be mutated: a prior
-// churn stream leaves the serving graph unreproducible from its spec,
-// so the tool refuses and asks for a /v1/rebuild first.
+// regenerates the shard's graph from its spec and drives seeded
+// single-edge ±1 reweights through /v1/update one at a time; the last
+// published fingerprint must be the one the daemon then serves. A shard
+// that is already mutated is refused: POST /v1/rebuild first.
 package main
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"os"
 	"runtime"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"pde/internal/cluster"
-	"pde/internal/congest"
-	"pde/internal/core"
 	"pde/internal/graph"
 	"pde/internal/oracle"
-	"pde/internal/scheme"
 	"pde/internal/server"
 	"pde/internal/wire"
 )
 
+// options is the parsed command line.
+type options struct {
+	base, coordinator string // -remote and -cluster; exec points base at whichever was given
+	shard             string
+	workload, codec   string
+	queries, workers  int
+	batch, depth      int
+	seed              int64
+	asJSON            bool
+	setDist, naive    bool
+	setA, setB        int
+	updates           int
+	updateSeed        int64
+	updateVerify      bool
+	stdout, stderr    io.Writer // reports go to stdout, the cluster banner to stderr
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	o := options{stdout: stdout, stderr: stderr}
+	fs := flag.NewFlagSet("pde-query", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.base, "remote", "", "base URL of a pde-serve daemon to fire at")
+	fs.StringVar(&o.coordinator, "cluster", "", "base URL of a pde-cluster coordinator; like -remote but prints the cluster topology first and routes every request through the coordinator")
+	fs.StringVar(&o.shard, "shard", "main", "shard to target")
+	fs.IntVar(&o.queries, "queries", 1_000_000, "number of queries to fire")
+	fs.IntVar(&o.workers, "workers", 1, "concurrent clients (0 = GOMAXPROCS)")
+	fs.StringVar(&o.workload, "workload", "estimate", "estimate | nexthop | route")
+	fs.Int64Var(&o.seed, "seed", 1, "query stream seed")
+	fs.BoolVar(&o.asJSON, "json", false, "emit a JSON summary")
+	fs.IntVar(&o.batch, "batch", 4096, "queries per request")
+	fs.StringVar(&o.codec, "codec", "binary", "binary | json batch bodies, or wire for the PDE2 raw-TCP protocol (route is always json)")
+	fs.IntVar(&o.depth, "depth", 16, "-codec wire: pipelined frames in flight per connection")
+	fs.BoolVar(&o.setDist, "setdist", false, "fire one aggregate set-distance query instead of a batch stream")
+	fs.IntVar(&o.setA, "set-a", 32, "-setdist: member count of set A (seeded sample of the shard's nodes)")
+	fs.IntVar(&o.setB, "set-b", 64, "-setdist: member count of set B (seeded sample of the shard's nodes)")
+	fs.BoolVar(&o.naive, "naive", false, "-setdist: request the naive |A|x|B| reference evaluation instead of the pruned engine")
+	fs.IntVar(&o.updates, "updates", 0, "drive this many seeded single-edge reweights through /v1/update instead of a query stream")
+	fs.Int64Var(&o.updateSeed, "update-seed", 1, "-updates: churn stream seed")
+	fs.BoolVar(&o.updateVerify, "update-verify", false, "-updates: ask the daemon to verify every update against a from-scratch build before publishing")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if err := o.validate(); err != nil {
+		if o.base == "" && o.coordinator == "" {
+			fs.Usage()
+		}
+		fmt.Fprintf(stderr, "pde-query: %v\n", err)
+		return 2
+	}
+	if o.workers <= 0 {
+		o.workers = runtime.GOMAXPROCS(0)
+	}
+	if err := o.exec(context.Background()); err != nil {
+		fmt.Fprintf(stderr, "pde-query: %v\n", err)
+		return 1
+	}
+	return 0
+}
+
+// validate checks the flag combination of the selected mode once, up
+// front, before anything is dialled.
+func (o *options) validate() error {
+	switch {
+	case (o.base == "") == (o.coordinator == ""):
+		return errors.New("point it at a daemon with -remote or at a coordinator with -cluster (one of the two)")
+	case o.updates > 0: // the churn stream reads none of the flags below
+	case o.setDist && o.codec != "binary" && o.codec != "json":
+		return fmt.Errorf("unknown codec %q (-setdist wants binary or json)", o.codec)
+	case o.setDist && (o.setA <= 0 || o.setB <= 0):
+		return fmt.Errorf("-set-a and -set-b must be positive (got %d, %d)", o.setA, o.setB)
+	case o.setDist:
+	case o.queries <= 0:
+		return errors.New("-queries must be positive")
+	case o.workload != "estimate" && o.workload != "nexthop" && o.workload != "route":
+		return fmt.Errorf("unknown workload %q (want estimate, nexthop or route)", o.workload)
+	case o.codec != "binary" && o.codec != "json" && o.codec != "wire":
+		return fmt.Errorf("unknown codec %q (want binary, json or wire)", o.codec)
+	case o.codec == "wire" && o.workload == "route":
+		return errors.New("the route workload is not part of the PDE2 wire protocol; use -codec binary or json")
+	case o.batch <= 0:
+		return errors.New("-batch must be positive")
+	case o.codec == "wire" && o.depth <= 0:
+		return errors.New("-depth must be positive")
+	}
+	return nil
+}
+
+// exec runs the one mode the flags select. A coordinator speaks a
+// daemon's protocol, so cluster mode is remote mode pointed at it, after
+// a banner that puts the daemons behind it in the run's log.
+func (o *options) exec(ctx context.Context) error {
+	if o.coordinator != "" {
+		o.base = o.coordinator
+		if err := describeCluster(ctx, o.base, o.stderr); err != nil {
+			return err
+		}
+	}
+	switch {
+	case o.updates > 0:
+		return o.runUpdates(ctx)
+	case o.setDist:
+		return o.runSetDist(ctx)
+	}
+	return o.runStream(ctx)
+}
+
+// target is what discover learns about the shard under test.
+type target struct {
+	client   *server.Client
+	status   server.ShardStatus
+	wireAddr string // dialable PDE2 endpoint; "" when the daemon serves none
+}
+
+// discover fetches /v1/stats once and resolves the shard's status and
+// the daemon's wire endpoint (an unadvertised one stays "") from it.
+func (o *options) discover(ctx context.Context) (*target, error) {
+	client := &server.Client{BaseURL: o.base, Shard: o.shard}
+	st, err := client.Stats(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("fetching /v1/stats from %s: %w", o.base, err)
+	}
+	status, ok := st.Shards[o.shard]
+	if !ok {
+		return nil, fmt.Errorf("daemon has no shard %q (shards: %v)", o.shard, slices.Sorted(maps.Keys(st.Shards)))
+	}
+	return &target{client, status, server.ResolveWireAddr(o.base, st.WireAddr)}, nil
+}
+
+// nodeIDs is the one seeded generator behind query streams (V then S of
+// each query) and member sets (A then B): uniform ids of an n-node shard.
+func nodeIDs(seed int64, n int) func() int32 {
+	rng := rand.New(rand.NewSource(seed))
+	return func() int32 { return int32(rng.Intn(n)) }
+}
+
+// emit prints a run's report: v as indented JSON under -json, the prose
+// lines otherwise.
+func (o *options) emit(v any, prose ...string) error {
+	if !o.asJSON {
+		for _, line := range prose {
+			fmt.Fprintln(o.stdout, "pde-query:", line)
+		}
+		return nil
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return fmt.Errorf("marshal: %w", err)
+	}
+	_, err = o.stdout.Write(append(data, '\n'))
+	return err
+}
+
+// summary is the machine-readable report of a query-stream run.
 type summary struct {
-	Workload      string  `json:"workload"`
-	Scheme        string  `json:"scheme,omitempty"`
-	Topology      string  `json:"topology"`
-	N             int     `json:"n"`
-	M             int     `json:"m"`
-	Queries       int     `json:"queries"`
-	Workers       int     `json:"workers"`
-	BuildNS       int64   `json:"build_ns"`
-	BuildWorkers  int     `json:"build_workers"`
-	BuildFP       string  `json:"build_fingerprint"`
-	OracleBuildNS int64   `json:"oracle_build_ns"`
-	OracleBytes   int64   `json:"oracle_bytes"`
-	OracleEntries int     `json:"oracle_entries"`
-	WallNS        int64   `json:"wall_ns"`
-	QPS           float64 `json:"qps"`
-	NSPerQuery    float64 `json:"ns_per_query"`
-
-	// Scheme-mode fields (absent for the oracle workloads).
-	TableBytes      int64   `json:"table_bytes,omitempty"`
-	MaxLabelBits    int     `json:"max_label_bits,omitempty"`
-	MeasuredStretch float64 `json:"measured_stretch,omitempty"`
-	StretchBound    float64 `json:"stretch_bound,omitempty"`
-
-	// Remote-mode fields (absent in local runs).
-	Remote    string `json:"remote,omitempty"`
-	Shard     string `json:"shard,omitempty"`
-	Batch     int    `json:"batch,omitempty"`
-	Codec     string `json:"codec,omitempty"`
-	Depth     int    `json:"depth,omitempty"`
-	RemoteFP  string `json:"remote_fingerprint,omitempty"`
-	Delivered int    `json:"delivered,omitempty"`
+	Workload   string  `json:"workload"`
+	Topology   string  `json:"topology"`
+	N          int     `json:"n"`
+	M          int     `json:"m"`
+	Queries    int     `json:"queries"`
+	Workers    int     `json:"workers"`
+	WallNS     int64   `json:"wall_ns"`
+	QPS        float64 `json:"qps"`
+	NSPerQuery float64 `json:"ns_per_query"`
+	Remote     string  `json:"remote"`
+	Shard      string  `json:"shard"`
+	Batch      int     `json:"batch"`
+	Codec      string  `json:"codec"`
+	Depth      int     `json:"depth,omitempty"`
+	RemoteFP   string  `json:"remote_fingerprint"`
+	Delivered  int     `json:"delivered"`
 	// WireFPs is every distinct generation fingerprint stamped on the
-	// PDE2 answer frames of a -codec wire run, sorted. A steady-state
-	// run observes exactly one; a run concurrent with a /v1/rebuild may
-	// observe two (pre- and post-swap generations) — anything else is a
-	// coherence violation.
+	// PDE2 answer frames of a -codec wire run, sorted: one in steady
+	// state, the pre- and post-swap pair across a /v1/rebuild, and
+	// anything else is a coherence violation.
 	WireFPs []string `json:"wire_fingerprints,omitempty"`
 }
 
-func main() {
-	n := flag.Int("n", 256, "number of nodes")
-	topology := flag.String("topology", "random", graph.GeneratorList())
-	schemeName := flag.String("scheme", "oracle", "local mode: which scheme's tables to build and query ("+scheme.List()+")")
-	k := flag.Int("k", 0, "rtc/compact stretch parameter (0 = scheme default)")
-	sampleProb := flag.Float64("sample-prob", 0, "rtc skeleton sampling probability override")
-	eps := flag.Float64("eps", 0.5, "PDE approximation slack")
-	maxW := flag.Int64("maxw", 16, "maximum edge weight")
-	h := flag.Int("h", 0, "hop bound (0 = APSP)")
-	sigma := flag.Int("sigma", 0, "list size (0 = APSP)")
-	queries := flag.Int("queries", 1_000_000, "number of queries to fire")
-	workers := flag.Int("workers", 1, "oracle estimate-pass fan-out (0 = GOMAXPROCS)")
-	buildWorkers := flag.Int("build-workers", 0, "parallel table-build worker-pool width (0 = GOMAXPROCS)")
-	workload := flag.String("workload", "estimate", "estimate | nexthop | route")
-	seed := flag.Int64("seed", 1, "graph and query stream seed")
-	asJSON := flag.Bool("json", false, "emit a JSON summary")
-	remote := flag.String("remote", "", "base URL of a pde-serve daemon; fire the stream over HTTP instead of building locally")
-	clusterURL := flag.String("cluster", "", "base URL of a pde-cluster coordinator; like -remote but prints the cluster topology first and routes every request through the coordinator")
-	shard := flag.String("shard", "main", "remote mode: shard to target")
-	batch := flag.Int("batch", 4096, "remote mode: queries per request")
-	codec := flag.String("codec", "binary", "remote mode: binary | json batch bodies, or wire for the PDE2 raw-TCP protocol (route is always json)")
-	depth := flag.Int("depth", 16, "remote mode, -codec wire: pipelined frames in flight per connection")
-	setDist := flag.Bool("setdist", false, "remote mode: fire one aggregate set-distance query instead of a batch stream")
-	setA := flag.Int("set-a", 32, "-setdist: member count of set A (seeded sample of the shard's nodes)")
-	setB := flag.Int("set-b", 64, "-setdist: member count of set B (seeded sample of the shard's nodes)")
-	naive := flag.Bool("naive", false, "-setdist: request the naive |A|x|B| reference evaluation instead of the pruned engine")
-	updates := flag.Int("updates", 0, "remote mode: drive this many seeded single-edge reweights through /v1/update instead of a query stream")
-	updateSeed := flag.Int64("update-seed", 1, "-updates: churn stream seed")
-	updateVerify := flag.Bool("update-verify", false, "-updates: ask the daemon to verify every update against a from-scratch build before publishing")
-	flag.Parse()
+// lane is one worker's warm connection to the shard: it sends a run of
+// consecutive spans of the stream — one HTTP request, or one pipelined
+// window of PDE2 frames — and counts the answers that came back ok.
+type lane func(ctx context.Context, qs []oracle.Query, spans []server.Span) (delivered int, err error)
 
-	if *clusterURL != "" {
-		if *remote != "" {
-			fmt.Fprintln(os.Stderr, "pde-query: use either -remote or -cluster, not both")
-			os.Exit(2)
-		}
-		// The coordinator is wire-compatible with a daemon, so cluster
-		// mode is remote mode pointed at it — plus a topology banner so
-		// a run's logs show which daemons were behind it.
-		describeCluster(*clusterURL)
-		*remote = *clusterURL
-	}
-	if *setDist && *remote == "" {
-		fmt.Fprintln(os.Stderr, "pde-query: -setdist is a remote mode; point it at a daemon with -remote")
-		os.Exit(2)
-	}
-	if *updates > 0 && *remote == "" {
-		fmt.Fprintln(os.Stderr, "pde-query: -updates is a remote mode; point it at a daemon with -remote")
-		os.Exit(2)
-	}
-	if *remote != "" && *updates > 0 {
-		runUpdates(updateOpts{
-			base: *remote, shard: *shard, updates: *updates,
-			seed: *updateSeed, verify: *updateVerify, asJSON: *asJSON,
-		})
-		return
-	}
-	if *remote != "" && *setDist {
-		runSetDist(setDistOpts{
-			base: *remote, shard: *shard, codec: *codec,
-			sizeA: *setA, sizeB: *setB, naive: *naive, seed: *seed,
-			asJSON: *asJSON,
-		})
-		return
-	}
-
-	if *remote != "" {
-		runRemote(remoteOpts{
-			base: *remote, shard: *shard, workload: *workload, codec: *codec,
-			queries: *queries, batch: *batch, workers: *workers, seed: *seed,
-			depth: *depth, asJSON: *asJSON,
-		})
-		return
-	}
-
-	if *schemeName != "oracle" && *schemeName != "" {
-		runScheme(schemeOpts{
-			scheme: *schemeName, topology: *topology, n: *n, eps: *eps,
-			maxW: *maxW, h: *h, sigma: *sigma, seed: *seed, k: *k,
-			sampleProb: *sampleProb, buildWorkers: *buildWorkers,
-			workload: *workload, queries: *queries, workers: *workers,
-			asJSON: *asJSON,
-		})
-		return
-	}
-
-	rng := rand.New(rand.NewSource(*seed))
-	g, err := graph.Generate(*topology, *n, graph.Weight(*maxW), rng)
+// runStream fires the query stream at the shard and reports what came
+// back. Any failed request fails the run: lost answers measure nothing.
+func (o *options) runStream(ctx context.Context) error {
+	t, err := o.discover(ctx)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pde-query: %v\n", err)
-		os.Exit(2)
-	}
-
-	params := core.APSPParams(g.N(), *eps)
-	if *h > 0 || *sigma > 0 {
-		src := make([]bool, g.N())
-		for v := 0; v < g.N(); v += 3 {
-			src[v] = true
-		}
-		hh, sig := *h, *sigma
-		if hh <= 0 {
-			hh = g.N()
-		}
-		if sig <= 0 {
-			sig = g.N()
-		}
-		params = core.Params{IsSource: src, H: hh, Sigma: sig, Epsilon: *eps, CapMessages: true}
-	}
-
-	buildCfg := congest.Config{Parallel: true, Workers: *buildWorkers}
-	t0 := time.Now()
-	res, err := core.Run(g, params, buildCfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pde-query: build: %v\n", err)
-		os.Exit(1)
-	}
-	buildNS := time.Since(t0).Nanoseconds()
-
-	o := oracle.Compile(res)
-	w := *workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+		return err
 	}
 	sum := summary{
-		Workload: *workload, Topology: *topology, N: g.N(), M: g.M(),
-		Queries: *queries, Workers: w,
-		BuildNS:       buildNS,
-		BuildWorkers:  buildCfg.EffectiveWorkers(),
-		BuildFP:       fmt.Sprintf("%016x", res.Fingerprint()),
-		OracleBuildNS: o.BuildTime.Nanoseconds(),
-		OracleBytes:   o.Bytes(),
-		OracleEntries: o.Entries(),
+		Workload: o.workload, Topology: t.status.Spec.Topology, N: t.status.N, M: t.status.M,
+		Queries: o.queries, Workers: o.workers, Remote: o.base, Shard: o.shard,
+		Batch: o.batch, Codec: o.codec, RemoteFP: t.status.Fingerprint,
 	}
 
-	qs := make([]oracle.Query, *queries)
-	if *workload == "route" {
-		// Routes are only guaranteed deliverable for destinations in the
-		// origin's output list (Corollary 3.5); with partial sweeps most
-		// uniform (v, s) pairs have no entry and Route would rightly fail.
-		for i := range qs {
-			found := false
-			for attempt := 0; attempt < 1000; attempt++ {
-				v := rng.Intn(g.N())
-				lst := res.Lists[v]
-				if len(lst) == 0 {
-					continue
-				}
-				qs[i] = oracle.Query{V: int32(v), S: lst[rng.Intn(len(lst))].Src}
-				found = true
-				break
-			}
-			if !found {
-				fmt.Fprintln(os.Stderr, "pde-query: no routable (v, s) pairs in these tables")
-				os.Exit(1)
-			}
+	// One fan-out for both transports: the stream is cut into batch-sized
+	// spans, and a worker claims them a window at a time — one span per
+	// HTTP request, -depth spans per pipelined PDE2 window.
+	lanes, window := make([]lane, o.workers), 1
+	var wires []*wireLane
+	switch {
+	case o.codec != "wire":
+		if o.workload == "route" {
+			sum.Codec = "json"
 		}
-	} else {
-		for i := range qs {
-			qs[i] = oracle.Query{V: int32(rng.Intn(g.N())), S: int32(rng.Intn(g.N()))}
+		for w := range lanes {
+			lanes[w] = httpLane(o.workload, o.codec == "json", &server.Client{BaseURL: o.base, Shard: o.shard,
+				HTTP: &http.Client{Transport: server.DefaultTransport()}})
 		}
-	}
-
-	var wall time.Duration
-	switch *workload {
-	case "estimate":
-		if w == 1 {
-			out := make([]oracle.Answer, len(qs))
-			t0 = time.Now()
-			o.AnswerAll(qs, out)
-			wall = time.Since(t0)
-		} else {
-			t0 = time.Now()
-			o.AnswerParallel(qs, w)
-			wall = time.Since(t0)
-		}
-	case "nexthop":
-		router := core.NewRouterWith(g, res, o)
-		t0 = time.Now()
-		for _, q := range qs {
-			router.NextHop(int(q.V), q.S)
-		}
-		wall = time.Since(t0)
-	case "route":
-		router := core.NewRouterWith(g, res, o)
-		t0 = time.Now()
-		for _, q := range qs {
-			if _, err := router.Route(int(q.V), q.S); err != nil {
-				fmt.Fprintf(os.Stderr, "pde-query: route %d->%d: %v\n", q.V, q.S, err)
-				os.Exit(1)
-			}
-		}
-		wall = time.Since(t0)
+	case t.wireAddr == "":
+		return fmt.Errorf("daemon %s reports no wire endpoint in /v1/stats — start pde-serve with -wire-addr", o.base)
 	default:
-		fmt.Fprintf(os.Stderr, "pde-query: unknown workload %q\n", *workload)
-		os.Exit(2)
-	}
-
-	sum.WallNS = wall.Nanoseconds()
-	if wall > 0 {
-		sum.QPS = float64(*queries) / wall.Seconds()
-		sum.NSPerQuery = float64(sum.WallNS) / float64(*queries)
-	}
-
-	if *asJSON {
-		data, err := json.MarshalIndent(&sum, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pde-query: marshal: %v\n", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(append(data, '\n'))
-		return
-	}
-	fmt.Printf("pde-query: %s/%s n=%d m=%d — built tables in %.1fms (%d build workers, fp %s), oracle in %.2fms (%d entries, %.1f KiB)\n",
-		*workload, *topology, g.N(), g.M(),
-		float64(buildNS)/1e6, sum.BuildWorkers, sum.BuildFP, float64(sum.OracleBuildNS)/1e6,
-		sum.OracleEntries, float64(sum.OracleBytes)/1024)
-	fmt.Printf("pde-query: served %d queries from the oracle with %d worker(s) in %.1fms: %.0f queries/sec (%.0f ns/query)\n",
-		*queries, w, float64(sum.WallNS)/1e6, sum.QPS, sum.NSPerQuery)
-}
-
-// schemeOpts parameterizes a local run against a non-oracle scheme from
-// the unified registry (internal/scheme).
-type schemeOpts struct {
-	scheme, topology string
-	n                int
-	eps              float64
-	maxW             int64
-	h, sigma, k      int
-	sampleProb       float64
-	seed             int64
-	buildWorkers     int
-	workload         string
-	queries, workers int
-	asJSON           bool
-}
-
-// runScheme builds an rtc or compact instance through the registry and
-// fires the query stream at its serving surface — the same AnswerInto /
-// Route paths the daemon uses for scheme shards.
-func runScheme(opt schemeOpts) {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "pde-query: "+format+"\n", args...)
-		os.Exit(1)
-	}
-	sp := scheme.Spec{
-		Scheme: opt.scheme, Topology: opt.topology, N: opt.n, Eps: opt.eps,
-		MaxW: opt.maxW, H: opt.h, Sigma: opt.sigma, Seed: opt.seed,
-		BuildWorkers: opt.buildWorkers, K: opt.k, SampleProb: opt.sampleProb,
-	}
-	inst, err := scheme.Build(sp)
-	if err != nil {
-		fail("%v", err)
-	}
-	g := inst.Graph()
-	w := opt.workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	a := inst.Accounting()
-	sum := summary{
-		Workload: opt.workload, Scheme: inst.Scheme(), Topology: opt.topology,
-		N: g.N(), M: g.M(), Queries: opt.queries, Workers: w,
-		BuildNS:         inst.BuildNS(),
-		BuildFP:         fmt.Sprintf("%016x", inst.Fingerprint()),
-		TableBytes:      a.TableBytes,
-		MaxLabelBits:    a.MaxLabelBits,
-		MeasuredStretch: a.MeasuredStretch,
-		StretchBound:    a.StretchBound,
-	}
-
-	rng := rand.New(rand.NewSource(opt.seed))
-	qs := make([]oracle.Query, opt.queries)
-	for i := range qs {
-		qs[i] = oracle.Query{V: int32(rng.Intn(g.N())), S: int32(rng.Intn(g.N()))}
-	}
-
-	var wall time.Duration
-	switch opt.workload {
-	case "estimate", "nexthop":
-		// Both ride AnswerInto: every answer carries the scheme's distance
-		// estimate and its first forwarding hop.
-		out := make([]oracle.Answer, len(qs))
-		t0 := time.Now()
-		inst.AnswerInto(qs, out, w)
-		wall = time.Since(t0)
-	case "route":
-		t0 := time.Now()
-		for _, q := range qs {
-			if _, err := inst.Route(int(q.V), q.S); err != nil {
-				fail("route %d->%d: %v", q.V, q.S, err)
+		sum.Depth, window = o.depth, o.depth
+		for w := range lanes {
+			wl, err := openWireLane(t.wireAddr, o.shard, o.depth, o.batch, o.workload == "nexthop")
+			if err != nil {
+				return fmt.Errorf("worker %d: %w", w, err)
 			}
+			defer wl.conn.Close()
+			defer wl.pipe.Close() // first: it drains the frames still in flight
+			lanes[w], wires = wl.fire, append(wires, wl)
 		}
-		wall = time.Since(t0)
-	default:
-		fail("unknown workload %q", opt.workload)
 	}
-	sum.WallNS = wall.Nanoseconds()
-	if wall > 0 {
-		sum.QPS = float64(opt.queries) / wall.Seconds()
-		sum.NSPerQuery = float64(sum.WallNS) / float64(opt.queries)
-	}
-	if opt.asJSON {
-		data, err := json.MarshalIndent(&sum, "", "  ")
-		if err != nil {
-			fail("marshal: %v", err)
-		}
-		os.Stdout.Write(append(data, '\n'))
-		return
-	}
-	fmt.Printf("pde-query: %s/%s/%s n=%d m=%d — built tables in %.1fms (fp %s): %.1f KiB, labels <= %d bits, measured stretch %.3f (bound %.0f)\n",
-		sum.Scheme, opt.workload, opt.topology, g.N(), g.M(),
-		float64(sum.BuildNS)/1e6, sum.BuildFP, float64(a.TableBytes)/1024,
-		a.MaxLabelBits, a.MeasuredStretch, a.StretchBound)
-	fmt.Printf("pde-query: served %d %s queries with %d worker(s) in %.1fms: %.0f queries/sec (%.0f ns/query)\n",
-		opt.queries, opt.workload, w, float64(sum.WallNS)/1e6, sum.QPS, sum.NSPerQuery)
-}
 
-// remoteOpts parameterizes a remote-mode run against a pde-serve daemon.
-type remoteOpts struct {
-	base     string
-	shard    string
-	workload string
-	codec    string
-	queries  int
-	batch    int
-	workers  int
-	seed     int64
-	depth    int
-	asJSON   bool
-}
-
-// runRemote fires the query stream at a live daemon and reports
-// end-to-end throughput. It exits the process on any error: the tool is
-// a load generator, and a failing request means the measurement is void.
-func runRemote(opt remoteOpts) {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "pde-query: "+format+"\n", args...)
-		os.Exit(1)
-	}
-	if opt.codec != "binary" && opt.codec != "json" && opt.codec != "wire" {
-		fail("unknown codec %q (want binary, json or wire)", opt.codec)
-	}
-	if opt.codec == "wire" && opt.workload == "route" {
-		fail("the route workload is not part of the PDE2 wire protocol; use -codec binary or json")
-	}
-	if opt.batch <= 0 {
-		fail("-batch must be positive")
-	}
-	if opt.codec == "wire" && opt.depth <= 0 {
-		fail("-depth must be positive")
-	}
-	workers := opt.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	ctx := context.Background()
-	client := &server.Client{BaseURL: opt.base, Shard: opt.shard}
-	st, err := client.Stats(ctx)
-	if err != nil {
-		fail("fetching /v1/stats from %s: %v", opt.base, err)
-	}
-	status, ok := st.Shards[opt.shard]
-	if !ok {
-		names := make([]string, 0, len(st.Shards))
-		for name := range st.Shards {
-			names = append(names, name)
-		}
-		fail("daemon has no shard %q (shards: %v)", opt.shard, names)
-	}
-	n := status.N
-
-	rng := rand.New(rand.NewSource(opt.seed))
-	qs := make([]oracle.Query, opt.queries)
+	next := nodeIDs(o.seed, t.status.N)
+	qs := make([]oracle.Query, o.queries)
 	for i := range qs {
-		qs[i] = oracle.Query{V: int32(rng.Intn(n)), S: int32(rng.Intn(n))}
+		qs[i] = oracle.Query{V: next(), S: next()}
 	}
-
-	sum := summary{
-		Workload: opt.workload, Topology: status.Spec.Topology, N: n, M: status.M,
-		Queries: opt.queries, Workers: workers,
-		Remote: opt.base, Shard: opt.shard, Batch: opt.batch, Codec: opt.codec,
-		RemoteFP: status.Fingerprint,
-	}
-	if opt.workload == "route" {
-		sum.Codec = "json"
-	}
-
-	if opt.codec == "wire" {
-		if st.WireAddr == "" {
-			fail("daemon %s reports no wire endpoint in /v1/stats — start pde-serve with -wire-addr", opt.base)
-		}
-		sum.Depth = opt.depth
-		runRemoteWire(opt, server.ResolveWireAddr(opt.base, st.WireAddr), workers, qs, sum, fail)
-		return
-	}
-
-	// Split the stream into batch-sized requests and fan them across
-	// workers (server.SplitSpans + server.DriveBatches, the same harness
-	// the serving benchmark uses). Each worker gets its own Transport so
-	// its connection actually stays warm: pooling all workers through
-	// one transport would cap idle connections at MaxIdleConnsPerHost
-	// and make the others re-dial per batch. server.DefaultTransport
-	// carries the package's dial/response-header timeouts, so a hung
-	// daemon fails the run instead of blocking it forever.
-	spans := server.SplitSpans(len(qs), opt.batch)
-	cls := make([]*server.Client, workers)
-	for w := range cls {
-		cls[w] = &server.Client{BaseURL: opt.base, Shard: opt.shard,
-			HTTP: &http.Client{Transport: server.DefaultTransport()}}
-	}
+	spans := server.SplitSpans(len(qs), o.batch)
+	windows := server.SplitSpans(len(spans), window)
 	var delivered atomic.Int64
 	t0 := time.Now()
-	err = server.DriveBatches(workers, len(spans), func(w, i int) error {
-		part := qs[spans[i].Lo:spans[i].Hi]
-		switch opt.workload {
-		case "estimate":
-			answers, _, err := cls[w].Estimate(ctx, part, opt.codec == "json")
-			if err != nil {
-				return err
-			}
-			for _, a := range answers {
-				if a.OK {
-					delivered.Add(1)
-				}
-			}
-		case "nexthop":
-			hops, _, err := cls[w].NextHop(ctx, part, opt.codec == "json")
-			if err != nil {
-				return err
-			}
-			for _, h := range hops {
-				if h.OK {
-					delivered.Add(1)
-				}
-			}
-		case "route":
-			pairs := make([]server.WirePair, len(part))
-			for j, q := range part {
-				pairs[j] = server.WirePair{From: q.V, To: q.S}
-			}
-			resp, err := cls[w].Route(ctx, pairs)
-			if err != nil {
-				return err
-			}
-			for _, rt := range resp.Routes {
-				if rt.OK {
-					delivered.Add(1)
-				}
-			}
-		default:
-			return fmt.Errorf("unknown workload %q", opt.workload)
-		}
-		return nil
+	err = server.DriveBatches(o.workers, len(windows), func(w, i int) error {
+		got, err := lanes[w](ctx, qs, spans[windows[i].Lo:windows[i].Hi])
+		delivered.Add(int64(got))
+		return err
 	})
 	wall := time.Since(t0)
 	if err != nil {
-		fail("remote %s workload: %v", opt.workload, err)
+		return fmt.Errorf("%s workload over %s: %w", o.workload, sum.Codec, err)
 	}
 
 	sum.Delivered = int(delivered.Load())
 	sum.WallNS = wall.Nanoseconds()
-	if wall > 0 {
-		sum.QPS = float64(opt.queries) / wall.Seconds()
-		sum.NSPerQuery = float64(sum.WallNS) / float64(opt.queries)
-	}
-	if opt.asJSON {
-		data, err := json.MarshalIndent(&sum, "", "  ")
-		if err != nil {
-			fail("marshal: %v", err)
+	sum.QPS = float64(o.queries) / wall.Seconds()
+	sum.NSPerQuery = float64(sum.WallNS) / float64(o.queries)
+	seen := map[string]bool{}
+	for _, wl := range wires {
+		for fp := range wl.seen {
+			seen[fmt.Sprintf("%016x", fp)] = true
 		}
-		os.Stdout.Write(append(data, '\n'))
-		return
 	}
-	fmt.Printf("pde-query: remote %s/%s shard=%q n=%d (fingerprint %s)\n",
-		opt.workload, opt.base, opt.shard, n, sum.RemoteFP)
-	fmt.Printf("pde-query: served %d queries (%d delivered) in %d-query %s batches over %d client(s) in %.1fms: %.0f queries/sec (%.0f ns/query)\n",
-		opt.queries, sum.Delivered, opt.batch, sum.Codec, workers, float64(sum.WallNS)/1e6, sum.QPS, sum.NSPerQuery)
+	sum.WireFPs = slices.Sorted(maps.Keys(seen))
+	return o.emit(&sum,
+		fmt.Sprintf("remote %s/%s shard=%q n=%d (fingerprint %s, wire generations seen %v)",
+			o.workload, o.base, o.shard, sum.N, sum.RemoteFP, sum.WireFPs),
+		fmt.Sprintf("served %d queries (%d delivered) in %d-query %s batches, %d in flight on each of %d connection(s), in %.1fms: %.0f queries/sec (%.0f ns/query)",
+			o.queries, sum.Delivered, o.batch, sum.Codec, window, o.workers, float64(sum.WallNS)/1e6, sum.QPS, sum.NSPerQuery))
 }
 
-// runRemoteWire drives the estimate or nexthop stream over the PDE2
-// raw-TCP protocol: each worker holds one persistent connection bound to
-// the shard and keeps opt.depth frames in flight (submitting a chunk of
-// depth batches, then draining with Wait). Answers are decoded to count
-// deliveries, so the measurement covers the same end-to-end work as the
-// HTTP codecs.
-func runRemoteWire(opt remoteOpts, wireAddr string, workers int, qs []oracle.Query, sum summary, fail func(string, ...any)) {
-	spans := server.SplitSpans(len(qs), opt.batch)
-	var (
-		delivered atomic.Int64
-		firstErr  atomic.Pointer[error]
-		wg        sync.WaitGroup
-		fpMu      sync.Mutex
-		fpSeen    = map[uint64]bool{}
-	)
-	setErr := func(err error) { firstErr.CompareAndSwap(nil, &err) }
-	seeFP := func(fp uint64) {
-		fpMu.Lock()
-		fpSeen[fp] = true
-		fpMu.Unlock()
-	}
-
-	t0 := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c, err := wire.DialTimeout(wireAddr, 10*time.Second)
-			if err != nil {
-				setErr(fmt.Errorf("worker %d: dialing wire endpoint %s: %w", w, wireAddr, err))
-				return
-			}
-			defer c.Close()
-			if _, _, err := c.Bind(opt.shard); err != nil {
-				setErr(fmt.Errorf("worker %d: bind %q: %w", w, opt.shard, err))
-				return
-			}
-			p, err := c.NewPipeline(opt.depth)
-			if err != nil {
-				setErr(fmt.Errorf("worker %d: pipeline: %w", w, err))
-				return
-			}
-			defer p.Close()
-
-			outs := make([][]oracle.Answer, opt.depth)
-			hops := make([][]wire.Hop, opt.depth)
-			ress := make([]wire.Result, opt.depth)
-			for j := range outs {
-				outs[j] = make([]oracle.Answer, opt.batch)
-				hops[j] = make([]wire.Hop, opt.batch)
-			}
-			// Worker w owns spans w, w+workers, w+2*workers, ... processed
-			// in depth-sized chunks: submit the whole chunk (frames queue in
-			// flight), then Wait drains it.
-			mine := make([]server.Span, 0, (len(spans)+workers-1)/workers)
-			for i := w; i < len(spans); i += workers {
-				mine = append(mine, spans[i])
-			}
-			for lo := 0; lo < len(mine); lo += opt.depth {
-				k := len(mine) - lo
-				if k > opt.depth {
-					k = opt.depth
-				}
-				for j := 0; j < k; j++ {
-					part := qs[mine[lo+j].Lo:mine[lo+j].Hi]
-					var serr error
-					if opt.workload == "estimate" {
-						serr = p.Estimate(part, outs[j][:len(part)], &ress[j])
-					} else {
-						serr = p.NextHop(part, hops[j][:len(part)], &ress[j])
-					}
-					if serr != nil {
-						setErr(fmt.Errorf("worker %d: submit: %w", w, serr))
-						return
-					}
-				}
-				if err := p.Wait(); err != nil {
-					setErr(fmt.Errorf("worker %d: pipeline: %w", w, err))
-					return
-				}
-				for j := 0; j < k; j++ {
-					if ress[j].Err != nil {
-						setErr(fmt.Errorf("worker %d: frame: %w", w, ress[j].Err))
-						return
-					}
-					seeFP(ress[j].FP)
-					count := mine[lo+j].Hi - mine[lo+j].Lo
-					if opt.workload == "estimate" {
-						for _, a := range outs[j][:count] {
-							if a.OK {
-								delivered.Add(1)
-							}
-						}
-					} else {
-						for _, h := range hops[j][:count] {
-							if h.OK {
-								delivered.Add(1)
-							}
-						}
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	wall := time.Since(t0)
-	if ep := firstErr.Load(); ep != nil {
-		fail("remote %s workload over wire: %v", opt.workload, *ep)
-	}
-
-	sum.Delivered = int(delivered.Load())
-	sum.WallNS = wall.Nanoseconds()
-	if wall > 0 {
-		sum.QPS = float64(opt.queries) / wall.Seconds()
-		sum.NSPerQuery = float64(sum.WallNS) / float64(opt.queries)
-	}
-	for fp := range fpSeen {
-		sum.WireFPs = append(sum.WireFPs, fmt.Sprintf("%016x", fp))
-	}
-	sort.Strings(sum.WireFPs)
-	if opt.asJSON {
-		data, err := json.MarshalIndent(&sum, "", "  ")
-		if err != nil {
-			fail("marshal: %v", err)
+func countAnswers(answers []oracle.Answer) (ok int) {
+	for _, a := range answers {
+		if a.OK {
+			ok++
 		}
-		os.Stdout.Write(append(data, '\n'))
-		return
 	}
-	fmt.Printf("pde-query: remote %s/%s shard=%q n=%d (fingerprint %s, PDE2 %s, generations seen %v)\n",
-		opt.workload, opt.base, opt.shard, sum.N, sum.RemoteFP, wireAddr, sum.WireFPs)
-	fmt.Printf("pde-query: served %d queries (%d delivered) in %d-query frames, depth %d, over %d connection(s) in %.1fms: %.0f queries/sec (%.0f ns/query)\n",
-		opt.queries, sum.Delivered, opt.batch, opt.depth, workers, float64(sum.WallNS)/1e6, sum.QPS, sum.NSPerQuery)
+	return ok
 }
 
-// setDistOpts parameterizes a -setdist run against a pde-serve daemon.
-type setDistOpts struct {
-	base, shard, codec string
-	sizeA, sizeB       int
-	naive              bool
-	seed               int64
-	asJSON             bool
+func countHops(hops []wire.Hop) (ok int) {
+	for _, h := range hops {
+		if h.OK {
+			ok++
+		}
+	}
+	return ok
 }
 
-// runSetDist samples two seeded member sets from the target shard and
-// fires a single /v1/setdist aggregate query, printing the Chamfer /
-// Hausdorff / mean-min aggregates and the server's pruning accounting.
-func runSetDist(opt setDistOpts) {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "pde-query: "+format+"\n", args...)
-		os.Exit(1)
+// httpLane sends each span as one request through c. Every worker gets
+// a client with a Transport of its own, so its connection stays warm (one
+// shared pool caps idle connections at MaxIdleConnsPerHost and re-dials
+// the rest per batch); DefaultTransport's dial and response-header
+// timeouts make a hung daemon fail the run instead of blocking it.
+func httpLane(workload string, asJSON bool, c *server.Client) lane {
+	return func(ctx context.Context, qs []oracle.Query, spans []server.Span) (ok int, err error) {
+		for _, sp := range spans {
+			part := qs[sp.Lo:sp.Hi]
+			switch workload {
+			case "estimate":
+				answers, _, err := c.Estimate(ctx, part, asJSON)
+				if err != nil {
+					return ok, err
+				}
+				ok += countAnswers(answers)
+			case "nexthop":
+				hops, _, err := c.NextHop(ctx, part, asJSON)
+				if err != nil {
+					return ok, err
+				}
+				ok += countHops(hops)
+			default: // route: validate admits no fourth workload
+				pairs := make([]server.WirePair, len(part))
+				for j, q := range part {
+					pairs[j] = server.WirePair{From: q.V, To: q.S}
+				}
+				resp, err := c.Route(ctx, pairs)
+				if err != nil {
+					return ok, err
+				}
+				for _, rt := range resp.Routes {
+					if rt.OK {
+						ok++
+					}
+				}
+			}
+		}
+		return ok, nil
 	}
-	if opt.codec != "binary" && opt.codec != "json" {
-		fail("unknown codec %q (want binary or json)", opt.codec)
-	}
-	if opt.sizeA <= 0 || opt.sizeB <= 0 {
-		fail("-set-a and -set-b must be positive (got %d, %d)", opt.sizeA, opt.sizeB)
-	}
-	ctx := context.Background()
-	client := &server.Client{BaseURL: opt.base, Shard: opt.shard}
-	st, err := client.Stats(ctx)
+}
+
+// wireLane is one persistent PDE2 connection bound to the shard with a
+// depth-frame pipeline on it: fire submits a window of frames (they queue
+// in flight), drains it with Wait and counts the decoded answers, the
+// same end-to-end work as an HTTP lane.
+type wireLane struct {
+	conn    *wire.Conn
+	pipe    *wire.Pipeline
+	nexthop bool
+	batch   int
+	answers []oracle.Answer // batch slots per in-flight frame; hops on the nexthop workload
+	hops    []wire.Hop
+	results []wire.Result
+	seen    map[uint64]bool // generations stamped on this lane's answer frames
+}
+
+func openWireLane(addr, shard string, depth, batch int, nexthop bool) (*wireLane, error) {
+	conn, err := wire.DialTimeout(addr, 10*time.Second)
 	if err != nil {
-		fail("fetching /v1/stats from %s: %v", opt.base, err)
+		return nil, fmt.Errorf("dialing wire endpoint %s: %w", addr, err)
 	}
-	status, ok := st.Shards[opt.shard]
-	if !ok {
-		fail("daemon has no shard %q", opt.shard)
+	l := &wireLane{conn: conn, nexthop: nexthop, batch: batch, seen: map[uint64]bool{}, results: make([]wire.Result, depth)}
+	if _, _, err = conn.Bind(shard); err == nil {
+		l.pipe, err = conn.NewPipeline(depth)
 	}
-	n := status.N
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("binding %q on %s: %w", shard, addr, err)
+	}
+	if nexthop {
+		l.hops = make([]wire.Hop, depth*batch)
+	} else {
+		l.answers = make([]oracle.Answer, depth*batch)
+	}
+	return l, nil
+}
 
-	rng := rand.New(rand.NewSource(opt.seed))
-	a := make([]int32, opt.sizeA)
+func (l *wireLane) fire(_ context.Context, qs []oracle.Query, spans []server.Span) (ok int, err error) {
+	for j, sp := range spans {
+		part, lo := qs[sp.Lo:sp.Hi], j*l.batch
+		if l.nexthop {
+			err = l.pipe.NextHop(part, l.hops[lo:lo+len(part)], &l.results[j])
+		} else {
+			err = l.pipe.Estimate(part, l.answers[lo:lo+len(part)], &l.results[j])
+		}
+		if err != nil {
+			return 0, fmt.Errorf("submit: %w", err)
+		}
+	}
+	if err := l.pipe.Wait(); err != nil {
+		return 0, fmt.Errorf("pipeline: %w", err)
+	}
+	for j, sp := range spans {
+		if err := l.results[j].Err; err != nil {
+			return ok, fmt.Errorf("frame: %w", err)
+		}
+		l.seen[l.results[j].FP] = true
+		if lo, hi := j*l.batch, j*l.batch+sp.Hi-sp.Lo; l.nexthop {
+			ok += countHops(l.hops[lo:hi])
+		} else {
+			ok += countAnswers(l.answers[lo:hi])
+		}
+	}
+	return ok, nil
+}
+
+// runSetDist samples two seeded member sets from the shard and fires one
+// /v1/setdist query: both directed aggregates and the pruning accounting.
+func (o *options) runSetDist(ctx context.Context) error {
+	t, err := o.discover(ctx)
+	if err != nil {
+		return err
+	}
+	next := nodeIDs(o.seed, t.status.N)
+	a, b := make([]int32, o.setA), make([]int32, o.setB)
 	for i := range a {
-		a[i] = int32(rng.Intn(n))
+		a[i] = next()
 	}
-	b := make([]int32, opt.sizeB)
 	for i := range b {
-		b[i] = int32(rng.Intn(n))
+		b[i] = next()
 	}
 
 	t0 := time.Now()
-	resp, err := client.SetDist(ctx, a, b, opt.naive, opt.codec == "json")
+	resp, err := t.client.SetDist(ctx, a, b, o.naive, o.codec == "json")
 	wall := time.Since(t0)
 	if err != nil {
-		fail("setdist: %v", err)
+		return fmt.Errorf("setdist: %w", err)
 	}
 
-	if opt.asJSON {
-		data, err := json.MarshalIndent(struct {
-			*server.SetDistResponse
-			WallNS int64 `json:"wall_ns"`
-		}{resp, wall.Nanoseconds()}, "", "  ")
-		if err != nil {
-			fail("marshal: %v", err)
-		}
-		os.Stdout.Write(append(data, '\n'))
-		return
-	}
-
-	agg := func(w server.WireAggregates) string {
-		if !w.Finite {
-			return fmt.Sprintf("chamfer=inf hausdorff=inf mean-min=inf (%d of %d members unreachable)",
-				w.Unreachable, w.Members)
-		}
-		return fmt.Sprintf("chamfer=%.3f hausdorff=%.3f mean-min=%.3f", w.Chamfer, w.Hausdorff, w.MeanMin)
-	}
-	sym := "inf"
-	if resp.HausdorffFinite {
-		sym = fmt.Sprintf("%.3f", resp.Hausdorff)
-	}
-	mode := "pruned"
-	if opt.naive {
-		mode = "naive"
-	}
-	fmt.Printf("pde-query: setdist shard=%q n=%d |A|=%d |B|=%d codec=%s (fingerprint %s)\n",
-		opt.shard, n, len(a), len(b), opt.codec, resp.Fingerprint)
-	fmt.Printf("pde-query: A->B %s\n", agg(resp.AB))
-	fmt.Printf("pde-query: B->A %s\n", agg(resp.BA))
-	fmt.Printf("pde-query: symmetric Hausdorff %s — %s engine evaluated %d of %d candidate pairs (%d pruned) in %.2fms\n",
-		sym, mode, resp.Evaluated, resp.Pairs, resp.Pruned, float64(wall.Nanoseconds())/1e6)
-}
-
-// updateOpts parameterizes an -updates churn run against a pde-serve
-// daemon.
-type updateOpts struct {
-	base, shard string
-	updates     int
-	seed        int64
-	verify      bool
-	asJSON      bool
+	return o.emit(struct {
+		*server.SetDistResponse
+		WallNS int64 `json:"wall_ns"`
+	}{resp, wall.Nanoseconds()},
+		fmt.Sprintf("setdist shard=%q n=%d |A|=%d |B|=%d codec=%s naive=%t (fingerprint %s)",
+			o.shard, t.status.N, len(a), len(b), o.codec, o.naive, resp.Fingerprint),
+		fmt.Sprintf("A->B %+v", resp.AB),
+		fmt.Sprintf("B->A %+v", resp.BA),
+		fmt.Sprintf("symmetric Hausdorff %g (finite %t) — evaluated %d of %d candidate pairs (%d pruned) in %.2fms",
+			resp.Hausdorff, resp.HausdorffFinite, resp.Evaluated, resp.Pairs, resp.Pruned, float64(wall.Nanoseconds())/1e6))
 }
 
 // updateSummary is the machine-readable report of an -updates run.
@@ -878,68 +494,50 @@ type updateSummary struct {
 
 // runUpdates regenerates the shard's graph from its spec, then walks a
 // seeded churn stream of single-edge ±1 reweights through /v1/update,
-// keeping a local mirror of the serving graph in lockstep so every
-// change targets a live edge. It exits the process on any error.
-func runUpdates(opt updateOpts) {
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "pde-query: "+format+"\n", args...)
-		os.Exit(1)
-	}
-	ctx := context.Background()
-	client := &server.Client{BaseURL: opt.base, Shard: opt.shard}
-	st, err := client.Stats(ctx)
+// keeping a local mirror of the serving edge weights in lockstep so
+// every change targets a live edge at its current weight.
+func (o *options) runUpdates(ctx context.Context) error {
+	t, err := o.discover(ctx)
 	if err != nil {
-		fail("fetching /v1/stats from %s: %v", opt.base, err)
+		return err
 	}
-	status, ok := st.Shards[opt.shard]
-	if !ok {
-		fail("daemon has no shard %q", opt.shard)
+	if t.status.Mutated {
+		return fmt.Errorf("shard %q is already mutated: its serving graph no longer matches its spec, so a client-side mirror cannot be reconstructed — POST /v1/rebuild first", o.shard)
 	}
-	if status.Mutated {
-		fail("shard %q is already mutated: its serving graph no longer matches its spec, so a client-side mirror cannot be reconstructed — POST /v1/rebuild first", opt.shard)
-	}
-	sp := status.Spec.Normalized()
+	sp := t.status.Spec.Normalized()
 	g, err := sp.BuildGraph()
 	if err != nil {
-		fail("regenerating shard %q graph from its spec: %v", opt.shard, err)
+		return fmt.Errorf("regenerating shard %q graph from its spec: %w", o.shard, err)
 	}
-	if g.N() != status.N {
-		fail("regenerated graph has n=%d, shard reports n=%d", g.N(), status.N)
+	if g.N() != t.status.N {
+		return fmt.Errorf("regenerated graph has n=%d, shard reports n=%d", g.N(), t.status.N)
 	}
 
-	// Reweights never change the mirror's edge set, so the candidates
-	// are listed once and only the picked entry's weight moves.
+	// Reweights never change the edge set, so the mirror is the edge
+	// list: only the picked entry's weight moves.
 	edges := make([]graph.Change, 0, g.M())
 	g.Edges(func(u, v int, w graph.Weight, _ int32) {
 		edges = append(edges, graph.Change{Op: graph.OpReweight, U: u, V: v, W: w})
 	})
-	rng := rand.New(rand.NewSource(opt.seed))
-	sum := updateSummary{Shard: opt.shard, Updates: opt.updates}
+	rng := rand.New(rand.NewSource(o.updateSeed))
+	sum := updateSummary{Shard: o.shard, Updates: o.updates}
 	var damage float64
 	t0 := time.Now()
-	for step := 0; step < opt.updates; step++ {
+	for step := 0; step < o.updates; step++ {
 		pick := rng.Intn(len(edges))
 		c := edges[pick]
-		switch {
-		case c.W <= 1:
+		// ±1 by coin flip, except at the ends of [1, maxw].
+		if c.W <= 1 || (c.W < graph.Weight(sp.MaxW) && rng.Intn(2) == 1) {
 			c.W++
-		case c.W >= graph.Weight(sp.MaxW):
+		} else {
 			c.W--
-		case rng.Intn(2) == 0:
-			c.W--
-		default:
-			c.W++
 		}
-		g2, _, err := g.ApplyChanges([]graph.Change{c})
-		if err != nil {
-			fail("step %d: mirroring reweight locally: %v", step, err)
-		}
-		resp, err := client.Update(ctx, server.UpdateRequest{
+		resp, err := t.client.Update(ctx, server.UpdateRequest{
 			Changes: []server.WireChange{{Op: "reweight", U: c.U, V: c.V, W: c.W}},
-			Verify:  opt.verify,
+			Verify:  o.updateVerify,
 		})
 		if err != nil {
-			fail("step %d: /v1/update: %v", step, err)
+			return fmt.Errorf("step %d: /v1/update: %w", step, err)
 		}
 		if resp.Path == "delta" {
 			sum.DeltaUpdates++
@@ -951,54 +549,38 @@ func runUpdates(opt updateOpts) {
 		}
 		damage += resp.Damage
 		sum.Fingerprint = resp.NewFingerprint
-		g, edges[pick].W = g2, c.W
+		edges[pick].W = c.W
 	}
 	wall := time.Since(t0)
 	sum.WallNS = wall.Nanoseconds()
-	if opt.updates > 0 {
-		sum.AvgDamage = damage / float64(opt.updates)
-	}
-	if wall > 0 {
-		sum.UpdatesPerSec = float64(opt.updates) / wall.Seconds()
-	}
+	sum.AvgDamage = damage / float64(o.updates)
+	sum.UpdatesPerSec = float64(o.updates) / wall.Seconds()
 
 	// The stream's final generation must be what the daemon now serves.
-	st, err = client.Stats(ctx)
+	after, err := o.discover(ctx)
 	if err != nil {
-		fail("re-fetching /v1/stats: %v", err)
+		return err
 	}
-	status = st.Shards[opt.shard]
-	if status.Fingerprint != sum.Fingerprint {
-		fail("daemon serves %s but the last update published %s", status.Fingerprint, sum.Fingerprint)
+	if after.status.Fingerprint != sum.Fingerprint {
+		return fmt.Errorf("daemon serves %s but the last update published %s", after.status.Fingerprint, sum.Fingerprint)
 	}
-	if !status.Mutated {
-		fail("shard %q is not flagged mutated after %d updates", opt.shard, opt.updates)
+	if !after.status.Mutated {
+		return fmt.Errorf("shard %q is not flagged mutated after %d updates", o.shard, o.updates)
 	}
-
-	if opt.asJSON {
-		data, err := json.MarshalIndent(&sum, "", "  ")
-		if err != nil {
-			fail("marshal: %v", err)
-		}
-		os.Stdout.Write(append(data, '\n'))
-		return
-	}
-	fmt.Printf("pde-query: churn shard=%q n=%d — %d updates (%d delta, %d rebuild, %d verified), avg damage %.3f\n",
-		opt.shard, g.N(), sum.Updates, sum.DeltaUpdates, sum.RebuildUpdates, sum.Verified, sum.AvgDamage)
-	fmt.Printf("pde-query: applied in %.1fms (%.1f updates/sec), serving fingerprint %s\n",
-		float64(sum.WallNS)/1e6, sum.UpdatesPerSec, sum.Fingerprint)
+	return o.emit(&sum,
+		fmt.Sprintf("churn shard=%q n=%d — %d updates (%d delta, %d rebuild, %d verified), avg damage %.3f",
+			o.shard, g.N(), sum.Updates, sum.DeltaUpdates, sum.RebuildUpdates, sum.Verified, sum.AvgDamage),
+		fmt.Sprintf("applied in %.1fms (%.1f updates/sec), serving fingerprint %s", float64(sum.WallNS)/1e6, sum.UpdatesPerSec, sum.Fingerprint))
 }
 
-// describeCluster prints the coordinator's topology to stderr (stdout
-// stays machine-readable for -json runs) and exits if the target is not
-// a reachable pde-cluster coordinator.
-func describeCluster(base string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+// describeCluster prints the coordinator's topology, shards in name
+// order, and fails if base is not a reachable pde-cluster coordinator.
+func describeCluster(ctx context.Context, base string, stderr io.Writer) error {
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	st, err := cluster.FetchStatus(ctx, base, nil)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pde-query: fetching /v1/cluster from %s: %v\n", base, err)
-		os.Exit(1)
+		return fmt.Errorf("fetching /v1/cluster from %s: %w", base, err)
 	}
 	healthy := 0
 	for _, d := range st.Daemons {
@@ -1006,9 +588,11 @@ func describeCluster(base string) {
 			healthy++
 		}
 	}
-	fmt.Fprintf(os.Stderr, "pde-query: cluster %s — %d/%d daemons healthy, %d shard(s)\n",
+	fmt.Fprintf(stderr, "pde-query: cluster %s — %d/%d daemons healthy, %d shard(s)\n",
 		base, healthy, len(st.Daemons), len(st.Shards))
-	for name, pl := range st.Shards {
-		fmt.Fprintf(os.Stderr, "pde-query:   shard %q -> %v (%d healthy)\n", name, pl.Replicas, pl.Healthy)
+	for _, name := range slices.Sorted(maps.Keys(st.Shards)) {
+		pl := st.Shards[name]
+		fmt.Fprintf(stderr, "pde-query:   shard %q -> %v (%d healthy)\n", name, pl.Replicas, pl.Healthy)
 	}
+	return nil
 }

@@ -22,8 +22,8 @@
 // With -shards, the JSON object maps shard names to full specs
 // (internal/scheme.Spec: topology + PDE knobs + scheme selector) and the
 // single-shard convenience flags are ignored; otherwise one shard named
-// "main" is built from the convenience flags (which mirror pde-query's:
-// h = sigma = 0 means full APSP). Every scheme — the compiled oracle,
+// "main" is built from the convenience flags (h = sigma = 0 means full
+// APSP). Every scheme — the compiled oracle,
 // Theorem 4.5 rtc tables, the §4.3 compact hierarchy — serves the same
 // wire protocol; a daemon can hold one shard per scheme side by side.
 //

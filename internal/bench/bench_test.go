@@ -6,14 +6,14 @@ import (
 )
 
 func TestAllExperimentsProduceTables(t *testing.T) {
-	tables := All(Quick)
-	if len(tables) != 10 {
-		t.Fatalf("got %d tables, want 10", len(tables))
+	if len(Experiments) != 10 {
+		t.Fatalf("got %d experiments, want 10", len(Experiments))
 	}
 	seen := make(map[string]bool)
-	for _, tb := range tables {
-		if tb.ID == "" || tb.Title == "" || tb.Ref == "" {
-			t.Fatalf("table %q missing metadata", tb.ID)
+	for _, e := range Experiments {
+		tb := e.Run(Quick)
+		if tb.ID != e.ID || tb.Title == "" || tb.Ref == "" {
+			t.Fatalf("experiment %q: table %q missing metadata", e.ID, tb.ID)
 		}
 		if seen[tb.ID] {
 			t.Fatalf("duplicate table id %q", tb.ID)

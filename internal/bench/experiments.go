@@ -588,11 +588,12 @@ func E9Ablation(scale Scale) *Table {
 	return t
 }
 
-// All runs every experiment at the given scale.
-func All(scale Scale) []*Table {
-	return []*Table{
-		E1APSP(scale), E1Baselines(scale), E2PDESweep(scale), E3Figure1(scale),
-		E4Messages(scale), E5RTC(scale), E6Compact(scale), E7Trees(scale),
-		E8Spanner(scale), E9Ablation(scale),
-	}
+// Experiments lists every experiment in EXPERIMENTS.md order under the
+// ID its table carries.
+var Experiments = []struct {
+	ID  string
+	Run func(Scale) *Table
+}{
+	{"E1", E1APSP}, {"E1b", E1Baselines}, {"E2", E2PDESweep}, {"E3", E3Figure1}, {"E4", E4Messages},
+	{"E5", E5RTC}, {"E6", E6Compact}, {"E7", E7Trees}, {"E8", E8Spanner}, {"E9", E9Ablation},
 }

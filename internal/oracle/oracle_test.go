@@ -198,7 +198,8 @@ func TestAnswerBatchAndParallel(t *testing.T) {
 	seq := make([]Answer, len(qs))
 	o.AnswerAll(qs, seq)
 	for _, workers := range []int{0, 1, 3, 16} {
-		par := o.AnswerParallel(qs, workers)
+		par := make([]Answer, len(qs))
+		o.AnswerInto(qs, par, workers)
 		for i := range seq {
 			if seq[i] != par[i] {
 				t.Fatalf("workers=%d: answer %d diverges: %+v vs %+v", workers, i, seq[i], par[i])

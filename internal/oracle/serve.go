@@ -150,7 +150,7 @@ func gallopLowerBound(srcs []int32, lo, hi int64, s int32) int64 {
 // shares AnswerAll's length contract). The oracle is immutable, so the
 // workers share it without synchronization; only the disjoint output
 // chunks are written. Callers that batch continuously reuse out across
-// calls; AnswerParallel is the allocating convenience wrapper.
+// calls.
 func (o *Oracle) AnswerInto(qs []Query, out []Answer, workers int) {
 	if len(out) != len(qs) {
 		panic(fmt.Sprintf("oracle: AnswerInto called with %d queries but %d answer slots", len(qs), len(out)))
@@ -177,12 +177,4 @@ func (o *Oracle) AnswerInto(qs []Query, out []Answer, workers int) {
 		}(lo, hi)
 	}
 	wg.Wait()
-}
-
-// AnswerParallel serves qs across workers goroutines (GOMAXPROCS when
-// workers <= 0) and returns the answers in query order.
-func (o *Oracle) AnswerParallel(qs []Query, workers int) []Answer {
-	out := make([]Answer, len(qs))
-	o.AnswerInto(qs, out, workers)
-	return out
 }

@@ -10,8 +10,8 @@ import (
 	"pde/internal/oracle"
 )
 
-// compactC matches the C the pde-compact CLI and experiment tables have
-// always used.
+// compactC matches the C the pde-experiments compact subcommand and the
+// experiment tables have always used.
 const compactC = 1.5
 
 // CompactParams derives the §4.3 hierarchy parameters from a serving

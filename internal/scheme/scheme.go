@@ -59,7 +59,7 @@ type Spec struct {
 	MaxW int64 `json:"maxw"`
 	// H and Sigma are the partial-sweep hop bound and list size for the
 	// oracle scheme (both 0 means full APSP; partial sweeps mark every
-	// third node a source, matching pde-query). For rtc they override the
+	// third node a source). For rtc they override the
 	// derived h = σ = C·ln(n)/p when positive; compact derives its own
 	// per-level h and σ and rejects nonzero values.
 	H     int `json:"h"`

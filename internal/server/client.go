@@ -79,10 +79,10 @@ func ResolveWireAddr(baseURL, wireAddr string) string {
 var defaultHTTPClient = &http.Client{Transport: DefaultTransport()}
 
 // Client speaks the daemon's wire protocol — the remote mirror of the
-// oracle's batch API. pde-query's -remote mode, the cluster
-// coordinator's forwarding plane, and the serving benchmark all drive
-// daemons through it, so the protocol has exactly one client
-// implementation to drift. Every call takes a context; cancel it to
+// oracle's batch API. pde-query, the cluster coordinator's forwarding
+// plane and the benchmark of record (benchmark/) all drive daemons
+// through it, so the protocol has exactly one client implementation to
+// drift. Every call takes a context; cancel it to
 // abandon a call mid-flight (the failover retry loop in
 // internal/cluster depends on this).
 type Client struct {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestClientAgainstLiveServer drives every Client method against a live
-// daemon — the same client pde-query -remote and the serve benchmark
-// use, so its wire handling is covered where the protocol lives.
+// daemon — the same client pde-query and benchmark/ use, so its wire
+// handling is covered where the protocol lives.
 func TestClientAgainstLiveServer(t *testing.T) {
 	ctx := context.Background()
 	srv, ts := newTestServer(t, Config{})

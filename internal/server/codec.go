@@ -18,11 +18,12 @@ import (
 // reader can validate the exact body size before touching a record and a
 // torn or truncated body is rejected, never partially decoded.
 //
-//	queries  "PDEQ" | u32 count | count × { i32 v | i32 s }            (8 B/record)
-//	answers  "PDEA" | u32 count | count × { f64 dist | i32 src |
-//	                                        i32 via | i32 inst |
-//	                                        u8 flag | u8 ok }         (22 B/record)
-//	hops     "PDEH" | u32 count | count × { i32 next | u8 ok }         (5 B/record)
+//	queries  "PDEQ" | u32 count | count × query     (8 B/record)
+//	answers  "PDEA" | u32 count | count × answer   (22 B/record)
+//	hops     "PDEH" | u32 count | count × hop       (5 B/record)
+//
+// The three records are the PDE2 protocol's: internal/wire owns their
+// layout and this file only frames its PutQueryRecord … HopRecord calls.
 //
 // The set-distance endpoint has its own pair of frames. The query frame
 // carries two member lists, so its header holds two counts; the answer
@@ -52,9 +53,6 @@ const (
 	magicSetDistQueries = "PDSQ"
 	magicSetDistAnswers = "PDSA"
 
-	queryRecordSize         = 8
-	answerRecordSize        = 22
-	hopRecordSize           = 5
 	setDistAnswerRecordSize = 96
 )
 
@@ -86,69 +84,47 @@ func checkHeader(data []byte, magic string, recordSize int) (int, error) {
 
 // EncodeQueries frames a query batch.
 func EncodeQueries(qs []oracle.Query) []byte {
-	buf := make([]byte, 8+len(qs)*queryRecordSize)
+	buf := make([]byte, 8+len(qs)*wire.QueryRecordSize)
 	putHeader(buf, magicQueries, len(qs))
 	for i, q := range qs {
-		off := 8 + i*queryRecordSize
-		binary.LittleEndian.PutUint32(buf[off:], uint32(q.V))
-		binary.LittleEndian.PutUint32(buf[off+4:], uint32(q.S))
+		wire.PutQueryRecord(buf[8+i*wire.QueryRecordSize:], q)
 	}
 	return buf
 }
 
 // DecodeQueries parses a framed query batch.
 func DecodeQueries(data []byte) ([]oracle.Query, error) {
-	count, err := checkHeader(data, magicQueries, queryRecordSize)
+	count, err := checkHeader(data, magicQueries, wire.QueryRecordSize)
 	if err != nil {
 		return nil, err
 	}
 	qs := make([]oracle.Query, count)
 	for i := range qs {
-		off := 8 + i*queryRecordSize
-		qs[i].V = int32(binary.LittleEndian.Uint32(data[off:]))
-		qs[i].S = int32(binary.LittleEndian.Uint32(data[off+4:]))
+		qs[i] = wire.QueryRecord(data[8+i*wire.QueryRecordSize:])
 	}
 	return qs, nil
 }
 
 // EncodeAnswers frames an estimate answer batch.
 func EncodeAnswers(answers []oracle.Answer) []byte {
-	buf := make([]byte, 8+len(answers)*answerRecordSize)
+	buf := make([]byte, 8+len(answers)*wire.AnswerRecordSize)
 	putHeader(buf, magicAnswers, len(answers))
 	for i, a := range answers {
-		off := 8 + i*answerRecordSize
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(a.Est.Dist))
-		binary.LittleEndian.PutUint32(buf[off+8:], uint32(a.Est.Src))
-		binary.LittleEndian.PutUint32(buf[off+12:], uint32(a.Est.Via))
-		binary.LittleEndian.PutUint32(buf[off+16:], uint32(a.Est.Instance))
-		buf[off+20] = a.Est.Flag
-		if a.OK {
-			buf[off+21] = 1
-		}
+		wire.PutAnswerRecord(buf[8+i*wire.AnswerRecordSize:], a)
 	}
 	return buf
 }
 
 // DecodeAnswers parses a framed estimate answer batch.
 func DecodeAnswers(data []byte) ([]oracle.Answer, error) {
-	count, err := checkHeader(data, magicAnswers, answerRecordSize)
+	count, err := checkHeader(data, magicAnswers, wire.AnswerRecordSize)
 	if err != nil {
 		return nil, err
 	}
 	answers := make([]oracle.Answer, count)
 	for i := range answers {
-		off := 8 + i*answerRecordSize
-		answers[i].Est.Dist = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
-		answers[i].Est.Src = int32(binary.LittleEndian.Uint32(data[off+8:]))
-		answers[i].Est.Via = int32(binary.LittleEndian.Uint32(data[off+12:]))
-		answers[i].Est.Instance = int32(binary.LittleEndian.Uint32(data[off+16:]))
-		answers[i].Est.Flag = data[off+20]
-		switch data[off+21] {
-		case 0:
-		case 1:
-			answers[i].OK = true
-		default:
-			return nil, fmt.Errorf("answer %d: ok byte is %d, want 0 or 1", i, data[off+21])
+		if err := wire.AnswerRecord(data[8+i*wire.AnswerRecordSize:], &answers[i]); err != nil {
+			return nil, fmt.Errorf("answer %d: %w", i, err)
 		}
 	}
 	return answers, nil
@@ -156,14 +132,10 @@ func DecodeAnswers(data []byte) ([]oracle.Answer, error) {
 
 // EncodeHops frames a next-hop answer batch.
 func EncodeHops(hops []Hop) []byte {
-	buf := make([]byte, 8+len(hops)*hopRecordSize)
+	buf := make([]byte, 8+len(hops)*wire.HopRecordSize)
 	putHeader(buf, magicHops, len(hops))
 	for i, h := range hops {
-		off := 8 + i*hopRecordSize
-		binary.LittleEndian.PutUint32(buf[off:], uint32(h.Next))
-		if h.OK {
-			buf[off+4] = 1
-		}
+		wire.PutHopRecord(buf[8+i*wire.HopRecordSize:], h)
 	}
 	return buf
 }
@@ -269,20 +241,14 @@ func DecodeSetDistAnswer(data []byte) (*setdist.Result, error) {
 
 // DecodeHops parses a framed next-hop answer batch.
 func DecodeHops(data []byte) ([]Hop, error) {
-	count, err := checkHeader(data, magicHops, hopRecordSize)
+	count, err := checkHeader(data, magicHops, wire.HopRecordSize)
 	if err != nil {
 		return nil, err
 	}
 	hops := make([]Hop, count)
 	for i := range hops {
-		off := 8 + i*hopRecordSize
-		hops[i].Next = int32(binary.LittleEndian.Uint32(data[off:]))
-		switch data[off+4] {
-		case 0:
-		case 1:
-			hops[i].OK = true
-		default:
-			return nil, fmt.Errorf("hop %d: ok byte is %d, want 0 or 1", i, data[off+4])
+		if err := wire.HopRecord(data[8+i*wire.HopRecordSize:], &hops[i]); err != nil {
+			return nil, fmt.Errorf("hop %d: %w", i, err)
 		}
 	}
 	return hops, nil

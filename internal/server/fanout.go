@@ -21,10 +21,10 @@ func SplitSpans(n, batch int) []Span {
 	return spans
 }
 
-// DriveBatches is the client-side fan-out harness shared by pde-query's
-// -remote mode and the serving benchmark: it claims batch indexes
-// 0..batches-1 across clients goroutines (each calling do(client, batch))
-// and stops the whole fleet on the first error, which it returns. do is
+// DriveBatches is pde-query's client-side fan-out, for HTTP batches and
+// pipelined PDE2 windows alike: it claims batch indexes 0..batches-1
+// across clients goroutines (each calling do(client, batch)) and stops
+// the whole fleet on the first error, which it returns. do is
 // called at most once per batch index; client identifies the goroutine so
 // callers can give each its own connection-reusing Client.
 func DriveBatches(clients, batches int, do func(client, batch int) error) error {

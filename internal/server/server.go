@@ -365,7 +365,7 @@ func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) (*slot, []ora
 		}
 		// Read the exact announced length when the client sends one (the
 		// hot path: no growth reallocs); fall back to a capped ReadAll.
-		limit := int64(8 + (s.cfg.MaxBatch+1)*queryRecordSize)
+		limit := int64(8 + (s.cfg.MaxBatch+1)*wire.QueryRecordSize)
 		var body []byte
 		var err error
 		if cl := r.ContentLength; cl >= 0 && cl <= limit {
@@ -381,7 +381,7 @@ func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) (*slot, []ora
 			writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
 			return nil, nil, false
 		}
-		if count := (len(body) - 8) / queryRecordSize; count > s.cfg.MaxBatch {
+		if count := (len(body) - 8) / wire.QueryRecordSize; count > s.cfg.MaxBatch {
 			writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch exceeds the %d-query limit", s.cfg.MaxBatch)
 			return nil, nil, false
 		}

@@ -11,8 +11,10 @@ import (
 
 // TestWireRecordSizesMatchStructLayout is the regression test behind the
 // wireframe analyzer's //pde:wire size markers: the record-size
-// constants the codec's length-prefix validation trusts must equal
-// binary.Size of the structs that cross the wire. Before the int32
+// constants the length-prefix validation of both transports trusts (the
+// query, answer and hop records are internal/wire's, shared by the HTTP
+// codec and PDE2) must equal binary.Size of the structs that cross the
+// wire. Before the int32
 // migration, core.Estimate.Instance and setdist.Aggregates.Members/
 // Unreachable were platform-width int — binary.Size returned -1 for
 // every record below and the hand-packed offsets were the only thing
@@ -23,9 +25,9 @@ func TestWireRecordSizesMatchStructLayout(t *testing.T) {
 		v    any
 		want int
 	}{
-		{"PDEQ query record", oracle.Query{}, queryRecordSize},
-		{"PDEA answer record", oracle.Answer{}, answerRecordSize},
-		{"PDEH hop record", Hop{}, hopRecordSize},
+		{"PDEQ query record", oracle.Query{}, wire.QueryRecordSize},
+		{"PDEA answer record", oracle.Answer{}, wire.AnswerRecordSize},
+		{"PDEH hop record", Hop{}, wire.HopRecordSize},
 		{"PDSA aggregates half-record", setdist.Aggregates{}, 32},
 		{"PDSA result record", setdist.Result{}, setDistAnswerRecordSize},
 	}
@@ -34,21 +36,5 @@ func TestWireRecordSizesMatchStructLayout(t *testing.T) {
 			t.Errorf("%s: binary.Size = %d, want %d (struct layout drifted from the codec constant)",
 				tc.name, got, tc.want)
 		}
-	}
-}
-
-// TestWireRecordSizesMatchPDE2 pins the HTTP binary codec's record
-// constants against the PDE2 wire protocol's: both transports carry the
-// same record layouts (the golden session test checks the bytes; this
-// checks the constants the length validations trust).
-func TestWireRecordSizesMatchPDE2(t *testing.T) {
-	if queryRecordSize != wire.QueryRecordSize {
-		t.Errorf("query record: HTTP codec %d bytes, PDE2 %d", queryRecordSize, wire.QueryRecordSize)
-	}
-	if answerRecordSize != wire.AnswerRecordSize {
-		t.Errorf("answer record: HTTP codec %d bytes, PDE2 %d", answerRecordSize, wire.AnswerRecordSize)
-	}
-	if hopRecordSize != wire.HopRecordSize {
-		t.Errorf("hop record: HTTP codec %d bytes, PDE2 %d", hopRecordSize, wire.HopRecordSize)
 	}
 }

@@ -30,9 +30,10 @@
 //	0x84 Pong      empty                          Ping reply
 //	0xFF Error     u16 code | message bytes       per-frame failure
 //
-// The query, answer and hop records are byte-for-byte the PDEQ / PDEA /
-// PDEH records of the HTTP binary batch codec (internal/server/codec.go,
-// pinned by wiresize_test.go):
+// The query, answer and hop records are the PDEQ / PDEA / PDEH records of
+// the HTTP binary batch codec too: internal/server/codec.go frames the
+// same PutQueryRecord … HopRecord calls, so this file is the one place
+// the layout is written down:
 //
 //	query   { i32 v | i32 s }                                    (8 B)
 //	answer  { f64 dist | i32 src | i32 via | i32 inst |
@@ -129,8 +130,8 @@ const (
 	ErrCodeUpstream     uint16 = 7 // relay could not reach any replica
 )
 
-// Record sizes, identical to the HTTP binary batch codec's PDEQ / PDEA /
-// PDEH records (internal/server/codec.go).
+// Record sizes, shared with the HTTP binary batch codec's PDEQ / PDEA /
+// PDEH frames (internal/server/codec.go).
 const (
 	QueryRecordSize  = 8
 	AnswerRecordSize = 22
@@ -192,6 +193,95 @@ func ParseHeader(buf []byte) (t FrameType, corr uint64, payloadLen uint32, err e
 	return t, corr, payloadLen, nil
 }
 
+// --- records -------------------------------------------------------------
+//
+// One put/get pair per record, addressed at rec[0]. The PDE2 payload
+// accessors below and the HTTP codec's frames differ only in the prefix
+// they skip before the first record.
+
+// PutQueryRecord encodes q into rec[:QueryRecordSize].
+//
+//pde:hotpath
+func PutQueryRecord(rec []byte, q oracle.Query) {
+	_ = rec[QueryRecordSize-1]
+	binary.LittleEndian.PutUint32(rec[0:], uint32(q.V))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(q.S))
+}
+
+// QueryRecord decodes rec[:QueryRecordSize].
+//
+//pde:hotpath
+func QueryRecord(rec []byte) oracle.Query {
+	_ = rec[QueryRecordSize-1]
+	return oracle.Query{
+		V: int32(binary.LittleEndian.Uint32(rec[0:])),
+		S: int32(binary.LittleEndian.Uint32(rec[4:])),
+	}
+}
+
+// PutAnswerRecord encodes a into rec[:AnswerRecordSize]. Every byte is
+// written, so reused buffers never leak a previous frame's records.
+//
+//pde:hotpath
+func PutAnswerRecord(rec []byte, a oracle.Answer) {
+	_ = rec[AnswerRecordSize-1]
+	binary.LittleEndian.PutUint64(rec[0:], math.Float64bits(a.Est.Dist))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(a.Est.Src))
+	binary.LittleEndian.PutUint32(rec[12:], uint32(a.Est.Via))
+	binary.LittleEndian.PutUint32(rec[16:], uint32(a.Est.Instance))
+	rec[20] = a.Est.Flag
+	rec[21] = okByte(a.OK)
+}
+
+// AnswerRecord decodes rec[:AnswerRecordSize] into *a. The only failure
+// is a corrupt ok byte.
+//
+//pde:hotpath
+func AnswerRecord(rec []byte, a *oracle.Answer) error {
+	_ = rec[AnswerRecordSize-1]
+	a.Est.Dist = math.Float64frombits(binary.LittleEndian.Uint64(rec[0:]))
+	a.Est.Src = int32(binary.LittleEndian.Uint32(rec[8:]))
+	a.Est.Via = int32(binary.LittleEndian.Uint32(rec[12:]))
+	a.Est.Instance = int32(binary.LittleEndian.Uint32(rec[16:]))
+	a.Est.Flag = rec[20]
+	return parseOKByte(rec[21], &a.OK)
+}
+
+// PutHopRecord encodes h into rec[:HopRecordSize], writing every byte.
+//
+//pde:hotpath
+func PutHopRecord(rec []byte, h Hop) {
+	_ = rec[HopRecordSize-1]
+	binary.LittleEndian.PutUint32(rec[0:], uint32(h.Next))
+	rec[4] = okByte(h.OK)
+}
+
+// HopRecord decodes rec[:HopRecordSize] into *h.
+//
+//pde:hotpath
+func HopRecord(rec []byte, h *Hop) error {
+	_ = rec[HopRecordSize-1]
+	h.Next = int32(binary.LittleEndian.Uint32(rec[0:]))
+	return parseOKByte(rec[4], &h.OK)
+}
+
+//pde:hotpath
+func okByte(ok bool) byte {
+	if ok {
+		return 1
+	}
+	return 0
+}
+
+//pde:hotpath
+func parseOKByte(b byte, ok *bool) error {
+	if b > 1 {
+		return ErrBadOKByte
+	}
+	*ok = b == 1
+	return nil
+}
+
 // --- query payload (Estimate / NextHop requests) -----------------------
 
 // QueryPayloadLen is the payload size of an Estimate/NextHop frame
@@ -205,9 +295,7 @@ func QueryPayloadLen(count int) int { return 4 + count*QueryRecordSize }
 func PutQueryPayload(buf []byte, qs []oracle.Query) {
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(qs)))
 	for i, q := range qs {
-		off := 4 + i*QueryRecordSize
-		binary.LittleEndian.PutUint32(buf[off:], uint32(q.V))
-		binary.LittleEndian.PutUint32(buf[off+4:], uint32(q.S))
+		PutQueryRecord(buf[4+i*QueryRecordSize:], q)
 	}
 }
 
@@ -230,11 +318,7 @@ func CheckQueryPayload(payload []byte) (int, error) {
 //
 //pde:hotpath
 func QueryAt(payload []byte, i int) oracle.Query {
-	off := 4 + i*QueryRecordSize
-	return oracle.Query{
-		V: int32(binary.LittleEndian.Uint32(payload[off:])),
-		S: int32(binary.LittleEndian.Uint32(payload[off+4:])),
-	}
+	return QueryRecord(payload[4+i*QueryRecordSize:])
 }
 
 // --- answers payload ---------------------------------------------------
@@ -252,22 +336,11 @@ func PutAnswersPrefix(buf []byte, fingerprint uint64, count int) {
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(count))
 }
 
-// PutAnswerAt encodes answer record i. Every byte is written, so reused
-// buffers never leak a previous frame's records.
+// PutAnswerAt encodes answer record i.
 //
 //pde:hotpath
 func PutAnswerAt(buf []byte, i int, a oracle.Answer) {
-	off := 12 + i*AnswerRecordSize
-	binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(a.Est.Dist))
-	binary.LittleEndian.PutUint32(buf[off+8:], uint32(a.Est.Src))
-	binary.LittleEndian.PutUint32(buf[off+12:], uint32(a.Est.Via))
-	binary.LittleEndian.PutUint32(buf[off+16:], uint32(a.Est.Instance))
-	buf[off+20] = a.Est.Flag
-	if a.OK {
-		buf[off+21] = 1
-	} else {
-		buf[off+21] = 0
-	}
+	PutAnswerRecord(buf[12+i*AnswerRecordSize:], a)
 }
 
 // CheckAnswersPayload validates an Answers payload and returns its
@@ -291,21 +364,7 @@ func CheckAnswersPayload(payload []byte) (fingerprint uint64, count int, err err
 //
 //pde:hotpath
 func AnswerAt(payload []byte, i int, a *oracle.Answer) error {
-	off := 12 + i*AnswerRecordSize
-	a.Est.Dist = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-	a.Est.Src = int32(binary.LittleEndian.Uint32(payload[off+8:]))
-	a.Est.Via = int32(binary.LittleEndian.Uint32(payload[off+12:]))
-	a.Est.Instance = int32(binary.LittleEndian.Uint32(payload[off+16:]))
-	a.Est.Flag = payload[off+20]
-	switch payload[off+21] {
-	case 0:
-		a.OK = false
-	case 1:
-		a.OK = true
-	default:
-		return ErrBadOKByte
-	}
-	return nil
+	return AnswerRecord(payload[12+i*AnswerRecordSize:], a)
 }
 
 // --- hops payload ------------------------------------------------------
@@ -327,13 +386,7 @@ func PutHopsPrefix(buf []byte, fingerprint uint64, count int) {
 //
 //pde:hotpath
 func PutHopAt(buf []byte, i int, h Hop) {
-	off := 12 + i*HopRecordSize
-	binary.LittleEndian.PutUint32(buf[off:], uint32(h.Next))
-	if h.OK {
-		buf[off+4] = 1
-	} else {
-		buf[off+4] = 0
-	}
+	PutHopRecord(buf[12+i*HopRecordSize:], h)
 }
 
 // CheckHopsPayload validates a Hops payload and returns its fingerprint
@@ -356,17 +409,7 @@ func CheckHopsPayload(payload []byte) (fingerprint uint64, count int, err error)
 //
 //pde:hotpath
 func HopAt(payload []byte, i int, h *Hop) error {
-	off := 12 + i*HopRecordSize
-	h.Next = int32(binary.LittleEndian.Uint32(payload[off:]))
-	switch payload[off+4] {
-	case 0:
-		h.OK = false
-	case 1:
-		h.OK = true
-	default:
-		return ErrBadOKByte
-	}
-	return nil
+	return HopRecord(payload[12+i*HopRecordSize:], h)
 }
 
 // --- bound / error payloads (cold path, may allocate) ------------------

@@ -74,7 +74,7 @@ type (
 	// scan paths in O(log σ) per call and is safe for concurrent readers.
 	Oracle = oracle.Oracle
 	// OracleQuery / OracleAnswer are the batch-serving request/response
-	// pair of Oracle.AnswerAll and Oracle.AnswerParallel.
+	// pair of Oracle.AnswerAll and Oracle.AnswerInto.
 	OracleQuery  = oracle.Query
 	OracleAnswer = oracle.Answer
 
