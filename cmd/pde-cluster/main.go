@@ -27,7 +27,10 @@
 // already serve different fingerprints. Query clients point pde-query
 // (or anything speaking the daemon protocol) at the coordinator; the
 // placement and health view is served on /v1/cluster. Semantics are
-// documented in docs/cluster.md.
+// documented in docs/cluster.md. The process lifecycle (listen, serve,
+// drain on SIGINT/SIGTERM) is internal/daemon's, shared with pde-serve:
+// a listener that cannot bind or an unreachable daemon fails the boot
+// with exit 1; a usage error exits 2.
 package main
 
 import (
@@ -35,93 +38,83 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"pde/internal/cluster"
+	"pde/internal/daemon"
 )
 
 func main() {
-	addr := flag.String("addr", ":7480", "HTTP listen address")
-	wireAddr := flag.String("wire-addr", "", "PDE2 raw-TCP relay listen address (empty = wire relay disabled)")
-	pprofAddr := flag.String("pprof-addr", "", "net/http/pprof listen address, e.g. localhost:6061 (empty = disabled)")
-	daemons := flag.String("daemons", "", "comma-separated pde-serve base URLs (required)")
-	probeInterval := flag.Duration("probe-interval", 0, "health probe period per daemon (0 = default 500ms)")
-	probeTimeout := flag.Duration("probe-timeout", 0, "single probe timeout (0 = default 2s)")
-	attemptTimeout := flag.Duration("attempt-timeout", 0, "single forwarded-query attempt timeout (0 = default 15s)")
-	adminTimeout := flag.Duration("admin-timeout", 0, "per-replica rebuild/update timeout (0 = default 10m)")
-	retries := flag.Int("retries", 0, "extra failover passes over the replica set (0 = default 2, negative disables retries)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "sleep before the second pass, doubling per pass (0 = default 25ms)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
+// options is what the flags say: where to listen and what to front.
+type options struct {
+	addr, wireAddr, pprofAddr string
+	cfg                       cluster.Config
+}
+
+// parse reads the flags into options. A non-nil error has already been
+// explained on stderr; flag.ErrHelp is -h.
+func parse(args []string, stderr io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("pde-cluster", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":7480", "HTTP listen address")
+	fs.StringVar(&o.wireAddr, "wire-addr", "", "PDE2 raw-TCP relay listen address (empty = wire relay disabled)")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "net/http/pprof listen address, e.g. localhost:6061 (empty = disabled)")
+	daemons := fs.String("daemons", "", "comma-separated pde-serve base URLs (required)")
+	fs.DurationVar(&o.cfg.ProbeInterval, "probe-interval", 0, "health probe period per daemon (0 = default 500ms)")
+	fs.DurationVar(&o.cfg.ProbeTimeout, "probe-timeout", 0, "single probe timeout (0 = default 2s)")
+	fs.DurationVar(&o.cfg.AttemptTimeout, "attempt-timeout", 0, "single forwarded-query attempt timeout (0 = default 15s)")
+	fs.DurationVar(&o.cfg.AdminTimeout, "admin-timeout", 0, "per-replica rebuild/update timeout (0 = default 10m)")
+	fs.IntVar(&o.cfg.Retries, "retries", 0, "extra failover passes over the replica set (0 = default 2, negative disables retries)")
+	fs.DurationVar(&o.cfg.RetryBackoff, "retry-backoff", 0, "sleep before the second pass, doubling per pass (0 = default 25ms)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
 	if *daemons == "" {
-		fmt.Fprintln(os.Stderr, "pde-cluster: -daemons is required (comma-separated pde-serve base URLs)")
-		os.Exit(2)
+		err := errors.New("-daemons is required (comma-separated pde-serve base URLs)")
+		fmt.Fprintf(stderr, "pde-cluster: %v\n", err)
+		return o, err
 	}
-	cfg := cluster.Config{
-		Daemons:        strings.Split(*daemons, ","),
-		ProbeInterval:  *probeInterval,
-		ProbeTimeout:   *probeTimeout,
-		AttemptTimeout: *attemptTimeout,
-		AdminTimeout:   *adminTimeout,
-		Retries:        *retries,
-		RetryBackoff:   *retryBackoff,
+	o.cfg.Daemons = strings.Split(*daemons, ",")
+	return o, nil
+}
+
+// run is the whole program: parse, probe the fleet, hand the serving
+// surface to the shared lifecycle. It returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	o, err := parse(args, stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
 	}
-	coord, err := cluster.New(cfg)
+	coord, err := cluster.New(o.cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pde-cluster: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pde-cluster: %v\n", err)
+		return 1
 	}
 	defer coord.Close()
 	for _, shard := range coord.Shards() {
-		fmt.Fprintf(os.Stderr, "pde-cluster: shard %q -> %v\n", shard, coord.Placement(shard))
+		fmt.Fprintf(stderr, "pde-cluster: shard %q -> %v\n", shard, coord.Placement(shard))
 	}
-	fmt.Fprintf(os.Stderr, "pde-cluster: fronting %d daemon(s), listening on %s\n",
-		len(strings.Split(*daemons, ",")), *addr)
+	fmt.Fprintf(stderr, "pde-cluster: fronting %d daemon(s)\n", coord.Daemons())
 
-	if *pprofAddr != "" {
-		go func() {
-			fmt.Fprintf(os.Stderr, "pde-cluster: pprof on http://%s/debug/pprof/\n", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pde-cluster: pprof listener: %v\n", err)
-			}
-		}()
-	}
-	if *wireAddr != "" {
-		ln, err := net.Listen("tcp", *wireAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pde-cluster: wire listen: %v\n", err)
-			os.Exit(1)
-		}
-		relay := coord.ServeWire(ln)
-		defer relay.Close()
-		fmt.Fprintf(os.Stderr, "pde-cluster: PDE2 wire relay on %s\n", relay.Addr())
-	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: coord}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "pde-cluster: %v\n", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "pde-cluster: shutting down...")
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "pde-cluster: shutdown: %v\n", err)
-			os.Exit(1)
-		}
-	}
+	return daemon.Daemon{
+		Name: "pde-cluster", Log: stderr,
+		Addr: o.addr, WireAddr: o.wireAddr, PprofAddr: o.pprofAddr,
+		Handler:   coord,
+		ServeWire: func(ln net.Listener) io.Closer { return coord.ServeWire(ln) },
+	}.Run(ctx)
 }

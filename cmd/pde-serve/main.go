@@ -9,15 +9,13 @@
 //
 // Usage:
 //
-//	pde-serve [-addr :7475]
-//	          [-wire-addr :7476] [-wire-accept-loops 2]
-//	          [-pprof-addr localhost:6060]
+//	pde-serve [-addr :7475] [-wire-addr :7476] [-pprof-addr localhost:6060]
 //	          [-scheme oracle|rtc|compact]
 //	          [-topology random] [-n 256] [-eps 0.5] [-maxw 16]
 //	          [-h 0] [-sigma 0] [-seed 1] [-build-workers 0]
 //	          [-k 0] [-strategy none] [-l0 0] [-sample-prob 0]
 //	          [-shards '{"name": {"scheme": "...", "topology": "...", ...}}']
-//	          [-max-batch 65536] [-workers 0] [-route-cache 4096]
+//	          [-max-batch 65536]
 //
 // With -shards, the JSON object maps shard names to full specs
 // (internal/scheme.Spec: topology + PDE knobs + scheme selector) and the
@@ -36,7 +34,9 @@
 //
 // Endpoints, wire formats, and hot-swap semantics are documented in
 // docs/serving.md and internal/server. The daemon exits gracefully on
-// SIGINT/SIGTERM, draining in-flight requests.
+// SIGINT/SIGTERM, draining in-flight requests (internal/daemon). A
+// listener that cannot bind fails the boot with exit 1; a usage error
+// exits 2.
 package main
 
 import (
@@ -45,14 +45,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"pde/internal/daemon"
 	"pde/internal/graph"
 	"pde/internal/scheme"
 	"pde/internal/server"
@@ -60,119 +60,107 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":7475", "HTTP listen address")
-	wireAddr := flag.String("wire-addr", "", "PDE2 raw-TCP listen address (empty = wire protocol disabled)")
-	wireAcceptLoops := flag.Int("wire-accept-loops", 0, "PDE2 accept-loop goroutines sharing the listener (0 = default 2)")
-	pprofAddr := flag.String("pprof-addr", "", "net/http/pprof listen address, e.g. localhost:6060 (empty = disabled)")
-	schemeName := flag.String("scheme", "oracle", scheme.List())
-	topology := flag.String("topology", "random", graph.GeneratorList())
-	n := flag.Int("n", 256, "number of nodes")
-	eps := flag.Float64("eps", 0.5, "PDE approximation slack")
-	maxW := flag.Int64("maxw", 16, "maximum edge weight")
-	h := flag.Int("h", 0, "hop bound (0 = APSP)")
-	sigma := flag.Int("sigma", 0, "list size (0 = APSP)")
-	seed := flag.Int64("seed", 1, "graph generator seed")
-	buildWorkers := flag.Int("build-workers", 0, "parallel table-build pool width (0 = GOMAXPROCS)")
-	k := flag.Int("k", 0, "rtc/compact stretch parameter (0 = scheme default)")
-	strategy := flag.String("strategy", "", "compact truncation strategy: none | simulate | broadcast")
-	l0 := flag.Int("l0", 0, "compact truncation level (0 = none)")
-	sampleProb := flag.Float64("sample-prob", 0, "rtc skeleton sampling probability override (0 = paper's)")
-	shardsJSON := flag.String("shards", "", `multi-shard spec: {"name": {"topology": ..., "n": ..., "eps": ..., ...}}`)
-	maxBatch := flag.Int("max-batch", 0, "largest query batch one request may carry (0 = default 65536)")
-	workers := flag.Int("workers", 0, "oracle fan-out per request (0 = GOMAXPROCS)")
-	routeCache := flag.Int("route-cache", 0, "per-shard route LRU capacity (0 = default 4096, negative disables)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
 
-	specs := map[string]server.Spec{}
+// options is what the flags say: where to listen and what to serve.
+type options struct {
+	addr, wireAddr, pprofAddr string
+	specs                     map[string]server.Spec
+	maxBatch                  int
+}
+
+// parse reads the flags into options. A non-nil error has already been
+// explained on stderr; flag.ErrHelp is -h.
+func parse(args []string, stderr io.Writer) (options, error) {
+	var o options
+	var sp server.Spec
+	fs := flag.NewFlagSet("pde-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&o.addr, "addr", ":7475", "HTTP listen address")
+	fs.StringVar(&o.wireAddr, "wire-addr", "", "PDE2 raw-TCP listen address (empty = wire protocol disabled)")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "net/http/pprof listen address, e.g. localhost:6060 (empty = disabled)")
+	fs.StringVar(&sp.Scheme, "scheme", "oracle", scheme.List())
+	fs.StringVar(&sp.Topology, "topology", "random", graph.GeneratorList())
+	fs.IntVar(&sp.N, "n", 256, "number of nodes")
+	fs.Float64Var(&sp.Eps, "eps", 0.5, "PDE approximation slack")
+	fs.Int64Var(&sp.MaxW, "maxw", 16, "maximum edge weight")
+	fs.IntVar(&sp.H, "h", 0, "hop bound (0 = APSP)")
+	fs.IntVar(&sp.Sigma, "sigma", 0, "list size (0 = APSP)")
+	fs.Int64Var(&sp.Seed, "seed", 1, "graph generator seed")
+	fs.IntVar(&sp.BuildWorkers, "build-workers", 0, "parallel table-build pool width (0 = GOMAXPROCS)")
+	fs.IntVar(&sp.K, "k", 0, "rtc/compact stretch parameter (0 = scheme default)")
+	fs.StringVar(&sp.Strategy, "strategy", "", "compact truncation strategy: none | simulate | broadcast")
+	fs.IntVar(&sp.L0, "l0", 0, "compact truncation level (0 = none)")
+	fs.Float64Var(&sp.SampleProb, "sample-prob", 0, "rtc skeleton sampling probability override (0 = paper's)")
+	shardsJSON := fs.String("shards", "", `multi-shard spec: {"name": {"topology": ..., "n": ..., "eps": ..., ...}}`)
+	fs.IntVar(&o.maxBatch, "max-batch", 0, "largest query batch one request may carry (0 = default 65536)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+
+	fail := func(format string, args ...any) (options, error) {
+		err := fmt.Errorf(format, args...)
+		fmt.Fprintf(stderr, "pde-serve: %v\n", err)
+		return o, err
+	}
+	o.specs = map[string]server.Spec{"main": sp}
 	if *shardsJSON != "" {
-		if err := json.Unmarshal([]byte(*shardsJSON), &specs); err != nil {
-			fmt.Fprintf(os.Stderr, "pde-serve: parsing -shards: %v\n", err)
-			os.Exit(2)
+		o.specs = nil
+		if err := json.Unmarshal([]byte(*shardsJSON), &o.specs); err != nil {
+			return fail("parsing -shards: %v", err)
 		}
-		if len(specs) == 0 {
-			fmt.Fprintln(os.Stderr, "pde-serve: -shards names no shards")
-			os.Exit(2)
-		}
-	} else {
-		specs["main"] = server.Spec{
-			Scheme: *schemeName, Topology: *topology, N: *n, Eps: *eps, MaxW: *maxW,
-			H: *h, Sigma: *sigma, Seed: *seed, BuildWorkers: *buildWorkers,
-			K: *k, Strategy: *strategy, L0: *l0, SampleProb: *sampleProb,
+		if len(o.specs) == 0 {
+			return fail("-shards names no shards")
 		}
 	}
-	for name, sp := range specs {
+	for name, sp := range o.specs {
 		if err := sp.Validate(); err != nil {
-			fmt.Fprintf(os.Stderr, "pde-serve: shard %q: %v\n", name, err)
-			os.Exit(2)
+			return fail("shard %q: %v", name, err)
 		}
+	}
+	return o, nil
+}
+
+// run is the whole program: parse, build the shards, hand the serving
+// surface to the shared lifecycle. It returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	o, err := parse(args, stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2
 	}
 
-	cfg := server.Config{
-		MaxBatch:       *maxBatch,
-		Workers:        *workers,
-		RouteCacheSize: *routeCache,
-	}
 	t0 := time.Now()
-	fmt.Fprintf(os.Stderr, "pde-serve: building %d shard(s)...\n", len(specs))
-	srv, err := server.New(specs, cfg)
+	fmt.Fprintf(stderr, "pde-serve: building %d shard(s)...\n", len(o.specs))
+	srv, err := server.New(o.specs, server.Config{MaxBatch: o.maxBatch})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pde-serve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "pde-serve: %v\n", err)
+		return 1
 	}
 	for _, name := range srv.Shards() {
 		fp, _ := srv.Fingerprint(name)
-		fmt.Fprintf(os.Stderr, "pde-serve: shard %q ready (fingerprint %s)\n", name, fp)
+		fmt.Fprintf(stderr, "pde-serve: shard %q ready (fingerprint %s)\n", name, fp)
 	}
-	fmt.Fprintf(os.Stderr, "pde-serve: built in %.1fs, listening on %s\n", time.Since(t0).Seconds(), *addr)
+	fmt.Fprintf(stderr, "pde-serve: built in %.1fs\n", time.Since(t0).Seconds())
 
-	if *pprofAddr != "" {
-		// The main handler never sees these routes: pprof registers on
-		// http.DefaultServeMux and only this side listener serves it.
-		go func() {
-			fmt.Fprintf(os.Stderr, "pde-serve: pprof on http://%s/debug/pprof/\n", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pde-serve: pprof listener: %v\n", err)
-			}
-		}()
-	}
-
-	if *wireAddr != "" {
-		ln, err := net.Listen("tcp", *wireAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pde-serve: wire listen: %v\n", err)
-			os.Exit(1)
-		}
-		ws := wire.Serve(ln, srv, wire.Config{
-			MaxBatch:    *maxBatch,
-			AcceptLoops: *wireAcceptLoops,
-		})
-		defer ws.Close()
-		srv.SetWireAddr(ws.Addr())
-		fmt.Fprintf(os.Stderr, "pde-serve: PDE2 wire protocol on %s\n", ws.Addr())
-	}
-
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "pde-serve: %v\n", err)
-			os.Exit(1)
-		}
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "pde-serve: shutting down...")
+	return daemon.Daemon{
+		Name: "pde-serve", Log: stderr,
+		Addr: o.addr, WireAddr: o.wireAddr, PprofAddr: o.pprofAddr,
+		Handler: srv,
+		ServeWire: func(ln net.Listener) io.Closer {
+			ws := wire.Serve(ln, srv, wire.Config{MaxBatch: o.maxBatch})
+			srv.SetWireAddr(ws.Addr())
+			return ws
+		},
 		// Flag first, then drain: a point query that still arrives while
 		// Shutdown waits for in-flight requests gets the 503 a coordinator
 		// fails over on.
-		srv.Close()
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-			fmt.Fprintf(os.Stderr, "pde-serve: shutdown: %v\n", err)
-			os.Exit(1)
-		}
-	}
+		Drain: srv.Close,
+	}.Run(ctx)
 }

@@ -16,7 +16,7 @@ import (
 // conversion — turns the serving path GC-bound long before a human
 // reads the benchmark again, so the analyzer flags the allocating
 // construct the moment it is written. Buffer growth belongs in an
-// unmarked helper (arena.ensure, Conn.ensureWbuf, Pipeline.ensureRbuf,
+// unmarked helper (Batch.ensure, Conn.ensureWbuf, Pipeline.ensureRbuf,
 // detection's unit.grow): the marker — and therefore the rule —
 // deliberately does not reach it.
 //

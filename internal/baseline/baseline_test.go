@@ -252,4 +252,13 @@ func TestRandomDelayDeterministicPerSeed(t *testing.T) {
 	if a.Messages != b.Messages || a.ActiveRounds != b.ActiveRounds {
 		t.Fatal("same seed must reproduce the run exactly")
 	}
+	// The delay vector is drawn once, before the instances are built, so
+	// the instance pool's width cannot move the priority-scheduled build.
+	c, err := RandomDelayPDE(g, p, 8, rand.New(rand.NewSource(42)), congest.Config{Parallel: true, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Fingerprint() != c.Fingerprint() {
+		t.Fatal("priority-scheduled build diverges between the sequential and the 3-worker engine")
+	}
 }

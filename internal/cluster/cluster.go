@@ -283,6 +283,9 @@ func (c *Coordinator) Close() {
 	c.wg.Wait()
 }
 
+// Daemons is the number of distinct daemons the coordinator fronts.
+func (c *Coordinator) Daemons() int { return len(c.backends) }
+
 // Shards lists the placed shard names, sorted.
 func (c *Coordinator) Shards() []string {
 	c.mu.RLock()

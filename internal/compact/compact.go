@@ -355,43 +355,7 @@ func (sch *Scheme) buildTruncated(p Params, hFor func(int) int, sigma int, lnN f
 	sch.Rounds.SkeletonPDE = sch.SkelR.BudgetRounds
 
 	// G̃(l0): mutual detections, max estimate as weight.
-	b := graph.NewBuilder(len(sch.Skel))
-	type pair struct{ i, j int }
-	seen := make(map[pair]graph.Weight)
-	both := make(map[pair]graph.Weight)
-	for _, s := range sch.Skel {
-		i := sch.SkelIdx[s]
-		for _, e := range sch.SkelR.Lists[s] {
-			if e.Src == s {
-				continue
-			}
-			j := sch.SkelIdx[e.Src]
-			key := pair{min(i, j), max(i, j)}
-			w := graph.Weight(math.Ceil(e.Dist))
-			if w < 1 {
-				w = 1
-			}
-			if first, ok := seen[key]; ok {
-				both[key] = max(first, w)
-			} else {
-				seen[key] = w
-			}
-		}
-	}
-	keys := make([]pair, 0, len(both))
-	for k := range both {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].i != keys[b].i {
-			return keys[a].i < keys[b].i
-		}
-		return keys[a].j < keys[b].j
-	})
-	for _, k := range keys {
-		b.AddEdge(k.i, k.j, both[k])
-	}
-	sch.Gl0, err = b.Build()
+	sch.Gl0, err = sch.SkelR.SkeletonOverlay(sch.Skel, sch.SkelIdx)
 	if err != nil {
 		return fmt.Errorf("compact: skeleton graph: %w", err)
 	}

@@ -166,15 +166,6 @@ func (sch *Scheme) NextHop(x int, dst Label, level int, target int32) (int, erro
 	return 0, fmt.Errorf("compact: node %d lost level-0 route to %d", x, w)
 }
 
-// FirstHop returns the first forwarding hop of a fresh packet at v.
-func (sch *Scheme) FirstHop(v int, dst Label) (int, error) {
-	a := sch.Answer(v, dst)
-	if a.Hop < 0 {
-		return 0, fmt.Errorf("compact: node %d cannot forward toward %d", v, dst.Node)
-	}
-	return int(a.Hop), nil
-}
-
 // Route delivers a packet from v to the node labeled dst.
 func (sch *Scheme) Route(v int, dst Label) (*Route, error) {
 	a := sch.Answer(v, dst)

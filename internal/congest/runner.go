@@ -108,15 +108,6 @@ func (m *Metrics) MaxBroadcasts() int64 {
 	return best
 }
 
-// TotalBroadcasts returns the sum of Broadcasts over all nodes.
-func (m *Metrics) TotalBroadcasts() int64 {
-	var total int64
-	for _, b := range m.Broadcasts {
-		total += b
-	}
-	return total
-}
-
 // Run executes procs (one per node of g) under cfg and returns metrics.
 //
 // Each round: the nodes on the active worklist take a step (reading

@@ -20,7 +20,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -49,12 +48,6 @@ type Params struct {
 	// Delays is forwarded to the detection substrate for Priority
 	// scheduling (the randomized baseline).
 	Delays []int32
-	// InstanceDelays, when non-nil, supplies rounding instance i's
-	// per-source delay vector, overriding Delays for that instance. Each
-	// instance must own an independent deterministic stream (see
-	// PerInstanceDelays) so the build's output never depends on the order
-	// — or concurrency — in which instances are built.
-	InstanceDelays func(instance int) []int32
 	// ExtraRounds widens every instance's round budget (randomized
 	// scheduling needs room for its delays).
 	ExtraRounds int
@@ -300,10 +293,6 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 		if pi := prev.reusable(i, base, lengths); pi != nil {
 			return pi, nil
 		}
-		delays := p.Delays
-		if p.InstanceDelays != nil {
-			delays = p.InstanceDelays(i)
-		}
 		dp := detection.Params{
 			IsSource:    p.IsSource,
 			Flags:       p.Flags,
@@ -312,7 +301,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 			Lengths:     lengths,
 			CapMessages: p.CapMessages,
 			Scheduling:  p.Scheduling,
-			Delays:      delays,
+			Delays:      p.Delays,
 			ExtraRounds: p.ExtraRounds,
 		}
 		det, err := detection.Run(g, dp, sub)
@@ -478,31 +467,6 @@ func siftDown(h []head, i int) {
 		}
 		h[i], h[c] = h[c], h[i]
 		i = c
-	}
-}
-
-// PerInstanceDelays returns an InstanceDelays stream for Priority
-// scheduling: instance i draws its per-source delays uniformly from
-// [0, maxDelay) out of an RNG seeded only by (seed, i). Because no state
-// is shared between instances, the delay vectors — and therefore the whole
-// build — are identical whether instances run sequentially or concurrently
-// on the worker pool. Callers must widen ExtraRounds by maxDelay, exactly
-// as with a shared Delays vector.
-func PerInstanceDelays(seed int64, maxDelay int, isSource []bool) func(int) []int32 {
-	if maxDelay < 1 {
-		maxDelay = 1
-	}
-	return func(instance int) []int32 {
-		// SplitMix-style odd-constant mixing keeps the per-instance streams
-		// decorrelated even for adjacent seeds.
-		rng := rand.New(rand.NewSource(seed ^ (int64(instance)+1)*-0x61c8864680b583eb))
-		delays := make([]int32, len(isSource))
-		for v, src := range isSource {
-			if src {
-				delays[v] = int32(rng.Intn(maxDelay))
-			}
-		}
-		return delays
 	}
 }
 

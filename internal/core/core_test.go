@@ -301,21 +301,21 @@ func TestRoutingTreesAreTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The next-hop functions toward each source s are the trees T_s of
+	// Lemma 4.4: from every node with an entry for s they must converge
+	// to s without cycles.
 	router := NewRouter(g, res)
-	sources := make([]int32, n)
-	for v := range sources {
-		sources[v] = int32(v)
-	}
-	trees := router.RoutingTrees(sources)
-	for s, tree := range trees {
-		// Next-hop functions must converge to s without cycles.
-		for v := range tree {
+	for s := int32(0); int(s) < n; s++ {
+		for v := 0; v < n; v++ {
+			if _, ok := router.NextHop(v, s); !ok {
+				continue
+			}
 			cur := v
 			for steps := 0; cur != int(s); steps++ {
 				if steps > n {
 					t.Fatalf("cycle in T_%d starting at %d", s, v)
 				}
-				next, ok := tree[cur]
+				next, ok := router.NextHop(cur, s)
 				if !ok {
 					t.Fatalf("T_%d broken at %d", s, cur)
 				}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pde/internal/congest"
-	"pde/internal/detection"
 	"pde/internal/graph"
 )
 
@@ -128,57 +127,5 @@ func TestFingerprintDetectsTampering(t *testing.T) {
 	res.Instances[0].Det.Lists[3] = res.Instances[0].Det.Lists[3][:0]
 	if res.Fingerprint() == base {
 		t.Error("fingerprint ignores instance detection lists")
-	}
-}
-
-// TestPerInstanceDelayStreams asserts the per-instance RNG streams are (a)
-// independent of build order and concurrency, and (b) actually distinct
-// across instances.
-func TestPerInstanceDelayStreams(t *testing.T) {
-	g := graph.RandomConnected(48, 0.08, 20, rand.New(rand.NewSource(23)))
-	n := g.N()
-	src := make([]bool, n)
-	for v := 0; v < n; v++ {
-		src[v] = v%3 == 0
-	}
-	maxDelay := 8
-	streams := PerInstanceDelays(77, maxDelay, src)
-	if reflect.DeepEqual(streams(0), streams(1)) {
-		t.Error("instances 0 and 1 drew identical delay vectors")
-	}
-	if !reflect.DeepEqual(streams(2), streams(2)) {
-		t.Error("stream is not deterministic per instance")
-	}
-	for i := 0; i < 3; i++ {
-		for v, d := range streams(i) {
-			if d < 0 || d >= int32(maxDelay) {
-				t.Fatalf("instance %d delay[%d]=%d outside [0,%d)", i, v, d, maxDelay)
-			}
-			if !src[v] && d != 0 {
-				t.Fatalf("instance %d gave non-source %d delay %d", i, v, d)
-			}
-		}
-	}
-
-	p := Params{
-		IsSource:       src,
-		H:              10,
-		Sigma:          5,
-		Epsilon:        0.5,
-		CapMessages:    true,
-		Scheduling:     detection.Priority,
-		InstanceDelays: streams,
-		ExtraRounds:    maxDelay,
-	}
-	seq, err := Run(g, p, congest.Config{})
-	if err != nil {
-		t.Fatalf("sequential: %v", err)
-	}
-	par, err := Run(g, p, congest.Config{Parallel: true, Workers: 5})
-	if err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	if seq.Fingerprint() != par.Fingerprint() {
-		t.Error("per-instance delay streams are order-dependent: parallel build diverged")
 	}
 }

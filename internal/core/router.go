@@ -103,25 +103,3 @@ func (r *Router) Route(v int, s int32) (*Route, error) {
 	}
 	return rt, nil
 }
-
-// RoutingTrees returns, for each source s (by node id), the set of nodes
-// whose next hop toward s is defined, as a parent function: the trees T_s
-// of Lemma 4.4. TreeOf[s][v] = next hop of v toward s, -1 at s itself,
-// and absent when v has no entry for s.
-func (r *Router) RoutingTrees(sources []int32) map[int32]map[int]int {
-	out := make(map[int32]map[int]int, len(sources))
-	for _, s := range sources {
-		tree := make(map[int]int)
-		for v := 0; v < r.g.N(); v++ {
-			if v == int(s) {
-				tree[v] = -1
-				continue
-			}
-			if next, ok := r.NextHop(v, s); ok {
-				tree[v] = next
-			}
-		}
-		out[s] = tree
-	}
-	return out
-}

@@ -202,21 +202,3 @@ func (g *Graph) Connected() bool {
 	}
 	return cnt == n
 }
-
-// Reweight returns a copy of g with each edge weight w replaced by
-// fn(w). It is used by tests to derive rounded-weight variants.
-func (g *Graph) Reweight(fn func(Weight) Weight) (*Graph, error) {
-	b := NewBuilder(g.N())
-	var err error
-	g.Edges(func(u, v int, w Weight, _ int32) {
-		nw := fn(w)
-		if nw < 1 && err == nil {
-			err = fmt.Errorf("graph: reweight produced non-positive weight %d for {%d,%d}", nw, u, v)
-		}
-		b.AddEdge(u, v, nw)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return b.Build()
-}

@@ -98,21 +98,6 @@ func TestConnectedEdgeCases(t *testing.T) {
 	}
 }
 
-func TestReweight(t *testing.T) {
-	g := NewBuilder(3).AddEdge(0, 1, 3).AddEdge(1, 2, 7).MustBuild()
-	doubled, err := g.Reweight(func(w Weight) Weight { return 2 * w })
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := doubled.EdgeBetween(0, 1)
-	if e.W != 6 {
-		t.Fatalf("reweighted edge = %d, want 6", e.W)
-	}
-	if _, err := g.Reweight(func(Weight) Weight { return 0 }); err == nil {
-		t.Fatal("Reweight to zero should error")
-	}
-}
-
 func TestDijkstraSmall(t *testing.T) {
 	// 0 --3-- 1 --4-- 2, plus a heavy shortcut 0--2 of weight 100 and a
 	// parallel light path 0-3-2 with total weight 7 but 2 hops.
@@ -214,7 +199,7 @@ func TestAllPairsSymmetry(t *testing.T) {
 func TestDiameters(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := Path(5, 1, rng) // unit path: D = WD = SPD = 4
-	d, wd, spd := Diameters(g)
+	d, wd, spd := DiametersFrom(g, AllPairs(g))
 	if d != 4 || wd != 4 || spd != 4 {
 		t.Fatalf("path diameters = %d, %d, %d, want 4, 4, 4", d, wd, spd)
 	}
@@ -226,9 +211,9 @@ func TestDiameters(t *testing.T) {
 	if hd := HopDiameter(g2); hd != -1 {
 		t.Fatalf("HopDiameter of disconnected graph = %d, want -1", hd)
 	}
-	d2, wd2, spd2 := Diameters(g2)
+	d2, wd2, spd2 := DiametersFrom(g2, AllPairs(g2))
 	if d2 != -1 || wd2 != Infinity || spd2 != -1 {
-		t.Fatalf("Diameters of disconnected graph = %d, %d, %d", d2, wd2, spd2)
+		t.Fatalf("DiametersFrom of disconnected graph = %d, %d, %d", d2, wd2, spd2)
 	}
 }
 
@@ -237,7 +222,7 @@ func TestCliqueHopVsWeightedSeparation(t *testing.T) {
 	// can have many hops: the paper's motivating phenomenon (§1).
 	rng := rand.New(rand.NewSource(2))
 	g := Clique(30, 1000, rng)
-	d, _, spd := Diameters(g)
+	d, _, spd := DiametersFrom(g, AllPairs(g))
 	if d != 1 {
 		t.Fatalf("clique hop diameter = %d, want 1", d)
 	}

@@ -172,15 +172,9 @@ func HopDiameter(g *Graph) int {
 	return best
 }
 
-// Diameters returns the hop diameter D, weighted diameter WD, and shortest
-// path diameter SPD of a connected graph in a single APSP pass. For a
-// disconnected graph it returns (-1, Infinity, -1).
-func Diameters(g *Graph) (d int, wd Weight, spd int) {
-	ap := AllPairs(g)
-	return DiametersFrom(g, ap)
-}
-
-// DiametersFrom computes the three diameters from precomputed ground truth.
+// DiametersFrom computes the hop diameter D, weighted diameter WD, and
+// shortest path diameter SPD of a connected graph from precomputed ground
+// truth. For a disconnected graph it returns (-1, Infinity, -1).
 func DiametersFrom(g *Graph, ap *APSP) (d int, wd Weight, spd int) {
 	n := g.N()
 	for src := 0; src < n; src++ {

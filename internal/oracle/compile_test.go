@@ -165,7 +165,7 @@ func TestCompileHandBuilt(t *testing.T) {
 	}
 	for v := 0; v < 4; v++ {
 		var got []core.Estimate
-		o.SourcesOf(v, func(e core.Estimate) { got = append(got, e) })
+		sourcesOf(o, v, func(e core.Estimate) { got = append(got, e) })
 		if !reflect.DeepEqual(got, want[v]) {
 			t.Fatalf("node %d: compiled %+v, want %+v", v, got, want[v])
 		}

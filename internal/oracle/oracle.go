@@ -201,19 +201,6 @@ func (o *Oracle) NextHop(v int, s int32) (int, bool) {
 	return int(o.vias[k]), true
 }
 
-// SourcesOf calls fn for each of v's compiled entries in ascending source
-// order (the full combine, not the σ-capped list). It exists for consumers
-// that previously iterated per-instance lists. Out-of-range v has no
-// entries.
-func (o *Oracle) SourcesOf(v int, fn func(core.Estimate)) {
-	if v < 0 || v >= o.n {
-		return
-	}
-	for k := o.off[v]; k < o.off[v+1]; k++ {
-		fn(o.at(k))
-	}
-}
-
 // Router wraps the already-compiled oracle in a core.Router over g, so a
 // caller serving both point queries and routes pays Compile once. res must
 // be the result this oracle was compiled from.

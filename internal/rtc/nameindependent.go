@@ -48,12 +48,6 @@ func (ni *NameIndependent) DistEstimate(v, w int) (float64, error) {
 	return ni.Scheme.DistEstimate(v, ni.Scheme.Labels[w])
 }
 
-// TotalRounds is the scheme's construction cost including the directory
-// broadcast.
-func (ni *NameIndependent) TotalRounds() int {
-	return ni.Scheme.Rounds.Total + ni.DirectoryRounds
-}
-
 // TableWords is node v's storage including its directory copy.
 func (ni *NameIndependent) TableWords(v int) int {
 	return ni.Scheme.TableWords(v) + ni.DirectoryWords

@@ -43,9 +43,6 @@ func TestNameIndependentRoutesById(t *testing.T) {
 	if ni.DirectoryRounds != g.N()+d {
 		t.Fatalf("directory rounds %d, want n+D = %d", ni.DirectoryRounds, g.N()+d)
 	}
-	if ni.TotalRounds() <= sch.Rounds.Total {
-		t.Fatal("directory must add rounds")
-	}
 	if ni.TableWords(0) <= sch.TableWords(0) {
 		t.Fatal("directory must add storage")
 	}

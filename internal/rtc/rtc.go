@@ -209,8 +209,8 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 	}
 
 	// 4. Skeleton graph and spanner.
-	if err := sch.buildSkeletonGraph(); err != nil {
-		return nil, err
+	if sch.H, err = sch.B.SkeletonOverlay(sch.Skeleton, sch.SkelIndex); err != nil {
+		return nil, fmt.Errorf("rtc: skeleton graph: %w", err)
 	}
 	sch.Span, err = spanner.BaswanaSen(sch.H, p.K, rng)
 	if err != nil {
@@ -247,59 +247,6 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 	sch.Rounds.Total = sch.Rounds.ShortRangePDE + sch.Rounds.SkeletonPDE +
 		sch.Rounds.Spanner + sch.Rounds.TreeLabeling
 	return sch, nil
-}
-
-// buildSkeletonGraph assembles H from the detected skeleton pairs: an edge
-// {s,t} whenever both endpoints detected each other (σ = |S| means
-// detection is mutual), weighted by the larger of the two rounded-up
-// estimates. Using the max keeps every skeleton node's own estimate at or
-// below the edge weight, which the long-range potential argument needs.
-func (sch *Scheme) buildSkeletonGraph() error {
-	b := graph.NewBuilder(len(sch.Skeleton))
-	type pair struct{ i, j int }
-	seen := make(map[pair]graph.Weight) // first direction's weight
-	both := make(map[pair]graph.Weight) // max of the two directions
-	for _, s := range sch.Skeleton {
-		i := sch.SkelIndex[s]
-		for _, e := range sch.B.Lists[s] {
-			if e.Src == s {
-				continue
-			}
-			j, ok := sch.SkelIndex[e.Src]
-			if !ok {
-				return fmt.Errorf("rtc: non-skeleton source %d in skeleton PDE", e.Src)
-			}
-			key := pair{min(i, j), max(i, j)}
-			w := graph.Weight(math.Ceil(e.Dist))
-			if w < 1 {
-				w = 1
-			}
-			if first, ok := seen[key]; ok {
-				both[key] = max(first, w)
-			} else {
-				seen[key] = w
-			}
-		}
-	}
-	keys := make([]pair, 0, len(both))
-	for k := range both {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a].i != keys[b].i {
-			return keys[a].i < keys[b].i
-		}
-		return keys[a].j < keys[b].j
-	})
-	for _, k := range keys {
-		b.AddEdge(k.i, k.j, both[k])
-	}
-	var err error
-	sch.H, err = b.Build()
-	if err != nil {
-		return fmt.Errorf("rtc: skeleton graph: %w", err)
-	}
-	return nil
 }
 
 // nearestSkeleton returns s'_v: the skeleton node minimizing

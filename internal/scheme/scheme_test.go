@@ -262,12 +262,8 @@ func TestCompactInstanceMatchesLegacyScheme(t *testing.T) {
 		if out[i].Est.Dist != d {
 			t.Fatalf("query (%d,%d): instance dist %g != legacy %g", q.V, q.S, out[i].Est.Dist, d)
 		}
-		next, herr := legacy.FirstHop(int(q.V), dst)
-		wantVia := int32(-1)
-		if herr == nil {
-			wantVia = int32(next)
-		}
-		if out[i].Est.Via != wantVia {
+		// Hop is -1 when no first forwarding hop exists.
+		if wantVia := legacy.Answer(int(q.V), dst).Hop; out[i].Est.Via != wantVia {
 			t.Fatalf("query (%d,%d): instance via %d != legacy %d", q.V, q.S, out[i].Est.Via, wantVia)
 		}
 	}

@@ -34,16 +34,10 @@ type routeCacheEntry struct {
 }
 
 func newRouteCache(capacity int) *routeCache {
-	if capacity <= 0 {
-		return nil
-	}
 	return &routeCache{cap: capacity, ll: list.New(), m: make(map[routeCacheKey]*list.Element, capacity)}
 }
 
 func (c *routeCache) get(k routeCacheKey) (*core.Route, bool) {
-	if c == nil {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[k]
@@ -55,9 +49,6 @@ func (c *routeCache) get(k routeCacheKey) (*core.Route, bool) {
 }
 
 func (c *routeCache) put(k routeCacheKey, rt *core.Route) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[k]; ok {
@@ -74,9 +65,6 @@ func (c *routeCache) put(k routeCacheKey, rt *core.Route) {
 }
 
 func (c *routeCache) len() int {
-	if c == nil {
-		return 0
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

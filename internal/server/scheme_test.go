@@ -97,8 +97,8 @@ func buildLegacyPath(t *testing.T, sp Spec) legacyPath {
 				if v == int(s) {
 					return v, true
 				}
-				next, err := sch.FirstHop(v, sch.Labels[s])
-				return next, err == nil
+				hop := sch.Answer(v, sch.Labels[s]).Hop
+				return int(hop), hop >= 0
 			},
 			route: func(v int, s int32) (*core.Route, error) {
 				rt, err := sch.Route(v, sch.Labels[s])

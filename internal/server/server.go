@@ -64,27 +64,16 @@ import (
 	"pde/internal/wire"
 )
 
-// Config tunes the serving layer. The zero value gets sensible defaults.
+// Config tunes the serving layer. The zero value gets the default.
 type Config struct {
 	// MaxBatch is the largest number of queries (or route pairs) one
-	// request may carry; bigger bodies are rejected with 413.
+	// request may carry (default 65536); bigger bodies are rejected with
+	// 413.
 	MaxBatch int
-	// Workers is the AnswerInto fan-out per request (0 = GOMAXPROCS).
-	Workers int
-	// RouteCacheSize is the per-shard LRU capacity for expanded routes;
-	// < 0 disables the cache.
-	RouteCacheSize int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 65536
-	}
-	if c.RouteCacheSize == 0 {
-		c.RouteCacheSize = 4096
-	}
-	return c
-}
+// routeCacheSize is the per-shard LRU capacity for expanded routes.
+const routeCacheSize = 4096
 
 // Server is the sharded query daemon. It implements http.Handler; wrap it
 // in an http.Server (cmd/pde-serve) or httptest.Server (tests, bench).
@@ -152,7 +141,9 @@ func assemble(cfg Config, shards []namedShard) (*Server, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("server: at least one shard is required")
 	}
-	cfg = cfg.withDefaults()
+	if cfg.MaxBatch <= 0 {
+		cfg.MaxBatch = wire.DefaultMaxBatch
+	}
 	s := &Server{cfg: cfg, slots: make(map[string]*slot, len(shards)), start: time.Now()}
 	for _, p := range shards {
 		if p.name == "" {
@@ -161,7 +152,7 @@ func assemble(cfg Config, shards []namedShard) (*Server, error) {
 		if _, dup := s.slots[p.name]; dup {
 			return nil, fmt.Errorf("server: duplicate shard %q", p.name)
 		}
-		sl := &slot{name: p.name, cache: newRouteCache(cfg.RouteCacheSize)}
+		sl := &slot{name: p.name, cache: newRouteCache(routeCacheSize)}
 		sl.swap(p.sh)
 		s.slots[p.name] = sl
 		s.names = append(s.names, p.name)
@@ -449,7 +440,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, kind wire.F
 		return
 	}
 	answers := make([]oracle.Answer, len(qs))
-	sh.AnswerInto(qs, answers, s.cfg.Workers)
+	sh.AnswerInto(qs, answers, 0) // 0 workers = GOMAXPROCS
 	sl.stats.recordBatch(1, len(qs))
 	sl.stats.countPoint(kind, len(qs))
 

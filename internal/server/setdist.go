@@ -160,7 +160,7 @@ func (s *Server) handleSetDist(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	res, err := setdist.Eval(sh.inst, a, b, setdist.Options{Naive: naive, Workers: s.cfg.Workers})
+	res, err := setdist.Eval(sh.inst, a, b, setdist.Options{Naive: naive})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", "set-distance evaluation: %v", err)
 		return

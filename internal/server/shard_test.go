@@ -136,7 +136,7 @@ func TestNewBuildsFromSpecs(t *testing.T) {
 	}
 }
 
-// TestRouteCacheLRU pins the eviction order and the disabled mode.
+// TestRouteCacheLRU pins the eviction order.
 func TestRouteCacheLRU(t *testing.T) {
 	c := newRouteCache(2)
 	k := func(i int32) routeCacheKey { return routeCacheKey{fp: "fp", v: i, s: i} }
@@ -160,18 +160,6 @@ func TestRouteCacheLRU(t *testing.T) {
 	c.put(k(1), rtB)
 	if got, _ := c.get(k(1)); got != rtB {
 		t.Fatal("put did not overwrite the existing entry")
-	}
-
-	var disabled *routeCache // capacity <= 0 disables
-	if newRouteCache(0) != nil || newRouteCache(-5) != nil {
-		t.Fatal("non-positive capacity must disable the cache")
-	}
-	disabled.put(k(9), rtA)
-	if _, ok := disabled.get(k(9)); ok {
-		t.Fatal("disabled cache returned a hit")
-	}
-	if disabled.len() != 0 {
-		t.Fatal("disabled cache has a length")
 	}
 }
 

@@ -7,19 +7,14 @@ import (
 	"pde/internal/wire"
 )
 
-// This file adapts the daemon to the PDE2 raw-TCP protocol
+// This file is the daemon's side of the PDE2 raw-TCP protocol
 // (internal/wire): the wire listener serves exactly the slots the HTTP
 // endpoints serve, through the same atomic hot-swap snapshots and into
 // the same stats counters, so the two transports cannot diverge on
 // semantics — only on overhead.
 
-// Snapshot side: a *shard is one immutable table generation.
-
 // NodeCount bounds valid query ids for this generation.
 func (sh *shard) NodeCount() int32 { return int32(sh.g.N()) }
-
-// FingerprintRaw is the raw build fingerprint PDE2 answer frames stamp.
-func (sh *shard) FingerprintRaw() uint64 { return sh.fpRaw }
 
 // AnswerInto serves a validated batch from this generation's tables.
 //
@@ -29,62 +24,71 @@ func (sh *shard) AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int)
 }
 
 // sortedAnswerer is the scheme-level sorted-batch capability; only the
-// oracle backend implements it today.
+// oracle backend implements it today (its galloping row walk).
 type sortedAnswerer interface {
 	AnswerSorted(qs []oracle.Query, out []oracle.Answer)
 }
 
-// AnswerSorted serves a (v, s)-ascending batch through the generation's
-// sorted-aware path when its scheme has one (the oracle backend's
-// galloping row walk); rtc and compact generations report false and the
-// wire layer falls back to AnswerInto.
-//
-//pde:hotpath
-func (sh *shard) AnswerSorted(qs []oracle.Query, out []oracle.Answer) bool {
-	sa, ok := sh.inst.(sortedAnswerer)
+// wireConn is the daemon's wire.Handler: one PDE2 connection and the
+// slot it is bound to.
+type wireConn struct {
+	s  *Server
+	sl *slot
+}
+
+// WireHandler opens the handler of one accepted PDE2 connection.
+func (s *Server) WireHandler() wire.Handler { return &wireConn{s: s} }
+
+func (c *wireConn) Close() {}
+
+// Bind resolves a Bind frame's shard name to its serving slot.
+func (c *wireConn) Bind(name string) (int32, uint64, *wire.RemoteError) {
+	sl, ok := c.s.slots[name]
 	if !ok {
-		return false
+		return 0, 0, &wire.RemoteError{Code: wire.ErrCodeUnknownShard,
+			Message: "no shard named " + name + " (have " + strings.Join(c.s.names, ", ") + ")"}
 	}
-	sa.AnswerSorted(qs, out)
-	return true
+	c.sl = sl
+	sh := sl.load()
+	return sh.NodeCount(), sh.fpRaw, nil
 }
 
-// Shard side: a *slot is the long-lived serving slot behind a name.
-
-// Snapshot loads the current table generation. The pointer conversion to
-// the interface is allocation-free, which the wire path's zero-alloc
-// guarantee depends on.
+// Answer serves one frame. The one generation loaded up front validates
+// the ids, answers them and stamps the reply, so the frame is coherent
+// across concurrent hot-swaps. Each connection is its own pipeline lane,
+// so the batch is answered by one worker — the allocation-free path —
+// and a table-ordered batch goes through the scheme's sorted-aware path
+// when it has one (which buys speed, never semantics).
 //
 //pde:hotpath
-func (sl *slot) Snapshot() wire.Snapshot { return sl.load() }
-
-// ObserveWire feeds the serving counters after a wire frame is answered.
-// Point lookups land in the same per-endpoint counters HTTP requests use
-// (countPoint); wireFrames/wireQueries additionally break out the PDE2
-// share. All counters are atomic — the wire path runs one goroutine per
-// connection with no handler serialization, so any non-atomic read or
-// write here would be a race under -race churn.
-//
-//pde:hotpath
-func (sl *slot) ObserveWire(t wire.FrameType, queries int) {
-	sl.stats.countPoint(t, queries)
-	sl.stats.wireFrames.Add(1)
-	sl.stats.wireQueries.Add(int64(queries))
-}
-
-// Backend side: the *Server resolves shard names for Bind frames.
-
-// WireShard resolves a Bind frame's shard name to its serving slot.
-func (s *Server) WireShard(name string) (wire.Shard, bool) {
-	sl, ok := s.slots[name]
-	if !ok {
-		return nil, false
+func (c *wireConn) Answer(b *wire.Batch) (uint64, *wire.RemoteError) {
+	sh := c.sl.load()
+	qs, sorted, refusal := b.InOrder(sh.NodeCount())
+	if refusal != nil {
+		return 0, refusal
 	}
-	return sl, true
+	if sa, ok := sh.inst.(sortedAnswerer); sorted && ok {
+		sa.AnswerSorted(qs, b.Out)
+	} else {
+		sh.inst.AnswerInto(qs, b.Out, 1)
+	}
+	if b.Type == wire.FrameNextHop {
+		for i, q := range qs {
+			b.Hops[i] = wire.DeriveHop(q, b.Out[i])
+		}
+	}
+	// Count before the reply is written, as the HTTP handler does: a client
+	// that reads /v1/stats the moment its answer arrives must find the
+	// frame counted. Point lookups land in the same per-endpoint counters
+	// HTTP requests use; wireFrames/wireQueries break out the PDE2 share.
+	// All counters are atomic: the wire path runs one goroutine per
+	// connection with no handler serialization.
+	st := &c.sl.stats
+	st.countPoint(b.Type, len(qs))
+	st.wireFrames.Add(1)
+	st.wireQueries.Add(int64(len(qs)))
+	return sh.fpRaw, nil
 }
-
-// WireShardNames lists the shard inventory for unknown-shard errors.
-func (s *Server) WireShardNames() string { return strings.Join(s.names, ", ") }
 
 // SetWireAddr records the bound PDE2 listener address so /v1/stats (and
 // through it pde-query -codec wire and the cluster coordinator) can

@@ -467,21 +467,19 @@ func TestChurnWireAllQueryTypesUnderRebuilds(t *testing.T) {
 func TestAllocsPerRunWireOracleServe(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 
-	qs := make([]oracle.Query, 256)
-	out := make([]oracle.Answer, 256)
-	hops := make([]Hop, 256)
-	rng := uint32(7)
-	for i := range qs {
-		rng = rng*1664525 + 1013904223
-		qs[i] = oracle.Query{V: int32(rng % 32), S: int32((rng >> 8) % 32)}
-	}
-
-	for name, cfg := range map[string]wire.Config{
-		"direct": {SortThreshold: -1},
-		"sorted": {SortThreshold: 64},
-	} {
+	// The locality sort is selected by frame size (1024 queries and up):
+	// one frame size either side of it covers both paths.
+	for name, count := range map[string]int{"direct": 256, "sorted": 2048} {
 		t.Run(name, func(t *testing.T) {
-			ws := startWire(t, srv, cfg)
+			qs := make([]oracle.Query, count)
+			out := make([]oracle.Answer, count)
+			hops := make([]Hop, count)
+			rng := uint32(7)
+			for i := range qs {
+				rng = rng*1664525 + 1013904223
+				qs[i] = oracle.Query{V: int32(rng % 32), S: int32((rng >> 8) % 32)}
+			}
+			ws := startWire(t, srv, wire.Config{})
 			c := dialWire(t, ws.Addr(), "main")
 			for i := 0; i < 3; i++ {
 				if _, err := c.Estimate(qs, out); err != nil {

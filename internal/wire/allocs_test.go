@@ -57,13 +57,13 @@ func TestAllocsPerRunWireConn(t *testing.T) {
 
 func TestAllocsPerRunWireSortedPath(t *testing.T) {
 	// Same guard with the frame-local locality sort engaged (count >=
-	// SortThreshold): the sort scratch lives in the arena, so sorting
+	// sortThreshold): the sort scratch lives in the arena, so sorting
 	// must not cost allocations either.
 	be := fakeBackend{"alpha": newFakeShard(512, 0xfeed)}
-	s := startServer(t, be, Config{SortThreshold: 64})
+	s := startServer(t, be, Config{})
 	c := dialBound(t, s.Addr(), "alpha")
 
-	const per = 512
+	const per = 2 * sortThreshold
 	qs := make([]oracle.Query, per)
 	out := make([]oracle.Answer, per)
 	rng := uint32(99)

@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -23,9 +21,6 @@ type fakeSnap struct {
 	n  int32
 	fp uint64
 }
-
-func (s *fakeSnap) NodeCount() int32       { return s.n }
-func (s *fakeSnap) FingerprintRaw() uint64 { return s.fp }
 
 // AnswerInto answers deterministically per (v, s, fp): dist encodes all
 // three so a mis-routed or torn answer is detectable, and v == s is a
@@ -51,22 +46,45 @@ type fakeShard struct {
 	queries atomic.Int64
 }
 
-func (sh *fakeShard) Snapshot() Snapshot { return sh.snap.Load() }
-func (sh *fakeShard) ObserveWire(t FrameType, n int) {
-	sh.frames.Add(1)
-	sh.queries.Add(int64(n))
-}
-
 type fakeBackend map[string]*fakeShard
 
-func (b fakeBackend) WireShard(name string) (Shard, bool) {
-	sh, ok := b[name]
-	if !ok {
-		return nil, false
-	}
-	return sh, true
+func (b fakeBackend) WireHandler() Handler { return &fakeConn{be: b} }
+
+// fakeConn is the Handler a daemon would implement: one generation loaded
+// per frame validates, answers and stamps it.
+type fakeConn struct {
+	be fakeBackend
+	sh *fakeShard
 }
-func (b fakeBackend) WireShardNames() string { return "alpha, beta" }
+
+func (c *fakeConn) Close() {}
+
+func (c *fakeConn) Bind(name string) (int32, uint64, *RemoteError) {
+	sh, ok := c.be[name]
+	if !ok {
+		return 0, 0, &RemoteError{Code: ErrCodeUnknownShard, Message: "no shard named " + name}
+	}
+	c.sh = sh
+	snap := sh.snap.Load()
+	return snap.n, snap.fp, nil
+}
+
+func (c *fakeConn) Answer(b *Batch) (uint64, *RemoteError) {
+	snap := c.sh.snap.Load()
+	qs, _, refusal := b.InOrder(snap.n)
+	if refusal != nil {
+		return 0, refusal
+	}
+	snap.AnswerInto(qs, b.Out, 1)
+	if b.Type == FrameNextHop {
+		for i, q := range qs {
+			b.Hops[i] = DeriveHop(q, b.Out[i])
+		}
+	}
+	c.sh.frames.Add(1)
+	c.sh.queries.Add(int64(len(qs)))
+	return snap.fp, nil
+}
 
 func newFakeShard(n int32, fp uint64) *fakeShard {
 	sh := &fakeShard{}
@@ -292,198 +310,52 @@ func TestBindEstimateNextHop(t *testing.T) {
 }
 
 func TestSortedPathMatchesUnsorted(t *testing.T) {
-	// Above the sort threshold the server answers in table order and
-	// scatters back; the frame must be byte-for-byte what the unsorted
-	// path produces. Run the same batch through a sorting server and a
-	// sort-disabled server and compare.
+	// At sortThreshold queries and above the server answers in table order
+	// and scatters back; the answers must be exactly what the unsorted
+	// path produces. Send one batch as a single frame above the threshold
+	// and again in frames below it, and compare.
 	be := fakeBackend{"alpha": newFakeShard(512, 0x5eed)}
-	sorted := startServer(t, be, Config{SortThreshold: 4})
-	plain := startServer(t, be, Config{SortThreshold: -1})
+	s := startServer(t, be, Config{})
+	c := dialBound(t, s.Addr(), "alpha")
 
-	qs := make([]oracle.Query, 301)
+	const chunk = sortThreshold / 2
+	qs := make([]oracle.Query, 2*sortThreshold+chunk/2)
 	rng := uint32(0x12345)
 	for i := range qs {
 		rng = rng*1664525 + 1013904223
 		qs[i] = oracle.Query{V: int32(rng % 512), S: int32((rng >> 9) % 512)}
 	}
-	c1 := dialBound(t, sorted.Addr(), "alpha")
-	c2 := dialBound(t, plain.Addr(), "alpha")
 	o1 := make([]oracle.Answer, len(qs))
 	o2 := make([]oracle.Answer, len(qs))
-	fp1, err := c1.Estimate(qs, o1)
+	h1 := make([]Hop, len(qs))
+	h2 := make([]Hop, len(qs))
+	fp1, err := c.Estimate(qs, o1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp2, err := c2.Estimate(qs, o2)
-	if err != nil {
+	if _, err := c.NextHop(qs, h1); err != nil {
 		t.Fatal(err)
 	}
-	if fp1 != fp2 {
-		t.Fatalf("fingerprints differ: %#x vs %#x", fp1, fp2)
+	for lo := 0; lo < len(qs); lo += chunk {
+		hi := min(lo+chunk, len(qs))
+		fp2, err := c.Estimate(qs[lo:hi], o2[lo:hi])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fp1 != fp2 {
+			t.Fatalf("fingerprints differ: %#x vs %#x", fp1, fp2)
+		}
+		if _, err := c.NextHop(qs[lo:hi], h2[lo:hi]); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for i := range o1 {
 		if o1[i] != o2[i] {
 			t.Fatalf("answer %d differs between sorted and unsorted paths: %+v vs %+v", i, o1[i], o2[i])
 		}
-	}
-	h1 := make([]Hop, len(qs))
-	h2 := make([]Hop, len(qs))
-	if _, err := c1.NextHop(qs, h1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c2.NextHop(qs, h2); err != nil {
-		t.Fatal(err)
-	}
-	for i := range h1 {
 		if h1[i] != h2[i] {
 			t.Fatalf("hop %d differs between sorted and unsorted paths", i)
 		}
-	}
-}
-
-func TestErrorFrames(t *testing.T) {
-	be := fakeBackend{"alpha": newFakeShard(8, 1)}
-	s := startServer(t, be, Config{MaxBatch: 16})
-
-	t.Run("unknown shard", func(t *testing.T) {
-		c, err := Dial(s.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		_, _, err = c.Bind("nope")
-		var re *RemoteError
-		if !errors.As(err, &re) || re.Code != ErrCodeUnknownShard {
-			t.Fatalf("err = %v, want unknown_shard", err)
-		}
-		// Non-fatal: the connection still binds.
-		if _, _, err := c.Bind("alpha"); err != nil {
-			t.Fatalf("rebind after unknown shard: %v", err)
-		}
-	})
-
-	t.Run("not bound", func(t *testing.T) {
-		c, err := Dial(s.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		qs := []oracle.Query{{V: 1, S: 2}}
-		_, err = c.Estimate(qs, make([]oracle.Answer, 1))
-		var re *RemoteError
-		if !errors.As(err, &re) || re.Code != ErrCodeNotBound {
-			t.Fatalf("err = %v, want not_bound", err)
-		}
-	})
-
-	t.Run("out of range keeps connection", func(t *testing.T) {
-		c := dialBound(t, s.Addr(), "alpha")
-		qs := []oracle.Query{{V: 99, S: 2}}
-		_, err := c.Estimate(qs, make([]oracle.Answer, 1))
-		var re *RemoteError
-		if !errors.As(err, &re) || re.Code != ErrCodeOutOfRange {
-			t.Fatalf("err = %v, want out_of_range", err)
-		}
-		qs[0] = oracle.Query{V: 1, S: 2}
-		if _, err := c.Estimate(qs, make([]oracle.Answer, 1)); err != nil {
-			t.Fatalf("estimate after out_of_range: %v", err)
-		}
-	})
-
-	t.Run("too large", func(t *testing.T) {
-		c := dialBound(t, s.Addr(), "alpha")
-		qs := make([]oracle.Query, 17)
-		for i := range qs {
-			qs[i] = oracle.Query{V: 1, S: 2}
-		}
-		_, err := c.Estimate(qs, make([]oracle.Answer, len(qs)))
-		var re *RemoteError
-		// 17 queries exceed MaxBatch=16; the payload itself is above the
-		// frame limit, which is the fatal bad_frame rejection.
-		if !errors.As(err, &re) || (re.Code != ErrCodeTooLarge && re.Code != ErrCodeBadFrame) {
-			t.Fatalf("err = %v, want too_large/bad_frame", err)
-		}
-	})
-}
-
-// TestMalformedFrames drives raw bytes at the server — the transport
-// mirror of the HTTP codec's malformed-frame matrix. Every case must be
-// answered with a fatal Error frame (or a clean close), never a hang or
-// a panic.
-func TestMalformedFrames(t *testing.T) {
-	be := fakeBackend{"alpha": newFakeShard(8, 1)}
-	s := startServer(t, be, Config{MaxBatch: 16})
-
-	frame := func(t FrameType, corr uint64, payload []byte) []byte {
-		buf := make([]byte, HeaderSize+len(payload))
-		PutHeader(buf, t, corr, len(payload))
-		copy(buf[HeaderSize:], payload)
-		return buf
-	}
-	cases := []struct {
-		name string
-		bind bool // send a valid Bind first (query frames need a bound shard)
-		raw  []byte
-	}{
-		{"bad magic", false, []byte("NOPE0123456789abcdef")},
-		{"nonzero flags", false, func() []byte {
-			b := frame(FramePing, 1, nil)
-			b[5] = 1
-			return b
-		}()},
-		{"unknown type", false, frame(FrameType(0x55), 1, nil)},
-		{"lying length prefix", false, func() []byte {
-			b := frame(FrameEstimate, 1, make([]byte, 12))
-			binary.LittleEndian.PutUint32(b[16:20], 1<<30) // header promises 1 GiB
-			return b[:HeaderSize]
-		}()},
-		{"count mismatch", true, func() []byte {
-			payload := make([]byte, 4+8)              // one record...
-			binary.LittleEndian.PutUint32(payload, 2) // ...claiming two
-			return frame(FrameEstimate, 2, payload)
-		}()},
-		{"empty bind", false, frame(FrameBind, 1, nil)},
-		{"truncated estimate payload", true, frame(FrameEstimate, 2, []byte{1, 0})},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			nc, err := net.Dial("tcp", s.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nc.Close()
-			if tc.bind {
-				if _, err := nc.Write(frame(FrameBind, 1, []byte("alpha"))); err != nil {
-					t.Fatal(err)
-				}
-				bound := make([]byte, HeaderSize+BoundPayloadLen)
-				if _, err := io.ReadFull(nc, bound); err != nil {
-					t.Fatalf("reading Bound reply: %v", err)
-				}
-			}
-			if _, err := nc.Write(tc.raw); err != nil {
-				t.Fatal(err)
-			}
-			// The server must close the connection (after an optional
-			// Error frame); a bounded read must terminate.
-			buf, err := io.ReadAll(io.LimitReader(nc, 1<<16))
-			if err != nil {
-				t.Fatalf("read: %v", err)
-			}
-			if len(buf) > 0 {
-				tt, _, plen, perr := ParseHeader(buf)
-				if perr != nil || tt != FrameError {
-					t.Fatalf("reply is not an Error frame: % x", buf[:min(len(buf), 24)])
-				}
-				code, _, perr := ParseErrorPayload(buf[HeaderSize : HeaderSize+int(plen)])
-				if perr != nil {
-					t.Fatal(perr)
-				}
-				if code != ErrCodeBadFrame {
-					t.Fatalf("code = %d, want bad_frame", code)
-				}
-			}
-		})
 	}
 }
 
