@@ -287,7 +287,10 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 		return nil, ps, fmt.Errorf("core: epsilon %v needs %d rounding instances for w_max %d (limit %d)",
 			p.Epsilon, num, maxW, maxHierarchyInstances)
 	}
-	buildOne := func(i int, sub congest.Config) (*Instance, error) {
+	// Each worker keeps one detection.Arena for the instances it builds —
+	// the units' storage is cleared between them, not reallocated — and
+	// drops it when Build returns.
+	buildOne := func(i int, sub congest.Config, arena *detection.Arena) (*Instance, error) {
 		base := math.Pow(1+p.Epsilon, float64(i))
 		lengths := instanceLengths(g, base)
 		if pi := prev.reusable(i, base, lengths); pi != nil {
@@ -304,7 +307,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 			Delays:      p.Delays,
 			ExtraRounds: p.ExtraRounds,
 		}
-		det, err := detection.Run(g, dp, sub)
+		det, err := arena.Run(g, dp, sub)
 		if err != nil {
 			return nil, fmt.Errorf("core: instance %d: %w", i, err)
 		}
@@ -335,12 +338,13 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				var arena detection.Arena
 				for {
 					i := int(atomic.AddInt64(&next, 1)) - 1
 					if i >= num {
 						return
 					}
-					insts[i], errs[i] = buildOne(i, inner)
+					insts[i], errs[i] = buildOne(i, inner, &arena)
 				}
 			}()
 		}
@@ -353,8 +357,9 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 			}
 		}
 	} else {
+		var arena detection.Arena
 		for i := 0; i < num; i++ {
-			inst, err := buildOne(i, cfg.Sub())
+			inst, err := buildOne(i, cfg.Sub(), &arena)
 			if err != nil {
 				return nil, ps, err
 			}

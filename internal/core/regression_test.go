@@ -154,3 +154,21 @@ func TestRouteStretchZeroExact(t *testing.T) {
 		t.Fatalf("Stretch(4) with weight 6 = %v, want 1.5", s)
 	}
 }
+
+// TestLargeSigmaThroughRun is detection's TestLargeSigmaCapDoesNotWrap
+// seen from here: with the message cap computed in 32 bits, σ ≥ 46 341
+// silenced every unit of every instance and Run returned each node only
+// itself, with no error.
+func TestLargeSigmaThroughRun(t *testing.T) {
+	g := graph.Path(3, 4, rand.New(rand.NewSource(1)))
+	p := Params{IsSource: []bool{true, true, true}, H: 3, Sigma: 50000, Epsilon: 0.5, CapMessages: true}
+	res, err := Run(g, p, congest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v, l := range res.Lists {
+		if len(l) != 3 {
+			t.Fatalf("node %d holds %d estimates, want 3: %+v", v, len(l), l)
+		}
+	}
+}

@@ -8,17 +8,19 @@
 // endpoints (each owns its half), and only the emission that crosses the
 // midpoint of the line is charged as a real CONGEST message — exactly the
 // simulation the paper's round accounting assumes. Relay cells run the same
-// detection logic as real nodes. A node lays all the cells it owns out in
-// one slab when the run starts, but a round only visits the stretch of each
-// line where something was announced or is waiting to be, so an idle cell
-// costs memory and no time. Edges with ℓ(e) > h are excluded: no source
-// within h virtual hops can be detected through them, so outputs are
-// unchanged.
+// detection logic as real nodes, except that a cell hands a pair on only
+// away from where it came from. All cells of a run are laid out in one
+// Arena before it starts, but a round only visits the cells of each line
+// that announced something or are waiting to, so an idle cell costs memory
+// and no time. Edges with ℓ(e) > h are excluded: no source within h
+// virtual hops can be detected through them, so outputs are unchanged.
 package detection
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"pde/internal/congest"
@@ -129,19 +131,50 @@ func (m *pairMsg) Bits() int {
 	return 8 + bits.Len32(uint32(m.dist)) + bits.Len32(uint32(m.src))
 }
 
-// entry is a unit's knowledge about one source.
-type entry struct {
-	dist int32
-	src  int32
-	via  int32
-	flag uint8
-	sent bool // announced at the current dist; an improvement clears it
-}
+// A unit's knowledge about one source is one word, its key:
+//
+//	dist<<33 | src<<2 | high<<1 | sent
+//
+// A list holds a source once, so two keys of one list differ above the two
+// flag bits and comparing the words compares (dist, src): the rank, the
+// full-list test and the source scan are single-word compares. sent says
+// the pair was announced at its current dist (an improvement clears it).
+// high is for relay cells: the pair arrived from the far side of the line
+// (cell j+1, or across the real edge for the boundary cell) rather than
+// from the side of the node that owns the cell. The source's flag bits are
+// not stored: they are Params.Flags[src] wherever the pair travels. The
+// next hop (Via) is kept for real nodes only, in nodeProc.via.
+const (
+	sentBit   uint64 = 1 << 0
+	highBit   uint64 = 1 << 1
+	srcShift         = 2
+	distShift        = 33
+	srcBits   uint64 = (1<<31 - 1) << srcShift
+)
 
-// reserveEntries bounds the list capacity every unit is handed from its
-// node's slab in Init. With σ ≤ reserveEntries a list never reallocates;
-// a longer one (APSP has σ = n) doubles from here in unit.grow, so relay
-// cells that stay short never pay for σ slots.
+// pack returns the key of (d, s) with both flags clear.
+//
+//pde:hotpath
+func pack(d, s int32) uint64 { return uint64(d)<<distShift | uint64(s)<<srcShift }
+
+// keyDist and keySrc take a key apart again.
+//
+//pde:hotpath
+func keyDist(k uint64) int32 { return int32(k >> distShift) }
+
+//pde:hotpath
+func keySrc(k uint64) int32 { return int32((k & srcBits) >> srcShift) }
+
+// hop returns what a neighbour is told when k is announced: the same
+// source one hop further, flags clear.
+//
+//pde:hotpath
+func hop(k uint64) uint64 { return (k + 1<<distShift) &^ (sentBit | highBit) }
+
+// reserveEntries bounds the list window every unit is handed from the
+// arena. With σ ≤ reserveEntries a list never moves; a longer one (APSP
+// has σ = n) doubles from here in nodeProc.grow, so relay cells that stay
+// short never pay for σ slots.
 const reserveEntries = 16
 
 // shortScan is the list length up to which looking a source up by walking
@@ -149,17 +182,25 @@ const reserveEntries = 16
 const shortScan = 32
 
 // unit is one node of the virtual graph: either a real node or a relay
-// cell on a subdivided edge. Entries are kept sorted by (dist, src) and
-// capped at σ: an entry crowded out of the top σ can, by the domination
-// argument behind Lemma 3.4, never matter to this unit's neighbors.
+// cell on a subdivided edge. Its list — keys[off : off+n] of the owning
+// node's slab, in a window of cap words — is kept sorted and capped at σ:
+// an entry crowded out of the top σ can, by the domination argument behind
+// Lemma 3.4, never matter to this unit's neighbors. A unit holds no
+// pointer, so the cell slab is nothing the garbage collector scans.
 type unit struct {
-	entries  []entry
-	scanFrom int32
-	sentCnt  int32
-	emit     pairMsg // last emitPhase's announcement, valid while hasEmit
-	hasEmit  bool
-	idx      *srcIndex // nil until the list outgrows shortScan
-	fifo     []int32
+	off, n, cap int32
+	scanFrom    int32
+	sentCnt     int32
+	ext         int32  // 1 + the unit's index in nodeProc.exts; 0: it has none
+	emit        uint64 // the key last emitPhase announced, if it announced
+}
+
+// unitExt is what few units need: a source index once the list is long,
+// an arrival queue under FIFO. A relay cell with a short list under the
+// paper's rule never has one.
+type unitExt struct {
+	idx  srcIndex // no slots until the list outgrows shortScan
+	fifo []int32
 }
 
 // srcIndex maps a source to the distance its entry holds in one unit's
@@ -194,46 +235,14 @@ func (x *srcIndex) slot(s int32) *idxSlot {
 	}
 }
 
-// reindex rebuilds u's index from its list, at a quarter load or less.
-func (u *unit) reindex() {
-	want := 4 * shortScan
-	for want < 4*len(u.entries) {
-		want <<= 1
-	}
-	if u.idx == nil {
-		u.idx = &srcIndex{}
-	}
-	x := u.idx
-	if len(x.slots) < want {
-		x.slots = make([]idxSlot, want)
-		x.log2 = uint8(bits.TrailingZeros(uint(want)))
-	} else {
-		clear(x.slots)
-	}
-	x.used = len(u.entries)
-	for i := range u.entries {
-		*x.slot(u.entries[i].src) = idxSlot{key: u.entries[i].src + 1, dist: u.entries[i].dist}
-	}
-}
-
-// grow doubles the list's capacity, up to σ.
-func (u *unit) grow(sigma int) {
-	grown := make([]entry, len(u.entries), min(2*cap(u.entries), sigma))
-	copy(grown, u.entries)
-	u.entries = grown
-}
-
-// enqueue records a changed source in FIFO arrival order.
-func (u *unit) enqueue(s int32) { u.fifo = append(u.fifo, s) }
-
-// rank returns how many of the first n entries sort before (d, s).
+// rank returns how many keys of the sorted l are below key.
 //
 //pde:hotpath
-func (u *unit) rank(d, s int32, n int) int {
+func rank(l []uint64, key uint64) int {
 	lo := 0
-	for hi := n; lo < hi; {
+	for hi := len(l); lo < hi; {
 		m := int(uint(lo+hi) >> 1)
-		if e := &u.entries[m]; e.dist < d || (e.dist == d && e.src < s) {
+		if l[m] < key {
 			lo = m + 1
 		} else {
 			hi = m
@@ -242,186 +251,24 @@ func (u *unit) rank(d, s int32, n int) int {
 	return lo
 }
 
-// insert merges a received pair (already incremented for the hop) and
-// reports whether anything changed. The tests run cheapest first: the hop
-// bound, then a full list's last key, and only then the search for the
-// source's present entry.
-//
-//pde:hotpath
-func (u *unit) insert(d, s, via int32, flag uint8, sh *shared) bool {
-	if d > sh.h {
-		return false
-	}
-	n := len(u.entries)
-	if n == sh.sigma {
-		// Either s is held at ≤ d, or (d, s) ranks beyond σ.
-		if n == 0 {
-			return false
-		}
-		if last := &u.entries[n-1]; last.dist < d || (last.dist == d && last.src <= s) {
-			return false
-		}
-	}
-	// Locate an existing entry for s.
-	at := -1
-	var sl *idxSlot
-	if u.idx != nil {
-		if sl = u.idx.slot(s); sl.key != 0 {
-			if sl.dist <= d {
-				return false
-			}
-			if i := u.rank(sl.dist, s, n); i < n && u.entries[i].src == s {
-				at = i
-			}
-		}
-	} else {
-		for i := range u.entries {
-			if u.entries[i].src == s {
-				if u.entries[i].dist <= d {
-					return false
-				}
-				at = i
-				break
-			}
-		}
-	}
-	e := entry{dist: d, src: s, via: via, flag: flag}
-	if at >= 0 {
-		// Improvement: move the entry up to its new rank.
-		i := u.rank(d, s, at)
-		copy(u.entries[i+1:at+1], u.entries[i:at])
-		u.entries[i] = e
-		u.scanFrom = min(u.scanFrom, int32(i))
-	} else {
-		u.place(e, sh.sigma)
-	}
-	switch {
-	case sl != nil:
-		if sl.key == 0 {
-			u.idx.used++
-		}
-		*sl = idxSlot{key: s + 1, dist: d}
-		if 2*u.idx.used > len(u.idx.slots) {
-			u.reindex()
-		}
-	case len(u.entries) > shortScan:
-		u.reindex()
-	}
-	if sh.sched == FIFO {
-		u.enqueue(s)
-	}
-	return true
-}
-
-// place inserts a new source's entry at its sorted rank, which insert has
-// already shown to be below σ; a full list drops its last entry.
-//
-//pde:hotpath
-func (u *unit) place(e entry, sigma int) {
-	n := len(u.entries)
-	i := u.rank(e.dist, e.src, n)
-	if n < sigma {
-		if n == cap(u.entries) {
-			u.grow(sigma)
-		}
-		n++
-		u.entries = u.entries[:n]
-	}
-	copy(u.entries[i+1:n], u.entries[i:n-1])
-	u.entries[i] = e
-	u.scanFrom = min(u.scanFrom, int32(i))
-}
-
-// pickEmit selects this round's announcement into u.emit, if any.
-//
-//pde:hotpath
-func (u *unit) pickEmit(sh *shared) bool {
-	if u.sentCnt >= sh.capLimit {
-		return false
-	}
-	pick := -1
-	switch sh.sched {
-	case FIFO:
-		for pick < 0 && len(u.fifo) > 0 {
-			s := u.fifo[0]
-			u.fifo = u.fifo[1:]
-			for i := range u.entries {
-				if u.entries[i].src == s {
-					if !u.entries[i].sent { // else a stale queue entry
-						pick = i
-					}
-					break
-				}
-			}
-		}
-	case Priority:
-		// Announce the pending pair minimizing delay(src) + dist, the
-		// random-delay BFS order of [14].
-		var bestKey int64
-		for i := range u.entries {
-			e := &u.entries[i]
-			if e.sent {
-				continue
-			}
-			key := int64(e.dist)
-			if sh.p.Delays != nil {
-				key += int64(sh.p.Delays[e.src])
-			}
-			if pick < 0 || key < bestKey {
-				pick = i
-				bestKey = key
-			}
-		}
-	default: // LexSmallest
-		for i := int(u.scanFrom); i < len(u.entries); i++ {
-			if !u.entries[i].sent {
-				pick = i
-				break
-			}
-			if int32(i) == u.scanFrom {
-				u.scanFrom++
-			}
-		}
-	}
-	if pick < 0 {
-		return false
-	}
-	e := &u.entries[pick]
-	e.sent = true
-	u.sentCnt++
-	u.emit = pairMsg{dist: e.dist, src: e.src, flag: e.flag}
-	return true
-}
-
-// pending reports whether the unit still has unannounced work.
-//
-//pde:hotpath
-func (u *unit) pending(sh *shared) bool {
-	if u.sentCnt >= sh.capLimit {
-		return false
-	}
-	from := 0
-	switch sh.sched {
-	case FIFO:
-		return len(u.fifo) > 0
-	case LexSmallest:
-		from = int(u.scanFrom) // everything before it is announced
-	}
-	for i := from; i < len(u.entries); i++ {
-		if !u.entries[i].sent {
-			return true
-		}
-	}
-	return false
-}
-
 // shared is the run-wide immutable configuration all node procs read.
 type shared struct {
 	p        Params
 	sigma    int
-	h        int32
+	beyond   uint64 // pack(h+1, 0): a key at or past it is out of the hop bound
 	capLimit int32
 	sched    Scheduling
+}
+
+// msg is the wire form of an announced key.
+//
+//pde:hotpath
+func (sh *shared) msg(k uint64) pairMsg {
+	m := pairMsg{dist: keyDist(k), src: keySrc(k)}
+	if sh.p.Flags != nil {
+		m.flag = sh.p.Flags[m.src]
+	}
+	return m
 }
 
 // edgeSim is one real edge's virtual line as seen from one endpoint: the
@@ -429,78 +276,268 @@ type shared struct {
 // the boundary cell whose emission crosses the real edge.
 type edgeSim struct {
 	excluded bool
-	cells    []unit // a span of the node's cell slab
-	// [lo, hi) is the line's hot range: it covers every cell that emitted
-	// in the last emitPhase or still holds unannounced entries, plus every
-	// cell an insert has changed since. Cells outside it are idle — no
-	// emission to integrate, nothing to announce — and are not visited.
-	// Empty is lo = len(cells), hi = 0.
-	lo, hi int32
+	cells    []unit // a span of the arena's cell slab
+	// One bit per cell. emitting: the cell announced in the last emitPhase.
+	// hot: an insert has changed the cell since, or it still holds
+	// something unannounced. A cell in neither set is idle — no emission
+	// to integrate, nothing to announce — and is not visited.
+	emitting, hot []uint64
 	// wire double-buffers the boundary emission that crosses the real
 	// edge, indexed by round parity, so sends need no allocation.
 	wire [2]pairMsg
 }
 
-// touch widens the hot range to cell j.
+// touch marks cell j hot.
 //
 //pde:hotpath
-func (es *edgeSim) touch(j int) {
-	es.lo = min(es.lo, int32(j))
-	es.hi = max(es.hi, int32(j)+1)
-}
+func (es *edgeSim) touch(j int) { es.hot[j>>6] |= 1 << (j & 63) }
 
 type nodeProc struct {
-	sh   *shared
-	self unit
+	sh       *shared
+	self     unit
+	selfEmit bool // self announced in the last emitPhase
+	// keys is the list storage of self and every cell the node owns: its
+	// span of the arena, or the node's own wider copy once a list has
+	// outgrown its window.
+	keys []uint64
+	// via[i] is the real neighbor self's i-th entry arrived from.
+	via  []int32
+	exts []unitExt
 	// selfWire double-buffers self's emission for zero-cell edges.
 	selfWire [2]pairMsg
 	edges    []edgeSim
 }
 
-// Init lays the node's virtual units out in two slabs — one of cells, one
-// of list storage — so that a steady-state round allocates nothing.
-func (n *nodeProc) Init(ctx *congest.Ctx) {
-	v := ctx.Node()
+// list returns u's sorted keys.
+//
+//pde:hotpath
+func (n *nodeProc) list(u *unit) []uint64 { return n.keys[u.off:][:u.n] }
+
+// extOf returns u's unitExt, giving it one first if it has none. The
+// pointer is good until the next call.
+func (n *nodeProc) extOf(u *unit) *unitExt {
+	if u.ext == 0 {
+		n.exts = append(n.exts, unitExt{})
+		u.ext = int32(len(n.exts))
+	}
+	return &n.exts[u.ext-1]
+}
+
+// reindex rebuilds u's index from its list, at a quarter load or less.
+func (n *nodeProc) reindex(u *unit) {
+	l := n.list(u)
+	want := 4 * shortScan
+	for want < 4*len(l) {
+		want <<= 1
+	}
+	x := &n.extOf(u).idx
+	if len(x.slots) < want {
+		x.slots = make([]idxSlot, want)
+		x.log2 = uint8(bits.TrailingZeros(uint(want)))
+	} else {
+		clear(x.slots)
+	}
+	x.used = len(l)
+	for _, k := range l {
+		*x.slot(keySrc(k)) = idxSlot{key: keySrc(k) + 1, dist: keyDist(k)}
+	}
+}
+
+// grow moves u's list to a window of twice the capacity, up to σ, appended
+// to the node's slab. The first growth at a node copies its arena span
+// into a slab of its own (the span's capacity ends where the next node's
+// begins); the window left behind is not reused.
+func (n *nodeProc) grow(u *unit) {
+	c := min(2*int(u.cap), n.sh.sigma)
+	off := len(n.keys)
+	n.keys = slices.Grow(n.keys, c)[:off+c]
+	copy(n.keys[off:], n.list(u))
+	u.off, u.cap = int32(off), int32(c)
+	if u == &n.self {
+		n.via = append(make([]int32, 0, c), n.via...)[:c]
+	}
+}
+
+// enqueue records a changed source in FIFO arrival order.
+func (n *nodeProc) enqueue(u *unit, s int32) {
+	x := n.extOf(u)
+	x.fifo = append(x.fifo, s)
+}
+
+// insert merges a received key (already a hop further than it was
+// announced, sent clear) into u's list and reports whether anything
+// changed; via is recorded when u is the node's own unit. The tests run
+// cheapest first: the hop bound, then a full list's last key, and only
+// then the search for the source's present entry — which on a short list
+// is one walk that also counts the key's rank.
+//
+//pde:hotpath
+func (n *nodeProc) insert(u *unit, key uint64, via int32) bool {
 	sh := n.sh
-	n.edges = make([]edgeSim, ctx.Degree())
-	total := 0
-	for p, e := range ctx.Neighbors() {
-		length := int32(1)
-		if sh.p.Lengths != nil {
-			length = sh.p.Lengths[e.ID]
+	if key >= sh.beyond {
+		return false
+	}
+	l := n.list(u)
+	cnt := len(l)
+	if cnt == sh.sigma {
+		// Either the source is held at ≤ dist, or the key ranks beyond σ.
+		if cnt == 0 || l[cnt-1]>>srcShift <= key>>srcShift {
+			return false
 		}
-		es := &n.edges[p]
-		if int(length) > int(sh.h) {
-			es.excluded = true
-			continue
+	}
+	// Locate the source's present entry (at) and the key's rank among the
+	// entries before it (r).
+	at, r := -1, 0
+	var x *srcIndex
+	var sl *idxSlot
+	if u.ext != 0 && n.exts[u.ext-1].idx.slots != nil {
+		x = &n.exts[u.ext-1].idx
+		s := keySrc(key)
+		if sl = x.slot(s); sl.key != 0 {
+			if sl.dist <= keyDist(key) {
+				return false
+			}
+			if i := rank(l, pack(sl.dist, s)); i < cnt && keySrc(l[i]) == s {
+				at = i
+			}
 		}
-		// Lower endpoint owns cells 1..ℓ/2 of the line; the higher owns
-		// the rest. Both sides order their cells by distance from self.
-		// The count waits in lo, where it also says "empty range".
-		if v < e.To {
-			es.lo = length / 2
+		if at >= 0 {
+			r = rank(l[:at], key)
 		} else {
-			es.lo = length - 1 - length/2
+			r = rank(l, key)
 		}
-		total += int(es.lo)
-	}
-	cells := make([]unit, total)
-	reserve := min(sh.sigma, reserveEntries)
-	lists := make([]entry, (total+1)*reserve)
-	n.self.entries = lists[:0:reserve]
-	for j := range cells {
-		cells[j].entries = lists[(j+1)*reserve : (j+1)*reserve : (j+2)*reserve]
-	}
-	for p := range n.edges {
-		es := &n.edges[p]
-		es.cells, cells = cells[:es.lo:es.lo], cells[es.lo:]
-	}
-	if sh.p.IsSource[v] {
-		var flag uint8
-		if sh.p.Flags != nil {
-			flag = sh.p.Flags[v]
+	} else {
+		for i, k := range l {
+			if (k^key)&srcBits == 0 {
+				if k>>srcShift <= key>>srcShift {
+					return false
+				}
+				at = i
+				break
+			}
+			if k < key {
+				r++
+			}
 		}
-		n.self.insert(0, int32(v), -1, flag, sh)
+	}
+	// An improvement moves the entry up from at; a new source enters at
+	// its rank, which the tests above have shown to be below σ, and a
+	// full list drops its last entry.
+	from := at
+	if at < 0 {
+		if cnt < sh.sigma {
+			if cnt == int(u.cap) {
+				n.grow(u)
+			}
+			cnt++
+			u.n++
+			l = n.list(u)
+		}
+		from = cnt - 1
+	}
+	copy(l[r+1:from+1], l[r:from])
+	l[r] = key
+	u.scanFrom = min(u.scanFrom, int32(r))
+	if u == &n.self {
+		copy(n.via[r+1:from+1], n.via[r:from])
+		n.via[r] = via
+	}
+	switch {
+	case x != nil:
+		if sl.key == 0 {
+			x.used++
+		}
+		*sl = idxSlot{key: keySrc(key) + 1, dist: keyDist(key)}
+		if 2*x.used > len(x.slots) {
+			n.reindex(u)
+		}
+	case cnt > shortScan:
+		n.reindex(u)
+	}
+	if sh.sched == FIFO {
+		n.enqueue(u, keySrc(key))
+	}
+	return true
+}
+
+// announce selects this round's announcement into u.emit, if any, and
+// reports whether the unit has more to announce after it.
+//
+//pde:hotpath
+func (n *nodeProc) announce(u *unit) (emitted, more bool) {
+	sh := n.sh
+	if u.sentCnt >= sh.capLimit {
+		return false, false
+	}
+	l := n.list(u)
+	pick := -1
+	switch sh.sched {
+	case FIFO:
+		if u.ext == 0 {
+			return false, false
+		}
+		x := &n.exts[u.ext-1]
+		for pick < 0 && len(x.fifo) > 0 {
+			s := x.fifo[0]
+			x.fifo = x.fifo[1:]
+			for i, k := range l {
+				if keySrc(k) == s {
+					if k&sentBit == 0 { // else a stale queue entry
+						pick = i
+					}
+					break
+				}
+			}
+		}
+		more = len(x.fifo) > 0
+	case Priority:
+		// Announce the pending pair minimizing delay(src) + dist, the
+		// random-delay BFS order of [14].
+		var bestKey int64
+		unsent := 0
+		for i, k := range l {
+			if k&sentBit != 0 {
+				continue
+			}
+			unsent++
+			key := int64(keyDist(k))
+			if sh.p.Delays != nil {
+				key += int64(sh.p.Delays[keySrc(k)])
+			}
+			if pick < 0 || key < bestKey {
+				pick = i
+				bestKey = key
+			}
+		}
+		more = unsent > 1
+	default: // LexSmallest: the first unannounced key from scanFrom on
+		i := int(u.scanFrom)
+		for ; i < len(l) && l[i]&sentBit != 0; i++ {
+		}
+		if i < len(l) {
+			pick = i
+			for i++; i < len(l) && l[i]&sentBit != 0; i++ {
+			}
+			more = i < len(l)
+		}
+		// Everything before i is announced, the pick included.
+		u.scanFrom = int32(i)
+	}
+	if pick < 0 {
+		return false, false
+	}
+	l[pick] |= sentBit
+	u.sentCnt++
+	u.emit = l[pick]
+	return true, more && u.sentCnt < sh.capLimit
+}
+
+// Init announces the node's own source, if it is one. The node's units,
+// lines and list windows were laid out by Arena.layout before the engine
+// started, so that no round allocates.
+func (n *nodeProc) Init(ctx *congest.Ctx) {
+	if v := ctx.Node(); n.sh.p.IsSource[v] {
+		n.insert(&n.self, pack(0, int32(v)), -1)
 	}
 	n.emitPhase(ctx)
 }
@@ -510,55 +547,54 @@ func (n *nodeProc) Init(ctx *congest.Ctx) {
 // cell 0 of each line in port order; cell j: cell j-1 (self for cell 0),
 // then cell j+1 (the inbox for the boundary cell, which comes first) —
 // because the first of two equal pairs wins Via, and FIFO announces in
-// arrival order. Restricting the walk to the hot range keeps that order:
-// the iterations skipped are the ones that found nothing to insert.
+// arrival order. Walking the emitting cells of a line in ascending order
+// keeps it: cell j hears from j-1 when bit j-1 is visited and from j+1
+// when bit j+1 is, and the cells skipped are the ones that said nothing.
+//
+// A relay cell forwards one way. Its entry came from one neighbour (the
+// high bit says which) and its announcement is inserted only into the
+// other: the neighbour it came from announced the pair one hop closer and
+// lists only improve, so that neighbour either still holds the source
+// closer, or has evicted it and is full with a last key below the pair —
+// either way the insert skipped would have been rejected.
 //
 //pde:hotpath
 func (n *nodeProc) Round(ctx *congest.Ctx) {
-	sh := n.sh
 	self := &n.self
 	for _, in := range ctx.In() {
 		m := in.Msg.(*pairMsg)
-		es := &n.edges[in.Port]
-		if es.excluded {
-			continue
-		}
+		es := &n.edges[in.Port] // not an excluded edge: neither end sends on one
 		if last := len(es.cells) - 1; last < 0 {
-			self.insert(m.dist+1, m.src, int32(in.From), m.flag, sh)
-		} else if es.cells[last].insert(m.dist+1, m.src, -1, m.flag, sh) {
+			n.insert(self, pack(m.dist+1, m.src), int32(in.From))
+		} else if n.insert(&es.cells[last], pack(m.dist+1, m.src)|highBit, -1) {
 			es.touch(last)
 		}
 	}
 	for p := range n.edges {
 		es := &n.edges[p]
 		c := es.cells
-		if len(c) == 0 || (es.lo >= es.hi && !self.hasEmit) {
+		if len(c) == 0 {
 			continue
 		}
-		lo, hi := int(es.lo), int(es.hi)
-		if lo == 0 && c[0].hasEmit {
-			m := &c[0].emit
-			self.insert(m.dist+1, m.src, int32(ctx.Neighbors()[p].To), m.flag, sh)
+		if n.selfEmit && n.insert(&c[0], hop(self.emit), -1) {
+			es.touch(0)
 		}
-		if self.hasEmit {
-			m := &self.emit
-			if c[0].insert(m.dist+1, m.src, -1, m.flag, sh) {
-				es.touch(0)
-			}
-		}
-		// Only a cell in [lo, hi) can have emitted, so only iterations
-		// lo..hi have anything to pass between cells j-1 and j.
-		for j := max(lo, 1); j <= hi && j < len(c); j++ {
-			if c[j].hasEmit {
-				m := &c[j].emit
-				if c[j-1].insert(m.dist+1, m.src, -1, m.flag, sh) {
-					es.touch(j - 1)
-				}
-			}
-			if c[j-1].hasEmit {
-				m := &c[j-1].emit
-				if c[j].insert(m.dist+1, m.src, -1, m.flag, sh) {
-					es.touch(j)
+		for w, word := range es.emitting {
+			for ; word != 0; word &= word - 1 {
+				j := w<<6 + bits.TrailingZeros64(word)
+				k := c[j].emit
+				switch {
+				case k&highBit == 0:
+					// Outward; the boundary cell's went over the wire.
+					if j+1 < len(c) && n.insert(&c[j+1], hop(k), -1) {
+						es.touch(j + 1)
+					}
+				case j == 0:
+					n.insert(self, hop(k), int32(ctx.Neighbors()[p].To))
+				default:
+					if n.insert(&c[j-1], hop(k)|highBit, -1) {
+						es.touch(j - 1)
+					}
 				}
 			}
 		}
@@ -568,47 +604,53 @@ func (n *nodeProc) Round(ctx *congest.Ctx) {
 	n.emitPhase(ctx)
 }
 
-// emitPhase picks this round's announcement of every unit in a hot range,
-// sends the boundary crossings as real messages, and narrows each range
-// to the cells that emitted or still have something to announce.
+// emitPhase picks this round's announcement of self and of every hot
+// cell, sends the boundary crossings as real messages, and leaves hot
+// only the cells that still have something to announce.
 //
 //pde:hotpath
 func (n *nodeProc) emitPhase(ctx *congest.Ctx) {
 	sh := n.sh
 	par := ctx.Round() & 1
 	self := &n.self
-	self.hasEmit = self.pickEmit(sh)
-	if self.hasEmit {
-		n.selfWire[par] = self.emit
+	var wake bool
+	if n.selfEmit, wake = n.announce(self); n.selfEmit {
+		n.selfWire[par] = sh.msg(self.emit)
+		wake = true
 	}
-	wake := self.hasEmit || self.pending(sh)
 	for p := range n.edges {
 		es := &n.edges[p]
 		c := es.cells
 		if len(c) == 0 {
 			// This side owns no cells: self's emission crosses the edge.
-			if self.hasEmit && !es.excluded {
+			if n.selfEmit && !es.excluded {
 				ctx.Send(p, &n.selfWire[par])
 			}
 			continue
 		}
-		lo, hi := len(c), 0
-		for j := int(es.lo); j < int(es.hi); j++ {
-			u := &c[j]
-			u.hasEmit = u.pickEmit(sh)
-			if u.hasEmit || u.pending(sh) {
-				lo = min(lo, j)
-				hi = j + 1
+		var busy uint64
+		for w, word := range es.hot {
+			var emitting uint64
+			for rest := word; rest != 0; rest &= rest - 1 {
+				b := bits.TrailingZeros64(rest)
+				emitted, more := n.announce(&c[w<<6+b])
+				if emitted {
+					emitting |= 1 << b
+				}
+				if !more {
+					word &^= 1 << b
+				}
 			}
+			es.emitting[w], es.hot[w] = emitting, word
+			busy |= emitting | word
 		}
-		es.lo, es.hi = int32(lo), int32(hi)
-		if hi == 0 {
+		if busy == 0 {
 			continue
 		}
 		wake = true
 		// The boundary cell's emission crosses the real edge.
-		if last := &c[len(c)-1]; hi == len(c) && last.hasEmit {
-			es.wire[par] = last.emit
+		if last := len(c) - 1; es.emitting[last>>6]>>(last&63)&1 != 0 {
+			es.wire[par] = sh.msg(c[last].emit)
 			ctx.Send(p, &es.wire[par])
 		}
 	}
@@ -630,9 +672,102 @@ func Budget(p Params) int {
 	return p.H + min(p.Sigma, nsrc) + 1 + p.ExtraRounds
 }
 
+// Arena is the storage of a run's units: every relay cell, every list
+// window and every line's bitsets, in three slabs without a pointer in
+// them. The zero value is ready. A caller that runs many instances (one
+// core.Build worker) keeps one and runs them through it one after the
+// other: the slabs are sized per run by a pass over the edges, reused
+// when they are large enough, and freed with the Arena. Nothing a Result
+// holds points into them.
+type Arena struct {
+	cells []unit
+	keys  []uint64 // every line's two bitsets, then every unit's window
+	via   []int32  // every real node's Via window
+}
+
+// resize returns s with length n, reallocated only if it is too small.
+// The contents are whatever the last run left.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// ownCells returns how many relay cells of edge e node v simulates under
+// sh, or -1 if the edge is longer than the hop bound and excluded. The
+// lower endpoint owns cells 1..ℓ/2 of the line; the higher owns the rest.
+func (sh *shared) ownCells(v int, e graph.Edge) int {
+	length := int32(1)
+	if sh.p.Lengths != nil {
+		length = sh.p.Lengths[e.ID]
+	}
+	if pack(length, 0) >= sh.beyond {
+		return -1
+	}
+	if v < e.To {
+		return int(length / 2)
+	}
+	return int(length - 1 - length/2)
+}
+
+// layout hands every node of g its share of the arena: per line a span of
+// cells (ordered by distance from the node) and two bitsets, per unit a
+// list window of min(σ, reserveEntries) keys, per node a Via window.
+func (a *Arena) layout(g *graph.Graph, sh *shared, states []nodeProc) {
+	reserve := min(sh.sigma, reserveEntries)
+	nCells, nBits, nEdges := 0, 0, 0
+	for v := range states {
+		nbrs := g.Neighbors(v)
+		nEdges += len(nbrs)
+		for _, e := range nbrs {
+			if c := sh.ownCells(v, e); c > 0 {
+				nCells += c
+				nBits += 2 * ((c + 63) >> 6)
+			}
+		}
+	}
+	a.cells = resize(a.cells, nCells)
+	a.keys = resize(a.keys, nBits+(len(states)+nCells)*reserve)
+	a.via = resize(a.via, len(states)*reserve)
+	cells, bitsets, lists, via := a.cells, a.keys[:nBits], a.keys[nBits:], a.via
+	clear(bitsets)
+	edges := make([]edgeSim, nEdges)
+	for v := range states {
+		n := &states[v]
+		nbrs := g.Neighbors(v)
+		n.sh = sh
+		n.edges, edges = edges[:len(nbrs):len(nbrs)], edges[len(nbrs):]
+		n.self = unit{cap: int32(reserve)}
+		n.via, via = via[:reserve:reserve], via[reserve:]
+		off := reserve
+		for p, e := range nbrs {
+			es := &n.edges[p]
+			c := sh.ownCells(v, e)
+			if c <= 0 {
+				es.excluded = c < 0
+				continue
+			}
+			w := (c + 63) >> 6
+			es.cells, cells = cells[:c:c], cells[c:]
+			es.emitting, es.hot, bitsets = bitsets[:w:w], bitsets[w:2*w:2*w], bitsets[2*w:]
+			for j := range es.cells {
+				es.cells[j] = unit{off: int32(off), cap: int32(reserve)}
+				off += reserve
+			}
+		}
+		n.keys, lists = lists[:off:off], lists[off:]
+	}
+}
+
 // Run executes one (S, h, σ)-detection instance and returns each node's
 // output list.
 func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
+	return new(Arena).Run(g, p, cfg)
+}
+
+// Run is the package's Run with the units' storage taken from a.
+func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 	n := g.N()
 	if len(p.IsSource) != n {
 		return nil, fmt.Errorf("detection: IsSource has %d entries for %d nodes", len(p.IsSource), n)
@@ -642,6 +777,9 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 	}
 	if p.H < 0 || p.Sigma < 0 {
 		return nil, fmt.Errorf("detection: negative H=%d or Sigma=%d", p.H, p.Sigma)
+	}
+	if p.H >= math.MaxInt32 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("detection: H=%d or n=%d is beyond the 31 bits a packed (dist, src) key gives each", p.H, n)
 	}
 	if p.Lengths != nil {
 		if len(p.Lengths) != g.M() {
@@ -657,16 +795,18 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 	if sched == 0 {
 		sched = LexSmallest
 	}
-	capLimit := int32(1) << 30
-	if p.CapMessages {
-		capLimit = int32(p.Sigma) * int32(p.Sigma+1) / 2
+	// sentCnt is 32 bits wide; no unit announces 2³⁰ times in a run, so
+	// that is "no cap", and a σ whose σ(σ+1)/2 is beyond it caps nothing.
+	capLimit := int64(1) << 30
+	if s := int64(p.Sigma); p.CapMessages && s < 1<<16 {
+		capLimit = min(capLimit, s*(s+1)/2)
 	}
-	sh := &shared{p: p, sigma: p.Sigma, h: int32(p.H), capLimit: capLimit, sched: sched}
+	sh := &shared{p: p, sigma: p.Sigma, beyond: pack(int32(p.H)+1, 0), capLimit: int32(capLimit), sched: sched}
 
 	procs := make([]congest.Proc, n)
 	states := make([]nodeProc, n)
-	for v := 0; v < n; v++ {
-		states[v] = nodeProc{sh: sh}
+	a.layout(g, sh, states)
+	for v := range states {
 		procs[v] = &states[v]
 	}
 	// Derive the engine config explicitly: keep the caller's engine knobs
@@ -687,14 +827,21 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 		Budget:    run.MaxRounds,
 		Metrics:   met,
 	}
-	for v := 0; v < n; v++ {
-		u := &states[v].self
-		lst := make([]Entry, 0, len(u.entries))
-		for _, e := range u.entries {
-			lst = append(lst, Entry{Dist: e.dist, Src: e.src, Via: e.via, Flag: e.flag})
+	// The output lists are copies, cut from one slab.
+	total := 0
+	for v := range states {
+		total += int(states[v].self.n)
+	}
+	out := make([]Entry, total)
+	for v := range states {
+		st := &states[v]
+		l := st.list(&st.self)
+		res.Lists[v], out = out[:len(l):len(l)], out[len(l):]
+		for i, k := range l {
+			m := sh.msg(k)
+			res.Lists[v][i] = Entry{Dist: m.dist, Src: m.src, Via: st.via[i], Flag: m.flag}
 		}
-		res.Lists[v] = lst
-		res.SelfEmits[v] = int64(u.sentCnt)
+		res.SelfEmits[v] = int64(st.self.sentCnt)
 	}
 	return res, nil
 }

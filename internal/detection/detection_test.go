@@ -1,6 +1,7 @@
 package detection
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -342,6 +343,42 @@ func TestParamValidation(t *testing.T) {
 		if _, err := Run(g, p, congest.Config{}); err == nil {
 			t.Fatalf("case %d: expected validation error", i)
 		}
+	}
+}
+
+// TestLargeSigmaCapDoesNotWrap is the regression for the message cap
+// computed in 32 bits: σ(σ+1)/2 wrapped negative from σ = 46 341 on, no
+// unit ever announced, and Run returned every node its own entry alone
+// with no error.
+func TestLargeSigmaCapDoesNotWrap(t *testing.T) {
+	g := graph.Path(3, 1, rand.New(rand.NewSource(1)))
+	for _, sigma := range []int{46341, 50000, math.MaxInt32, math.MaxInt} {
+		p := Params{IsSource: []bool{true, true, true}, H: 5, Sigma: sigma, CapMessages: true}
+		res := assertMatchesBruteForce(t, g, p)
+		for v, l := range res.Lists {
+			if len(l) != 3 {
+				t.Fatalf("σ=%d: node %d detected %d sources, want 3", sigma, v, len(l))
+			}
+		}
+	}
+}
+
+// TestHopBoundBeyondKeyIsRejected: a packed key gives dist 31 bits, and an
+// announced pair travels at dist+1. H used to be truncated to int32
+// silently (H = 2³² + 1 ran as h = 1).
+func TestHopBoundBeyondKeyIsRejected(t *testing.T) {
+	g := graph.Path(3, 1, rand.New(rand.NewSource(1)))
+	p := Params{IsSource: []bool{true, false, false}, Sigma: 1}
+	for _, h := range []int{math.MaxInt32, math.MaxInt32 + 2, 1<<32 + 1} {
+		p.H = h
+		if _, err := Run(g, p, congest.Config{}); err == nil {
+			t.Fatalf("H=%d: expected an error", h)
+		}
+	}
+	p.H = math.MaxInt32 - 1
+	res := assertMatchesBruteForce(t, g, p)
+	if e, ok := res.Lookup(2, 0); !ok || e.Dist != 2 {
+		t.Fatalf("H=%d: node 2 holds %+v, %v", p.H, e, ok)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestPropertyMessageCapNeverExceeded(t *testing.T) {
 	}
 }
 
-// TestPropertyLongLinesEveryScheduler drives the hot-range walk where it
+// TestPropertyLongLinesEveryScheduler drives the hot-cell walk where it
 // has the most to get wrong: subdivided lengths drawn from all of [1, h],
 // so that lines are long, carry several wavefronts at once and go idle in
 // the middle while both ends are busy; a few edges longer than h, which
