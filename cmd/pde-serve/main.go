@@ -13,7 +13,7 @@
 //	          [-scheme oracle|rtc|compact]
 //	          [-topology random] [-n 256] [-eps 0.5] [-maxw 16]
 //	          [-h 0] [-sigma 0] [-seed 1] [-build-workers 0]
-//	          [-k 0] [-strategy none] [-l0 0] [-sample-prob 0]
+//	          [-k 0] [-strategy simulate|broadcast] [-l0 0] [-sample-prob 0]
 //	          [-shards '{"name": {"scheme": "...", "topology": "...", ...}}']
 //	          [-max-batch 65536]
 //
@@ -93,7 +93,7 @@ func parse(args []string, stderr io.Writer) (options, error) {
 	fs.Int64Var(&sp.Seed, "seed", 1, "graph generator seed")
 	fs.IntVar(&sp.BuildWorkers, "build-workers", 0, "parallel table-build pool width (0 = GOMAXPROCS)")
 	fs.IntVar(&sp.K, "k", 0, "rtc/compact stretch parameter (0 = scheme default)")
-	fs.StringVar(&sp.Strategy, "strategy", "", "compact truncation strategy: none | simulate | broadcast")
+	fs.StringVar(&sp.Strategy, "strategy", "", "compact truncation strategy when -l0 > 0: simulate (default) | broadcast")
 	fs.IntVar(&sp.L0, "l0", 0, "compact truncation level (0 = none)")
 	fs.Float64Var(&sp.SampleProb, "sample-prob", 0, "rtc skeleton sampling probability override (0 = paper's)")
 	shardsJSON := fs.String("shards", "", `multi-shard spec: {"name": {"topology": ..., "n": ..., "eps": ..., ...}}`)

@@ -307,8 +307,19 @@ func TestDrainOrder(t *testing.T) {
 	if _, err := io.WriteString(inflight, rebuild[:len(rebuild)-5]); err != nil {
 		t.Fatal(err)
 	}
-	// Accepted before the cancel, silent until after it.
+	// Accepted before the cancel, silent until after it. The accept queue
+	// is FIFO, so once a connection dialed after these two has been
+	// answered the server holds both: one still in the kernel's backlog
+	// when the listener closes would be reset, not drained.
 	late := dial()
+	accepted := dial()
+	if _, err := io.WriteString(accepted, rawRequest("/v1/estimate", `{"shard": "main", "queries": [{"v": 1, "s": 2}]}`)); err != nil {
+		t.Fatal(err)
+	}
+	if status, body := readResponse(t, accepted); status != http.StatusOK {
+		t.Fatalf("request before cancel: %d\n%s", status, body)
+	}
+	accepted.Close()
 
 	p.cancel()
 	// Shutdown has begun once the listener refuses; the drain hook ran

@@ -102,10 +102,7 @@ func E1Baselines(scale Scale) *Table {
 	if err != nil {
 		panic(err)
 	}
-	tableWords := 0
-	for _, inst := range res.Instances {
-		tableWords += 3 * len(inst.Det.Lists[0])
-	}
+	tableWords := res.TableWords(0)
 	t.Rows = append(t.Rows, []string{"PDE APSP (ε=0.5, deterministic)",
 		d(res.BudgetRounds), d64(res.Messages), "(1+ε)-approximate", d(tableWords)})
 

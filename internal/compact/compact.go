@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"pde/internal/congest"
 	"pde/internal/core"
@@ -138,12 +137,13 @@ type Scheme struct {
 	// simVia[l][si][sj]: next skeleton H-index on the estimated path.
 	simVia []map[int32][]int32
 
-	Trees  []map[int32]*treelabel.Labeling // per level 1..k-1 (index l)
-	Labels []Label
-	Rounds RoundBreakdown
+	Trees []map[int32]*treelabel.Labeling // per level 1..k-1 (index l)
+	// Labels[v] is λ(v); maxLabelDist the largest pivot distance among
+	// them, which fixes the labels' distance-field width.
+	Labels       []Label
+	maxLabelDist float64
+	Rounds       RoundBreakdown
 
-	routers    []*core.Router // per direct level, oracle-backed
-	skelRouter *core.Router
 	// oracles[l] / skelOracle are the flat indexed views serving
 	// levelEstimate and levelNextHop; the per-instance scans remain the
 	// correctness reference in tests.
@@ -235,7 +235,6 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 
 	// Direct levels 0..lastDirect.
 	sch.R = make([]*core.Result, p.K)
-	sch.routers = make([]*core.Router, p.K)
 	sch.oracles = make([]*oracle.Oracle, p.K)
 	for l := 0; l <= lastDirect; l++ {
 		sig := sigma
@@ -258,7 +257,6 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 		}
 		sch.R[l] = r
 		sch.oracles[l] = oracle.Compile(r)
-		sch.routers[l] = core.NewRouterWith(g, r, sch.oracles[l])
 		sch.Rounds.DirectLevels += r.BudgetRounds
 	}
 
@@ -351,7 +349,6 @@ func (sch *Scheme) buildTruncated(p Params, hFor func(int) int, sigma int, lnN f
 		return fmt.Errorf("compact: skeleton PDE: %w", err)
 	}
 	sch.skelOracle = oracle.Compile(sch.SkelR)
-	sch.skelRouter = core.NewRouterWith(sch.G, sch.SkelR, sch.skelOracle)
 	sch.Rounds.SkeletonPDE = sch.SkelR.BudgetRounds
 
 	// G̃(l0): mutual detections, max estimate as weight.
@@ -471,14 +468,8 @@ func (sch *Scheme) levelEstimate(x int, l int, s int32) (d float64, via int32, o
 	if !found {
 		return 0, -1, false
 	}
-	best := math.Inf(1)
-	for _, e := range sch.SkelR.Lists[x] {
-		i := sch.SkelIdx[e.Src]
-		if v := e.Dist + dist[i]; v < best {
-			best = v
-		}
-	}
-	if math.IsInf(best, 1) {
+	best, t := sch.SkelR.Potential(x, sch.SkelIdx, dist)
+	if t < 0 {
 		return 0, -1, false
 	}
 	return best, -1, true
@@ -490,7 +481,7 @@ func (sch *Scheme) levelNextHop(x int, l int, s int32) (int, bool) {
 		return x, true
 	}
 	if sch.R[l] != nil {
-		return sch.routers[l].NextHop(x, s)
+		return sch.oracles[l].NextHop(x, s)
 	}
 	dist, ok := sch.simDist[l][s]
 	if !ok {
@@ -499,31 +490,18 @@ func (sch *Scheme) levelNextHop(x int, l int, s int32) (int, bool) {
 	// Potential step: toward the skeleton node minimizing
 	// wd'(x,t) + simdist(t,s); at the argmin skeleton node, follow the
 	// simulated via chain.
-	best := math.Inf(1)
-	var bestT int32 = -1
-	for _, e := range sch.SkelR.Lists[x] {
-		i := sch.SkelIdx[e.Src]
-		if math.IsInf(dist[i], 1) {
-			continue
-		}
-		v := e.Dist + dist[i]
-		if v < best || (v == best && e.Src < bestT) {
-			best = v
-			bestT = e.Src
-		}
-	}
-	if bestT < 0 {
+	_, t := sch.SkelR.Potential(x, sch.SkelIdx, dist)
+	if t < 0 {
 		return -1, false
 	}
-	if int(bestT) == x {
-		i := sch.SkelIdx[bestT]
-		via := sch.simVia[l][s][i]
+	if int(t) == x {
+		via := sch.simVia[l][s][sch.SkelIdx[t]]
 		if via < 0 {
 			return -1, false
 		}
-		return sch.skelRouter.NextHop(x, sch.Skel[via])
+		t = sch.Skel[via]
 	}
-	return sch.skelRouter.NextHop(x, bestT)
+	return sch.skelOracle.NextHop(x, t)
 }
 
 // computePivots derives s'_l(v) and bunch sizes for every level.
@@ -600,7 +578,8 @@ func (sch *Scheme) computePivots() error {
 	return nil
 }
 
-// buildTreesAndLabels assembles T^l_s and λ(v).
+// buildTreesAndLabels assembles λ(v) from Lemma 4.4's forest of T^l_s at
+// every level l ≥ 1.
 func (sch *Scheme) buildTreesAndLabels() error {
 	n := sch.G.N()
 	sch.Trees = make([]map[int32]*treelabel.Labeling, sch.K)
@@ -609,68 +588,21 @@ func (sch *Scheme) buildTreesAndLabels() error {
 		sch.Labels[v] = Label{Node: int32(v), Per: make([]LevelLabel, sch.K-1)}
 	}
 	for l := 1; l < sch.K; l++ {
-		needed := make(map[int32]bool)
-		for v := 0; v < n; v++ {
-			if s := sch.Pivot[l][v]; s >= 0 {
-				needed[s] = true
-			}
+		forest, err := treelabel.BuildForest(sch.Pivot[l], func(cur int, s int32) (int, bool) {
+			return sch.levelNextHop(cur, l, s)
+		})
+		if err != nil {
+			return fmt.Errorf("compact: level %d: %w", l, err)
 		}
-		sch.Trees[l] = make(map[int32]*treelabel.Labeling, len(needed))
-		order := make([]int32, 0, len(needed))
-		for s := range needed {
-			order = append(order, s)
-		}
-		sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-		maxDepth, maxTrees := 0, 0
-		treesPerNode := make([]int, n)
-		for _, s := range order {
-			// T^l_s per Lemma 4.4: the union of the routing paths of the
-			// nodes whose pivot is s, not of every node that detected s.
-			parent := map[int]int{int(s): -1}
-			for v := 0; v < n; v++ {
-				if sch.Pivot[l][v] != s || v == int(s) {
-					continue
-				}
-				for cur := v; cur != int(s); {
-					if _, done := parent[cur]; done {
-						break
-					}
-					next, ok := sch.levelNextHop(cur, l, s)
-					if !ok || next == cur {
-						return fmt.Errorf("compact: node %d cannot reach level-%d pivot %d", cur, l, s)
-					}
-					parent[cur] = next
-					cur = next
-				}
-			}
-			lab, err := treelabel.Build(parent, int(s))
-			if err != nil {
-				return fmt.Errorf("compact: tree T^%d_%d: %w", l, s, err)
-			}
-			sch.Trees[l][s] = lab
-			if lab.Height > maxDepth {
-				maxDepth = lab.Height
-			}
-			for v := range lab.Labels {
-				treesPerNode[v]++
-			}
-		}
-		for _, c := range treesPerNode {
-			if c > maxTrees {
-				maxTrees = c
-			}
-		}
-		sch.Rounds.TreeLabeling += 2 * (maxDepth + 1) * maxTrees
+		sch.Trees[l] = forest.Trees
+		sch.Rounds.TreeLabeling += forest.Rounds
 		for v := 0; v < n; v++ {
 			s := sch.Pivot[l][v]
 			if s < 0 {
 				continue
 			}
-			tl, ok := sch.Trees[l][s].Labels[v]
-			if !ok {
-				return fmt.Errorf("compact: node %d missing from T^%d_%d", v, l, s)
-			}
-			sch.Labels[v].Per[l-1] = LevelLabel{Skel: s, Dist: sch.PivotDist[l][v], Tree: tl}
+			sch.Labels[v].Per[l-1] = LevelLabel{Skel: s, Dist: sch.PivotDist[l][v], Tree: forest.Label(v, s)}
+			sch.maxLabelDist = max(sch.maxLabelDist, sch.PivotDist[l][v])
 		}
 	}
 	return nil

@@ -4,21 +4,14 @@ import (
 	"fmt"
 	"math"
 
-	"pde/internal/graph"
+	"pde/internal/core"
 )
 
 // Route is one delivered packet's trajectory.
 type Route struct {
-	Path   []int
-	Weight graph.Weight
+	core.Route
 	// Level is the hierarchy level the origin selected (0 = direct).
 	Level int
-}
-
-// Stretch returns Weight / exact (+Inf when exact is zero but the route
-// has positive weight).
-func (r *Route) Stretch(exact graph.Weight) float64 {
-	return graph.Stretch(r.Weight, exact)
 }
 
 // inBunch reports whether (d, s) beats v's level-(l+1) pivot, i.e.
@@ -172,27 +165,13 @@ func (sch *Scheme) Route(v int, dst Label) (*Route, error) {
 	if a.Level < 0 {
 		return nil, fmt.Errorf("compact: node %d has no level for destination %d", v, dst.Node)
 	}
-	level, target := a.Level, a.Target
-	rt := &Route{Path: []int{v}, Level: level}
-	maxSteps := 6 * sch.G.N() * sch.K
-	cur := v
-	for steps := 0; cur != int(dst.Node); steps++ {
-		if steps > maxSteps {
-			return nil, fmt.Errorf("compact: route %d->%d exceeded %d steps", v, dst.Node, maxSteps)
-		}
-		next, err := sch.NextHop(cur, dst, level, target)
-		if err != nil {
-			return nil, err
-		}
-		edge, ok := sch.G.EdgeBetween(cur, next)
-		if !ok {
-			return nil, fmt.Errorf("compact: hop %d->%d is not an edge", cur, next)
-		}
-		rt.Weight += edge.W
-		rt.Path = append(rt.Path, next)
-		cur = next
+	rt, err := core.Walk(sch.G, v, int(dst.Node), 6*sch.G.N()*sch.K, func(cur int) (int, error) {
+		return sch.NextHop(cur, dst, a.Level, a.Target)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rt, nil
+	return &Route{Route: rt, Level: a.Level}, nil
 }
 
 // DistEstimate answers a distance query from v's tables (§2.4).
@@ -211,18 +190,13 @@ func (sch *Scheme) DistEstimate(v int, dst Label) (float64, error) {
 // node stores the same copy.
 func (sch *Scheme) TableWords(v int) int {
 	words := 0
-	for l := 0; l < sch.K; l++ {
-		if sch.R[l] == nil {
-			continue
-		}
-		for _, inst := range sch.R[l].Instances {
-			words += 3 * len(inst.Det.Lists[v])
+	for _, r := range sch.R {
+		if r != nil {
+			words += r.TableWords(v)
 		}
 	}
 	if sch.SkelR != nil {
-		for _, inst := range sch.SkelR.Instances {
-			words += 3 * len(inst.Det.Lists[v])
-		}
+		words += sch.SkelR.TableWords(v)
 	}
 	for l := 1; l < sch.K; l++ {
 		for _, lab := range sch.Trees[l] {
@@ -256,13 +230,5 @@ func (sch *Scheme) SharedWords() int {
 
 // LabelBits returns |λ(v)| in bits: O(k log n).
 func (sch *Scheme) LabelBits(v int) int {
-	maxDist := 0.0
-	for _, l := range sch.Labels {
-		for _, per := range l.Per {
-			if per.Dist > maxDist && !math.IsInf(per.Dist, 1) {
-				maxDist = per.Dist
-			}
-		}
-	}
-	return sch.Labels[v].Bits(sch.G.N(), maxDist)
+	return sch.Labels[v].Bits(sch.G.N(), sch.maxLabelDist)
 }

@@ -125,6 +125,17 @@ func (r *Result) MaxBroadcasts() int64 {
 	return best
 }
 
+// TableWords returns node v's stored table size in words: three (source,
+// distance, next hop) per entry of every instance's detection list, the
+// per-instance routing tables of Corollary 3.5.
+func (r *Result) TableWords(v int) int {
+	words := 0
+	for _, inst := range r.Instances {
+		words += 3 * len(inst.Det.Lists[v])
+	}
+	return words
+}
+
 // Estimate returns the combined estimate w̃d(v, s) over all instances,
 // with the best instance and next hop, if s was detected at all.
 func (r *Result) Estimate(v int, s int32) (Estimate, bool) {

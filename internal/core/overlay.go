@@ -57,3 +57,22 @@ func (r *Result) SkeletonOverlay(skel []int32, index map[int32]int) (*graph.Grap
 	}
 	return b.Build()
 }
+
+// Potential is the Lemma 4.10 skeleton combination at node x (the
+// long-range leg of Theorem 4.5): the minimum over x's entries t of
+// wd'(x,t) + tail[index[t]], where tail holds, per overlay index, the
+// globally known distance from t onward and +Inf marks unreachable. Ties
+// go to the smaller node id; argmin is -1 when no entry is finite.
+func (r *Result) Potential(x int, index map[int32]int, tail []float64) (best float64, argmin int32) {
+	best, argmin = math.Inf(1), -1
+	for _, e := range r.Lists[x] {
+		i, ok := index[e.Src]
+		if !ok {
+			continue
+		}
+		if v := e.Dist + tail[i]; v < best || (v == best && e.Src < argmin) {
+			best, argmin = v, e.Src
+		}
+	}
+	return best, argmin
+}

@@ -71,35 +71,51 @@ func (rt *Route) Stretch(exact graph.Weight) float64 {
 	return graph.Stretch(rt.Weight, exact)
 }
 
-// Route forwards from v to s hop by hop using only local tables, exactly
-// as a packet would travel. A next hop equal to the current node is the
-// terminal signal (see NextHop); it can only legitimately occur at s, so
-// anywhere else it is reported as a routing bug instead of being passed to
-// EdgeBetween. It fails if some intermediate node has no entry for s or a
-// loop is detected (neither can happen for s in v's output list; the error
-// paths exist to surface bugs, not to be handled).
-func (r *Router) Route(v int, s int32) (*Route, error) {
-	maxSteps := r.g.N() * (len(r.res.Instances) + 2)
-	rt := &Route{Path: []int{v}}
-	cur := v
-	for steps := 0; cur != int(s); steps++ {
+// Walk is the one hop loop: it forwards a packet from v to dst, asking
+// next for each hop, exactly as a packet would travel, and returns the
+// node sequence with its weight. A hop that is not an edge of g, a node
+// that forwards to itself before arrival (a next hop equal to the current
+// node is the terminal signal, see NextHop, so it is legitimate only at
+// dst) and more than maxSteps hops are routing bugs reported as errors;
+// an error from next is passed through.
+func Walk(g *graph.Graph, v, dst, maxSteps int, next func(cur int) (int, error)) (Route, error) {
+	rt := Route{Path: []int{v}}
+	for cur, steps := v, 0; cur != dst; steps++ {
 		if steps > maxSteps {
-			return nil, fmt.Errorf("core: route %d->%d exceeded %d steps (loop?)", v, s, maxSteps)
+			return Route{}, fmt.Errorf("core: route %d->%d exceeded %d steps (loop?)", v, dst, maxSteps)
 		}
-		next, ok := r.NextHop(cur, s)
+		hop, err := next(cur)
+		if err != nil {
+			return Route{}, err
+		}
+		if hop == cur {
+			return Route{}, fmt.Errorf("core: node %d returned itself as next hop for %d before arrival", cur, dst)
+		}
+		edge, ok := g.EdgeBetween(cur, hop)
 		if !ok {
-			return nil, fmt.Errorf("core: node %d has no table entry for %d (route from %d)", cur, s, v)
-		}
-		if next == cur {
-			return nil, fmt.Errorf("core: node %d returned itself as next hop for %d before arrival", cur, s)
-		}
-		edge, ok := r.g.EdgeBetween(cur, next)
-		if !ok {
-			return nil, fmt.Errorf("core: next hop %d is not a neighbor of %d", next, cur)
+			return Route{}, fmt.Errorf("core: next hop %d is not a neighbor of %d", hop, cur)
 		}
 		rt.Weight += edge.W
-		rt.Path = append(rt.Path, next)
-		cur = next
+		rt.Path = append(rt.Path, hop)
+		cur = hop
 	}
 	return rt, nil
+}
+
+// Route forwards from v to s using only local tables. It fails if some
+// intermediate node has no entry for s or a loop is detected (neither can
+// happen for s in v's output list; the error paths exist to surface bugs,
+// not to be handled).
+func (r *Router) Route(v int, s int32) (*Route, error) {
+	rt, err := Walk(r.g, v, int(s), r.g.N()*(len(r.res.Instances)+2), func(cur int) (int, error) {
+		next, ok := r.NextHop(cur, s)
+		if !ok {
+			return 0, fmt.Errorf("core: node %d has no table entry for %d (route from %d)", cur, s, v)
+		}
+		return next, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &rt, nil
 }

@@ -67,7 +67,7 @@ func FuzzOracleVsExact(f *testing.F) {
 		}
 
 		o := Compile(res)
-		router := NewRouter(g, res)
+		router := o.Router(g, res)
 		for v := 0; v < n; v++ {
 			sp := graph.Dijkstra(g, v) // exact reference, symmetric: wd(v,s)=wd(s,v)
 			for s := int32(0); s < int32(n); s++ {

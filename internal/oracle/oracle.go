@@ -207,9 +207,3 @@ func (o *Oracle) NextHop(v int, s int32) (int, bool) {
 func (o *Oracle) Router(g *graph.Graph, res *core.Result) *core.Router {
 	return core.NewRouterWith(g, res, o)
 }
-
-// NewRouter compiles res and wraps it in a core.Router whose hop decisions
-// are served from the oracle index instead of the legacy scan.
-func NewRouter(g *graph.Graph, res *core.Result) *core.Router {
-	return Compile(res).Router(g, res)
-}

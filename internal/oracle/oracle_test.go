@@ -371,7 +371,7 @@ func TestOracleRoutesMatchLegacy(t *testing.T) {
 	g := graph.RandomConnected(40, 6.0/40, 12, r)
 	res := buildResult(t, g, core.APSPParams(g.N(), 0.5))
 	legacy := core.NewRouter(g, res)
-	indexed := NewRouter(g, res)
+	indexed := Compile(res).Router(g, res)
 	n := g.N()
 	for v := 0; v < n; v++ {
 		for s := int32(0); s < int32(n); s++ {

@@ -4,28 +4,15 @@ import (
 	"fmt"
 	"math"
 
-	"pde/internal/graph"
+	"pde/internal/core"
 )
 
 // Route is one delivered packet's trajectory.
 type Route struct {
-	Path   []int
-	Weight graph.Weight
+	core.Route
 	// Legs counts hops spent in each phase: short-range, long-range
 	// (toward the skeleton / along the spanner), and tree descent.
 	ShortHops, LongHops, TreeHops int
-}
-
-// Stretch returns Weight / exact (+Inf when exact is zero but the route
-// has positive weight).
-func (r *Route) Stretch(exact graph.Weight) float64 {
-	return graph.Stretch(r.Weight, exact)
-}
-
-// spanDist returns the globally-known spanner distance between two
-// skeleton nodes (by H index).
-func (sch *Scheme) spanDist(i, j int) graph.Weight {
-	return sch.SpanSP[j].Dist[i]
 }
 
 // maxPhiTableEntries bounds the n·|S| footprint of the precomputed
@@ -81,26 +68,11 @@ func (sch *Scheme) phi(x int, target int) (float64, int32, bool) {
 	return sch.phiScan(x, target)
 }
 
-// phiScan computes phi by scanning x's skeleton-table entries.
+// phiScan computes phi from x's skeleton-table entries: the Lemma 4.10
+// combination against the spanner distances toward target.
 func (sch *Scheme) phiScan(x int, target int) (float64, int32, bool) {
-	best := math.Inf(1)
-	var bestT int32 = -1
-	for _, e := range sch.B.Lists[x] {
-		j, ok := sch.SkelIndex[e.Src]
-		if !ok {
-			continue
-		}
-		sd := sch.spanDist(j, target)
-		if sd == graph.Infinity {
-			continue
-		}
-		val := e.Dist + float64(sd)
-		if val < best || (val == best && e.Src < bestT) {
-			best = val
-			bestT = e.Src
-		}
-	}
-	return best, bestT, bestT >= 0
+	best, t := sch.B.Potential(x, sch.SkelIndex, sch.spanTail[target])
+	return best, t, t >= 0
 }
 
 // NextHop is the stateless forwarding function: given the local tables of
@@ -113,7 +85,7 @@ func (sch *Scheme) NextHop(x int, dst Label) (int, int, error) {
 		return x, 0, nil
 	}
 	// (a) Short range: w is in x's (V,h,σ) tables.
-	if next, ok := sch.routerA.NextHop(x, dst.Node); ok && next != x {
+	if next, ok := sch.oraA.NextHop(x, dst.Node); ok && next != x {
 		return next, 1, nil
 	}
 	// (b) Tree descent: x is an ancestor of w in T_{s'_w}.
@@ -144,13 +116,13 @@ func (sch *Scheme) NextHop(x int, dst Label) (int, int, error) {
 		if nextSkel < 0 {
 			return 0, 0, fmt.Errorf("rtc: no spanner path from %d to skeleton %d", x, dst.Skel)
 		}
-		next, ok := sch.routerB.NextHop(x, sch.Skeleton[nextSkel])
+		next, ok := sch.oraB.NextHop(x, sch.Skeleton[nextSkel])
 		if !ok {
 			return 0, 0, fmt.Errorf("rtc: skeleton %d cannot route spanner edge to %d", x, sch.Skeleton[nextSkel])
 		}
 		return next, 2, nil
 	}
-	next, ok := sch.routerB.NextHop(x, bestT)
+	next, ok := sch.oraB.NextHop(x, bestT)
 	if !ok || next == x {
 		return 0, 0, fmt.Errorf("rtc: node %d cannot route toward skeleton %d", x, bestT)
 	}
@@ -174,21 +146,10 @@ func (sch *Scheme) nextSpannerHop(i, target int) int {
 // Route delivers a packet from v to the node labeled dst, walking the
 // stateless forwarding function.
 func (sch *Scheme) Route(v int, dst Label) (*Route, error) {
-	maxSteps := 4 * sch.G.N() * (len(sch.B.Instances) + 2)
-	rt := &Route{Path: []int{v}}
-	cur := v
-	for steps := 0; cur != int(dst.Node); steps++ {
-		if steps > maxSteps {
-			return nil, fmt.Errorf("rtc: route %d->%d exceeded %d steps", v, dst.Node, maxSteps)
-		}
+	rt := &Route{}
+	var err error
+	rt.Route, err = core.Walk(sch.G, v, int(dst.Node), 4*sch.G.N()*(len(sch.B.Instances)+2), func(cur int) (int, error) {
 		next, phase, err := sch.NextHop(cur, dst)
-		if err != nil {
-			return nil, err
-		}
-		edge, ok := sch.G.EdgeBetween(cur, next)
-		if !ok {
-			return nil, fmt.Errorf("rtc: hop %d->%d is not an edge", cur, next)
-		}
 		switch phase {
 		case 1:
 			rt.ShortHops++
@@ -197,9 +158,10 @@ func (sch *Scheme) Route(v int, dst Label) (*Route, error) {
 		case 3:
 			rt.TreeHops++
 		}
-		rt.Weight += edge.W
-		rt.Path = append(rt.Path, next)
-		cur = next
+		return next, err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rt, nil
 }

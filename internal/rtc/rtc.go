@@ -19,18 +19,18 @@
 // potential that strictly decreases every hop.
 //
 // Two deliberate substitutions versus the paper's letter, both recorded in
-// DESIGN.md: s'_v is the nearest skeleton node under the skeleton-instance
-// estimates (the (V,h,σ) instance's flagged entries give the same node
-// w.h.p., and the skeleton instance guarantees v can route to it), and
-// skeleton-graph weights are ⌈estimate⌉ so the overlay stays integral —
-// both preserve every asymptotic bound.
+// docs/architecture.md ("Deviations from the paper's letter"): s'_v is the
+// nearest skeleton node under the skeleton-instance estimates (the
+// (V,h,σ) instance's flagged entries give the same node w.h.p., and the
+// skeleton instance guarantees v can route to it), and skeleton-graph
+// weights are ⌈estimate⌉ so the overlay stays integral — both preserve
+// every asymptotic bound.
 package rtc
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"pde/internal/congest"
 	"pde/internal/core"
@@ -108,16 +108,22 @@ type Scheme struct {
 	// since the spanner is broadcast).
 	Span   *spanner.Result
 	SpanSP []*graph.SSSP
-	// Trees and TreeOf: tree routing structures per skeleton node.
-	Trees map[int32]*treelabel.Labeling
-	// Labels[v] is λ(v).
-	Labels []Label
-	Rounds RoundBreakdown
-	// routers reused for hop decisions, backed by the compiled oracles.
-	routerA, routerB *core.Router
-	// oraA / oraB are the flat indexed views of A and B serving all hot
-	// query paths (NextHop, DistEstimate, phi).
+	// Trees holds T_s per skeleton node s some node labeled itself with
+	// (the forest's trees; forest keeps the Lemma 4.4 statistics).
+	Trees  map[int32]*treelabel.Labeling
+	forest *treelabel.Forest
+	// Labels[v] is λ(v); maxLabelDist the largest DistToSkel among them,
+	// which fixes the labels' distance-field width.
+	Labels       []Label
+	maxLabelDist float64
+	Rounds       RoundBreakdown
+	// oraA / oraB are the flat indexed views of A and B serving every
+	// hop decision and point query (NextHop, DistEstimate, phi).
 	oraA, oraB *oracle.Oracle
+	// spanTail[j][i] is the globally known spanner distance from skeleton
+	// H-index i to target j as a float (+Inf when unreachable): the tail
+	// row of the long-range potential.
+	spanTail [][]float64
 	// phiVal/phiArg[j][x] precompute the long-range potential Φ and its
 	// argmin skeleton node for every (target H-index j, node x) pair when
 	// the table fits (see buildPhiTables); nil otherwise, in which case
@@ -226,8 +232,17 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 		return nil, fmt.Errorf("rtc: spanner subgraph: %w", err)
 	}
 	sch.SpanSP = make([]*graph.SSSP, sch.H.N())
-	for i := 0; i < sch.H.N(); i++ {
-		sch.SpanSP[i] = graph.Dijkstra(sub, i)
+	sch.spanTail = make([][]float64, sch.H.N())
+	for j := 0; j < sch.H.N(); j++ {
+		sch.SpanSP[j] = graph.Dijkstra(sub, j)
+		tail := make([]float64, sch.H.N())
+		for i, d := range sch.SpanSP[j].Dist {
+			tail[i] = math.Inf(1)
+			if d != graph.Infinity {
+				tail[i] = float64(d)
+			}
+		}
+		sch.spanTail[j] = tail
 	}
 
 	// 5. Trees and labels. Hop decisions and point queries are served from
@@ -235,8 +250,6 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 	// reference in tests.
 	sch.oraA = oracle.Compile(sch.A)
 	sch.oraB = oracle.Compile(sch.B)
-	sch.routerA = core.NewRouterWith(g, sch.A, sch.oraA)
-	sch.routerB = core.NewRouterWith(g, sch.B, sch.oraB)
 	sch.buildPhiTables()
 	if err := sch.buildTreesAndLabels(); err != nil {
 		return nil, err
@@ -249,87 +262,31 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 	return sch, nil
 }
 
-// nearestSkeleton returns s'_v: the skeleton node minimizing
-// (wd'_S(v,s), s) in v's skeleton tables.
-func (sch *Scheme) nearestSkeleton(v int) (core.Estimate, bool) {
-	if len(sch.B.Lists[v]) == 0 {
-		return core.Estimate{}, false
-	}
-	return sch.B.Lists[v][0], true
-}
-
-// buildTreesAndLabels builds T_s for every skeleton node that some node
-// labeled itself with, labels the trees, and assembles λ(v).
+// buildTreesAndLabels assembles λ(v): s'_v is the skeleton node minimizing
+// (wd'_S(v,s), s) in v's skeleton tables (B's lists are sorted so), and
+// the tree component is v's label in Lemma 4.4's T_{s'_v}. The
+// per-instance invariant guarantees each walked node can forward.
 func (sch *Scheme) buildTreesAndLabels() error {
 	n := sch.G.N()
 	sch.Labels = make([]Label, n)
-	needed := make(map[int32]bool)
+	pivot := make([]int32, n)
 	for v := 0; v < n; v++ {
-		e, ok := sch.nearestSkeleton(v)
-		if !ok {
+		if len(sch.B.Lists[v]) == 0 {
 			return fmt.Errorf("rtc: node %d detected no skeleton node; increase C", v)
 		}
+		e := sch.B.Lists[v][0]
 		sch.Labels[v] = Label{Node: int32(v), Skel: e.Src, DistToSkel: e.Dist}
-		needed[e.Src] = true
+		sch.maxLabelDist = max(sch.maxLabelDist, e.Dist)
+		pivot[v] = e.Src
 	}
-	// T_s is Lemma 4.4's tree: the union of the PDE routing paths from
-	// every v with s'_v = s to s (not every node that detected s). The
-	// per-instance invariant guarantees each walked node can forward, so
-	// the union is a tree rooted at s.
-	sch.Trees = make(map[int32]*treelabel.Labeling, len(needed))
-	order := make([]int32, 0, len(needed))
-	for s := range needed {
-		order = append(order, s)
+	var err error
+	if sch.forest, err = treelabel.BuildForest(pivot, sch.oraB.NextHop); err != nil {
+		return fmt.Errorf("rtc: %w", err)
 	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	treesPerNode := make([]int, n)
-	maxDepth := 0
-	for _, s := range order {
-		parent := map[int]int{int(s): -1}
-		for v := 0; v < n; v++ {
-			if sch.Labels[v].Skel != s || v == int(s) {
-				continue
-			}
-			for cur := v; cur != int(s); {
-				if _, done := parent[cur]; done {
-					break
-				}
-				next, ok := sch.routerB.NextHop(cur, s)
-				if !ok {
-					return fmt.Errorf("rtc: node %d cannot reach its skeleton node %d", cur, s)
-				}
-				parent[cur] = next
-				cur = next
-			}
-		}
-		lab, err := treelabel.Build(parent, int(s))
-		if err != nil {
-			return fmt.Errorf("rtc: tree T_%d: %w", s, err)
-		}
-		sch.Trees[s] = lab
-		if lab.Height > maxDepth {
-			maxDepth = lab.Height
-		}
-		for v := range lab.Labels {
-			treesPerNode[v]++
-		}
-	}
-	maxTrees := 0
-	for _, c := range treesPerNode {
-		if c > maxTrees {
-			maxTrees = c
-		}
-	}
-	// Multiplexed two-sweep labeling: one simulated round per tree a node
-	// participates in (Lemma 4.4 bounds maxTrees by O(log n)).
-	sch.Rounds.TreeLabeling = 2 * (maxDepth + 1) * maxTrees
+	sch.Trees = sch.forest.Trees
+	sch.Rounds.TreeLabeling = sch.forest.Rounds
 	for v := 0; v < n; v++ {
-		s := sch.Labels[v].Skel
-		tl, ok := sch.Trees[s].Labels[v]
-		if !ok {
-			return fmt.Errorf("rtc: node %d missing from its own tree T_%d", v, s)
-		}
-		sch.Labels[v].Tree = tl
+		sch.Labels[v].Tree = sch.forest.Label(v, pivot[v])
 	}
 	return nil
 }
@@ -364,52 +321,26 @@ func (sch *Scheme) Fingerprint() uint64 {
 	return f.Sum()
 }
 
-// TreeStats reports the Lemma 4.4 quantities: per-tree depth and the
-// number of trees each node participates in.
+// TreeStats reports the Lemma 4.4 quantities: per-tree depth (ascending
+// skeleton id) and the number of trees each node participates in.
 func (sch *Scheme) TreeStats() (depths []int, treesPerNode []int) {
-	treesPerNode = make([]int, sch.G.N())
-	order := make([]int32, 0, len(sch.Trees))
-	for s := range sch.Trees {
-		order = append(order, s)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, s := range order {
-		lab := sch.Trees[s]
-		depths = append(depths, lab.Height)
-		for v := range lab.Labels {
-			treesPerNode[v]++
-		}
-	}
-	return depths, treesPerNode
+	return sch.forest.Depths, sch.forest.PerNode
 }
 
 // LabelBits returns the encoded size of λ(v) in bits.
 func (sch *Scheme) LabelBits(v int) int {
-	maxDist := 0.0
-	for _, l := range sch.Labels {
-		if l.DistToSkel > maxDist {
-			maxDist = l.DistToSkel
-		}
-	}
-	return sch.Labels[v].Bits(sch.G.N(), maxDist)
+	return sch.Labels[v].Bits(sch.G.N(), sch.maxLabelDist)
 }
 
 // TableWords estimates node v's routing-table size in words: its
 // per-instance PDE entries, plus tree-routing state, plus its share of the
 // globally known spanner (counted once per node, as every node stores it).
 func (sch *Scheme) TableWords(v int) int {
-	words := 0
-	for _, inst := range sch.A.Instances {
-		words += 3 * len(inst.Det.Lists[v])
-	}
-	for _, inst := range sch.B.Instances {
-		words += 3 * len(inst.Det.Lists[v])
-	}
+	words := sch.A.TableWords(v) + sch.B.TableWords(v) + 3*len(sch.Span.Edges)
 	for _, lab := range sch.Trees {
 		if _, ok := lab.Labels[v]; ok {
 			words += lab.TableWords(v)
 		}
 	}
-	words += 3 * len(sch.Span.Edges)
 	return words
 }

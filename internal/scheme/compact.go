@@ -1,8 +1,6 @@
 package scheme
 
 import (
-	"math"
-
 	"pde/internal/compact"
 	"pde/internal/congest"
 	"pde/internal/core"
@@ -66,17 +64,9 @@ func buildCompactOn(sp Spec, g *graph.Graph) (Instance, error) {
 		return nil, err
 	}
 	n := g.N()
-	maxDist := 0.0
-	for _, l := range sch.Labels {
-		for _, per := range l.Per {
-			if per.Dist > maxDist && !math.IsInf(per.Dist, 1) {
-				maxDist = per.Dist
-			}
-		}
-	}
 	maxBits, sumBits, words := 0, 0, 0
 	for v := 0; v < n; v++ {
-		b := sch.Labels[v].Bits(n, maxDist)
+		b := sch.LabelBits(v)
 		sumBits += b
 		if b > maxBits {
 			maxBits = b
@@ -151,5 +141,5 @@ func (in *CompactInstance) Route(v int, s int32) (*core.Route, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &core.Route{Path: rt.Path, Weight: rt.Weight}, nil
+	return &rt.Route, nil
 }

@@ -57,15 +57,9 @@ func buildRTCOn(sp Spec, g *graph.Graph) (Instance, error) {
 		return nil, err
 	}
 	n := g.N()
-	maxDist := 0.0
-	for _, l := range sch.Labels {
-		if l.DistToSkel > maxDist {
-			maxDist = l.DistToSkel
-		}
-	}
 	maxBits, sumBits, words := 0, 0, 0
 	for v := 0; v < n; v++ {
-		b := sch.Labels[v].Bits(n, maxDist)
+		b := sch.LabelBits(v)
 		sumBits += b
 		if b > maxBits {
 			maxBits = b
@@ -143,5 +137,5 @@ func (in *RTCInstance) Route(v int, s int32) (*core.Route, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &core.Route{Path: rt.Path, Weight: rt.Weight}, nil
+	return &rt.Route, nil
 }

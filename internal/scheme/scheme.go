@@ -73,8 +73,9 @@ type Spec struct {
 	// 2) and compact (routes ≤ 4k−3+o(1), default 3) schemes; ignored by
 	// oracle.
 	K int `json:"k,omitempty"`
-	// Strategy selects the compact truncation mode: none (default) |
-	// simulate | broadcast. Ignored by oracle and rtc.
+	// Strategy selects how a truncated compact hierarchy (L0 > 0) runs
+	// its upper levels: simulate (default) | broadcast; none is the
+	// untruncated hierarchy. Ignored by oracle and rtc.
 	Strategy string `json:"strategy,omitempty"`
 	// L0 is the compact truncation level (0 = no truncation).
 	L0 int `json:"l0,omitempty"`
@@ -84,9 +85,12 @@ type Spec struct {
 	SampleProb float64 `json:"sample_prob,omitempty"`
 }
 
-// Normalized fills the defaults a zero-valued field stands for, so the
-// spec an Instance reports is the complete recipe of its tables: Scheme
-// "" → oracle, K 0 → the backend default, compact Strategy "" → none.
+// Normalized fills the defaults a zero-valued field stands for and folds
+// spellings that build the same tables into one, so the spec an Instance
+// reports is the complete and canonical recipe of its tables: Scheme
+// "" → oracle, K 0 → the backend default, and a compact Strategy that
+// follows L0 — an untruncated hierarchy (L0 = 0) is none whatever was
+// asked, a truncated one simulates unless it broadcasts.
 func (sp Spec) Normalized() Spec {
 	if sp.Scheme == "" {
 		sp.Scheme = "oracle"
@@ -100,8 +104,13 @@ func (sp Spec) Normalized() Spec {
 		if sp.K == 0 {
 			sp.K = 3
 		}
-		if sp.Strategy == "" {
-			sp.Strategy = "none"
+		switch sp.Strategy {
+		case "", "none", "simulate", "broadcast":
+			if sp.L0 == 0 {
+				sp.Strategy = "none"
+			} else if sp.Strategy != "broadcast" {
+				sp.Strategy = "simulate"
+			}
 		}
 	}
 	return sp

@@ -95,6 +95,35 @@ func TestNormalizedFillsDefaults(t *testing.T) {
 	}
 }
 
+// TestEqualTablesReportEqualSpec holds the reported spec to being the
+// recipe of the tables: every spelling of a compact strategy that builds
+// the same tables (equal fingerprints) reports the same Spec(), and the
+// three genuinely different hierarchies stay three.
+func TestEqualTablesReportEqualSpec(t *testing.T) {
+	bySpec := map[uint64]Spec{}
+	for _, l0 := range []int{0, 1} {
+		for _, strat := range []string{"", "none", "simulate", "broadcast"} {
+			sp := Spec{Scheme: "compact", Topology: "random", N: 40, Eps: 0.5, MaxW: 8, Seed: 1, K: 3, L0: l0, Strategy: strat}
+			if err := sp.Validate(); err != nil {
+				t.Fatalf("l0=%d strategy=%q no longer validates: %v", l0, strat, err)
+			}
+			inst := mustBuild(t, sp)
+			first, seen := bySpec[inst.Fingerprint()]
+			if !seen {
+				bySpec[inst.Fingerprint()] = inst.Spec()
+			} else if first != inst.Spec() {
+				t.Errorf("l0=%d strategy=%q: fingerprint %016x reported as %+v and as %+v", l0, strat, inst.Fingerprint(), first, inst.Spec())
+			}
+			if got := inst.Spec().Normalized(); got != inst.Spec() {
+				t.Errorf("l0=%d strategy=%q: reported spec %+v is not a fixed point of Normalized (%+v)", l0, strat, inst.Spec(), got)
+			}
+		}
+	}
+	if len(bySpec) != 3 {
+		t.Fatalf("8 spellings built %d distinct tables, want 3 (none, simulate, broadcast)", len(bySpec))
+	}
+}
+
 // TestOracleInstanceMatchesLegacyOracle pins the oracle backend to the
 // pre-registry serving path: same core.Run tables, same compiled-oracle
 // answers, same fingerprint.

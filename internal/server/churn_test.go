@@ -138,7 +138,7 @@ func TestChurnAllEndpointsUnderRebuilds(t *testing.T) {
 		expectSetDist[sh.fp] = setDistGolden{ab: res.AB, ba: res.BA, hausdorff: res.Hausdorff}
 	}
 
-	srv, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "main", Spec: big, G: shBig.g, Res: shBig.res})
+	srv, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "main", Spec: big, G: shBig.g, Res: shBig.oracle().Res})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestClientAgainstLiveServer(t *testing.T) {
 
 	qs := []oracle.Query{{V: 0, S: 5}, {V: 3, S: 3}, {V: 7, S: 1}}
 	want := make([]oracle.Answer, len(qs))
-	sh.o.AnswerAll(qs, want)
+	sh.oracle().O.AnswerAll(qs, want)
 
 	for _, asJSON := range []bool{false, true} {
 		answers, fp, err := cl.Estimate(ctx, qs, asJSON)
@@ -44,7 +44,7 @@ func TestClientAgainstLiveServer(t *testing.T) {
 			t.Fatalf("NextHop(json=%v) fingerprint = %s", asJSON, fp)
 		}
 		for i, q := range qs {
-			next, ok := sh.o.NextHop(int(q.V), q.S)
+			next, ok := sh.oracle().O.NextHop(int(q.V), q.S)
 			if (hops[i] != Hop{Next: int32(next), OK: ok}) {
 				t.Fatalf("NextHop(json=%v) hop %d = %+v, want {%d %v}", asJSON, i, hops[i], next, ok)
 			}
@@ -58,7 +58,7 @@ func TestClientAgainstLiveServer(t *testing.T) {
 	if routes.Fingerprint != sh.fp || len(routes.Routes) != 2 {
 		t.Fatalf("Route response: %+v", routes)
 	}
-	if rt, err := sh.router.Route(2, 9); err == nil {
+	if rt, err := sh.oracle().Rtr.Route(2, 9); err == nil {
 		if !routes.Routes[0].OK || routes.Routes[0].Weight != rt.Weight {
 			t.Fatalf("route 2->9 = %+v, want weight %d", routes.Routes[0], rt.Weight)
 		}

@@ -28,7 +28,7 @@ func goldenServer(t *testing.T) *httptest.Server {
 		t.Fatalf("building golden shard: %v", err)
 	}
 	srv, err := NewWithPrebuilt(Config{MaxBatch: 16},
-		Prebuilt{Name: "golden", Spec: sh.spec, G: sh.g, Res: sh.res})
+		Prebuilt{Name: "golden", Spec: sh.spec, G: sh.g, Res: sh.oracle().Res})
 	if err != nil {
 		t.Fatalf("NewWithPrebuilt: %v", err)
 	}

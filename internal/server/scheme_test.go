@@ -308,3 +308,65 @@ func TestRebuildAcrossSchemes(t *testing.T) {
 		t.Fatal("rebuild to an unknown scheme should fail")
 	}
 }
+
+// TestRebuildReportsCanonicalSpec walks a compact shard through overlays
+// that spell the same hierarchy differently: whatever the overlay said,
+// the rebuild response and /v1/stats report one spec per fingerprint.
+func TestRebuildReportsCanonicalSpec(t *testing.T) {
+	srv, err := New(map[string]Spec{
+		"main": {Scheme: "compact", Topology: "random", N: 40, Eps: 0.5, MaxW: 8, Seed: 1, K: 3, L0: 1},
+	}, Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ts := httptest.NewServer(srv)
+	defer func() {
+		ts.Close()
+		srv.Close()
+	}()
+	cl := &Client{BaseURL: ts.URL, Shard: "main", HTTP: ts.Client()}
+	stats := func() (string, Spec) {
+		t.Helper()
+		st, err := cl.Stats(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Shards["main"].Fingerprint, st.Shards["main"].Spec
+	}
+	bootFP, bootSpec := stats()
+	if bootSpec.Strategy != "simulate" {
+		t.Fatalf("l0=1 shard booted reporting strategy %q over simulate-truncated tables", bootSpec.Strategy)
+	}
+	byFP := map[string]Spec{bootFP: bootSpec}
+
+	zero, one := 0, 1
+	none, simulate, broadcast := "none", "simulate", "broadcast"
+	for _, step := range []struct {
+		name string
+		req  RebuildRequest
+	}{
+		{"l0=0 keeps simulate", RebuildRequest{L0: &zero}},
+		{"l0=0 broadcast", RebuildRequest{Strategy: &broadcast}},
+		{"l0=0 none", RebuildRequest{Strategy: &none}},
+		{"l0=1 none", RebuildRequest{L0: &one}},
+		{"l0=1 simulate", RebuildRequest{Strategy: &simulate}},
+		{"l0=1 broadcast", RebuildRequest{Strategy: &broadcast}},
+	} {
+		step.req.Shard = "main"
+		resp, err := cl.Rebuild(context.Background(), step.req)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		fp, spec := stats()
+		if fp != resp.NewFingerprint || spec != resp.Spec {
+			t.Fatalf("%s: response says %s %+v, stats say %s %+v", step.name, resp.NewFingerprint, resp.Spec, fp, spec)
+		}
+		if first, seen := byFP[fp]; seen && first != spec {
+			t.Fatalf("%s: tables %s reported as %+v and as %+v", step.name, fp, first, spec)
+		}
+		byFP[fp] = spec
+	}
+	if len(byFP) != 3 {
+		t.Fatalf("walk saw %d distinct tables, want 3 (none, simulate, broadcast)", len(byFP))
+	}
+}

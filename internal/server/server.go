@@ -617,7 +617,7 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		BuildNS:        sh.buildNS,
 		N:              sh.g.N(),
 		M:              sh.g.M(),
-		Spec:           spec,
+		Spec:           sh.spec,
 	})
 }
 

@@ -26,7 +26,7 @@ func newTestServer(t *testing.T, cfg Config, extra ...Prebuilt) (*Server, *httpt
 	if err != nil {
 		t.Fatalf("building test shard: %v", err)
 	}
-	shards := append([]Prebuilt{{Name: "main", Spec: sh.spec, G: sh.g, Res: sh.res, BuildNS: sh.buildNS}}, extra...)
+	shards := append([]Prebuilt{{Name: "main", Spec: sh.spec, G: sh.g, Res: sh.oracle().Res, BuildNS: sh.buildNS}}, extra...)
 	srv, err := NewWithPrebuilt(cfg, shards...)
 	if err != nil {
 		t.Fatalf("NewWithPrebuilt: %v", err)
@@ -103,7 +103,7 @@ func TestEstimateEndToEnd(t *testing.T) {
 		t.Fatalf("got %d answers for %d queries", len(resp.Answers), len(req.Queries))
 	}
 	for i, q := range req.Queries {
-		e, ok := sh.o.Estimate(int(q.V), q.S)
+		e, ok := sh.oracle().O.Estimate(int(q.V), q.S)
 		want := WireAnswer{OK: ok, Dist: e.Dist, Src: e.Src, Via: e.Via, Instance: e.Instance, Flag: e.Flag}
 		if resp.Answers[i] != want {
 			t.Fatalf("answer %d (%d->%d): got %+v, want %+v", i, q.V, q.S, resp.Answers[i], want)
@@ -147,7 +147,7 @@ func TestEstimateBinaryEndToEnd(t *testing.T) {
 		t.Fatalf("decoding answers: %v", err)
 	}
 	want := make([]oracle.Answer, len(qs))
-	sh.o.AnswerAll(qs, want)
+	sh.oracle().O.AnswerAll(qs, want)
 	for i := range want {
 		if answers[i] != want[i] {
 			t.Fatalf("answer %d diverges: got %+v, want %+v", i, answers[i], want[i])
@@ -179,7 +179,7 @@ func TestNextHopEndToEnd(t *testing.T) {
 			t.Fatalf("got %d hops for %d queries", len(hops), len(req.Queries))
 		}
 		for i, q := range req.Queries {
-			next, ok := sh.o.NextHop(int(q.V), q.S)
+			next, ok := sh.oracle().O.NextHop(int(q.V), q.S)
 			want := Hop{Next: int32(next), OK: ok}
 			if hops[i] != want {
 				t.Fatalf("hop %d (%d->%d): got %+v, want %+v", i, q.V, q.S, hops[i], want)
@@ -233,7 +233,7 @@ func TestRouteEndToEnd(t *testing.T) {
 		t.Fatalf("status = %d, want 200", raw.StatusCode)
 	}
 	for i, p := range req.Pairs {
-		rt, err := sh.router.Route(int(p.From), p.To)
+		rt, err := sh.oracle().Rtr.Route(int(p.From), p.To)
 		got := first.Routes[i]
 		if err != nil {
 			if got.OK {
@@ -503,7 +503,7 @@ func TestHealthzAndStats(t *testing.T) {
 		t.Fatalf("second shard: %v", err)
 	}
 	_, ts := newTestServer(t, Config{},
-		Prebuilt{Name: "ring16", Spec: sh2.spec, G: sh2.g, Res: sh2.res, BuildNS: sh2.buildNS})
+		Prebuilt{Name: "ring16", Spec: sh2.spec, G: sh2.g, Res: sh2.oracle().Res, BuildNS: sh2.buildNS})
 
 	var health HealthResponse
 	raw := getJSON(t, ts.URL+"/healthz", &health)

@@ -8,7 +8,6 @@ import (
 
 	"pde/internal/core"
 	"pde/internal/graph"
-	"pde/internal/oracle"
 	"pde/internal/scheme"
 )
 
@@ -28,12 +27,6 @@ type shard struct {
 	spec scheme.Spec
 	inst scheme.Instance
 	g    *graph.Graph
-	// Oracle-backend views, populated only when inst is the oracle
-	// scheme. They are the legacy reference handles the tests compare
-	// served answers against; every serving path goes through inst.
-	res    *core.Result
-	o      *oracle.Oracle
-	router *core.Router
 
 	fp      string // %016x of fpRaw; returned with every answer
 	fpRaw   uint64 // the raw fingerprint, stamped on PDE2 answer frames
@@ -64,7 +57,7 @@ func newShard(sp Spec, g *graph.Graph, res *core.Result, buildNS int64) (*shard,
 // instShard wraps a built instance into the serving snapshot.
 func instShard(inst scheme.Instance) *shard {
 	fp := inst.Fingerprint()
-	sh := &shard{
+	return &shard{
 		spec:    inst.Spec(),
 		inst:    inst,
 		g:       inst.Graph(),
@@ -72,10 +65,6 @@ func instShard(inst scheme.Instance) *shard {
 		fpRaw:   fp,
 		buildNS: inst.BuildNS(),
 	}
-	if oi, ok := inst.(*scheme.OracleInstance); ok {
-		sh.res, sh.o, sh.router = oi.Res, oi.O, oi.Rtr
-	}
-	return sh
 }
 
 // slot is the long-lived holder of one named shard: the atomic pointer

@@ -5,7 +5,12 @@ import (
 	"testing"
 
 	"pde/internal/core"
+	"pde/internal/scheme"
 )
+
+// oracle is the oracle backend behind a snapshot: the reference handles
+// (Res, O, Rtr) the tests compare served answers against.
+func (sh *shard) oracle() *scheme.OracleInstance { return sh.inst.(*scheme.OracleInstance) }
 
 // TestSpecValidate pins which specs the daemon refuses to build.
 func TestSpecValidate(t *testing.T) {
@@ -126,12 +131,12 @@ func TestNewBuildsFromSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "", Spec: sh.spec, G: sh.g, Res: sh.res}); err == nil {
+	if _, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "", Spec: sh.spec, G: sh.g, Res: sh.oracle().Res}); err == nil {
 		t.Fatal("NewWithPrebuilt accepted an empty shard name")
 	}
 	if _, err := NewWithPrebuilt(Config{},
-		Prebuilt{Name: "x", Spec: sh.spec, G: sh.g, Res: sh.res},
-		Prebuilt{Name: "x", Spec: sh.spec, G: sh.g, Res: sh.res}); err == nil {
+		Prebuilt{Name: "x", Spec: sh.spec, G: sh.g, Res: sh.oracle().Res},
+		Prebuilt{Name: "x", Spec: sh.spec, G: sh.g, Res: sh.oracle().Res}); err == nil {
 		t.Fatal("NewWithPrebuilt accepted duplicate shard names")
 	}
 }
@@ -167,12 +172,6 @@ func TestRouteCacheLRU(t *testing.T) {
 // unit tests directly.
 func TestShardStatsHelpers(t *testing.T) {
 	var st shardStats
-	st.estimateQueries.Add(3)
-	st.nexthopQueries.Add(2)
-	st.routeQueries.Add(1)
-	if st.queriesTotal() != 6 {
-		t.Fatalf("queriesTotal = %d, want 6", st.queriesTotal())
-	}
 	st.recordBatch(2, 10)
 	st.recordBatch(1, 4)
 	if st.maxBatch.Load() != 10 || st.batches.Load() != 2 || st.batchedQueries.Load() != 14 {

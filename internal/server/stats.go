@@ -74,9 +74,3 @@ func (st *shardStats) countPoint(kind wire.FrameType, queries int) {
 		st.nexthopQueries.Add(int64(queries))
 	}
 }
-
-// queriesTotal is every point lookup, route expansion and set-distance
-// candidate pair served.
-func (st *shardStats) queriesTotal() int64 {
-	return st.estimateQueries.Load() + st.nexthopQueries.Load() + st.routeQueries.Load() + st.setdistPairs.Load()
-}

@@ -54,7 +54,7 @@ func TestHotSwapNoTornReads(t *testing.T) {
 	expect := make(map[string][]oracle.Answer, 2)
 	for _, sh := range []*shard{shA, shB} {
 		out := make([]oracle.Answer, len(probes))
-		sh.o.AnswerAll(probes, out)
+		sh.oracle().O.AnswerAll(probes, out)
 		expect[sh.fp] = out
 	}
 	type routeLeg struct {
@@ -66,7 +66,7 @@ func TestHotSwapNoTornReads(t *testing.T) {
 	for _, sh := range []*shard{shA, shB} {
 		legs := make([]routeLeg, len(routePairs))
 		for i, p := range routePairs {
-			rt, err := sh.router.Route(int(p.From), p.To)
+			rt, err := sh.oracle().Rtr.Route(int(p.From), p.To)
 			if err != nil {
 				t.Fatalf("generation %s: route %d->%d: %v", sh.fp, p.From, p.To, err)
 			}
@@ -76,7 +76,7 @@ func TestHotSwapNoTornReads(t *testing.T) {
 	}
 
 	srv, err := NewWithPrebuilt(Config{},
-		Prebuilt{Name: "main", Spec: spec, G: shA.g, Res: shA.res})
+		Prebuilt{Name: "main", Spec: spec, G: shA.g, Res: shA.oracle().Res})
 	if err != nil {
 		t.Fatalf("NewWithPrebuilt: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestHotSwapShrinkDoesNotCrash(t *testing.T) {
 	}
 	gens := map[string]*shard{shBig.fp: shBig, shSmall.fp: shSmall}
 
-	srv, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "main", Spec: big, G: shBig.g, Res: shBig.res})
+	srv, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "main", Spec: big, G: shBig.g, Res: shBig.oracle().Res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestHotSwapShrinkDoesNotCrash(t *testing.T) {
 						return
 					}
 					for i, q := range probes {
-						e, ok := sh.o.Estimate(int(q.V), q.S)
+						e, ok := sh.oracle().O.Estimate(int(q.V), q.S)
 						if (oracle.Answer{Est: e, OK: ok}) != got[i] {
 							fail("answer %d inconsistent with stamped generation %s", i, fp)
 							return

@@ -222,7 +222,7 @@ func TestUpdateVerifyRefusesDivergentTables(t *testing.T) {
 	before := sl.load()
 	change := oddEdgeChange(t, before.g)
 
-	last := before.res.Instances[len(before.res.Instances)-1]
+	last := before.oracle().Res.Instances[len(before.oracle().Res.Instances)-1]
 	v := 0
 	for len(last.Det.Lists[v]) == 0 {
 		v++

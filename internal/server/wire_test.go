@@ -59,7 +59,7 @@ func TestGoldenWirePDE2Session(t *testing.T) {
 		t.Fatalf("building golden shard: %v", err)
 	}
 	srv, err := NewWithPrebuilt(Config{MaxBatch: 16},
-		Prebuilt{Name: "golden", Spec: sh.spec, G: sh.g, Res: sh.res})
+		Prebuilt{Name: "golden", Spec: sh.spec, G: sh.g, Res: sh.oracle().Res})
 	if err != nil {
 		t.Fatalf("NewWithPrebuilt: %v", err)
 	}
@@ -268,7 +268,7 @@ func TestChurnWireAllQueryTypesUnderRebuilds(t *testing.T) {
 		expectHops[sh.fpRaw] = hops
 	}
 
-	srv, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "main", Spec: big, G: shBig.g, Res: shBig.res})
+	srv, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "main", Spec: big, G: shBig.g, Res: shBig.oracle().Res})
 	if err != nil {
 		t.Fatal(err)
 	}

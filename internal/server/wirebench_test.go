@@ -18,7 +18,7 @@ func BenchmarkWirePipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "bench", Spec: spec, G: sh.g, Res: sh.res})
+	srv, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "bench", Spec: spec, G: sh.g, Res: sh.oracle().Res})
 	if err != nil {
 		b.Fatal(err)
 	}

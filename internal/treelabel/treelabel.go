@@ -15,6 +15,7 @@ package treelabel
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"pde/internal/congest"
 	"pde/internal/graph"
@@ -179,6 +180,79 @@ func (l *Labeling) Route(x int, target Label) ([]int, error) {
 // is O(|T|); the per-node cost is what the experiments report.
 func (l *Labeling) TableWords(x int) int {
 	return 3 + 2*len(l.Children[x])
+}
+
+// Forest is Lemma 4.4's family of trees: T_s is the union of the routing
+// paths toward s of exactly the nodes whose pivot is s (not of every node
+// that detected s), so the trees overlap and the paper multiplexes their
+// labelings.
+type Forest struct {
+	// Trees maps each pivot to its labeled tree.
+	Trees map[int32]*Labeling
+	// Depths holds the tree heights in ascending pivot order.
+	Depths []int
+	// PerNode[v] counts the trees v participates in (Lemma 4.4 bounds it
+	// by O(log n) w.h.p.).
+	PerNode []int
+	// Rounds is the multiplexed two-sweep labeling cost: one simulated
+	// round per tree a node participates in, 2·(maxDepth+1)·maxTrees.
+	Rounds int
+}
+
+// BuildForest builds and labels T_s for every pivot s that occurs in
+// pivot (pivot[v] = -1: v has none), in ascending pivot order. next is the
+// stateless forwarding function of the tables the trees are read off:
+// the hop cur takes toward s. A node that cannot forward, or forwards to
+// itself, before reaching its pivot is an error.
+func BuildForest(pivot []int32, next func(cur int, s int32) (int, bool)) (*Forest, error) {
+	members := make(map[int32][]int)
+	var order []int32
+	for v, s := range pivot {
+		if s < 0 {
+			continue
+		}
+		if _, seen := members[s]; !seen {
+			order = append(order, s)
+		}
+		members[s] = append(members[s], v)
+	}
+	slices.Sort(order)
+	f := &Forest{Trees: make(map[int32]*Labeling, len(order)), PerNode: make([]int, len(pivot))}
+	for _, s := range order {
+		parent := map[int]int{int(s): -1}
+		for _, v := range members[s] {
+			for cur := v; ; {
+				if _, done := parent[cur]; done {
+					break
+				}
+				hop, ok := next(cur, s)
+				if !ok || hop == cur {
+					return nil, fmt.Errorf("treelabel: node %d cannot forward toward its pivot %d", cur, s)
+				}
+				parent[cur] = hop
+				cur = hop
+			}
+		}
+		lab, err := Build(parent, int(s))
+		if err != nil {
+			return nil, fmt.Errorf("treelabel: tree T_%d: %w", s, err)
+		}
+		f.Trees[s] = lab
+		f.Depths = append(f.Depths, lab.Height)
+		for v := range lab.Labels {
+			f.PerNode[v]++
+		}
+	}
+	if len(order) > 0 {
+		f.Rounds = 2 * (slices.Max(f.Depths) + 1) * slices.Max(f.PerNode)
+	}
+	return f, nil
+}
+
+// Label returns v's interval label in T_s. s must be v's pivot (every such
+// v was walked into T_s by BuildForest).
+func (f *Forest) Label(v int, s int32) Label {
+	return f.Trees[s].Labels[v]
 }
 
 // --- Distributed construction -------------------------------------------

@@ -100,6 +100,15 @@ func (c *Conn) fatal(err error) error {
 	return err
 }
 
+// failed is fatal for the read-path errors that leave the stream unusable
+// (frameFatal); a non-fatal Error frame passes through.
+func (c *Conn) failed(err error) error {
+	if frameFatal(err) {
+		return c.fatal(err)
+	}
+	return err
+}
+
 func (c *Conn) ensureWbuf(n int) []byte {
 	if cap(c.wbuf) < n {
 		c.wbuf = make([]byte, n)
@@ -117,28 +126,12 @@ func (c *Conn) ensureRbuf(n int) []byte {
 // Bind selects the shard every later query frame on this connection
 // targets, returning its node count and current build fingerprint.
 func (c *Conn) Bind(shard string) (n int32, fingerprint uint64, err error) {
-	if c.err != nil {
-		return 0, 0, c.err
-	}
 	if len(shard) == 0 || len(shard) > MaxShardName {
 		return 0, 0, fmt.Errorf("wire: shard name must be 1..%d bytes", MaxShardName)
 	}
-	c.corr++
-	frame := c.ensureWbuf(HeaderSize + len(shard))
-	PutHeader(frame, FrameBind, c.corr, len(shard))
-	copy(frame[HeaderSize:], shard)
-	if _, err := c.bw.Write(frame); err != nil {
-		return 0, 0, c.fatal(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return 0, 0, c.fatal(err)
-	}
-	t, payload, err := c.readResponse(c.corr)
+	payload, err := c.control(FrameBind, shard, FrameBound)
 	if err != nil {
 		return 0, 0, err
-	}
-	if t != FrameBound {
-		return 0, 0, c.fatal(fmt.Errorf("wire: Bind answered with %v frame", t))
 	}
 	bn, fp, err := ParseBoundPayload(payload)
 	if err != nil {
@@ -150,23 +143,40 @@ func (c *Conn) Bind(shard string) (n int32, fingerprint uint64, err error) {
 
 // Ping round-trips an empty frame.
 func (c *Conn) Ping() error {
+	_, err := c.control(FramePing, "", FramePong)
+	return err
+}
+
+// control round-trips a Bind or Ping frame carrying body; the reply must
+// be of type want.
+func (c *Conn) control(t FrameType, body string, want FrameType) ([]byte, error) {
 	if c.err != nil {
-		return c.err
+		return nil, c.err
 	}
 	c.corr++
-	PutHeader(c.hdr[:], FramePing, c.corr, 0)
-	if _, err := c.bw.Write(c.hdr[:]); err != nil {
+	frame := c.ensureWbuf(HeaderSize + len(body))
+	PutHeader(frame, t, c.corr, len(body))
+	copy(frame[HeaderSize:], body)
+	if err := c.flushFrame(frame); err != nil {
+		return nil, err
+	}
+	got, payload, err := c.readFrame(c.corr)
+	if err == nil && got != want {
+		err = fmt.Errorf("wire: %v frame answered a %v request", got, t)
+	}
+	if err != nil {
+		return nil, c.failed(err)
+	}
+	return payload, nil
+}
+
+// flushFrame writes one whole frame to the transport.
+func (c *Conn) flushFrame(frame []byte) error {
+	if _, err := c.bw.Write(frame); err != nil {
 		return c.fatal(err)
 	}
 	if err := c.bw.Flush(); err != nil {
 		return c.fatal(err)
-	}
-	t, _, err := c.readResponse(c.corr)
-	if err != nil {
-		return err
-	}
-	if t != FramePong {
-		return c.fatal(fmt.Errorf("wire: Ping answered with %v frame", t))
 	}
 	return nil
 }
@@ -179,50 +189,116 @@ func (c *Conn) writeQueryFrame(t FrameType, corr uint64, qs []oracle.Query) erro
 	frame := c.ensureWbuf(HeaderSize + plen)
 	PutHeader(frame, t, corr, plen)
 	PutQueryPayload(frame[HeaderSize:], qs)
-	if _, err := c.bw.Write(frame); err != nil {
-		return c.fatal(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return c.fatal(err)
-	}
-	return nil
+	return c.flushFrame(frame)
 }
 
-// readResponse reads one response frame, returning its type and payload
-// (valid until the next read). Error frames come back as *RemoteError;
-// fatal ones poison the connection.
+// readFrame reads one response frame into the Conn's own header and
+// payload buffer (valid until the next read) and checks it answers the
+// request corr. An Error frame comes back as *RemoteError before the
+// correlation id is looked at: the server answers a frame it could not
+// parse with corr 0. readFrame itself never poisons the connection — it
+// runs on the submitting goroutine for a synchronous Conn and on the
+// reader goroutine for a pipelined one — its caller does, for every
+// error frameFatal reports.
 //
 //pde:hotpath
-func (c *Conn) readResponse(wantCorr uint64) (FrameType, []byte, error) {
+func (c *Conn) readFrame(corr uint64) (FrameType, []byte, error) {
 	if _, err := readFull(c.br, c.hdr[:]); err != nil {
-		return 0, nil, c.fatal(err)
+		return 0, nil, err
 	}
-	t, corr, plen, err := ParseHeader(c.hdr[:])
+	t, got, plen, err := ParseHeader(c.hdr[:])
 	if err != nil {
-		return 0, nil, c.fatal(err)
+		return 0, nil, err
 	}
 	if int(plen) > AnswersPayloadLen(c.maxBatch()) {
-		return 0, nil, c.fatal(ErrFrameTooBig)
+		return 0, nil, ErrFrameTooBig
 	}
 	payload := c.ensureRbuf(int(plen))
 	if _, err := readFull(c.br, payload); err != nil {
-		return 0, nil, c.fatal(err)
+		return 0, nil, err
 	}
 	if t == FrameError {
-		code, msg, perr := ParseErrorPayload(payload)
-		if perr != nil {
-			return 0, nil, c.fatal(perr)
+		code, msg, err := ParseErrorPayload(payload)
+		if err != nil {
+			return 0, nil, err
 		}
-		rerr := &RemoteError{Code: code, Message: msg}
-		if rerr.Fatal() {
-			return 0, nil, c.fatal(rerr)
-		}
-		return t, payload, rerr
+		return 0, nil, &RemoteError{Code: code, Message: msg}
 	}
-	if corr != wantCorr {
-		return 0, nil, c.fatal(ErrCorrMismatch)
+	if got != corr {
+		return 0, nil, ErrCorrMismatch
 	}
 	return t, payload, nil
+}
+
+// frameFatal reports whether a read-path error leaves the stream
+// unusable: everything but a non-fatal Error frame.
+func frameFatal(err error) bool {
+	rerr, ok := err.(*RemoteError)
+	return !ok || rerr.Fatal()
+}
+
+// receive reads the reply to the query frame (kind, corr) and decodes it
+// into out (Estimate) or hops (NextHop), whichever kind fills, returning
+// the fingerprint of the generation that answered.
+//
+//pde:hotpath
+func (c *Conn) receive(kind FrameType, corr uint64, out []oracle.Answer, hops []Hop) (uint64, error) {
+	t, payload, err := c.readFrame(corr)
+	if err != nil {
+		return 0, err
+	}
+	if t != kind+0x80 {
+		return 0, fmt.Errorf("wire: %v frame answered a %v request", t, kind)
+	}
+	return decodeInto(t, payload, out, hops)
+}
+
+// decodeInto validates an Answers or Hops payload and fills the caller's
+// buffer, which must hold exactly the frame's record count.
+//
+//pde:hotpath
+func decodeInto(t FrameType, payload []byte, out []oracle.Answer, hops []Hop) (fp uint64, err error) {
+	var count int
+	if t == FrameAnswers {
+		fp, count, err = CheckAnswersPayload(payload)
+		if err == nil && count != len(out) {
+			err = ErrBadPayload
+		}
+		for i := 0; err == nil && i < count; i++ {
+			err = AnswerAt(payload, i, &out[i])
+		}
+	} else {
+		fp, count, err = CheckHopsPayload(payload)
+		if err == nil && count != len(hops) {
+			err = ErrBadPayload
+		}
+		for i := 0; err == nil && i < count; i++ {
+			err = HopAt(payload, i, &hops[i])
+		}
+	}
+	if err != nil {
+		return 0, err
+	}
+	return fp, nil
+}
+
+// query is the synchronous round trip behind Estimate and NextHop.
+//
+//pde:hotpath
+func (c *Conn) query(kind FrameType, qs []oracle.Query, out []oracle.Answer, hops []Hop) (uint64, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	c.corr++
+	if err := c.writeQueryFrame(kind, c.corr, qs); err != nil {
+		return 0, err
+	}
+	fp, err := c.receive(kind, c.corr, out, hops)
+	if err != nil {
+		return 0, c.failed(err)
+	}
+	c.fp = fp
+	return fp, nil
 }
 
 // Estimate answers qs into out (len(out) == len(qs)) synchronously and
@@ -231,82 +307,14 @@ func (c *Conn) readResponse(wantCorr uint64) (FrameType, []byte, error) {
 //
 //pde:hotpath
 func (c *Conn) Estimate(qs []oracle.Query, out []oracle.Answer) (fingerprint uint64, err error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	c.corr++
-	if err := c.writeQueryFrame(FrameEstimate, c.corr, qs); err != nil {
-		return 0, err
-	}
-	t, payload, err := c.readResponse(c.corr)
-	if err != nil {
-		return 0, err
-	}
-	return c.decodeAnswers(t, payload, qs, out)
-}
-
-// decodeAnswers validates and decodes an Answers payload into out.
-//
-//pde:hotpath
-func (c *Conn) decodeAnswers(t FrameType, payload []byte, qs []oracle.Query, out []oracle.Answer) (uint64, error) {
-	if t != FrameAnswers {
-		return 0, c.fatal(fmt.Errorf("wire: Estimate answered with %v frame", t))
-	}
-	fp, count, err := CheckAnswersPayload(payload)
-	if err != nil {
-		return 0, c.fatal(err)
-	}
-	if count != len(qs) || len(out) != len(qs) {
-		return 0, c.fatal(ErrBadPayload)
-	}
-	for i := 0; i < count; i++ {
-		if err := AnswerAt(payload, i, &out[i]); err != nil {
-			return 0, c.fatal(err)
-		}
-	}
-	c.fp = fp
-	return fp, nil
+	return c.query(FrameEstimate, qs, out, nil)
 }
 
 // NextHop answers qs into hops (len(hops) == len(qs)) synchronously.
 //
 //pde:hotpath
 func (c *Conn) NextHop(qs []oracle.Query, hops []Hop) (fingerprint uint64, err error) {
-	if c.err != nil {
-		return 0, c.err
-	}
-	c.corr++
-	if err := c.writeQueryFrame(FrameNextHop, c.corr, qs); err != nil {
-		return 0, err
-	}
-	t, payload, err := c.readResponse(c.corr)
-	if err != nil {
-		return 0, err
-	}
-	return c.decodeHops(t, payload, qs, hops)
-}
-
-// decodeHops validates and decodes a Hops payload into hops.
-//
-//pde:hotpath
-func (c *Conn) decodeHops(t FrameType, payload []byte, qs []oracle.Query, hops []Hop) (uint64, error) {
-	if t != FrameHops {
-		return 0, c.fatal(fmt.Errorf("wire: NextHop answered with %v frame", t))
-	}
-	fp, count, err := CheckHopsPayload(payload)
-	if err != nil {
-		return 0, c.fatal(err)
-	}
-	if count != len(qs) || len(hops) != len(qs) {
-		return 0, c.fatal(ErrBadPayload)
-	}
-	for i := 0; i < count; i++ {
-		if err := HopAt(payload, i, &hops[i]); err != nil {
-			return 0, c.fatal(err)
-		}
-	}
-	c.fp = fp
-	return fp, nil
+	return c.query(FrameNextHop, qs, nil, hops)
 }
 
 // readFull is io.ReadFull specialized for *bufio.Reader so the hot read
@@ -365,8 +373,6 @@ type Pipeline struct {
 	full  chan int32
 	done  chan struct{}
 	ferr  atomic.Pointer[error]
-	rhdr  [HeaderSize]byte
-	rbuf  []byte
 	idxs  []int32 // Wait's scratch
 }
 
@@ -478,9 +484,11 @@ func (p *Pipeline) setFatal(err error) {
 	}
 }
 
-// reader drains responses for in-flight slots. After a transport error
-// it keeps servicing the channel protocol (marking every later frame
-// failed) so submitters never block on a dead pipeline.
+// reader drains responses for in-flight slots, reading each through the
+// Conn's one receive path (the Conn is not used directly while it is
+// pipelined, so its header and payload buffer are the reader's). After a
+// transport error it keeps servicing the channel protocol (marking every
+// later frame failed) so submitters never block on a dead pipeline.
 func (p *Pipeline) reader() {
 	defer close(p.done)
 	for idx := range p.full {
@@ -488,115 +496,11 @@ func (p *Pipeline) reader() {
 		if e := p.ferr.Load(); e != nil {
 			sl.res.Err = *e
 		} else {
-			p.readInto(sl)
+			sl.res.FP, sl.res.Err = p.c.receive(sl.kind, sl.corr, sl.out, sl.hops)
+			if sl.res.Err != nil && frameFatal(sl.res.Err) {
+				p.setFatal(sl.res.Err)
+			}
 		}
 		p.free <- idx
-	}
-}
-
-// ensureRbuf grows the pipeline's shared read buffer — the cold path of
-// readInto, kept out of the //pde:hotpath marker's reach on purpose.
-func (p *Pipeline) ensureRbuf(n int) []byte {
-	if cap(p.rbuf) < n {
-		p.rbuf = make([]byte, n)
-	}
-	return p.rbuf[:n]
-}
-
-// readInto reads and decodes the response for one slot.
-//
-//pde:hotpath
-func (p *Pipeline) readInto(sl *pipeSlot) {
-	if _, err := readFull(p.c.br, p.rhdr[:]); err != nil {
-		p.setFatal(err)
-		sl.res.Err = err
-		return
-	}
-	t, corr, plen, err := ParseHeader(p.rhdr[:])
-	if err != nil {
-		p.setFatal(err)
-		sl.res.Err = err
-		return
-	}
-	if int(plen) > AnswersPayloadLen(p.c.maxBatch()) {
-		p.setFatal(ErrFrameTooBig)
-		sl.res.Err = ErrFrameTooBig
-		return
-	}
-	payload := p.ensureRbuf(int(plen))
-	if _, err := readFull(p.c.br, payload); err != nil {
-		p.setFatal(err)
-		sl.res.Err = err
-		return
-	}
-	if corr != sl.corr {
-		p.setFatal(ErrCorrMismatch)
-		sl.res.Err = ErrCorrMismatch
-		return
-	}
-	if t == FrameError {
-		code, msg, perr := ParseErrorPayload(payload)
-		if perr != nil {
-			p.setFatal(perr)
-			sl.res.Err = perr
-			return
-		}
-		rerr := &RemoteError{Code: code, Message: msg}
-		sl.res.Err = rerr
-		if rerr.Fatal() {
-			p.setFatal(rerr)
-		}
-		return
-	}
-	if t != sl.kind+0x80 {
-		err := fmt.Errorf("wire: frame type %v answered a %v request", t, sl.kind)
-		p.setFatal(err)
-		sl.res.Err = err
-		return
-	}
-	p.decodeSlot(sl, t, payload)
-}
-
-// decodeSlot fills the slot's caller buffers from a validated payload.
-//
-//pde:hotpath
-func (p *Pipeline) decodeSlot(sl *pipeSlot, t FrameType, payload []byte) {
-	switch t {
-	case FrameAnswers:
-		fp, count, err := CheckAnswersPayload(payload)
-		if err == nil && count != len(sl.out) {
-			err = ErrBadPayload
-		}
-		if err != nil {
-			p.setFatal(err)
-			sl.res.Err = err
-			return
-		}
-		for i := 0; i < count; i++ {
-			if err := AnswerAt(payload, i, &sl.out[i]); err != nil {
-				p.setFatal(err)
-				sl.res.Err = err
-				return
-			}
-		}
-		sl.res.FP = fp
-	case FrameHops:
-		fp, count, err := CheckHopsPayload(payload)
-		if err == nil && count != len(sl.hops) {
-			err = ErrBadPayload
-		}
-		if err != nil {
-			p.setFatal(err)
-			sl.res.Err = err
-			return
-		}
-		for i := 0; i < count; i++ {
-			if err := HopAt(payload, i, &sl.hops[i]); err != nil {
-				p.setFatal(err)
-				sl.res.Err = err
-				return
-			}
-		}
-		sl.res.FP = fp
 	}
 }

@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -193,4 +194,67 @@ func TestErrorFrames(t *testing.T) {
 		{name: "out of range keeps connection", bind: true, raw: queryFrame(2, oracle.Query{V: 99, S: 2}), code: wire.ErrCodeOutOfRange},
 		{name: "too large", bind: true, raw: queryFrame(2, over...), code: wire.ErrCodeTooLarge},
 	}, true)
+}
+
+// corruptingConn sets a flags byte in the header of the corruptAt-th
+// frame written through it (the client flushes one frame per Write).
+type corruptingConn struct {
+	net.Conn
+	writes, corruptAt int
+}
+
+func (c *corruptingConn) Write(b []byte) (int, error) {
+	if c.writes++; c.writes == c.corruptAt {
+		b = append([]byte(nil), b...)
+		b[5] = 1
+	}
+	return c.Conn.Write(b)
+}
+
+// TestClientReadsCorrZeroError is the hostile table's client half: the
+// accept loop answers a header it cannot parse with a fatal bad_frame
+// under correlation id 0 (it never learned the real one). Both faces of
+// the client read path — the synchronous call and a pipelined slot —
+// must report that Error frame, not a correlation mismatch, against the
+// daemon and the relay alike.
+func TestClientReadsCorrZeroError(t *testing.T) {
+	addrs := bootBoth(t)
+	for _, mode := range []string{"sync", "pipelined"} {
+		for _, name := range []string{"daemon", "relay"} {
+			t.Run(mode+"/"+name, func(t *testing.T) {
+				nc, err := net.Dial("tcp", addrs[name])
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := wire.NewConn(&corruptingConn{Conn: nc, corruptAt: 2}) // 1 is the Bind
+				defer c.Close()
+				c.SetDeadline(time.Now().Add(10 * time.Second))
+				if _, _, err := c.Bind("alpha"); err != nil {
+					t.Fatal(err)
+				}
+				qs, out := []oracle.Query{{V: 1, S: 2}}, make([]oracle.Answer, 1)
+				var got error
+				if mode == "sync" {
+					_, got = c.Estimate(qs, out)
+				} else {
+					p, err := c.NewPipeline(2)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var res wire.Result
+					if err := p.Estimate(qs, out, &res); err != nil {
+						t.Fatal(err)
+					}
+					if err := p.Close(); err != res.Err {
+						t.Fatalf("pipeline closed with %v, the frame's result holds %v", err, res.Err)
+					}
+					got = res.Err
+				}
+				var rerr *wire.RemoteError
+				if !errors.As(got, &rerr) || rerr.Code != wire.ErrCodeBadFrame {
+					t.Fatalf("client reports %v, want the server's bad_frame Error frame", got)
+				}
+			})
+		}
+	}
 }
