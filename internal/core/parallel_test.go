@@ -132,14 +132,20 @@ func TestHugePoolWidthIsCapped(t *testing.T) {
 
 // TestFingerprintDetectsTampering guards the guard: a fingerprint that
 // failed to cover the output lists, the accounting or the instance tables
-// would let a real divergence slip through every check built on it.
+// would let a real divergence slip through every check built on it. The
+// instance tables enter through a digest memoized on first use, so their
+// tampering is planted in a fresh result, before its first fingerprint.
 func TestFingerprintDetectsTampering(t *testing.T) {
 	g := graph.RandomConnected(32, 0.1, 16, rand.New(rand.NewSource(3)))
 	p := APSPParams(32, 0.5)
-	res, err := Run(g, p, congest.Config{})
-	if err != nil {
-		t.Fatal(err)
+	build := func() *Result {
+		res, err := Run(g, p, congest.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	res := build()
 	base := res.Fingerprint()
 
 	res.Lists[5][0].Dist += 1
@@ -154,8 +160,9 @@ func TestFingerprintDetectsTampering(t *testing.T) {
 	}
 	res.Messages--
 
-	res.Instances[0].Det.Lists[3] = res.Instances[0].Det.Lists[3][:0]
-	if res.Fingerprint() == base {
+	fresh := build()
+	fresh.Instances[0].Det.Lists[3] = fresh.Instances[0].Det.Lists[3][:0]
+	if fresh.Fingerprint() == base {
 		t.Error("fingerprint ignores instance detection lists")
 	}
 }

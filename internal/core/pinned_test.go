@@ -11,11 +11,14 @@ import (
 
 // TestPinnedFingerprints compares today's build with yesterday's: the
 // other determinism tests set one pool width against another within a
-// single binary, which a change that moved both would pass. The constants are
-// Result.Fingerprint at the commit before detection's full scan became a
-// hot-range walk, so lists, Via tie-breaks, rounds, messages and per-node
-// broadcasts are all held. A deliberate change of output re-pins them and
-// says so in CHANGES.md.
+// single binary, which a change that moved both would pass. legacy is
+// linearFingerprint of the build, pinned at the commit before detection's
+// full scan became a hot-range walk, so lists, Via tie-breaks, rounds,
+// messages and per-node broadcasts are all held. want is Result.Fingerprint,
+// re-pinned when the instances began to enter it as memoized digests; that
+// legacy still matches shows the re-pin moved the hash and nothing it
+// covers. A deliberate change of output re-pins both and says so in
+// CHANGES.md.
 func TestPinnedFingerprints(t *testing.T) {
 	everyThird := func(n int) []bool {
 		src := make([]bool, n)
@@ -30,15 +33,16 @@ func TestPinnedFingerprints(t *testing.T) {
 		maxW     graph.Weight
 		params   func(n int) Params
 		want     uint64
+		legacy   uint64
 	}{
 		{"community", 96, 64, func(n int) Params {
 			return Params{IsSource: everyThird(n), H: 16, Sigma: 8, Epsilon: 0.5, CapMessages: true}
-		}, 0x85ab76fe0138c174},
+		}, 0x7d4ba074e734753c, 0x85ab76fe0138c174},
 		{"roadgrid", 100, 64, func(n int) Params {
 			return Params{IsSource: everyThird(n), H: 16, Sigma: 8, Epsilon: 0.5, CapMessages: true}
-		}, 0x2a20fc5a9829a313},
+		}, 0x4043e9ea056a24e4, 0x2a20fc5a9829a313},
 		// σ = n: lists long enough to be looked up through the source index.
-		{"random", 64, 4, func(n int) Params { return APSPParams(n, 1) }, 0xeb09dd9d663f4e3b},
+		{"random", 64, 4, func(n int) Params { return APSPParams(n, 1) }, 0x2c5ae6110507a2a7, 0xeb09dd9d663f4e3b},
 	} {
 		t.Run(fmt.Sprintf("%s-n%d", tc.topology, tc.n), func(t *testing.T) {
 			g, err := graph.Generate(tc.topology, tc.n, tc.maxW, rand.New(rand.NewSource(17)))
@@ -52,6 +56,9 @@ func TestPinnedFingerprints(t *testing.T) {
 				}
 				if got := res.Fingerprint(); got != tc.want {
 					t.Errorf("width %d: fingerprint %#016x, pinned %#016x", cfg.EffectiveWorkers(), got, tc.want)
+				}
+				if got := linearFingerprint(res); got != tc.legacy {
+					t.Errorf("width %d: legacy fingerprint %#016x, pinned %#016x", cfg.EffectiveWorkers(), got, tc.legacy)
 				}
 			}
 		})

@@ -598,15 +598,6 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "build_failed", "rebuilding shard %q: %v", req.Shard, err)
 		return
 	}
-	// Verify before publishing: the shard's stamped fingerprint must be
-	// exactly the built instance's. Checking after the swap would write a
-	// build_failed envelope for tables that are already serving — the old
-	// bug this ordering fixes — so an inconsistent build is rejected here
-	// and the slot keeps its current generation.
-	if want := fmt.Sprintf("%016x", sh.inst.Fingerprint()); sh.fp != want {
-		writeError(w, http.StatusInternalServerError, "build_failed", "built shard stamped %s, instance fingerprint is %s", sh.fp, want)
-		return
-	}
 	oldFP := sl.swap(sh)
 	sl.mutated.Store(false)
 	writeJSON(w, &RebuildResponse{

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -132,10 +131,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	sh := instShard(ni)
-	if want := fmt.Sprintf("%016x", ni.Fingerprint()); sh.fp != want {
-		writeError(w, http.StatusInternalServerError, "update_failed", "built shard stamped %s, instance fingerprint is %s", sh.fp, want)
-		return
-	}
 	oldFP := sl.swap(sh)
 	updateNS := time.Since(began).Nanoseconds()
 	sl.mutated.Store(true)

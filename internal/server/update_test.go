@@ -214,23 +214,49 @@ func TestUpdateHighDamageReweightIsDelta(t *testing.T) {
 // TestUpdateVerifyRefusesDivergentTables: verify compares the patched
 // tables with a from-scratch build, and a difference must keep the old
 // generation serving. The divergence is planted in a rounding instance the
-// update reuses by pointer (oddEdgeChange re-detects only instance 0), so
-// the patched result carries it and the cold build does not.
+// update reuses by pointer (oddEdgeChange re-detects only instance 0), at
+// an entry the combined list takes from that instance. The reused
+// instance's digest was memoized when its generation was published, so
+// the tampering reaches the fingerprint through the combined list, which
+// the patched build merges afresh and the cold build does not share. The
+// shard is a partial sweep: on APSP tables instance 0 is exact and
+// supplies every combined entry.
 func TestUpdateVerifyRefusesDivergentTables(t *testing.T) {
-	srv, ts := newTestServer(t, Config{})
-	sl := srv.slots["main"]
+	partial := testSpec
+	partial.H, partial.Sigma = 1, 32
+	sh, err := buildShard(partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, Config{}, Prebuilt{Name: "partial", Spec: sh.spec, G: sh.g, Res: sh.oracle().Res})
+	sl := srv.slots["partial"]
 	before := sl.load()
 	change := oddEdgeChange(t, before.g)
 
-	last := before.oracle().Res.Instances[len(before.oracle().Res.Instances)-1]
-	v := 0
-	for len(last.Det.Lists[v]) == 0 {
-		v++
+	res := before.oracle().Res
+	plant := func() bool {
+		for v, list := range res.Lists {
+			for _, e := range list {
+				if e.Instance == 0 {
+					continue
+				}
+				det := res.Instances[e.Instance].Det.Lists[v]
+				for j := range det {
+					if det[j].Src == e.Src {
+						det[j].Via ^= 1
+						return true
+					}
+				}
+			}
+		}
+		return false
 	}
-	last.Det.Lists[v][0].Via ^= 1
+	if !plant() {
+		t.Fatal("no combined entry comes from a reused instance")
+	}
 
 	resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
-		Shard: "main", Changes: []WireChange{change}, Verify: true,
+		Shard: "partial", Changes: []WireChange{change}, Verify: true,
 	}, nil)
 	wantErrorEnvelope(t, resp, http.StatusInternalServerError, "update_failed")
 	if sl.load() != before {
@@ -244,7 +270,7 @@ func TestUpdateVerifyRefusesDivergentTables(t *testing.T) {
 	// that refused, not the build.
 	var ur UpdateResponse
 	if resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
-		Shard: "main", Changes: []WireChange{change},
+		Shard: "partial", Changes: []WireChange{change},
 	}, &ur); resp.StatusCode != http.StatusOK || ur.Path != "delta" || ur.InstancesReused == 0 {
 		t.Fatalf("unverified update: status %d, response %+v", resp.StatusCode, ur)
 	}
