@@ -180,7 +180,7 @@ func TestWireFrameGolden(t *testing.T) {
 
 func TestHotPathAllocGolden(t *testing.T) {
 	// Every package that carries //pde:hotpath markers is in scope.
-	for _, pkg := range []string{"pde/internal/wire", "pde/internal/oracle", "pde/internal/server", "pde/internal/detection"} {
+	for _, pkg := range []string{"pde/internal/wire", "pde/internal/oracle", "pde/internal/server", "pde/internal/detection", "pde/internal/congest"} {
 		suppressed := runGolden(t, HotPathAlloc, "hotpathalloc", pkg)
 		if len(suppressed) != 1 {
 			t.Errorf("%s: want exactly 1 //pde:allow-suppressed finding in the fixture, got %d", pkg, len(suppressed))
@@ -192,7 +192,7 @@ func TestHotPathAllocScope(t *testing.T) {
 	// The same fixture analyzed under an out-of-scope import path must
 	// produce nothing: the marker contract is enforced only where the
 	// allocation guards run (internal/wire, internal/oracle,
-	// internal/server, internal/detection).
+	// internal/server, internal/detection, internal/congest).
 	fset, typed := goldenUniverse(t)
 	var files []*ast.File
 	entries, _ := os.ReadDir(filepath.Join("testdata", "hotpathalloc"))

@@ -9,7 +9,7 @@ import (
 // HotPathAlloc enforces the zero-allocation contract of the hot paths: a
 // function marked with a //pde:hotpath doc comment is part of the
 // steady-state frame loop of the PDE2 wire protocol, the server's frame
-// handlers, the oracle's answer path or a detection round, whose
+// handlers, the oracle's answer path or a detection or engine round, whose
 // allocation promises are guarded end-to-end by testing.AllocsPerRun
 // tests. An allocation that sneaks
 // into one of these functions — an append, a make, a string<->[]byte
@@ -27,7 +27,7 @@ var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc: "//pde:hotpath functions must not allocate " +
 		"(append, make, string<->[]byte conversions)",
-	Scope: scopeSuffix("internal/wire", "internal/oracle", "internal/server", "internal/detection"),
+	Scope: scopeSuffix("internal/wire", "internal/oracle", "internal/server", "internal/detection", "internal/congest"),
 	Run:   runHotPathAlloc,
 }
 

@@ -6,12 +6,15 @@
 // Algorithms are written as one Proc per node. The engine enforces the
 // bandwidth constraint, accounts rounds and messages, fast-forwards
 // through quiescent periods (reporting both executed and budgeted rounds),
-// and schedules only the nodes that can make progress: an explicit sorted
-// worklist of active nodes replaces any per-round scan over all n nodes.
-// A Run executes on the caller's goroutine and is deterministic: nodes step
-// in ascending id order and every inbox is assembled in ascending sender
-// order. Parallelism lives one level up, across independent executions
-// (core.Build's rounding instances), sized by Config.EffectiveWorkers.
+// and schedules only the nodes that can make progress: a worklist of the
+// active nodes, collected each round in a bitmap over the nodes, replaces
+// any per-round call on all n of them. A Run executes on the caller's
+// goroutine and is deterministic: nodes step in ascending id order and
+// every inbox is assembled in ascending sender order. An Engine keeps a
+// run's storage for the next one, so a caller with many runs (a core.Build
+// worker, through its detection.Arena) allocates it once. Parallelism
+// lives one level up, across independent executions (core.Build's
+// rounding instances), sized by Config.EffectiveWorkers.
 package congest
 
 import (
@@ -48,15 +51,18 @@ type Proc interface {
 // Ctx is the per-node view of the network for one round. It is only valid
 // during the Init or Round call it is passed to.
 type Ctx struct {
-	node    int
-	round   int
-	nbrs    []graph.Edge
-	inbox   []Incoming
-	out     []Message // one slot per port; non-nil = sent this round
-	wake    bool
-	fault   error
-	nsends  int64
-	nbcasts int64
+	node  int
+	round int
+	nbrs  []graph.Edge
+	out   []Message  // one slot per port; non-nil = sent this round
+	inbox []Incoming // one slot per port; the first nin were delivered
+	nin   int
+	// received is the engine epoch in which inbox was last written.
+	received int32
+	wake     bool
+	fault    error
+	nsends   int64
+	nbcasts  int64
 }
 
 // Node returns this node's identifier.
@@ -73,10 +79,12 @@ func (c *Ctx) Neighbors() []graph.Edge { return c.nbrs }
 func (c *Ctx) Degree() int { return len(c.nbrs) }
 
 // In returns the messages received at the start of this round.
-func (c *Ctx) In() []Incoming { return c.inbox }
+func (c *Ctx) In() []Incoming { return c.inbox[:c.nin] }
 
 // Send transmits m over the given port this round. At most one message
 // may be sent per port per round; violations abort the run.
+//
+//pde:hotpath
 func (c *Ctx) Send(port int, m Message) {
 	if c.fault != nil {
 		return

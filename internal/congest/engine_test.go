@@ -3,6 +3,7 @@ package congest
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -247,23 +248,155 @@ func TestConfigSub(t *testing.T) {
 	}
 }
 
-func TestMergeSorted(t *testing.T) {
-	cases := []struct{ a, b, want []int }{
-		{nil, nil, nil},
-		{[]int{1, 3}, nil, []int{1, 3}},
-		{nil, []int{2}, []int{2}},
-		{[]int{1, 2, 5}, []int{2, 3, 5, 9}, []int{1, 2, 3, 5, 9}},
-		{[]int{4}, []int{4}, []int{4}},
+// delivery is one message as a recorder was handed it.
+type delivery struct {
+	round, from, port int
+	value             int64
+}
+
+// recorder is a multiFlood that logs every message it is handed, asks to
+// step once more after every round it received in (so nodes step with an
+// empty inbox right after a full one) and, at faultRound, makes nodes
+// from faultFrom on send twice on port 0.
+type recorder struct {
+	multiFlood
+	got        []delivery
+	faultRound int
+	faultFrom  int
+}
+
+func (p *recorder) Round(ctx *Ctx) {
+	for _, in := range ctx.In() {
+		p.got = append(p.got, delivery{ctx.Round(), in.From, in.Port, in.Msg.(ValueMsg).Value})
 	}
-	for _, c := range cases {
-		got := mergeSorted(nil, c.a, c.b)
-		if len(got) != len(c.want) {
-			t.Fatalf("merge(%v,%v)=%v, want %v", c.a, c.b, got, c.want)
+	if len(ctx.In()) > 0 {
+		ctx.WakeNext()
+	}
+	p.multiFlood.Round(ctx)
+	if ctx.Round() == p.faultRound && ctx.Node() >= p.faultFrom && ctx.Degree() > 0 {
+		ctx.Send(0, ValueMsg{Value: 1})
+		ctx.Send(0, ValueMsg{Value: 2})
+	}
+}
+
+// recordRun runs a seeded multi-origin flood on eng and returns the
+// metrics, every node's deliveries and the run's error.
+func recordRun(eng *Engine, g *graph.Graph, seed int64, faultRound int) (*Metrics, [][]delivery, error) {
+	rng := rand.New(rand.NewSource(seed))
+	states := make([]recorder, g.N())
+	procs := make([]Proc, g.N())
+	for v := range states {
+		if rng.Intn(8) == 0 {
+			states[v].mine = []int64{int64(1000 + v), int64(2000 + v)}
 		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Fatalf("merge(%v,%v)=%v, want %v", c.a, c.b, got, c.want)
-			}
+		states[v].faultRound, states[v].faultFrom = faultRound, g.N()/2
+		procs[v] = &states[v]
+	}
+	met, err := eng.Run(g, procs, Config{MaxRounds: 4 * g.N()})
+	got := make([][]delivery, g.N())
+	for v := range states {
+		got[v] = states[v].got
+	}
+	return met, got, err
+}
+
+// TestEngineReuse: one Engine runs graphs of different n and m in turn —
+// smaller after larger, and again after a run that faulted mid-round with
+// sends left in its slots — and every run's metrics and inboxes equal a
+// fresh engine's, and every delivered message is handed over exactly once.
+// Stale receive epochs, send slots or inbox counts would each show as a
+// delivery that did not happen or a message twice.
+func TestEngineReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	graphs := []*graph.Graph{
+		graph.RandomConnected(90, 0.08, 10, rng),
+		graph.Ring(40, 10, rng),
+		graph.Grid(10, 12, 10, rng),
+		graph.Star(30, 10, rng),
+		graph.RandomConnected(90, 0.08, 10, rng),
+	}
+	var eng Engine
+	check := func(step int, g *graph.Graph) {
+		t.Helper()
+		want, wantGot, err := recordRun(new(Engine), g, int64(step), 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		met, got, err := recordRun(&eng, g, int64(step), 0)
+		if err != nil {
+			t.Fatalf("run %d: %v", step, err)
+		}
+		if !reflect.DeepEqual(met, want) {
+			t.Fatalf("run %d: metrics %+v, fresh engine %+v", step, met, want)
+		}
+		if !reflect.DeepEqual(got, wantGot) {
+			t.Fatalf("run %d: deliveries differ from a fresh engine's", step)
+		}
+		handed := 0
+		for _, d := range got {
+			handed += len(d)
+		}
+		if !met.Quiesced || int64(handed) != met.Messages {
+			t.Fatalf("run %d: %d messages delivered, %d handed to Round, quiesced %v", step, met.Messages, handed, met.Quiesced)
+		}
+	}
+	for i, g := range graphs {
+		check(i, g)
+	}
+	for i, g := range graphs {
+		if _, _, err := recordRun(&eng, g, int64(i), 3); err == nil || !strings.Contains(err.Error(), "sent twice on port") {
+			t.Fatalf("faulting run on graph %d: err=%v", i, err)
+		}
+		check(i, g)
+		check(i, graphs[(i+1)%len(graphs)])
+	}
+}
+
+// idleTail is a flood from node 0 whose nodes each wake once more after
+// they first hear the token, so the run has a last active round the
+// budget can be cut at.
+type idleTail struct{ floodProc }
+
+func (p *idleTail) Round(ctx *Ctx) {
+	fresh := p.heard < 0 && len(ctx.In()) > 0
+	p.floodProc.Round(ctx)
+	if fresh {
+		ctx.WakeNext()
+	}
+}
+
+// TestIdleBudgetIsFree: rounds after the network goes quiet are skipped,
+// not executed. A run with eight times the budget it needs reports the
+// same metrics, apart from the budget, and allocates as much as one given
+// exactly its last active round.
+func TestIdleBudgetIsFree(t *testing.T) {
+	g := graph.Grid(12, 12, 10, rand.New(rand.NewSource(22)))
+	var eng Engine
+	run := func(budget int) *Metrics {
+		procs := make([]Proc, g.N())
+		states := make([]idleTail, g.N())
+		for v := range states {
+			states[v].origin = v == 0
+			procs[v] = &states[v]
+		}
+		met, err := eng.Run(g, procs, Config{MaxRounds: budget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return met
+	}
+	last := run(0).ActiveRounds
+	tight, loose := *run(last), *run(8 * last)
+	if tight.BudgetRounds != last || loose.BudgetRounds != 8*last {
+		t.Fatalf("budgets %d and %d, want %d and %d", tight.BudgetRounds, loose.BudgetRounds, last, 8*last)
+	}
+	loose.BudgetRounds = tight.BudgetRounds
+	if !reflect.DeepEqual(tight, loose) {
+		t.Fatalf("an idle budget changed the metrics: %+v, then %+v", tight, loose)
+	}
+	tightAllocs := testing.AllocsPerRun(5, func() { run(last) })
+	looseAllocs := testing.AllocsPerRun(5, func() { run(8 * last) })
+	if tightAllocs != looseAllocs {
+		t.Fatalf("%.0f allocations with the budget it needs, %.0f with 8x", tightAllocs, looseAllocs)
 	}
 }

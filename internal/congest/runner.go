@@ -3,8 +3,8 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
 
 	"pde/internal/graph"
 )
@@ -67,7 +67,9 @@ type Metrics struct {
 	// else equal to ActiveRounds. Paper round-complexity claims refer to
 	// the budget an algorithm must be given.
 	BudgetRounds int
-	// Quiesced reports whether the run ended because no node had work.
+	// Quiesced reports whether no node had work left when the run ended,
+	// whether or not the budget ran out in the same round; an Observer
+	// stop is not quiescence.
 	Quiesced bool
 	// Stopped reports whether the Observer ended the run.
 	Stopped bool
@@ -96,7 +98,8 @@ func (m *Metrics) MaxBroadcasts() int64 {
 	return best
 }
 
-// Run executes procs (one per node of g) under cfg and returns metrics.
+// Run executes procs (one per node of g) under cfg and returns metrics. It
+// is new(Engine).Run; a caller that makes many runs keeps one Engine.
 //
 // Each round: the nodes on the active worklist take a step (reading
 // messages delivered at the end of the previous round), then all sends
@@ -106,6 +109,44 @@ func (m *Metrics) MaxBroadcasts() int64 {
 // remaining rounds are vacuously identical and the engine fast-forwards
 // to the end of the budget.
 func Run(g *graph.Graph, procs []Proc, cfg Config) (*Metrics, error) {
+	return new(Engine).Run(g, procs, cfg)
+}
+
+// Engine is the storage of a run: the nodes' contexts, one send slot and
+// one receive slot per port (2m of each, a node's ports being one window
+// of both), the worklist and the bitmap the next one is collected in. The
+// zero value is ready. Runs on one Engine go one after the other: each
+// sizes the storage to its graph and reuses it when it is large enough,
+// so a run allocates only its Metrics. The reverse port a receiver is
+// told comes from graph.Edge.Back, computed once per graph.
+type Engine struct {
+	procs []Proc
+	b     int
+	met   *Metrics
+	ctxs  []Ctx
+	out   []Message
+	inbox []Incoming
+	// epoch increments once per round. ctxs[u].received == epoch marks
+	// u's inbox as filled this round (and therefore readable next round).
+	epoch int32
+	// active[:nactive] is the current round's worklist, ascending; next
+	// has one bit per node that steps in the round after it.
+	active  []int32
+	nactive int
+	next    []uint64
+}
+
+// resize returns s with length n, reallocated only if it is too small.
+// The contents are whatever the last run left.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Run is the package's Run on e's storage.
+func (e *Engine) Run(g *graph.Graph, procs []Proc, cfg Config) (*Metrics, error) {
 	n := g.N()
 	if len(procs) != n {
 		return nil, fmt.Errorf("congest: %d procs for %d nodes", len(procs), n)
@@ -118,156 +159,99 @@ func Run(g *graph.Graph, procs []Proc, cfg Config) (*Metrics, error) {
 	if limit == 0 {
 		limit = safetyCap
 	}
-
-	eng := &engine{
-		g:        g,
-		procs:    procs,
-		b:        b,
-		ctxs:     make([]Ctx, n),
-		inbox:    make([][]Incoming, n),
-		received: make([]int32, n),
-		met: &Metrics{
-			Broadcasts: make([]int64, n),
-			Sends:      make([]int64, n),
-		},
-	}
-	for v := 0; v < n; v++ {
-		nbrs := g.Neighbors(v)
-		eng.ctxs[v] = Ctx{
-			node: v,
-			nbrs: nbrs,
-			out:  make([]Message, len(nbrs)),
-		}
-	}
-	if err := eng.buildBackPorts(); err != nil {
-		return nil, err
-	}
+	e.reset(g, procs, b)
+	met := e.met
 
 	// Init phase (round 0): every node is on the worklist.
-	eng.active = make([]int, n)
-	for v := range eng.active {
-		eng.active[v] = v
+	for v := range n {
+		e.active[v] = int32(v)
 	}
-	if err := eng.step(0, true); err != nil {
+	e.nactive = n
+	if err := e.step(0, true); err != nil {
 		return nil, err
 	}
-	if err := eng.deliver(); err != nil {
+	if err := e.deliver(); err != nil {
 		return nil, err
 	}
 
-	for r := 1; r <= limit; r++ {
-		if len(eng.active) == 0 {
-			eng.met.Quiesced = true
-			break
-		}
-		if err := eng.step(r, false); err != nil {
+	for r := 1; r <= limit && e.nactive > 0; r++ {
+		if err := e.step(r, false); err != nil {
 			return nil, err
 		}
-		if err := eng.deliver(); err != nil {
+		if err := e.deliver(); err != nil {
 			return nil, err
 		}
-		eng.met.ActiveRounds = r
+		met.ActiveRounds = r
 		if cfg.Observer != nil && cfg.Observer(r) {
-			eng.met.Stopped = true
+			met.Stopped = true
 			break
 		}
 	}
-	if cfg.MaxRounds == 0 && !eng.met.Quiesced && !eng.met.Stopped {
+	met.Quiesced = e.nactive == 0 && !met.Stopped
+	if cfg.MaxRounds == 0 && !met.Quiesced && !met.Stopped {
 		return nil, errors.New("congest: run exceeded safety cap without quiescing")
 	}
-	eng.met.BudgetRounds = cfg.MaxRounds
+	met.BudgetRounds = cfg.MaxRounds
 	if cfg.MaxRounds == 0 {
-		eng.met.BudgetRounds = eng.met.ActiveRounds
+		met.BudgetRounds = met.ActiveRounds
 	}
 	// Per-node send/broadcast counters accumulate inside each Ctx; publish
 	// them once at the end of the run.
-	for v := 0; v < n; v++ {
-		eng.met.Broadcasts[v] = eng.ctxs[v].nbcasts
-		eng.met.Sends[v] = eng.ctxs[v].nsends
+	for v := range e.ctxs {
+		met.Broadcasts[v] = e.ctxs[v].nbcasts
+		met.Sends[v] = e.ctxs[v].nsends
 	}
-	return eng.met, nil
+	return met, nil
 }
 
-type engine struct {
-	g        *graph.Graph
-	procs    []Proc
-	b        int
-	ctxs     []Ctx
-	inbox    [][]Incoming // per-node pooled inbox buffers
-	backPort [][]int32    // backPort[v][p]: port of nbrs[v][p].To pointing back to v
-	met      *Metrics
-
-	// epoch increments once per round. received[u] == epoch marks u's
-	// inbox as filled this round (and therefore readable next round).
-	epoch    int32
-	received []int32
-
-	active []int // sorted worklist for the current round
-	recv   []int // nodes receiving a message this round (sorted)
-	wake   []int // active nodes that requested wake-up (sorted)
-	merged []int // scratch for the next worklist
-}
-
-// buildBackPorts computes the reverse-port table in O(n + m): a message
-// sent by v on port p is delivered to u = nbrs[v][p].To together with u's
-// port back to v, so receivers know which edge it used.
-func (e *engine) buildBackPorts() error {
-	n := e.g.N()
-	m := e.g.M()
-	// For undirected edge id, record the port at each endpoint (lo = the
-	// smaller endpoint id).
-	loPort := make([]int32, m)
-	hiPort := make([]int32, m)
-	for v := 0; v < n; v++ {
-		for p, ed := range e.g.Neighbors(v) {
-			if ed.To == v {
-				return fmt.Errorf("congest: self-loop at node %d", v)
-			}
-			if v < ed.To {
-				loPort[ed.ID] = int32(p)
-			} else {
-				hiPort[ed.ID] = int32(p)
-			}
+// reset sizes e's storage to g and hands every node its windows. The send
+// slots and the bitmap are cleared, because a run that faulted mid-round
+// leaves sends and bits behind; the receive slots need not be, because a
+// node reads only what was delivered to it this run.
+func (e *Engine) reset(g *graph.Graph, procs []Proc, b int) {
+	n, ports := g.N(), 2*g.M()
+	e.procs, e.b, e.epoch = procs, b, 0
+	counts := make([]int64, 2*n)
+	e.met = &Metrics{Broadcasts: counts[:n:n], Sends: counts[n:]}
+	e.ctxs = resize(e.ctxs, n)
+	e.out = resize(e.out, ports)
+	clear(e.out)
+	e.inbox = resize(e.inbox, ports)
+	e.active = resize(e.active, n)
+	e.next = resize(e.next, (n+63)>>6)
+	clear(e.next)
+	off := 0
+	for v := range e.ctxs {
+		nbrs := g.Neighbors(v)
+		end := off + len(nbrs)
+		e.ctxs[v] = Ctx{
+			node:  v,
+			nbrs:  nbrs,
+			out:   e.out[off:end:end],
+			inbox: e.inbox[off:end:end],
 		}
+		off = end
 	}
-	e.backPort = make([][]int32, n)
-	for v := 0; v < n; v++ {
-		nbrs := e.g.Neighbors(v)
-		e.backPort[v] = make([]int32, len(nbrs))
-		for p, ed := range nbrs {
-			if v < ed.To {
-				e.backPort[v][p] = hiPort[ed.ID]
-			} else {
-				e.backPort[v][p] = loPort[ed.ID]
-			}
-		}
-	}
-	return nil
 }
 
 // step runs Init (init=true) or Round on every worklist node.
-func (e *engine) step(round int, init bool) error {
+//
+//pde:hotpath
+func (e *Engine) step(round int, init bool) error {
 	e.epoch++
 	ep := e.epoch
-	for _, v := range e.active {
+	for _, v := range e.active[:e.nactive] {
 		c := &e.ctxs[v]
 		c.round = round
-		if e.received[v] == ep-1 {
-			c.inbox = e.inbox[v]
-		} else {
-			c.inbox = nil
+		if c.received != ep-1 {
+			c.nin = 0
 		}
 		c.wake = false
-		out := c.out
-		for p := range out {
-			out[p] = nil
-		}
 		if init {
 			e.procs[v].Init(c)
 		} else {
 			e.procs[v].Round(c)
 		}
-		c.inbox = nil
 		if c.fault != nil {
 			return c.fault
 		}
@@ -276,74 +260,59 @@ func (e *engine) step(round int, init bool) error {
 }
 
 // deliver validates and moves this round's sends into the receivers'
-// inboxes in one pass over the (sorted) senders, so every inbox is in
-// ascending sender order, and computes the next worklist.
-func (e *engine) deliver() error {
+// inboxes in one pass over the (ascending) senders, so every inbox is in
+// ascending sender order, and empties each send slot it reads. Receivers
+// and wakers set their bit in next, and one scan of it makes the next
+// worklist, ascending again.
+//
+//pde:hotpath
+func (e *Engine) deliver() error {
 	ep := e.epoch
-	e.recv = e.recv[:0]
-	e.wake = e.wake[:0]
 	var busy int
-	for _, v := range e.active {
+	var msgs, msgBits int64
+	for _, v := range e.active[:e.nactive] {
 		c := &e.ctxs[v]
 		if c.wake {
-			e.wake = append(e.wake, v)
+			e.next[v>>6] |= 1 << (v & 63)
 		}
 		for p, m := range c.out {
 			if m == nil {
 				continue
 			}
-			bits := m.Bits()
-			if bits > e.b {
-				return fmt.Errorf("congest: node %d sent %d-bit message, bandwidth B=%d", v, bits, e.b)
+			c.out[p] = nil
+			nb := m.Bits()
+			if nb > e.b {
+				return fmt.Errorf("congest: node %d sent %d-bit message, bandwidth B=%d", v, nb, e.b)
 			}
-			u := c.nbrs[p].To
-			if e.received[u] != ep {
-				e.received[u] = ep
-				e.recv = append(e.recv, u)
-				e.inbox[u] = e.inbox[u][:0]
+			ed := &c.nbrs[p]
+			r := &e.ctxs[ed.To]
+			if r.received != ep {
+				r.received = ep
+				r.nin = 0
+				e.next[ed.To>>6] |= 1 << (ed.To & 63)
 			}
-			e.inbox[u] = append(e.inbox[u], Incoming{
-				From: v,
-				Port: int(e.backPort[v][p]),
-				Msg:  m,
-			})
+			r.inbox[r.nin] = Incoming{From: int(v), Port: int(ed.Back), Msg: m}
+			r.nin++
 			busy++
-			e.met.Messages++
-			e.met.MessageBits += int64(bits)
+			msgs++
+			msgBits += int64(nb)
 		}
 	}
-	if busy > e.met.MaxBusyPorts {
-		e.met.MaxBusyPorts = busy
-	}
-	sort.Ints(e.recv)
+	e.met.Messages += msgs
+	e.met.MessageBits += msgBits
+	e.met.MaxBusyPorts = max(e.met.MaxBusyPorts, busy)
 
-	// Next worklist: nodes that received a message or requested wake-up.
-	// Both lists are sorted (wake follows the sorted worklist; recv is
-	// sorted explicitly), so a merge keeps the invariant.
-	e.merged = mergeSorted(e.merged[:0], e.recv, e.wake)
-	e.active, e.merged = e.merged, e.active
+	k := 0
+	for w, word := range e.next {
+		if word == 0 {
+			continue
+		}
+		e.next[w] = 0
+		for ; word != 0; word &= word - 1 {
+			e.active[k] = int32(w<<6 + bits.TrailingZeros64(word))
+			k++
+		}
+	}
+	e.nactive = k
 	return nil
-}
-
-// mergeSorted appends the union of two sorted int slices to dst,
-// deduplicating, and returns dst.
-func mergeSorted(dst, a, b []int) []int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
 }

@@ -18,8 +18,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -295,87 +297,93 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 
 	// The rounding hierarchy. The i_max+1 instances are mutually
 	// independent — instance i reads only the graph, the (read-only)
-	// params and its own lengths/delays — so they are built by a pool of
-	// min(EffectiveWorkers, num) goroutines, each instance on one
-	// sequential engine. The merge below consumes results in ascending
-	// instance order, so every pool width is bit-identical
-	// (Result.Fingerprint makes that checkable, and the bench build layer
-	// and the -race property tests enforce it rather than assume it).
+	// params and its own lengths/delays — so the ones not reused from prev
+	// are detected by a pool of min(EffectiveWorkers, re-detected)
+	// goroutines, each instance on one sequential engine. The merge below
+	// consumes results in ascending instance order, so every pool width is
+	// bit-identical (Result.Fingerprint makes that checkable, and the
+	// bench build layer and the -race property tests enforce it rather
+	// than assume it).
 	num := NumInstances(maxW, p.Epsilon)
 	if num > maxHierarchyInstances {
 		return nil, ps, fmt.Errorf("core: epsilon %v needs %d rounding instances for w_max %d (limit %d)",
 			p.Epsilon, num, maxW, maxHierarchyInstances)
 	}
-	// Each worker keeps one detection.Arena for the instances it builds —
-	// the units' storage is cleared between them, not reallocated — and
-	// drops it when Build returns.
-	engine := congest.Config{B: cfg.B}
-	buildOne := func(i int, arena *detection.Arena) (*Instance, error) {
+	insts := make([]*Instance, num)
+	var todo []int
+	for i := range insts {
 		base := math.Pow(1+p.Epsilon, float64(i))
 		lengths := instanceLengths(g, base)
-		if pi := prev.reusable(i, base, lengths); pi != nil {
-			return pi, nil
+		if insts[i] = prev.reusable(i, base, lengths); insts[i] == nil {
+			insts[i] = &Instance{Base: base, Lengths: lengths}
+			todo = append(todo, i)
 		}
-		dp := detection.Params{
-			IsSource:    p.IsSource,
-			Flags:       p.Flags,
-			H:           res.HPrime,
-			Sigma:       p.Sigma,
-			Lengths:     lengths,
-			CapMessages: p.CapMessages,
-			Scheduling:  p.Scheduling,
-			Delays:      p.Delays,
-			ExtraRounds: p.ExtraRounds,
-		}
-		det, err := arena.Run(g, dp, engine)
-		if err != nil {
-			return nil, fmt.Errorf("core: instance %d: %w", i, err)
-		}
-		return &Instance{Base: base, Lengths: lengths, Det: det}, nil
 	}
+	claimOrder(todo, insts, res.HPrime)
 
-	insts := make([]*Instance, num)
+	// Each worker keeps one detection.Arena — the units' storage and the
+	// engine under them — for the instances it builds, and drops it when
+	// Build returns. Claiming the largest instances first sizes a worker's
+	// arena at its first claim, and is longest-first load balancing.
+	detCfg := congest.Config{B: cfg.B}
 	errs := make([]error, num)
-	width := min(cfg.EffectiveWorkers(), num)
+	width := min(cfg.EffectiveWorkers(), len(todo))
 	if poolWidthHook != nil {
 		poolWidthHook(width)
 	}
-	var next atomic.Int64
-	var failed atomic.Bool
+	// failedAt is the lowest failed index so far. An instance above it is
+	// skipped; every one below it runs, so the error reported below — the
+	// lowest-index one — is the same at every width and claim order.
+	var next, failedAt atomic.Int64
+	failedAt.Store(int64(num))
 	var wg sync.WaitGroup
 	for w := 0; w < width; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var arena detection.Arena
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= num {
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(todo) {
 					return
 				}
-				if insts[i], errs[i] = buildOne(i, &arena); errs[i] != nil {
-					failed.Store(true)
+				i := todo[k]
+				if int64(i) > failedAt.Load() {
+					continue
 				}
+				inst := insts[i]
+				det, err := arena.Run(g, detection.Params{
+					IsSource:    p.IsSource,
+					Flags:       p.Flags,
+					H:           res.HPrime,
+					Sigma:       p.Sigma,
+					Lengths:     inst.Lengths,
+					CapMessages: p.CapMessages,
+					Scheduling:  p.Scheduling,
+					Delays:      p.Delays,
+					ExtraRounds: p.ExtraRounds,
+				}, detCfg)
+				if err != nil {
+					errs[i] = fmt.Errorf("core: instance %d: %w", i, err)
+					for f := failedAt.Load(); int64(i) < f; f = failedAt.Load() {
+						if failedAt.CompareAndSwap(f, int64(i)) {
+							break
+						}
+					}
+					continue
+				}
+				inst.Det = det
 			}
 		}()
 	}
 	wg.Wait()
-	// Report the lowest-index error. Indices are claimed in ascending
-	// order, so every index below a failed one was claimed and finished.
 	for _, err := range errs {
 		if err != nil {
 			return nil, ps, err
 		}
 	}
 
-	ps.Instances = num
-	for i, inst := range insts {
-		if prev != nil && i < len(prev.Instances) && inst == prev.Instances[i] {
-			ps.Reused++
-		} else {
-			ps.Rebuilt++
-		}
-	}
+	ps.Instances, ps.Rebuilt, ps.Reused = num, len(todo), num-len(todo)
 
 	// Deterministic merge: accounting accumulates in ascending instance
 	// order regardless of build order.
@@ -394,6 +402,22 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 
 	res.Lists = combine(res.Instances, n, p.Sigma)
 	return res, ps, nil
+}
+
+// claimOrder sorts the indices of the instances to detect into the order
+// the pool claims them: by descending Σ ℓ(e) over the edges with ℓ(e) ≤ h′
+// — about the number of relay cells the instance lays out — and by
+// ascending index on a tie.
+func claimOrder(todo []int, insts []*Instance, hPrime int) {
+	cells := make([]int64, len(insts))
+	for _, i := range todo {
+		for _, l := range insts[i].Lengths {
+			if int(l) <= hPrime {
+				cells[i] += int64(l)
+			}
+		}
+	}
+	slices.SortStableFunc(todo, func(a, b int) int { return cmp.Compare(cells[b], cells[a]) })
 }
 
 // head is the next unread entry of one instance's list in combine's merge.

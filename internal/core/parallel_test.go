@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"pde/internal/congest"
@@ -86,11 +88,21 @@ func TestParallelBuildUsesInstancePool(t *testing.T) {
 	poolWidthHook = func(width int) { widths = append(widths, width) }
 	defer func() { poolWidthHook = nil }()
 
-	if _, err := Run(g, p, congest.Config{Parallel: true, Workers: 4}); err != nil {
+	res, err := Run(g, p, congest.Config{Parallel: true, Workers: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(widths) != 1 || widths[0] != 4 {
 		t.Fatalf("parallel build resolved pool widths %v, want [4]", widths)
+	}
+	// The pool is sized by the instances to re-detect: none, on a rebuild
+	// of the same graph from its own result.
+	widths = nil
+	if _, ps, err := Build(g, p, congest.Config{Parallel: true, Workers: 4}, res); err != nil || ps.Rebuilt != 0 {
+		t.Fatalf("rebuild from its own result: %+v, %v", ps, err)
+	}
+	if len(widths) != 1 || widths[0] != 0 {
+		t.Fatalf("a rebuild that re-detects nothing resolved pool widths %v, want [0]", widths)
 	}
 	widths = nil
 	if _, err := Run(g, p, congest.Config{}); err != nil {
@@ -127,6 +139,41 @@ func TestHugePoolWidthIsCapped(t *testing.T) {
 	}
 	if huge > 2*small {
 		t.Fatalf("width 2^22 allocated %d bytes, width 2 %d: scratch scales with the request", huge, small)
+	}
+}
+
+// TestLowestIndexErrorUnderLargestFirstClaims: the pool claims the
+// instance with the most relay cells first — on churn-mixed's shape
+// (roadgrid, w_max 1024, h 16) not instance 0 — yet when every instance
+// fails, Build reports instance 0's error at every width, as it did when
+// claims went in index order.
+func TestLowestIndexErrorUnderLargestFirstClaims(t *testing.T) {
+	g, err := graph.Generate("roadgrid", 576, 1024, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]bool, g.N())
+	for v := range src {
+		src[v] = v%4 == 0
+	}
+	p := Params{IsSource: src, H: 16, Sigma: 8, Epsilon: 0.5, CapMessages: true, SkipSetup: true}
+	insts := make([]*Instance, NumInstances(g.MaxWeight(), p.Epsilon))
+	todo := make([]int, len(insts))
+	for i := range insts {
+		base := math.Pow(1+p.Epsilon, float64(i))
+		insts[i], todo[i] = &Instance{Base: base, Lengths: instanceLengths(g, base)}, i
+	}
+	claimOrder(todo, insts, HPrimeFor(p.H, p.Epsilon))
+	t.Logf("claim order %v", todo)
+	if todo[0] == 0 {
+		t.Fatalf("claim order %v starts at instance 0: the test needs a larger one first", todo)
+	}
+	for _, workers := range []int{1, 2, 4, 64} {
+		// One bit of bandwidth: every instance fails on its first message.
+		_, err := Run(g, p, congest.Config{B: 1, Parallel: true, Workers: workers})
+		if err == nil || !strings.HasPrefix(err.Error(), "core: instance 0: ") {
+			t.Fatalf("workers=%d: err=%v, want instance 0's", workers, err)
+		}
 	}
 }
 

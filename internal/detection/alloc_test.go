@@ -2,6 +2,7 @@ package detection
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pde/internal/congest"
@@ -29,17 +30,18 @@ func allocInstance(t *testing.T) (*graph.Graph, Params) {
 }
 
 // TestAllocsPerRunDetection holds the arena layout: one sequential Run on
-// a fresh Arena allocates 879 times for these 128 nodes and 8 572 relay
-// cells. Eleven of those are detection's — the arena's three slabs, the
-// node states, their edges, the procs, the shared configuration, and the
-// Result with its three slices and one slab of entries — and the rest the
-// engine's (per node: its out slots, its inbox, its back ports). When
-// every list grew one append at a time and Init made three slices per
-// edge this run allocated 48 791 times, and 1 385 times when Init made
-// two slabs per node. The budget leaves no room for an allocation per
-// node: 128 more fail it.
+// a fresh Arena allocates 19 times for these 128 nodes and 8 572 relay
+// cells, whatever n and the cell count: the Arena, its slabs (cells, keys,
+// Via windows, node states, their lines, procs), the engine's (contexts,
+// send and receive slots, worklist, bitmap), and what the run hands back
+// (the Result with its two slices and one slab of entries, the Metrics
+// with one slab of counters). When every list grew one append at a time
+// and Init made three slices per edge this run allocated 48 791 times,
+// 1 385 times when Init made two slabs per node, and 879 while the engine
+// made its contexts, out slots, inboxes and back ports per node and run.
+// The budget leaves no room for an allocation per node or per round.
 func TestAllocsPerRunDetection(t *testing.T) {
-	const budget = 950
+	const budget = 25
 	g, p := allocInstance(t)
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Run(g, p, congest.Config{}); err != nil {
@@ -52,11 +54,13 @@ func TestAllocsPerRunDetection(t *testing.T) {
 	}
 }
 
-// TestAllocsPerRunWarmArena: a second Run on a used Arena finds its three
-// slabs large enough and makes none of them again. What it still
-// allocates is the run's own (states, edges, procs, the Result) and the
-// engine's.
+// TestAllocsPerRunWarmArena: a second Run on a used Arena finds all of its
+// storage — the engine's included — large enough and makes none of it
+// again. What it still allocates is what the Result holds: the Result, its
+// Lists and SelfEmits, one slab of entries, the Metrics and one slab of
+// its counters.
 func TestAllocsPerRunWarmArena(t *testing.T) {
+	const held = 6
 	g, p := allocInstance(t)
 	cold := testing.AllocsPerRun(3, func() {
 		if _, err := Run(g, p, congest.Config{}); err != nil {
@@ -70,7 +74,36 @@ func TestAllocsPerRunWarmArena(t *testing.T) {
 		}
 	})
 	t.Logf("%.0f allocations per run on a fresh arena, %.0f on a used one", cold, warm)
-	if warm > cold-3 {
-		t.Fatalf("a used arena saved %.0f allocations of %.0f, want its 3 slabs", cold-warm, cold)
+	if warm > held {
+		t.Fatalf("a used arena allocated %.0f times per run (%.0f fresh), want only the %d the Result holds", warm, cold, held)
+	}
+}
+
+// TestArenaReuse: one Arena — and the engine in it — runs instances of
+// different graphs, σ and schedulers in turn, and every Result equals a
+// fresh Run's: lists, Via, self emissions and metrics.
+func TestArenaReuse(t *testing.T) {
+	dense, denseP := weightInstance(t, "community", 128, 9)
+	sparse, sparseP := weightInstance(t, "roadgrid", 96, 4)
+	small := graph.RandomConnected(40, 0.1, 8, rand.New(rand.NewSource(5)))
+	apsp := Params{IsSource: everyKth(40, 1), H: 40, Sigma: 40, CapMessages: true}
+	fifo := Params{IsSource: everyKth(40, 2), H: 12, Sigma: 6, Scheduling: FIFO}
+	runs := []struct {
+		g *graph.Graph
+		p Params
+	}{{dense, denseP}, {sparse, sparseP}, {small, apsp}, {small, fifo}, {dense, denseP}, {small, apsp}, {sparse, sparseP}}
+	var a Arena
+	for i, r := range runs {
+		want, err := Run(r.g, r.p, congest.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := a.Run(r.g, r.p, congest.Config{})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d on a used arena differs from a fresh Run", i)
+		}
 	}
 }

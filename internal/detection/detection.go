@@ -672,17 +672,23 @@ func Budget(p Params) int {
 	return p.H + min(p.Sigma, nsrc) + 1 + p.ExtraRounds
 }
 
-// Arena is the storage of a run's units: every relay cell, every list
-// window and every line's bitsets, in three slabs without a pointer in
-// them. The zero value is ready. A caller that runs many instances (one
+// Arena is the storage of a run: every relay cell, every list window and
+// every line's bitsets, in three slabs without a pointer in them; the node
+// states, their lines and procs; and the congest.Engine the run steps on.
+// The zero value is ready. A caller that runs many instances (one
 // core.Build worker) keeps one and runs them through it one after the
-// other: the slabs are sized per run by a pass over the edges, reused
-// when they are large enough, and freed with the Arena. Nothing a Result
-// holds points into them.
+// other: everything is sized per run by a pass over the edges, reused
+// when it is large enough, and freed with the Arena. Nothing a Result
+// holds points into it.
 type Arena struct {
-	cells []unit
-	keys  []uint64 // every line's two bitsets, then every unit's window
-	via   []int32  // every real node's Via window
+	cells  []unit
+	keys   []uint64 // every line's two bitsets, then every unit's window
+	via    []int32  // every real node's Via window
+	states []nodeProc
+	edges  []edgeSim
+	procs  []congest.Proc
+	sh     shared
+	eng    congest.Engine
 }
 
 // resize returns s with length n, reallocated only if it is too small.
@@ -711,13 +717,16 @@ func (sh *shared) ownCells(v int, e graph.Edge) int {
 	return int(length - 1 - length/2)
 }
 
-// layout hands every node of g its share of the arena: per line a span of
-// cells (ordered by distance from the node) and two bitsets, per unit a
-// list window of min(σ, reserveEntries) keys, per node a Via window.
-func (a *Arena) layout(g *graph.Graph, sh *shared, states []nodeProc) {
+// layout gives every node of g a fresh state under a.sh and its share of
+// the arena: per line a span of cells (ordered by distance from the node)
+// and two bitsets, per unit a list window of min(σ, reserveEntries) keys,
+// per node a Via window.
+func (a *Arena) layout(g *graph.Graph) {
+	sh := &a.sh
 	reserve := min(sh.sigma, reserveEntries)
+	n := g.N()
 	nCells, nBits, nEdges := 0, 0, 0
-	for v := range states {
+	for v := range n {
 		nbrs := g.Neighbors(v)
 		nEdges += len(nbrs)
 		for _, e := range nbrs {
@@ -728,35 +737,43 @@ func (a *Arena) layout(g *graph.Graph, sh *shared, states []nodeProc) {
 		}
 	}
 	a.cells = resize(a.cells, nCells)
-	a.keys = resize(a.keys, nBits+(len(states)+nCells)*reserve)
-	a.via = resize(a.via, len(states)*reserve)
-	cells, bitsets, lists, via := a.cells, a.keys[:nBits], a.keys[nBits:], a.via
+	a.keys = resize(a.keys, nBits+(n+nCells)*reserve)
+	a.via = resize(a.via, n*reserve)
+	a.states = resize(a.states, n)
+	a.edges = resize(a.edges, nEdges)
+	a.procs = resize(a.procs, n)
+	cells, bitsets, lists, via, edges := a.cells, a.keys[:nBits], a.keys[nBits:], a.via, a.edges
 	clear(bitsets)
-	edges := make([]edgeSim, nEdges)
-	for v := range states {
-		n := &states[v]
+	for v := range a.states {
+		st := &a.states[v]
 		nbrs := g.Neighbors(v)
-		n.sh = sh
-		n.edges, edges = edges[:len(nbrs):len(nbrs)], edges[len(nbrs):]
-		n.self = unit{cap: int32(reserve)}
-		n.via, via = via[:reserve:reserve], via[reserve:]
+		*st = nodeProc{
+			sh:   sh,
+			self: unit{cap: int32(reserve)},
+			via:  via[:reserve:reserve],
+			// The last run's exts are overwritten as this one appends.
+			exts:  st.exts[:0],
+			edges: edges[:len(nbrs):len(nbrs)],
+		}
+		via, edges = via[reserve:], edges[len(nbrs):]
 		off := reserve
 		for p, e := range nbrs {
-			es := &n.edges[p]
+			es := &st.edges[p]
 			c := sh.ownCells(v, e)
 			if c <= 0 {
-				es.excluded = c < 0
+				*es = edgeSim{excluded: c < 0}
 				continue
 			}
 			w := (c + 63) >> 6
-			es.cells, cells = cells[:c:c], cells[c:]
-			es.emitting, es.hot, bitsets = bitsets[:w:w], bitsets[w:2*w:2*w], bitsets[2*w:]
+			*es = edgeSim{cells: cells[:c:c], emitting: bitsets[:w:w], hot: bitsets[w : 2*w : 2*w]}
+			cells, bitsets = cells[c:], bitsets[2*w:]
 			for j := range es.cells {
 				es.cells[j] = unit{off: int32(off), cap: int32(reserve)}
 				off += reserve
 			}
 		}
-		n.keys, lists = lists[:off:off], lists[off:]
+		st.keys, lists = lists[:off:off], lists[off:]
+		a.procs[v] = st
 	}
 }
 
@@ -801,14 +818,9 @@ func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, erro
 	if s := int64(p.Sigma); p.CapMessages && s < 1<<16 {
 		capLimit = min(capLimit, s*(s+1)/2)
 	}
-	sh := &shared{p: p, sigma: p.Sigma, beyond: pack(int32(p.H)+1, 0), capLimit: int32(capLimit), sched: sched}
-
-	procs := make([]congest.Proc, n)
-	states := make([]nodeProc, n)
-	a.layout(g, sh, states)
-	for v := range states {
-		procs[v] = &states[v]
-	}
+	a.sh = shared{p: p, sigma: p.Sigma, beyond: pack(int32(p.H)+1, 0), capLimit: int32(capLimit), sched: sched}
+	a.layout(g)
+	sh, states := &a.sh, a.states
 	// Derive the engine config explicitly: keep the caller's engine knobs
 	// plus budget/observer, so nothing else ever leaks into the run.
 	run := cfg.Sub()
@@ -817,7 +829,7 @@ func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, erro
 		run.MaxRounds = Budget(p)
 	}
 	run.Observer = cfg.Observer
-	met, err := congest.Run(g, procs, run)
+	met, err := a.eng.Run(g, a.procs, run)
 	if err != nil {
 		return nil, err
 	}

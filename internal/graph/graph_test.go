@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func TestBuilderErrors(t *testing.T) {
@@ -25,6 +26,35 @@ func TestBuilderErrors(t *testing.T) {
 				t.Fatalf("Build() succeeded, want error")
 			}
 		})
+	}
+}
+
+// TestBackPorts: every edge names its port at the far end, on a graph
+// from each constructor path (generator, builder, ApplyChanges), and the
+// field costs nothing — it sits in what was Edge's padding.
+func TestBackPorts(t *testing.T) {
+	if size := unsafe.Sizeof(Edge{}); size != 24 {
+		t.Fatalf("Edge is %d bytes, want 24: Back must stay in the padding", size)
+	}
+	rng := rand.New(rand.NewSource(4))
+	g := RandomConnected(60, 0.1, 20, rng)
+	far := 59
+	for _, ok := g.EdgeBetween(1, far); ok; _, ok = g.EdgeBetween(1, far) {
+		far--
+	}
+	ng, _, err := g.ApplyChanges([]Change{{Op: OpDelete, U: 0, V: g.Neighbors(0)[0].To}, {Op: OpInsert, U: 1, V: far, W: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Graph{g, ng, NewBuilder(3).AddEdge(2, 0, 1).AddEdge(1, 2, 1).MustBuild()} {
+		for v := 0; v < h.N(); v++ {
+			for p, e := range h.Neighbors(v) {
+				back := h.Neighbors(e.To)[e.Back]
+				if back.To != v || back.ID != e.ID || back.Back != int32(p) {
+					t.Fatalf("node %d port %d: back port %d leads to %+v", v, p, e.Back, back)
+				}
+			}
+		}
 	}
 }
 
