@@ -237,6 +237,7 @@ func TestUsageAndBootFailures(t *testing.T) {
 		{"busy addr", []string{"-daemons", d, "-addr", busyAddr(t)}, 1, "address already in use"},
 		{"busy wire-addr", []string{"-daemons", d, "-addr", "127.0.0.1:0", "-wire-addr", busyAddr(t)}, 1, "address already in use"},
 		{"busy pprof-addr", []string{"-daemons", d, "-addr", "127.0.0.1:0", "-pprof-addr", busyAddr(t)}, 1, "address already in use"},
+		{"empty addr", []string{"-daemons", d, "-addr", ""}, 1, "empty HTTP listen address"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var log syncLog

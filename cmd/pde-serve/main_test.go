@@ -248,6 +248,7 @@ func TestUsageAndBootFailures(t *testing.T) {
 		{"busy addr", []string{"-addr", busyAddr(t), "-n", "8", "-topology", "ring"}, 1, "address already in use"},
 		{"busy wire-addr", with("-wire-addr", busyAddr(t)), 1, "address already in use"},
 		{"busy pprof-addr", with("-pprof-addr", busyAddr(t)), 1, "address already in use"},
+		{"empty addr", with("-addr", ""), 1, "empty HTTP listen address"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var log syncLog

@@ -55,23 +55,21 @@ func main() {
 		fmt.Println()
 	}
 
-	// Compile the flat oracle once; it serves both the router's hop
-	// decisions and direct distance queries.
+	// Compile the flat oracle once; it serves both hop decisions and
+	// direct distance queries.
 	ora := pde.CompileOracle(res)
 
 	// Route a packet from node 4 to source 9 using only local tables.
-	router := ora.Router(g, res)
-	rt, err := router.Route(4, 9)
+	rt, err := ora.Route(g, 4, 9)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nroute 4 -> 9: path %v, weight %d (exact distance %d)\n",
 		rt.Path, rt.Weight, truth.Dist(4, 9))
 
-	// Serve distance queries from the same compiled oracle: the answers
-	// match res.Estimate bit-for-bit, but each query is one binary search
-	// instead of a scan over every rounding instance — and the index is
-	// safe for concurrent readers.
+	// Serve distance queries from the same compiled oracle: each query is
+	// one binary search over the node's row, not a scan over every rounding
+	// instance — and the index is safe for concurrent readers.
 	queries := []pde.OracleQuery{{V: 4, S: 9}, {V: 6, S: 0}, {V: 1, S: 9}}
 	answers := make([]pde.OracleAnswer, len(queries))
 	ora.AnswerAll(queries, answers)

@@ -20,7 +20,7 @@ func Example() {
 	//
 	// route 4 -> 9: path [4 3 2 7 8 9], weight 34 (exact distance 34)
 	//
-	// oracle (20 entries, 528 bytes):
+	// oracle (20 entries, 508 bytes):
 	//   4 -> 9: est=34.0 via 3
 	//   6 -> 0: est=25.0 via 7
 	//   1 -> 9: est=29.0 via 2

@@ -473,9 +473,8 @@ func estimates(_ *testing.T, tb *tables) pin {
 }
 
 func nextHops(_ *testing.T, tb *tables) pin {
-	router := core.NewRouterWith(tb.g, tb.res, tb.o)
 	return tb.allPairs(func(f *fingerprint.Acc, v int, s int32) {
-		next, ok := router.NextHop(v, s)
+		next, ok := tb.o.NextHop(v, s)
 		f.I64(int64(next))
 		f.I64(flag01(ok))
 	})
@@ -484,11 +483,10 @@ func nextHops(_ *testing.T, tb *tables) pin {
 func routes(pairs int) func(*testing.T, *tables) pin {
 	return func(t *testing.T, tb *tables) pin {
 		n := tb.g.N()
-		router := core.NewRouterWith(tb.g, tb.res, tb.o)
 		r := rng(tb.seed + 1)
 		f := fingerprint.New()
 		for i := 0; i < pairs; i++ {
-			rt, err := router.Route(r.Intn(n), int32(r.Intn(n)))
+			rt, err := tb.o.Route(tb.g, r.Intn(n), int32(r.Intn(n)))
 			noErr(t, err)
 			f.I64(rt.Weight)
 			f.I64(int64(len(rt.Path)))

@@ -174,15 +174,6 @@ func (sch *Scheme) Route(v int, dst Label) (*Route, error) {
 	return &Route{Route: rt, Level: a.Level}, nil
 }
 
-// DistEstimate answers a distance query from v's tables (§2.4).
-func (sch *Scheme) DistEstimate(v int, dst Label) (float64, error) {
-	a := sch.Answer(v, dst)
-	if !a.OK {
-		return 0, fmt.Errorf("compact: node %d has no estimate for %d", v, dst.Node)
-	}
-	return a.Dist, nil
-}
-
 // TableWords measures node v's stored table size in words: per-level
 // per-instance PDE lists plus tree-routing state. For truncated schemes
 // the skeleton instance's lists are included; the globally shared

@@ -38,14 +38,11 @@ func TestTruncationStrategiesAgreeOnEstimates(t *testing.T) {
 			if v == w {
 				continue
 			}
-			a, err := sim.DistEstimate(v, sim.Labels[w])
-			if err != nil {
-				t.Fatal(err)
+			sa, ba := sim.Answer(v, sim.Labels[w]), bro.Answer(v, bro.Labels[w])
+			if !sa.OK || !ba.OK {
+				t.Fatalf("no estimate for (%d,%d): simulate %v, broadcast %v", v, w, sa.OK, ba.OK)
 			}
-			b, err := bro.DistEstimate(v, bro.Labels[w])
-			if err != nil {
-				t.Fatal(err)
-			}
+			a, b := sa.Dist, ba.Dist
 			// Broadcast computes exact skeleton-graph distances; the
 			// simulation may be up to (1+ε) worse.
 			if a > b*(1+p.Epsilon)+1e-6 || b > a*(1+p.Epsilon)+1e-6 {

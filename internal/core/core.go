@@ -147,35 +147,6 @@ func (r *Result) TableWords(v int) int {
 	return words
 }
 
-// Estimate returns the combined estimate w̃d(v, s) over all instances,
-// with the best instance and next hop, if s was detected at all.
-func (r *Result) Estimate(v int, s int32) (Estimate, bool) {
-	best := Estimate{Dist: math.Inf(1)}
-	found := false
-	for i, inst := range r.Instances {
-		e, ok := inst.Det.Lookup(v, s)
-		if !ok {
-			continue
-		}
-		d := float64(e.Dist) * inst.Base
-		if !found || d < best.Dist {
-			best = Estimate{Dist: d, Src: s, Via: e.Via, Instance: int32(i), Flag: e.Flag}
-			found = true
-		}
-	}
-	return best, found
-}
-
-// Lookup returns v's output-list entry for s, if present.
-func (r *Result) Lookup(v int, s int32) (Estimate, bool) {
-	for _, e := range r.Lists[v] {
-		if e.Src == s {
-			return e, true
-		}
-	}
-	return Estimate{}, false
-}
-
 // HPrimeFor returns the virtual hop bound h' = ⌈(1+ε)²·h/ε⌉ that
 // Corollary 3.2 requires.
 func HPrimeFor(h int, eps float64) int {

@@ -11,6 +11,16 @@ import (
 
 const tol = 1e-6
 
+// listEntry returns list's entry for source s, if present.
+func listEntry(list []Estimate, s int32) (Estimate, bool) {
+	for _, e := range list {
+		if e.Src == s {
+			return e, true
+		}
+	}
+	return Estimate{}, false
+}
+
 // checkSoundness verifies Definition 2.2's first condition on every output
 // entry: estimates never undershoot the true distance.
 func checkSoundness(t *testing.T, g *graph.Graph, res *Result, ap *graph.APSP) {
@@ -51,7 +61,7 @@ func checkCompleteness(t *testing.T, g *graph.Graph, p Params, res *Result, ap *
 			}
 			exact := ap.Dist(v, s)
 			bound := (1 + p.Epsilon) * float64(exact)
-			e, ok := res.Lookup(v, int32(s))
+			e, ok := listEntry(res.Lists[v], int32(s))
 			if bound < threshold-tol && !ok {
 				t.Fatalf("node %d: source %d (wd=%d, (1+ε)wd=%f < last=%f) missing from list",
 					v, s, exact, bound, threshold)
@@ -222,104 +232,6 @@ func TestDeterminism(t *testing.T) {
 		for i := range a.Lists[v] {
 			if a.Lists[v][i] != b.Lists[v][i] {
 				t.Fatalf("node %d entry %d differs: %v vs %v", v, i, a.Lists[v][i], b.Lists[v][i])
-			}
-		}
-	}
-}
-
-func TestRoutingStretchAndTermination(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	n := 26
-	g := graph.RandomConnected(n, 0.12, 25, rng)
-	ap := graph.AllPairs(g)
-	for _, eps := range []float64{0.5, 1} {
-		src := make([]bool, n)
-		for v := 0; v < n; v += 2 {
-			src[v] = true
-		}
-		p := Params{IsSource: src, H: n, Sigma: 6, Epsilon: eps, CapMessages: true}
-		res, err := Run(g, p, congest.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		router := NewRouter(g, res)
-		for v := 0; v < n; v++ {
-			for _, e := range res.Lists[v] {
-				rt, err := router.Route(v, e.Src)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if rt.Path[len(rt.Path)-1] != int(e.Src) {
-					t.Fatalf("route from %d did not end at %d", v, e.Src)
-				}
-				if float64(rt.Weight) > e.Dist+tol {
-					t.Fatalf("route weight %d exceeds estimate %f (v=%d s=%d)", rt.Weight, e.Dist, v, e.Src)
-				}
-				exact := ap.Dist(v, int(e.Src))
-				if rt.Stretch(exact) > 1+eps+tol {
-					t.Fatalf("route stretch %f > 1+ε (v=%d s=%d)", rt.Stretch(exact), v, e.Src)
-				}
-			}
-		}
-	}
-}
-
-func TestRouteToSelf(t *testing.T) {
-	g := graph.NewBuilder(2).AddEdge(0, 1, 3).MustBuild()
-	res, err := Run(g, APSPParams(2, 0.5), congest.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	router := NewRouter(g, res)
-	rt, err := router.Route(1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rt.Weight != 0 || len(rt.Path) != 1 {
-		t.Fatalf("self route = %+v", rt)
-	}
-}
-
-func TestRouteToUnknownSourceFails(t *testing.T) {
-	g := graph.NewBuilder(3).AddEdge(0, 1, 1).AddEdge(1, 2, 1).MustBuild()
-	src := []bool{true, false, false}
-	res, err := Run(g, Params{IsSource: src, H: 0, Sigma: 1, Epsilon: 0.5, CapMessages: true}, congest.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	router := NewRouter(g, res)
-	if _, err := router.Route(2, 0); err == nil {
-		t.Fatal("expected routing failure for undetected source")
-	}
-}
-
-func TestRoutingTreesAreTrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 24
-	g := graph.RandomConnected(n, 0.15, 12, rng)
-	res, err := Run(g, APSPParams(n, 0.5), congest.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The next-hop functions toward each source s are the trees T_s of
-	// Lemma 4.4: from every node with an entry for s they must converge
-	// to s without cycles.
-	router := NewRouter(g, res)
-	for s := int32(0); int(s) < n; s++ {
-		for v := 0; v < n; v++ {
-			if _, ok := router.NextHop(v, s); !ok {
-				continue
-			}
-			cur := v
-			for steps := 0; cur != int(s); steps++ {
-				if steps > n {
-					t.Fatalf("cycle in T_%d starting at %d", s, v)
-				}
-				next, ok := router.NextHop(cur, s)
-				if !ok {
-					t.Fatalf("T_%d broken at %d", s, cur)
-				}
-				cur = next
 			}
 		}
 	}

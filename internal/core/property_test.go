@@ -9,8 +9,8 @@ import (
 	"pde/internal/graph"
 )
 
-// Property-based verification of Definition 2.2's two conditions and of
-// the routing invariant, over arbitrary random instances.
+// Property-based verification of Definition 2.2's two conditions over
+// arbitrary random instances.
 
 func TestPropertyEstimatesSoundAndComplete(t *testing.T) {
 	prop := func(seed int64) bool {
@@ -57,7 +57,7 @@ func TestPropertyEstimatesSoundAndComplete(t *testing.T) {
 					continue
 				}
 				bound := (1 + eps) * float64(ap.Dist(v, s))
-				e, ok := res.Lookup(v, int32(s))
+				e, ok := listEntry(res.Lists[v], int32(s))
 				if threshold >= 0 && bound >= threshold-tol {
 					continue // may legitimately be crowded out
 				}
@@ -69,45 +69,6 @@ func TestPropertyEstimatesSoundAndComplete(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyRoutesNeverExceedEstimates(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 8 + rng.Intn(16)
-		g := graph.RandomConnected(n, 0.12+rng.Float64()*0.15, graph.Weight(1+rng.Intn(12)), rng)
-		src := make([]bool, n)
-		for v := 0; v < n; v += 2 {
-			src[v] = true
-		}
-		p := Params{
-			IsSource: src, H: n, Sigma: 1 + rng.Intn(n),
-			Epsilon: 0.5, CapMessages: true,
-		}
-		res, err := Run(g, p, congest.Config{})
-		if err != nil {
-			return false
-		}
-		router := NewRouter(g, res)
-		for v := range res.Lists {
-			for _, e := range res.Lists[v] {
-				rt, err := router.Route(v, e.Src)
-				if err != nil {
-					return false
-				}
-				if rt.Path[len(rt.Path)-1] != int(e.Src) {
-					return false
-				}
-				if float64(rt.Weight) > e.Dist+1e-6 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,52 +9,6 @@ import (
 	"pde/internal/graph"
 )
 
-// TestRouterExternalForwardingLoop drives forwarding the way an external
-// caller would — repeatedly asking NextHop and walking the returned edge —
-// and checks the documented terminal semantics: a next hop equal to the
-// current node means "delivered", occurs exactly at the destination, and
-// is never an edge to traverse. Before the semantics were pinned down,
-// NextHop(v, s) with v == s handed the caller v as its own next hop and
-// the follow-up EdgeBetween(v, v) lookup failed.
-func TestRouterExternalForwardingLoop(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	g := graph.RandomConnected(32, 6.0/32, 8, r)
-	res, err := Run(g, APSPParams(g.N(), 0.5), congest.Config{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	router := NewRouter(g, res)
-	n := g.N()
-	for v := 0; v < n; v++ {
-		for s := int32(0); s < int32(n); s++ {
-			cur := v
-			for steps := 0; ; steps++ {
-				if steps > n*n {
-					t.Fatalf("forwarding loop %d->%d did not terminate", v, s)
-				}
-				next, ok := router.NextHop(cur, s)
-				if !ok {
-					t.Fatalf("node %d has no entry for %d (from %d)", cur, s, v)
-				}
-				if next == cur {
-					if cur != int(s) {
-						t.Fatalf("terminal signal at %d before reaching %d (from %d)", cur, s, v)
-					}
-					break
-				}
-				if _, ok := g.EdgeBetween(cur, next); !ok {
-					t.Fatalf("next hop %d is not a neighbor of %d (dest %d)", next, cur, s)
-				}
-				cur = next
-			}
-		}
-	}
-	// The terminal answer itself is (s, true).
-	if next, ok := router.NextHop(3, 3); !ok || next != 3 {
-		t.Fatalf("NextHop(3, 3) = (%d, %v), want terminal (3, true)", next, ok)
-	}
-}
-
 // TestNumInstancesBoundaries pins the multiplicative-loop i_max against
 // the definition (smallest i with (1+ε)^i ≥ w_max, plus one). The old
 // ⌈log(w_max)/log(1+ε)⌉ form could round up at w_max near exact powers of

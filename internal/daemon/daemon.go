@@ -22,8 +22,9 @@ type Daemon struct {
 	Name string    // log-line prefix, e.g. "pde-serve"
 	Log  io.Writer // lifecycle lines, among them the bound addresses
 
-	// Listen addresses. WireAddr and PprofAddr may be empty (no such
-	// listener); port 0 binds an ephemeral port, reported on Log.
+	// Listen addresses. Addr is required; WireAddr and PprofAddr may be
+	// empty (no such listener). Port 0 binds an ephemeral port, reported
+	// on Log.
 	Addr, WireAddr, PprofAddr string
 
 	Handler http.Handler
@@ -36,13 +37,18 @@ type Daemon struct {
 	Drain func()
 }
 
+func (d Daemon) logf(format string, args ...any) {
+	fmt.Fprintf(d.Log, d.Name+": "+format+"\n", args...)
+}
+
 // Run serves until ctx is cancelled and returns the process exit code: 1
-// when a listener cannot bind (nothing has served by then), when the HTTP
-// server fails, or when in-flight requests outlast the drain bound; 0
-// after a clean drain.
+// when Addr is empty or a listener cannot bind (nothing has served by
+// then), when the HTTP server fails, or when in-flight requests outlast
+// the drain bound; 0 after a clean drain.
 func (d Daemon) Run(ctx context.Context) int {
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(d.Log, d.Name+": "+format+"\n", args...)
+	if d.Addr == "" {
+		d.logf("empty HTTP listen address")
+		return 1
 	}
 	var lns [3]net.Listener
 	for i, addr := range [3]string{d.Addr, d.WireAddr, d.PprofAddr} {
@@ -51,44 +57,48 @@ func (d Daemon) Run(ctx context.Context) int {
 		}
 		ln, err := net.Listen("tcp", addr)
 		if err != nil {
-			logf("%v", err)
+			d.logf("%v", err)
 			return 1
 		}
 		defer ln.Close() // a no-op after the server on it has closed it
 		lns[i] = ln
 	}
-	httpLn, wireLn, pprofLn := lns[0], lns[1], lns[2]
+	return d.serve(ctx, lns[0], lns[1], lns[2])
+}
 
+// serve is Run once every listener is bound; wireLn and pprofLn may be
+// nil.
+func (d Daemon) serve(ctx context.Context, httpLn, wireLn, pprofLn net.Listener) int {
 	if pprofLn != nil {
 		pprofSrv := &http.Server{Handler: http.DefaultServeMux}
 		go pprofSrv.Serve(pprofLn) // returns when the deferred Close runs
 		defer pprofSrv.Close()
-		logf("pprof on http://%s/debug/pprof/", pprofLn.Addr())
+		d.logf("pprof on http://%s/debug/pprof/", pprofLn.Addr())
 	}
 	if wireLn != nil {
 		ws := d.ServeWire(wireLn)
 		defer ws.Close() // deferred: after the HTTP drain below
-		logf("PDE2 wire protocol on %s", wireLn.Addr())
+		d.logf("PDE2 wire protocol on %s", wireLn.Addr())
 	}
 	httpSrv := &http.Server{Handler: d.Handler}
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(httpLn) }()
-	logf("listening on %s", httpLn.Addr())
+	d.logf("listening on %s", httpLn.Addr())
 
 	select {
 	case err := <-errCh:
-		logf("%v", err)
+		d.logf("%v", err)
 		return 1
 	case <-ctx.Done():
 	}
-	logf("shutting down...")
+	d.logf("shutting down...")
 	if d.Drain != nil {
 		d.Drain()
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		logf("shutdown: %v", err)
+		d.logf("shutdown: %v", err)
 		return 1
 	}
 	return 0

@@ -100,16 +100,6 @@ type Result struct {
 	Metrics *congest.Metrics
 }
 
-// Lookup returns v's entry for source s, if present.
-func (r *Result) Lookup(v int, s int32) (Entry, bool) {
-	for _, e := range r.Lists[v] {
-		if e.Src == s {
-			return e, true
-		}
-	}
-	return Entry{}, false
-}
-
 // pairMsg is the on-wire format: one (distance, source) pair plus the
 // source's flag bits.
 type pairMsg struct {

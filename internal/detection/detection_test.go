@@ -178,6 +178,16 @@ func TestSubdividedLongEdgesExcluded(t *testing.T) {
 	}
 }
 
+// entryFor returns list's entry for source s, if present.
+func entryFor(list []Entry, s int32) (Entry, bool) {
+	for _, e := range list {
+		if e.Src == s {
+			return e, true
+		}
+	}
+	return Entry{}, false
+}
+
 func TestViaPointersFormExactRoutes(t *testing.T) {
 	// Following Via pointers toward a detected source must reach it, with
 	// virtual distance dropping by exactly the edge length each hop: the
@@ -202,7 +212,7 @@ func TestViaPointersFormExactRoutes(t *testing.T) {
 				if step > n {
 					t.Fatalf("route from %d to %d does not terminate", v, e.Src)
 				}
-				cure, ok := res.Lookup(cur, e.Src)
+				cure, ok := entryFor(res.Lists[cur], e.Src)
 				if !ok {
 					t.Fatalf("node %d lost source %d on route from %d", cur, e.Src, v)
 				}
@@ -345,7 +355,7 @@ func TestHopBoundBeyondKeyIsRejected(t *testing.T) {
 	}
 	p.H = math.MaxInt32 - 1
 	res := assertMatchesBruteForce(t, g, p)
-	if e, ok := res.Lookup(2, 0); !ok || e.Dist != 2 {
+	if e, ok := entryFor(res.Lists[2], 0); !ok || e.Dist != 2 {
 		t.Fatalf("H=%d: node 2 holds %+v, %v", p.H, e, ok)
 	}
 }

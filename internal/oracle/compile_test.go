@@ -62,19 +62,10 @@ func compileBySort(res *core.Result) *Oracle {
 		}
 		o.off[v+1] = int64(len(o.srcs))
 	}
-
-	o.inList = make([]bool, len(o.srcs))
-	for v := 0; v < n; v++ {
-		for _, e := range res.Lists[v] {
-			if k := o.find(v, e.Src); k >= 0 {
-				o.inList[k] = true
-			}
-		}
-	}
 	return o
 }
 
-// requireSameTables fails unless the two oracles hold the same seven
+// requireSameTables fails unless the two oracles hold the same six
 // arrays, slice for slice.
 func requireSameTables(t *testing.T, name string, got, want *Oracle) {
 	t.Helper()
@@ -91,7 +82,6 @@ func requireSameTables(t *testing.T, name string, got, want *Oracle) {
 		{"vias", got.vias, want.vias},
 		{"insts", got.insts, want.insts},
 		{"flags", got.flags, want.flags},
-		{"inList", got.inList, want.inList},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Fatalf("%s: %s differs from the sort-based reference", name, c.field)
@@ -170,12 +160,6 @@ func TestCompileHandBuilt(t *testing.T) {
 			t.Fatalf("node %d: compiled %+v, want %+v", v, got, want[v])
 		}
 	}
-	if _, ok := o.Lookup(0, 3); !ok {
-		t.Fatal("Lookup(0,3): the output-list member is not marked")
-	}
-	if _, ok := o.Lookup(0, 1); ok {
-		t.Fatal("Lookup(0,1) answered for a source outside the output list")
-	}
 }
 
 // churnMixedResult and serveBulkResult build what BenchmarkCompile and the
@@ -222,8 +206,8 @@ func BenchmarkCompile(b *testing.B) {
 
 // TestAllocsPerRunCompile bounds Compile's allocations on the
 // churn-mixed-shaped result by a constant: the header, the offsets, the
-// two stamp arrays, the row buffer and the growth steps of the six CSR
-// arrays (102 in all) — nothing per node. The sort-based body allocated
+// two stamp arrays, the row buffer and the growth steps of the five CSR
+// arrays (88 in all) — nothing per node. The sort-based body allocated
 // sort.Slice's swapper and closure for each of the 576 (1818).
 func TestAllocsPerRunCompile(t *testing.T) {
 	res := churnMixedResult(t)

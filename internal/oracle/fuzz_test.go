@@ -17,15 +17,15 @@ import (
 //
 //  1. build determinism — the parallel build's fingerprint equals the
 //     sequential one (the PR 3 pipeline guarantee);
-//  2. serving equivalence — oracle Estimate/Lookup/NextHop answers are
-//     bit-identical to the legacy core.Result scan paths;
+//  2. serving equivalence — oracle Estimate/NextHop answers are
+//     bit-identical to the scan reference (scan_test.go);
 //  3. paper soundness vs exact Dijkstra (internal/graph's lexicographic
 //     (weight, hops) ground truth, the same reference internal/baseline
 //     measures against) — every estimate w̃d and every delivered route
 //     weight lies in [wd, (1+ε)·wd].
 //
 // Any violation is a real bug in the rounding hierarchy, the engine, the
-// combine, the oracle compile, or the router — there is no tolerance knob
+// combine, the oracle compile, or Route — there is no tolerance knob
 // beyond float slack on the (1+ε) product.
 func FuzzOracleVsExact(f *testing.F) {
 	f.Add(int64(1), int64(8), int64(1), int64(8), int64(40), int64(2))
@@ -67,25 +67,19 @@ func FuzzOracleVsExact(f *testing.F) {
 		}
 
 		o := Compile(res)
-		router := o.Router(g, res)
 		for v := 0; v < n; v++ {
 			sp := graph.Dijkstra(g, v) // exact reference, symmetric: wd(v,s)=wd(s,v)
 			for s := int32(0); s < int32(n); s++ {
-				// (2) oracle vs legacy scan, bit for bit.
+				// (2) oracle vs scan, bit for bit.
 				oe, ook := o.Estimate(v, s)
-				le, lok := res.Estimate(v, s)
+				le, lok := scanEstimate(res, v, s)
 				if ook != lok || (ook && oe != le) {
-					t.Fatalf("Estimate(%d,%d): oracle %+v/%v legacy %+v/%v", v, s, oe, ook, le, lok)
-				}
-				ol, olok := o.Lookup(v, s)
-				ll, llok := res.Lookup(v, s)
-				if olok != llok || (olok && ol != ll) {
-					t.Fatalf("Lookup(%d,%d): oracle %+v/%v legacy %+v/%v", v, s, ol, olok, ll, llok)
+					t.Fatalf("Estimate(%d,%d): oracle %+v/%v scan %+v/%v", v, s, oe, ook, le, lok)
 				}
 				onext, onok := o.NextHop(v, s)
-				rnext, rnok := router.NextHop(v, s)
+				rnext, rnok := scanNextHop(res, v, s)
 				if onok != rnok || (onok && onext != rnext) {
-					t.Fatalf("NextHop(%d,%d): oracle %d/%v router %d/%v", v, s, onext, onok, rnext, rnok)
+					t.Fatalf("NextHop(%d,%d): oracle %d/%v scan %d/%v", v, s, onext, onok, rnext, rnok)
 				}
 
 				// (3) soundness against exact Dijkstra. APSP params on a
@@ -99,7 +93,7 @@ func FuzzOracleVsExact(f *testing.F) {
 				if oe.Dist < lo || oe.Dist > hi {
 					t.Fatalf("Estimate(%d,%d)=%v outside [wd, (1+ε)wd]=[%d, %v] (eps=%v)", v, s, oe.Dist, d, hi, eps)
 				}
-				rt, err := router.Route(v, s)
+				rt, err := o.Route(g, v, s)
 				if err != nil {
 					t.Fatalf("Route(%d,%d): %v", v, s, err)
 				}

@@ -1,28 +1,26 @@
 // Package oracle compiles PDE results into a flat, immutable distance
-// oracle so heavy query traffic is served from indexed tables instead of
-// rescanning every detection instance per call (§2.4: "distance queries
-// answered from local tables").
+// oracle, and every served answer comes from it: estimates, next hops and
+// Corollary 3.5's stateless routes are read from indexed tables (§2.4:
+// "distance queries answered from local tables").
 //
-// core.Result.Estimate walks all i_max+1 instance lists on every query —
-// Õ(σ·i_max) per lookup. Compile performs that min-over-instances combine
-// exactly once per (node, source) pair and lays the result out in
-// CSR-style parallel arrays sorted by source id, so Estimate, Lookup and
-// NextHop become a single binary search over one node's contiguous
-// segment: O(log σ) with cache-friendly access. The compiled form is
-// read-only after construction and therefore safe for any number of
-// concurrent readers without locking (exercised under -race in tests).
+// Compile performs the min-over-instances combine w̃d(v,s) = min_i
+// b(i)·hd_i(v,s) exactly once per (node, source) pair and lays the result
+// out in CSR-style parallel arrays sorted by source id, so Estimate and
+// NextHop are a single binary search over one node's contiguous segment:
+// O(log σ) with cache-friendly access, where a scan of the instance lists
+// costs Õ(σ·i_max) per query. The compiled form is read-only after
+// construction and therefore safe for any number of concurrent readers
+// without locking (exercised under -race in tests).
 //
-// The combine is bit-identical to the legacy scan paths: the same
-// float64(dist)·base products, the same "first instance with the strictly
-// smallest value wins" tie-break, and the same σ-capped output-list
-// membership. Property tests assert equality entry-for-entry across
-// seeds and topologies; the scan paths stay in core as the correctness
-// reference.
+// The combine uses the same float64(dist)·base products and the same
+// "first instance with the strictly smallest value wins" tie-break as that
+// scan. The scan itself lives in this package's tests as the differential
+// reference: Estimate, NextHop and Route agree with it on every (v, s).
 package oracle
 
 import (
+	"fmt"
 	"slices"
-	"time"
 
 	"pde/internal/core"
 	"pde/internal/graph"
@@ -41,12 +39,6 @@ type Oracle struct {
 	vias  []int32
 	insts []int32
 	flags []uint8
-	// inList marks entries that made the σ-capped output list Lists[v]
-	// (Result.Lookup answers from that list; Result.Estimate from the
-	// full union of instance lists).
-	inList []bool
-	// BuildTime is the wall time Compile spent.
-	BuildTime time.Duration
 }
 
 // Compile flattens res into an Oracle. The input is not retained; the
@@ -56,7 +48,6 @@ type Oracle struct {
 // source ids that survive deduplication (~σ of the σ·(i_max+1)
 // candidates on a partial build).
 func Compile(res *core.Result) *Oracle {
-	start := time.Now()
 	n := len(res.Lists)
 	o := &Oracle{n: n, off: make([]int64, n+1)}
 
@@ -67,7 +58,7 @@ func Compile(res *core.Result) *Oracle {
 		row = row[:0]
 		// Ascending instances, replacing only on a strictly smaller
 		// product: the first instance with the smallest value wins,
-		// exactly as the legacy scan decides.
+		// exactly as the scan reference in this package's tests decides.
 		for i, inst := range res.Instances {
 			for _, e := range inst.Det.Lists[v] {
 				c := core.Estimate{Dist: float64(e.Dist) * inst.Base, Src: e.Src, Via: e.Via, Instance: int32(i), Flag: e.Flag}
@@ -85,25 +76,15 @@ func Compile(res *core.Result) *Oracle {
 			o.srcs = append(o.srcs, c.Src)
 		}
 		slices.Sort(o.srcs[first:])
-		for k, s := range o.srcs[first:] {
+		for _, s := range o.srcs[first:] {
 			c := &row[slot[s]]
 			o.dists = append(o.dists, c.Dist)
 			o.vias = append(o.vias, c.Via)
 			o.insts = append(o.insts, c.Instance)
 			o.flags = append(o.flags, c.Flag)
-			o.inList = append(o.inList, false)
-			slot[s] = int32(k) // from here on: s's position in the sorted row
-		}
-		// Mark σ-capped output-list membership so Lookup answers match
-		// Result.Lookup bit-for-bit.
-		for _, e := range res.Lists[v] {
-			if seen[e.Src] == int32(v)+1 {
-				o.inList[first+int(slot[e.Src])] = true
-			}
 		}
 		o.off[v+1] = int64(len(o.srcs))
 	}
-	o.BuildTime = time.Since(start)
 	return o
 }
 
@@ -120,8 +101,7 @@ func (o *Oracle) Bytes() int64 {
 		int64(len(o.dists))*8 +
 		int64(len(o.vias))*4 +
 		int64(len(o.insts))*4 +
-		int64(len(o.flags)) +
-		int64(len(o.inList))
+		int64(len(o.flags))
 }
 
 // find binary-searches node v's segment for source s and returns the
@@ -165,8 +145,8 @@ func (o *Oracle) at(k int64) core.Estimate {
 	}
 }
 
-// Estimate returns the combined estimate w̃d(v, s) with best instance and
-// next hop — the indexed equivalent of core.Result.Estimate.
+// Estimate returns the combined estimate w̃d(v, s) with its best instance
+// and next hop, if any instance detected s at v.
 //
 //pde:hotpath
 func (o *Oracle) Estimate(v int, s int32) (core.Estimate, bool) {
@@ -177,19 +157,13 @@ func (o *Oracle) Estimate(v int, s int32) (core.Estimate, bool) {
 	return o.at(k), true
 }
 
-// Lookup returns v's σ-capped output-list entry for s, if present — the
-// indexed equivalent of core.Result.Lookup.
-func (o *Oracle) Lookup(v int, s int32) (core.Estimate, bool) {
-	k := o.find(v, s)
-	if k < 0 || !o.inList[k] {
-		return core.Estimate{}, false
-	}
-	return o.at(k), true
-}
-
 // NextHop returns the neighbor to which v forwards a packet destined for
-// s, with core.Router's terminal semantics: v == s answers (v, true) and
-// means "delivered".
+// s, and whether v has an entry for s at all.
+//
+// Terminal semantics: when v == s the packet has arrived and NextHop
+// returns (v, true). A returned next hop equal to the queried node always
+// and only means "delivered"; a caller driving its own forwarding loop
+// stops there rather than look up the (nonexistent) self-edge.
 func (o *Oracle) NextHop(v int, s int32) (int, bool) {
 	if v == int(s) {
 		return v, true
@@ -201,9 +175,24 @@ func (o *Oracle) NextHop(v int, s int32) (int, bool) {
 	return int(o.vias[k]), true
 }
 
-// Router wraps the already-compiled oracle in a core.Router over g, so a
-// caller serving both point queries and routes pays Compile once. res must
-// be the result this oracle was compiled from.
-func (o *Oracle) Router(g *graph.Graph, res *core.Result) *core.Router {
-	return core.NewRouterWith(g, res, o)
+// Route forwards a packet from v to s over g, the graph the oracle's
+// result was built on, each hop decided by NextHop alone: Corollary 3.5's
+// stateless stretch-(1+ε) routing. The estimate falls strictly at every
+// hop (Lemma 4.4), so a route never repeats a node and g.N() steps bound
+// it. A node with no entry for s, or a longer walk, is reported as an
+// error; neither happens for s in v's output list.
+func (o *Oracle) Route(g *graph.Graph, v int, s int32) (*core.Route, error) {
+	rt, err := core.Walk(g, v, int(s), g.N(), func(cur int) (int, error) {
+		next, ok := o.NextHop(cur, s)
+		if !ok {
+			// core:, like Walk's own reports: /v1/route serves this text for
+			// an undeliverable pair, whichever check stopped the walk.
+			return 0, fmt.Errorf("core: node %d has no table entry for %d (route from %d)", cur, s, v)
+		}
+		return next, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &rt, nil
 }

@@ -29,9 +29,9 @@ func sweepParams(n, h, sigma int, eps float64) core.Params {
 }
 
 // TestOracleMatchesLegacyScans is the bit-identity property test: on every
-// topology/seed/parameter cell, the compiled oracle must answer Estimate,
-// Lookup and NextHop exactly as the legacy scan paths do, for every (v, s)
-// pair including undetected ones.
+// topology/seed/parameter cell, the compiled oracle must answer Estimate
+// and NextHop exactly as the scan reference does, for every (v, s) pair
+// including undetected ones.
 func TestOracleMatchesLegacyScans(t *testing.T) {
 	type cell struct {
 		name   string
@@ -57,28 +57,17 @@ func TestOracleMatchesLegacyScans(t *testing.T) {
 		if o.N() != n {
 			t.Fatalf("%s: oracle has %d nodes, want %d", c.name, o.N(), n)
 		}
-		legacyRouter := core.NewRouter(c.g, res)
-		oracleRouter := core.NewRouterWith(c.g, res, o)
 		for v := 0; v < n; v++ {
 			for s := int32(0); s < int32(n); s++ {
-				we, wok := res.Estimate(v, s)
+				we, wok := scanEstimate(res, v, s)
 				ge, gok := o.Estimate(v, s)
 				if wok != gok || (wok && we != ge) {
-					t.Fatalf("%s: Estimate(%d,%d): legacy (%+v,%v) oracle (%+v,%v)", c.name, v, s, we, wok, ge, gok)
+					t.Fatalf("%s: Estimate(%d,%d): scan (%+v,%v) oracle (%+v,%v)", c.name, v, s, we, wok, ge, gok)
 				}
-				wl, wlok := res.Lookup(v, s)
-				gl, glok := o.Lookup(v, s)
-				if wlok != glok || (wlok && wl != gl) {
-					t.Fatalf("%s: Lookup(%d,%d): legacy (%+v,%v) oracle (%+v,%v)", c.name, v, s, wl, wlok, gl, glok)
-				}
-				wn, wnok := legacyRouter.NextHop(v, s)
-				gn, gnok := oracleRouter.NextHop(v, s)
+				wn, wnok := scanNextHop(res, v, s)
+				gn, gnok := o.NextHop(v, s)
 				if wn != gn || wnok != gnok {
-					t.Fatalf("%s: NextHop(%d,%d): legacy (%d,%v) oracle (%d,%v)", c.name, v, s, wn, wnok, gn, gnok)
-				}
-				dn, dnok := o.NextHop(v, s)
-				if dn != gn || dnok != gnok {
-					t.Fatalf("%s: Oracle.NextHop(%d,%d) = (%d,%v), router says (%d,%v)", c.name, v, s, dn, dnok, gn, gnok)
+					t.Fatalf("%s: NextHop(%d,%d): scan (%d,%v) oracle (%d,%v)", c.name, v, s, wn, wnok, gn, gnok)
 				}
 			}
 		}
@@ -113,14 +102,14 @@ func TestOracleSourcesOfMatchesCombine(t *testing.T) {
 				t.Fatalf("node %d: sources out of order: %d after %d", v, e.Src, prev)
 			}
 			prev = e.Src
-			want, ok := res.Estimate(v, e.Src)
+			want, ok := scanEstimate(res, v, e.Src)
 			if !ok || want != e {
 				t.Fatalf("node %d src %d: SourcesOf %+v, Estimate (%+v,%v)", v, e.Src, e, want, ok)
 			}
 		}
-		// Every source the legacy scan finds must be enumerated.
+		// Every source the scan finds must be enumerated.
 		for s := int32(0); s < int32(g.N()); s++ {
-			if _, ok := res.Estimate(v, s); !ok {
+			if _, ok := scanEstimate(res, v, s); !ok {
 				continue
 			}
 			found := false
@@ -139,7 +128,7 @@ func TestOracleSourcesOfMatchesCombine(t *testing.T) {
 
 // TestOracleConcurrentReaders hammers one shared oracle from many
 // goroutines under -race: the compiled form is immutable, so concurrent
-// reads need no locking and must all agree with the legacy answers.
+// reads need no locking and must all agree with the scan's answers.
 func TestOracleConcurrentReaders(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	g := graph.RandomConnected(40, 6.0/40, 12, r)
@@ -150,7 +139,7 @@ func TestOracleConcurrentReaders(t *testing.T) {
 	want := make([]Answer, n*n)
 	for v := 0; v < n; v++ {
 		for s := 0; s < n; s++ {
-			e, ok := res.Estimate(v, int32(s))
+			e, ok := scanEstimate(res, v, int32(s))
 			want[v*n+s] = Answer{Est: e, OK: ok}
 		}
 	}
@@ -349,11 +338,11 @@ func TestOracleOutOfRangeIsMiss(t *testing.T) {
 		if _, ok := o.Estimate(v, 0); ok {
 			t.Errorf("Estimate(%d, 0) reported a hit", v)
 		}
-		if _, ok := o.Lookup(v, 0); ok {
-			t.Errorf("Lookup(%d, 0) reported a hit", v)
-		}
 		if _, ok := o.NextHop(v, 0); ok && v != 0 {
 			t.Errorf("NextHop(%d, 0) reported a hit", v)
+		}
+		if _, err := o.Route(g, v, 0); err == nil {
+			t.Errorf("Route(%d, 0) delivered", v)
 		}
 		sourcesOf(o, v, func(core.Estimate) { t.Errorf("SourcesOf(%d) yielded an entry", v) })
 	}
@@ -364,27 +353,33 @@ func TestOracleOutOfRangeIsMiss(t *testing.T) {
 	}
 }
 
-// TestOracleRoutesMatchLegacy delivers full routes through both routers
-// and asserts identical paths.
+// TestOracleRoutesMatchLegacy delivers full routes from the compiled
+// tables and from the scan reference, on APSP and on partial tables (where
+// most pairs are undeliverable), and asserts identical paths and failures.
 func TestOracleRoutesMatchLegacy(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	g := graph.RandomConnected(40, 6.0/40, 12, r)
-	res := buildResult(t, g, core.APSPParams(g.N(), 0.5))
-	legacy := core.NewRouter(g, res)
-	indexed := Compile(res).Router(g, res)
+	for _, params := range []core.Params{core.APSPParams(g.N(), 0.5), sweepParams(g.N(), 6, 4, 0.5)} {
+		res := buildResult(t, g, params)
+		requireSameRoutes(t, g, res, Compile(res))
+	}
+}
+
+func requireSameRoutes(t *testing.T, g *graph.Graph, res *core.Result, o *Oracle) {
+	t.Helper()
 	n := g.N()
 	for v := 0; v < n; v++ {
 		for s := int32(0); s < int32(n); s++ {
-			lr, lerr := legacy.Route(v, s)
-			or, oerr := indexed.Route(v, s)
+			lr, lerr := scanRoute(g, res, v, s)
+			or, oerr := o.Route(g, v, s)
 			if (lerr == nil) != (oerr == nil) {
-				t.Fatalf("route %d->%d: legacy err %v, oracle err %v", v, s, lerr, oerr)
+				t.Fatalf("route %d->%d: scan err %v, oracle err %v", v, s, lerr, oerr)
 			}
 			if lerr != nil {
 				continue
 			}
 			if lr.Weight != or.Weight || len(lr.Path) != len(or.Path) {
-				t.Fatalf("route %d->%d diverges: legacy %v oracle %v", v, s, lr.Path, or.Path)
+				t.Fatalf("route %d->%d diverges: scan %v oracle %v", v, s, lr.Path, or.Path)
 			}
 			for i := range lr.Path {
 				if lr.Path[i] != or.Path[i] {
@@ -395,23 +390,18 @@ func TestOracleRoutesMatchLegacy(t *testing.T) {
 	}
 }
 
-// TestOracleStats sanity-checks the accounting surface.
+// TestOracleStats pins the accounting surface to the layout: one 8-byte
+// offset per node plus one, and 21 bytes per entry (source 4, distance 8,
+// next hop 4, instance 4, flags 1).
 func TestOracleStats(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	g := graph.RandomConnected(24, 6.0/24, 8, r)
 	res := buildResult(t, g, core.APSPParams(g.N(), 1))
 	o := Compile(res)
-	if o.Entries() <= 0 {
-		t.Fatal("oracle has no entries")
+	if o.Entries() != g.N()*g.N() {
+		t.Fatalf("APSP oracle has %d entries, want %d", o.Entries(), g.N()*g.N())
 	}
-	if o.Bytes() <= 0 {
-		t.Fatal("oracle reports no memory")
-	}
-	minBytes := int64(o.Entries()) * (4 + 8 + 4 + 4 + 1 + 1)
-	if o.Bytes() < minBytes {
-		t.Fatalf("Bytes() = %d < %d implied by %d entries", o.Bytes(), minBytes, o.Entries())
-	}
-	if o.BuildTime <= 0 {
-		t.Fatal("BuildTime not recorded")
+	if want := int64(8*(o.N()+1) + 21*o.Entries()); o.Bytes() != want {
+		t.Fatalf("Bytes() = %d, want 8·(%d+1) + 21·%d = %d", o.Bytes(), o.N(), o.Entries(), want)
 	}
 }

@@ -20,7 +20,6 @@ type OracleInstance struct {
 	Gr  *graph.Graph
 	Res *core.Result
 	O   *oracle.Oracle
-	Rtr *core.Router
 
 	buildNS int64
 	acct    Accounting
@@ -81,7 +80,6 @@ func NewOracleInstance(sp Spec, g *graph.Graph, res *core.Result, buildNS int64)
 		Gr:      g,
 		Res:     res,
 		O:       o,
-		Rtr:     core.NewRouterWith(g, res, o),
 		buildNS: buildNS,
 		fp:      sync.OnceValue(res.Fingerprint),
 	}
@@ -143,5 +141,5 @@ func (in *OracleInstance) AnswerSorted(qs []oracle.Query, out []oracle.Answer) {
 
 // Route expands the stretch-(1+ε) PDE route from v to s.
 func (in *OracleInstance) Route(v int, s int32) (*core.Route, error) {
-	return in.Rtr.Route(v, s)
+	return in.O.Route(in.Gr, v, s)
 }

@@ -161,10 +161,9 @@ func TestOracleInstanceMatchesLegacyOracle(t *testing.T) {
 			t.Fatalf("query %d (%d,%d): instance %+v != legacy %+v", i, q.V, q.S, out[i], want)
 		}
 	}
-	rtr := core.NewRouterWith(g, res, o)
 	for v := 0; v < n; v += 5 {
 		for s := int32(0); s < int32(n); s += 7 {
-			want, werr := rtr.Route(v, s)
+			want, werr := o.Route(g, v, s)
 			got, gerr := inst.Route(v, s)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("route %d->%d: legacy err %v, instance err %v", v, s, werr, gerr)
@@ -280,20 +279,19 @@ func TestCompactInstanceMatchesLegacyScheme(t *testing.T) {
 	out := make([]oracle.Answer, len(qs))
 	inst.AnswerInto(qs, out, 4)
 	for i, q := range qs {
-		dst := legacy.Labels[q.S]
-		d, err := legacy.DistEstimate(int(q.V), dst)
-		if (err == nil) != out[i].OK {
-			t.Fatalf("query (%d,%d): legacy err %v, instance OK %v", q.V, q.S, err, out[i].OK)
+		want := legacy.Answer(int(q.V), legacy.Labels[q.S])
+		if want.OK != out[i].OK {
+			t.Fatalf("query (%d,%d): legacy OK %v, instance OK %v", q.V, q.S, want.OK, out[i].OK)
 		}
-		if err != nil {
+		if !want.OK {
 			continue
 		}
-		if out[i].Est.Dist != d {
-			t.Fatalf("query (%d,%d): instance dist %g != legacy %g", q.V, q.S, out[i].Est.Dist, d)
+		if out[i].Est.Dist != want.Dist {
+			t.Fatalf("query (%d,%d): instance dist %g != legacy %g", q.V, q.S, out[i].Est.Dist, want.Dist)
 		}
 		// Hop is -1 when no first forwarding hop exists.
-		if wantVia := legacy.Answer(int(q.V), dst).Hop; out[i].Est.Via != wantVia {
-			t.Fatalf("query (%d,%d): instance via %d != legacy %d", q.V, q.S, out[i].Est.Via, wantVia)
+		if out[i].Est.Via != want.Hop {
+			t.Fatalf("query (%d,%d): instance via %d != legacy %d", q.V, q.S, out[i].Est.Via, want.Hop)
 		}
 	}
 	for v := 0; v < n; v += 3 {

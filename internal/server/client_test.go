@@ -58,7 +58,7 @@ func TestClientAgainstLiveServer(t *testing.T) {
 	if routes.Fingerprint != sh.fp || len(routes.Routes) != 2 {
 		t.Fatalf("Route response: %+v", routes)
 	}
-	if rt, err := sh.oracle().Rtr.Route(2, 9); err == nil {
+	if rt, err := sh.oracle().Route(2, 9); err == nil {
 		if !routes.Routes[0].OK || routes.Routes[0].Weight != rt.Weight {
 			t.Fatalf("route 2->9 = %+v, want weight %d", routes.Routes[0], rt.Weight)
 		}

@@ -49,14 +49,13 @@ func buildLegacyPath(t *testing.T, sp Spec) legacyPath {
 			t.Fatal(err)
 		}
 		o := oracle.Compile(res)
-		rtr := core.NewRouterWith(g, res, o)
 		return legacyPath{
 			estimate: func(v int, s int32) (float64, bool) {
 				e, ok := o.Estimate(v, s)
 				return e.Dist, ok
 			},
-			nextHop: func(v int, s int32) (int, bool) { return rtr.NextHop(v, s) },
-			route:   rtr.Route,
+			nextHop: o.NextHop,
+			route:   func(v int, s int32) (*core.Route, error) { return o.Route(g, v, s) },
 		}
 	case "rtc":
 		sch, err := rtc.Build(g, scheme.RTCParams(sp), congest.Config{Parallel: true})
@@ -90,8 +89,8 @@ func buildLegacyPath(t *testing.T, sp Spec) legacyPath {
 		}
 		return legacyPath{
 			estimate: func(v int, s int32) (float64, bool) {
-				d, err := sch.DistEstimate(v, sch.Labels[s])
-				return d, err == nil
+				a := sch.Answer(v, sch.Labels[s])
+				return a.Dist, a.OK
 			},
 			nextHop: func(v int, s int32) (int, bool) {
 				if v == int(s) {
@@ -236,14 +235,11 @@ func TestSchemeShardAccountingInStats(t *testing.T) {
 		if a.Scheme != status.Scheme {
 			t.Errorf("%s: accounting scheme %q != shard scheme %q", name, a.Scheme, status.Scheme)
 		}
-		if a.TableBytes <= 0 || a.MaxLabelBits <= 0 || a.ProbeRoutes <= 0 {
+		if a.TableBytes <= 0 || a.Entries <= 0 || a.MaxLabelBits <= 0 || a.ProbeRoutes <= 0 {
 			t.Errorf("%s: incomplete accounting %+v", name, a)
 		}
 		if a.MeasuredStretch < 1 || a.MeasuredStretch > a.StretchBound+0.5 {
 			t.Errorf("%s: measured stretch %.3f outside [1, bound+0.5=%.1f]", name, a.MeasuredStretch, a.StretchBound+0.5)
-		}
-		if status.OracleEntries != a.Entries || status.OracleBytes != a.TableBytes {
-			t.Errorf("%s: legacy fields drifted from accounting", name)
 		}
 	}
 }

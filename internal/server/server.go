@@ -672,20 +672,15 @@ type ShardStatus struct {
 	// rebuild). Mutated means churn has drifted the serving graph away
 	// from the one Spec generates, so Spec alone no longer reproduces
 	// the tables (a /v1/rebuild clears it).
-	Updates          int64 `json:"updates"`
-	DeltaUpdates     int64 `json:"delta_updates"`
-	LastUpdateUnixNS int64 `json:"last_update_unix_ns"`
-	Mutated          bool  `json:"mutated"`
-	// OracleEntries / OracleBytes predate the scheme registry and mirror
-	// Accounting.Entries / Accounting.TableBytes for every backend; kept
-	// so pre-registry stats consumers keep working.
-	OracleEntries int         `json:"oracle_entries"`
-	OracleBytes   int64       `json:"oracle_bytes"`
-	Queries       QueryCounts `json:"queries"`
-	QPS           float64     `json:"qps"`
-	Batches       BatchStats  `json:"batches"`
-	RouteCache    CacheStats  `json:"route_cache"`
-	Wire          WireStats   `json:"wire"`
+	Updates          int64       `json:"updates"`
+	DeltaUpdates     int64       `json:"delta_updates"`
+	LastUpdateUnixNS int64       `json:"last_update_unix_ns"`
+	Mutated          bool        `json:"mutated"`
+	Queries          QueryCounts `json:"queries"`
+	QPS              float64     `json:"qps"`
+	Batches          BatchStats  `json:"batches"`
+	RouteCache       CacheStats  `json:"route_cache"`
+	Wire             WireStats   `json:"wire"`
 }
 
 // StatsResponse is the reply of /v1/stats. WireAddr is the daemon's
@@ -734,13 +729,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		if lookups := cs.Hits + cs.Misses; lookups > 0 {
 			cs.HitRate = float64(cs.Hits) / float64(lookups)
 		}
-		acct := sh.inst.Accounting()
 		status := ShardStatus{
 			Spec:             sh.spec,
 			Scheme:           sh.inst.Scheme(),
 			N:                sh.g.N(),
 			M:                sh.g.M(),
-			Accounting:       acct,
+			Accounting:       sh.inst.Accounting(),
 			Fingerprint:      sh.fp,
 			Builds:           st.builds.Load(),
 			LastSwapUnixNS:   st.lastSwapUnixNS.Load(),
@@ -749,8 +743,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			DeltaUpdates:     st.deltaUpdates.Load(),
 			LastUpdateUnixNS: st.lastUpdateUnixNS.Load(),
 			Mutated:          sl.mutated.Load(),
-			OracleEntries:    acct.Entries,
-			OracleBytes:      acct.TableBytes,
 			Queries:          qc,
 			Batches:          bs,
 			RouteCache:       cs,

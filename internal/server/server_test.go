@@ -233,7 +233,7 @@ func TestRouteEndToEnd(t *testing.T) {
 		t.Fatalf("status = %d, want 200", raw.StatusCode)
 	}
 	for i, p := range req.Pairs {
-		rt, err := sh.oracle().Rtr.Route(int(p.From), p.To)
+		rt, err := sh.oracle().Route(int(p.From), p.To)
 		got := first.Routes[i]
 		if err != nil {
 			if got.OK {
@@ -530,7 +530,7 @@ func TestHealthzAndStats(t *testing.T) {
 	if r16.Batches.Flushes == 0 || r16.Batches.Queries != 3 || r16.Batches.MaxQueries < 2 {
 		t.Fatalf("ring16 batch counters = %+v", r16.Batches)
 	}
-	if r16.N != 16 || r16.Fingerprint == "" || r16.Builds != 1 || r16.OracleEntries == 0 {
+	if r16.N != 16 || r16.Fingerprint == "" || r16.Builds != 1 || r16.Accounting.Entries == 0 {
 		t.Fatalf("ring16 shard status = %+v", r16)
 	}
 	if r16.QPS <= 0 {

@@ -9,7 +9,7 @@ import (
 )
 
 // oracle is the oracle backend behind a snapshot: the reference handles
-// (Res, O, Rtr) the tests compare served answers against.
+// (Res, O) the tests compare served answers against.
 func (sh *shard) oracle() *scheme.OracleInstance { return sh.inst.(*scheme.OracleInstance) }
 
 // TestSpecValidate pins which specs the daemon refuses to build.

@@ -66,7 +66,7 @@ func TestHotSwapNoTornReads(t *testing.T) {
 	for _, sh := range []*shard{shA, shB} {
 		legs := make([]routeLeg, len(routePairs))
 		for i, p := range routePairs {
-			rt, err := sh.oracle().Rtr.Route(int(p.From), p.To)
+			rt, err := sh.oracle().Route(int(p.From), p.To)
 			if err != nil {
 				t.Fatalf("generation %s: route %d->%d: %v", sh.fp, p.From, p.To, err)
 			}

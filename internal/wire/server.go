@@ -138,7 +138,7 @@ func radixSortRecs(ord, scratch []sortRec, keyBits int) []sortRec {
 }
 
 // DeriveHop applies the next-hop convention to one answered query: v == s
-// is terminal delivery (core.Router.NextHop), otherwise the estimate's
+// is terminal delivery (oracle.Oracle.NextHop), otherwise the estimate's
 // via is the hop, and a pair with no table entry or no via has none. This
 // is the only definition; HTTP /v1/nexthop and PDE2 NextHop frames both
 // answer through it.

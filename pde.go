@@ -24,7 +24,8 @@
 //	g := pde.RandomGraph(200, 0.05, 100, 1) // n, density, max weight, seed
 //	res, err := pde.ApproxAPSP(g, 0.5, pde.Config{})
 //	// res.Lists[v] holds (1.5)-approximate distances from v to all nodes;
-//	// pde.NewRouter(g, res) routes along stretch-(1+ε) paths.
+//	// pde.CompileOracle(res) answers them from indexed tables, and its
+//	// Route(g, v, s) follows stretch-(1+ε) paths.
 package pde
 
 import (
@@ -67,12 +68,11 @@ type (
 	Estimation = core.Result
 	// Estimate is one (source, distance, next hop) table entry.
 	Estimate = core.Estimate
-	// Router is the Corollary 3.5 stretch-(1+ε) stateless router.
-	Router = core.Router
 
 	// Oracle is a flat, immutable index compiled from an Estimation: it
-	// answers the same Estimate/Lookup/NextHop queries as the result's
-	// scan paths in O(log σ) per call and is safe for concurrent readers.
+	// answers Estimate and NextHop in O(log σ) per call, routes along
+	// Corollary 3.5's stretch-(1+ε) stateless paths, and is safe for
+	// concurrent readers.
 	Oracle = oracle.Oracle
 	// OracleQuery / OracleAnswer are the batch-serving request/response
 	// pair of Oracle.AnswerAll and Oracle.AnswerInto.
@@ -150,17 +150,11 @@ func ApproxAPSP(g *Graph, eps float64, cfg Config) (*Estimation, error) {
 	return core.Run(g, core.APSPParams(g.N(), eps), cfg)
 }
 
-// NewRouter wraps an estimation result for stretch-(1+ε) routing. It is a
-// free wrapper: hop decisions use the result's scan path, which is the
-// right trade for routing a few packets. For heavy routing or query
-// traffic, compile the tables once and route from the index:
-// CompileOracle(res).Router(g, res).
-func NewRouter(g *Graph, res *Estimation) *Router { return core.NewRouter(g, res) }
-
 // CompileOracle flattens an estimation result into an indexed, immutable
-// distance oracle for heavy query traffic (§2.4: distance queries answered
-// from local tables). To also route from the same index without compiling
-// twice, use the oracle's Router method instead of NewRouter.
+// distance oracle (§2.4: distance queries answered from local tables). It
+// is the one way to query a result: Estimate and NextHop answer point
+// queries, AnswerAll/AnswerInto batches, and Route(g, v, s) walks the
+// stretch-(1+ε) stateless route of Corollary 3.5 over the same tables.
 //
 // To serve oracle traffic over the network instead of in-process, see
 // internal/server and cmd/pde-serve: a long-lived daemon that holds one

@@ -27,8 +27,7 @@ func TestQuickStartFlow(t *testing.T) {
 			}
 		}
 	}
-	router := NewRouter(g, res)
-	rt, err := router.Route(0, int32(g.N()-1))
+	rt, err := CompileOracle(res).Route(g, 0, int32(g.N()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
