@@ -9,8 +9,8 @@ import (
 // HotPathAlloc enforces the zero-allocation contract of the hot paths: a
 // function marked with a //pde:hotpath doc comment is part of the
 // steady-state frame loop of the PDE2 wire protocol, the server's frame
-// handlers, the oracle's answer path or a detection or engine round, whose
-// allocation promises are guarded end-to-end by testing.AllocsPerRun
+// handlers, the oracle's answer path, a scheme's bounded set-distance
+// answer or a detection or engine round, whose allocation promises are guarded end-to-end by testing.AllocsPerRun
 // tests. An allocation that sneaks
 // into one of these functions — an append, a make, a string<->[]byte
 // conversion — turns the serving path GC-bound long before a human
@@ -27,7 +27,7 @@ var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc: "//pde:hotpath functions must not allocate " +
 		"(append, make, string<->[]byte conversions)",
-	Scope: scopeSuffix("internal/wire", "internal/oracle", "internal/server", "internal/detection", "internal/congest"),
+	Scope: scopeSuffix("internal/wire", "internal/oracle", "internal/server", "internal/detection", "internal/congest", "internal/scheme", "internal/compact"),
 	Run:   runHotPathAlloc,
 }
 

@@ -464,15 +464,24 @@ func (sch *Scheme) levelEstimate(x int, l int, s int32) (d float64, via int32, o
 		}
 		return e.Dist, e.Via, true
 	}
+	d, ok = sch.levelDist(x, l, s)
+	return d, -1, ok
+}
+
+// levelDist is levelEstimate's distance alone: a direct level reads only
+// its oracle's distance column.
+//
+//pde:hotpath
+func (sch *Scheme) levelDist(x int, l int, s int32) (float64, bool) {
+	if sch.R[l] != nil {
+		return sch.oracles[l].Dist(x, s)
+	}
 	dist, found := sch.simDist[l][s]
 	if !found {
-		return 0, -1, false
+		return 0, false
 	}
 	best, t := sch.SkelR.Potential(x, sch.SkelIdx, dist)
-	if t < 0 {
-		return 0, -1, false
-	}
-	return best, -1, true
+	return best, t >= 0
 }
 
 // levelNextHop returns x's next hop toward s at level l.
@@ -531,7 +540,7 @@ func (sch *Scheme) computePivots() error {
 			} else {
 				// Truncated: minimize the combined estimate over S_l.
 				for _, s := range sch.Levels[l] {
-					if d, _, ok := sch.levelEstimate(v, l, s); ok {
+					if d, ok := sch.levelDist(v, l, s); ok {
 						if d < sch.PivotDist[l][v] ||
 							(d == sch.PivotDist[l][v] && s < sch.Pivot[l][v]) {
 							sch.Pivot[l][v] = s
@@ -565,7 +574,7 @@ func (sch *Scheme) computePivots() error {
 				}
 			} else {
 				for _, s := range sch.Levels[l] {
-					if d, _, ok := sch.levelEstimate(v, l, s); ok {
+					if d, ok := sch.levelDist(v, l, s); ok {
 						if d < thrD || (d == thrD && s < thrS) {
 							count++
 						}

@@ -87,6 +87,40 @@ func (sch *Scheme) Answer(v int, dst Label) Answer {
 	return a
 }
 
+// AnswerWithin is Answer's Dist (+Inf when v has no estimate) wherever
+// that value is below ub, and otherwise some value ≥ ub: a caller that
+// keeps only estimates under a running best (the set-distance minima)
+// asks for nothing it would discard. A level's value d + per.Dist is at
+// least its label tail per.Dist, so a level whose tail already reaches
+// min(ub, best so far) is skipped without its row lookup. No level
+// selection and no first hop are computed.
+//
+//pde:hotpath
+func (sch *Scheme) AnswerWithin(v int, dst Label, ub float64) float64 {
+	w := dst.Node
+	if v == int(w) {
+		return 0
+	}
+	best := math.Inf(1)
+	for l := 0; l < sch.K; l++ {
+		s, tail := w, 0.0
+		if l > 0 {
+			per := &dst.Per[l-1]
+			if per.Skel < 0 {
+				continue
+			}
+			s, tail = per.Skel, per.Dist
+		}
+		if tail >= min(ub, best) {
+			continue
+		}
+		if d, ok := sch.levelDist(v, l, s); ok && d+tail < best {
+			best = d + tail
+		}
+	}
+	return best
+}
+
 // originHop is NextHop's decision at the origin v ≠ w, taken from the
 // next hops the level walk already read: via0 from v's level-0 row for w,
 // viaSel from its selected-level row for target (-1 where the row is

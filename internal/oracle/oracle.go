@@ -6,9 +6,10 @@
 // Compile performs the min-over-instances combine w̃d(v,s) = min_i
 // b(i)·hd_i(v,s) exactly once per (node, source) pair and lays the result
 // out in CSR-style parallel arrays sorted by source id, so Estimate and
-// NextHop are a single binary search over one node's contiguous segment:
-// O(log σ) with cache-friendly access, where a scan of the instance lists
-// costs Õ(σ·i_max) per query. The compiled form is read-only after
+// NextHop are a single binary search over one node's contiguous segment
+// (a direct index when the row holds every source): O(log σ) with
+// cache-friendly access, where a scan of the instance lists costs
+// Õ(σ·i_max) per query. The compiled form is read-only after
 // construction and therefore safe for any number of concurrent readers
 // without locking (exercised under -race in tests).
 //
@@ -104,13 +105,33 @@ func (o *Oracle) Bytes() int64 {
 		int64(len(o.flags))
 }
 
-// find binary-searches node v's segment for source s and returns the
-// entry index, or -1. Out-of-range v is a miss, not a panic: serving
-// layers (internal/server) validate queries against one table snapshot
-// but may answer them from a hot-swapped replacement with a different
-// node count, and the contract there is "consistent with the snapshot
-// that answered" — for a node the snapshot doesn't have, that answer is
-// "not found".
+// dense reports whether node v's row holds every source: its ids are
+// unique, sorted and in [0, n), so a row of length n is exactly 0..n-1
+// and the entry for s sits at off[v]+s. APSP tables are dense in every
+// row.
+//
+//pde:hotpath
+func (o *Oracle) dense(v int) bool { return o.off[v+1]-o.off[v] == int64(o.n) }
+
+// denseAt returns the entry for s in the dense row starting at lo, or -1
+// when s is outside [0, n).
+//
+//pde:hotpath
+func (o *Oracle) denseAt(lo int64, s int32) int64 {
+	if uint32(s) < uint32(o.n) {
+		return lo + int64(s)
+	}
+	return -1
+}
+
+// find returns the entry index of source s in node v's segment, or -1:
+// a direct index into a dense row, a binary search otherwise.
+// Out-of-range v is a miss, not a panic: serving layers
+// (internal/server) validate queries against one table snapshot but may
+// answer them from a hot-swapped replacement with a different node
+// count, and the contract there is "consistent with the snapshot that
+// answered" — for a node the snapshot doesn't have, that answer is "not
+// found".
 //
 //pde:hotpath
 func (o *Oracle) find(v int, s int32) int64 {
@@ -118,6 +139,9 @@ func (o *Oracle) find(v int, s int32) int64 {
 		return -1
 	}
 	lo, hi := o.off[v], o.off[v+1]
+	if o.dense(v) {
+		return o.denseAt(lo, s)
+	}
 	for lo < hi {
 		mid := int64(uint64(lo+hi) >> 1)
 		if o.srcs[mid] < s {
@@ -155,6 +179,19 @@ func (o *Oracle) Estimate(v int, s int32) (core.Estimate, bool) {
 		return core.Estimate{}, false
 	}
 	return o.at(k), true
+}
+
+// Dist returns Estimate(v, s)'s distance alone and reads only the source
+// and distance columns, for callers that need no next hop (set
+// distances, the compact hierarchy's level estimates).
+//
+//pde:hotpath
+func (o *Oracle) Dist(v int, s int32) (float64, bool) {
+	k := o.find(v, s)
+	if k < 0 {
+		return 0, false
+	}
+	return o.dists[k], true
 }
 
 // NextHop returns the neighbor to which v forwards a packet destined for

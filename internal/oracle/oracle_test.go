@@ -64,6 +64,9 @@ func TestOracleMatchesLegacyScans(t *testing.T) {
 				if wok != gok || (wok && we != ge) {
 					t.Fatalf("%s: Estimate(%d,%d): scan (%+v,%v) oracle (%+v,%v)", c.name, v, s, we, wok, ge, gok)
 				}
+				if gd, gdok := o.Dist(v, s); gdok != wok || (wok && gd != we.Dist) {
+					t.Fatalf("%s: Dist(%d,%d) = (%g,%v), scan says (%g,%v)", c.name, v, s, gd, gdok, we.Dist, wok)
+				}
 				wn, wnok := scanNextHop(res, v, s)
 				gn, gnok := o.NextHop(v, s)
 				if wn != gn || wnok != gnok {

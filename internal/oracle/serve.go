@@ -63,7 +63,8 @@ func (o *Oracle) AnswerAll(qs []Query, out []Answer) {
 // are bit-identical to AnswerAll's; order is a speed lever, never a
 // semantic one. Input that regresses out of sorted order is detected
 // per query and answered correctly from a full-row search, it just
-// forfeits the gallop. out shares AnswerAll's exact-length contract.
+// forfeits the gallop. A dense row needs no walk: find's dense-row rule
+// indexes it directly. out shares AnswerAll's exact-length contract.
 //
 //pde:hotpath
 func (o *Oracle) AnswerSorted(qs []Query, out []Answer) {
@@ -78,31 +79,26 @@ func (o *Oracle) AnswerSorted(qs []Query, out []Answer) {
 			continue
 		}
 		lo, hi := o.off[v], o.off[v+1]
-		if hi-lo == int64(o.n) {
-			// Dense row: srcs holds every source 0..n-1 in order (they
-			// are unique, sorted, and in [0, n)), so the entry for s sits
-			// at lo+s — no search at all. APSP-style tables are dense in
-			// every row, which turns the whole batch into a gather.
-			for ; i < len(qs) && int(qs[i].V) == v; i++ {
-				if s := qs[i].S; uint32(s) < uint32(o.n) {
-					out[i].Est, out[i].OK = o.at(lo+int64(s)), true
-				} else {
-					out[i].Est, out[i].OK = core.Estimate{}, false
-				}
-			}
-			continue
-		}
+		dense := o.dense(v)
 		k := lo
 		prevS := int32(-1 << 31)
 		for ; i < len(qs) && int(qs[i].V) == v; i++ {
 			s := qs[i].S
-			if s < prevS {
-				k = lo // order regressed: stay correct, restart the walk
+			hit := int64(-1)
+			if dense {
+				hit = o.denseAt(lo, s)
+			} else {
+				if s < prevS {
+					k = lo // order regressed: stay correct, restart the walk
+				}
+				prevS = s
+				k = gallopLowerBound(o.srcs, k, hi, s)
+				if k < hi && o.srcs[k] == s {
+					hit = k
+				}
 			}
-			prevS = s
-			k = gallopLowerBound(o.srcs, k, hi, s)
-			if k < hi && o.srcs[k] == s {
-				out[i].Est, out[i].OK = o.at(k), true
+			if hit >= 0 {
+				out[i].Est, out[i].OK = o.at(hit), true
 			} else {
 				out[i].Est, out[i].OK = core.Estimate{}, false
 			}

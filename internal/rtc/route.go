@@ -170,12 +170,22 @@ func (sch *Scheme) Route(v int, dst Label) (*Route, error) {
 // dst, without communication (§2.4): the better of the short-range
 // estimate and the long-range potential plus the label's skeleton leg.
 func (sch *Scheme) DistEstimate(v int, dst Label) (float64, error) {
+	best := sch.Dist(v, dst)
+	if math.IsInf(best, 1) {
+		return 0, fmt.Errorf("rtc: node %d has no estimate for %d", v, dst.Node)
+	}
+	return best, nil
+}
+
+// Dist is DistEstimate with a miss reported as +Inf rather than an
+// error, so a serving loop that only compares distances never allocates.
+func (sch *Scheme) Dist(v int, dst Label) float64 {
 	if v == int(dst.Node) {
-		return 0, nil
+		return 0
 	}
 	best := math.Inf(1)
-	if e, ok := sch.oraA.Estimate(v, dst.Node); ok {
-		best = e.Dist
+	if d, ok := sch.oraA.Dist(v, dst.Node); ok {
+		best = d
 	}
 	if target, ok := sch.SkelIndex[dst.Skel]; ok {
 		if p, _, ok := sch.phi(v, target); ok {
@@ -184,8 +194,5 @@ func (sch *Scheme) DistEstimate(v int, dst Label) (float64, error) {
 			}
 		}
 	}
-	if math.IsInf(best, 1) {
-		return 0, fmt.Errorf("rtc: node %d has no estimate for %d", v, dst.Node)
-	}
-	return best, nil
+	return best
 }

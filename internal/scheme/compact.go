@@ -1,6 +1,8 @@
 package scheme
 
 import (
+	"math"
+
 	"pde/internal/compact"
 	"pde/internal/congest"
 	"pde/internal/core"
@@ -133,6 +135,22 @@ func (in *CompactInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, wo
 			out[i] = in.answer(qs[i])
 		}
 	})
+}
+
+// DistsWithin answers each query through compact.Scheme.AnswerWithin,
+// which skips every level whose label tail alone reaches ub or the best
+// level seen so far. Out-of-range ids are misses, as in answer.
+//
+//pde:hotpath
+func (in *CompactInstance) DistsWithin(qs []oracle.Query, ub float64, out []float64) {
+	n := int32(in.Gr.N())
+	for i, q := range qs {
+		if !q.InRange(n) {
+			out[i] = math.Inf(1)
+			continue
+		}
+		out[i] = in.Sch.AnswerWithin(int(q.V), in.Sch.Labels[q.S], ub)
+	}
 }
 
 // Route delivers a packet from v to s through the hierarchy.

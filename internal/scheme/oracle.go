@@ -2,6 +2,7 @@ package scheme
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"pde/internal/congest"
@@ -127,6 +128,20 @@ func (in *OracleInstance) Fingerprint() uint64 { return in.fp() }
 // indexed lookup the in-process benchmarks measure.
 func (in *OracleInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int) {
 	in.O.AnswerInto(qs, out, workers)
+}
+
+// DistsWithin reads each query's distance column alone; a compiled
+// lookup is already one search, so ub prunes nothing here.
+//
+//pde:hotpath
+func (in *OracleInstance) DistsWithin(qs []oracle.Query, ub float64, out []float64) {
+	for i, q := range qs {
+		d, ok := in.O.Dist(int(q.V), q.S)
+		if !ok {
+			d = math.Inf(1)
+		}
+		out[i] = d
+	}
 }
 
 // AnswerSorted serves a (V, S)-ascending batch through the oracle's

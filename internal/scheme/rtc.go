@@ -1,6 +1,8 @@
 package scheme
 
 import (
+	"math"
+
 	"pde/internal/congest"
 	"pde/internal/core"
 	"pde/internal/graph"
@@ -100,8 +102,8 @@ func (in *RTCInstance) answer(q oracle.Query) oracle.Answer {
 		return oracle.Answer{}
 	}
 	dst := in.Sch.Labels[q.S]
-	d, err := in.Sch.DistEstimate(v, dst)
-	if err != nil {
+	d := in.Sch.Dist(v, dst)
+	if math.IsInf(d, 1) {
 		// Misses answer with the zero Estimate, like the oracle backend:
 		// only the OK flag is contract, and +Inf would not survive the
 		// JSON wire encoding.
@@ -129,6 +131,22 @@ func (in *RTCInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, worker
 			out[i] = in.answer(qs[i])
 		}
 	})
+}
+
+// DistsWithin answers each query with the distance estimate alone
+// (rtc.Scheme.Dist), skipping the forwarding decision answer makes.
+// Out-of-range ids are misses, as in answer.
+//
+//pde:hotpath
+func (in *RTCInstance) DistsWithin(qs []oracle.Query, ub float64, out []float64) {
+	n := int32(in.Gr.N())
+	for i, q := range qs {
+		if !q.InRange(n) {
+			out[i] = math.Inf(1)
+			continue
+		}
+		out[i] = in.Sch.Dist(int(q.V), in.Sch.Labels[q.S])
+	}
 }
 
 // Route walks the stateless forwarding function from v to s.

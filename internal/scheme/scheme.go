@@ -22,6 +22,8 @@
 // Instances are immutable after Build and safe for any number of
 // concurrent readers; AnswerInto may fan a batch across workers because
 // every answer is computed independently from read-only tables.
+// DistsWithin answers a batch on the calling goroutine, distances only,
+// bounded by what the caller can still use.
 package scheme
 
 import (
@@ -240,6 +242,14 @@ type Instance interface {
 	// whether an estimate exists. len(out) must equal len(qs); workers
 	// fans the batch out (0 = GOMAXPROCS, 1 = sequential).
 	AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int)
+	// DistsWithin is the distance-only, bounded face of AnswerInto for
+	// callers that keep only estimates below a running best: out[i] is
+	// exactly the Dist AnswerInto gives qs[i] (+Inf for a miss) wherever
+	// that value is < ub, and otherwise some value ≥ ub, so a backend
+	// may stop work on a query as soon as it cannot beat ub. It answers
+	// on the calling goroutine and allocates nothing. len(out) must
+	// equal len(qs).
+	DistsWithin(qs []oracle.Query, ub float64, out []float64)
 	// Route expands the scheme's full route from v to s.
 	Route(v int, s int32) (*core.Route, error)
 	// Accounting reports the scheme's table/label/stretch numbers.

@@ -159,17 +159,25 @@ func EncodeSetDistQuery(a, b []int32) []byte {
 	return buf
 }
 
+// setDistCounts reads the member counts a PDSQ header announces; ok is
+// false when data does not open with one.
+func setDistCounts(data []byte) (countA, countB int, ok bool) {
+	if len(data) < 12 || string(data[:4]) != magicSetDistQueries {
+		return 0, 0, false
+	}
+	return int(binary.LittleEndian.Uint32(data[4:8])), int(binary.LittleEndian.Uint32(data[8:12])), true
+}
+
 // DecodeSetDistQuery parses a framed set-distance request, validating
 // the exact two-count length prefix before touching a member.
 func DecodeSetDistQuery(data []byte) (a, b []int32, err error) {
-	if len(data) < 12 {
-		return nil, nil, fmt.Errorf("binary body too short: %d bytes", len(data))
-	}
-	if string(data[:4]) != magicSetDistQueries {
+	countA, countB, ok := setDistCounts(data)
+	if !ok {
+		if len(data) < 12 {
+			return nil, nil, fmt.Errorf("binary body too short: %d bytes", len(data))
+		}
 		return nil, nil, fmt.Errorf("bad magic %q (want %q)", data[:4], magicSetDistQueries)
 	}
-	countA := int(binary.LittleEndian.Uint32(data[4:8]))
-	countB := int(binary.LittleEndian.Uint32(data[8:12]))
 	if want := 12 + 4*(countA+countB); len(data) != want {
 		return nil, nil, fmt.Errorf("length prefix says |A|=%d, |B|=%d (%d bytes), body has %d bytes", countA, countB, want, len(data))
 	}

@@ -439,8 +439,11 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, kind wire.F
 		writeError(w, http.StatusServiceUnavailable, "shutting_down", "shard %q: server: shutting down", sl.name)
 		return
 	}
+	// Answered on the request goroutine, as a PDE2 frame is: concurrency
+	// comes from the connections, and a per-request fan-out would start
+	// goroutines for every batch.
 	answers := make([]oracle.Answer, len(qs))
-	sh.AnswerInto(qs, answers, 0) // 0 workers = GOMAXPROCS
+	sh.inst.AnswerInto(qs, answers, 1)
 	sl.stats.recordBatch(1, len(qs))
 	sl.stats.countPoint(kind, len(qs))
 

@@ -118,6 +118,12 @@ func (s *Server) handleSetDist(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
 			return
 		}
+		// A body without a length (chunked) was cut at the cap, so its
+		// header's counts, not its length, say whether it was too large.
+		if countA, countB, ok := setDistCounts(body); ok && max(countA, countB) > s.cfg.MaxBatch {
+			writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "set carries %d members, limit is %d", max(countA, countB), s.cfg.MaxBatch)
+			return
+		}
 		a, b, err = DecodeSetDistQuery(body)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad_request", "binary set-distance request: %v", err)

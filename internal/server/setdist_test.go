@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -147,6 +148,31 @@ func TestSetDistErrors(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	wantErrorEnvelope(t, resp, http.StatusBadRequest, "bad_request")
+
+	// Chunked binary bodies carry no length: one beyond the cap is cut
+	// at the read limit and must still be refused as too large, like the
+	// same body sent with a Content-Length; one within the cap is served.
+	members := func(m int) []int32 {
+		set := make([]int32, m)
+		for i := range set {
+			set[i] = int32(i % 16)
+		}
+		return set
+	}
+	chunked := func(a, b []int32) *http.Response {
+		// io.MultiReader hides the length, so the client sends chunked.
+		resp, err := http.Post(ts.URL+"/v1/setdist?shard=main", ContentTypeBinary, io.MultiReader(bytes.NewReader(EncodeSetDistQuery(a, b))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	wantErrorEnvelope(t, chunked(members(20), []int32{2}), http.StatusRequestEntityTooLarge, "batch_too_large")
+	wantErrorEnvelope(t, chunked([]int32{2}, members(20)), http.StatusRequestEntityTooLarge, "batch_too_large")
+	if resp := chunked(members(8), members(8)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("chunked body within the cap: status %d, want 200", resp.StatusCode)
+	}
 }
 
 func TestSetDistQueryCodecRoundTrip(t *testing.T) {

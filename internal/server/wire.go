@@ -16,13 +16,6 @@ import (
 // NodeCount bounds valid query ids for this generation.
 func (sh *shard) NodeCount() int32 { return int32(sh.g.N()) }
 
-// AnswerInto serves a validated batch from this generation's tables.
-//
-//pde:hotpath
-func (sh *shard) AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int) {
-	sh.inst.AnswerInto(qs, out, workers)
-}
-
 // sortedAnswerer is the scheme-level sorted-batch capability; only the
 // oracle backend implements it today (its galloping row walk).
 type sortedAnswerer interface {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http/httptest"
 	"sync"
@@ -156,6 +157,15 @@ func (h hopTableInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, wor
 			out[i] = oracle.Answer{OK: true, Est: core.Estimate{Dist: 1, Src: q.S, Via: -1}}
 		default:
 			out[i] = oracle.Answer{OK: true, Est: core.Estimate{Dist: 1, Src: q.S, Via: q.S}}
+		}
+	}
+}
+
+func (h hopTableInstance) DistsWithin(qs []oracle.Query, ub float64, out []float64) {
+	for i, q := range qs {
+		out[i] = 1
+		if q.S == 1 {
+			out[i] = math.Inf(1)
 		}
 	}
 }

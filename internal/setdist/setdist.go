@@ -36,12 +36,15 @@
 //     candidates near a query member's key are the promising ones and
 //     the first-landmark bound grows monotonically away from it.
 //  3. For each member, expands candidates outward from its key₁
-//     position in small AnswerInto batches, keeping the best (smallest)
+//     position in small DistsWithin batches, keeping the best (smallest)
 //     estimate seen. A side of the expansion is abandoned — all its
 //     remaining candidates pruned — as soon as its key₁ bound reaches
 //     the running best; an individual candidate is skipped without a
 //     query when an auxiliary bound does. The first candidates evaluated
 //     are the nearest-by-key ones, so the first bound is already tight.
+//     Each batch is bounded by the running best too: the scheme returns
+//     distances only, exact below the bound, and may stop work on a
+//     candidate (compact skips the hierarchy levels) once it cannot win.
 //
 // Pruning never changes an answer: a pruned candidate b satisfies
 // d̃(a, b) ≥ d(a, b) ≥ |keyᵢ(a) − keyᵢ(b)| ≥ best, so it cannot lower
@@ -70,7 +73,7 @@ import (
 	"pde/internal/scheme"
 )
 
-// evalChunk is the number of candidates one AnswerInto batch carries in
+// evalChunk is the number of candidates one DistsWithin batch carries in
 // the pruned expansion: large enough to amortize the batch-call
 // overhead, small enough that the running bound stays fresh between
 // flushes (stale bounds cost extra evaluations, never wrong answers).
@@ -295,7 +298,7 @@ func prunedMins(inst scheme.Instance, x []int32, y candidates, lm *graph.Landmar
 	var evaluated atomic.Int64
 	scheme.FanOut(len(x), 0, func(lo, hi int) {
 		var qs [evalChunk]oracle.Query
-		var out [evalChunk]oracle.Answer
+		var out [evalChunk]float64
 		var local int64
 		for i := lo; i < hi; i++ {
 			xi := x[i]
@@ -372,10 +375,13 @@ func prunedMins(inst scheme.Instance, x []int32, y candidates, lm *graph.Landmar
 				if k == 0 {
 					break
 				}
-				inst.AnswerInto(qs[:k], out[:k], 1)
+				// Only an estimate below best can lower the min, so best
+				// bounds the batch: the scheme may stop work on a
+				// candidate once it cannot win.
+				inst.DistsWithin(qs[:k], best, out[:k])
 				local += int64(k)
-				for j := 0; j < k; j++ {
-					if d := estimate(out[j]); d < best {
+				for _, d := range out[:k] {
+					if d < best {
 						best = d
 					}
 				}

@@ -173,6 +173,14 @@ func (e *exactInstance) AnswerInto(qs []oracle.Query, out []oracle.Answer, worke
 		out[i] = oracle.Answer{Est: core.Estimate{Dist: float64(d), Src: q.S}, OK: true}
 	}
 }
+func (e *exactInstance) DistsWithin(qs []oracle.Query, ub float64, out []float64) {
+	for i, q := range qs {
+		out[i] = math.Inf(1)
+		if d := e.sps[q.V].Dist[q.S]; d != graph.Infinity {
+			out[i] = float64(d)
+		}
+	}
+}
 func (e *exactInstance) Route(v int, s int32) (*core.Route, error) { return nil, nil }
 func (e *exactInstance) Accounting() scheme.Accounting             { return scheme.Accounting{} }
 
