@@ -142,6 +142,15 @@ func (o *Oracle) find(v int, s int32) int64 {
 	if o.dense(v) {
 		return o.denseAt(lo, s)
 	}
+	return o.search(lo, hi, s)
+}
+
+// search binary-searches the sorted row srcs[lo:hi) for s and returns
+// its entry index, or -1.
+//
+//pde:hotpath
+func (o *Oracle) search(lo, hi int64, s int32) int64 {
+	end := hi
 	for lo < hi {
 		mid := int64(uint64(lo+hi) >> 1)
 		if o.srcs[mid] < s {
@@ -150,7 +159,7 @@ func (o *Oracle) find(v int, s int32) int64 {
 			hi = mid
 		}
 	}
-	if lo < o.off[v+1] && o.srcs[lo] == s {
+	if lo < end && o.srcs[lo] == s {
 		return lo
 	}
 	return -1

@@ -219,11 +219,12 @@ func TestAnswerBatchAndParallel(t *testing.T) {
 }
 
 // TestAnswerSortedMatchesAnswerAll is the bit-identity property test for
-// the galloping sorted path: on sparse (sweep) and dense (APSP) tables,
-// sorted streams — including duplicate pairs, missing pairs, and rows
-// the table has no entries for — must answer exactly as AnswerAll, and
-// input that regresses out of sorted order must still answer correctly
-// (it only forfeits the gallop).
+// the row-grouped path: on sparse (sweep) and dense (APSP) tables,
+// streams grouped by row — (V, S)-ascending, or with S shuffled inside
+// each row as the wire layer's row grouping leaves it, including
+// duplicate pairs, missing pairs, and rows the table has no entries
+// for — must answer exactly as AnswerAll, and ungrouped input must
+// still answer correctly (it only forfeits the row reuse).
 func TestAnswerSortedMatchesAnswerAll(t *testing.T) {
 	for name, build := range map[string]func() (*graph.Graph, core.Params){
 		"random-apsp": func() (*graph.Graph, core.Params) {
@@ -249,11 +250,22 @@ func TestAnswerSortedMatchesAnswerAll(t *testing.T) {
 		sorted = append(sorted, sorted[:64]...) // duplicates
 		slicesSortQueries(sorted)
 		streams["sorted"] = sorted
+		grouped := append([]Query(nil), sorted...)
+		for lo := 0; lo < len(grouped); {
+			hi := lo
+			for hi < len(grouped) && grouped[hi].V == grouped[lo].V {
+				hi++
+			}
+			row := grouped[lo:hi]
+			r.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
+			lo = hi
+		}
+		streams["row-grouped"] = grouped
 		unsorted := make([]Query, 2048)
 		for i := range unsorted {
 			unsorted[i] = Query{V: r.Int31n(n), S: r.Int31n(n)}
 		}
-		streams["unsorted"] = unsorted // exercises the regression reset
+		streams["unsorted"] = unsorted // runs of length ~1: every query reloads its row
 		streams["one-row"] = []Query{{V: 3, S: 0}, {V: 3, S: 0}, {V: 3, S: 5}, {V: 3, S: n - 1}}
 		streams["out-of-range"] = []Query{{V: 5, S: -1}, {V: 5, S: n}, {V: -1, S: 0}, {V: n, S: 0}, {V: 5, S: 2}}
 

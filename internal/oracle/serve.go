@@ -55,16 +55,14 @@ func (o *Oracle) AnswerAll(qs []Query, out []Answer) {
 	}
 }
 
-// AnswerSorted serves qs sequentially into out, exploiting (V, S)-
-// ascending query order: within one v-row the lookup gallops forward
-// from the previous hit instead of binary-searching the whole row, so a
-// sorted batch costs O(log gap) per query instead of O(log row) — the
-// answering half of the wire layer's frame-local locality sort. Answers
-// are bit-identical to AnswerAll's; order is a speed lever, never a
-// semantic one. Input that regresses out of sorted order is detected
-// per query and answered correctly from a full-row search, it just
-// forfeits the gallop. A dense row needs no walk: find's dense-row rule
-// indexes it directly. out shares AnswerAll's exact-length contract.
+// AnswerSorted serves qs sequentially into out, exploiting queries
+// grouped into runs of equal V (S in any order inside a run): a run
+// loads node v's row bounds once and answers every query of it from
+// that row — a dense row by direct index, any other by binary search —
+// while the row stays in cache. This is the answering half of the wire
+// layer's frame-local row grouping. Answers are bit-identical to
+// AnswerAll's for any input; grouping is a speed lever, never a
+// semantic one. out shares AnswerAll's exact-length contract.
 //
 //pde:hotpath
 func (o *Oracle) AnswerSorted(qs []Query, out []Answer) {
@@ -80,65 +78,20 @@ func (o *Oracle) AnswerSorted(qs []Query, out []Answer) {
 		}
 		lo, hi := o.off[v], o.off[v+1]
 		dense := o.dense(v)
-		k := lo
-		prevS := int32(-1 << 31)
 		for ; i < len(qs) && int(qs[i].V) == v; i++ {
-			s := qs[i].S
-			hit := int64(-1)
+			var k int64
 			if dense {
-				hit = o.denseAt(lo, s)
+				k = o.denseAt(lo, qs[i].S)
 			} else {
-				if s < prevS {
-					k = lo // order regressed: stay correct, restart the walk
-				}
-				prevS = s
-				k = gallopLowerBound(o.srcs, k, hi, s)
-				if k < hi && o.srcs[k] == s {
-					hit = k
-				}
+				k = o.search(lo, hi, qs[i].S)
 			}
-			if hit >= 0 {
-				out[i].Est, out[i].OK = o.at(hit), true
+			if k >= 0 {
+				out[i].Est, out[i].OK = o.at(k), true
 			} else {
 				out[i].Est, out[i].OK = core.Estimate{}, false
 			}
 		}
 	}
-}
-
-// gallopLowerBound returns the first index in srcs[lo:hi) holding a
-// value >= s, probing exponentially from lo before binary-searching the
-// final window — O(log distance-from-lo), which sorted batches make
-// much smaller than O(log (hi-lo)).
-//
-//pde:hotpath
-func gallopLowerBound(srcs []int32, lo, hi int64, s int32) int64 {
-	if lo >= hi || srcs[lo] >= s {
-		return lo
-	}
-	// Invariant: srcs[l] < s. Double the window until it crosses s or
-	// the row ends, then binary-search inside it.
-	step := int64(1)
-	l := lo
-	h := lo + step
-	for h < hi && srcs[h] < s {
-		l = h
-		step <<= 1
-		h = l + step
-	}
-	if h > hi {
-		h = hi
-	}
-	l++
-	for l < h {
-		mid := int64(uint64(l+h) >> 1)
-		if srcs[mid] < s {
-			l = mid + 1
-		} else {
-			h = mid
-		}
-	}
-	return l
 }
 
 // AnswerInto serves qs across workers goroutines (GOMAXPROCS when

@@ -144,10 +144,10 @@ func (in *OracleInstance) DistsWithin(qs []oracle.Query, ub float64, out []float
 	}
 }
 
-// AnswerSorted serves a (V, S)-ascending batch through the oracle's
-// galloping row walk — the optional capability the wire layer's
-// locality sort looks for. Other schemes omit it and the wire layer
-// falls back to AnswerInto.
+// AnswerSorted serves a batch grouped into runs of equal V one table row
+// at a time — the optional capability the wire layer's row grouping
+// looks for. Other schemes omit it and the wire layer falls back to
+// AnswerInto.
 //
 //pde:hotpath
 func (in *OracleInstance) AnswerSorted(qs []oracle.Query, out []oracle.Answer) {

@@ -16,8 +16,9 @@ import (
 // NodeCount bounds valid query ids for this generation.
 func (sh *shard) NodeCount() int32 { return int32(sh.g.N()) }
 
-// sortedAnswerer is the scheme-level sorted-batch capability; only the
-// oracle backend implements it today (its galloping row walk).
+// sortedAnswerer is the scheme-level capability for a batch grouped into
+// runs of equal V; only the oracle backend implements it today (one row
+// lookup per run).
 type sortedAnswerer interface {
 	AnswerSorted(qs []oracle.Query, out []oracle.Answer)
 }
@@ -50,8 +51,8 @@ func (c *wireConn) Bind(name string) (int32, uint64, *wire.RemoteError) {
 // the ids, answers them and stamps the reply, so the frame is coherent
 // across concurrent hot-swaps. Each connection is its own pipeline lane,
 // so the batch is answered by one worker — the allocation-free path —
-// and a table-ordered batch goes through the scheme's sorted-aware path
-// when it has one (which buys speed, never semantics).
+// and a row-grouped batch goes through the scheme's row-aware path when
+// it has one (which buys speed, never semantics).
 //
 //pde:hotpath
 func (c *wireConn) Answer(b *wire.Batch) (uint64, *wire.RemoteError) {

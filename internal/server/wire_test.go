@@ -473,11 +473,11 @@ func TestChurnWireAllQueryTypesUnderRebuilds(t *testing.T) {
 // TestAllocsPerRunWireOracleServe is the allocation guard over the real
 // serving stack — oracle tables behind *Server, not the wire package's
 // fakes: a warmed connection's decode→validate→answer→encode round trip
-// must not allocate, on both the direct and the locality-sorted paths.
+// must not allocate, on both the direct and the row-grouped paths.
 func TestAllocsPerRunWireOracleServe(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 
-	// The locality sort is selected by frame size (1024 queries and up):
+	// Row grouping is selected by frame size (512 queries and up):
 	// one frame size either side of it covers both paths.
 	for name, count := range map[string]int{"direct": 256, "sorted": 2048} {
 		t.Run(name, func(t *testing.T) {

@@ -56,32 +56,35 @@ func TestAllocsPerRunWireConn(t *testing.T) {
 }
 
 func TestAllocsPerRunWireSortedPath(t *testing.T) {
-	// Same guard with the frame-local locality sort engaged (count >=
-	// sortThreshold): the sort scratch lives in the arena, so sorting
-	// must not cost allocations either.
-	be := fakeBackend{"alpha": newFakeShard(512, 0xfeed)}
-	s := startServer(t, be, Config{})
-	c := dialBound(t, s.Addr(), "alpha")
+	// Same guard with row grouping engaged (count >= sortThreshold): the
+	// grouping scratch lives in the arena, so grouping must not cost
+	// allocations either — on a shard of one digit of v and on one of
+	// more than 2048 nodes, where a second placement runs.
+	for _, n := range []int32{512, 5000} {
+		be := fakeBackend{"alpha": newFakeShard(n, 0xfeed)}
+		s := startServer(t, be, Config{})
+		c := dialBound(t, s.Addr(), "alpha")
 
-	const per = 2 * sortThreshold
-	qs := make([]oracle.Query, per)
-	out := make([]oracle.Answer, per)
-	rng := uint32(99)
-	for i := range qs {
-		rng = rng*1664525 + 1013904223
-		qs[i] = oracle.Query{V: int32(rng % 512), S: int32((rng >> 10) % 512)}
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := c.Estimate(qs, out); err != nil {
-			t.Fatal(err)
+		const per = 2 * sortThreshold
+		qs := make([]oracle.Query, per)
+		out := make([]oracle.Answer, per)
+		rng := uint32(99)
+		for i := range qs {
+			rng = rng*1664525 + 1013904223
+			qs[i] = oracle.Query{V: int32(rng % uint32(n)), S: int32((rng >> 10) % uint32(n))}
 		}
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := c.Estimate(qs, out); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 3; i++ {
+			if _, err := c.Estimate(qs, out); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); allocs != 0 {
-		t.Errorf("sorted Estimate round trip allocates %.2f objects/op, want 0", allocs)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := c.Estimate(qs, out); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("n=%d: sorted Estimate round trip allocates %.2f objects/op, want 0", n, allocs)
+		}
 	}
 }
 

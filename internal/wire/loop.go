@@ -33,7 +33,7 @@ type Handler interface {
 // Type and Qs, the Handler fills Out (Estimate) or Hops (NextHop, the only
 // frames Hops is sized for), each len(Qs) long and, for a Handler outside
 // this package, in wire order. It is also the connection's arena: every
-// steady-state frame is decoded, sorted, answered and encoded inside its
+// steady-state frame is decoded, grouped, answered and encoded inside its
 // buffers, so a long-lived connection serves frames with zero heap
 // allocations. Arenas are pooled so a reconnect storm reuses warmed
 // buffers.
@@ -45,23 +45,17 @@ type Batch struct {
 	Out  []oracle.Answer
 	Hops []Hop
 
-	// The daemon handler's locality sort: when perm is non-nil, record i
-	// of Out and Hops answers wire position perm[i].idx and the encoder
-	// scatters it there. sorted, ord and ord2 (the radix sort's ping-pong
-	// buffer) are its scratch.
-	perm      []sortRec
-	sorted    []oracle.Query
-	ord, ord2 []sortRec
+	// The daemon handler's row grouping: when perm is non-nil, record i
+	// of Out and Hops answers wire position perm[i] and the encoder
+	// scatters it there. rows and perms are its scratch, the second of
+	// each pair the ping-pong half a shard of more than 2048 nodes needs.
+	perm  []int32
+	rows  [2][]oracle.Query
+	perms [2][]int32
 
 	hdr     [HeaderSize]byte
 	payload []byte
 	wbuf    []byte
-}
-
-// sortRec pairs a query's table-order key with its wire position.
-type sortRec struct {
-	key uint64
-	idx int32
 }
 
 var arenaPool = sync.Pool{New: func() any { return &Batch{} }}
@@ -291,7 +285,7 @@ func (a *Batch) serveQueries(bw *bufio.Writer, h Handler, t FrameType, corr uint
 		return writeErrorFrame(bw, corr, refusal.Code, refusal.Message)
 	}
 
-	// Encode. A sorted batch is scattered back to wire positions here;
+	// Encode. A row-grouped batch is scattered back to wire positions here;
 	// answers are per-query independent, so the reordering is
 	// bit-invisible to the client.
 	var frame []byte
@@ -303,7 +297,7 @@ func (a *Batch) serveQueries(bw *bufio.Writer, h Handler, t FrameType, corr uint
 		for i, ans := range a.Out {
 			at := i
 			if a.perm != nil {
-				at = int(a.perm[i].idx)
+				at = int(a.perm[i])
 			}
 			PutAnswerAt(body, at, ans)
 		}
@@ -315,7 +309,7 @@ func (a *Batch) serveQueries(bw *bufio.Writer, h Handler, t FrameType, corr uint
 		for i, hop := range a.Hops {
 			at := i
 			if a.perm != nil {
-				at = int(a.perm[i].idx)
+				at = int(a.perm[i])
 			}
 			PutHopAt(body, at, hop)
 		}

@@ -35,106 +35,122 @@ func Serve(ln net.Listener, be Backend, cfg Config) *Server {
 	return Listen(ln, cfg.MaxBatch, be.WireHandler)
 }
 
-// sortThreshold selects the frame-local locality sort from the frame's
-// size: a frame with at least this many queries is answered in table
-// order — ascending (v, s) walks the oracle's CSR arrays near-sequentially
-// instead of jumping per query — and scattered back to wire order on
-// encode; below it the sort costs more than the locality buys.
-const sortThreshold = 1024
+// sortThreshold selects row grouping from the frame's size: a frame with
+// at least this many queries is answered one table row at a time — all
+// of node v's queries together, so v's row stays in cache while they
+// are answered — and scattered back to wire order on encode; below it
+// the grouping costs more than the locality buys.
+const sortThreshold = 512
 
 // InOrder is how a Handler that answers from tables of n nodes reads the
 // batch: it range-checks every id against [0, n) and returns the queries
 // in the order to answer them — Out[i] and Hops[i] then belong to qs[i].
-// sorted reports that the order is (v, s)-ascending (the locality sort
-// ran) rather than wire order, so a sorted-aware answer path applies;
-// answers are per-query independent, so either order is bit-invisible to
-// the client.
+// sorted reports that the queries come grouped into runs of equal V
+// (row grouping ran) rather than in wire order, so a row-aware answer
+// path applies; answers are per-query independent, so either order is
+// bit-invisible to the client.
 //
 //pde:hotpath
 func (b *Batch) InOrder(n int32) (qs []oracle.Query, sorted bool, refusal *RemoteError) {
+	if len(b.Qs) >= sortThreshold {
+		return b.groupRows(n)
+	}
 	for i, q := range b.Qs {
 		if !q.InRange(n) {
 			return nil, false, outOfRange(i, q, n)
 		}
 	}
-	count := len(b.Qs)
-	if count < sortThreshold {
-		return b.Qs, false, nil
-	}
-	b.ensureSort()
-	// Keys pack (v, s) into the fewest bits n allows, so the radix sort
-	// runs the fewest passes.
-	sBits := bits.Len32(uint32(n - 1))
-	ord := b.ord[:count]
+	return b.Qs, false, nil
+}
+
+// radixBits is the width of one digit of the row id: 2048 counters stay
+// L1-resident, and a shard of up to 2048 nodes groups in one placement.
+const (
+	radixBits = 11
+	radixMask = 1<<radixBits - 1
+)
+
+// groupRows range-checks the batch and groups it by row id with a stable
+// counting sort on V: one pass checks and counts v's low digit, one
+// placement writes the grouped queries and each one's wire position
+// into perm, and a shard of more than 2048 nodes takes one more stable
+// placement per further digit of v. S is never a key; the answer side
+// needs runs of equal V only.
+//
+//pde:hotpath
+func (b *Batch) groupRows(n int32) (qs []oracle.Query, sorted bool, refusal *RemoteError) {
+	var cnt [1 << radixBits]int32
 	for i, q := range b.Qs {
-		ord[i] = sortRec{key: uint64(uint32(q.V))<<sBits | uint64(uint32(q.S)), idx: int32(i)}
+		if !q.InRange(n) {
+			return nil, false, outOfRange(i, q, n)
+		}
+		cnt[q.V&radixMask]++
 	}
-	b.perm = radixSortRecs(ord, b.ord2[:count], 2*sBits)
-	qs = b.sorted[:count]
-	for i, rec := range b.perm {
-		qs[i] = b.Qs[rec.idx]
+	count := len(b.Qs)
+	b.ensureGroup(n)
+	qs, perm := b.rows[0][:count], b.perms[0][:count]
+	prefixSum(&cnt)
+	for i, q := range b.Qs {
+		d := q.V & radixMask
+		qs[cnt[d]], perm[cnt[d]] = q, int32(i)
+		cnt[d]++
 	}
+	for shift := radixBits; shift < bits.Len32(uint32(n-1)); shift += radixBits {
+		clear(cnt[:])
+		for _, q := range qs {
+			cnt[q.V>>shift&radixMask]++
+		}
+		if int(cnt[qs[0].V>>shift&radixMask]) == count {
+			continue // the whole frame shares this digit
+		}
+		prefixSum(&cnt)
+		dst, dperm := b.rows[1][:count], b.perms[1][:count]
+		for i, q := range qs {
+			d := q.V >> shift & radixMask
+			dst[cnt[d]], dperm[cnt[d]] = q, perm[i]
+			cnt[d]++
+		}
+		b.rows[0], b.rows[1] = b.rows[1], b.rows[0]
+		b.perms[0], b.perms[1] = b.perms[1], b.perms[0]
+		qs, perm = dst, dperm
+	}
+	b.perm = perm
 	return qs, true, nil
 }
 
-// ensureSort sizes the locality-sort scratch for the batch. Like every
-// buffer growth it stays out of the //pde:hotpath functions.
-func (b *Batch) ensureSort() {
-	if count := len(b.Qs); cap(b.sorted) < count {
-		b.sorted = make([]oracle.Query, count)
-		b.ord = make([]sortRec, count)
-		b.ord2 = make([]sortRec, count)
+// prefixSum turns digit counts into each digit's first slot.
+//
+//pde:hotpath
+func prefixSum(cnt *[1 << radixBits]int32) {
+	sum := int32(0)
+	for i, c := range cnt {
+		cnt[i] = sum
+		sum += c
+	}
+}
+
+// ensureGroup sizes the row-grouping scratch for the batch and for a
+// shard of n nodes: the second half of each pair is needed only when v
+// has more than one digit. Like every buffer growth it stays out of the
+// //pde:hotpath functions.
+func (b *Batch) ensureGroup(n int32) {
+	halves := 1
+	if bits.Len32(uint32(n-1)) > radixBits {
+		halves = 2
+	}
+	for h := range halves {
+		if count := len(b.Qs); cap(b.rows[h]) < count {
+			b.rows[h] = make([]oracle.Query, count)
+			b.perms[h] = make([]int32, count)
+		}
 	}
 }
 
 // outOfRange reports an out-of-range query id. Split from the hot path
-// so InOrder itself stays allocation-free.
+// so InOrder and groupRows stay allocation-free.
 func outOfRange(i int, q oracle.Query, n int32) *RemoteError {
 	return &RemoteError{Code: ErrCodeOutOfRange,
 		Message: fmt.Sprintf("query %d: (v=%d, s=%d) outside [0, %d)", i, q.V, q.S, n)}
-}
-
-// radixBits is the LSD radix digit width: 2048 counters stay
-// L1-resident while a tightly packed (v, s) key sorts in
-// ceil(keyBits/11) passes — two for any shard up to ~2000 nodes.
-const radixBits = 11
-
-// radixSortRecs stable-sorts ord by key ascending with an LSD counting
-// sort over radixBits-wide digits, ping-ponging between ord and scratch,
-// and returns the slice holding the sorted records (which may be
-// scratch). Digits the whole frame shares are skipped. A comparison
-// sort here costs ~count·log(count) indirect calls per frame, which at
-// serving batch sizes outweighs the locality win the sort exists to
-// buy; this is O(passes·count) with no calls at all.
-//
-//pde:hotpath
-func radixSortRecs(ord, scratch []sortRec, keyBits int) []sortRec {
-	const mask = 1<<radixBits - 1
-	var cnt [1 << radixBits]int32
-	for shift := 0; shift < keyBits; shift += radixBits {
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for i := range ord {
-			cnt[(ord[i].key>>shift)&mask]++
-		}
-		if int(cnt[(ord[0].key>>shift)&mask]) == len(ord) {
-			continue
-		}
-		sum := int32(0)
-		for i := range cnt {
-			c := cnt[i]
-			cnt[i] = sum
-			sum += c
-		}
-		for i := range ord {
-			d := (ord[i].key >> shift) & mask
-			scratch[cnt[d]] = ord[i]
-			cnt[d]++
-		}
-		ord, scratch = scratch, ord
-	}
-	return ord
 }
 
 // DeriveHop applies the next-hop convention to one answered query: v == s

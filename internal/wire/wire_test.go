@@ -310,7 +310,7 @@ func TestBindEstimateNextHop(t *testing.T) {
 }
 
 func TestSortedPathMatchesUnsorted(t *testing.T) {
-	// At sortThreshold queries and above the server answers in table order
+	// At sortThreshold queries and above the server answers row by row
 	// and scatters back; the answers must be exactly what the unsorted
 	// path produces. Send one batch as a single frame above the threshold
 	// and again in frames below it, and compare.
@@ -356,6 +356,106 @@ func TestSortedPathMatchesUnsorted(t *testing.T) {
 		if h1[i] != h2[i] {
 			t.Fatalf("hop %d differs between sorted and unsorted paths", i)
 		}
+	}
+}
+
+func TestGroupRowsGroupsStablyByRow(t *testing.T) {
+	// Row grouping must hand the answer side every query of one row in one
+	// run, carry each query's wire position, and keep wire order inside a
+	// row (the placement is stable) — for one digit of v (n ≤ 2048), at
+	// the digit boundary, and for two and three digits.
+	for _, n := range []int32{1, 384, 2048, 2049, 5000, 1 << 23} {
+		var b Batch
+		b.ensure(FrameEstimate, 3*sortThreshold)
+		rng := uint32(n)
+		for i := range b.Qs {
+			rng = rng*1664525 + 1013904223
+			b.Qs[i] = oracle.Query{V: int32(rng>>3) % n, S: int32(rng>>17) % n}
+			if i%5 == 0 && i > 0 {
+				b.Qs[i].V = b.Qs[i-1].V // force runs inside a row
+			}
+		}
+		qs, sorted, refusal := b.InOrder(n)
+		if refusal != nil || !sorted {
+			t.Fatalf("n=%d: InOrder = sorted %v, refusal %v", n, sorted, refusal)
+		}
+		seen := make([]bool, len(b.Qs))
+		for i, q := range qs {
+			at := b.perm[i]
+			if seen[at] {
+				t.Fatalf("n=%d: wire position %d placed twice", n, at)
+			}
+			seen[at] = true
+			if b.Qs[at] != q {
+				t.Fatalf("n=%d: record %d is %+v, wire position %d holds %+v", n, i, q, at, b.Qs[at])
+			}
+			if i > 0 && (qs[i-1].V > q.V || qs[i-1].V == q.V && b.perm[i-1] > at) {
+				t.Fatalf("n=%d: records %d, %d out of row order: %+v@%d then %+v@%d",
+					n, i-1, i, qs[i-1], b.perm[i-1], q, at)
+			}
+		}
+	}
+}
+
+func TestSortedPathOnMultiDigitShard(t *testing.T) {
+	// A shard of more than 2048 nodes has two 11-bit digits of v, so the
+	// grouping takes a second stable placement; answers must still land
+	// on their wire positions.
+	const n = 5000
+	be := fakeBackend{"wide": newFakeShard(n, 0xd161)}
+	s := startServer(t, be, Config{})
+	c := dialBound(t, s.Addr(), "wide")
+
+	qs := make([]oracle.Query, 4*sortThreshold)
+	rng := uint32(0x2b)
+	for i := range qs {
+		rng = rng*1664525 + 1013904223
+		qs[i] = oracle.Query{V: int32(rng % n), S: int32((rng >> 7) % n)}
+	}
+	out := make([]oracle.Answer, len(qs))
+	hops := make([]Hop, len(qs))
+	if _, err := c.Estimate(qs, out); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.NextHop(qs, hops); err != nil {
+		t.Fatal(err)
+	}
+	want := wantAnswers(be["wide"].snap.Load(), qs)
+	for i := range want {
+		if out[i] != want[i] {
+			t.Fatalf("answer %d: %+v, want %+v", i, out[i], want[i])
+		}
+		if h := DeriveHop(qs[i], want[i]); hops[i] != h {
+			t.Fatalf("hop %d: %+v, want %+v", i, hops[i], h)
+		}
+	}
+}
+
+func TestGroupedFrameRefusesLastOutOfRange(t *testing.T) {
+	// The range check of a grouped frame is fused with the row count; the
+	// refusal must still name the first bad index, here the last one.
+	be := fakeBackend{"alpha": newFakeShard(512, 0x1a57)}
+	s := startServer(t, be, Config{})
+	c := dialBound(t, s.Addr(), "alpha")
+
+	qs := make([]oracle.Query, sortThreshold)
+	for i := range qs {
+		qs[i] = oracle.Query{V: int32(i % 512), S: int32((i * 3) % 512)}
+	}
+	last := len(qs) - 1
+	qs[last] = oracle.Query{V: 7, S: 512}
+	_, err := c.Estimate(qs, make([]oracle.Answer, len(qs)))
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != ErrCodeOutOfRange {
+		t.Fatalf("Estimate = %v, want an out-of-range refusal", err)
+	}
+	if want := fmt.Sprintf("query %d: (v=7, s=512) outside [0, 512)", last); re.Message != want {
+		t.Fatalf("refusal %q, want %q", re.Message, want)
+	}
+	// The connection stays open and serves the corrected frame.
+	qs[last].S = 5
+	if _, err := c.Estimate(qs, make([]oracle.Answer, len(qs))); err != nil {
+		t.Fatal(err)
 	}
 }
 
