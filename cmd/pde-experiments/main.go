@@ -1,15 +1,8 @@
 // Command pde-experiments reproduces the paper's results from the command
-// line. With no subcommand it prints every experiment table — one per
-// theorem/figure, each showing paper-predicted against measured values.
-// A subcommand (demos.go) runs one construction at one configuration and
-// prints its accounting.
+// line: it prints every experiment table (E1–E9) — one per theorem or
+// figure, each showing paper-predicted against measured values.
 //
 //	pde-experiments [-quick] [-only E3]
-//	pde-experiments apsp     [-n 80] [-eps 0.5] [-maxw 32] [-topology random|geometric|internet] [-seed 1] [-baselines]
-//	pde-experiments rtc      [-topology random] [-n 60] [-k 2] [-eps 0.25] [-maxw 16] [-p 0.25] [-seed 1] [-trees]
-//	pde-experiments compact  [-topology random] [-n 50] [-k 3] [-l0 0] [-strategy none|simulate|broadcast] [-maxw 12] [-seed 1]
-//	pde-experiments figure1  [-h 8] [-sigma 8] [-eps 1]
-//	pde-experiments pdesweep [-n 100] [-maxw 32] [-seed 1] [-messages]
 package main
 
 import (
@@ -24,35 +17,17 @@ import (
 	"pde/internal/bench"
 )
 
-// usageError marks a bad invocation (exit 2, not a failed run's 1).
-type usageError struct{ error }
-
-func (e usageError) Unwrap() error { return e.error }
-
-var subcommands = map[string]func(args []string, out io.Writer) error{
-	"apsp":     apsp,
-	"rtc":      rtcTables,
-	"compact":  compactTables,
-	"figure1":  figure1,
-	"pdesweep": pdeSweep,
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
+// run exits 0 on success or -h and 2 on a bad invocation, the only way
+// the tables can fail.
 func run(args []string, stdout, stderr io.Writer) int {
-	cmd := func(args []string, out io.Writer) error { return tables(args, out, stderr) }
-	if len(args) > 0 && subcommands[args[0]] != nil {
-		cmd, args = subcommands[args[0]], args[1:]
-	}
-	err := cmd(args, stdout)
+	err := tables(args, stdout, stderr)
 	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return 0
 	}
 	fmt.Fprintln(stderr, "pde-experiments:", err)
-	if errors.As(err, new(usageError)) {
-		return 2
-	}
-	return 1
+	return 2
 }
 
 // tables prints the E1–E9 tables as markdown, each as soon as it is
@@ -62,7 +37,10 @@ func tables(args []string, out, progress io.Writer) error {
 	quick := fs.Bool("quick", false, "run the reduced-scale configuration")
 	only := fs.String("only", "", "run only the experiment with this ID (e.g. E3)")
 	if err := fs.Parse(args); err != nil {
-		return usageError{err}
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q; select a table with -only", fs.Arg(0))
 	}
 	scale := bench.Full
 	if *quick {
@@ -79,7 +57,7 @@ func tables(args []string, out, progress io.Writer) error {
 		}
 	}
 	if *only != "" && !slices.Contains(known, *only) {
-		return usageError{fmt.Errorf("unknown experiment %q; known: %s", *only, strings.Join(known, " "))}
+		return fmt.Errorf("unknown experiment %q; known: %s", *only, strings.Join(known, " "))
 	}
 	return nil
 }

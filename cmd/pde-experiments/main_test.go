@@ -6,8 +6,10 @@ import (
 	"testing"
 )
 
-// TestRun drives every subcommand at a tiny size, and the table mode at
-// its smallest selection, through the same run() main calls.
+// TestRun drives the table mode at its smallest selection, and the bad
+// invocations it refuses, through the same run() main calls. The former
+// one-construction subcommands are refused before any table runs rather
+// than falling through to every Full-scale table.
 func TestRun(t *testing.T) {
 	cases := []struct {
 		name string
@@ -18,30 +20,23 @@ func TestRun(t *testing.T) {
 	}{
 		{name: "tables", args: []string{"-quick", "-only", "E3"},
 			want: []string{"### E3 — Lower-bound gadget", "| 4 | 4 | 21 | 16 | 21 | 191 | 3.03 |"}},
-		{name: "apsp", args: []string{"apsp", "-n", "16", "-baselines"},
-			want: []string{"graph: random n=16", "PDE APSP:", "bound=1.50", "BellmanFord:", "Flooding:"}},
-		{name: "apsp internet", args: []string{"apsp", "-n", "16", "-topology", "internet", "-eps", "1"},
-			want: []string{"graph: internet n=16", "bound=2.00"}},
-		{name: "rtc", args: []string{"rtc", "-n", "24", "-trees"},
-			want: []string{"graph: random n=24", "rounds: short-range=", "bound(6k-1)=11", "trees: "}},
-		{name: "compact", args: []string{"compact", "-n", "24", "-k", "2"},
-			want: []string{"graph: random n=24", "level 1: |S_1| =", "bound(4k-3)=5", "shared"}},
-		{name: "figure1", args: []string{"figure1", "-h", "3", "-sigma", "2"},
-			want: []string{"gadget: h=3 σ=2", "exact detection: first-correct round=", "PDE (ε=1.00):"}},
-		{name: "pdesweep", args: []string{"pdesweep", "-n", "24"},
-			want: []string{"h | σ | ε | budget rounds | active rounds", "40 | 40 | 1.00 |"}},
-		{name: "pdesweep messages", args: []string{"pdesweep", "-n", "24", "-messages"},
-			want: []string{"σ | max broadcasts/node", "32 | "}},
 
 		{name: "unknown experiment", args: []string{"-only", "E42"}, code: 2, err: `unknown experiment "E42"`},
-		{name: "unknown topology", args: []string{"apsp", "-topology", "torus"}, code: 2, err: `unknown topology "torus"`},
-		{name: "scheme build fails", args: []string{"rtc", "-topology", "torus"}, code: 1, err: "torus"},
+		{name: "positional experiment", args: []string{"-quick", "E3"}, code: 2, err: `unexpected argument "E3"`},
+		{name: "apsp", args: []string{"apsp", "-n", "16"}, code: 2, err: `unexpected argument "apsp"`},
+		{name: "rtc", args: []string{"rtc", "-n", "24", "-trees"}, code: 2, err: `unexpected argument "rtc"`},
+		{name: "compact", args: []string{"compact", "-n", "24", "-k", "2"}, code: 2, err: `unexpected argument "compact"`},
+		{name: "figure1", args: []string{"figure1", "-h", "3", "-sigma", "2"}, code: 2, err: `unexpected argument "figure1"`},
+		{name: "pdesweep", args: []string{"pdesweep", "-n", "24"}, code: 2, err: `unexpected argument "pdesweep"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run(tc.args, &stdout, &stderr); code != tc.code {
 				t.Fatalf("exit %d, want %d\nstderr: %s", code, tc.code, &stderr)
+			}
+			if tc.code != 0 && stdout.Len() > 0 {
+				t.Errorf("a refused invocation printed tables:\n%s", &stdout)
 			}
 			for _, want := range tc.want {
 				if !strings.Contains(stdout.String(), want) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pde/internal/baseline"
+	"pde/internal/graph"
 )
 
 // End-to-end integration: serialize a topology, reload it, run the full
@@ -17,7 +18,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g, err := ReadGraph(&buf)
+	g, err := graph.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +83,12 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// 4. The Figure 1 pipeline: gadget, exact baseline, PDE.
-	f := Figure1Gadget(4, 4)
+	f := graph.NewFigure1(4, 4)
 	isSource := make([]bool, f.G.N())
 	for _, s := range f.Sources {
 		isSource[s] = true
 	}
-	ex, err := ExactDetection(f.G, baseline.ExactParams{
+	ex, err := baseline.ExactDetect(f.G, baseline.ExactParams{
 		IsSource: isSource, H: 5, Sigma: 4,
 	}, Config{})
 	if err != nil {

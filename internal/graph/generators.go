@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the single source of truth for the named topology families
-// the CLIs (pde-serve, pde-experiments rtc / compact), the serving specs
+// the CLI (pde-serve), the serving specs
 // (internal/scheme.Spec) and the benchmark sweeps accept. Before it
 // existed the name list and the per-family parameterization were
 // duplicated in three switch statements that drifted independently; now a

@@ -11,13 +11,11 @@
 // re-exported here as aliases, so this file documents the intended entry
 // points.
 //
-// The front door for anything servable is internal/scheme: one registry
-// holding the three distance/routing schemes — "oracle" (compiled CSR
-// tables), "rtc" (Theorem 4.5 routing) and "compact" (§4.3 hierarchy) —
-// behind one Spec and one Instance interface (estimates, next hops,
-// routes, plus table/label/stretch accounting). BuildScheme builds any of
-// them; the pde-serve daemon serves any of them, side by side, through
-// the same wire protocol.
+// Every function here has a caller in examples/ or cmd/, which
+// TestFacadeExportsHaveCallers holds. The servable schemes — "oracle",
+// "rtc" and "compact", behind internal/scheme's one Spec and one Instance
+// interface — are what the pde-serve daemon builds and serves; they are
+// not re-exported here.
 //
 // Quick start:
 //
@@ -29,20 +27,15 @@
 package pde
 
 import (
-	"io"
 	"math/rand"
 
 	"pde/internal/baseline"
 	"pde/internal/compact"
 	"pde/internal/congest"
 	"pde/internal/core"
-	"pde/internal/detection"
 	"pde/internal/graph"
 	"pde/internal/oracle"
 	"pde/internal/rtc"
-	"pde/internal/scheme"
-	"pde/internal/spanner"
-	"pde/internal/treelabel"
 )
 
 // Re-exported substrate types. See the internal package docs for details.
@@ -79,11 +72,6 @@ type (
 	OracleQuery  = oracle.Query
 	OracleAnswer = oracle.Answer
 
-	// DetectionParams configures raw unweighted/virtual source detection.
-	DetectionParams = detection.Params
-	// DetectionResult is a source-detection output.
-	DetectionResult = detection.Result
-
 	// RoutingParams configures Theorem 4.5 routing-table construction.
 	RoutingParams = rtc.Params
 	// RoutingScheme is a built Theorem 4.5 scheme.
@@ -93,19 +81,6 @@ type (
 	CompactParams = compact.Params
 	// CompactScheme is a built §4.3 hierarchy.
 	CompactScheme = compact.Scheme
-
-	// Spanner is a Baswana–Sen (2k−1)-spanner.
-	Spanner = spanner.Result
-	// TreeLabeling is a Thorup–Zwick interval-labeled tree.
-	TreeLabeling = treelabel.Labeling
-
-	// SchemeSpec is the unified build recipe of the scheme registry
-	// (internal/scheme): topology + PDE knobs + scheme selector.
-	SchemeSpec = scheme.Spec
-	// SchemeInstance is a built, immutable, concurrently-servable scheme.
-	SchemeInstance = scheme.Instance
-	// SchemeAccounting is the per-scheme table/label/stretch cost sheet.
-	SchemeAccounting = scheme.Accounting
 )
 
 // Compact strategies (Corollary 4.14).
@@ -132,9 +107,6 @@ func GeometricGraph(n int, radius float64, maxW Weight, seed int64) *Graph {
 func InternetGraph(n int, maxW Weight, seed int64) *Graph {
 	return graph.Internet(n, maxW, rand.New(rand.NewSource(seed)))
 }
-
-// Figure1Gadget builds the paper's lower-bound construction.
-func Figure1Gadget(h, sigma int) *graph.Figure1 { return graph.NewFigure1(h, sigma) }
 
 // GroundTruth computes exact APSP centrally (for verification).
 func GroundTruth(g *Graph) *APSPGroundTruth { return graph.AllPairs(g) }
@@ -166,21 +138,8 @@ func ApproxAPSP(g *Graph, eps float64, cfg Config) (*Estimation, error) {
 // table generation that answered it.
 func CompileOracle(res *Estimation) *Oracle { return oracle.Compile(res) }
 
-// BuildScheme builds any registered scheme — "oracle", "rtc" or
-// "compact" — from one Spec through the unified registry
-// (internal/scheme). The returned instance answers estimates, next hops
-// and routes from immutable tables, reports its table/label/stretch
-// accounting, and is exactly what a pde-serve shard with the same spec
-// serves: same answers, same fingerprint.
-func BuildScheme(sp SchemeSpec) (SchemeInstance, error) { return scheme.Build(sp) }
-
-// SchemeNames lists the registered schemes.
-func SchemeNames() []string { return scheme.Names() }
-
 // BuildRoutingScheme constructs Theorem 4.5 routing tables: stretch
-// 6k−1+o(1), O(log n)-bit labels, Õ(n^{1/2+1/(4k)} + D) rounds. For the
-// servable, registry-managed form of the same tables use
-// BuildScheme(SchemeSpec{Scheme: "rtc", ...}).
+// 6k−1+o(1), O(log n)-bit labels, Õ(n^{1/2+1/(4k)} + D) rounds.
 func BuildRoutingScheme(g *Graph, p RoutingParams, cfg Config) (*RoutingScheme, error) {
 	return rtc.Build(g, p, cfg)
 }
@@ -191,11 +150,6 @@ func BuildCompactScheme(g *Graph, p CompactParams, cfg Config) (*CompactScheme, 
 	return compact.Build(g, p, cfg)
 }
 
-// BuildSpanner constructs a Baswana–Sen (2k−1)-spanner.
-func BuildSpanner(g *Graph, k int, seed int64) (*Spanner, error) {
-	return spanner.BaswanaSen(g, k, rand.New(rand.NewSource(seed)))
-}
-
 // BellmanFordAPSP runs the exact pipelined Bellman–Ford baseline.
 func BellmanFordAPSP(g *Graph, cfg Config) (*baseline.BFResult, error) {
 	return baseline.BellmanFordAPSP(g, cfg)
@@ -204,22 +158,4 @@ func BellmanFordAPSP(g *Graph, cfg Config) (*baseline.BFResult, error) {
 // FloodingAPSP runs the exact topology-flooding (OSPF-style) baseline.
 func FloodingAPSP(g *Graph, cfg Config) (*baseline.FloodResult, error) {
 	return baseline.FloodingAPSP(g, cfg)
-}
-
-// ExactDetection runs the σ·h-round exact (S, h, σ)-detection baseline
-// that Figure 1 shows is worst-case optimal.
-func ExactDetection(g *Graph, p baseline.ExactParams, cfg Config) (*baseline.ExactResult, error) {
-	return baseline.ExactDetect(g, p, cfg)
-}
-
-// ReadGraph parses a graph in the repository's text format (see
-// Graph.WriteTo): a "pde-graph v1" header, node/edge counts, and one
-// "u v w" line per edge.
-func ReadGraph(r io.Reader) (*Graph, error) { return graph.Read(r) }
-
-// MakeNameIndependent converts a Theorem 4.5 scheme into the
-// name-independent variant of §2.3 by accounting a full label-directory
-// broadcast; routing is then addressed by plain node ids.
-func MakeNameIndependent(sch *RoutingScheme, hopDiameter int) (*rtc.NameIndependent, error) {
-	return rtc.MakeNameIndependent(sch, hopDiameter)
 }

@@ -43,10 +43,6 @@ func TestFacadeGenerators(t *testing.T) {
 	if g := InternetGraph(40, 50, 3); !g.Connected() {
 		t.Fatal("internet graph disconnected")
 	}
-	f := Figure1Gadget(3, 2)
-	if f.G.N() != 12 {
-		t.Fatalf("gadget size %d", f.G.N())
-	}
 	b := NewBuilder(2)
 	b.AddEdge(0, 1, 7)
 	g, err := b.Build()
@@ -95,15 +91,11 @@ func TestFacadeBaselines(t *testing.T) {
 	}
 	src := make([]bool, g.N())
 	src[0] = true
-	ex, err := ExactDetection(g, baseline.ExactParams{IsSource: src, H: 3, Sigma: 1}, Config{})
+	ex, err := baseline.ExactDetect(g, baseline.ExactParams{IsSource: src, H: 3, Sigma: 1}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ex.Lists[0]) != 1 {
 		t.Fatal("exact detection lost the source itself")
-	}
-	sp, err := BuildSpanner(g, 2, 1)
-	if err != nil || len(sp.Edges) == 0 {
-		t.Fatalf("spanner: %v", err)
 	}
 }

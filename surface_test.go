@@ -44,25 +44,9 @@ func surface(t *testing.T) string {
 	var flags, fields, paths, frames, stats []string
 	decls := map[string]ast.Expr{} // "pkg.Type" -> its type expression, for the stats walk
 	fset := token.NewFileSet()
-	walk := func(root string, visit func(pkg string, f *ast.File)) {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
-			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			visit(filepath.ToSlash(filepath.Dir(path)), f)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	walk("cmd", func(pkg string, f *ast.File) {
-		var fn string // the enclosing function: pde-experiments has a flag set per subcommand
+	walkSource(t, fset, "cmd", func(pkg string, f *ast.File) {
+		var fn string // the enclosing function, which owns the flag set
 		ast.Inspect(f, func(n ast.Node) bool {
 			if fd, ok := n.(*ast.FuncDecl); ok {
 				fn = fd.Name.Name
@@ -102,7 +86,7 @@ func surface(t *testing.T) string {
 		})
 	})
 
-	walk("internal", func(pkg string, f *ast.File) {
+	walkSource(t, fset, "internal", func(pkg string, f *ast.File) {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {
@@ -138,7 +122,7 @@ func surface(t *testing.T) string {
 	})
 
 	for _, pkg := range []string{"internal/server", "internal/cluster"} {
-		walk(pkg, func(pkg string, f *ast.File) {
+		walkSource(t, fset, pkg, func(pkg string, f *ast.File) {
 			// A path is a literal first argument, or the loop variable of
 			// a range over a literal slice of them.
 			ranged := map[string][]ast.Expr{}
@@ -173,7 +157,7 @@ func surface(t *testing.T) string {
 		})
 	}
 
-	walk("internal/wire", func(_ string, f *ast.File) {
+	walkSource(t, fset, "internal/wire", func(_ string, f *ast.File) {
 		for _, decl := range f.Decls {
 			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.CONST {
 				for _, spec := range gd.Specs {
@@ -247,6 +231,26 @@ func surface(t *testing.T) string {
 	return b.String()
 }
 
+// walkSource parses every non-test .go file under root and hands it to
+// visit with its directory.
+func walkSource(t *testing.T, fset *token.FileSet, root string, visit func(pkg string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(filepath.Dir(path)), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSurface(t *testing.T) {
 	got := surface(t)
 	if *updateSurface {
@@ -282,4 +286,36 @@ func TestSurface(t *testing.T) {
 		}
 	}
 	t.Errorf("the module's surface moved; if that is the point of the change, run go test -run TestSurface -update . and commit the diff")
+}
+
+// TestFacadeExportsHaveCallers holds the facade to what is used: every
+// function pde.go exports must be called as pde.Name( from a non-test
+// file under examples/ or cmd/. An export nothing outside the tests calls
+// is an orphan; delete it, or give it an example.
+func TestFacadeExportsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "pde.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := map[string]bool{}
+	for _, root := range []string{"examples", "cmd"} {
+		walkSource(t, fset, root, func(_ string, f *ast.File) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "pde" {
+							called[sel.Sel.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		})
+	}
+	for _, decl := range facade.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() && !called[fd.Name.Name] {
+			t.Errorf("pde.%s has no non-test caller under examples/ or cmd/", fd.Name.Name)
+		}
+	}
 }
