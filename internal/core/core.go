@@ -123,7 +123,20 @@ type Result struct {
 	BroadcastsByNode []int64
 	// Params echoes the configuration.
 	Params Params
+
+	// moved[v] says Lists[v] was merged afresh rather than taken from the
+	// previous result Build was handed; nil when every row was (a cold
+	// build, or a hierarchy whose depth changed). See RowMoved.
+	moved []bool
 }
+
+// RowMoved reports whether node v's row may differ from the previous
+// result this one was built from: some instance list of v was re-detected
+// with a different outcome, or there was no comparable previous result.
+// A false answer means Lists[v] is prev.Lists[v] and every instance's
+// list at v equals prev's, so any per-row function of the instance lists
+// (a compiled oracle row) can be carried over too.
+func (r *Result) RowMoved(v int) bool { return r.moved == nil || r.moved[v] }
 
 // MaxBroadcasts returns the per-node maximum of BroadcastsByNode.
 func (r *Result) MaxBroadcasts() int64 {
@@ -214,7 +227,9 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 // the same Params on a graph with g's structure (same nodes, edges and
 // edge ids); every rounding instance whose base and subdivided lengths
 // on g are identical to prev's is then reused by pointer instead of
-// re-detected. Merge and combine always re-run, so the output is
+// re-detected. When the hierarchy kept its depth, each re-detected list
+// is compared with prev's, and only the rows where one differs are merged
+// again (RowMoved); the others are prev's rows. The output is
 // bit-identical to a fresh Run on g either way, and the stats say how
 // much of the hierarchy was reused.
 func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, PatchStats, error) {
@@ -371,8 +386,30 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	}
 	res.BudgetRounds += res.SetupRounds
 
-	res.Lists = combine(res.Instances, n, p.Sigma)
+	var prevLists [][]Estimate
+	if prev != nil && len(prev.Instances) == num && len(prev.Lists) == n {
+		res.moved = movedRows(insts, prev.Instances, todo, n)
+		prevLists = prev.Lists
+	}
+	res.Lists = combine(res.Instances, n, p.Sigma, prevLists, res.moved)
 	return res, ps, nil
+}
+
+// movedRows marks the nodes at which some re-detected instance's list
+// differs from the same instance's list in prev. Instances reused by
+// pointer are equal by construction and are not compared. Equal depth
+// means equal bases, b(i) = (1+ε)^i for the same ε.
+func movedRows(insts, prev []*Instance, todo []int, n int) []bool {
+	moved := make([]bool, n)
+	for _, i := range todo {
+		cur, old := insts[i].Det.Lists, prev[i].Det.Lists
+		for v := range moved {
+			if !moved[v] && !slices.Equal(cur[v], old[v]) {
+				moved[v] = true
+			}
+		}
+	}
+	return moved
 }
 
 // claimOrder sorts the indices of the instances to detect into the order
@@ -415,12 +452,21 @@ func (a head) less(b head) bool {
 // (Dist, Src) — scaling by the instance's base keeps the order — so a
 // merge over the list heads meets each source first at its minimum, the
 // lowest instance winning a tie, and can stop at σ sources.
-func combine(insts []*Instance, n, sigma int) [][]Estimate {
+//
+// A row is a function of v's instance lists alone, so a row whose moved
+// mark is false is prev's row, shared. Every row is an allocation of its
+// own, so sharing one pins nothing else of prev. A nil moved merges every
+// row.
+func combine(insts []*Instance, n, sigma int, prev [][]Estimate, moved []bool) [][]Estimate {
 	lists := make([][]Estimate, n)
 	heap := make([]head, 0, len(insts))
 	taken := make([]int32, n) // taken[s] == v+1: s is already in v's output
 	var out []Estimate
 	for v := range lists {
+		if moved != nil && !moved[v] {
+			lists[v] = prev[v]
+			continue
+		}
 		heap = heap[:0]
 		for i, inst := range insts {
 			if l := inst.Det.Lists[v]; len(l) > 0 {

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"container/heap"
 	"runtime"
 	"sync"
 )
@@ -27,23 +26,52 @@ type dijkstraItem struct {
 	node int32
 }
 
+// dijkstraHeap is a binary min-heap ordered by (dist, hops). push and pop
+// are container/heap's Push and Pop with its up and down copied step for
+// step — the same swaps, so the same pop order and Parent ties — without
+// boxing every item in an interface.
 type dijkstraHeap []dijkstraItem
 
-func (h dijkstraHeap) Len() int { return len(h) }
-func (h dijkstraHeap) Less(i, j int) bool {
+func (h dijkstraHeap) less(i, j int) bool {
 	if h[i].dist != h[j].dist {
 		return h[i].dist < h[j].dist
 	}
 	return h[i].hops < h[j].hops
 }
-func (h dijkstraHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *dijkstraHeap) Push(x interface{}) { *h = append(*h, x.(dijkstraItem)) }
-func (h *dijkstraHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *dijkstraHeap) push(it dijkstraItem) {
+	*h = append(*h, it)
+	q := *h
+	for j := len(q) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *dijkstraHeap) pop() dijkstraItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q.less(j2, j) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
 }
 
 // Dijkstra computes exact (weight, hops)-lexicographic shortest paths from
@@ -65,8 +93,8 @@ func Dijkstra(g *Graph, src int) *SSSP {
 	out.Dist[src] = 0
 	out.Hops[src] = 0
 	h := dijkstraHeap{{dist: 0, hops: 0, node: int32(src)}}
-	for h.Len() > 0 {
-		it := heap.Pop(&h).(dijkstraItem)
+	for len(h) > 0 {
+		it := h.pop()
 		v := int(it.node)
 		if it.dist != out.Dist[v] || it.hops != out.Hops[v] {
 			continue // stale entry
@@ -78,7 +106,7 @@ func Dijkstra(g *Graph, src int) *SSSP {
 				out.Dist[e.To] = nd
 				out.Hops[e.To] = nh
 				out.Parent[e.To] = int32(v)
-				heap.Push(&h, dijkstraItem{dist: nd, hops: nh, node: int32(e.To)})
+				h.push(dijkstraItem{dist: nd, hops: nh, node: int32(e.To)})
 			}
 		}
 	}

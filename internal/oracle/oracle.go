@@ -13,6 +13,11 @@
 // construction and therefore safe for any number of concurrent readers
 // without locking (exercised under -race in tests).
 //
+// A row is a function of the node's instance lists alone. So after a
+// delta core.Build, Update copies the segment of every row the build did
+// not move from the previous oracle and compiles only the rest, in the
+// same row loop as Compile; its output is Compile's.
+//
 // The combine uses the same float64(dist)·base products and the same
 // "first instance with the strictly smallest value wins" tie-break as that
 // scan. The scan itself lives in this package's tests as the differential
@@ -48,14 +53,59 @@ type Oracle struct {
 // Time is linear in the instance lists plus, per node, a sort of the
 // source ids that survive deduplication (~σ of the σ·(i_max+1)
 // candidates on a partial build).
-func Compile(res *core.Result) *Oracle {
+func Compile(res *core.Result) *Oracle { return compile(nil, res) }
+
+// Update compiles res like Compile, but copies the CSR segment of every
+// row res did not move (core.Result.RowMoved) from prev instead of
+// recompiling it. prev must be the compilation of the result res was
+// built from — the two are served together, so they pair up; an oracle
+// for another node count, or a nil one, compiles every row. The output
+// is identical to Compile(res), and prev is only read.
+func Update(prev *Oracle, res *core.Result) *Oracle {
+	if prev != nil && prev.n != len(res.Lists) {
+		prev = nil
+	}
+	return compile(prev, res)
+}
+
+// compile is the one row loop behind Compile and Update: a row that prev
+// holds unchanged is copied, any other is compiled from the instance
+// lists.
+func compile(prev *Oracle, res *core.Result) *Oracle {
 	n := len(res.Lists)
 	o := &Oracle{n: n, off: make([]int64, n+1)}
+	if prev != nil && len(prev.srcs) > 0 {
+		// Few rows move on an update, so prev's size, with some room, is
+		// the size to expect.
+		k := len(prev.srcs) + len(prev.srcs)/8
+		o.srcs, o.dists, o.vias = make([]int32, 0, k), make([]float64, 0, k), make([]int32, 0, k)
+		o.insts, o.flags = make([]int32, 0, k), make([]uint8, 0, k)
+	}
 
 	seen := make([]int32, n) // seen[s] == v+1: s is in v's row, at slot[s]
 	slot := make([]int32, n)
 	var row []core.Estimate
 	for v := 0; v < n; v++ {
+		if prev != nil && !res.RowMoved(v) {
+			// Copy the whole run of unmoved rows from v at once; prev's
+			// segments for it are contiguous.
+			w := v + 1
+			for w < n && !res.RowMoved(w) {
+				w++
+			}
+			lo, hi := prev.off[v], prev.off[w]
+			shift := int64(len(o.srcs)) - lo
+			o.srcs = append(o.srcs, prev.srcs[lo:hi]...)
+			o.dists = append(o.dists, prev.dists[lo:hi]...)
+			o.vias = append(o.vias, prev.vias[lo:hi]...)
+			o.insts = append(o.insts, prev.insts[lo:hi]...)
+			o.flags = append(o.flags, prev.flags[lo:hi]...)
+			for x := v; x < w; x++ {
+				o.off[x+1] = prev.off[x+1] + shift
+			}
+			v = w - 1 // the loop's v++ goes on at row w
+			continue
+		}
 		row = row[:0]
 		// Ascending instances, replacing only on a strictly smaller
 		// product: the first instance with the smallest value wins,

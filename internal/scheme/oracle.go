@@ -32,26 +32,27 @@ type OracleInstance struct {
 }
 
 func buildOracleOn(sp Spec, g *graph.Graph) (Instance, error) {
-	in, _, err := buildOracle(sp, g, nil)
+	in, _, err := buildOracle(sp, g, sp.Params(g.N()), nil)
 	return in, err
 }
 
-// buildOracle is the one oracle build — cold, rebuild and update alike.
-// prev, when non-nil, is the served result for a graph of g's structure:
-// core.Build reuses its untouched rounding instances and the stats say
-// how many. A nil prev builds them all.
-func buildOracle(sp Spec, g *graph.Graph, prev *core.Result) (Instance, core.PatchStats, error) {
-	p := sp.Params(g.N())
+// buildOracle is the one oracle build — cold, rebuild and update alike —
+// of the result for params p on g. prev, when non-nil, is the served
+// instance for a graph of g's structure: core.Build reuses its untouched
+// rounding instances and merges only the rows they moved, and the oracle
+// copies the other rows from prev's compiled tables. A nil prev builds
+// everything.
+func buildOracle(sp Spec, g *graph.Graph, p core.Params, prev *OracleInstance) (Instance, core.PatchStats, error) {
+	var prevRes *core.Result
+	var prevO *oracle.Oracle
 	if prev != nil {
-		// A prebuilt instance's result need not be sp's recipe; reuse is
-		// only sound under the params prev was built with.
-		p = prev.Params
+		prevRes, prevO = prev.Res, prev.O
 	}
 	var res *core.Result
 	var ps core.PatchStats
 	buildNS, err := buildCost(func() error {
 		var rerr error
-		res, ps, rerr = core.Build(g, p, congest.Config{Parallel: true, Workers: sp.BuildWorkers}, prev)
+		res, ps, rerr = core.Build(g, p, congest.Config{Parallel: true, Workers: sp.BuildWorkers}, prevRes)
 		if rerr != nil {
 			return fmt.Errorf("pde build: %w", rerr)
 		}
@@ -60,7 +61,7 @@ func buildOracle(sp Spec, g *graph.Graph, prev *core.Result) (Instance, core.Pat
 	if err != nil {
 		return nil, ps, err
 	}
-	in, err := NewOracleInstance(sp, g, res, buildNS)
+	in, err := newOracleInstance(sp, g, res, oracle.Update(prevO, res), buildNS)
 	if err != nil {
 		return nil, ps, err
 	}
@@ -71,11 +72,16 @@ func buildOracle(sp Spec, g *graph.Graph, prev *core.Result) (Instance, core.Pat
 // instance — the prebuilt path for callers (bench, tests) that paid for
 // the construction elsewhere.
 func NewOracleInstance(sp Spec, g *graph.Graph, res *core.Result, buildNS int64) (*OracleInstance, error) {
+	return newOracleInstance(sp, g, res, oracle.Compile(res), buildNS)
+}
+
+// newOracleInstance wraps res and o, its compiled tables, into a serving
+// instance and measures its accounting.
+func newOracleInstance(sp Spec, g *graph.Graph, res *core.Result, o *oracle.Oracle, buildNS int64) (*OracleInstance, error) {
 	sp = sp.Normalized()
 	if sp.Scheme != "oracle" {
 		return nil, fmt.Errorf("prebuilt tables are oracle tables, spec says scheme %q", sp.Scheme)
 	}
-	o := oracle.Compile(res)
 	in := &OracleInstance{
 		Sp:      sp,
 		Gr:      g,

@@ -1,7 +1,6 @@
 package scheme
 
 import (
-	"pde/internal/core"
 	"pde/internal/graph"
 )
 
@@ -30,8 +29,9 @@ type UpdateStats struct {
 
 // Updatable is the incremental-maintenance capability: backends that can
 // patch their compiled tables against a mutated graph implement it. The
-// returned instance must be fingerprint-identical to BuildOn(Spec(), g)
-// — incremental is an optimization, never a different answer.
+// returned instance must be fingerprint-identical to a cold build on g of
+// the recipe the instance was built with — incremental is an
+// optimization, never a different answer.
 type Updatable interface {
 	Instance
 	UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error)
@@ -39,8 +39,10 @@ type Updatable interface {
 
 // Update rebuilds inst's backend for the updated graph g, taking the
 // backend's incremental path when it has one and an explicit-graph full
-// rebuild otherwise. Either way the result is exactly what BuildOn
-// (inst.Spec(), g) would produce.
+// rebuild, BuildOn(inst.Spec(), g), otherwise. Either way the result is
+// what a cold build on g of inst's own recipe would produce; for an
+// oracle instance that recipe is the params of the result it serves,
+// which a prebuilt instance need not share with its Spec.
 func Update(inst Instance, g *graph.Graph, _ ...UpdateOptions) (Instance, UpdateStats, error) {
 	if up, ok := inst.(Updatable); ok {
 		return up.UpdateGraph(g)
@@ -52,18 +54,21 @@ func Update(inst Instance, g *graph.Graph, _ ...UpdateOptions) (Instance, Update
 	return ni, UpdateStats{Path: "rebuild", Damage: 1}, nil
 }
 
-// UpdateGraph implements Updatable: the oracle build with the previous
-// result handed in when the update was weight-only, so every rounding
-// instance whose subdivided lengths did not move is reused, and without
-// it when the structure changed. Either way the tables are recompiled
-// from a core.Result bit-identical to a cold build on g.
+// UpdateGraph implements Updatable: the oracle build under the params of
+// the result in serves — on every path, so a prebuilt result keeps its
+// recipe across reweights, inserts and deletes alike. When the update was
+// weight-only the previous result and its compiled tables are handed in,
+// so every rounding instance whose subdivided lengths did not move is
+// reused and only the rows it moved are merged and compiled again; when
+// the structure changed everything is built afresh. Either way the
+// tables equal a cold core.Run of those params on g, compiled.
 func (in *OracleInstance) UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error) {
 	st := UpdateStats{Path: "rebuild"}
-	var prev *core.Result
+	var prev *OracleInstance
 	if g.SameStructure(in.Gr) {
-		prev, st.Path = in.Res, "delta"
+		prev, st.Path = in, "delta"
 	}
-	ni, ps, err := buildOracle(in.Sp, g, prev)
+	ni, ps, err := buildOracle(in.Sp, g, in.Res.Params, prev)
 	if err != nil {
 		return nil, st, err
 	}

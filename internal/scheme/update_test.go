@@ -1,10 +1,14 @@
 package scheme
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"pde/internal/congest"
+	"pde/internal/core"
 	"pde/internal/graph"
+	"pde/internal/oracle"
 )
 
 // mutateWeights bumps one edge weight by +1, preferring an odd-weight
@@ -153,6 +157,72 @@ func TestUpdateFallbackForNonUpdatableSchemes(t *testing.T) {
 		if ni.Fingerprint() != cold.Fingerprint() {
 			t.Fatalf("scheme %s: fallback fingerprint %016x != cold build %016x",
 				sp.Scheme, ni.Fingerprint(), cold.Fingerprint())
+		}
+	}
+}
+
+// TestOracleUpdateKeepsPrebuiltRecipe: an oracle instance serving a
+// prebuilt result whose params are not its Spec's (here APSP tables under
+// a partial h=σ=4 spec) is updated under the result's params on every
+// path — a reweight (delta) and an insertion (rebuild) alike — so the
+// update equals a cold build of those params on the new graph, and the
+// delta's copied rows are the cold compile's.
+func TestOracleUpdateKeepsPrebuiltRecipe(t *testing.T) {
+	sp := oracleSpec()
+	sp.H, sp.Sigma = 4, 4
+	g, err := sp.Normalized().BuildGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	apsp := core.APSPParams(g.N(), sp.Eps)
+	res, err := core.Run(g, apsp, congest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := NewOracleInstance(sp, g, res, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(g *graph.Graph) *graph.Graph {
+		for v := 2; v < g.N(); v++ {
+			if _, ok := g.EdgeBetween(0, v); !ok {
+				g2, _, err := g.ApplyChanges([]graph.Change{{Op: graph.OpInsert, U: 0, V: v, W: 2}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return g2
+			}
+		}
+		t.Fatal("node 0 is adjacent to every node")
+		return nil
+	}
+	for _, c := range []struct {
+		path string
+		g2   *graph.Graph
+	}{
+		{"delta", mutateWeights(t, g)},
+		{"rebuild", insert(g)},
+	} {
+		ni, st, err := Update(inst, c.g2)
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		if st.Path != c.path {
+			t.Fatalf("path = %q, want %q", st.Path, c.path)
+		}
+		got := ni.(*OracleInstance)
+		if p := got.Res.Params; p.H != g.N() || p.Sigma != g.N() {
+			t.Fatalf("%s: updated under h=%d σ=%d, want the prebuilt APSP recipe h=σ=%d", c.path, p.H, p.Sigma, g.N())
+		}
+		cold, err := core.Run(c.g2, apsp, congest.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Fingerprint() != cold.Fingerprint() {
+			t.Fatalf("%s: fingerprint %016x != cold APSP build %016x", c.path, got.Fingerprint(), cold.Fingerprint())
+		}
+		if !reflect.DeepEqual(got.O, oracle.Compile(cold)) {
+			t.Fatalf("%s: updated tables differ from the cold build's", c.path)
 		}
 	}
 }
