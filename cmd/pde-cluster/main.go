@@ -10,9 +10,10 @@
 //
 //	pde-cluster -daemons http://127.0.0.1:7481,http://127.0.0.1:7482
 //	            [-addr :7480] [-wire-addr :7490] [-pprof-addr localhost:6061]
-//	            [-probe-interval 500ms] [-probe-timeout 2s]
-//	            [-attempt-timeout 15s] [-admin-timeout 10m]
-//	            [-retries 2] [-retry-backoff 25ms]
+//
+// The flags say where to listen and what to front, nothing more:
+// probing, failover and admin timing are one fixed policy, listed in
+// docs/cluster.md.
 //
 // With -wire-addr the coordinator additionally relays the PDE2 raw-TCP
 // framed protocol (internal/wire): clients bind a shard and their
@@ -72,12 +73,6 @@ func parse(args []string, stderr io.Writer) (options, error) {
 	fs.StringVar(&o.wireAddr, "wire-addr", "", "PDE2 raw-TCP relay listen address (empty = wire relay disabled)")
 	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "net/http/pprof listen address, e.g. localhost:6061 (empty = disabled)")
 	daemons := fs.String("daemons", "", "comma-separated pde-serve base URLs (required)")
-	fs.DurationVar(&o.cfg.ProbeInterval, "probe-interval", 0, "health probe period per daemon (0 = default 500ms)")
-	fs.DurationVar(&o.cfg.ProbeTimeout, "probe-timeout", 0, "single probe timeout (0 = default 2s)")
-	fs.DurationVar(&o.cfg.AttemptTimeout, "attempt-timeout", 0, "single forwarded-query attempt timeout (0 = default 15s)")
-	fs.DurationVar(&o.cfg.AdminTimeout, "admin-timeout", 0, "per-replica rebuild/update timeout (0 = default 10m)")
-	fs.IntVar(&o.cfg.Retries, "retries", 0, "extra failover passes over the replica set (0 = default 2, negative disables retries)")
-	fs.DurationVar(&o.cfg.RetryBackoff, "retry-backoff", 0, "sleep before the second pass, doubling per pass (0 = default 25ms)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}

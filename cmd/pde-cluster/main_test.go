@@ -136,17 +136,11 @@ func busyAddr(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestFlagsToConfig: every flag lands in the cluster.Config field it
-// names, and unset flags leave the zero value the coordinator defaults.
+// TestFlagsToConfig: every flag lands where it names, and the daemons are
+// all the cluster.Config there is.
 func TestFlagsToConfig(t *testing.T) {
-	got, err := parse([]string{"-addr", "a:1", "-wire-addr", "b:2", "-pprof-addr", "c:3", "-daemons", "http://x,http://y",
-		"-probe-interval", "200ms", "-probe-timeout", "3s", "-attempt-timeout", "4s", "-admin-timeout", "5m",
-		"-retries", "-1", "-retry-backoff", "6ms"}, io.Discard)
-	want := options{addr: "a:1", wireAddr: "b:2", pprofAddr: "c:3", cfg: cluster.Config{
-		Daemons:       []string{"http://x", "http://y"},
-		ProbeInterval: 200 * time.Millisecond, ProbeTimeout: 3 * time.Second,
-		AttemptTimeout: 4 * time.Second, AdminTimeout: 5 * time.Minute,
-		Retries: -1, RetryBackoff: 6 * time.Millisecond}}
+	got, err := parse([]string{"-addr", "a:1", "-wire-addr", "b:2", "-pprof-addr", "c:3", "-daemons", "http://x,http://y"}, io.Discard)
+	want := options{addr: "a:1", wireAddr: "b:2", pprofAddr: "c:3", cfg: cluster.Config{Daemons: []string{"http://x", "http://y"}}}
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("flags parsed to\n%+v (%v), want\n%+v", got, err, want)
 	}
@@ -166,7 +160,7 @@ func TestFlagsToConfig(t *testing.T) {
 func TestBootFrontsTheFleet(t *testing.T) {
 	d1, d2 := bootDaemon(t), bootDaemon(t)
 	p := boot(t, "-addr", "127.0.0.1:0", "-wire-addr", "127.0.0.1:0", "-pprof-addr", "127.0.0.1:0",
-		"-probe-interval", "50ms", "-daemons", d1+","+d2+"/,"+d1+",")
+		"-daemons", d1+","+d2+"/,"+d1+",")
 	if got := p.log.after("pde-cluster: fronting "); got != "2 daemon(s)" {
 		t.Errorf("banner says fronting %q, the coordinator fronts 2 daemon(s)\n%s", got, p.log)
 	}
@@ -233,7 +227,7 @@ func TestUsageAndBootFailures(t *testing.T) {
 		{"unknown flag", []string{"-daemons", d, "-replicas", "2"}, 2, "flag provided but not defined"},
 		{"no daemons", nil, 2, "-daemons is required"},
 		{"only commas", []string{"-daemons", ", ,"}, 1, "no daemons configured"},
-		{"unreachable daemon", []string{"-daemons", "http://" + busyAddr(t), "-probe-timeout", "200ms"}, 1, "unreachable at boot"},
+		{"unreachable daemon", []string{"-daemons", "http://" + busyAddr(t)}, 1, "unreachable at boot"},
 		{"busy addr", []string{"-daemons", d, "-addr", busyAddr(t)}, 1, "address already in use"},
 		{"busy wire-addr", []string{"-daemons", d, "-addr", "127.0.0.1:0", "-wire-addr", busyAddr(t)}, 1, "address already in use"},
 		{"busy pprof-addr", []string{"-daemons", d, "-addr", "127.0.0.1:0", "-pprof-addr", busyAddr(t)}, 1, "address already in use"},

@@ -203,10 +203,7 @@ func TestUpdates(t *testing.T) {
 // and its PDE2 relay.
 func bootCluster(t *testing.T, specs map[string]server.Spec) *httptest.Server {
 	t.Helper()
-	coord, err := cluster.New(cluster.Config{
-		Daemons:       []string{bootDaemon(t, specs, nil).URL, bootDaemon(t, specs, nil).URL},
-		ProbeInterval: 25 * time.Millisecond,
-	})
+	coord, err := cluster.New(cluster.Config{Daemons: []string{bootDaemon(t, specs, nil).URL, bootDaemon(t, specs, nil).URL}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,27 +1,18 @@
 package pde
 
 import (
-	"bytes"
 	"testing"
 
 	"pde/internal/baseline"
 	"pde/internal/graph"
 )
 
-// End-to-end integration: serialize a topology, reload it, run the full
-// stack (PDE APSP, Theorem 4.5 scheme, compact hierarchy, baselines) and
-// cross-check them against each other — the workflow a downstream user of
-// the library would compose.
+// End-to-end integration: run the full stack (PDE APSP, Theorem 4.5
+// scheme, compact hierarchy, baselines) on one topology and cross-check
+// them against each other — the workflow a downstream user of the library
+// would compose.
 func TestEndToEndPipeline(t *testing.T) {
-	orig := InternetGraph(40, 30, 9)
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g, err := graph.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := InternetGraph(40, 30, 9)
 	truth := GroundTruth(g)
 
 	// 1. Approximate APSP vs the two exact baselines.

@@ -3,190 +3,105 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"strings"
-
-	"pde/internal/server"
 )
 
-// replicaOutcome is one daemon's result for a propagated admin
-// operation, as reported in propagation failures.
-type replicaOutcome struct {
-	url         string
-	fingerprint string
-	err         error
-}
-
-// propagate applies one admin operation to every replica of a shard in
-// placement order, sequentially — rebuilds are CPU-bound, and replicas
-// of one shard typically share a machine class, so racing them buys
-// latency jitter, not throughput. It returns every replica's outcome;
-// the caller decides what agreement means.
-func (c *Coordinator) propagate(ctx context.Context, reps []*backend, apply func(ctx context.Context, b *backend) (string, error)) []replicaOutcome {
-	outcomes := make([]replicaOutcome, len(reps))
-	for i, b := range reps {
-		actx, cancel := context.WithTimeout(ctx, c.cfg.AdminTimeout)
-		fp, err := apply(actx, b)
-		cancel()
-		outcomes[i] = replicaOutcome{url: b.url, fingerprint: fp, err: err}
-		if err != nil && isTransportError(err) {
-			// The daemon is gone, not refusing: mark it down for queries
-			// right now instead of waiting for the prober to notice.
-			b.markDown(err)
-		}
+// handleAdmin applies one /v1/rebuild or /v1/update to every replica of
+// its shard and relays the primary's reply once all replicas agree on
+// the new fingerprint. The request body goes to each daemon verbatim,
+// through the same attempt queries use; only "shard" is read from it,
+// and only "new_fingerprint" from each reply.
+//
+// Replicas are applied one at a time in placement order, under the
+// shard's admin lock: rebuilds are CPU-bound, and replicas of one shard
+// typically share a machine class, so racing them buys latency jitter,
+// not throughput. A propagation that has begun runs to the end even if
+// the client leaves — stopping between two replicas would split the
+// fleet — and each replica stays bounded by the admin timeout.
+//
+// Deterministic rebuilds and delta patches both publish the fingerprint
+// of a from-scratch build, so replicas that started identical land
+// identical. Any replica that fails answers propagation_failed (a
+// transport failure also marks it down; a daemon answering an error
+// envelope is alive), and differing fingerprints answer
+// replica_divergence: the coordinator must not report success for a
+// divergent shard, even though the replicas that did swap cannot be
+// unswapped, so the error names the survivors.
+func (c *Coordinator) handleAdmin(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires POST, got %s", r.URL.Path, r.Method)
+		return
 	}
-	return outcomes
-}
+	body, err := readBody(r.Body)
+	if err != nil {
+		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "reading request: %v", err)
+		return
+	}
+	var req struct {
+		Shard string `json:"shard"`
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", "decoding request: %v", err)
+		return
+	}
+	if req.Shard == "" {
+		writeError(w, http.StatusBadRequest, "bad_request", "request names no shard")
+		return
+	}
+	reps := c.replicasFor(req.Shard)
+	if len(reps) == 0 {
+		writeError(w, http.StatusNotFound, "unknown_shard", "no daemon serves shard %q (have %s)", req.Shard, strings.Join(c.Shards(), ", "))
+		return
+	}
+	lock := c.adminLock(req.Shard)
+	lock.Lock()
+	defer lock.Unlock()
 
-// isTransportError distinguishes "could not reach the daemon" (every
-// http.Client.Do failure is a *url.Error) from "the daemon answered
-// with an error envelope" — an alive daemon refusing a request is not
-// unhealthy.
-func isTransportError(err error) bool {
-	var ue *url.Error
-	return errors.As(err, &ue)
-}
-
-// checkAgreement enforces the propagation contract: every replica
-// applied the operation, and all published fingerprints are identical.
-// It writes the failure envelope and returns false otherwise — the
-// coordinator must not report success for a divergent shard, even
-// though the replicas that did swap cannot be unswapped; the error
-// names the survivors so the operator can re-propagate or rebuild.
-func checkAgreement(w http.ResponseWriter, shard, op string, outcomes []replicaOutcome) bool {
+	ctx := context.WithoutCancel(r.Context())
+	var primary *proxyResult
+	var want string
 	var failed, fps []string
 	agree := true
-	for _, o := range outcomes {
-		if o.err != nil {
-			failed = append(failed, fmt.Sprintf("%s: %v", o.url, o.err))
+	for _, b := range reps {
+		res, err := c.attempt(ctx, b, c.policy.adminTimeout, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body)
+		if err != nil {
+			b.markDown(err)
+			failed = append(failed, fmt.Sprintf("%s: %v", b.url, err))
 			continue
 		}
-		fps = append(fps, fmt.Sprintf("%s=%s", o.url, o.fingerprint))
-		if o.fingerprint != outcomes[0].fingerprint {
+		if res.status != http.StatusOK {
+			failed = append(failed, fmt.Sprintf("%s: HTTP %d: %s", b.url, res.status, truncateForError(res.body)))
+			continue
+		}
+		var reply struct {
+			NewFingerprint string `json:"new_fingerprint"`
+		}
+		if err := json.Unmarshal(res.body, &reply); err != nil {
+			failed = append(failed, fmt.Sprintf("%s: decoding reply: %v", b.url, err))
+			continue
+		}
+		if primary == nil {
+			primary, want = res, reply.NewFingerprint
+		}
+		if reply.NewFingerprint != want {
 			agree = false
 		}
+		fps = append(fps, b.url+"="+reply.NewFingerprint)
 	}
-	if len(failed) > 0 {
+	op := strings.TrimPrefix(r.URL.Path, "/v1/")
+	switch {
+	case len(failed) > 0:
 		writeError(w, http.StatusBadGateway, "propagation_failed",
 			"%s of shard %q failed on %d of %d replicas: %s (applied: %s)",
-			op, shard, len(failed), len(outcomes), strings.Join(failed, "; "), strings.Join(fps, ", "))
-		return false
-	}
-	if !agree {
+			op, req.Shard, len(failed), len(reps), strings.Join(failed, "; "), strings.Join(fps, ", "))
+	case !agree:
 		writeError(w, http.StatusBadGateway, "replica_divergence",
 			"%s of shard %q published diverging fingerprints: %s — builds are deterministic, so the replicas were not identical before the operation",
-			op, shard, strings.Join(fps, ", "))
-		return false
+			op, req.Shard, strings.Join(fps, ", "))
+	default:
+		w.Header().Set("X-Pde-Replicas", fmt.Sprint(len(reps)))
+		relay(w, primary)
 	}
-	return true
-}
-
-func (c *Coordinator) adminReplicas(w http.ResponseWriter, r *http.Request, shard string) []*backend {
-	if shard == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "request names no shard")
-		return nil
-	}
-	reps := c.replicasFor(shard)
-	if len(reps) == 0 {
-		writeError(w, http.StatusNotFound, "unknown_shard", "no daemon serves shard %q (have %s)", shard, strings.Join(c.Shards(), ", "))
-		return nil
-	}
-	return reps
-}
-
-// handleRebuild propagates one /v1/rebuild to every replica of the
-// shard and relays the primary's response once all replicas agree on
-// the new fingerprint.
-func (c *Coordinator) handleRebuild(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires POST, got %s", r.URL.Path, r.Method)
-		return
-	}
-	body, err := c.readBody(r.Body)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "reading request: %v", err)
-		return
-	}
-	var req server.RebuildRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding rebuild request: %v", err)
-		return
-	}
-	reps := c.adminReplicas(w, r, req.Shard)
-	if reps == nil {
-		return
-	}
-	lock := c.adminLock(req.Shard)
-	lock.Lock()
-	defer lock.Unlock()
-
-	var primary *server.RebuildResponse
-	outcomes := c.propagate(r.Context(), reps, func(ctx context.Context, b *backend) (string, error) {
-		cl := &server.Client{BaseURL: b.url, Shard: req.Shard, HTTP: c.client, MaxResponseBytes: c.cfg.MaxBody}
-		resp, err := cl.Rebuild(ctx, req)
-		if err != nil {
-			return "", err
-		}
-		if primary == nil {
-			primary = resp
-		}
-		return resp.NewFingerprint, nil
-	})
-	if !checkAgreement(w, req.Shard, "rebuild", outcomes) {
-		return
-	}
-	w.Header().Set("X-Pde-Replicas", fmt.Sprint(len(outcomes)))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(primary)
-}
-
-// handleUpdate propagates one /v1/update churn batch to every replica.
-// Deterministic delta patches and rebuilds both publish the fingerprint
-// of a from-scratch build on the updated graph, so replicas that
-// started identical must land identical; the agreement check turns any
-// violation into an explicit refusal instead of silent divergence.
-func (c *Coordinator) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires POST, got %s", r.URL.Path, r.Method)
-		return
-	}
-	body, err := c.readBody(r.Body)
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "reading request: %v", err)
-		return
-	}
-	var req server.UpdateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding update request: %v", err)
-		return
-	}
-	reps := c.adminReplicas(w, r, req.Shard)
-	if reps == nil {
-		return
-	}
-	lock := c.adminLock(req.Shard)
-	lock.Lock()
-	defer lock.Unlock()
-
-	var primary *server.UpdateResponse
-	outcomes := c.propagate(r.Context(), reps, func(ctx context.Context, b *backend) (string, error) {
-		cl := &server.Client{BaseURL: b.url, Shard: req.Shard, HTTP: c.client, MaxResponseBytes: c.cfg.MaxBody}
-		resp, err := cl.Update(ctx, req)
-		if err != nil {
-			return "", err
-		}
-		if primary == nil {
-			primary = resp
-		}
-		return resp.NewFingerprint, nil
-	})
-	if !checkAgreement(w, req.Shard, "update", outcomes) {
-		return
-	}
-	w.Header().Set("X-Pde-Replicas", fmt.Sprint(len(outcomes)))
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(primary)
 }

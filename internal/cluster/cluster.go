@@ -50,62 +50,40 @@ type Config struct {
 	// shards to place (runtime failures are handled by failover
 	// instead).
 	Daemons []string
-	// ProbeInterval is how often each daemon's /healthz is polled
-	// (default 500ms).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health or stats probe (default 2s).
-	ProbeTimeout time.Duration
-	// AttemptTimeout bounds one forwarded query attempt against one
-	// replica (default 15s); the next replica is tried when it expires.
-	AttemptTimeout time.Duration
-	// AdminTimeout bounds one rebuild/update against one replica
-	// (default 10m — table builds are legitimately slow).
-	AdminTimeout time.Duration
-	// Retries is how many extra passes over the replica set a query
-	// makes after the first before giving up (default 2).
-	Retries int
-	// RetryBackoff is the sleep before the second pass; it doubles each
-	// pass and is capped at 1s (default 25ms).
-	RetryBackoff time.Duration
-	// MaxBody caps request and proxied-response bodies
-	// (server.DefaultMaxResponseBytes when zero).
-	MaxBody int64
-	// HTTP overrides the forwarding client (a hardened
-	// server.DefaultTransport client when nil).
-	HTTP *http.Client
+
+	// policy replaces fixedPolicy when non-zero. Only this package's
+	// tests set it, to see probes and backoffs in milliseconds.
+	policy policy
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = 500 * time.Millisecond
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.AttemptTimeout <= 0 {
-		cfg.AttemptTimeout = 15 * time.Second
-	}
-	if cfg.AdminTimeout <= 0 {
-		cfg.AdminTimeout = 10 * time.Minute
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	} else if cfg.Retries == 0 {
-		cfg.Retries = 2
-	}
-	if cfg.RetryBackoff <= 0 {
-		cfg.RetryBackoff = 25 * time.Millisecond
-	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = server.DefaultMaxResponseBytes
-	}
-	return cfg
+// policy is the coordinator's timing and failover policy.
+type policy struct {
+	probeInterval  time.Duration // how often each daemon's /healthz is polled
+	probeTimeout   time.Duration // one health or stats probe
+	attemptTimeout time.Duration // one forwarded query against one replica
+	adminTimeout   time.Duration // one rebuild/update against one replica
+	retries        int           // extra passes over the replica set after the first
+	retryBackoff   time.Duration // sleep before the second pass; doubles, capped at 1s
 }
+
+// fixedPolicy is the one policy every coordinator runs. Table builds are
+// legitimately slow, hence the long admin timeout.
+var fixedPolicy = policy{
+	probeInterval:  500 * time.Millisecond,
+	probeTimeout:   2 * time.Second,
+	attemptTimeout: 15 * time.Second,
+	adminTimeout:   10 * time.Minute,
+	retries:        2,
+	retryBackoff:   25 * time.Millisecond,
+}
+
+// maxBody caps request and proxied-response bodies.
+const maxBody = server.DefaultMaxResponseBytes
 
 // backend is one pde-serve daemon as the coordinator sees it.
 type backend struct {
 	url    string
-	client *server.Client // probe client; admin calls build per-shard clients
+	client *server.Client // health and stats probes
 
 	healthy          atomic.Bool
 	consecutiveFails atomic.Int64
@@ -142,7 +120,7 @@ func (b *backend) inventory() []string {
 // wire protocol, plus /v1/cluster for its own placement and health
 // view. It is an http.Handler; serve it like a daemon.
 type Coordinator struct {
-	cfg      Config
+	policy   policy
 	client   *http.Client
 	backends []*backend
 
@@ -173,7 +151,6 @@ type Coordinator struct {
 // is unreachable or if replicas already diverge — a coordinator must
 // not launder a split-brain fleet into one endpoint.
 func New(cfg Config) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
 	urls := make([]string, 0, len(cfg.Daemons))
 	seen := make(map[string]bool)
 	for _, u := range cfg.Daemons {
@@ -187,31 +164,29 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(urls) == 0 {
 		return nil, fmt.Errorf("cluster: no daemons configured")
 	}
-	hc := cfg.HTTP
-	if hc == nil {
-		hc = &http.Client{Transport: server.DefaultTransport()}
-	}
-
 	c := &Coordinator{
-		cfg:     cfg,
-		client:  hc,
+		policy:  cfg.policy,
+		client:  &http.Client{Transport: server.DefaultTransport()},
 		table:   make(map[string][]*backend),
 		adminMu: make(map[string]*sync.Mutex),
 		mux:     http.NewServeMux(),
 		start:   time.Now(),
 		stop:    make(chan struct{}),
 	}
+	if c.policy == (policy{}) {
+		c.policy = fixedPolicy
+	}
 	for _, u := range urls {
 		c.backends = append(c.backends, &backend{
 			url:    u,
-			client: &server.Client{BaseURL: u, HTTP: hc, MaxResponseBytes: cfg.MaxBody},
+			client: &server.Client{BaseURL: u, HTTP: c.client, MaxResponseBytes: maxBody},
 		})
 	}
 
 	// Boot probe: inventory and fingerprint every daemon.
 	fps := make(map[string]map[string]string, len(c.backends)) // url -> shard -> fp
 	for _, b := range c.backends {
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), c.policy.probeTimeout)
 		st, err := b.client.Stats(ctx)
 		cancel()
 		if err != nil {
@@ -266,8 +241,8 @@ func (c *Coordinator) routes() {
 	for _, p := range []string{"/v1/estimate", "/v1/nexthop", "/v1/route", "/v1/setdist"} {
 		c.mux.HandleFunc(p, c.handleQuery)
 	}
-	c.mux.HandleFunc("/v1/rebuild", c.handleRebuild)
-	c.mux.HandleFunc("/v1/update", c.handleUpdate)
+	c.mux.HandleFunc("/v1/rebuild", c.handleAdmin)
+	c.mux.HandleFunc("/v1/update", c.handleAdmin)
 	c.mux.HandleFunc("/v1/stats", c.handleStats)
 	c.mux.HandleFunc("/healthz", c.handleHealthz)
 	c.mux.HandleFunc("/v1/cluster", c.handleClusterStatus)

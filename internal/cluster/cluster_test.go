@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -67,18 +69,22 @@ func bootDaemons(t *testing.T, shardSets []map[string]server.Spec) []*testDaemon
 	return daemons
 }
 
-// testConfig is a coordinator config with probing fast enough for tests.
+// testPolicy is fixedPolicy with probing and backoff fast enough for
+// tests.
+var testPolicy = func() policy {
+	p := fixedPolicy
+	p.probeInterval = 25 * time.Millisecond
+	p.retryBackoff = 5 * time.Millisecond
+	return p
+}()
+
+// testConfig is a coordinator config over daemons under testPolicy.
 func testConfig(daemons []*testDaemon) Config {
 	urls := make([]string, len(daemons))
 	for i, d := range daemons {
 		urls[i] = d.url()
 	}
-	return Config{
-		Daemons:       urls,
-		ProbeInterval: 25 * time.Millisecond,
-		ProbeTimeout:  2 * time.Second,
-		RetryBackoff:  5 * time.Millisecond,
-	}
+	return Config{Daemons: urls, policy: testPolicy}
 }
 
 func newCoordinator(t *testing.T, daemons []*testDaemon) (*Coordinator, *httptest.Server) {
@@ -363,6 +369,31 @@ func TestClusterRefusesDivergedReplicas(t *testing.T) {
 	}
 }
 
+// TestBootProbeOfAHungDaemonIsBounded: a daemon that accepts the
+// connection but never answers fails New once the probe timeout runs
+// out, instead of hanging the boot.
+func TestBootProbeOfAHungDaemonIsBounded(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0") // never Accepts: the kernel queues, nobody answers
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	p := testPolicy
+	p.probeTimeout = 100 * time.Millisecond
+	start := time.Now()
+	coord, err := New(Config{Daemons: []string{"http://" + ln.Addr().String()}, policy: p})
+	if err == nil {
+		coord.Close()
+		t.Fatal("New over a hung daemon succeeded")
+	}
+	if !strings.Contains(err.Error(), "unreachable at boot") || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("New = %v, want unreachable at boot after the probe deadline", err)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("boot probe took %v under a %v probe timeout", took, p.probeTimeout)
+	}
+}
+
 // TestClusterFailsOverDuringHealthFlap wraps one replica in a proxy
 // that can be dropped and revived, and checks the router keeps
 // answering throughout — failover, not wedging — and re-admits the
@@ -386,13 +417,7 @@ func TestClusterFailsOverDuringHealthFlap(t *testing.T) {
 	}))
 	defer flaky.Close()
 
-	cfg := Config{
-		Daemons:       []string{flaky.URL, daemons[1].url()},
-		ProbeInterval: 25 * time.Millisecond,
-		ProbeTimeout:  2 * time.Second,
-		RetryBackoff:  5 * time.Millisecond,
-	}
-	coord, err := New(cfg)
+	coord, err := New(Config{Daemons: []string{flaky.URL, daemons[1].url()}, policy: testPolicy})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

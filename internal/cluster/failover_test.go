@@ -157,7 +157,8 @@ func TestClusterKillOneReplicaMidStream(t *testing.T) {
 // ordering and which outcomes mark a daemon down.
 func TestSweepPolicy(t *testing.T) {
 	newFleet := func(healthy ...bool) (*Coordinator, []*backend) {
-		c := &Coordinator{cfg: Config{Retries: 2, RetryBackoff: time.Millisecond}}
+		c := &Coordinator{policy: fixedPolicy}
+		c.policy.retryBackoff = time.Millisecond
 		reps := make([]*backend, len(healthy))
 		for i, h := range healthy {
 			reps[i] = &backend{url: string(rune('a' + i))}
@@ -236,7 +237,7 @@ func TestSweepPolicy(t *testing.T) {
 
 	t.Run("cancelled context stops the backoff", func(t *testing.T) {
 		c, reps := newFleet(true)
-		c.cfg.RetryBackoff = time.Hour
+		c.policy.retryBackoff = time.Hour
 		cctx, cancel := context.WithCancel(ctx)
 		err := c.sweep(cctx, reps, func(*backend) (bool, error) {
 			cancel()
@@ -244,6 +245,30 @@ func TestSweepPolicy(t *testing.T) {
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("sweep error = %v, want context.Canceled", err)
+		}
+	})
+
+	t.Run("cancel during the backoff returns early", func(t *testing.T) {
+		c, reps := newFleet(true)
+		c.policy.retryBackoff = time.Hour
+		cctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		tries := 0
+		timer := time.AfterFunc(20*time.Millisecond, cancel)
+		defer timer.Stop()
+		start := time.Now()
+		err := c.sweep(cctx, reps, func(*backend) (bool, error) {
+			tries++
+			return true, errors.New("refused")
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("sweep error = %v, want context.Canceled", err)
+		}
+		if tries != 1 || c.retryWaits.Load() != 1 || c.failovers.Load() != 1 {
+			t.Fatalf("tries=%d retryWaits=%d failovers=%d, want 1, 1, 1", tries, c.retryWaits.Load(), c.failovers.Load())
+		}
+		if took := time.Since(start); took > 10*time.Second {
+			t.Fatalf("sweep returned after %v, inside a one-hour backoff", took)
 		}
 	})
 

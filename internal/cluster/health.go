@@ -13,7 +13,7 @@ import (
 // is re-placed, not served stale.
 func (c *Coordinator) probeLoop(b *backend) {
 	defer c.wg.Done()
-	ticker := time.NewTicker(c.cfg.ProbeInterval)
+	ticker := time.NewTicker(c.policy.probeInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -26,7 +26,7 @@ func (c *Coordinator) probeLoop(b *backend) {
 }
 
 func (c *Coordinator) probe(b *backend) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.policy.probeTimeout)
 	h, err := b.client.Health(ctx)
 	cancel()
 	b.lastProbeUnixNS.Store(time.Now().UnixNano())

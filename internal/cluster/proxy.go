@@ -26,13 +26,13 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 
 // readBody buffers a request or proxied-response body under the
 // coordinator's cap.
-func (c *Coordinator) readBody(r io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, c.cfg.MaxBody+1))
+func readBody(r io.Reader) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, maxBody+1))
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(data)) > c.cfg.MaxBody {
-		return nil, fmt.Errorf("body exceeds the %d-byte cap", c.cfg.MaxBody)
+	if int64(len(data)) > maxBody {
+		return nil, fmt.Errorf("body exceeds the %d-byte cap", maxBody)
 	}
 	return data, nil
 }
@@ -70,7 +70,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires POST, got %s", r.URL.Path, r.Method)
 		return
 	}
-	body, err := c.readBody(r.Body)
+	body, err := readBody(r.Body)
 	if err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "reading request: %v", err)
 		return
@@ -116,12 +116,14 @@ var errNoReplica = errors.New("no daemon serves the shard")
 // sweep is the coordinator's one failover policy; the HTTP proxy and the
 // PDE2 relay both answer through it. It offers the replicas to try in
 // placement order, healthy ones first, and passes over the whole set up
-// to 1+Retries times, sleeping a doubling backoff (capped at 1s) before
+// to 1+retries times, sleeping a doubling backoff (capped at 1s) before
 // each extra pass. try returns a nil error once the request is settled —
 // answered, or refused in a way every replica would repeat — and the
-// sweep stops. Any other outcome counts as a failover and moves on to
-// the next replica: alive=false is a transport failure and also marks
-// the daemon down (the prober revives it); alive=true leaves its health
+// sweep stops. A try that failed because the caller's ctx is done ends
+// the sweep with ctx.Err(): the caller left, the replica did nothing
+// wrong. Any other outcome counts as a failover and moves on to the
+// next replica: alive=false is a transport failure and also marks the
+// daemon down (the prober revives it); alive=true leaves its health
 // alone — the daemon answered, it just cannot serve this request.
 func (c *Coordinator) sweep(ctx context.Context, reps []*backend, try func(*backend) (alive bool, err error)) error {
 	// Replica sets are a handful of daemons: ordering them in stack
@@ -137,9 +139,9 @@ func (c *Coordinator) sweep(ctx context.Context, reps []*backend, try func(*back
 	}
 	ordered = append(ordered, down...)
 
-	backoff := c.cfg.RetryBackoff
+	backoff := c.policy.retryBackoff
 	lastErr := errNoReplica
-	for pass := 0; pass <= c.cfg.Retries; pass++ {
+	for pass := 0; pass <= c.policy.retries; pass++ {
 		if pass > 0 {
 			c.retryWaits.Add(1)
 			select {
@@ -154,13 +156,13 @@ func (c *Coordinator) sweep(ctx context.Context, reps []*backend, try func(*back
 			if err == nil {
 				return nil
 			}
+			if ctx.Err() != nil {
+				return ctx.Err()
+			}
 			c.failovers.Add(1)
 			lastErr = fmt.Errorf("%s: %w", b.url, err)
 			if !alive {
 				b.markDown(err)
-				if ctx.Err() != nil {
-					return lastErr
-				}
 			}
 		}
 	}
@@ -174,7 +176,7 @@ func (c *Coordinator) sweep(ctx context.Context, reps []*backend, try func(*back
 func (c *Coordinator) forward(ctx context.Context, reps []*backend, path, rawQuery, contentType string, body []byte) (*proxyResult, error) {
 	var res *proxyResult
 	err := c.sweep(ctx, reps, func(b *backend) (bool, error) {
-		r, err := c.attempt(ctx, b, path, rawQuery, contentType, body)
+		r, err := c.attempt(ctx, b, c.policy.attemptTimeout, path, rawQuery, contentType, body)
 		if err != nil {
 			return false, err
 		}
@@ -187,8 +189,11 @@ func (c *Coordinator) forward(ctx context.Context, reps []*backend, path, rawQue
 	return res, err
 }
 
-func (c *Coordinator) attempt(ctx context.Context, b *backend, path, rawQuery, contentType string, body []byte) (*proxyResult, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.AttemptTimeout)
+// attempt posts body to one daemon under timeout and buffers its whole
+// answer. An error is a transport failure: the daemon was not reached or
+// its answer did not arrive.
+func (c *Coordinator) attempt(ctx context.Context, b *backend, timeout time.Duration, path, rawQuery, contentType string, body []byte) (*proxyResult, error) {
+	actx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	u := b.url + path
 	if rawQuery != "" {
@@ -204,7 +209,7 @@ func (c *Coordinator) attempt(ctx context.Context, b *backend, path, rawQuery, c
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := c.readBody(resp.Body)
+	data, err := readBody(resp.Body)
 	if err != nil {
 		return nil, err
 	}

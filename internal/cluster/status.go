@@ -53,7 +53,7 @@ func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires GET, got %s", r.URL.Path, r.Method)
 		return
 	}
-	fps := c.liveFingerprints(r.Context())
+	stats := c.fleetStats(r.Context())
 
 	resp := StatusResponse{
 		UptimeNS:   time.Since(c.start).Nanoseconds(),
@@ -87,10 +87,11 @@ func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request
 				continue
 			}
 			pl.Healthy++
-			fp, ok := fps[b.url][shard]
+			status, ok := stats[b][shard]
 			if !ok {
 				continue
 			}
+			fp := status.Fingerprint
 			pl.Fingerprints[b.url] = fp
 			if first {
 				want, first = fp, false
@@ -106,28 +107,24 @@ func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request
 	json.NewEncoder(w).Encode(&resp)
 }
 
-// liveFingerprints polls /v1/stats on every healthy daemon and returns
-// url -> shard -> serving fingerprint. Unreachable daemons are simply
-// absent — the caller treats missing data as "unknown", not "agrees".
-func (c *Coordinator) liveFingerprints(ctx context.Context) map[string]map[string]string {
-	fps := make(map[string]map[string]string, len(c.backends))
+// fleetStats fetches /v1/stats from every healthy daemon, each under
+// the probe timeout, and returns each daemon's shard statuses.
+// Unreachable daemons are simply absent — callers treat missing data as
+// "unknown", not "agrees".
+func (c *Coordinator) fleetStats(ctx context.Context) map[*backend]map[string]server.ShardStatus {
+	stats := make(map[*backend]map[string]server.ShardStatus, len(c.backends))
 	for _, b := range c.backends {
 		if !b.healthy.Load() {
 			continue
 		}
-		sctx, cancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+		sctx, cancel := context.WithTimeout(ctx, c.policy.probeTimeout)
 		st, err := b.client.Stats(sctx)
 		cancel()
-		if err != nil {
-			continue
+		if err == nil {
+			stats[b] = st.Shards
 		}
-		byShard := make(map[string]string, len(st.Shards))
-		for name, status := range st.Shards {
-			byShard[name] = status.Fingerprint
-		}
-		fps[b.url] = byShard
 	}
-	return fps
+	return stats
 }
 
 // handleStats serves the daemon-shaped /v1/stats so single-daemon
@@ -147,28 +144,14 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	if wa := c.wireAddr.Load(); wa != nil {
 		resp.WireAddr = *wa
 	}
-	cached := make(map[string]*server.StatsResponse) // one fetch per daemon
+	stats := c.fleetStats(r.Context())
 
 	c.mu.RLock()
 	table := c.table
 	c.mu.RUnlock()
 	for shard, reps := range table {
 		for _, b := range reps {
-			if !b.healthy.Load() {
-				continue
-			}
-			st, ok := cached[b.url]
-			if !ok {
-				sctx, cancel := context.WithTimeout(r.Context(), c.cfg.ProbeTimeout)
-				fetched, err := b.client.Stats(sctx)
-				cancel()
-				if err != nil {
-					continue
-				}
-				cached[b.url] = fetched
-				st = fetched
-			}
-			if status, ok := st.Shards[shard]; ok {
+			if status, ok := stats[b][shard]; ok {
 				resp.Shards[shard] = status
 				break
 			}

@@ -74,7 +74,7 @@ func (st *relayConn) replicas(shard string) []*backend {
 // reach the daemon is a transport failure; a daemon that answers but
 // serves no wire endpoint, or refuses the bind, is alive.
 func (st *relayConn) connect(b *backend, shard string) (alive bool, err error) {
-	ctx, cancel := context.WithTimeout(context.Background(), st.c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), st.c.policy.probeTimeout)
 	stats, err := b.client.Stats(ctx)
 	cancel()
 	if err != nil {
@@ -83,7 +83,7 @@ func (st *relayConn) connect(b *backend, shard string) (alive bool, err error) {
 	if stats.WireAddr == "" {
 		return true, errors.New("serves no wire endpoint (-wire-addr)")
 	}
-	uc, err := wire.DialTimeout(server.ResolveWireAddr(b.url, stats.WireAddr), st.c.cfg.ProbeTimeout)
+	uc, err := wire.DialTimeout(server.ResolveWireAddr(b.url, stats.WireAddr), st.c.policy.probeTimeout)
 	if err != nil {
 		return false, fmt.Errorf("dialing wire endpoint: %w", err)
 	}

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -40,7 +41,7 @@ func TestGeneratorFamiliesConnectedAndDeterministic(t *testing.T) {
 			if w := g.MaxWeight(); w < 1 || w > 20 {
 				t.Errorf("%s n=%d: max weight %d outside [1, 20]", name, n, w)
 			}
-			if !Equal(g, build()) {
+			if !reflect.DeepEqual(g, build()) {
 				t.Errorf("%s n=%d: same seed produced different graphs", name, n)
 			}
 		}
