@@ -9,7 +9,9 @@
 // h' = ⌈(1+ε)²·h/ε⌉ — by Lemma 3.1/Corollary 3.2 the instance i_{v,s}
 // "responsible" for a pair within h real hops keeps its virtual hop
 // distance under h'. The estimates w̃d(v,s) = min_i b(i)·hd_i(v,s) are then
-// (1+ε)-sound, and each node outputs the σ lexicographically smallest.
+// (1+ε)-sound. Build computes each node's row of them once, laid out by
+// source id in the Result's Table (what package oracle serves), and each
+// node outputs the row's σ lexicographically smallest as its list.
 //
 // Total round budget: (i_max+1)·(h' + min(σ,|S|) + 1) plus the O(D) setup
 // that aggregates w_max — the O((h+σ)ε⁻²·log n + D) of Corollary 3.5. The
@@ -102,8 +104,12 @@ type Instance struct {
 // Result is the full PDE output.
 type Result struct {
 	// Lists[v] holds up to σ estimates sorted by (Dist, Src): the list
-	// L_v of Definition 2.2.
+	// L_v of Definition 2.2, the σ-prefix of Table's row v in that order.
 	Lists [][]Estimate
+	// Table holds every node's row: w̃d(v,s) for each source some instance
+	// detected at v, laid out by source id. It is immutable, and package
+	// oracle serves from it.
+	Table Table
 	// Instances are the per-level tables, in increasing i.
 	Instances []*Instance
 	// HPrime is the virtual hop bound h' used on every instance.
@@ -124,19 +130,25 @@ type Result struct {
 	// Params echoes the configuration.
 	Params Params
 
-	// moved[v] says Lists[v] was merged afresh rather than taken from the
-	// previous result Build was handed; nil when every row was (a cold
-	// build, or a hierarchy whose depth changed). See RowMoved.
+	// moved[v] is false when v's row is prev's: every instance's list at v
+	// equals the list of the previous result Build was handed, so Lists[v]
+	// is prev.Lists[v] and Table's row v a copy of prev's. It is nil when
+	// every row was computed afresh (a cold build, or a hierarchy whose
+	// depth changed).
 	moved []bool
 }
 
-// RowMoved reports whether node v's row may differ from the previous
-// result this one was built from: some instance list of v was re-detected
-// with a different outcome, or there was no comparable previous result.
-// A false answer means Lists[v] is prev.Lists[v] and every instance's
-// list at v equals prev's, so any per-row function of the instance lists
-// (a compiled oracle row) can be carried over too.
-func (r *Result) RowMoved(v int) bool { return r.moved == nil || r.moved[v] }
+// Table is the by-source layout of every node's row: the entries of node
+// v occupy Off[v]..Off[v+1] of the five parallel columns, sorted by
+// source id, and each holds the best estimate over all instances.
+type Table struct {
+	Off   []int64
+	Srcs  []int32
+	Dists []float64
+	Vias  []int32
+	Insts []int32
+	Flags []uint8
+}
 
 // MaxBroadcasts returns the per-node maximum of BroadcastsByNode.
 func (r *Result) MaxBroadcasts() int64 {
@@ -228,10 +240,10 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 // edge ids); every rounding instance whose base and subdivided lengths
 // on g are identical to prev's is then reused by pointer instead of
 // re-detected. When the hierarchy kept its depth, each re-detected list
-// is compared with prev's, and only the rows where one differs are merged
-// again (RowMoved); the others are prev's rows. The output is
-// bit-identical to a fresh Run on g either way, and the stats say how
-// much of the hierarchy was reused.
+// is compared with prev's, and only the rows where one differs are
+// computed again; the others are prev's rows, in Lists and in Table. The
+// output is bit-identical to a fresh Run on g either way, and the stats
+// say how much of the hierarchy was reused.
 func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, PatchStats, error) {
 	var ps PatchStats
 	n := g.N()
@@ -386,12 +398,10 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	}
 	res.BudgetRounds += res.SetupRounds
 
-	var prevLists [][]Estimate
 	if prev != nil && len(prev.Instances) == num && len(prev.Lists) == n {
 		res.moved = movedRows(insts, prev.Instances, todo, n)
-		prevLists = prev.Lists
 	}
-	res.Lists = combine(res.Instances, n, p.Sigma, prevLists, res.moved)
+	res.Table, res.Lists = layRows(insts, n, p.Sigma, prev, res.moved)
 	return res, ps, nil
 }
 
@@ -428,93 +438,88 @@ func claimOrder(todo []int, insts []*Instance, hPrime int) {
 	slices.SortStableFunc(todo, func(a, b int) int { return cmp.Compare(cells[b], cells[a]) })
 }
 
-// head is the next unread entry of one instance's list in combine's merge.
-type head struct {
-	dist float64
-	src  int32
-	inst int32
-	pos  int32
-}
-
-// less orders heads by (dist, src), the lower instance first on a tie.
-func (a head) less(b head) bool {
-	if a.dist != b.dist {
-		return a.dist < b.dist
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.inst < b.inst
-}
-
-// combine computes w̃d(v,s) = min_i b(i)·hd_i(v,s) and outputs each node's
-// σ smallest by (Dist, Src). Every instance's list is already sorted by
-// (Dist, Src) — scaling by the instance's base keeps the order — so a
-// merge over the list heads meets each source first at its minimum, the
-// lowest instance winning a tie, and can stop at σ sources.
+// layRows computes w̃d(v,s) = min_i b(i)·hd_i(v,s) for every source some
+// instance detected at v, lays row v out by source id in the table, and
+// outputs its σ smallest by (Dist, Src) as Lists[v], one allocation per
+// row. Ascending instances replace an entry only on a strictly smaller
+// product, so the lowest instance wins a tie.
 //
 // A row is a function of v's instance lists alone, so a row whose moved
-// mark is false is prev's row, shared. Every row is an allocation of its
-// own, so sharing one pins nothing else of prev. A nil moved merges every
-// row.
-func combine(insts []*Instance, n, sigma int, prev [][]Estimate, moved []bool) [][]Estimate {
+// mark is false is prev's: its list is shared, and its table run is
+// copied, so that sharing pins nothing else of prev. A nil moved computes
+// every row.
+func layRows(insts []*Instance, n, sigma int, prev *Result, moved []bool) (Table, [][]Estimate) {
+	t := Table{Off: make([]int64, n+1)}
+	if moved != nil {
+		// Few rows move on an update, so prev's size, with some room, is
+		// the size to expect.
+		k := len(prev.Table.Srcs) + len(prev.Table.Srcs)/8
+		t.Srcs, t.Dists, t.Vias = make([]int32, 0, k), make([]float64, 0, k), make([]int32, 0, k)
+		t.Insts, t.Flags = make([]int32, 0, k), make([]uint8, 0, k)
+	}
 	lists := make([][]Estimate, n)
-	heap := make([]head, 0, len(insts))
-	taken := make([]int32, n) // taken[s] == v+1: s is already in v's output
-	var out []Estimate
-	for v := range lists {
+	seen := make([]int32, n) // seen[s] == v+1: s is in v's row, at slot[s]
+	slot := make([]int32, n)
+	var row []Estimate
+	for v := 0; v < n; v++ {
 		if moved != nil && !moved[v] {
-			lists[v] = prev[v]
+			// Take the whole run of unmoved rows from v at once; prev's
+			// table segments for it are contiguous.
+			w := v + 1
+			for w < n && !moved[w] {
+				w++
+			}
+			pt := &prev.Table
+			lo, hi := pt.Off[v], pt.Off[w]
+			shift := int64(len(t.Srcs)) - lo
+			t.Srcs = append(t.Srcs, pt.Srcs[lo:hi]...)
+			t.Dists = append(t.Dists, pt.Dists[lo:hi]...)
+			t.Vias = append(t.Vias, pt.Vias[lo:hi]...)
+			t.Insts = append(t.Insts, pt.Insts[lo:hi]...)
+			t.Flags = append(t.Flags, pt.Flags[lo:hi]...)
+			for x := v; x < w; x++ {
+				t.Off[x+1] = pt.Off[x+1] + shift
+			}
+			copy(lists[v:w], prev.Lists[v:w])
+			v = w - 1 // the loop's v++ goes on at row w
 			continue
 		}
-		heap = heap[:0]
+		row = row[:0]
 		for i, inst := range insts {
-			if l := inst.Det.Lists[v]; len(l) > 0 {
-				heap = append(heap, head{dist: float64(l[0].Dist) * inst.Base, src: l[0].Src, inst: int32(i)})
+			for _, e := range inst.Det.Lists[v] {
+				c := Estimate{Dist: float64(e.Dist) * inst.Base, Src: e.Src, Via: e.Via, Instance: int32(i), Flag: e.Flag}
+				if seen[e.Src] != int32(v)+1 {
+					seen[e.Src] = int32(v) + 1
+					slot[e.Src] = int32(len(row))
+					row = append(row, c)
+				} else if k := slot[e.Src]; c.Dist < row[k].Dist {
+					row[k] = c
+				}
 			}
 		}
-		for i := len(heap)/2 - 1; i >= 0; i-- {
-			siftDown(heap, i)
+		first := len(t.Srcs)
+		for _, c := range row {
+			t.Srcs = append(t.Srcs, c.Src)
 		}
-		out = out[:0]
-		for len(heap) > 0 && len(out) < sigma {
-			h := &heap[0]
-			inst := insts[h.inst]
-			l := inst.Det.Lists[v]
-			if taken[h.src] != int32(v)+1 {
-				taken[h.src] = int32(v) + 1
-				e := l[h.pos]
-				out = append(out, Estimate{Dist: h.dist, Src: e.Src, Via: e.Via, Instance: h.inst, Flag: e.Flag})
-			}
-			if h.pos++; int(h.pos) < len(l) {
-				h.dist, h.src = float64(l[h.pos].Dist)*inst.Base, l[h.pos].Src
-			} else {
-				heap[0] = heap[len(heap)-1]
-				heap = heap[:len(heap)-1]
-			}
-			siftDown(heap, 0)
+		slices.Sort(t.Srcs[first:])
+		for _, s := range t.Srcs[first:] {
+			c := &row[slot[s]]
+			t.Dists = append(t.Dists, c.Dist)
+			t.Vias = append(t.Vias, c.Via)
+			t.Insts = append(t.Insts, c.Instance)
+			t.Flags = append(t.Flags, c.Flag)
 		}
-		lists[v] = append(make([]Estimate, 0, len(out)), out...)
+		t.Off[v+1] = int64(len(t.Srcs))
+		slices.SortFunc(row, func(a, b Estimate) int {
+			if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Src, b.Src)
+		})
+		top := row[:min(sigma, len(row))]
+		lists[v] = append(make([]Estimate, 0, len(top)), top...)
 	}
-	return lists
-}
-
-// siftDown restores the min-heap order below position i.
-func siftDown(h []head, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c+1].less(h[c]) {
-			c++
-		}
-		if !h[c].less(h[i]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
+	return t, lists
 }
 
 // APSPParams returns the Theorem 4.1 configuration: S = V, h = σ = n.

@@ -77,7 +77,10 @@ func excludedReweight(t *testing.T, g *graph.Graph, p Params) []graph.Change {
 	return found
 }
 
-// wantMoved is RowMoved's specification: every row when there is no
+// rowMoved reads Build's moved marks, which are nil when every row moved.
+func rowMoved(r *Result, v int) bool { return r.moved == nil || r.moved[v] }
+
+// wantMoved is rowMoved's specification: every row when there is no
 // comparable previous result (none, or a hierarchy of another depth),
 // otherwise the rows at which some instance's list differs from prev's.
 func wantMoved(res, prev *Result) []bool {
@@ -95,8 +98,9 @@ func wantMoved(res, prev *Result) []bool {
 // weight-only batches, a batch that deepens the hierarchy and one that
 // makes it shallower again, a batch that only touches instances where the
 // edge is longer than h′, and a topology change (built without prev, as
-// the serving layer does). Every result's lists equal a cold Run's, and
-// RowMoved is exactly the set of rows with a differing instance list.
+// the serving layer does). Every result's lists and table equal a cold
+// Run's, and rowMoved is exactly the set of rows with a differing
+// instance list.
 func TestDeltaBuildMatchesColdRun(t *testing.T) {
 	g, p := deltaGraph(t, 144)
 	cfg := congest.Config{}
@@ -105,7 +109,7 @@ func TestDeltaBuildMatchesColdRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := range prev.Lists {
-		if !prev.RowMoved(v) {
+		if !rowMoved(prev, v) {
 			t.Fatalf("cold build: row %d not marked moved", v)
 		}
 	}
@@ -159,14 +163,17 @@ func TestDeltaBuildMatchesColdRun(t *testing.T) {
 		if !reflect.DeepEqual(res.Lists, cold.Lists) {
 			t.Fatalf("%s: delta lists differ from a cold Run's", st.name)
 		}
+		if !reflect.DeepEqual(res.Table, cold.Table) {
+			t.Fatalf("%s: delta table differs from a cold Run's", st.name)
+		}
 		if res.Fingerprint() != cold.Fingerprint() {
 			t.Fatalf("%s: delta fingerprint %016x != cold %016x", st.name, res.Fingerprint(), cold.Fingerprint())
 		}
 		want := wantMoved(res, from)
 		moved := 0
 		for v, w := range want {
-			if res.RowMoved(v) != w {
-				t.Fatalf("%s: RowMoved(%d) = %v, want %v", st.name, v, res.RowMoved(v), w)
+			if rowMoved(res, v) != w {
+				t.Fatalf("%s: rowMoved(%d) = %v, want %v", st.name, v, rowMoved(res, v), w)
 			}
 			if w {
 				moved++
@@ -192,12 +199,13 @@ func TestDeltaBuildMatchesColdRun(t *testing.T) {
 }
 
 // TestAllocsPerRunDeltaBuild holds a delta build that moves few rows to
-// the allocations of its re-detected instances, the marks and the rows it
-// merges: a row it does not move is prev's slice, not a copy. The budget
+// the allocations of its re-detected instances, the marks, the table and
+// the rows it computes: a row it does not move is prev's slice, not a
+// copy. The budget
 // is a constant below the number of unmoved rows, so one allocation per
 // unmoved row fails it.
 func TestAllocsPerRunDeltaBuild(t *testing.T) {
-	// 199 measured: 26 of 576 rows moved, 17 of 19 instances re-detected.
+	// 193 measured: 13 of 576 rows moved.
 	const budget = 400
 	g, p := deltaGraph(t, 576)
 	p.SkipSetup = true // the setup's BFS tree and aggregate are per node
@@ -217,7 +225,7 @@ func TestAllocsPerRunDeltaBuild(t *testing.T) {
 	})
 	unmoved := 0
 	for v := range res.Lists {
-		if !res.RowMoved(v) {
+		if !rowMoved(res, v) {
 			unmoved++
 		}
 	}

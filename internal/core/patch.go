@@ -84,9 +84,9 @@ func AffectedInstances(g *graph.Graph, prev *Result) []bool {
 // bit-identical to Run(g, prev.Params, cfg) — same lists, accounting and
 // Fingerprint — because instance i's detection depends only on the graph
 // structure and its subdivided lengths: when both are unchanged, prev's
-// instance IS what a fresh run would compute. The merge re-runs from the
-// full instance set, and combine re-merges the rows whose instance lists
-// moved (Result.RowMoved) and takes the rest from prev.
+// instance IS what a fresh run would compute. The accounting re-runs
+// from the full instance set; the rows whose instance lists moved are
+// computed again, and the rest are taken from prev (see Build).
 //
 // prev must come from a Run (or Patch) with the same Params on a graph
 // with the same structure (same nodes, edges and edge ids — weight-only

@@ -1,0 +1,166 @@
+package core
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"pde/internal/congest"
+	"pde/internal/detection"
+	"pde/internal/graph"
+)
+
+// tableRow reads node v's row of t back as estimates, in source order.
+func tableRow(t Table, v int) []Estimate {
+	var row []Estimate
+	for k := t.Off[v]; k < t.Off[v+1]; k++ {
+		row = append(row, Estimate{Dist: t.Dists[k], Src: t.Srcs[k], Via: t.Vias[k], Instance: t.Insts[k], Flag: t.Flags[k]})
+	}
+	return row
+}
+
+// TestRowsHandBuilt pins the row pass's corner cases on instances small
+// enough to read: a cross-instance tie (the lower instance wins), a later
+// instance that is strictly smaller (it wins), a source only one instance
+// detected, an instance with an empty list, and a node with no entries.
+// At σ = 1 each list is its row's smallest entry.
+func TestRowsHandBuilt(t *testing.T) {
+	inst := func(base float64, lists ...[]detection.Entry) *Instance {
+		return &Instance{Base: base, Det: &detection.Result{Lists: lists}}
+	}
+	insts := []*Instance{
+		// node 0, node 1, node 2, node 3
+		inst(1, []detection.Entry{{Dist: 4, Src: 3, Via: 1, Flag: 1}, {Dist: 8, Src: 1, Via: 1}}, nil, nil, nil),
+		inst(2, []detection.Entry{{Dist: 2, Src: 3, Via: 2, Flag: 2}, {Dist: 3, Src: 1, Via: 2}}, []detection.Entry{{Dist: 1, Src: 2, Via: 2}}, nil, nil),
+		inst(4, []detection.Entry{{Dist: 1, Src: 3, Via: 3, Flag: 3}, {Dist: 5, Src: 0, Via: -1}}, nil, nil, []detection.Entry{{Dist: 0, Src: 3, Via: -1}}),
+	}
+	table, lists := layRows(insts, 4, 1, nil, nil)
+
+	want := map[int][]Estimate{
+		0: {
+			{Dist: 20, Src: 0, Via: -1, Instance: 2},        // one instance only
+			{Dist: 6, Src: 1, Via: 2, Instance: 1},          // 3·2 < 8·1: the later instance is strictly smaller
+			{Dist: 4, Src: 3, Via: 1, Instance: 0, Flag: 1}, // 4·1 = 2·2 = 1·4: lowest instance
+		},
+		1: {{Dist: 2, Src: 2, Via: 2, Instance: 1}}, // instances 0 and 2 hold an empty list here
+		2: nil,
+		3: {{Dist: 0, Src: 3, Via: -1, Instance: 2}},
+	}
+	wantLists := [][]Estimate{
+		{{Dist: 4, Src: 3, Via: 1, Instance: 0, Flag: 1}},
+		{{Dist: 2, Src: 2, Via: 2, Instance: 1}},
+		nil,
+		{{Dist: 0, Src: 3, Via: -1, Instance: 2}},
+	}
+	for v := 0; v < 4; v++ {
+		if got := tableRow(table, v); !reflect.DeepEqual(got, want[v]) {
+			t.Fatalf("node %d: row %+v, want %+v", v, got, want[v])
+		}
+		if !slices.Equal(lists[v], wantLists[v]) {
+			t.Fatalf("node %d: list %+v, want %+v", v, lists[v], wantLists[v])
+		}
+	}
+}
+
+// serveBulkResult is serve-bulk's APSP tables, the shape the benchmark of
+// record pays a cold row pass at.
+func serveBulkResult(tb testing.TB) *Result {
+	g, err := graph.Generate("random", 384, 4, rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := Run(g, APSPParams(g.N(), 1), congest.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// churnMixedDelta is one seeded four-edge update on churn-mixed's partial
+// roadgrid tables: the previous result and the delta build from it.
+func churnMixedDelta(tb testing.TB) (prev, res *Result) {
+	g, err := graph.Generate("roadgrid", 576, 1024, rand.New(rand.NewSource(1)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	src := make([]bool, g.N())
+	for v := 0; v < g.N(); v += 3 {
+		src[v] = true
+	}
+	p := Params{IsSource: src, H: 16, Sigma: 8, Epsilon: 0.5, CapMessages: true}
+	if prev, err = Run(g, p, congest.Config{}); err != nil {
+		tb.Fatal(err)
+	}
+	ng, _, err := g.ApplyChanges(randomReweights(g, rand.New(rand.NewSource(3)), 4))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res, _, err = Build(ng, p, congest.Config{}, prev); err != nil {
+		tb.Fatal(err)
+	}
+	return prev, res
+}
+
+var (
+	tableSink Table
+	listsSink [][]Estimate
+)
+
+// TestAllocsPerRunDeltaRows: the row pass of a few-row delta allocates
+// its arrays — the offsets, the five columns sized from prev, the lists,
+// the two stamp arrays and the row buffer — plus one list per moved row,
+// and nothing per unmoved row, whose list is prev's and whose table run
+// is copied.
+func TestAllocsPerRunDeltaRows(t *testing.T) {
+	prev, res := churnMixedDelta(t)
+	n := len(res.Lists)
+	moved := 0
+	for v := range n {
+		if rowMoved(res, v) {
+			moved++
+		}
+	}
+	// 14 measured beside the moved rows: the arrays, and the row buffer
+	// growing to the longest computed row; five more if the columns
+	// outgrow prev's size by an eighth.
+	bound := 20 + moved
+	if n-moved <= bound {
+		t.Fatalf("%d of %d rows unmoved: the bound of %d would not notice an allocation per unmoved row", n-moved, n, bound)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		tableSink, listsSink = layRows(res.Instances, n, res.Params.Sigma, prev, res.moved)
+	})
+	t.Logf("%.0f allocations per delta row pass, %d of %d rows moved", allocs, moved, n)
+	if allocs > float64(bound) {
+		t.Fatalf("the delta row pass allocates %.0f times, want <= %d", allocs, bound)
+	}
+}
+
+// BenchmarkRows times the row pass at the shapes the benchmark of record
+// pays it at: cold on serve-bulk's APSP tables, and cold and delta on one
+// churn-mixed update.
+func BenchmarkRows(b *testing.B) {
+	bulk := serveBulkResult(b)
+	prev, churn := churnMixedDelta(b)
+	for _, c := range []struct {
+		name string
+		res  *Result
+		prev *Result
+	}{
+		{"serve-bulk/cold", bulk, nil},
+		{"churn-mixed/cold", churn, nil},
+		{"churn-mixed/delta", churn, prev},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			moved := c.res.moved
+			if c.prev == nil {
+				moved = nil
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				tableSink, listsSink = layRows(c.res.Instances, len(c.res.Lists), c.res.Params.Sigma, c.prev, moved)
+			}
+		})
+	}
+}

@@ -25,7 +25,7 @@ import (
 //     weight lies in [wd, (1+ε)·wd].
 //
 // Any violation is a real bug in the rounding hierarchy, the engine, the
-// combine, the oracle compile, or Route — there is no tolerance knob
+// row pass that lays out the tables, or Route — there is no tolerance knob
 // beyond float slack on the (1+ε) product.
 func FuzzOracleVsExact(f *testing.F) {
 	f.Add(int64(1), int64(8), int64(1), int64(8), int64(40), int64(2))

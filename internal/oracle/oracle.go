@@ -1,38 +1,34 @@
-// Package oracle compiles PDE results into a flat, immutable distance
+// Package oracle serves PDE results as a flat, immutable distance
 // oracle, and every served answer comes from it: estimates, next hops and
 // Corollary 3.5's stateless routes are read from indexed tables (§2.4:
 // "distance queries answered from local tables").
 //
-// Compile performs the min-over-instances combine w̃d(v,s) = min_i
-// b(i)·hd_i(v,s) exactly once per (node, source) pair and lays the result
-// out in CSR-style parallel arrays sorted by source id, so Estimate and
-// NextHop are a single binary search over one node's contiguous segment
-// (a direct index when the row holds every source): O(log σ) with
-// cache-friendly access, where a scan of the instance lists costs
-// Õ(σ·i_max) per query. The compiled form is read-only after
-// construction and therefore safe for any number of concurrent readers
-// without locking (exercised under -race in tests).
+// The tables are the result's own: core.Build computes the
+// min-over-instances w̃d(v,s) = min_i b(i)·hd_i(v,s) once per (node,
+// source) pair and lays it out in CSR-style parallel arrays sorted by
+// source id (core.Table). Compile shares them and performs no combine, so
+// Estimate and NextHop are a single binary search over one node's
+// contiguous segment (a direct index when the row holds every source):
+// O(log σ) with cache-friendly access, where a scan of the instance lists
+// costs Õ(σ·i_max) per query. The tables are read-only and therefore safe
+// for any number of concurrent readers without locking (exercised under
+// -race in tests).
 //
-// A row is a function of the node's instance lists alone. So after a
-// delta core.Build, Update copies the segment of every row the build did
-// not move from the previous oracle and compiles only the rest, in the
-// same row loop as Compile; its output is Compile's.
-//
-// The combine uses the same float64(dist)·base products and the same
-// "first instance with the strictly smallest value wins" tie-break as that
-// scan. The scan itself lives in this package's tests as the differential
-// reference: Estimate, NextHop and Route agree with it on every (v, s).
+// The table's entries use the same float64(dist)·base products and the
+// same "first instance with the strictly smallest value wins" tie-break
+// as that scan. The scan itself lives in this package's tests as the
+// differential reference: Estimate, NextHop and Route agree with it on
+// every (v, s).
 package oracle
 
 import (
 	"fmt"
-	"slices"
 
 	"pde/internal/core"
 	"pde/internal/graph"
 )
 
-// Oracle is a compiled, read-only index over a *core.Result.
+// Oracle is a read-only index over a *core.Result's table.
 //
 // Entries for node v occupy the half-open range off[v]..off[v+1] of the
 // parallel arrays, sorted by source id; each entry already holds the best
@@ -47,96 +43,13 @@ type Oracle struct {
 	flags []uint8
 }
 
-// Compile flattens res into an Oracle. The input is not retained; the
-// oracle is self-contained and immutable.
-//
-// Time is linear in the instance lists plus, per node, a sort of the
-// source ids that survive deduplication (~σ of the σ·(i_max+1)
-// candidates on a partial build).
-func Compile(res *core.Result) *Oracle { return compile(nil, res) }
-
-// Update compiles res like Compile, but copies the CSR segment of every
-// row res did not move (core.Result.RowMoved) from prev instead of
-// recompiling it. prev must be the compilation of the result res was
-// built from — the two are served together, so they pair up; an oracle
-// for another node count, or a nil one, compiles every row. The output
-// is identical to Compile(res), and prev is only read.
-func Update(prev *Oracle, res *core.Result) *Oracle {
-	if prev != nil && prev.n != len(res.Lists) {
-		prev = nil
-	}
-	return compile(prev, res)
-}
-
-// compile is the one row loop behind Compile and Update: a row that prev
-// holds unchanged is copied, any other is compiled from the instance
-// lists.
-func compile(prev *Oracle, res *core.Result) *Oracle {
-	n := len(res.Lists)
-	o := &Oracle{n: n, off: make([]int64, n+1)}
-	if prev != nil && len(prev.srcs) > 0 {
-		// Few rows move on an update, so prev's size, with some room, is
-		// the size to expect.
-		k := len(prev.srcs) + len(prev.srcs)/8
-		o.srcs, o.dists, o.vias = make([]int32, 0, k), make([]float64, 0, k), make([]int32, 0, k)
-		o.insts, o.flags = make([]int32, 0, k), make([]uint8, 0, k)
-	}
-
-	seen := make([]int32, n) // seen[s] == v+1: s is in v's row, at slot[s]
-	slot := make([]int32, n)
-	var row []core.Estimate
-	for v := 0; v < n; v++ {
-		if prev != nil && !res.RowMoved(v) {
-			// Copy the whole run of unmoved rows from v at once; prev's
-			// segments for it are contiguous.
-			w := v + 1
-			for w < n && !res.RowMoved(w) {
-				w++
-			}
-			lo, hi := prev.off[v], prev.off[w]
-			shift := int64(len(o.srcs)) - lo
-			o.srcs = append(o.srcs, prev.srcs[lo:hi]...)
-			o.dists = append(o.dists, prev.dists[lo:hi]...)
-			o.vias = append(o.vias, prev.vias[lo:hi]...)
-			o.insts = append(o.insts, prev.insts[lo:hi]...)
-			o.flags = append(o.flags, prev.flags[lo:hi]...)
-			for x := v; x < w; x++ {
-				o.off[x+1] = prev.off[x+1] + shift
-			}
-			v = w - 1 // the loop's v++ goes on at row w
-			continue
-		}
-		row = row[:0]
-		// Ascending instances, replacing only on a strictly smaller
-		// product: the first instance with the smallest value wins,
-		// exactly as the scan reference in this package's tests decides.
-		for i, inst := range res.Instances {
-			for _, e := range inst.Det.Lists[v] {
-				c := core.Estimate{Dist: float64(e.Dist) * inst.Base, Src: e.Src, Via: e.Via, Instance: int32(i), Flag: e.Flag}
-				if seen[e.Src] != int32(v)+1 {
-					seen[e.Src] = int32(v) + 1
-					slot[e.Src] = int32(len(row))
-					row = append(row, c)
-				} else if k := slot[e.Src]; c.Dist < row[k].Dist {
-					row[k] = c
-				}
-			}
-		}
-		first := len(o.srcs)
-		for _, c := range row {
-			o.srcs = append(o.srcs, c.Src)
-		}
-		slices.Sort(o.srcs[first:])
-		for _, s := range o.srcs[first:] {
-			c := &row[slot[s]]
-			o.dists = append(o.dists, c.Dist)
-			o.vias = append(o.vias, c.Via)
-			o.insts = append(o.insts, c.Instance)
-			o.flags = append(o.flags, c.Flag)
-		}
-		o.off[v+1] = int64(len(o.srcs))
-	}
-	return o
+// Compile returns the oracle over res's table, which it shares: it copies
+// the column headers and nothing else. res must come from core.Build
+// (core.Run and core.Patch are Build), which lays the table out; both are
+// immutable.
+func Compile(res *core.Result) *Oracle {
+	t := &res.Table
+	return &Oracle{n: len(res.Lists), off: t.Off, srcs: t.Srcs, dists: t.Dists, vias: t.Vias, insts: t.Insts, flags: t.Flags}
 }
 
 // N returns the number of nodes the oracle serves.

@@ -78,7 +78,7 @@ func TestOracleMatchesLegacyScans(t *testing.T) {
 }
 
 // sourcesOf calls fn for each of v's compiled entries in ascending source
-// order (the full combine, not the σ-capped list). Out-of-range v has no
+// order (the full row, not the σ-capped list). Out-of-range v has no
 // entries.
 func sourcesOf(o *Oracle, v int, fn func(core.Estimate)) {
 	if v < 0 || v >= o.n {

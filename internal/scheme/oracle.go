@@ -38,21 +38,15 @@ func buildOracleOn(sp Spec, g *graph.Graph) (Instance, error) {
 
 // buildOracle is the one oracle build — cold, rebuild and update alike —
 // of the result for params p on g. prev, when non-nil, is the served
-// instance for a graph of g's structure: core.Build reuses its untouched
-// rounding instances and merges only the rows they moved, and the oracle
-// copies the other rows from prev's compiled tables. A nil prev builds
-// everything.
-func buildOracle(sp Spec, g *graph.Graph, p core.Params, prev *OracleInstance) (Instance, core.PatchStats, error) {
-	var prevRes *core.Result
-	var prevO *oracle.Oracle
-	if prev != nil {
-		prevRes, prevO = prev.Res, prev.O
-	}
+// result for a graph of g's structure: core.Build reuses its untouched
+// rounding instances and takes the rows they did not move from it. A nil
+// prev builds everything.
+func buildOracle(sp Spec, g *graph.Graph, p core.Params, prev *core.Result) (Instance, core.PatchStats, error) {
 	var res *core.Result
 	var ps core.PatchStats
 	buildNS, err := buildCost(func() error {
 		var rerr error
-		res, ps, rerr = core.Build(g, p, congest.Config{Parallel: true, Workers: sp.BuildWorkers}, prevRes)
+		res, ps, rerr = core.Build(g, p, congest.Config{Parallel: true, Workers: sp.BuildWorkers}, prev)
 		if rerr != nil {
 			return fmt.Errorf("pde build: %w", rerr)
 		}
@@ -61,23 +55,18 @@ func buildOracle(sp Spec, g *graph.Graph, p core.Params, prev *OracleInstance) (
 	if err != nil {
 		return nil, ps, err
 	}
-	in, err := newOracleInstance(sp, g, res, oracle.Update(prevO, res), buildNS)
+	in, err := NewOracleInstance(sp, g, res, buildNS)
 	if err != nil {
 		return nil, ps, err
 	}
 	return in, ps, nil
 }
 
-// NewOracleInstance compiles an already-built PDE result into a serving
-// instance — the prebuilt path for callers (bench, tests) that paid for
-// the construction elsewhere.
+// NewOracleInstance wraps an already-built PDE result into a serving
+// instance over its tables and measures its accounting: the end of every
+// oracle build, and the prebuilt path for callers (bench, tests) that
+// paid for the construction elsewhere.
 func NewOracleInstance(sp Spec, g *graph.Graph, res *core.Result, buildNS int64) (*OracleInstance, error) {
-	return newOracleInstance(sp, g, res, oracle.Compile(res), buildNS)
-}
-
-// newOracleInstance wraps res and o, its compiled tables, into a serving
-// instance and measures its accounting.
-func newOracleInstance(sp Spec, g *graph.Graph, res *core.Result, o *oracle.Oracle, buildNS int64) (*OracleInstance, error) {
 	sp = sp.Normalized()
 	if sp.Scheme != "oracle" {
 		return nil, fmt.Errorf("prebuilt tables are oracle tables, spec says scheme %q", sp.Scheme)
@@ -86,7 +75,7 @@ func newOracleInstance(sp Spec, g *graph.Graph, res *core.Result, o *oracle.Orac
 		Sp:      sp,
 		Gr:      g,
 		Res:     res,
-		O:       o,
+		O:       oracle.Compile(res),
 		buildNS: buildNS,
 		fp:      sync.OnceValue(res.Fingerprint),
 	}
@@ -105,8 +94,8 @@ func newOracleInstance(sp Spec, g *graph.Graph, res *core.Result, o *oracle.Orac
 	idBits := graph.IDBits(g.N())
 	in.acct = Accounting{
 		Scheme:          "oracle",
-		TableBytes:      o.Bytes(),
-		Entries:         o.Entries(),
+		TableBytes:      in.O.Bytes(),
+		Entries:         in.O.Entries(),
 		MaxLabelBits:    idBits,
 		AvgLabelBits:    float64(idBits),
 		StretchBound:    1 + sp.Eps,

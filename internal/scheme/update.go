@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"pde/internal/core"
 	"pde/internal/graph"
 )
 
@@ -57,16 +58,16 @@ func Update(inst Instance, g *graph.Graph, _ ...UpdateOptions) (Instance, Update
 // UpdateGraph implements Updatable: the oracle build under the params of
 // the result in serves — on every path, so a prebuilt result keeps its
 // recipe across reweights, inserts and deletes alike. When the update was
-// weight-only the previous result and its compiled tables are handed in,
-// so every rounding instance whose subdivided lengths did not move is
-// reused and only the rows it moved are merged and compiled again; when
-// the structure changed everything is built afresh. Either way the
-// tables equal a cold core.Run of those params on g, compiled.
+// weight-only the previous result is handed in, so every rounding
+// instance whose subdivided lengths did not move is reused and only the
+// rows it moved are computed again; when the structure changed
+// everything is built afresh. Either way the tables equal a cold
+// core.Run of those params on g, compiled.
 func (in *OracleInstance) UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error) {
 	st := UpdateStats{Path: "rebuild"}
-	var prev *OracleInstance
+	var prev *core.Result
 	if g.SameStructure(in.Gr) {
-		prev, st.Path = in, "delta"
+		prev, st.Path = in.Res, "delta"
 	}
 	ni, ps, err := buildOracle(in.Sp, g, in.Res.Params, prev)
 	if err != nil {

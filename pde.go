@@ -122,9 +122,10 @@ func ApproxAPSP(g *Graph, eps float64, cfg Config) (*Estimation, error) {
 	return core.Run(g, core.APSPParams(g.N(), eps), cfg)
 }
 
-// CompileOracle flattens an estimation result into an indexed, immutable
-// distance oracle (§2.4: distance queries answered from local tables). It
-// is the one way to query a result: Estimate and NextHop answer point
+// CompileOracle returns the indexed, immutable distance oracle over an
+// estimation result's flat tables, which it shares (§2.4: distance
+// queries answered from local tables). It is the one way to query a
+// result: Estimate and NextHop answer point
 // queries, AnswerAll/AnswerInto batches, and Route(g, v, s) walks the
 // stretch-(1+ε) stateless route of Corollary 3.5 over the same tables.
 //
