@@ -22,7 +22,7 @@
 // fires one aggregate /v1/setdist query over two seeded member sets
 // (-naive: the reference |A|×|B| evaluation instead of the pruned one).
 //
-//	-updates 50 [-update-seed 1] [-update-verify]
+//	-updates 50 [-update-verify] [-seed 1]
 //
 // regenerates the shard's graph from its spec and drives seeded
 // single-edge ±1 reweights through /v1/update one at a time; the last
@@ -65,7 +65,6 @@ type options struct {
 	setDist, naive    bool
 	setA, setB        int
 	updates           int
-	updateSeed        int64
 	updateVerify      bool
 	stdout, stderr    io.Writer // reports go to stdout, the cluster banner to stderr
 }
@@ -82,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.queries, "queries", 1_000_000, "number of queries to fire")
 	fs.IntVar(&o.workers, "workers", 1, "concurrent clients (0 = GOMAXPROCS)")
 	fs.StringVar(&o.workload, "workload", "estimate", "estimate | nexthop | route")
-	fs.Int64Var(&o.seed, "seed", 1, "query stream seed")
+	fs.Int64Var(&o.seed, "seed", 1, "seed of the query stream, the -setdist member sets and the -updates churn stream")
 	fs.BoolVar(&o.asJSON, "json", false, "emit a JSON summary")
 	fs.IntVar(&o.batch, "batch", 4096, "queries per request")
 	fs.StringVar(&o.codec, "codec", "binary", "binary | json batch bodies, or wire for the PDE2 raw-TCP protocol (route is always json)")
@@ -92,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.setB, "set-b", 64, "-setdist: member count of set B (seeded sample of the shard's nodes)")
 	fs.BoolVar(&o.naive, "naive", false, "-setdist: request the naive |A|x|B| reference evaluation instead of the pruned engine")
 	fs.IntVar(&o.updates, "updates", 0, "drive this many seeded single-edge reweights through /v1/update instead of a query stream")
-	fs.Int64Var(&o.updateSeed, "update-seed", 1, "-updates: churn stream seed")
 	fs.BoolVar(&o.updateVerify, "update-verify", false, "-updates: ask the daemon to verify every update against a from-scratch build before publishing")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -519,7 +517,7 @@ func (o *options) runUpdates(ctx context.Context) error {
 	g.Edges(func(u, v int, w graph.Weight, _ int32) {
 		edges = append(edges, graph.Change{Op: graph.OpReweight, U: u, V: v, W: w})
 	})
-	rng := rand.New(rand.NewSource(o.updateSeed))
+	rng := rand.New(rand.NewSource(o.seed))
 	sum := updateSummary{Shard: o.shard, Updates: o.updates}
 	var damage float64
 	t0 := time.Now()

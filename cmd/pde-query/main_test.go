@@ -199,6 +199,26 @@ func TestUpdates(t *testing.T) {
 	}
 }
 
+// TestSeedDrivesTheChurnStream: -seed, which seeds the query stream and
+// the member sets, also seeds -updates: one seed walks two daemons of one
+// spec to the same generation, another seed to a different one.
+func TestSeedDrivesTheChurnStream(t *testing.T) {
+	churn := func(base, seed string) string {
+		return queryJSON[updateSummary](t, "-remote", base, "-updates", "4", "-seed", seed).Fingerprint
+	}
+	a, b := bootDaemon(t, map[string]server.Spec{"main": apspSpec}, nil), bootDaemon(t, map[string]server.Spec{"main": apspSpec}, nil)
+	first := churn(a.URL, "5")
+	if again := churn(b.URL, "5"); again != first {
+		t.Errorf("-seed 5 ended on %s on one daemon and %s on its twin", first, again)
+	}
+	if _, err := (&server.Client{BaseURL: b.URL, Shard: "main"}).Rebuild(context.Background(), server.RebuildRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	if other := churn(b.URL, "6"); other == first {
+		t.Errorf("-seed 6 ended on %s, the generation -seed 5 ended on", other)
+	}
+}
+
 // bootCluster fronts two daemons that replicate specs with a coordinator
 // and its PDE2 relay.
 func bootCluster(t *testing.T, specs map[string]server.Spec) *httptest.Server {
@@ -395,6 +415,7 @@ func TestUsageAndFailures(t *testing.T) {
 		{"unknown flag", []string{"-remote", ts.URL, "-topology", "grid"}, 2, "flag provided but not defined"},
 		{"help", []string{"-h"}, 0, "Usage of pde-query"},
 		{"local-mode flag is gone", []string{"-n", "64"}, 2, "flag provided but not defined"},
+		{"update-seed is -seed", []string{"-remote", ts.URL, "-updates", "1", "-update-seed", "2"}, 2, "flag provided but not defined"},
 		{"unknown workload", []string{"-remote", ts.URL, "-workload", "estimat"}, 2, "unknown workload"},
 		{"unknown codec", []string{"-remote", ts.URL, "-codec", "xml"}, 2, "unknown codec"},
 		{"route over wire", []string{"-remote", ts.URL, "-codec", "wire", "-workload", "route"}, 2, "not part of the PDE2 wire protocol"},

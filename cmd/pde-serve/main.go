@@ -10,20 +10,16 @@
 // Usage:
 //
 //	pde-serve [-addr :7475] [-wire-addr :7476] [-pprof-addr localhost:6060]
-//	          [-scheme oracle|rtc|compact]
-//	          [-topology random] [-n 256] [-eps 0.5] [-maxw 16]
-//	          [-h 0] [-sigma 0] [-seed 1] [-build-workers 0]
-//	          [-k 0] [-strategy simulate|broadcast] [-l0 0] [-sample-prob 0]
 //	          [-shards '{"name": {"scheme": "...", "topology": "...", ...}}']
 //	          [-max-batch 65536]
 //
-// With -shards, the JSON object maps shard names to full specs
-// (internal/scheme.Spec: topology + PDE knobs + scheme selector) and the
-// single-shard convenience flags are ignored; otherwise one shard named
-// "main" is built from the convenience flags (h = sigma = 0 means full
-// APSP). Every scheme — the compiled oracle,
-// Theorem 4.5 rtc tables, the §4.3 compact hierarchy — serves the same
-// wire protocol; a daemon can hold one shard per scheme side by side.
+// -shards maps shard names to full specs (internal/scheme.Spec: topology
+// + PDE knobs + scheme selector; h = sigma = 0 means full APSP). Its
+// default is one oracle shard "main": APSP on the 256-node random graph
+// of seed 1 with eps 0.5 and weights up to 16. Every scheme — the
+// compiled oracle, Theorem 4.5 rtc tables, the §4.3 compact hierarchy —
+// serves the same wire protocol; a daemon can hold one shard per scheme
+// side by side.
 //
 // With -wire-addr the daemon additionally serves the PDE2 raw-TCP
 // framed protocol (internal/wire) on that address against the same
@@ -53,8 +49,6 @@ import (
 	"time"
 
 	"pde/internal/daemon"
-	"pde/internal/graph"
-	"pde/internal/scheme"
 	"pde/internal/server"
 	"pde/internal/wire"
 )
@@ -77,26 +71,13 @@ type options struct {
 // explained on stderr; flag.ErrHelp is -h.
 func parse(args []string, stderr io.Writer) (options, error) {
 	var o options
-	var sp server.Spec
 	fs := flag.NewFlagSet("pde-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fs.StringVar(&o.addr, "addr", ":7475", "HTTP listen address")
 	fs.StringVar(&o.wireAddr, "wire-addr", "", "PDE2 raw-TCP listen address (empty = wire protocol disabled)")
 	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "net/http/pprof listen address, e.g. localhost:6060 (empty = disabled)")
-	fs.StringVar(&sp.Scheme, "scheme", "oracle", scheme.List())
-	fs.StringVar(&sp.Topology, "topology", "random", graph.GeneratorList())
-	fs.IntVar(&sp.N, "n", 256, "number of nodes")
-	fs.Float64Var(&sp.Eps, "eps", 0.5, "PDE approximation slack")
-	fs.Int64Var(&sp.MaxW, "maxw", 16, "maximum edge weight")
-	fs.IntVar(&sp.H, "h", 0, "hop bound (0 = APSP)")
-	fs.IntVar(&sp.Sigma, "sigma", 0, "list size (0 = APSP)")
-	fs.Int64Var(&sp.Seed, "seed", 1, "graph generator seed")
-	fs.IntVar(&sp.BuildWorkers, "build-workers", 0, "parallel table-build pool width (0 = GOMAXPROCS)")
-	fs.IntVar(&sp.K, "k", 0, "rtc/compact stretch parameter (0 = scheme default)")
-	fs.StringVar(&sp.Strategy, "strategy", "", "compact truncation strategy when -l0 > 0: simulate (default) | broadcast")
-	fs.IntVar(&sp.L0, "l0", 0, "compact truncation level (0 = none)")
-	fs.Float64Var(&sp.SampleProb, "sample-prob", 0, "rtc skeleton sampling probability override (0 = paper's)")
-	shardsJSON := fs.String("shards", "", `multi-shard spec: {"name": {"topology": ..., "n": ..., "eps": ..., ...}}`)
+	shardsJSON := fs.String("shards", `{"main": {"topology": "random", "n": 256, "eps": 0.5, "maxw": 16, "seed": 1}}`,
+		`shards to serve: {"name": {"scheme": ..., "topology": ..., "n": ..., "eps": ..., ...}}`)
 	fs.IntVar(&o.maxBatch, "max-batch", 0, "largest query batch one request may carry (0 = default 65536)")
 	if err := fs.Parse(args); err != nil {
 		return o, err
@@ -107,15 +88,11 @@ func parse(args []string, stderr io.Writer) (options, error) {
 		fmt.Fprintf(stderr, "pde-serve: %v\n", err)
 		return o, err
 	}
-	o.specs = map[string]server.Spec{"main": sp}
-	if *shardsJSON != "" {
-		o.specs = nil
-		if err := json.Unmarshal([]byte(*shardsJSON), &o.specs); err != nil {
-			return fail("parsing -shards: %v", err)
-		}
-		if len(o.specs) == 0 {
-			return fail("-shards names no shards")
-		}
+	if err := json.Unmarshal([]byte(*shardsJSON), &o.specs); err != nil {
+		return fail("parsing -shards: %v", err)
+	}
+	if len(o.specs) == 0 {
+		return fail("-shards names no shards")
 	}
 	for name, sp := range o.specs {
 		if err := sp.Validate(); err != nil {

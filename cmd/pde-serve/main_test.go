@@ -119,13 +119,15 @@ func busyAddr(t *testing.T) string {
 	return ln.Addr().String()
 }
 
-// TestFlagsToSpecs: the single-shard convenience flags become shard
-// "main", -shards replaces them, and every value lands in the field it
-// names.
+// tinyShards is a one-shard -shards value that builds in milliseconds.
+const tinyShards = `{"main": {"topology": "ring", "n": 8, "eps": 0.5, "maxw": 16, "seed": 1}}`
+
+// TestFlagsToSpecs: every flag lands in the field it names, and -shards
+// is the whole of what is served.
 func TestFlagsToSpecs(t *testing.T) {
 	got, err := parse([]string{"-addr", "a:1", "-wire-addr", "b:2", "-pprof-addr", "c:3", "-max-batch", "99",
-		"-scheme", "compact", "-topology", "ring", "-n", "40", "-eps", "0.25", "-maxw", "7", "-seed", "11",
-		"-build-workers", "3", "-k", "3", "-strategy", "broadcast", "-l0", "1"}, io.Discard)
+		"-shards", `{"main": {"scheme": "compact", "topology": "ring", "n": 40, "eps": 0.25, "maxw": 7, "seed": 11,
+		                      "build_workers": 3, "k": 3, "strategy": "broadcast", "l0": 1}}`}, io.Discard)
 	want := options{addr: "a:1", wireAddr: "b:2", pprofAddr: "c:3", maxBatch: 99, specs: map[string]server.Spec{
 		"main": {Scheme: "compact", Topology: "ring", N: 40, Eps: 0.25, MaxW: 7, Seed: 11,
 			BuildWorkers: 3, K: 3, Strategy: "broadcast", L0: 1}}}
@@ -133,14 +135,7 @@ func TestFlagsToSpecs(t *testing.T) {
 		t.Errorf("compact flags parsed to\n%+v (%v), want\n%+v", got, err, want)
 	}
 
-	got, err = parse([]string{"-scheme", "rtc", "-h", "6", "-sigma", "4", "-k", "2", "-sample-prob", "0.5"}, io.Discard)
-	want = options{addr: ":7475", specs: map[string]server.Spec{
-		"main": {Scheme: "rtc", Topology: "random", N: 256, Eps: 0.5, MaxW: 16, Seed: 1, H: 6, Sigma: 4, K: 2, SampleProb: 0.5}}}
-	if err != nil || !reflect.DeepEqual(got, want) {
-		t.Errorf("rtc flags over the defaults parsed to\n%+v (%v), want\n%+v", got, err, want)
-	}
-
-	got, err = parse([]string{"-n", "999", "-shards",
+	got, err = parse([]string{"-shards",
 		`{"a": {"topology": "grid", "n": 16, "eps": 1, "maxw": 2, "seed": 4, "h": 3, "sigma": 2},
 		  "b": {"scheme": "rtc", "topology": "random", "n": 24, "eps": 0.5, "maxw": 8, "k": 2, "sample_prob": 0.25}}`}, io.Discard)
 	wantSpecs := map[string]server.Spec{
@@ -148,6 +143,23 @@ func TestFlagsToSpecs(t *testing.T) {
 		"b": {Scheme: "rtc", Topology: "random", N: 24, Eps: 0.5, MaxW: 8, K: 2, SampleProb: 0.25}}
 	if err != nil || !reflect.DeepEqual(got.specs, wantSpecs) {
 		t.Errorf("-shards parsed to\n%+v (%v), want\n%+v", got.specs, err, wantSpecs)
+	}
+}
+
+// TestNoFlagsServeTheDefaultShard: a bare pde-serve serves what it served
+// when the spec had flags of its own — one APSP oracle shard "main" on the
+// 256-node random graph of seed 1 — and with no -wire-addr a daemon
+// advertises no PDE2 endpoint.
+func TestNoFlagsServeTheDefaultShard(t *testing.T) {
+	got, err := parse(nil, io.Discard)
+	want := server.Spec{Scheme: "oracle", Topology: "random", N: 256, Eps: 0.5, MaxW: 16, Seed: 1}
+	if err != nil || got.addr != ":7475" || len(got.specs) != 1 || got.specs["main"].Normalized() != want {
+		t.Errorf("no flags parsed to %+v (%v), want one shard main = %+v on :7475", got, err, want)
+	}
+
+	st := boot(t, "-addr", "127.0.0.1:0", "-shards", tinyShards).stats(t)
+	if len(st.Shards) != 1 || st.WireAddr != "" {
+		t.Errorf("daemon serves %+v and advertises wire_addr %q without -wire-addr", st.Shards, st.WireAddr)
 	}
 }
 
@@ -212,26 +224,12 @@ func TestBootServesWhatTheFlagsSay(t *testing.T) {
 	}
 }
 
-// TestSingleShardFlags: without -shards the convenience flags build shard
-// "main", and with no -wire-addr nothing is advertised.
-func TestSingleShardFlags(t *testing.T) {
-	p := boot(t, "-addr", "127.0.0.1:0", "-topology", "grid", "-n", "16", "-eps", "1", "-maxw", "2", "-seed", "9", "-h", "3", "-sigma", "2")
-	st := p.stats(t)
-	want := server.Spec{Scheme: "oracle", Topology: "grid", N: 16, Eps: 1, MaxW: 2, Seed: 9, H: 3, Sigma: 2}
-	if got := st.Shards["main"].Spec; len(st.Shards) != 1 || got.Normalized() != want.Normalized() {
-		t.Errorf("daemon serves %+v, want one shard main = %+v", st.Shards, want)
-	}
-	if st.WireAddr != "" {
-		t.Errorf("wire_addr %q advertised without -wire-addr", st.WireAddr)
-	}
-}
-
 // TestUsageAndBootFailures: a bad command line exits 2 and a boot that
 // cannot complete exits 1, both before anything serves. The -pprof-addr
 // row is the regression: the parent daemon logged the failed bind from a
 // goroutine and served on without its profiler.
 func TestUsageAndBootFailures(t *testing.T) {
-	tiny := []string{"-addr", "127.0.0.1:0", "-n", "8", "-topology", "ring"}
+	tiny := []string{"-addr", "127.0.0.1:0", "-shards", tinyShards}
 	with := func(extra ...string) []string { return append(append([]string(nil), tiny...), extra...) }
 	for _, tc := range []struct {
 		name string
@@ -243,9 +241,10 @@ func TestUsageAndBootFailures(t *testing.T) {
 		{"unknown flag", []string{"-wire-accept-loops", "2"}, 2, "flag provided but not defined"},
 		{"shards not JSON", []string{"-shards", "{"}, 2, "parsing -shards"},
 		{"shards empty", []string{"-shards", "{}"}, 2, "names no shards"},
-		{"invalid spec", []string{"-topology", "moebius"}, 2, `shard "main": unknown topology`},
-		{"build fails", with("-eps", "0.000001"), 1, "rounding instances"},
-		{"busy addr", []string{"-addr", busyAddr(t), "-n", "8", "-topology", "ring"}, 1, "address already in use"},
+		{"spec flag is gone", with("-n", "8"), 2, "flag provided but not defined"},
+		{"invalid spec", []string{"-shards", `{"main": {"topology": "moebius", "n": 8, "eps": 0.5, "maxw": 16}}`}, 2, `shard "main": unknown topology`},
+		{"build fails", []string{"-addr", "127.0.0.1:0", "-shards", `{"main": {"topology": "ring", "n": 8, "eps": 0.000001, "maxw": 16}}`}, 1, "rounding instances"},
+		{"busy addr", []string{"-addr", busyAddr(t), "-shards", tinyShards}, 1, "address already in use"},
 		{"busy wire-addr", with("-wire-addr", busyAddr(t)), 1, "address already in use"},
 		{"busy pprof-addr", with("-pprof-addr", busyAddr(t)), 1, "address already in use"},
 		{"empty addr", with("-addr", ""), 1, "empty HTTP listen address"},
@@ -290,7 +289,8 @@ func readResponse(t *testing.T, nc net.Conn) (int, string) {
 // and waits for in-flight requests, and only after HTTP has drained closes
 // the PDE2 listener; run returns 0.
 func TestDrainOrder(t *testing.T) {
-	p := boot(t, "-addr", "127.0.0.1:0", "-wire-addr", "127.0.0.1:0", "-topology", "ring", "-n", "8", "-eps", "1", "-maxw", "2")
+	p := boot(t, "-addr", "127.0.0.1:0", "-wire-addr", "127.0.0.1:0",
+		"-shards", `{"main": {"topology": "ring", "n": 8, "eps": 1, "maxw": 2}}`)
 	host := strings.TrimPrefix(p.base, "http://")
 	wireAddr := p.stats(t).WireAddr
 	dial := func() net.Conn {

@@ -33,11 +33,10 @@ func main() {
 	isSource := make([]bool, g.N())
 	isSource[0], isSource[9] = true, true
 	res, err := pde.RunEstimation(g, pde.EstimationParams{
-		IsSource:    isSource,
-		H:           6,
-		Sigma:       2,
-		Epsilon:     0.25,
-		CapMessages: true,
+		IsSource: isSource,
+		H:        6,
+		Sigma:    2,
+		Epsilon:  0.25,
 	}, pde.Config{})
 	if err != nil {
 		log.Fatal(err)

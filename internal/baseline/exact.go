@@ -30,8 +30,6 @@ type ExactParams struct {
 	IsSource []bool
 	H        int
 	Sigma    int
-	// ExtraRounds extends the σ·h + 1 budget.
-	ExtraRounds int
 	// Probe, when non-nil, runs after every round with a read-only view
 	// of the current lists; returning true stops the run. Experiments use
 	// it to find the first round at which the output is already correct
@@ -159,7 +157,7 @@ func ExactDetect(g *graph.Graph, p ExactParams, cfg congest.Config) (*ExactResul
 		procs[v] = &states[v]
 	}
 	if cfg.MaxRounds == 0 {
-		cfg.MaxRounds = p.Sigma*p.H + 1 + p.ExtraRounds
+		cfg.MaxRounds = p.Sigma*p.H + 1
 	}
 	if p.Probe != nil && cfg.Observer == nil {
 		cfg.Observer = func(round int) bool {

@@ -5,7 +5,6 @@ import (
 
 	"pde/internal/congest"
 	"pde/internal/core"
-	"pde/internal/detection"
 	"pde/internal/graph"
 )
 
@@ -33,8 +32,7 @@ func RandomDelayPDE(g *graph.Graph, p core.Params, maxDelay int, rng *rand.Rand,
 			delays[v] = int32(rng.Intn(maxDelay))
 		}
 	}
-	p.Scheduling = detection.Priority
-	p.Delays = delays
+	p.Delays = delays // non-nil: core schedules by detection.Priority
 	// Delayed waves may finish up to maxDelay rounds later than the
 	// deterministic schedule; widen every instance's budget accordingly.
 	p.ExtraRounds += maxDelay

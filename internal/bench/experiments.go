@@ -155,7 +155,7 @@ func E2PDESweep(scale Scale) *Table {
 	for _, hs := range [][2]int{{5, 5}, {10, 10}, {20, 20}, {40, 40}} {
 		h, sigma := hs[0], hs[1]
 		res, err := core.Run(g, core.Params{
-			IsSource: src, H: h, Sigma: sigma, Epsilon: eps, CapMessages: true,
+			IsSource: src, H: h, Sigma: sigma, Epsilon: eps,
 		}, congest.Config{Parallel: true})
 		if err != nil {
 			panic(err)
@@ -265,7 +265,7 @@ func E3Figure1(scale Scale) *Table {
 			panic(err)
 		}
 		pdeRes, err := core.Run(f.G, core.Params{
-			IsSource: isSource, H: h + 1, Sigma: sigma, Epsilon: 1, CapMessages: true,
+			IsSource: isSource, H: h + 1, Sigma: sigma, Epsilon: 1,
 		}, congest.Config{Parallel: true})
 		if err != nil {
 			panic(err)

@@ -316,7 +316,7 @@ func runSweep(t *testing.T, g *graph.Graph, h, sigma int, cfg congest.Config) *c
 	for v := 0; v < g.N(); v += 3 {
 		src[v] = true
 	}
-	res, err := core.Run(g, core.Params{IsSource: src, H: h, Sigma: sigma, Epsilon: 0.5, CapMessages: true}, cfg)
+	res, err := core.Run(g, core.Params{IsSource: src, H: h, Sigma: sigma, Epsilon: 0.5}, cfg)
 	noErr(t, err)
 	return res
 }

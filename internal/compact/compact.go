@@ -166,8 +166,8 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 	if p.C <= 0 {
 		p.C = 1
 	}
-	if p.L0 > 0 && (p.L0 < 1 || p.L0 > p.K-1) {
-		return nil, fmt.Errorf("compact: l0=%d out of range [1,%d]", p.L0, p.K-1)
+	if p.L0 < 0 || p.L0 > p.K-1 {
+		return nil, fmt.Errorf("compact: l0=%d out of range [0,%d]", p.L0, p.K-1)
 	}
 	if p.L0 > 0 && p.Strategy == StrategyNone {
 		p.Strategy = StrategySimulate
@@ -250,7 +250,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 		r, err := core.Run(g, core.Params{
 			IsSource: sch.InLevel[l], Flags: flags,
 			H: hFor(l + 1), Sigma: sig,
-			Epsilon: p.Epsilon, CapMessages: true, SkipSetup: l > 0,
+			Epsilon: p.Epsilon, SkipSetup: l > 0,
 		}, cfg.Sub())
 		if err != nil {
 			return nil, fmt.Errorf("compact: level %d PDE: %w", l, err)
@@ -343,7 +343,7 @@ func (sch *Scheme) buildTruncated(p Params, hFor func(int) int, sigma int, lnN f
 	var err error
 	sch.SkelR, err = core.Run(sch.G, core.Params{
 		IsSource: sch.InLevel[l0], H: hFor(l0), Sigma: len(sch.Skel),
-		Epsilon: sch.Eps, CapMessages: true, SkipSetup: true,
+		Epsilon: sch.Eps, SkipSetup: true,
 	}, cfg.Sub())
 	if err != nil {
 		return fmt.Errorf("compact: skeleton PDE: %w", err)
@@ -413,7 +413,7 @@ func (sch *Scheme) buildTruncated(p Params, hFor func(int) int, sigma int, lnN f
 			}
 			r, err := core.Run(sch.Gl0, core.Params{
 				IsSource: isSrc, H: hSim, Sigma: sig,
-				Epsilon: epsPrime, CapMessages: true, SkipSetup: true,
+				Epsilon: epsPrime, SkipSetup: true,
 			}, overlayCfg(cfg)) // overlay messages ride the BFS tree
 			if err != nil {
 				return fmt.Errorf("compact: simulated level %d: %w", l, err)

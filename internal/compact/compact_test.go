@@ -181,6 +181,8 @@ func TestValidation(t *testing.T) {
 		{K: 1, Epsilon: 0.5},
 		{K: 2, Epsilon: 0},
 		{K: 2, Epsilon: 0.5, L0: 5},
+		// L0 = -1 would build L0 = 0's tables under another fingerprint.
+		{K: 2, Epsilon: 0.5, L0: -1},
 	}
 	for i, p := range bad {
 		if _, err := Build(g, p, congest.Config{}); err == nil {

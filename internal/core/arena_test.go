@@ -22,7 +22,7 @@ func arenaGraph(t *testing.T) (*graph.Graph, Params) {
 	}
 	src := make([]bool, g.N())
 	src[0] = true
-	return g, Params{IsSource: src, H: 32, Sigma: 16, Epsilon: 0.5, CapMessages: true}
+	return g, Params{IsSource: src, H: 32, Sigma: 16, Epsilon: 0.5}
 }
 
 // TestParallelBuildArenaPerWorker: every pool worker runs its instances

@@ -44,13 +44,9 @@ type Params struct {
 	Sigma int
 	// Epsilon is the approximation slack ε > 0.
 	Epsilon float64
-	// CapMessages applies the Lemma 3.4 message cap (on by default in
-	// New; the ablation switches it off).
-	CapMessages bool
-	// Scheduling is forwarded to the detection substrate.
-	Scheduling detection.Scheduling
-	// Delays is forwarded to the detection substrate for Priority
-	// scheduling (the randomized baseline).
+	// Delays, when non-nil, replaces the paper's lexicographic schedule
+	// with detection.Priority under these per-source start delays (the
+	// randomized baseline of package baseline).
 	Delays []int32
 	// ExtraRounds widens every instance's round budget (randomized
 	// scheduling needs room for its delays).
@@ -324,6 +320,10 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	// Build returns. Claiming the largest instances first sizes a worker's
 	// arena at its first claim, and is longest-first load balancing.
 	detCfg := congest.Config{B: cfg.B}
+	sched := detection.LexSmallest
+	if p.Delays != nil {
+		sched = detection.Priority
+	}
 	errs := make([]error, num)
 	width := min(cfg.EffectiveWorkers(), len(todo))
 	if poolWidthHook != nil {
@@ -356,8 +356,8 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 					H:           res.HPrime,
 					Sigma:       p.Sigma,
 					Lengths:     inst.Lengths,
-					CapMessages: p.CapMessages,
-					Scheduling:  p.Scheduling,
+					CapMessages: true, // the Lemma 3.4 cap Theorem 3.3 counts under
+					Scheduling:  sched,
 					Delays:      p.Delays,
 					ExtraRounds: p.ExtraRounds,
 				}, detCfg)
@@ -528,5 +528,5 @@ func APSPParams(n int, eps float64) Params {
 	for v := range all {
 		all[v] = true
 	}
-	return Params{IsSource: all, H: n, Sigma: n, Epsilon: eps, CapMessages: true}
+	return Params{IsSource: all, H: n, Sigma: n, Epsilon: eps}
 }

@@ -110,7 +110,7 @@ func TestPartialEstimationSweep(t *testing.T) {
 				for v := 0; v < n; v += 2 {
 					src[v] = true
 				}
-				p := Params{IsSource: src, H: h, Sigma: sigma, Epsilon: 0.5, CapMessages: true}
+				p := Params{IsSource: src, H: h, Sigma: sigma, Epsilon: 0.5}
 				res, err := Run(g, p, congest.Config{})
 				if err != nil {
 					t.Fatal(err)
@@ -152,7 +152,7 @@ func TestFlagsSurviveCombination(t *testing.T) {
 		src[v] = true
 		flags[v] = uint8(1 + v%3)
 	}
-	p := Params{IsSource: src, Flags: flags, H: n, Sigma: n, Epsilon: 0.5, CapMessages: true}
+	p := Params{IsSource: src, Flags: flags, H: n, Sigma: n, Epsilon: 0.5}
 	res, err := Run(g, p, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestRoundBudgetFormula(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := 20
 	g := graph.RandomConnected(n, 0.15, 30, rng)
-	p := Params{IsSource: APSPParams(n, 0.5).IsSource, H: 6, Sigma: 4, Epsilon: 0.5, CapMessages: true}
+	p := Params{IsSource: APSPParams(n, 0.5).IsSource, H: 6, Sigma: 4, Epsilon: 0.5}
 	res, err := Run(g, p, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestBroadcastBound(t *testing.T) {
 	n := 30
 	g := graph.RandomConnected(n, 0.1, 20, rng)
 	sigma := 4
-	p := Params{IsSource: APSPParams(n, 1).IsSource, H: n, Sigma: sigma, Epsilon: 1, CapMessages: true}
+	p := Params{IsSource: APSPParams(n, 1).IsSource, H: n, Sigma: sigma, Epsilon: 1}
 	res, err := Run(g, p, congest.Config{})
 	if err != nil {
 		t.Fatal(err)

@@ -26,7 +26,7 @@ func deltaGraph(t *testing.T, n int) (*graph.Graph, Params) {
 	for v := 0; v < g.N(); v += 3 {
 		src[v] = true
 	}
-	return g, Params{IsSource: src, H: 4, Sigma: 4, Epsilon: 0.5, CapMessages: true}
+	return g, Params{IsSource: src, H: 4, Sigma: 4, Epsilon: 0.5}
 }
 
 // randomReweights returns k reweights of distinct seeded random edges to weights

@@ -26,11 +26,10 @@ func TestPropertyParallelPDEMatchesSequential(t *testing.T) {
 		}
 		src[0] = true
 		p := Params{
-			IsSource:    src,
-			H:           4 + rng.Intn(n/2),
-			Sigma:       1 + rng.Intn(n/2),
-			Epsilon:     []float64{0.5, 1}[rng.Intn(2)],
-			CapMessages: true,
+			IsSource: src,
+			H:        4 + rng.Intn(n/2),
+			Sigma:    1 + rng.Intn(n/2),
+			Epsilon:  []float64{0.5, 1}[rng.Intn(2)],
 		}
 		seq, err1 := Run(g, p, congest.Config{})
 		par, err2 := Run(g, p, congest.Config{Parallel: true, Workers: 1 + rng.Intn(7)})

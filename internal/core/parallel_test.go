@@ -47,7 +47,7 @@ func TestParallelBuildFingerprintAcrossFamilies(t *testing.T) {
 			for v := 0; v < n; v += 2 {
 				src[v] = true
 			}
-			p := Params{IsSource: src, H: 12, Sigma: 6, Epsilon: 0.5, CapMessages: true}
+			p := Params{IsSource: src, H: 12, Sigma: 6, Epsilon: 0.5}
 			seq, err := Run(g, p, congest.Config{})
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
@@ -116,7 +116,7 @@ func TestParallelBuildUsesInstancePool(t *testing.T) {
 // TestHugePoolWidthIsCapped: a requested width far beyond the instance
 // count costs what a small one does. The pool is min(width, instances)
 // goroutines and no per-worker state is sized by the request, so a
-// build_workers of 2²² (reachable from -build-workers and /v1/rebuild)
+// build_workers of 2²² (reachable from -shards and /v1/rebuild)
 // neither allocates per requested worker nor changes the output.
 func TestHugePoolWidthIsCapped(t *testing.T) {
 	g := graph.RandomConnected(64, 0.1, 32, rand.New(rand.NewSource(7)))
@@ -156,7 +156,7 @@ func TestLowestIndexErrorUnderLargestFirstClaims(t *testing.T) {
 	for v := range src {
 		src[v] = v%4 == 0
 	}
-	p := Params{IsSource: src, H: 16, Sigma: 8, Epsilon: 0.5, CapMessages: true, SkipSetup: true}
+	p := Params{IsSource: src, H: 16, Sigma: 8, Epsilon: 0.5, SkipSetup: true}
 	insts := make([]*Instance, NumInstances(g.MaxWeight(), p.Epsilon))
 	todo := make([]int, len(insts))
 	for i := range insts {

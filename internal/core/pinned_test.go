@@ -36,10 +36,10 @@ func TestPinnedFingerprints(t *testing.T) {
 		legacy   uint64
 	}{
 		{"community", 96, 64, func(n int) Params {
-			return Params{IsSource: everyThird(n), H: 16, Sigma: 8, Epsilon: 0.5, CapMessages: true}
+			return Params{IsSource: everyThird(n), H: 16, Sigma: 8, Epsilon: 0.5}
 		}, 0x7d4ba074e734753c, 0x85ab76fe0138c174},
 		{"roadgrid", 100, 64, func(n int) Params {
-			return Params{IsSource: everyThird(n), H: 16, Sigma: 8, Epsilon: 0.5, CapMessages: true}
+			return Params{IsSource: everyThird(n), H: 16, Sigma: 8, Epsilon: 0.5}
 		}, 0x4043e9ea056a24e4, 0x2a20fc5a9829a313},
 		// σ = n: lists long enough to be looked up through the source index.
 		{"random", 64, 4, func(n int) Params { return APSPParams(n, 1) }, 0x2c5ae6110507a2a7, 0xeb09dd9d663f4e3b},

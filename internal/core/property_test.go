@@ -32,7 +32,7 @@ func TestPropertyEstimatesSoundAndComplete(t *testing.T) {
 		eps := []float64{0.25, 0.5, 1}[rng.Intn(3)]
 		p := Params{
 			IsSource: src, H: 1 + rng.Intn(n), Sigma: 1 + rng.Intn(n),
-			Epsilon: eps, CapMessages: true,
+			Epsilon: eps,
 		}
 		res, err := Run(g, p, congest.Config{})
 		if err != nil {

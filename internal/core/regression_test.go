@@ -115,7 +115,7 @@ func TestRouteStretchZeroExact(t *testing.T) {
 // itself, with no error.
 func TestLargeSigmaThroughRun(t *testing.T) {
 	g := graph.Path(3, 4, rand.New(rand.NewSource(1)))
-	p := Params{IsSource: []bool{true, true, true}, H: 3, Sigma: 50000, Epsilon: 0.5, CapMessages: true}
+	p := Params{IsSource: []bool{true, true, true}, H: 3, Sigma: 50000, Epsilon: 0.5}
 	res, err := Run(g, p, congest.Config{})
 	if err != nil {
 		t.Fatal(err)

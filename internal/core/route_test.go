@@ -36,7 +36,7 @@ func TestRoutingStretchAndTermination(t *testing.T) {
 		for v := 0; v < n; v += 2 {
 			src[v] = true
 		}
-		res := run(t, g, core.Params{IsSource: src, H: n, Sigma: 6, Epsilon: eps, CapMessages: true})
+		res := run(t, g, core.Params{IsSource: src, H: n, Sigma: 6, Epsilon: eps})
 		o := oracle.Compile(res)
 		for v := 0; v < n; v++ {
 			for _, e := range res.Lists[v] {
@@ -72,7 +72,7 @@ func TestRouteToSelf(t *testing.T) {
 
 func TestRouteToUnknownSourceFails(t *testing.T) {
 	g := graph.NewBuilder(3).AddEdge(0, 1, 1).AddEdge(1, 2, 1).MustBuild()
-	res := run(t, g, core.Params{IsSource: []bool{true, false, false}, H: 0, Sigma: 1, Epsilon: 0.5, CapMessages: true})
+	res := run(t, g, core.Params{IsSource: []bool{true, false, false}, H: 0, Sigma: 1, Epsilon: 0.5})
 	if _, err := oracle.Compile(res).Route(g, 2, 0); err == nil {
 		t.Fatal("expected routing failure for undetected source")
 	}
@@ -162,7 +162,7 @@ func TestPropertyRoutesNeverExceedEstimates(t *testing.T) {
 		}
 		p := core.Params{
 			IsSource: src, H: n, Sigma: 1 + rng.Intn(n),
-			Epsilon: 0.5, CapMessages: true,
+			Epsilon: 0.5,
 		}
 		res, err := core.Run(g, p, congest.Config{})
 		if err != nil {

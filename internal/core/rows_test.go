@@ -88,7 +88,7 @@ func churnMixedDelta(tb testing.TB) (prev, res *Result) {
 	for v := 0; v < g.N(); v += 3 {
 		src[v] = true
 	}
-	p := Params{IsSource: src, H: 16, Sigma: 8, Epsilon: 0.5, CapMessages: true}
+	p := Params{IsSource: src, H: 16, Sigma: 8, Epsilon: 0.5}
 	if prev, err = Run(g, p, congest.Config{}); err != nil {
 		tb.Fatal(err)
 	}

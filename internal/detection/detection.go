@@ -782,6 +782,9 @@ func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, erro
 	if p.Flags != nil && len(p.Flags) != n {
 		return nil, fmt.Errorf("detection: Flags has %d entries for %d nodes", len(p.Flags), n)
 	}
+	if p.Delays != nil && len(p.Delays) != n {
+		return nil, fmt.Errorf("detection: Delays has %d entries for %d nodes", len(p.Delays), n)
+	}
 	if p.H < 0 || p.Sigma < 0 {
 		return nil, fmt.Errorf("detection: negative H=%d or Sigma=%d", p.H, p.Sigma)
 	}

@@ -310,12 +310,13 @@ func TestHZeroDetectsOnlySelf(t *testing.T) {
 func TestParamValidation(t *testing.T) {
 	g := graph.NewBuilder(2).AddEdge(0, 1, 1).MustBuild()
 	cases := []Params{
-		{IsSource: []bool{true}, H: 1, Sigma: 1},                             // wrong mask size
-		{IsSource: []bool{true, false}, Flags: []uint8{1}, H: 1, Sigma: 1},   // wrong flags size
-		{IsSource: []bool{true, false}, H: -1, Sigma: 1},                     // negative H
-		{IsSource: []bool{true, false}, H: 1, Sigma: -1},                     // negative sigma
-		{IsSource: []bool{true, false}, H: 1, Sigma: 1, Lengths: []int32{}},  // wrong lengths size
-		{IsSource: []bool{true, false}, H: 1, Sigma: 1, Lengths: []int32{0}}, // bad length
+		{IsSource: []bool{true}, H: 1, Sigma: 1},                                                  // wrong mask size
+		{IsSource: []bool{true, false}, Flags: []uint8{1}, H: 1, Sigma: 1},                        // wrong flags size
+		{IsSource: []bool{true, false}, H: -1, Sigma: 1},                                          // negative H
+		{IsSource: []bool{true, false}, H: 1, Sigma: -1},                                          // negative sigma
+		{IsSource: []bool{true, false}, H: 1, Sigma: 1, Lengths: []int32{}},                       // wrong lengths size
+		{IsSource: []bool{true, false}, H: 1, Sigma: 1, Lengths: []int32{0}},                      // bad length
+		{IsSource: []bool{false, true}, H: 1, Sigma: 1, Scheduling: Priority, Delays: []int32{0}}, // short delays
 	}
 	for i, p := range cases {
 		if _, err := Run(g, p, congest.Config{}); err == nil {

@@ -68,8 +68,8 @@ func GeneratorNames() []string {
 	return names
 }
 
-// GeneratorList renders the family names for flag docs and error
-// messages: "community | grid | internet | ...".
+// GeneratorList renders the family names for error messages:
+// "community | grid | internet | ...".
 func GeneratorList() string { return strings.Join(GeneratorNames(), " | ") }
 
 // IsGenerator reports whether name is a known topology family.

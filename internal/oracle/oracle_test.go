@@ -25,7 +25,7 @@ func sweepParams(n, h, sigma int, eps float64) core.Params {
 	for v := 0; v < n; v += 3 {
 		src[v] = true
 	}
-	return core.Params{IsSource: src, H: h, Sigma: sigma, Epsilon: eps, CapMessages: true}
+	return core.Params{IsSource: src, H: h, Sigma: sigma, Epsilon: eps}
 }
 
 // TestOracleMatchesLegacyScans is the bit-identity property test: on every

@@ -197,7 +197,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 	var err error
 	sch.A, err = core.Run(g, core.Params{
 		IsSource: all, Flags: flags, H: h, Sigma: sigma,
-		Epsilon: p.Epsilon, CapMessages: true,
+		Epsilon: p.Epsilon,
 	}, cfg.Sub())
 	if err != nil {
 		return nil, fmt.Errorf("rtc: short-range PDE: %w", err)
@@ -208,7 +208,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 	copy(isSkel, sch.InSkel)
 	sch.B, err = core.Run(g, core.Params{
 		IsSource: isSkel, H: h, Sigma: len(sch.Skeleton),
-		Epsilon: p.Epsilon, CapMessages: true, SkipSetup: true,
+		Epsilon: p.Epsilon, SkipSetup: true,
 	}, cfg.Sub())
 	if err != nil {
 		return nil, fmt.Errorf("rtc: skeleton PDE: %w", err)

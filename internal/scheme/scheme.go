@@ -81,9 +81,11 @@ type Spec struct {
 	Strategy string `json:"strategy,omitempty"`
 	// L0 is the compact truncation level (0 = no truncation).
 	L0 int `json:"l0,omitempty"`
-	// SampleProb overrides the rtc skeleton sampling probability
-	// p = n^{-1/2-1/(4k)} when positive — the knob that forces the
-	// long-range machinery at simulable scale.
+	// SampleProb, when positive, overrides a sampling probability of the
+	// scheme: rtc's skeleton probability p = n^{-1/2-1/(4k)}, and
+	// compact's per-level keep probability n^{-1/k} (compact.Params
+	// SampleBase). Either way it is the knob that forces the long-range
+	// machinery at simulable scale; oracle ignores it.
 	SampleProb float64 `json:"sample_prob,omitempty"`
 }
 
@@ -123,7 +125,7 @@ func (sp Spec) Normalized() Spec {
 func (sp Spec) Validate() error {
 	sp = sp.Normalized()
 	if _, ok := backends[sp.Scheme]; !ok {
-		return fmt.Errorf("unknown scheme %q (want %s)", sp.Scheme, List())
+		return fmt.Errorf("unknown scheme %q (want %s)", sp.Scheme, strings.Join(Names(), " | "))
 	}
 	if !graph.IsGenerator(sp.Topology) {
 		return fmt.Errorf("unknown topology %q (want %s)", sp.Topology, graph.GeneratorList())
@@ -192,7 +194,7 @@ func (sp Spec) Params(n int) core.Params {
 	if sigma <= 0 {
 		sigma = n
 	}
-	return core.Params{IsSource: src, H: h, Sigma: sigma, Epsilon: sp.Eps, CapMessages: true}
+	return core.Params{IsSource: src, H: h, Sigma: sigma, Epsilon: sp.Eps}
 }
 
 // Accounting is the per-scheme cost sheet /v1/stats and the scheme bench
@@ -273,9 +275,6 @@ func Names() []string {
 	sort.Strings(names)
 	return names
 }
-
-// List renders the scheme names for flag docs and error messages.
-func List() string { return strings.Join(Names(), " | ") }
 
 // Build generates sp's topology and builds its backend over it. The
 // returned instance's Spec() is the normalized spec.

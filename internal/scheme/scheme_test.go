@@ -49,9 +49,6 @@ func TestRegistryNames(t *testing.T) {
 			t.Fatalf("Names() = %v, want %v", names, want)
 		}
 	}
-	if !strings.Contains(List(), "oracle") {
-		t.Fatalf("List() = %q should mention oracle", List())
-	}
 }
 
 func TestValidateRejectsBadSpecs(t *testing.T) {
