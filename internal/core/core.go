@@ -88,13 +88,12 @@ type Instance struct {
 	Det *detection.Result
 
 	// digest memoizes the instance's share of Result.Fingerprint. It is
-	// filled on the first Fingerprint, never by Build (digesting every
-	// instance in buildOne made a cold build 15 % slower), and an instance
-	// that Build reuses by pointer carries it into the next generation.
-	digest struct {
-		once sync.Once
-		sum  uint64
-	}
+	// filled on the first Fingerprint, not by a cold Build (digesting every
+	// instance in buildOne made a cold build 15 % slower); an instance that
+	// Build reuses by pointer carries it into the next generation, and one
+	// it repairs from a digested instance gets it from that one's, with
+	// only the region's rows digested again.
+	digest atomic.Pointer[instDigest]
 }
 
 // Result is the full PDE output.
@@ -125,6 +124,11 @@ type Result struct {
 	BroadcastsByNode []int64
 	// Params echoes the configuration.
 	Params Params
+
+	// rows memoizes one digest word per row of Lists for Fingerprint; a
+	// delta build from a digested prev takes the unmoved rows' words from
+	// it.
+	rows atomic.Pointer[[]uint64]
 
 	// moved[v] is false when v's row is prev's: every instance's list at v
 	// equals the list of the previous result Build was handed, so Lists[v]
@@ -232,14 +236,20 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 
 // Build is the one build path: Run is Build without a previous result,
 // Patch is Build with one. When prev is non-nil it must be a result of
-// the same Params on a graph with g's structure (same nodes, edges and
-// edge ids); every rounding instance whose base and subdivided lengths
-// on g are identical to prev's is then reused by pointer instead of
-// re-detected. When the hierarchy kept its depth, each re-detected list
-// is compared with prev's, and only the rows where one differs are
-// computed again; the others are prev's rows, in Lists and in Table. The
-// output is bit-identical to a fresh Run on g either way, and the stats
-// say how much of the hierarchy was reused.
+// the same Params (Build refuses other ones, SkipSetup aside) on a graph
+// with g's structure (same nodes, edges and edge ids); every rounding
+// instance whose base and subdivided lengths on g (clamped at h′+1) are
+// identical to prev's is then reused by pointer instead of re-detected,
+// and one whose base is prev's is repaired from prev's
+// (detection.Arena.Repair) where that is cheaper than a full run. When
+// the hierarchy kept its depth, each re-detected list is compared with
+// prev's — a repaired instance's only in its region — and only the rows
+// where one differs are computed again; the others are prev's rows, in
+// Lists and in Table. The lists and table are bit-identical to a fresh
+// Run on g either way, and so is everything Fingerprint covers; the
+// accounting counts the work this build did, so a repaired instance
+// contributes its sub-runs' rounds, messages and broadcasts. The stats say
+// how much of the hierarchy was reused and what the repairs cost.
 func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, PatchStats, error) {
 	var ps PatchStats
 	n := g.N()
@@ -254,6 +264,9 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	}
 	if p.H < 0 || p.Sigma < 0 {
 		return nil, ps, fmt.Errorf("core: negative H=%d or Sigma=%d", p.H, p.Sigma)
+	}
+	if prev != nil && !sameRecipe(prev.Params, p) {
+		return nil, ps, fmt.Errorf("core: the previous result was built with other params; build without it")
 	}
 	res := &Result{
 		HPrime:           HPrimeFor(p.H, p.Epsilon),
@@ -304,13 +317,21 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 			p.Epsilon, num, maxW, maxHierarchyInstances)
 	}
 	insts := make([]*Instance, num)
+	// from[i] is prev's instance i when the new one is re-detected on the
+	// same base, so that a worker can repair it instead; reps[i] is then
+	// what the repair did (a nil Result: detected in full).
+	from := make([]*Instance, num)
+	reps := make([]detection.Repaired, num)
 	var todo []int
 	for i := range insts {
 		base := math.Pow(1+p.Epsilon, float64(i))
-		lengths := instanceLengths(g, base)
+		lengths := instanceLengths(g, base, res.HPrime)
 		if insts[i] = prev.reusable(i, base, lengths); insts[i] == nil {
 			insts[i] = &Instance{Base: base, Lengths: lengths}
 			todo = append(todo, i)
+			if prev != nil && i < len(prev.Instances) && prev.Instances[i].Base == base {
+				from[i] = prev.Instances[i]
+			}
 		}
 	}
 	claimOrder(todo, insts, res.HPrime)
@@ -350,7 +371,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 					continue
 				}
 				inst := insts[i]
-				det, err := arena.Run(g, detection.Params{
+				dp := detection.Params{
 					IsSource:    p.IsSource,
 					Flags:       p.Flags,
 					H:           res.HPrime,
@@ -360,7 +381,16 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 					Scheduling:  sched,
 					Delays:      p.Delays,
 					ExtraRounds: p.ExtraRounds,
-				}, detCfg)
+				}
+				var det *detection.Result
+				var err error
+				if old := from[i]; old != nil {
+					reps[i], err = arena.Repair(g, dp, detCfg, old.Det, old.Lengths)
+					det = reps[i].Result
+				}
+				if det == nil && err == nil {
+					det, err = arena.Run(g, dp, detCfg)
+				}
 				if err != nil {
 					errs[i] = fmt.Errorf("core: instance %d: %w", i, err)
 					for f := failedAt.Load(); int64(i) < f; f = failedAt.Load() {
@@ -382,6 +412,15 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	}
 
 	ps.Instances, ps.Rebuilt, ps.Reused = num, len(todo), num-len(todo)
+	for _, i := range todo {
+		if rep := reps[i]; rep.Result != nil {
+			ps.Repaired++
+			ps.RepairRounds += rep.Metrics.ActiveRounds
+			ps.RepairMessages += rep.Metrics.Messages
+			ps.RepairNodes += rep.Halo
+			insts[i].carryDigest(from[i], rep.Region)
+		}
+	}
 
 	// Deterministic merge: accounting accumulates in ascending instance
 	// order regardless of build order.
@@ -399,20 +438,31 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	res.BudgetRounds += res.SetupRounds
 
 	if prev != nil && len(prev.Instances) == num && len(prev.Lists) == n {
-		res.moved = movedRows(insts, prev.Instances, todo, n)
+		res.moved = movedRows(insts, prev.Instances, todo, reps, n)
 	}
 	res.Table, res.Lists = layRows(insts, n, p.Sigma, prev, res.moved)
+	if res.moved != nil {
+		res.carryRowDigests(prev)
+	}
 	return res, ps, nil
 }
 
 // movedRows marks the nodes at which some re-detected instance's list
 // differs from the same instance's list in prev. Instances reused by
-// pointer are equal by construction and are not compared. Equal depth
-// means equal bases, b(i) = (1+ε)^i for the same ε.
-func movedRows(insts, prev []*Instance, todo []int, n int) []bool {
+// pointer are equal by construction and are not compared, and a repaired
+// instance is compared only in its region: every other list of it is a
+// copy of prev's. Equal depth means equal bases, b(i) = (1+ε)^i for the
+// same ε.
+func movedRows(insts, prev []*Instance, todo []int, reps []detection.Repaired, n int) []bool {
 	moved := make([]bool, n)
 	for _, i := range todo {
 		cur, old := insts[i].Det.Lists, prev[i].Det.Lists
+		if reps[i].Result != nil {
+			for _, v := range reps[i].Region {
+				moved[v] = moved[v] || !slices.Equal(cur[v], old[v])
+			}
+			continue
+		}
 		for v := range moved {
 			if !moved[v] && !slices.Equal(cur[v], old[v]) {
 				moved[v] = true

@@ -11,10 +11,10 @@ import (
 )
 
 // linearFingerprint is Result.Fingerprint as it was before the instances
-// entered through memoized digests: one walk over every instance's lists.
-// It is the reference the re-pin is checked against — TestPinnedFingerprints
-// holds each old constant to it, so the fold changed the hash and nothing
-// the hash covers.
+// entered through memoized digests: one walk over the accounting and
+// every instance's lists. It is the reference the re-pins are checked
+// against — TestPinnedFingerprints holds each old constant to it, so the
+// folds changed the hash, and a cold build's accounting is still held.
 func linearFingerprint(r *Result) uint64 {
 	f := fingerprint.New()
 	f.I64(int64(r.HPrime))
@@ -53,13 +53,8 @@ func linearFingerprint(r *Result) uint64 {
 	return f.Sum()
 }
 
-// digested reports whether inst's digest was already computed. It spends
-// the memo's once when it was not, so call it only on a throwaway result.
-func digested(inst *Instance) bool {
-	fresh := false
-	inst.digest.once.Do(func() { fresh = true })
-	return !fresh
-}
+// digested reports whether inst's digest was already computed.
+func digested(inst *Instance) bool { return inst.digest.Load() != nil }
 
 // memoSound fails unless every instance's memoized digest is what a fresh
 // walk of its tables gives.
@@ -67,7 +62,7 @@ func memoSound(t *testing.T, label string, r *Result) {
 	t.Helper()
 	r.Fingerprint()
 	for i, inst := range r.Instances {
-		if got, want := inst.digest.sum, digestInstance(inst); got != want {
+		if got, want := inst.digest.Load().sum, digestInstance(inst).sum; got != want {
 			t.Errorf("%s: instance %d memoized digest %016x, fresh walk %016x", label, i, got, want)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -28,6 +29,20 @@ func buildFamilies(seed int64) map[string]func() *graph.Graph {
 		"powerlaw":  func() *graph.Graph { return graph.BarabasiAlbert(56, 3, 24, rng()) },
 		"community": func() *graph.Graph { return graph.Community(56, 4, 0.2, 0.02, 24, rng()) },
 		"roadgrid":  func() *graph.Graph { return graph.RoadGrid(7, 8, 0.3, 24, rng()) },
+	}
+}
+
+// sameAccounting fails unless a and b did the same work: the fingerprint
+// names outputs only, so the width-determinism tests hold the accounting
+// field by field.
+func sameAccounting(t *testing.T, label string, a, b *Result) {
+	t.Helper()
+	if a.ActiveRounds != b.ActiveRounds || a.Messages != b.Messages || a.MessageBits != b.MessageBits {
+		t.Fatalf("%s: accounting (%d rounds, %d messages, %d bits) != (%d, %d, %d)", label,
+			b.ActiveRounds, b.Messages, b.MessageBits, a.ActiveRounds, a.Messages, a.MessageBits)
+	}
+	if !reflect.DeepEqual(a.BroadcastsByNode, b.BroadcastsByNode) {
+		t.Fatalf("%s: broadcast accounting diverges", label)
 	}
 }
 
@@ -63,9 +78,7 @@ func TestParallelBuildFingerprintAcrossFamilies(t *testing.T) {
 				if !reflect.DeepEqual(seq.Lists, par.Lists) {
 					t.Fatalf("workers=%d: output lists diverge despite equal fingerprints", workers)
 				}
-				if !reflect.DeepEqual(seq.BroadcastsByNode, par.BroadcastsByNode) {
-					t.Fatalf("workers=%d: broadcast accounting diverges", workers)
-				}
+				sameAccounting(t, fmt.Sprintf("workers=%d", workers), seq, par)
 				for i := range seq.Instances {
 					if !reflect.DeepEqual(seq.Instances[i].Det.Lists, par.Instances[i].Det.Lists) {
 						t.Fatalf("workers=%d: instance %d detection lists diverge", workers, i)
@@ -161,7 +174,7 @@ func TestLowestIndexErrorUnderLargestFirstClaims(t *testing.T) {
 	todo := make([]int, len(insts))
 	for i := range insts {
 		base := math.Pow(1+p.Epsilon, float64(i))
-		insts[i], todo[i] = &Instance{Base: base, Lengths: instanceLengths(g, base)}, i
+		insts[i], todo[i] = &Instance{Base: base, Lengths: instanceLengths(g, base, HPrimeFor(p.H, p.Epsilon))}, i
 	}
 	claimOrder(todo, insts, HPrimeFor(p.H, p.Epsilon))
 	t.Logf("claim order %v", todo)
@@ -178,10 +191,12 @@ func TestLowestIndexErrorUnderLargestFirstClaims(t *testing.T) {
 }
 
 // TestFingerprintDetectsTampering guards the guard: a fingerprint that
-// failed to cover the output lists, the accounting or the instance tables
-// would let a real divergence slip through every check built on it. The
-// instance tables enter through a digest memoized on first use, so their
-// tampering is planted in a fresh result, before its first fingerprint.
+// failed to cover the output lists, the round budget or the instance
+// tables would let a real divergence slip through every check built on
+// it. Lists and instance tables enter through digests memoized on first
+// use, so each tampering is planted in a fresh result, before its first
+// fingerprint. The work accounting is not an output — a repaired instance
+// does less of it — and moving it leaves the fingerprint alone.
 func TestFingerprintDetectsTampering(t *testing.T) {
 	g := graph.RandomConnected(32, 0.1, 16, rand.New(rand.NewSource(3)))
 	p := APSPParams(32, 0.5)
@@ -192,24 +207,31 @@ func TestFingerprintDetectsTampering(t *testing.T) {
 		}
 		return res
 	}
-	res := build()
-	base := res.Fingerprint()
-
-	res.Lists[5][0].Dist += 1
-	if res.Fingerprint() == base {
-		t.Error("fingerprint ignores output-list distances")
-	}
-	res.Lists[5][0].Dist -= 1
-
-	res.Messages++
-	if res.Fingerprint() == base {
-		t.Error("fingerprint ignores message accounting")
-	}
-	res.Messages--
+	base := build().Fingerprint()
 
 	fresh := build()
+	fresh.Lists[5][0].Dist += 1
+	if fresh.Fingerprint() == base {
+		t.Error("fingerprint ignores output-list distances")
+	}
+
+	fresh = build()
+	fresh.BudgetRounds++
+	if fresh.Fingerprint() == base {
+		t.Error("fingerprint ignores the round budget")
+	}
+
+	fresh = build()
 	fresh.Instances[0].Det.Lists[3] = fresh.Instances[0].Det.Lists[3][:0]
 	if fresh.Fingerprint() == base {
 		t.Error("fingerprint ignores instance detection lists")
+	}
+
+	fresh = build()
+	fresh.Messages++
+	fresh.ActiveRounds++
+	fresh.BroadcastsByNode[0]++
+	if fresh.Fingerprint() != base {
+		t.Error("fingerprint covers the work accounting, which a repair changes")
 	}
 }

@@ -11,14 +11,24 @@ import (
 
 // PatchStats accounts one Build: how many rounding instances the
 // hierarchy has and how many of them were rebuilt versus reused from the
-// previous result (none reused when there was no previous result).
+// previous result (none reused when there was no previous result), and
+// what the repaired ones cost in the paper's currency.
 type PatchStats struct {
 	// Instances is i_max+1 on the updated graph.
 	Instances int
-	// Rebuilt counts instances whose detection re-ran.
+	// Rebuilt counts instances whose detection re-ran, in full or as a
+	// repair.
 	Rebuilt int
 	// Reused counts instances carried over from prev by pointer.
 	Reused int
+	// Repaired counts the rebuilt instances that detection.Arena.Repair
+	// redid on a halo around the moved edges instead of on all n nodes.
+	Repaired int
+	// RepairRounds and RepairMessages total the repairs' active rounds and
+	// real messages, and RepairNodes the nodes their sub-runs ran on.
+	RepairRounds   int
+	RepairMessages int64
+	RepairNodes    int
 }
 
 // Damage is Rebuilt/Instances — the affected fraction of the hierarchy
@@ -32,17 +42,23 @@ func (ps PatchStats) Damage() float64 {
 
 // instanceLengths returns the subdivided lengths ⌈W(e)/base⌉ (at least
 // 1) of one rounding instance on g, indexed by edge id — the only
-// definition of the §3 rounding.
-func instanceLengths(g *graph.Graph, base float64) []int32 {
+// definition of the §3 rounding — clamped at h′+1. Detection leaves out
+// every edge longer than h′, so two instances whose lengths differ only
+// beyond h′ are the same run, and the clamp lets reusable see that.
+func instanceLengths(g *graph.Graph, base float64, hPrime int) []int32 {
 	lengths := make([]int32, g.M())
+	beyond := float64(hPrime) + 1
 	g.Edges(func(_, _ int, w graph.Weight, id int32) {
-		l := int32(math.Ceil(float64(w) / base))
-		if l < 1 {
-			l = 1
-		}
-		lengths[id] = l
+		lengths[id] = int32(max(1, min(math.Ceil(float64(w)/base), beyond)))
 	})
 	return lengths
+}
+
+// sameRecipe reports whether prev's params build what p builds, up to the
+// graph: everything but SkipSetup, which only adds setup accounting.
+func sameRecipe(a, b Params) bool {
+	return a.H == b.H && a.Sigma == b.Sigma && a.Epsilon == b.Epsilon && a.ExtraRounds == b.ExtraRounds &&
+		slices.Equal(a.IsSource, b.IsSource) && slices.Equal(a.Flags, b.Flags) && slices.Equal(a.Delays, b.Delays)
 }
 
 // reusable returns prev's instance i when detection on a graph of the
@@ -62,8 +78,9 @@ func (prev *Result) reusable(i int, base float64, lengths []int32) *Instance {
 
 // AffectedInstances reports, for each rounding instance the updated
 // graph g needs, whether prev's instance can NOT be reused: index i is
-// true when instance i must be re-detected (its subdivided lengths on g
-// differ from prev's, or prev has no instance i). The slice has
+// true when instance i must be re-detected, in full or as a repair (its
+// subdivided lengths on g, clamped at h′+1, differ from prev's, or prev
+// has no instance i). The slice has
 // NumInstances(g.MaxWeight(), prev.Params.Epsilon) entries, so a w_max
 // change that deepens the hierarchy marks the new tail instances
 // affected and one that shrinks it just drops the prev tail.
@@ -74,7 +91,7 @@ func AffectedInstances(g *graph.Graph, prev *Result) []bool {
 	affected := make([]bool, NumInstances(g.MaxWeight(), prev.Params.Epsilon))
 	for i := range affected {
 		base := math.Pow(1+prev.Params.Epsilon, float64(i))
-		affected[i] = prev.reusable(i, base, instanceLengths(g, base)) == nil
+		affected[i] = prev.reusable(i, base, instanceLengths(g, base, prev.HPrime)) == nil
 	}
 	return affected
 }

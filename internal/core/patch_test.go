@@ -192,6 +192,7 @@ func TestPatchParallelMatchesSequential(t *testing.T) {
 	if seq.Fingerprint() != par.Fingerprint() {
 		t.Fatalf("parallel patch fingerprint %016x != sequential %016x", par.Fingerprint(), seq.Fingerprint())
 	}
+	sameAccounting(t, "parallel patch", seq, par)
 }
 
 func TestPatchRejectsStructuralDrift(t *testing.T) {

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pde/internal/congest"
@@ -124,5 +125,45 @@ func TestLargeSigmaThroughRun(t *testing.T) {
 		if len(l) != 3 {
 			t.Fatalf("node %d holds %d estimates, want 3: %+v", v, len(l), l)
 		}
+	}
+}
+
+// TestBuildRejectsPrevOfOtherParams: a delta build takes prev's instances
+// and, for a repair, prev's list radii, so a prev built with other params
+// would hand out lists of another problem. A prev built with σ = 8 and
+// handed to a σ = 2 build once reused instances and returned a table unlike
+// a cold run's, with no error. Every field that shapes an instance must
+// match; SkipSetup, which only adds setup accounting, need not.
+func TestBuildRejectsPrevOfOtherParams(t *testing.T) {
+	g, p := deltaGraph(t, 144)
+	p.Sigma = 8
+	prev, err := Run(g, p, congest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := func(edit func(q *Params)) Params {
+		q := p
+		q.IsSource = append([]bool(nil), p.IsSource...)
+		edit(&q)
+		return q
+	}
+	flags := make([]uint8, g.N())
+	flags[0] = 1
+	for name, q := range map[string]Params{
+		"H":           other(func(q *Params) { q.H++ }),
+		"Sigma":       other(func(q *Params) { q.Sigma = 2 }),
+		"Epsilon":     other(func(q *Params) { q.Epsilon = 0.25 }),
+		"IsSource":    other(func(q *Params) { q.IsSource[1] = !q.IsSource[1] }),
+		"Flags":       other(func(q *Params) { q.Flags = flags }),
+		"Delays":      other(func(q *Params) { q.Delays = make([]int32, g.N()) }),
+		"ExtraRounds": other(func(q *Params) { q.ExtraRounds = 3 }),
+	} {
+		if _, _, err := Build(g, q, congest.Config{}, prev); err == nil || !strings.Contains(err.Error(), "other params") {
+			t.Errorf("%s differs from prev's: err = %v, want a refusal", name, err)
+		}
+	}
+	q := other(func(q *Params) { q.SkipSetup = true })
+	if _, ps, err := Build(g, q, congest.Config{}, prev); err != nil || ps.Reused != ps.Instances {
+		t.Errorf("prev differing in SkipSetup only: %+v, %v; want every instance reused", ps, err)
 	}
 }

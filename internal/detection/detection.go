@@ -679,6 +679,7 @@ type Arena struct {
 	procs  []congest.Proc
 	sh     shared
 	eng    congest.Engine
+	rs     repairScratch
 }
 
 // resize returns s with length n, reallocated only if it is too small.
@@ -775,6 +776,34 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 
 // Run is the package's Run with the units' storage taken from a.
 func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
+	met, err := a.exec(g, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	n := g.N()
+	res := &Result{
+		Lists:     make([][]Entry, n),
+		SelfEmits: make([]int64, n),
+		Budget:    met.BudgetRounds,
+		Metrics:   met,
+	}
+	// The output lists are copies, cut from one slab.
+	total := 0
+	for v := range a.states {
+		total += int(a.states[v].self.n)
+	}
+	out := make([]Entry, total)
+	for v := range a.states {
+		l := len(a.output(v, out[:0]))
+		res.Lists[v], out = out[:l:l], out[l:]
+		res.SelfEmits[v] = int64(a.states[v].self.sentCnt)
+	}
+	return res, nil
+}
+
+// exec validates p, lays the run out in a and runs it; the node states
+// hold its outcome until the next run.
+func (a *Arena) exec(g *graph.Graph, p Params, cfg congest.Config) (*congest.Metrics, error) {
 	n := g.N()
 	if len(p.IsSource) != n {
 		return nil, fmt.Errorf("detection: IsSource has %d entries for %d nodes", len(p.IsSource), n)
@@ -813,7 +842,6 @@ func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, erro
 	}
 	a.sh = shared{p: p, sigma: p.Sigma, beyond: pack(int32(p.H)+1, 0), capLimit: int32(capLimit), sched: sched}
 	a.layout(g)
-	sh, states := &a.sh, a.states
 	// Derive the engine config explicitly: keep the caller's engine knobs
 	// plus budget/observer, so nothing else ever leaks into the run.
 	run := cfg.Sub()
@@ -822,33 +850,17 @@ func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, erro
 		run.MaxRounds = Budget(p)
 	}
 	run.Observer = cfg.Observer
-	met, err := a.eng.Run(g, a.procs, run)
-	if err != nil {
-		return nil, err
+	return a.eng.Run(g, a.procs, run)
+}
+
+// output appends node v's list as the last run left it to out.
+func (a *Arena) output(v int, out []Entry) []Entry {
+	st := &a.states[v]
+	for i, k := range st.list(&st.self) {
+		m := a.sh.msg(k)
+		out = append(out, Entry{Dist: m.dist, Src: m.src, Via: st.via[i], Flag: m.flag})
 	}
-	res := &Result{
-		Lists:     make([][]Entry, n),
-		SelfEmits: make([]int64, n),
-		Budget:    run.MaxRounds,
-		Metrics:   met,
-	}
-	// The output lists are copies, cut from one slab.
-	total := 0
-	for v := range states {
-		total += int(states[v].self.n)
-	}
-	out := make([]Entry, total)
-	for v := range states {
-		st := &states[v]
-		l := st.list(&st.self)
-		res.Lists[v], out = out[:len(l):len(l)], out[len(l):]
-		for i, k := range l {
-			m := sh.msg(k)
-			res.Lists[v][i] = Entry{Dist: m.dist, Src: m.src, Via: st.via[i], Flag: m.flag}
-		}
-		res.SelfEmits[v] = int64(st.self.sentCnt)
-	}
-	return res, nil
+	return out
 }
 
 // BruteForce computes the exact (S, h, σ)-detection answer centrally, for

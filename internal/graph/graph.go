@@ -226,3 +226,52 @@ func (g *Graph) Connected() bool {
 	}
 	return cnt == n
 }
+
+// Induced returns the subgraph on nodes (ascending ids of g, no repeats)
+// with nodes[j] relabelled j, keeping the edges between two of them for
+// which keep holds, together with each kept edge's id in g, indexed by its
+// id in the subgraph. index[v] must be v's position in nodes, or -1 when v
+// is not one of them. The relabelling keeps the order of the ids, so
+// every adjacency list keeps its order and an edge's lower endpoint stays
+// the lower one.
+func (g *Graph) Induced(nodes, index []int32, keep func(Edge) bool) (*Graph, []int32) {
+	deg := 0
+	for _, v := range nodes {
+		for _, e := range g.adj[v] {
+			if index[e.To] >= 0 && keep(e) {
+				deg++
+			}
+		}
+	}
+	adj := make([][]Edge, len(nodes))
+	slab := make([]Edge, 0, deg)
+	ids := make([]int32, 0, deg/2)
+	var maxW Weight
+	for j, v := range nodes {
+		from := len(slab)
+		for _, e := range g.adj[v] {
+			if k := index[e.To]; k >= 0 && keep(e) {
+				slab = append(slab, Edge{To: int(k), W: e.W, ID: e.ID})
+				maxW = max(maxW, e.W)
+			}
+		}
+		adj[j] = slab[from:len(slab):len(slab)]
+	}
+	// The lower endpoint numbers each edge; the higher one's port is found
+	// by id order, since both lists are sorted by neighbour.
+	for j := range adj {
+		for p := range adj[j] {
+			e := &adj[j][p]
+			if j > e.To {
+				continue
+			}
+			back := adj[e.To]
+			q := sort.Search(len(back), func(i int) bool { return back[i].To >= j })
+			id := int32(len(ids))
+			ids = append(ids, e.ID)
+			e.ID, e.Back = id, int32(q)
+			back[q].ID, back[q].Back = id, int32(p)
+		}
+	}
+	return &Graph{adj: adj, m: len(ids), max: maxW}, ids
+}

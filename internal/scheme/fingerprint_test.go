@@ -8,7 +8,9 @@ import (
 // TestOracleFingerprintIsTheGenerationsIdentity: the instance's digest is
 // its result's, computed once — concurrent first callers agree (run under
 // -race), and a later mutation of the result moves Res.Fingerprint() but
-// not the value the generation was published under.
+// not the value the generation was published under. (The mutation is of
+// the round budget: the lists enter through row digests the result
+// memoizes, so a list edited after the first digest is not seen.)
 func TestOracleFingerprintIsTheGenerationsIdentity(t *testing.T) {
 	in := mustBuild(t, oracleSpec()).(*OracleInstance)
 	want := in.Res.Fingerprint()
@@ -30,13 +32,9 @@ func TestOracleFingerprintIsTheGenerationsIdentity(t *testing.T) {
 		}
 	}
 
-	v := 0
-	for len(in.Res.Lists[v]) == 0 {
-		v++
-	}
-	in.Res.Lists[v][0].Via ^= 1
+	in.Res.BudgetRounds++
 	if in.Res.Fingerprint() == want {
-		t.Fatal("flipping a list entry did not move Res.Fingerprint(); the test mutates nothing the digest covers")
+		t.Fatal("moving the round budget did not move Res.Fingerprint(); the test mutates nothing the digest covers")
 	}
 	if fp := in.Fingerprint(); fp != want {
 		t.Fatalf("instance answers %016x after its result was mutated, was published as %016x", fp, want)

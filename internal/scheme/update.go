@@ -20,9 +20,18 @@ type UpdateStats struct {
 	Path string
 	// InstancesTotal, InstancesRebuilt and InstancesReused break the
 	// rounding hierarchy down (all zero for backends without one).
+	// InstancesRebuilt counts full re-detections and repairs alike.
 	InstancesTotal   int
 	InstancesRebuilt int
 	InstancesReused  int
+	// InstancesRepaired counts the rebuilt instances that were repaired
+	// on a halo around the moved edges; RepairRounds, RepairMessages and
+	// RepairNodes total the active rounds, real messages and nodes of
+	// their sub-runs (core.PatchStats).
+	InstancesRepaired int
+	RepairRounds      int
+	RepairMessages    int64
+	RepairNodes       int
 	// Damage is InstancesRebuilt/InstancesTotal, the fraction of the
 	// hierarchy that was re-detected (1 on the rebuild path).
 	Damage float64
@@ -74,6 +83,7 @@ func (in *OracleInstance) UpdateGraph(g *graph.Graph) (Instance, UpdateStats, er
 		return nil, st, err
 	}
 	st.InstancesTotal, st.InstancesRebuilt, st.InstancesReused = ps.Instances, ps.Rebuilt, ps.Reused
+	st.InstancesRepaired, st.RepairRounds, st.RepairMessages, st.RepairNodes = ps.Repaired, ps.RepairRounds, ps.RepairMessages, ps.RepairNodes
 	st.Damage = ps.Damage()
 	return ni, st, nil
 }

@@ -36,7 +36,10 @@ type UpdateRequest struct {
 // (old/new fingerprint), which path served it ("delta" = structure held
 // and the previous build's instances were offered for reuse, "rebuild" =
 // structure changed or the scheme has no incremental path), how much of
-// the hierarchy was re-detected, and the batch's shape. UpdateNS runs from
+// the hierarchy was re-detected — instances_rebuilt counts full runs and
+// repairs, instances_repaired the repairs alone, whose sub-runs took
+// repair_rounds active rounds and repair_messages real messages on
+// repair_nodes nodes — and the batch's shape. UpdateNS runs from
 // the request decoded to the new generation published: changes applied,
 // build, verify, digest, swap.
 type UpdateResponse struct {
@@ -51,14 +54,20 @@ type UpdateResponse struct {
 	InstancesTotal   int     `json:"instances_total"`
 	InstancesRebuilt int     `json:"instances_rebuilt"`
 	InstancesReused  int     `json:"instances_reused"`
-	Reweights        int     `json:"reweights"`
-	Inserts          int     `json:"inserts"`
-	Deletes          int     `json:"deletes"`
-	TopologyChanged  bool    `json:"topology_changed"`
-	Verified         bool    `json:"verified"`
-	UpdateNS         int64   `json:"update_ns"`
-	N                int     `json:"n"`
-	M                int     `json:"m"`
+	// InstancesRepaired, RepairRounds, RepairMessages and RepairNodes
+	// are scheme.UpdateStats' repair accounting.
+	InstancesRepaired int   `json:"instances_repaired"`
+	RepairRounds      int   `json:"repair_rounds"`
+	RepairMessages    int64 `json:"repair_messages"`
+	RepairNodes       int   `json:"repair_nodes"`
+	Reweights         int   `json:"reweights"`
+	Inserts           int   `json:"inserts"`
+	Deletes           int   `json:"deletes"`
+	TopologyChanged   bool  `json:"topology_changed"`
+	Verified          bool  `json:"verified"`
+	UpdateNS          int64 `json:"update_ns"`
+	N                 int   `json:"n"`
+	M                 int   `json:"m"`
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -141,22 +150,26 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	sl.stats.lastUpdateUnixNS.Store(time.Now().UnixNano())
 
 	writeJSON(w, &UpdateResponse{
-		Shard:            req.Shard,
-		OldFingerprint:   oldFP,
-		NewFingerprint:   sh.fp,
-		Changed:          oldFP != sh.fp,
-		Path:             st.Path,
-		Damage:           st.Damage,
-		InstancesTotal:   st.InstancesTotal,
-		InstancesRebuilt: st.InstancesRebuilt,
-		InstancesReused:  st.InstancesReused,
-		Reweights:        sum.Reweights,
-		Inserts:          sum.Inserts,
-		Deletes:          sum.Deletes,
-		TopologyChanged:  sum.TopologyChanged,
-		Verified:         req.Verify,
-		UpdateNS:         updateNS,
-		N:                sh.g.N(),
-		M:                sh.g.M(),
+		Shard:             req.Shard,
+		OldFingerprint:    oldFP,
+		NewFingerprint:    sh.fp,
+		Changed:           oldFP != sh.fp,
+		Path:              st.Path,
+		Damage:            st.Damage,
+		InstancesTotal:    st.InstancesTotal,
+		InstancesRebuilt:  st.InstancesRebuilt,
+		InstancesReused:   st.InstancesReused,
+		InstancesRepaired: st.InstancesRepaired,
+		RepairRounds:      st.RepairRounds,
+		RepairMessages:    st.RepairMessages,
+		RepairNodes:       st.RepairNodes,
+		Reweights:         sum.Reweights,
+		Inserts:           sum.Inserts,
+		Deletes:           sum.Deletes,
+		TopologyChanged:   sum.TopologyChanged,
+		Verified:          req.Verify,
+		UpdateNS:          updateNS,
+		N:                 sh.g.N(),
+		M:                 sh.g.M(),
 	})
 }

@@ -57,6 +57,13 @@ func TestUpdateDeltaEndToEnd(t *testing.T) {
 	if ur.Damage <= 0 || ur.Damage > 1 {
 		t.Fatalf("damage %v out of (0,1]", ur.Damage)
 	}
+	// Repairs are a share of the rebuilt instances, and a halo that ran
+	// is one that was counted.
+	if ur.InstancesRepaired < 0 || ur.InstancesRepaired > ur.InstancesRebuilt ||
+		(ur.InstancesRepaired == 0 && ur.RepairNodes+ur.RepairRounds+int(ur.RepairMessages) != 0) ||
+		(ur.RepairRounds > 0 && ur.RepairNodes == 0) {
+		t.Fatalf("implausible repair accounting %+v", ur)
+	}
 	if ur.OldFingerprint != before.fp {
 		t.Fatalf("old fingerprint %s, want %s", ur.OldFingerprint, before.fp)
 	}
