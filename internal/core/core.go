@@ -238,18 +238,20 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 // Patch is Build with one. When prev is non-nil it must be a result of
 // the same Params (Build refuses other ones, SkipSetup aside) on a graph
 // with g's structure (same nodes, edges and edge ids); every rounding
-// instance whose base and subdivided lengths on g (clamped at h′+1) are
-// identical to prev's is then reused by pointer instead of re-detected,
-// and one whose base is prev's is repaired from prev's
-// (detection.Arena.Repair) where that is cheaper than a full run. When
+// instance whose subdivided lengths on g (clamped at h′+1) are identical
+// to prev's is then reused by pointer instead of re-detected, and every
+// other instance prev has is repaired from prev's
+// (detection.Arena.Repair) unless the repair falls back to a full run. When
 // the hierarchy kept its depth, each re-detected list is compared with
 // prev's — a repaired instance's only in its region — and only the rows
 // where one differs are computed again; the others are prev's rows, in
 // Lists and in Table. The lists and table are bit-identical to a fresh
-// Run on g either way, and so is everything Fingerprint covers; the
-// accounting counts the work this build did, so a repaired instance
-// contributes its sub-runs' rounds, messages and broadcasts. The stats say
-// how much of the hierarchy was reused and what the repairs cost.
+// Run on g either way, and so is everything Fingerprint covers. The
+// accounting (ActiveRounds, Messages, MessageBits, BroadcastsByNode) sums
+// each instance's own Metrics and SelfEmits, those of whatever built it: a
+// cold run, a full re-detection or a repair, in this build or an earlier
+// one. It is a cold run's only for a cold build; what this update itself
+// cost is in the stats, PatchStats.Repair* for the repairs.
 func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, PatchStats, error) {
 	var ps PatchStats
 	n := g.N()
@@ -317,19 +319,20 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 			p.Epsilon, num, maxW, maxHierarchyInstances)
 	}
 	insts := make([]*Instance, num)
-	// from[i] is prev's instance i when the new one is re-detected on the
-	// same base, so that a worker can repair it instead; reps[i] is then
-	// what the repair did (a nil Result: detected in full).
+	// from[i] is prev's instance i when the new one is re-detected, so
+	// that a worker can repair it instead; reps[i] is then what the repair
+	// did (a nil Result: detected in full). sameRecipe holds ε, and so
+	// every base, equal to prev's.
 	from := make([]*Instance, num)
 	reps := make([]detection.Repaired, num)
 	var todo []int
 	for i := range insts {
 		base := math.Pow(1+p.Epsilon, float64(i))
 		lengths := instanceLengths(g, base, res.HPrime)
-		if insts[i] = prev.reusable(i, base, lengths); insts[i] == nil {
+		if insts[i] = prev.reusable(i, lengths); insts[i] == nil {
 			insts[i] = &Instance{Base: base, Lengths: lengths}
 			todo = append(todo, i)
-			if prev != nil && i < len(prev.Instances) && prev.Instances[i].Base == base {
+			if prev != nil && i < len(prev.Instances) {
 				from[i] = prev.Instances[i]
 			}
 		}

@@ -62,15 +62,15 @@ func sameRecipe(a, b Params) bool {
 }
 
 // reusable returns prev's instance i when detection on a graph of the
-// same structure with this base and these lengths would reproduce it
-// bit-for-bit — identical base and subdivided lengths — and nil when
-// the instance must be re-detected (or prev is nil or has no instance
-// i).
-func (prev *Result) reusable(i int, base float64, lengths []int32) *Instance {
+// same structure under these lengths would reproduce it bit-for-bit —
+// identical subdivided lengths, prev's base being this one since prev has
+// the same ε — and nil when the instance must be re-detected (or prev is
+// nil or has no instance i).
+func (prev *Result) reusable(i int, lengths []int32) *Instance {
 	if prev == nil || i >= len(prev.Instances) {
 		return nil
 	}
-	if pi := prev.Instances[i]; pi.Base == base && slices.Equal(pi.Lengths, lengths) {
+	if pi := prev.Instances[i]; slices.Equal(pi.Lengths, lengths) {
 		return pi
 	}
 	return nil
@@ -91,7 +91,7 @@ func AffectedInstances(g *graph.Graph, prev *Result) []bool {
 	affected := make([]bool, NumInstances(g.MaxWeight(), prev.Params.Epsilon))
 	for i := range affected {
 		base := math.Pow(1+prev.Params.Epsilon, float64(i))
-		affected[i] = prev.reusable(i, base, instanceLengths(g, base, prev.HPrime)) == nil
+		affected[i] = prev.reusable(i, instanceLengths(g, base, prev.HPrime)) == nil
 	}
 	return affected
 }

@@ -11,18 +11,8 @@ import (
 // reaches. A length that rises by δ raises a list radius by at most δ (the
 // old σ-th path is still there, δ longer), so one unit covers the ±1
 // nudges that move a clamped length by at most one; a larger rise that
-// pushes a radius past it costs a second sub-run.
+// pushes a radius past it makes the instance run in full.
 const repairSlack = 1
-
-// maxHaloDiv bounds the halo: a repair whose halo holds more than
-// n/maxHaloDiv nodes runs the instance in full instead. Measured on
-// churn-mixed's spec (n = 576, delta core.Build, 2 vCPU) with the bound at
-// n/1, n/2, n/4 and n/8: four ±1 nudges per update cost 1.59–1.70,
-// 1.59–1.66, 1.51–1.67 and 2.5–2.6 ms, four random reweights 38–40, 36,
-// 55–61 and 72 ms. A sub-run on a large halo still beats a full run, since
-// it skips the region search's outside and the rows it does not redo, and
-// n/2 was the fastest on both.
-const maxHaloDiv = 2
 
 // Repaired is a Result that Repair computed from a previous one.
 type Repaired struct {
@@ -30,7 +20,7 @@ type Repaired struct {
 	// Region holds, in ascending order, the nodes whose lists were
 	// computed again; every other node's list is the previous result's.
 	Region []int32
-	// Halo is the number of nodes its sub-runs ran on, summed over them.
+	// Halo is the number of nodes its sub-run ran on.
 	Halo int
 }
 
@@ -42,7 +32,7 @@ type repairScratch struct {
 	gen    uint32
 	dist   []int32
 	index  []int32 // v's position in the halo, or -1
-	radius []int32 // for a region node's position in region: how far its halo reaches
+	reach  []int32 // for a region node's position in region: how far its halo reaches
 	heap   []heapItem
 	region []int32
 	halo   []int32
@@ -152,21 +142,20 @@ func listRadius(l []Entry, sigma int, hPrime int32) int32 {
 // within r(v)+repairSlack of some region node v under the new lengths,
 // relabelled in ascending id order so that inbox order, cell ownership and
 // the (dist, src) tie-break are the full run's. Cutting the graph there
-// drops only keys whose dist at v is beyond r(v)+repairSlack; a region
-// node whose new list reaches beyond that gets a second sub-run on the
-// halo its observed radius needs. Every other node keeps prev's list.
+// drops only keys whose dist at v is beyond r(v)+repairSlack, so a region
+// node whose new list reaches beyond that makes the instance run in full.
+// Every other node keeps prev's list.
 //
 // The Result's Budget is prev's, and its Metrics and SelfEmits count the
-// sub-runs alone (zero outside the halo; Metrics has no per-node arrays).
-// A halo beyond n/maxHaloDiv nodes, Priority or FIFO scheduling, and a
-// bandwidth limit (the halo's ids are shorter than g's, so its messages
-// are too) all fall back to a full run.
+// sub-run alone (zero outside the halo; Metrics has no per-node arrays).
+// p schedules LexSmallest, as core.Build sets it unless Delays are given;
+// Delays and a bandwidth limit (the halo's ids are shorter than g's, so
+// its messages are too) fall back to a full run.
 func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Result, prevLengths []int32) (Repaired, error) {
-	n := g.N()
-	if (p.Scheduling != 0 && p.Scheduling != LexSmallest) || p.Delays != nil || cfg.B != 0 || p.Sigma == 0 ||
-		p.Lengths == nil || len(prevLengths) != len(p.Lengths) || len(prev.Lists) != n {
+	if p.Delays != nil || cfg.B != 0 || p.Sigma == 0 {
 		return Repaired{}, nil
 	}
+	n := g.N()
 	s := &a.rs
 	s.grow(n)
 	hPrime := int32(p.H)
@@ -193,60 +182,42 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 	})
 	region := slices.Clone(s.region)
 	slices.Sort(region)
-	s.radius = s.radius[:0]
-	for _, v := range region {
-		s.radius = append(s.radius, listRadius(prev.Lists[v], sigma, hPrime)+repairSlack)
-	}
 
-	halo := 0
 	met := &congest.Metrics{BudgetRounds: prev.Budget, Quiesced: true}
-	for attempt := 0; len(region) > 0; attempt++ {
-		if attempt == 2 {
-			return Repaired{}, nil
-		}
+	s.halo = s.halo[:0]
+	defer s.unindex()
+	if len(region) > 0 {
 		// The halo: a search from every region node v started at
 		// -(its reach), so that a node settles at ≤ 0 when it is within
 		// some v's reach.
-		s.seeds = s.seeds[:0]
-		for k, v := range region {
-			s.seeds = append(s.seeds, heapItem{-s.radius[k], v})
+		s.seeds, s.reach = s.seeds[:0], s.reach[:0]
+		for _, v := range region {
+			r := listRadius(prev.Lists[v], sigma, hPrime) + repairSlack
+			s.reach = append(s.reach, r)
+			s.seeds = append(s.seeds, heapItem{-r, v})
 		}
-		s.halo = s.halo[:0]
 		s.search(g, s.seeds, func(id int32) int32 { return lengths[id] }, hPrime, 0, func(v, _ int32) {
 			s.halo = append(s.halo, v)
 		})
-		if len(s.halo)*maxHaloDiv > n {
-			return Repaired{}, nil
-		}
 		slices.Sort(s.halo)
 		m, err := a.subRun(g, p, prev.Budget)
 		if err != nil {
-			s.unindex()
 			return Repaired{}, err
 		}
-		halo += len(s.halo)
-		met.ActiveRounds += m.ActiveRounds
-		met.Messages += m.Messages
-		met.MessageBits += m.MessageBits
-		met.MaxBusyPorts = max(met.MaxBusyPorts, m.MaxBusyPorts)
-		met.Quiesced = m.Quiesced
 		// A region node whose sub-run list reaches beyond its halo may
-		// have missed keys: widen its reach to what it saw and run again.
-		short := false
+		// have missed keys.
 		for k, v := range region {
 			st := &a.states[s.index[v]]
 			r := hPrime
 			if l := st.list(&st.self); len(l) == sigma {
 				r = keyDist(l[sigma-1])
 			}
-			if r > s.radius[k] {
-				s.radius[k], short = r, true
+			if r > s.reach[k] {
+				return Repaired{}, nil
 			}
 		}
-		if !short {
-			break
-		}
-		s.unindex()
+		met.ActiveRounds, met.Messages, met.MessageBits = m.ActiveRounds, m.Messages, m.MessageBits
+		met.MaxBusyPorts, met.Quiesced = m.MaxBusyPorts, m.Quiesced
 	}
 
 	// Every node's list in one fresh slab: the region's from the sub-run,
@@ -283,13 +254,10 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 		}
 		res.Lists[v] = slab[from:len(slab):len(slab)]
 	}
-	if len(region) > 0 {
-		for j, v := range s.halo {
-			res.SelfEmits[v] = int64(a.states[j].self.sentCnt)
-		}
-		s.unindex()
+	for j, v := range s.halo {
+		res.SelfEmits[v] = int64(a.states[j].self.sentCnt)
 	}
-	return Repaired{Result: res, Region: region, Halo: halo}, nil
+	return Repaired{Result: res, Region: region, Halo: len(s.halo)}, nil
 }
 
 // unindex clears the halo's positions.
