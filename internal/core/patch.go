@@ -61,6 +61,9 @@ func sameRecipe(a, b Params) bool {
 		slices.Equal(a.IsSource, b.IsSource) && slices.Equal(a.Flags, b.Flags) && slices.Equal(a.Delays, b.Delays)
 }
 
+// Equal reports whether p and q agree in every field, SkipSetup included.
+func (p Params) Equal(q Params) bool { return sameRecipe(p, q) && p.SkipSetup == q.SkipSetup }
+
 // reusable returns prev's instance i when detection on a graph of the
 // same structure under these lengths would reproduce it bit-for-bit —
 // identical subdivided lengths, prev's base being this one since prev has

@@ -199,30 +199,3 @@ func HopDiameter(g *Graph) int {
 	}
 	return best
 }
-
-// DiametersFrom computes the hop diameter D, weighted diameter WD, and
-// shortest path diameter SPD of a connected graph from precomputed ground
-// truth. For a disconnected graph it returns (-1, Infinity, -1).
-func DiametersFrom(g *Graph, ap *APSP) (d int, wd Weight, spd int) {
-	n := g.N()
-	for src := 0; src < n; src++ {
-		s := ap.BySource[src]
-		for v := 0; v < n; v++ {
-			if s.Dist[v] == Infinity {
-				return -1, Infinity, -1
-			}
-			if s.Dist[v] > wd {
-				wd = s.Dist[v]
-			}
-			if int(s.Hops[v]) > spd {
-				spd = int(s.Hops[v])
-			}
-		}
-		for _, hd := range BFS(g, src) {
-			if int(hd) > d {
-				d = int(hd)
-			}
-		}
-	}
-	return d, wd, spd
-}

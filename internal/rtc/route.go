@@ -166,19 +166,10 @@ func (sch *Scheme) Route(v int, dst Label) (*Route, error) {
 	return rt, nil
 }
 
-// DistEstimate answers a distance query from v's tables for destination
-// dst, without communication (§2.4): the better of the short-range
-// estimate and the long-range potential plus the label's skeleton leg.
-func (sch *Scheme) DistEstimate(v int, dst Label) (float64, error) {
-	best := sch.Dist(v, dst)
-	if math.IsInf(best, 1) {
-		return 0, fmt.Errorf("rtc: node %d has no estimate for %d", v, dst.Node)
-	}
-	return best, nil
-}
-
-// Dist is DistEstimate with a miss reported as +Inf rather than an
-// error, so a serving loop that only compares distances never allocates.
+// Dist answers a distance query from v's tables for destination dst,
+// without communication (§2.4): the better of the short-range estimate
+// and the long-range potential plus the label's skeleton leg, +Inf on a
+// miss.
 func (sch *Scheme) Dist(v int, dst Label) float64 {
 	if v == int(dst.Node) {
 		return 0

@@ -118,7 +118,7 @@ type Scheme struct {
 	maxLabelDist float64
 	Rounds       RoundBreakdown
 	// oraA / oraB are the flat indexed views of A and B serving every
-	// hop decision and point query (NextHop, DistEstimate, phi).
+	// hop decision and point query (NextHop, Dist, phi).
 	oraA, oraB *oracle.Oracle
 	// spanTail[j][i] is the globally known spanner distance from skeleton
 	// H-index i to target j as a float (+Inf when unreachable): the tail

@@ -3,8 +3,7 @@
 // Instance interface, three backends.
 //
 //   - oracle: the compiled CSR tables of internal/oracle over a PDE
-//     result (Theorem 4.1 APSP or a partial (S, h, σ) sweep) — exact
-//     same answers and fingerprints as the pre-registry serving path.
+//     result (Theorem 4.1 APSP or a partial (S, h, σ) sweep).
 //   - rtc: Theorem 4.5 routing-table construction (skeleton + spanner +
 //     tree-label routing), stretch 6k−1+o(1), k-parameterized.
 //   - compact: the §4.3 Thorup–Zwick hierarchy, stretch 4k−3+o(1), with
@@ -14,10 +13,11 @@
 // scheme and its parameters — and Build is deterministic in it: the same
 // Spec always yields the same Fingerprint, which the serving layer
 // (internal/server) stamps on every response as the table generation id.
-// Each backend is a thin adapter over the existing construction packages
-// (internal/oracle, internal/rtc, internal/compact); differential tests
-// pin every Instance's answers bit-identically to its legacy in-process
-// path.
+// Each backend is a thin adapter over its construction package
+// (internal/oracle, internal/rtc, internal/compact): every instance
+// keeps one record of its build (spec, graph, cost, accounting,
+// fingerprint), and rtc and compact share one serving half, so a backend
+// supplies only its construction and its per-query answers.
 //
 // Instances are immutable after Build and safe for any number of
 // concurrent readers; AnswerInto may fan a batch across workers because
@@ -31,8 +31,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -125,7 +123,7 @@ func (sp Spec) Normalized() Spec {
 func (sp Spec) Validate() error {
 	sp = sp.Normalized()
 	if _, ok := backends[sp.Scheme]; !ok {
-		return fmt.Errorf("unknown scheme %q (want %s)", sp.Scheme, strings.Join(Names(), " | "))
+		return fmt.Errorf("unknown scheme %q (want compact | oracle | rtc)", sp.Scheme)
 	}
 	if !graph.IsGenerator(sp.Topology) {
 		return fmt.Errorf("unknown topology %q (want %s)", sp.Topology, graph.GeneratorList())
@@ -266,16 +264,6 @@ var backends = map[string]func(sp Spec, g *graph.Graph) (Instance, error){
 	"compact": buildCompactOn,
 }
 
-// Names returns the sorted backend names.
-func Names() []string {
-	names := make([]string, 0, len(backends))
-	for name := range backends { //pde:allow(determinism) sort.Strings below imposes a total order
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Build generates sp's topology and builds its backend over it. The
 // returned instance's Spec() is the normalized spec.
 func Build(sp Spec) (Instance, error) {
@@ -304,10 +292,44 @@ func BuildOn(sp Spec, g *graph.Graph) (Instance, error) {
 
 // --- shared backend plumbing -------------------------------------------
 
-// Width resolves a workers setting against a batch of total items: the
+// record is what every backend keeps of a built instance, and the
+// Instance methods that only read it. fp digests the tables on first use
+// and holds the digest: a generation's identity is asked for many times
+// (stamp, stats, divergence probes) and walking the tables costs
+// milliseconds — but not inside the build, which never needs it. The
+// tables are immutable once served, so the first digest is the
+// generation's identity.
+type record struct {
+	Sp      Spec
+	Gr      *graph.Graph
+	buildNS int64
+	acct    Accounting
+	fp      func() uint64
+}
+
+// init records a build, then completes its accounting with the stretch
+// the instance's routes measure (see measureStretch); route may read the
+// record.
+func (r *record) init(sp Spec, g *graph.Graph, buildNS int64, fp func() uint64, acct Accounting,
+	route func(v int, s int32) (*core.Route, error), candidates func(v int) []int32) error {
+	*r = record{Sp: sp, Gr: g, buildNS: buildNS, fp: sync.OnceValue(fp)}
+	var err error
+	acct.MeasuredStretch, acct.MeanStretch, acct.ProbeRoutes, err = measureStretch(g, sp.Seed, route, candidates)
+	r.acct = acct
+	return err
+}
+
+func (r *record) Scheme() string         { return r.acct.Scheme }
+func (r *record) Spec() Spec             { return r.Sp }
+func (r *record) Graph() *graph.Graph    { return r.Gr }
+func (r *record) BuildNS() int64         { return r.buildNS }
+func (r *record) Accounting() Accounting { return r.acct }
+func (r *record) Fingerprint() uint64    { return r.fp() }
+
+// width resolves a workers setting against a batch of total items: the
 // number of goroutines FanOut would use (0 = GOMAXPROCS, never more than
 // one per item).
-func Width(total, workers int) int {
+func width(total, workers int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -318,7 +340,7 @@ func Width(total, workers int) int {
 // 1 = sequential). Each chunk is independent, so the result is identical
 // at any width.
 func FanOut(total, workers int, fn func(lo, hi int)) {
-	workers = Width(total, workers)
+	workers = width(total, workers)
 	if workers <= 1 {
 		fn(0, total)
 		return
@@ -400,10 +422,8 @@ func measureStretch(g *graph.Graph, seed int64, route func(v int, s int32) (*cor
 // buildCost measures one backend construction. The wall clock is
 // deliberate: BuildNS is timing metadata reported by /v1/stats and the
 // bench layer, and never feeds a fingerprint or a served answer.
-func buildCost(f func() error) (int64, error) {
+func buildCost[T any](f func() (T, error)) (T, int64, error) {
 	t0 := time.Now() //pde:allow(determinism) BuildNS is timing metadata, not fingerprinted
-	if err := f(); err != nil {
-		return 0, err
-	}
-	return time.Since(t0).Nanoseconds(), nil
+	built, err := f()
+	return built, time.Since(t0).Nanoseconds(), err
 }

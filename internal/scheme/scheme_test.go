@@ -1,7 +1,10 @@
 package scheme
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +17,7 @@ import (
 )
 
 func compactBuildLegacy(g *graph.Graph, sp Spec) (*compact.Scheme, error) {
-	return compact.Build(g, CompactParams(sp), congest.Config{Parallel: true})
+	return compact.Build(g, compactParams(sp), congest.Config{Parallel: true})
 }
 
 func oracleSpec() Spec {
@@ -38,15 +41,18 @@ func mustBuild(t *testing.T, sp Spec) Instance {
 	return inst
 }
 
+// TestRegistryNames holds the unknown-scheme error to the registry: it
+// lists every registered backend, in name order, and nothing else.
 func TestRegistryNames(t *testing.T) {
-	names := Names()
-	want := []string{"compact", "oracle", "rtc"}
-	if len(names) != len(want) {
-		t.Fatalf("Names() = %v, want %v", names, want)
+	err := Spec{Scheme: "quantum", Topology: "random", N: 8, Eps: 1, MaxW: 2}.Validate()
+	_, list, ok := strings.Cut(fmt.Sprint(err), "(want ")
+	names := strings.Split(strings.TrimSuffix(list, ")"), " | ")
+	if !ok || len(names) != len(backends) || !slices.IsSorted(names) {
+		t.Fatalf("Validate() = %v, want the %d registered backends in name order", err, len(backends))
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", names, want)
+	for _, name := range names {
+		if backends[name] == nil {
+			t.Fatalf("Validate() = %v names %q, which is not registered", err, name)
 		}
 	}
 }
@@ -122,8 +128,8 @@ func TestEqualTablesReportEqualSpec(t *testing.T) {
 }
 
 // TestOracleInstanceMatchesLegacyOracle pins the oracle backend to the
-// pre-registry serving path: same core.Run tables, same compiled-oracle
-// answers, same fingerprint.
+// construction it wraps, run by hand: same core.Run tables, same
+// compiled-oracle answers, same fingerprint.
 func TestOracleInstanceMatchesLegacyOracle(t *testing.T) {
 	sp := oracleSpec()
 	inst := mustBuild(t, sp)
@@ -196,11 +202,11 @@ func TestRTCInstanceMatchesLegacyScheme(t *testing.T) {
 	inst.AnswerInto(qs, out, 4)
 	for i, q := range qs {
 		dst := legacy.Labels[q.S]
-		d, err := legacy.DistEstimate(int(q.V), dst)
-		if (err == nil) != out[i].OK {
-			t.Fatalf("query (%d,%d): legacy err %v, instance OK %v", q.V, q.S, err, out[i].OK)
+		d := legacy.Dist(int(q.V), dst)
+		if !math.IsInf(d, 1) != out[i].OK {
+			t.Fatalf("query (%d,%d): legacy dist %g, instance OK %v", q.V, q.S, d, out[i].OK)
 		}
-		if err != nil {
+		if !out[i].OK {
 			continue
 		}
 		if out[i].Est.Dist != d {
@@ -243,7 +249,7 @@ func buildLegacyRTC(t *testing.T, sp Spec) *rtc.Scheme {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := rtc.Build(g, RTCParams(sp), congest.Config{Parallel: true})
+	legacy, err := rtc.Build(g, rtcParams(sp), congest.Config{Parallel: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,13 +363,33 @@ func TestAnswerIntoOutOfRangeIsMiss(t *testing.T) {
 	}
 }
 
-// TestAccountingPopulated checks every backend reports a sane cost sheet.
+// TestAccountingPopulated checks every backend reports a sane cost sheet
+// and a build record that is the construction's own: the scheme its
+// accounting names, the normalized input spec, and a fingerprint that is
+// stable across calls and equals the digest of the tables it serves.
 func TestAccountingPopulated(t *testing.T) {
-	for _, sp := range []Spec{oracleSpec(), rtcSpec(), compactSpec()} {
+	partial := oracleSpec()
+	partial.H, partial.Sigma = 4, 4
+	for _, sp := range append(distsWithinSpecs(), partial) {
 		inst := mustBuild(t, sp)
 		a := inst.Accounting()
 		if a.Scheme != inst.Scheme() {
 			t.Errorf("%s: accounting names scheme %q", inst.Scheme(), a.Scheme)
+		}
+		if inst.Spec() != sp.Normalized() {
+			t.Errorf("%s: Spec() = %+v, want the normalized input %+v", a.Scheme, inst.Spec(), sp.Normalized())
+		}
+		var own uint64
+		switch in := inst.(type) {
+		case *OracleInstance:
+			own = in.Res.Fingerprint()
+		case *RTCInstance:
+			own = in.Sch.Fingerprint()
+		case *CompactInstance:
+			own = in.Sch.Fingerprint()
+		}
+		if fp := inst.Fingerprint(); fp != own || inst.Fingerprint() != fp {
+			t.Errorf("%s: Fingerprint() = %016x then %016x, the construction digests to %016x", a.Scheme, fp, inst.Fingerprint(), own)
 		}
 		if a.TableBytes <= 0 || a.Entries <= 0 {
 			t.Errorf("%s: empty tables in accounting: %+v", a.Scheme, a)

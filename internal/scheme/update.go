@@ -11,37 +11,38 @@ import (
 type UpdateOptions struct{}
 
 // UpdateStats reports which path an update took and how much of the
-// build it reused.
+// build it reused. The server's /v1/update reply embeds it, so its JSON
+// keys are that reply's.
 type UpdateStats struct {
 	// Path is "delta" (the graph's structure held, so the previous
 	// build's rounding instances were offered for reuse) or "rebuild"
 	// (structure changed, or the backend has no incremental path:
 	// everything was built from scratch on the updated graph).
-	Path string
+	Path string `json:"path"`
+	// Damage is InstancesRebuilt/InstancesTotal, the fraction of the
+	// hierarchy that was re-detected (1 on the rebuild path).
+	Damage float64 `json:"damage"`
 	// InstancesTotal, InstancesRebuilt and InstancesReused break the
 	// rounding hierarchy down (all zero for backends without one).
 	// InstancesRebuilt counts full re-detections and repairs alike.
-	InstancesTotal   int
-	InstancesRebuilt int
-	InstancesReused  int
+	InstancesTotal   int `json:"instances_total"`
+	InstancesRebuilt int `json:"instances_rebuilt"`
+	InstancesReused  int `json:"instances_reused"`
 	// InstancesRepaired counts the rebuilt instances that were repaired
 	// on a halo around the moved edges; RepairRounds, RepairMessages and
 	// RepairNodes total the active rounds, real messages and nodes of
 	// their sub-runs (core.PatchStats).
-	InstancesRepaired int
-	RepairRounds      int
-	RepairMessages    int64
-	RepairNodes       int
-	// Damage is InstancesRebuilt/InstancesTotal, the fraction of the
-	// hierarchy that was re-detected (1 on the rebuild path).
-	Damage float64
+	InstancesRepaired int   `json:"instances_repaired"`
+	RepairRounds      int   `json:"repair_rounds"`
+	RepairMessages    int64 `json:"repair_messages"`
+	RepairNodes       int   `json:"repair_nodes"`
 }
 
 // Updatable is the incremental-maintenance capability: backends that can
 // patch their compiled tables against a mutated graph implement it. The
-// returned instance must be fingerprint-identical to a cold build on g of
-// the recipe the instance was built with — incremental is an
-// optimization, never a different answer.
+// returned instance must be fingerprint-identical to a cold
+// BuildOn(inst.Spec(), g) — incremental is an optimization, never a
+// different answer.
 type Updatable interface {
 	Instance
 	UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error)
@@ -50,9 +51,7 @@ type Updatable interface {
 // Update rebuilds inst's backend for the updated graph g, taking the
 // backend's incremental path when it has one and an explicit-graph full
 // rebuild, BuildOn(inst.Spec(), g), otherwise. Either way the result is
-// what a cold build on g of inst's own recipe would produce; for an
-// oracle instance that recipe is the params of the result it serves,
-// which a prebuilt instance need not share with its Spec.
+// what that cold build would produce.
 func Update(inst Instance, g *graph.Graph, _ ...UpdateOptions) (Instance, UpdateStats, error) {
 	if up, ok := inst.(Updatable); ok {
 		return up.UpdateGraph(g)
@@ -64,21 +63,19 @@ func Update(inst Instance, g *graph.Graph, _ ...UpdateOptions) (Instance, Update
 	return ni, UpdateStats{Path: "rebuild", Damage: 1}, nil
 }
 
-// UpdateGraph implements Updatable: the oracle build under the params of
-// the result in serves — on every path, so a prebuilt result keeps its
-// recipe across reweights, inserts and deletes alike. When the update was
-// weight-only the previous result is handed in, so every rounding
-// instance whose subdivided lengths did not move is reused and only the
-// rows it moved are computed again; when the structure changed
-// everything is built afresh. Either way the tables equal a cold
-// core.Run of those params on g, compiled.
+// UpdateGraph implements Updatable: the oracle build of in's spec on g.
+// When the update was weight-only the previous result is handed in, so
+// every rounding instance whose subdivided lengths did not move is reused
+// and only the rows it moved are computed again; when the structure
+// changed everything is built afresh. Either way the tables equal a cold
+// core.Run of the spec's params on g, compiled.
 func (in *OracleInstance) UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error) {
 	st := UpdateStats{Path: "rebuild"}
 	var prev *core.Result
 	if g.SameStructure(in.Gr) {
 		prev, st.Path = in.Res, "delta"
 	}
-	ni, ps, err := buildOracle(in.Sp, g, in.Res.Params, prev)
+	ni, ps, err := buildOracle(in.Sp, g, prev)
 	if err != nil {
 		return nil, st, err
 	}

@@ -161,12 +161,15 @@ func TestUpdateFallbackForNonUpdatableSchemes(t *testing.T) {
 	}
 }
 
-// TestOracleUpdateKeepsPrebuiltRecipe: an oracle instance serving a
-// prebuilt result whose params are not its Spec's (here APSP tables under
-// a partial h=σ=4 spec) is updated under the result's params on every
-// path — a reweight (delta) and an insertion (rebuild) alike — so the
-// update equals a cold build of those params on the new graph, and the
-// delta's copied rows are the cold compile's.
+// TestOracleUpdateKeepsPrebuiltRecipe: a prebuilt oracle instance's
+// recipe is its spec. NewOracleInstance refuses a result built under any
+// other params (APSP tables under a partial h=σ=4 spec, sources on every
+// 2nd node, SkipSetup alone), so an update can never rebuild something
+// else than what it serves. A result built from the spec's own params is
+// accepted and updated under them on every path — a reweight (delta) and
+// an insertion (rebuild) alike — so the update equals a cold build of
+// those params on the new graph, and the delta's copied rows are the cold
+// compile's.
 func TestOracleUpdateKeepsPrebuiltRecipe(t *testing.T) {
 	sp := oracleSpec()
 	sp.H, sp.Sigma = 4, 4
@@ -174,8 +177,28 @@ func TestOracleUpdateKeepsPrebuiltRecipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	apsp := core.APSPParams(g.N(), sp.Eps)
-	res, err := core.Run(g, apsp, congest.Config{})
+	own := sp.Params(g.N())
+	everyOther := make([]bool, g.N())
+	for v := 0; v < g.N(); v += 2 {
+		everyOther[v] = true
+	}
+	skip := own
+	skip.SkipSetup = true
+	for name, p := range map[string]core.Params{
+		"apsp":        core.APSPParams(g.N(), sp.Eps),
+		"every-other": {IsSource: everyOther, H: 3, Sigma: 4, Epsilon: sp.Eps},
+		"skip-setup":  skip,
+	} {
+		res, err := core.Run(g, p, congest.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewOracleInstance(sp, g, res, 0); err == nil || !strings.Contains(err.Error(), "other params") {
+			t.Errorf("%s: NewOracleInstance of a result built under other params = %v, want a refusal", name, err)
+		}
+	}
+
+	res, err := core.Run(g, own, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,15 +234,12 @@ func TestOracleUpdateKeepsPrebuiltRecipe(t *testing.T) {
 			t.Fatalf("path = %q, want %q", st.Path, c.path)
 		}
 		got := ni.(*OracleInstance)
-		if p := got.Res.Params; p.H != g.N() || p.Sigma != g.N() {
-			t.Fatalf("%s: updated under h=%d σ=%d, want the prebuilt APSP recipe h=σ=%d", c.path, p.H, p.Sigma, g.N())
-		}
-		cold, err := core.Run(c.g2, apsp, congest.Config{})
+		cold, err := core.Run(c.g2, own, congest.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Fingerprint() != cold.Fingerprint() {
-			t.Fatalf("%s: fingerprint %016x != cold APSP build %016x", c.path, got.Fingerprint(), cold.Fingerprint())
+			t.Fatalf("%s: fingerprint %016x != cold build %016x", c.path, got.Fingerprint(), cold.Fingerprint())
 		}
 		if !reflect.DeepEqual(got.O, oracle.Compile(cold)) {
 			t.Fatalf("%s: updated tables differ from the cold build's", c.path)

@@ -8,15 +8,14 @@ package server
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
 
-	"pde/internal/compact"
 	"pde/internal/congest"
 	"pde/internal/core"
 	"pde/internal/oracle"
-	"pde/internal/rtc"
 	"pde/internal/scheme"
 )
 
@@ -34,6 +33,17 @@ type legacyPath struct {
 	estimate func(v int, s int32) (float64, bool)
 	nextHop  func(v int, s int32) (int, bool)
 	route    func(v int, s int32) (*core.Route, error)
+}
+
+// mustSchemeBuild builds sp in process; the rtc and compact references
+// answer through the construction package's own methods on its tables.
+func mustSchemeBuild(t *testing.T, sp Spec) scheme.Instance {
+	t.Helper()
+	inst, err := scheme.Build(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
 }
 
 func buildLegacyPath(t *testing.T, sp Spec) legacyPath {
@@ -58,14 +68,11 @@ func buildLegacyPath(t *testing.T, sp Spec) legacyPath {
 			route:   func(v int, s int32) (*core.Route, error) { return o.Route(g, v, s) },
 		}
 	case "rtc":
-		sch, err := rtc.Build(g, scheme.RTCParams(sp), congest.Config{Parallel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sch := mustSchemeBuild(t, sp).(*scheme.RTCInstance).Sch
 		return legacyPath{
 			estimate: func(v int, s int32) (float64, bool) {
-				d, err := sch.DistEstimate(v, sch.Labels[s])
-				return d, err == nil
+				d := sch.Dist(v, sch.Labels[s])
+				return d, !math.IsInf(d, 1)
 			},
 			nextHop: func(v int, s int32) (int, bool) {
 				if v == int(s) {
@@ -83,10 +90,7 @@ func buildLegacyPath(t *testing.T, sp Spec) legacyPath {
 			},
 		}
 	case "compact":
-		sch, err := compact.Build(g, scheme.CompactParams(sp), congest.Config{Parallel: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		sch := mustSchemeBuild(t, sp).(*scheme.CompactInstance).Sch
 		return legacyPath{
 			estimate: func(v int, s int32) (float64, bool) {
 				a := sch.Answer(v, sch.Labels[s])

@@ -27,8 +27,8 @@
 //	                    mean-min over internal/setdist's pruned evaluation)
 //	POST /v1/rebuild    rebuild a shard's tables and hot-swap them in
 //	POST /v1/update     apply edge churn (reweight/insert/delete) to a
-//	                    shard's graph, patching compiled tables in place
-//	                    when the damage is small enough
+//	                    shard's graph and rebuild its tables; an oracle
+//	                    shard reuses what a weight-only batch did not move
 //	GET  /v1/stats      per-shard counters, request shape, cache hit rate
 //	GET  /healthz       liveness + shard inventory
 //
@@ -95,7 +95,8 @@ type Server struct {
 }
 
 // Prebuilt hands New already-constructed tables so callers that have paid
-// for a build (bench, tests) can serve it without rebuilding. BuildNS is
+// for a build (bench, tests) can serve it without rebuilding. Res must be
+// built under Spec.Params(G.N()), the shard's one recipe; BuildNS is
 // reported in stats.
 type Prebuilt struct {
 	Name    string

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pde/internal/congest"
 	"pde/internal/core"
 	"pde/internal/scheme"
 )
@@ -138,6 +139,20 @@ func TestNewBuildsFromSpecs(t *testing.T) {
 		Prebuilt{Name: "x", Spec: sh.spec, G: sh.g, Res: sh.oracle().Res},
 		Prebuilt{Name: "x", Spec: sh.spec, G: sh.g, Res: sh.oracle().Res}); err == nil {
 		t.Fatal("NewWithPrebuilt accepted duplicate shard names")
+	}
+	// A shard's spec is its only recipe: tables built under other params
+	// (sources on every 2nd node, h 3, σ 4 under an APSP spec) would be
+	// updated, and verified, as the spec's, so they are refused up front.
+	src := make([]bool, sh.g.N())
+	for v := 0; v < len(src); v += 2 {
+		src[v] = true
+	}
+	other, err := core.Run(sh.g, core.Params{IsSource: src, H: 3, Sigma: 4, Epsilon: sh.spec.Eps}, congest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewWithPrebuilt(Config{}, Prebuilt{Name: "x", Spec: sh.spec, G: sh.g, Res: other}); err == nil || !strings.Contains(err.Error(), "other params") {
+		t.Fatalf("NewWithPrebuilt of tables built under other params = %v, want a refusal", err)
 	}
 }
 

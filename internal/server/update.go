@@ -33,41 +33,24 @@ type UpdateRequest struct {
 }
 
 // UpdateResponse reports one applied churn batch: the generation swap
-// (old/new fingerprint), which path served it ("delta" = structure held
-// and the previous build's instances were offered for reuse, "rebuild" =
-// structure changed or the scheme has no incremental path), how much of
-// the hierarchy was re-detected — instances_rebuilt counts full runs and
-// repairs, instances_repaired the repairs alone, whose sub-runs took
-// repair_rounds active rounds and repair_messages real messages on
-// repair_nodes nodes — and the batch's shape. UpdateNS runs from
-// the request decoded to the new generation published: changes applied,
-// build, verify, digest, swap.
+// (old/new fingerprint), the update's path and reuse (scheme.UpdateStats,
+// whose keys it carries inline), and the batch's shape. UpdateNS runs
+// from the request decoded to the new generation published: changes
+// applied, build, verify, digest, swap.
 type UpdateResponse struct {
 	Shard          string `json:"shard"`
 	OldFingerprint string `json:"old_fingerprint"`
 	NewFingerprint string `json:"new_fingerprint"`
 	Changed        bool   `json:"changed"`
-	// Path is "delta" or "rebuild"; Damage the rebuilt fraction of the
-	// rounding hierarchy ([0,1], 1 on every rebuild).
-	Path             string  `json:"path"`
-	Damage           float64 `json:"damage"`
-	InstancesTotal   int     `json:"instances_total"`
-	InstancesRebuilt int     `json:"instances_rebuilt"`
-	InstancesReused  int     `json:"instances_reused"`
-	// InstancesRepaired, RepairRounds, RepairMessages and RepairNodes
-	// are scheme.UpdateStats' repair accounting.
-	InstancesRepaired int   `json:"instances_repaired"`
-	RepairRounds      int   `json:"repair_rounds"`
-	RepairMessages    int64 `json:"repair_messages"`
-	RepairNodes       int   `json:"repair_nodes"`
-	Reweights         int   `json:"reweights"`
-	Inserts           int   `json:"inserts"`
-	Deletes           int   `json:"deletes"`
-	TopologyChanged   bool  `json:"topology_changed"`
-	Verified          bool  `json:"verified"`
-	UpdateNS          int64 `json:"update_ns"`
-	N                 int   `json:"n"`
-	M                 int   `json:"m"`
+	scheme.UpdateStats
+	Reweights       int   `json:"reweights"`
+	Inserts         int   `json:"inserts"`
+	Deletes         int   `json:"deletes"`
+	TopologyChanged bool  `json:"topology_changed"`
+	Verified        bool  `json:"verified"`
+	UpdateNS        int64 `json:"update_ns"`
+	N               int   `json:"n"`
+	M               int   `json:"m"`
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -150,26 +133,18 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	sl.stats.lastUpdateUnixNS.Store(time.Now().UnixNano())
 
 	writeJSON(w, &UpdateResponse{
-		Shard:             req.Shard,
-		OldFingerprint:    oldFP,
-		NewFingerprint:    sh.fp,
-		Changed:           oldFP != sh.fp,
-		Path:              st.Path,
-		Damage:            st.Damage,
-		InstancesTotal:    st.InstancesTotal,
-		InstancesRebuilt:  st.InstancesRebuilt,
-		InstancesReused:   st.InstancesReused,
-		InstancesRepaired: st.InstancesRepaired,
-		RepairRounds:      st.RepairRounds,
-		RepairMessages:    st.RepairMessages,
-		RepairNodes:       st.RepairNodes,
-		Reweights:         sum.Reweights,
-		Inserts:           sum.Inserts,
-		Deletes:           sum.Deletes,
-		TopologyChanged:   sum.TopologyChanged,
-		Verified:          req.Verify,
-		UpdateNS:          updateNS,
-		N:                 sh.g.N(),
-		M:                 sh.g.M(),
+		Shard:           req.Shard,
+		OldFingerprint:  oldFP,
+		NewFingerprint:  sh.fp,
+		Changed:         oldFP != sh.fp,
+		UpdateStats:     st,
+		Reweights:       sum.Reweights,
+		Inserts:         sum.Inserts,
+		Deletes:         sum.Deletes,
+		TopologyChanged: sum.TopologyChanged,
+		Verified:        req.Verify,
+		UpdateNS:        updateNS,
+		N:               sh.g.N(),
+		M:               sh.g.M(),
 	})
 }

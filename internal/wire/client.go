@@ -407,9 +407,6 @@ func (c *Conn) NewPipeline(depth int) (*Pipeline, error) {
 	return p, nil
 }
 
-// Depth is the pipeline's in-flight frame budget.
-func (p *Pipeline) Depth() int { return len(p.slots) }
-
 // Estimate submits one estimate frame, blocking only when depth frames
 // are already in flight. out and res must stay untouched until Wait or
 // Close returns; res then carries the answering generation's

@@ -23,8 +23,8 @@ import (
 // and request bodies fill (Config, Options, Spec, Params, *Request under
 // internal/), each path on the daemon's and the coordinator's mux — and
 // every name a client reads back — each PDE2 frame kind with its code,
-// each JSON key of the /v1/stats reply — read off the source with
-// go/parser and compared with testdata/surface.golden.
+// each JSON key of the /v1/stats and /v1/update replies — read off the
+// source with go/parser and compared with testdata/surface.golden.
 // "This PR adds no flag or field" is then a golden diff, not a sentence:
 // a new knob fails here until `go test -run TestSurface -update .` is run
 // and the diff committed, which puts it in front of the reviewer.
@@ -173,8 +173,10 @@ func surface(t *testing.T) string {
 		}
 	})
 
-	// The /v1/stats reply, key by key: every field of StatsResponse and of
-	// each struct it nests, following named types across packages.
+	// The /v1/stats and /v1/update replies, key by key: every field of
+	// StatsResponse and UpdateResponse and of each struct they nest,
+	// following named types across packages.
+	var reply string
 	var walkStats func(key, pkg string, typ ast.Expr)
 	walkStats = func(key, pkg string, typ ast.Expr) {
 		switch x := typ.(type) {
@@ -211,15 +213,19 @@ func surface(t *testing.T) string {
 						k = id.Name
 					}
 					k = strings.TrimPrefix(key+"."+k, ".")
-					stats = append(stats, fmt.Sprintf("stat /v1/stats %s %s", k, types.ExprString(fld.Type)))
+					stats = append(stats, fmt.Sprintf("stat %s %s %s", reply, k, types.ExprString(fld.Type)))
 					walkStats(k, pkg, fld.Type)
 				}
 			}
 		}
 	}
-	walkStats("", "server", &ast.Ident{Name: "StatsResponse"})
-	if len(stats) == 0 {
-		t.Fatal("server.StatsResponse not found under internal/")
+	for _, r := range [][2]string{{"/v1/stats", "StatsResponse"}, {"/v1/update", "UpdateResponse"}} {
+		before := len(stats)
+		reply = r[0]
+		walkStats("", "server", &ast.Ident{Name: r[1]})
+		if len(stats) == before {
+			t.Fatalf("server.%s not found under internal/", r[1])
+		}
 	}
 
 	var b strings.Builder
@@ -288,34 +294,49 @@ func TestSurface(t *testing.T) {
 	t.Errorf("the module's surface moved; if that is the point of the change, run go test -run TestSurface -update . and commit the diff")
 }
 
-// TestFacadeExportsHaveCallers holds the facade to what is used: every
-// function pde.go exports must be called as pde.Name( from a non-test
-// file under examples/ or cmd/. An export nothing outside the tests calls
-// is an orphan; delete it, or give it an example.
+// TestFacadeExportsHaveCallers holds two export surfaces to what is used.
+// Every function pde.go exports must be called as pde.Name( from a
+// non-test file under examples/ or cmd/, and every top-level function
+// internal/scheme exports as scheme.Name( from a non-test file of the
+// module or of benchmark/ outside the package. An export nothing outside
+// the tests calls is an orphan; delete it (or unexport it), or give it a
+// caller.
 func TestFacadeExportsHaveCallers(t *testing.T) {
-	fset := token.NewFileSet()
-	facade, err := parser.ParseFile(fset, "pde.go", nil, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	called := map[string]bool{}
-	for _, root := range []string{"examples", "cmd"} {
-		walkSource(t, fset, root, func(_ string, f *ast.File) {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-						if x, ok := sel.X.(*ast.Ident); ok && x.Name == "pde" {
-							called[sel.Sel.Name] = true
+	for _, rule := range []struct {
+		pkg, dir string
+		roots    []string
+	}{
+		{"pde", ".", []string{"examples", "cmd"}},
+		{"scheme", "internal/scheme", []string{"."}},
+	} {
+		fset := token.NewFileSet()
+		called := map[string]bool{}
+		for _, root := range rule.roots {
+			walkSource(t, fset, root, func(dir string, f *ast.File) {
+				if dir == rule.dir || strings.Contains(dir+"/", "/testdata/") {
+					return
+				}
+				ast.Inspect(f, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+							if x, ok := sel.X.(*ast.Ident); ok && x.Name == rule.pkg {
+								called[sel.Sel.Name] = true
+							}
 						}
 					}
-				}
-				return true
+					return true
+				})
 			})
-		})
-	}
-	for _, decl := range facade.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() && !called[fd.Name.Name] {
-			t.Errorf("pde.%s has no non-test caller under examples/ or cmd/", fd.Name.Name)
 		}
+		walkSource(t, fset, rule.dir, func(dir string, f *ast.File) {
+			if dir != rule.dir {
+				return
+			}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() && !called[fd.Name.Name] {
+					t.Errorf("%s.%s has no non-test caller under %v", rule.pkg, fd.Name.Name, rule.roots)
+				}
+			}
+		})
 	}
 }
