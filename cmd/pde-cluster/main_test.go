@@ -164,7 +164,7 @@ func TestBootFrontsTheFleet(t *testing.T) {
 	if got := p.log.after("pde-cluster: fronting "); got != "2 daemon(s)" {
 		t.Errorf("banner says fronting %q, the coordinator fronts 2 daemon(s)\n%s", got, p.log)
 	}
-	status, err := cluster.FetchStatus(context.Background(), p.base, nil)
+	status, err := cluster.FetchStatus(context.Background(), p.base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -576,7 +576,7 @@ func (o *options) runUpdates(ctx context.Context) error {
 func describeCluster(ctx context.Context, base string, stderr io.Writer) error {
 	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
-	st, err := cluster.FetchStatus(ctx, base, nil)
+	st, err := cluster.FetchStatus(ctx, base)
 	if err != nil {
 		return fmt.Errorf("fetching /v1/cluster from %s: %w", base, err)
 	}

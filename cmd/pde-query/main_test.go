@@ -191,7 +191,7 @@ func TestUpdates(t *testing.T) {
 	if code != 1 || stdout != "" || !strings.Contains(stderr, "already mutated") {
 		t.Errorf("second churn run: exit %d, stdout %q, stderr %q", code, stdout, stderr)
 	}
-	if _, err := (&server.Client{BaseURL: ts.URL, Shard: "main"}).Rebuild(context.Background(), server.RebuildRequest{}); err != nil {
+	if _, err := (&server.Client{BaseURL: ts.URL, Shard: "main"}).Rebuild(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if code, stdout, stderr := query("-remote", ts.URL, "-updates", "2"); code != 0 || !strings.Contains(stdout, "2 updates (2 delta") {
@@ -211,7 +211,7 @@ func TestSeedDrivesTheChurnStream(t *testing.T) {
 	if again := churn(b.URL, "5"); again != first {
 		t.Errorf("-seed 5 ended on %s on one daemon and %s on its twin", first, again)
 	}
-	if _, err := (&server.Client{BaseURL: b.URL, Shard: "main"}).Rebuild(context.Background(), server.RebuildRequest{}); err != nil {
+	if _, err := (&server.Client{BaseURL: b.URL, Shard: "main"}).Rebuild(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if other := churn(b.URL, "6"); other == first {
@@ -314,7 +314,7 @@ func TestWireStreamAcrossRebuild(t *testing.T) {
 		}
 	}
 	seed := int64(9)
-	resp, err := (&server.Client{BaseURL: ts.URL, Shard: "main"}).Rebuild(context.Background(), server.RebuildRequest{Seed: &seed})
+	resp, err := (&server.Client{BaseURL: ts.URL, Shard: "main"}).Rebuild(context.Background(), map[string]any{"seed": seed})
 	if err != nil {
 		t.Fatal(err)
 	}

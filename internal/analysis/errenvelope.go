@@ -12,13 +12,13 @@ import (
 // parse. A handler calling http.Error or writing a bare error status via
 // WriteHeader bypasses the envelope and hands clients an unparseable
 // body, so both are flagged anywhere in a package whose import path ends
-// in internal/server. The envelope helper itself (writeError) performs
+// in internal/server. The envelope helper itself (WriteError) performs
 // the one legitimate WriteHeader call and carries the
 // //pde:allow(errenvelope) annotation.
 var ErrEnvelope = &Analyzer{
 	Name: "errenvelope",
 	Doc: "HTTP errors leave internal/server only through the shared " +
-		"writeError envelope helper",
+		"WriteError envelope helper",
 	Scope: scopeSuffix("internal/server"),
 	Run:   runErrEnvelope,
 }
@@ -36,12 +36,12 @@ func runErrEnvelope(pass *Pass) {
 		if pkgPathOf(fn) == "net/http" && fn.Name() == "Error" &&
 			fn.Type().(*types.Signature).Recv() == nil {
 			pass.Reportf(call.Pos(),
-				"http.Error bypasses the {\"error\":{code,message}} envelope; use the writeError helper")
+				"http.Error bypasses the {\"error\":{code,message}} envelope; use the WriteError helper")
 			return true
 		}
 		if fn.Name() == "WriteHeader" && recvIsResponseWriter(fn) {
 			pass.Reportf(call.Pos(),
-				"bare WriteHeader in a handler bypasses the error envelope; use the writeError helper (//pde:allow(errenvelope) inside the helper itself)")
+				"bare WriteHeader in a handler bypasses the error envelope; use the WriteError helper (//pde:allow(errenvelope) inside the helper itself)")
 		}
 		return true
 	})

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+
+	"pde/internal/server"
 )
 
 // handleAdmin applies one /v1/rebuild or /v1/update to every replica of
@@ -30,29 +32,28 @@ import (
 // divergent shard, even though the replicas that did swap cannot be
 // unswapped, so the error names the survivors.
 func (c *Coordinator) handleAdmin(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires POST, got %s", r.URL.Path, r.Method)
+	if !server.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	body, err := readBody(r.Body)
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "reading request: %v", err)
+		server.WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "reading request: %v", err)
 		return
 	}
 	var req struct {
 		Shard string `json:"shard"`
 	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "decoding request: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "decoding request: %v", err)
 		return
 	}
 	if req.Shard == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "request names no shard")
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "request names no shard")
 		return
 	}
 	reps := c.replicasFor(req.Shard)
 	if len(reps) == 0 {
-		writeError(w, http.StatusNotFound, "unknown_shard", "no daemon serves shard %q (have %s)", req.Shard, strings.Join(c.Shards(), ", "))
+		server.WriteError(w, http.StatusNotFound, "unknown_shard", "no daemon serves shard %q (have %s)", req.Shard, strings.Join(c.Shards(), ", "))
 		return
 	}
 	lock := c.adminLock(req.Shard)
@@ -93,11 +94,11 @@ func (c *Coordinator) handleAdmin(w http.ResponseWriter, r *http.Request) {
 	op := strings.TrimPrefix(r.URL.Path, "/v1/")
 	switch {
 	case len(failed) > 0:
-		writeError(w, http.StatusBadGateway, "propagation_failed",
+		server.WriteError(w, http.StatusBadGateway, "propagation_failed",
 			"%s of shard %q failed on %d of %d replicas: %s (applied: %s)",
 			op, req.Shard, len(failed), len(reps), strings.Join(failed, "; "), strings.Join(fps, ", "))
 	case !agree:
-		writeError(w, http.StatusBadGateway, "replica_divergence",
+		server.WriteError(w, http.StatusBadGateway, "replica_divergence",
 			"%s of shard %q published diverging fingerprints: %s — builds are deterministic, so the replicas were not identical before the operation",
 			op, req.Shard, strings.Join(fps, ", "))
 	default:

@@ -196,7 +196,7 @@ func TestAdminPropagationOutlivesTheClient(t *testing.T) {
 
 	seed := int64(41)
 	cl := &server.Client{BaseURL: cts.URL, Shard: "hot"}
-	if _, err := cl.Rebuild(clientCtx, server.RebuildRequest{Seed: &seed}); !errors.Is(err, context.Canceled) {
+	if _, err := cl.Rebuild(clientCtx, map[string]any{"seed": seed}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("rebuild = %v, want the client's own cancellation", err)
 	}
 	cts.Close() // waits for the coordinator's handler to return

@@ -27,6 +27,11 @@
 // Generation coherence — every answer stamped with the fingerprint of
 // the exact tables that produced it — survives the cluster layer
 // because answers are proxied from a single daemon, never merged.
+//
+// The coordinator refuses requests with the daemon's own error envelope
+// (server.WriteError), so clients tell its refusals from a daemon's
+// only by code: no_healthy_replica, propagation_failed and
+// replica_divergence are the coordinator's.
 package cluster
 
 import (
@@ -179,7 +184,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for _, u := range urls {
 		c.backends = append(c.backends, &backend{
 			url:    u,
-			client: &server.Client{BaseURL: u, HTTP: c.client, MaxResponseBytes: maxBody},
+			client: &server.Client{BaseURL: u, HTTP: c.client},
 		})
 	}
 

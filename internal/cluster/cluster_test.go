@@ -242,7 +242,7 @@ func TestClusterStatusEndpoint(t *testing.T) {
 	})
 	_, cts := newCoordinator(t, daemons)
 
-	st, err := FetchStatus(context.Background(), cts.URL, nil)
+	st, err := FetchStatus(context.Background(), cts.URL)
 	if err != nil {
 		t.Fatalf("FetchStatus: %v", err)
 	}
@@ -281,7 +281,7 @@ func TestClusterRebuildAndUpdatePropagation(t *testing.T) {
 
 	seed := int64(77)
 	cl := &server.Client{BaseURL: cts.URL, Shard: "hot"}
-	rb, err := cl.Rebuild(ctx, server.RebuildRequest{Seed: &seed})
+	rb, err := cl.Rebuild(ctx, map[string]any{"seed": seed})
 	if err != nil {
 		t.Fatalf("rebuild via coordinator: %v", err)
 	}
@@ -313,7 +313,7 @@ func TestClusterRebuildAndUpdatePropagation(t *testing.T) {
 		}
 	}
 
-	st, err := FetchStatus(ctx, cts.URL, nil)
+	st, err := FetchStatus(ctx, cts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,11 +346,11 @@ func TestClusterRefusesDivergedReplicas(t *testing.T) {
 	// (topology knobs untouched), different tables (eps override).
 	eps := 0.25
 	direct := &server.Client{BaseURL: daemons[1].url(), Shard: "hot"}
-	if _, err := direct.Rebuild(ctx, server.RebuildRequest{Eps: &eps}); err != nil {
+	if _, err := direct.Rebuild(ctx, map[string]any{"eps": eps}); err != nil {
 		t.Fatalf("out-of-band rebuild: %v", err)
 	}
 
-	st, err := FetchStatus(ctx, cts.URL, nil)
+	st, err := FetchStatus(ctx, cts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestClusterFailsOverDuringHealthFlap(t *testing.T) {
 		}
 	}
 	healthyCount := func() int {
-		st, err := FetchStatus(ctx, cts.URL, nil)
+		st, err := FetchStatus(ctx, cts.URL)
 		if err != nil {
 			return -1
 		}

@@ -109,7 +109,7 @@ func TestClusterKillOneReplicaMidStream(t *testing.T) {
 
 	// The router must have actually failed over, and the prober must
 	// converge on 2 healthy replicas that still agree.
-	st, err := FetchStatus(ctx, cts.URL, nil)
+	st, err := FetchStatus(ctx, cts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,10 +117,10 @@ func TestClusterKillOneReplicaMidStream(t *testing.T) {
 		t.Fatalf("stream survived but the router recorded no failovers: %+v", st)
 	}
 	waitFor(t, "prober to mark the killed replica down", func() bool {
-		st, err := FetchStatus(ctx, cts.URL, nil)
+		st, err := FetchStatus(ctx, cts.URL)
 		return err == nil && st.Shards["hot"].Healthy == 2
 	})
-	st, err = FetchStatus(ctx, cts.URL, nil)
+	st, err = FetchStatus(ctx, cts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,16 +14,6 @@ import (
 	"pde/internal/server"
 )
 
-// writeError emits the daemon wire protocol's error envelope; clients
-// cannot tell a coordinator refusal from a daemon one except by code.
-// Coordinator-specific codes: no_healthy_replica, propagation_failed,
-// replica_divergence.
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(server.ErrorEnvelope{Error: server.ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
-}
-
 // readBody buffers a request or proxied-response body under the
 // coordinator's cap.
 func readBody(r io.Reader) ([]byte, error) {
@@ -66,28 +56,27 @@ type proxyResult struct {
 // handleQuery routes one query request by shard name and relays the
 // first replica answer, failing over across replicas and passes.
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires POST, got %s", r.URL.Path, r.Method)
+	if !server.RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	body, err := readBody(r.Body)
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "reading request: %v", err)
+		server.WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "reading request: %v", err)
 		return
 	}
 	shard := shardFromRequest(r, body)
 	if shard == "" {
-		writeError(w, http.StatusBadRequest, "bad_request", "request names no shard (binary bodies use ?shard=, JSON bodies a \"shard\" field)")
+		server.WriteError(w, http.StatusBadRequest, "bad_request", "request names no shard (binary bodies use ?shard=, JSON bodies a \"shard\" field)")
 		return
 	}
 	reps := c.replicasFor(shard)
 	if len(reps) == 0 {
-		writeError(w, http.StatusNotFound, "unknown_shard", "no daemon serves shard %q (have %s)", shard, strings.Join(c.Shards(), ", "))
+		server.WriteError(w, http.StatusNotFound, "unknown_shard", "no daemon serves shard %q (have %s)", shard, strings.Join(c.Shards(), ", "))
 		return
 	}
 	res, err := c.forward(r.Context(), reps, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body)
 	if err != nil {
-		writeError(w, http.StatusBadGateway, "no_healthy_replica", "shard %q: every replica failed: %v", shard, err)
+		server.WriteError(w, http.StatusBadGateway, "no_healthy_replica", "shard %q: every replica failed: %v", shard, err)
 		return
 	}
 	c.proxied.Add(1)

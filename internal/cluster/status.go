@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -49,8 +46,7 @@ type StatusResponse struct {
 // rather than cached, so "do the replicas agree" is a question this
 // endpoint answers about the present.
 func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires GET, got %s", r.URL.Path, r.Method)
+	if !server.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	stats := c.fleetStats(r.Context())
@@ -102,9 +98,7 @@ func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request
 		resp.Shards[shard] = pl
 	}
 	c.mu.RUnlock()
-
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&resp)
+	server.WriteJSON(w, &resp)
 }
 
 // fleetStats fetches /v1/stats from every healthy daemon, each under
@@ -132,8 +126,7 @@ func (c *Coordinator) fleetStats(ctx context.Context) map[*backend]map[string]se
 // against the coordinator: every placed shard's status, taken from its
 // first healthy replica.
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires GET, got %s", r.URL.Path, r.Method)
+	if !server.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	resp := server.StatsResponse{
@@ -157,16 +150,14 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&resp)
+	server.WriteJSON(w, &resp)
 }
 
 // handleHealthz answers like a daemon: "ok" while every placed shard
 // has at least one healthy replica, "degraded" with a 503 otherwise —
 // load balancers and the CI smoke read the status code alone.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires GET, got %s", r.URL.Path, r.Method)
+	if !server.RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	status := "ok"
@@ -188,11 +179,12 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	c.mu.RUnlock()
 	sort.Strings(names)
 
-	w.Header().Set("Content-Type", "application/json")
 	if status != "ok" {
+		// The content type must precede the status line.
+		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	json.NewEncoder(w).Encode(&server.HealthResponse{
+	server.WriteJSON(w, &server.HealthResponse{
 		Status:   status,
 		UptimeNS: time.Since(c.start).Nanoseconds(),
 		Shards:   names,
@@ -200,31 +192,8 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // FetchStatus retrieves /v1/cluster from a coordinator — the helper
-// behind pde-query's -cluster topology banner. A nil client uses the
-// hardened package default.
-func FetchStatus(ctx context.Context, base string, hc *http.Client) (*StatusResponse, error) {
-	if hc == nil {
-		hc = &http.Client{Transport: server.DefaultTransport()}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/cluster", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, server.DefaultMaxResponseBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s/v1/cluster: HTTP %d: %s", base, resp.StatusCode, truncateForError(data))
-	}
-	var st StatusResponse
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("cluster: decoding /v1/cluster: %w", err)
-	}
-	return &st, nil
+// behind pde-query's -cluster topology banner — through the daemon
+// client's JSON call.
+func FetchStatus(ctx context.Context, base string) (*StatusResponse, error) {
+	return server.CallJSON[StatusResponse](ctx, &server.Client{BaseURL: base}, "/v1/cluster", nil)
 }

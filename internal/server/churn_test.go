@@ -40,7 +40,7 @@ func TestRebuildFailureNeverFollowsPublish(t *testing.T) {
 	before, _ := srv.Fingerprint("main")
 
 	eps := 1e-20
-	resp := postJSON(t, ts.URL+"/v1/rebuild", RebuildRequest{Shard: "main", Eps: &eps}, nil)
+	resp := postJSON(t, ts.URL+"/v1/rebuild", map[string]any{"shard": "main", "eps": eps}, nil)
 	wantErrorEnvelope(t, resp, http.StatusInternalServerError, "build_failed")
 
 	after, _ := srv.Fingerprint("main")
@@ -320,7 +320,7 @@ func TestChurnAllEndpointsUnderRebuilds(t *testing.T) {
 		if cycle%2 == 1 {
 			spec = big
 		}
-		reqBody, _ := json.Marshal(RebuildRequest{Shard: "main", N: &spec.N, Seed: &spec.Seed})
+		reqBody, _ := json.Marshal(map[string]any{"shard": "main", "n": spec.N, "seed": spec.Seed})
 		resp, err := client.Post(ts.URL+"/v1/rebuild", "application/json", bytes.NewReader(reqBody))
 		if err != nil {
 			t.Fatalf("cycle %d: rebuild: %v", cycle, err)

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"net/url"
@@ -79,12 +81,8 @@ func ResolveWireAddr(baseURL, wireAddr string) string {
 var defaultHTTPClient = &http.Client{Transport: DefaultTransport()}
 
 // Client speaks the daemon's wire protocol — the remote mirror of the
-// oracle's batch API. pde-query, the cluster coordinator's forwarding
-// plane and the benchmark of record (benchmark/) all drive daemons
-// through it, so the protocol has exactly one client implementation to
-// drift. Every call takes a context; cancel it to
-// abandon a call mid-flight (the failover retry loop in
-// internal/cluster depends on this).
+// oracle's batch API, and the protocol's one client implementation.
+// Every call takes a context; cancel it to abandon a call mid-flight.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:7475".
 	BaseURL string
@@ -94,122 +92,111 @@ type Client struct {
 	// dial and response-header timeouts is used — never
 	// http.DefaultClient, which has none.
 	HTTP *http.Client
-	// MaxResponseBytes caps response-body buffering
-	// (DefaultMaxResponseBytes when zero). Responses that announce or
-	// deliver more than the cap fail instead of allocating.
-	MaxResponseBytes int64
+
+	// maxResponse replaces DefaultMaxResponseBytes when non-zero. Only
+	// this package's tests set it, to reach the cap with small bodies.
+	maxResponse int64
 }
 
-func (c *Client) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
+// roundTrip is the client's one HTTP exchange: it sends body to path (a
+// POST of contentType, or a GET when body is nil) and buffers the reply
+// under the response cap. Any status but 200 becomes the error
+// envelope's message. The server-announced Content-Length is trusted
+// for preallocation only after it has been checked against the cap, so
+// a daemon that lies about its length cannot force an arbitrary
+// allocation, and one that streams past the cap fails at the cap.
+func (c *Client) roundTrip(ctx context.Context, path, contentType string, body []byte) ([]byte, http.Header, error) {
+	method, rd := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		method, rd = http.MethodPost, bytes.NewReader(body)
 	}
-	return defaultHTTPClient
-}
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
+	if err != nil {
+		return nil, nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
+	}
+	hc := c.HTTP
+	if hc == nil {
+		hc = defaultHTTPClient
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
 
-func (c *Client) maxResponse() int64 {
-	if c.MaxResponseBytes > 0 {
-		return c.MaxResponseBytes
-	}
-	return DefaultMaxResponseBytes
-}
-
-// decodeError turns a non-200 response into the envelope's message.
-func decodeError(resp *http.Response, body []byte) error {
-	var env ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
-		return fmt.Errorf("server: %s (%s, HTTP %d)", env.Error.Message, env.Error.Code, resp.StatusCode)
-	}
-	return fmt.Errorf("server: HTTP %d: %s", resp.StatusCode, body)
-}
-
-// readBody buffers a response body under the client's cap. The
-// server-announced Content-Length is only trusted as a lower bound for
-// preallocation after it has been checked against the cap — a daemon
-// that lies about its length cannot force an arbitrary allocation.
-func (c *Client) readBody(resp *http.Response) ([]byte, error) {
-	limit := c.maxResponse()
-	if resp.ContentLength > limit {
-		return nil, fmt.Errorf("server: response announces %d bytes, above the %d-byte cap", resp.ContentLength, limit)
-	}
-	if resp.ContentLength >= 0 {
-		data := make([]byte, resp.ContentLength)
+	limit := cmp.Or(c.maxResponse, DefaultMaxResponseBytes)
+	var data []byte
+	switch cl := resp.ContentLength; {
+	case cl > limit:
+		return nil, nil, fmt.Errorf("server: response announces %d bytes, above the %d-byte cap", cl, limit)
+	case cl >= 0:
+		data = make([]byte, cl)
 		if _, err := io.ReadFull(resp.Body, data); err != nil {
-			return nil, fmt.Errorf("server: reading %d-byte response: %w", resp.ContentLength, err)
+			return nil, nil, fmt.Errorf("server: reading %d-byte response: %w", cl, err)
 		}
-		return data, nil
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, limit+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) > limit {
-		return nil, fmt.Errorf("server: response exceeds the %d-byte cap", limit)
-	}
-	return data, nil
-}
-
-func (c *Client) post(ctx context.Context, path, contentType string, body []byte) ([]byte, *http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer resp.Body.Close()
-	data, err := c.readBody(resp)
-	if err != nil {
-		return nil, nil, err
+	default:
+		if data, err = io.ReadAll(io.LimitReader(resp.Body, limit+1)); err != nil {
+			return nil, nil, err
+		}
+		if int64(len(data)) > limit {
+			return nil, nil, fmt.Errorf("server: response exceeds the %d-byte cap", limit)
+		}
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, nil, decodeError(resp, data)
+		var env ErrorEnvelope
+		if err := json.Unmarshal(data, &env); err == nil && env.Error.Code != "" {
+			return nil, nil, fmt.Errorf("server: %s (%s, HTTP %d)", env.Error.Message, env.Error.Code, resp.StatusCode)
+		}
+		return nil, nil, fmt.Errorf("server: HTTP %d: %s", resp.StatusCode, data)
 	}
-	return data, resp, nil
+	return data, resp.Header, nil
 }
 
-func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
+// CallJSON is the client's one JSON call: it posts req as JSON to path
+// (or GETs path when req is nil) through c and decodes the 200 reply.
+func CallJSON[T any](ctx context.Context, c *Client, path string, req any) (*T, error) {
+	var body []byte
+	if req != nil {
+		var err error
+		if body, err = json.Marshal(req); err != nil {
+			return nil, err
+		}
+	}
+	data, _, err := c.roundTrip(ctx, path, "application/json", body)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return nil, err
+	var resp T
+	if err := json.Unmarshal(data, &resp); err != nil {
+		return nil, fmt.Errorf("decoding %s response: %w", path, err)
 	}
-	defer resp.Body.Close()
-	data, err := c.readBody(resp)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp, data)
-	}
-	return data, nil
+	return &resp, nil
 }
+
+// batch is the JSON body of a point-query batch for the client's shard.
+func (c *Client) batch(qs []oracle.Query) *BatchRequest {
+	req := &BatchRequest{Shard: c.Shard, Queries: make([]WireQuery, len(qs))}
+	for i, q := range qs {
+		req.Queries[i] = WireQuery{V: q.V, S: q.S}
+	}
+	return req
+}
+
+// binaryPath is path with the client's shard in the ?shard= parameter
+// binary bodies name it by.
+func (c *Client) binaryPath(path string) string { return path + "?shard=" + url.QueryEscape(c.Shard) }
 
 // Estimate serves a point-estimate batch over the binary codec (or JSON
 // when asJSON is set) and returns the answers with the fingerprint of
 // the table generation that produced all of them.
 func (c *Client) Estimate(ctx context.Context, qs []oracle.Query, asJSON bool) ([]oracle.Answer, string, error) {
 	if asJSON {
-		req := BatchRequest{Shard: c.Shard, Queries: make([]WireQuery, len(qs))}
-		for i, q := range qs {
-			req.Queries[i] = WireQuery{V: q.V, S: q.S}
-		}
-		body, err := json.Marshal(&req)
+		resp, err := CallJSON[EstimateResponse](ctx, c, "/v1/estimate", c.batch(qs))
 		if err != nil {
 			return nil, "", err
-		}
-		data, _, err := c.post(ctx, "/v1/estimate", "application/json", body)
-		if err != nil {
-			return nil, "", err
-		}
-		var resp EstimateResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return nil, "", fmt.Errorf("decoding estimate response: %w", err)
 		}
 		answers := make([]oracle.Answer, len(resp.Answers))
 		for i, a := range resp.Answers {
@@ -222,7 +209,7 @@ func (c *Client) Estimate(ctx context.Context, qs []oracle.Query, asJSON bool) (
 		}
 		return answers, resp.Fingerprint, nil
 	}
-	data, resp, err := c.post(ctx, "/v1/estimate?shard="+url.QueryEscape(c.Shard), ContentTypeBinary, EncodeQueries(qs))
+	data, h, err := c.roundTrip(ctx, c.binaryPath("/v1/estimate"), ContentTypeBinary, EncodeQueries(qs))
 	if err != nil {
 		return nil, "", err
 	}
@@ -230,31 +217,19 @@ func (c *Client) Estimate(ctx context.Context, qs []oracle.Query, asJSON bool) (
 	if err != nil {
 		return nil, "", err
 	}
-	return answers, resp.Header.Get("X-Pde-Fingerprint"), nil
+	return answers, h.Get("X-Pde-Fingerprint"), nil
 }
 
 // NextHop serves a next-hop batch over the binary codec (or JSON).
 func (c *Client) NextHop(ctx context.Context, qs []oracle.Query, asJSON bool) ([]Hop, string, error) {
 	if asJSON {
-		req := BatchRequest{Shard: c.Shard, Queries: make([]WireQuery, len(qs))}
-		for i, q := range qs {
-			req.Queries[i] = WireQuery{V: q.V, S: q.S}
-		}
-		body, err := json.Marshal(&req)
+		resp, err := CallJSON[NexthopResponse](ctx, c, "/v1/nexthop", c.batch(qs))
 		if err != nil {
 			return nil, "", err
-		}
-		data, _, err := c.post(ctx, "/v1/nexthop", "application/json", body)
-		if err != nil {
-			return nil, "", err
-		}
-		var resp NexthopResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return nil, "", fmt.Errorf("decoding nexthop response: %w", err)
 		}
 		return resp.Hops, resp.Fingerprint, nil
 	}
-	data, resp, err := c.post(ctx, "/v1/nexthop?shard="+url.QueryEscape(c.Shard), ContentTypeBinary, EncodeQueries(qs))
+	data, h, err := c.roundTrip(ctx, c.binaryPath("/v1/nexthop"), ContentTypeBinary, EncodeQueries(qs))
 	if err != nil {
 		return nil, "", err
 	}
@@ -262,7 +237,7 @@ func (c *Client) NextHop(ctx context.Context, qs []oracle.Query, asJSON bool) ([
 	if err != nil {
 		return nil, "", err
 	}
-	return hops, resp.Header.Get("X-Pde-Fingerprint"), nil
+	return hops, h.Get("X-Pde-Fingerprint"), nil
 }
 
 // SetDist evaluates aggregate set-to-set distances between a and b over
@@ -273,25 +248,13 @@ func (c *Client) NextHop(ctx context.Context, qs []oracle.Query, asJSON bool) ([
 // evaluation.
 func (c *Client) SetDist(ctx context.Context, a, b []int32, naive, asJSON bool) (*SetDistResponse, error) {
 	if asJSON {
-		body, err := json.Marshal(&SetDistRequest{Shard: c.Shard, A: a, B: b, Naive: naive})
-		if err != nil {
-			return nil, err
-		}
-		data, _, err := c.post(ctx, "/v1/setdist", "application/json", body)
-		if err != nil {
-			return nil, err
-		}
-		var resp SetDistResponse
-		if err := json.Unmarshal(data, &resp); err != nil {
-			return nil, fmt.Errorf("decoding setdist response: %w", err)
-		}
-		return &resp, nil
+		return CallJSON[SetDistResponse](ctx, c, "/v1/setdist", &SetDistRequest{Shard: c.Shard, A: a, B: b, Naive: naive})
 	}
-	path := "/v1/setdist?shard=" + url.QueryEscape(c.Shard)
+	path := c.binaryPath("/v1/setdist")
 	if naive {
 		path += "&naive=1"
 	}
-	data, resp, err := c.post(ctx, path, ContentTypeBinary, EncodeSetDistQuery(a, b))
+	data, h, err := c.roundTrip(ctx, path, ContentTypeBinary, EncodeSetDistQuery(a, b))
 	if err != nil {
 		return nil, err
 	}
@@ -299,84 +262,38 @@ func (c *Client) SetDist(ctx context.Context, a, b []int32, naive, asJSON bool) 
 	if err != nil {
 		return nil, err
 	}
-	return setDistResponse(resp.Header.Get("X-Pde-Shard"), resp.Header.Get("X-Pde-Fingerprint"), res), nil
+	return setDistResponse(h.Get("X-Pde-Shard"), h.Get("X-Pde-Fingerprint"), res), nil
 }
 
 // Route expands a batch of (from, to) pairs.
 func (c *Client) Route(ctx context.Context, pairs []WirePair) (*RouteResponse, error) {
-	body, err := json.Marshal(&RouteRequest{Shard: c.Shard, Pairs: pairs})
-	if err != nil {
-		return nil, err
-	}
-	data, _, err := c.post(ctx, "/v1/route", "application/json", body)
-	if err != nil {
-		return nil, err
-	}
-	var resp RouteResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, fmt.Errorf("decoding route response: %w", err)
-	}
-	return &resp, nil
+	return CallJSON[RouteResponse](ctx, c, "/v1/route", &RouteRequest{Shard: c.Shard, Pairs: pairs})
 }
 
-// Rebuild hot-swaps the client's shard with the given spec overrides.
-func (c *Client) Rebuild(ctx context.Context, req RebuildRequest) (*RebuildResponse, error) {
-	req.Shard = c.Shard
-	body, err := json.Marshal(&req)
-	if err != nil {
-		return nil, err
+// Rebuild hot-swaps the client's shard. overrides maps Spec's JSON keys
+// to new values (e.g. {"seed": 7}); keys it leaves out keep the shard's
+// current value, so an empty map rebuilds the same spec.
+func (c *Client) Rebuild(ctx context.Context, overrides map[string]any) (*RebuildResponse, error) {
+	body := maps.Clone(overrides)
+	if body == nil {
+		body = map[string]any{}
 	}
-	data, _, err := c.post(ctx, "/v1/rebuild", "application/json", body)
-	if err != nil {
-		return nil, err
-	}
-	var resp RebuildResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, fmt.Errorf("decoding rebuild response: %w", err)
-	}
-	return &resp, nil
+	body["shard"] = c.Shard
+	return CallJSON[RebuildResponse](ctx, c, "/v1/rebuild", body)
 }
 
 // Update applies one churn batch to the client's shard via /v1/update.
 func (c *Client) Update(ctx context.Context, req UpdateRequest) (*UpdateResponse, error) {
 	req.Shard = c.Shard
-	body, err := json.Marshal(&req)
-	if err != nil {
-		return nil, err
-	}
-	data, _, err := c.post(ctx, "/v1/update", "application/json", body)
-	if err != nil {
-		return nil, err
-	}
-	var resp UpdateResponse
-	if err := json.Unmarshal(data, &resp); err != nil {
-		return nil, fmt.Errorf("decoding update response: %w", err)
-	}
-	return &resp, nil
+	return CallJSON[UpdateResponse](ctx, c, "/v1/update", &req)
 }
 
 // Stats fetches the daemon's counters.
 func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
-	data, err := c.get(ctx, "/v1/stats")
-	if err != nil {
-		return nil, err
-	}
-	var st StatsResponse
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("decoding stats: %w", err)
-	}
-	return &st, nil
+	return CallJSON[StatsResponse](ctx, c, "/v1/stats", nil)
 }
 
 // Health probes /healthz.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	data, err := c.get(ctx, "/healthz")
-	if err != nil {
-		return nil, err
-	}
-	var h HealthResponse
-	if err := json.Unmarshal(data, &h); err != nil {
-		return nil, fmt.Errorf("decoding healthz: %w", err)
-	}
-	return &h, nil
+	return CallJSON[HealthResponse](ctx, c, "/healthz", nil)
 }

@@ -30,7 +30,7 @@ func TestClientRejectsOversizedAnnouncedResponse(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	cl := &Client{BaseURL: ts.URL, Shard: "main", HTTP: ts.Client(), MaxResponseBytes: 1 << 20}
+	cl := &Client{BaseURL: ts.URL, Shard: "main", HTTP: ts.Client(), maxResponse: 1 << 20}
 	_, _, err := cl.Estimate(context.Background(), []oracle.Query{{V: 0, S: 1}}, false)
 	if err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("1 TiB announcement got %v, want a cap error", err)
@@ -53,7 +53,7 @@ func TestClientRejectsOversizedChunkedResponse(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	cl := &Client{BaseURL: ts.URL, Shard: "main", HTTP: ts.Client(), MaxResponseBytes: 1 << 20}
+	cl := &Client{BaseURL: ts.URL, Shard: "main", HTTP: ts.Client(), maxResponse: 1 << 20}
 	_, err := cl.Stats(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("oversized chunked response got %v, want a cap error", err)
@@ -125,7 +125,7 @@ func TestDriveBatchesStopsFleetOnServerError(t *testing.T) {
 	var served atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if served.Add(1) > 3 {
-			writeError(w, http.StatusServiceUnavailable, "shutting_down", "daemon is draining")
+			WriteError(w, http.StatusServiceUnavailable, "shutting_down", "daemon is draining")
 			return
 		}
 		w.Header().Set("Content-Type", ContentTypeBinary)

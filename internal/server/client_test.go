@@ -78,7 +78,7 @@ func TestClientAgainstLiveServer(t *testing.T) {
 	}
 
 	seed := int64(77)
-	rb, err := cl.Rebuild(ctx, RebuildRequest{Seed: &seed})
+	rb, err := cl.Rebuild(ctx, map[string]any{"seed": seed})
 	if err != nil {
 		t.Fatalf("Rebuild: %v", err)
 	}
@@ -109,7 +109,7 @@ func TestClientErrorSurfacing(t *testing.T) {
 	if _, err := ghost.Route(ctx, []WirePair{{From: 0, To: 1}}); err == nil || !strings.Contains(err.Error(), "unknown_shard") {
 		t.Fatalf("route against ghost shard: %v", err)
 	}
-	if _, err := ghost.Rebuild(ctx, RebuildRequest{}); err == nil || !strings.Contains(err.Error(), "unknown_shard") {
+	if _, err := ghost.Rebuild(ctx, nil); err == nil || !strings.Contains(err.Error(), "unknown_shard") {
 		t.Fatalf("rebuild against ghost shard: %v", err)
 	}
 

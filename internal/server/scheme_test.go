@@ -268,7 +268,7 @@ func TestRebuildAcrossSchemes(t *testing.T) {
 	k := 2
 	prob := 0.3
 	eps := 0.5
-	resp, err := cl.Rebuild(context.Background(), RebuildRequest{Shard: "main", Scheme: &toRTC, K: &k, SampleProb: &prob, Eps: &eps})
+	resp, err := cl.Rebuild(context.Background(), map[string]any{"shard": "main", "scheme": toRTC, "k": k, "sample_prob": prob, "eps": eps})
 	if err != nil {
 		t.Fatalf("rebuild to rtc: %v", err)
 	}
@@ -295,7 +295,7 @@ func TestRebuildAcrossSchemes(t *testing.T) {
 	}
 
 	toOracle := "oracle"
-	resp2, err := cl.Rebuild(context.Background(), RebuildRequest{Shard: "main", Scheme: &toOracle})
+	resp2, err := cl.Rebuild(context.Background(), map[string]any{"shard": "main", "scheme": toOracle})
 	if err != nil {
 		t.Fatalf("rebuild back to oracle: %v", err)
 	}
@@ -304,7 +304,7 @@ func TestRebuildAcrossSchemes(t *testing.T) {
 	}
 	// An invalid scheme override is a 400, not a swap.
 	bogus := "quantum"
-	if _, err := cl.Rebuild(context.Background(), RebuildRequest{Shard: "main", Scheme: &bogus}); err == nil {
+	if _, err := cl.Rebuild(context.Background(), map[string]any{"shard": "main", "scheme": bogus}); err == nil {
 		t.Fatal("rebuild to an unknown scheme should fail")
 	}
 }
@@ -343,16 +343,15 @@ func TestRebuildReportsCanonicalSpec(t *testing.T) {
 	none, simulate, broadcast := "none", "simulate", "broadcast"
 	for _, step := range []struct {
 		name string
-		req  RebuildRequest
+		req  map[string]any
 	}{
-		{"l0=0 keeps simulate", RebuildRequest{L0: &zero}},
-		{"l0=0 broadcast", RebuildRequest{Strategy: &broadcast}},
-		{"l0=0 none", RebuildRequest{Strategy: &none}},
-		{"l0=1 none", RebuildRequest{L0: &one}},
-		{"l0=1 simulate", RebuildRequest{Strategy: &simulate}},
-		{"l0=1 broadcast", RebuildRequest{Strategy: &broadcast}},
+		{"l0=0 keeps simulate", map[string]any{"l0": zero}},
+		{"l0=0 broadcast", map[string]any{"strategy": broadcast}},
+		{"l0=0 none", map[string]any{"strategy": none}},
+		{"l0=1 none", map[string]any{"l0": one}},
+		{"l0=1 simulate", map[string]any{"strategy": simulate}},
+		{"l0=1 broadcast", map[string]any{"strategy": broadcast}},
 	} {
-		step.req.Shard = "main"
 		resp, err := cl.Rebuild(context.Background(), step.req)
 		if err != nil {
 			t.Fatalf("%s: %v", step.name, err)

@@ -46,14 +46,10 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -194,76 +190,6 @@ func (s *Server) Fingerprint(name string) (string, bool) {
 	return sl.load().fp, true
 }
 
-// --- error envelope ----------------------------------------------------
-
-// ErrorEnvelope is the body of every error response: {"error": {"code",
-// "message"}} with the codes listed in the package comment.
-type ErrorEnvelope struct {
-	Error ErrorBody `json:"error"`
-}
-
-// ErrorBody carries the machine-readable code and the human-readable
-// message of an error response.
-type ErrorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-func writeError(w http.ResponseWriter, status int, code, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	// This is the envelope helper itself: the one WriteHeader every
-	// error response in the package funnels through.
-	w.WriteHeader(status) //pde:allow(errenvelope) the envelope helper's own status write
-	json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{Code: code, Message: fmt.Sprintf(format, args...)}})
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeBinary sends a codec frame with an explicit Content-Length, so
-// large batch responses skip chunked encoding and clients can read them
-// into an exact-sized buffer.
-func writeBinary(w http.ResponseWriter, shard, fp string, frame []byte) {
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	w.Header().Set("X-Pde-Shard", shard)
-	w.Header().Set("X-Pde-Fingerprint", fp)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.Write(frame)
-}
-
-// decodeJSON parses a JSON body capped at limit bytes, writing the
-// protocol error itself on failure. The binary path rejects oversized
-// bodies before allocating; this is the JSON side of the same guarantee
-// — a multi-gigabyte body hits the cap, not the heap.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "request body exceeds %d bytes", tooBig.Limit)
-		} else {
-			writeError(w, http.StatusBadRequest, "bad_request", "parsing JSON body: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
-// jsonBatchLimit bounds a JSON batch body: generous per-query slack on
-// top of the MaxBatch record count.
-func (s *Server) jsonBatchLimit() int64 { return 4096 + 64*int64(s.cfg.MaxBatch) }
-
-// requirePost returns false (having written the error) unless r is a POST.
-func requirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires POST, got %s", r.URL.Path, r.Method)
-		return false
-	}
-	return true
-}
-
 // --- wire types --------------------------------------------------------
 
 // WireQuery is one (v, s) point query: the distance estimate (or next
@@ -335,12 +261,7 @@ type RouteResponse struct {
 	Routes      []WireRoute `json:"routes"`
 }
 
-// --- batch ingestion ---------------------------------------------------
-
-// isBinary reports whether the request body is the binary batch codec.
-func isBinary(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary)
-}
+// --- endpoint handlers -------------------------------------------------
 
 // readBatch parses a query batch in either encoding, resolves its slot
 // and checks the batch size, writing the protocol error itself when it
@@ -350,38 +271,21 @@ func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) (*slot, []ora
 	var shardName string
 	var qs []oracle.Query
 	if isBinary(r) {
-		shardName = r.URL.Query().Get("shard")
-		if shardName == "" {
-			writeError(w, http.StatusBadRequest, "bad_request", "binary batches name the shard in the ?shard= query parameter")
-			return nil, nil, false
-		}
-		// Read the exact announced length when the client sends one (the
-		// hot path: no growth reallocs); fall back to a capped ReadAll.
 		limit := int64(8 + (s.cfg.MaxBatch+1)*wire.QueryRecordSize)
-		var body []byte
-		var err error
-		if cl := r.ContentLength; cl >= 0 && cl <= limit {
-			body = make([]byte, cl)
-			_, err = io.ReadFull(r.Body, body)
-		} else if cl > limit {
-			writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch exceeds the %d-query limit", s.cfg.MaxBatch)
-			return nil, nil, false
-		} else {
-			body, err = io.ReadAll(io.LimitReader(r.Body, limit))
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
+		name, body, ok := s.readBinary(w, r, limit, "batch exceeds the %d-query limit")
+		if !ok {
 			return nil, nil, false
 		}
 		if count := (len(body) - 8) / wire.QueryRecordSize; count > s.cfg.MaxBatch {
-			writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch exceeds the %d-query limit", s.cfg.MaxBatch)
+			WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch exceeds the %d-query limit", s.cfg.MaxBatch)
 			return nil, nil, false
 		}
-		qs, err = DecodeQueries(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "binary batch: %v", err)
+		var err error
+		if qs, err = DecodeQueries(body); err != nil {
+			WriteError(w, http.StatusBadRequest, "bad_request", "binary batch: %v", err)
 			return nil, nil, false
 		}
+		shardName = name
 	} else {
 		var req BatchRequest
 		if !decodeJSON(w, r, &req, s.jsonBatchLimit()) {
@@ -393,23 +297,20 @@ func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) (*slot, []ora
 			qs[i] = oracle.Query{V: q.V, S: q.S}
 		}
 	}
-	sl, ok := s.slots[shardName]
+	sl, ok := s.slotFor(w, shardName)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_shard", "no shard named %q (have %s)", shardName, strings.Join(s.names, ", "))
 		return nil, nil, false
 	}
 	if len(qs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty_batch", "batch carries no queries")
+		WriteError(w, http.StatusBadRequest, "empty_batch", "batch carries no queries")
 		return nil, nil, false
 	}
 	if len(qs) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch carries %d queries, limit is %d", len(qs), s.cfg.MaxBatch)
+		WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch carries %d queries, limit is %d", len(qs), s.cfg.MaxBatch)
 		return nil, nil, false
 	}
 	return sl, qs, true
 }
-
-// --- endpoint handlers -------------------------------------------------
 
 // handlePoint serves /v1/estimate and /v1/nexthop, which differ only in
 // the counter they bump and the records they encode: next hops are
@@ -419,7 +320,7 @@ func (s *Server) readBatch(w http.ResponseWriter, r *http.Request) (*slot, []ora
 // n) mid-request can neither tear the response nor drive a validated id
 // out of bounds.
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, kind wire.FrameType) {
-	if !requirePost(w, r) {
+	if !RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	sl, qs, ok := s.readBatch(w, r)
@@ -427,17 +328,13 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, kind wire.F
 		return
 	}
 	sh := sl.load()
-	n := sh.NodeCount()
-	for i, q := range qs {
-		if !q.InRange(n) {
-			writeError(w, http.StatusBadRequest, "out_of_range", "query %d: (v=%d, s=%d) outside [0, %d)", i, q.V, q.S, n)
-			return
-		}
+	if !inRange(w, qs, sh.NodeCount(), func(q oracle.Query) (int32, int32) { return q.V, q.S }, "query %d: (v=%d, s=%d) outside [0, %d)") {
+		return
 	}
 	// A draining daemon still answers, with a 5xx: behind pde-cluster the
 	// request then fails over and this replica is not marked down.
 	if s.closing.Load() {
-		writeError(w, http.StatusServiceUnavailable, "shutting_down", "shard %q: server: shutting down", sl.name)
+		WriteError(w, http.StatusServiceUnavailable, "shutting_down", "shard %q: server: shutting down", sl.name)
 		return
 	}
 	// Answered on the request goroutine, as a PDE2 frame is: concurrency
@@ -445,7 +342,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, kind wire.F
 	// goroutines for every batch.
 	answers := make([]oracle.Answer, len(qs))
 	sh.inst.AnswerInto(qs, answers, 1)
-	sl.stats.recordBatch(1, len(qs))
+	sl.stats.recordRequest(len(qs))
 	sl.stats.countPoint(kind, len(qs))
 
 	binary := isBinary(r)
@@ -458,7 +355,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, kind wire.F
 			writeBinary(w, sl.name, sh.fp, EncodeHops(hops))
 			return
 		}
-		writeJSON(w, &NexthopResponse{Shard: sl.name, Fingerprint: sh.fp, Hops: hops})
+		WriteJSON(w, &NexthopResponse{Shard: sl.name, Fingerprint: sh.fp, Hops: hops})
 		return
 	}
 	if binary {
@@ -472,39 +369,31 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, kind wire.F
 			Instance: a.Est.Instance, Flag: a.Est.Flag,
 		}
 	}
-	writeJSON(w, &resp)
+	WriteJSON(w, &resp)
 }
 
 func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	var req RouteRequest
-	if !decodeJSON(w, r, &req, s.jsonBatchLimit()) {
+	if !RequireMethod(w, r, http.MethodPost) || !decodeJSON(w, r, &req, s.jsonBatchLimit()) {
 		return
 	}
-	sl, ok := s.slots[req.Shard]
+	sl, ok := s.slotFor(w, req.Shard)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_shard", "no shard named %q (have %s)", req.Shard, strings.Join(s.names, ", "))
 		return
 	}
 	if len(req.Pairs) == 0 {
-		writeError(w, http.StatusBadRequest, "empty_batch", "batch carries no route pairs")
+		WriteError(w, http.StatusBadRequest, "empty_batch", "batch carries no route pairs")
 		return
 	}
 	if len(req.Pairs) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch carries %d pairs, limit is %d", len(req.Pairs), s.cfg.MaxBatch)
+		WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "batch carries %d pairs, limit is %d", len(req.Pairs), s.cfg.MaxBatch)
 		return
 	}
 	// One snapshot serves the whole request; the cache key carries its
 	// fingerprint so a hot-swap can never serve a stale expansion.
 	sh := sl.load()
-	n := sh.NodeCount()
-	for i, p := range req.Pairs {
-		if !(oracle.Query{V: p.From, S: p.To}).InRange(n) {
-			writeError(w, http.StatusBadRequest, "out_of_range", "pair %d: (from=%d, to=%d) outside [0, %d)", i, p.From, p.To, n)
-			return
-		}
+	if !inRange(w, req.Pairs, sh.NodeCount(), func(p WirePair) (int32, int32) { return p.From, p.To }, "pair %d: (from=%d, to=%d) outside [0, %d)") {
+		return
 	}
 	resp := RouteResponse{Shard: sl.name, Fingerprint: sh.fp, Routes: make([]WireRoute, len(req.Pairs))}
 	for i, p := range req.Pairs {
@@ -524,29 +413,7 @@ func (s *Server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		resp.Routes[i] = WireRoute{OK: true, Path: rt.Path, Weight: rt.Weight}
 	}
 	sl.stats.routeQueries.Add(int64(len(req.Pairs)))
-	writeJSON(w, &resp)
-}
-
-// RebuildRequest is the admin hot-swap body: the shard to rebuild plus
-// any spec fields to override (absent fields keep their current value,
-// so {"shard": "main", "seed": 7} regenerates the same scenario family
-// with a fresh topology). Its JSON keys must stay scheme.Spec's plus
-// "shard": the handler overlays the body on the current spec.
-type RebuildRequest struct {
-	Shard        string   `json:"shard"`
-	Scheme       *string  `json:"scheme,omitempty"`
-	Topology     *string  `json:"topology,omitempty"`
-	N            *int     `json:"n,omitempty"`
-	Eps          *float64 `json:"eps,omitempty"`
-	MaxW         *int64   `json:"maxw,omitempty"`
-	H            *int     `json:"h,omitempty"`
-	Sigma        *int     `json:"sigma,omitempty"`
-	Seed         *int64   `json:"seed,omitempty"`
-	BuildWorkers *int     `json:"build_workers,omitempty"`
-	K            *int     `json:"k,omitempty"`
-	Strategy     *string  `json:"strategy,omitempty"`
-	L0           *int     `json:"l0,omitempty"`
-	SampleProb   *float64 `json:"sample_prob,omitempty"`
+	WriteJSON(w, &resp)
 }
 
 // RebuildResponse reports a hot swap: the fingerprints before and after,
@@ -562,22 +429,26 @@ type RebuildResponse struct {
 	Spec           Spec   `json:"spec"`
 }
 
+// handleRebuild serves the admin hot swap. Its body is the shard to
+// rebuild plus any Spec keys to override, e.g. {"shard": "main",
+// "seed": 7}; absent keys keep their current value.
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	var body json.RawMessage
-	if !decodeJSON(w, r, &body, 1<<20) {
+	if !RequireMethod(w, r, http.MethodPost) || !decodeJSON(w, r, &body, 1<<20) {
 		return
 	}
-	var req RebuildRequest
+	// Decoding onto a zero Spec type-checks every override before the
+	// shard lookup, so a malformed body is a 400 whichever shard it names.
+	var req struct {
+		Shard string `json:"shard"`
+		Spec
+	}
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "parsing JSON body: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad_request", "parsing JSON body: %v", err)
 		return
 	}
-	sl, ok := s.slots[req.Shard]
+	sl, ok := s.slotFor(w, req.Shard)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_shard", "no shard named %q (have %s)", req.Shard, strings.Join(s.names, ", "))
 		return
 	}
 	// Serialize rebuilds per shard; queries keep flowing against the old
@@ -586,25 +457,23 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	sl.buildMu.Lock()
 	defer sl.buildMu.Unlock()
 
-	// The request's keys are Spec's plus "shard", so decoding the body
-	// onto the current spec overrides exactly the fields it carries.
+	// Decoding the body onto the current spec overrides exactly the keys
+	// it carries ("shard" is not a Spec key). It cannot fail: the same
+	// body decoded onto a Spec above.
 	spec := sl.load().spec
-	if err := json.Unmarshal(body, &spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "parsing JSON body: %v", err)
-		return
-	}
+	_ = json.Unmarshal(body, &spec)
 	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "invalid spec: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad_request", "invalid spec: %v", err)
 		return
 	}
 	sh, err := buildShard(spec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "build_failed", "rebuilding shard %q: %v", req.Shard, err)
+		WriteError(w, http.StatusInternalServerError, "build_failed", "rebuilding shard %q: %v", req.Shard, err)
 		return
 	}
 	oldFP := sl.swap(sh)
 	sl.mutated.Store(false)
-	writeJSON(w, &RebuildResponse{
+	WriteJSON(w, &RebuildResponse{
 		Shard:          req.Shard,
 		OldFingerprint: oldFP,
 		NewFingerprint: sh.fp,
@@ -620,9 +489,9 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 
 // BatchStats describes the shape of a shard's HTTP point-query
 // requests. Every request is answered by its own AnswerInto call —
-// nothing is coalesced — so Flushes equals Requests and AvgQueries is
-// the mean request size; the block keeps its fields for the consumers
-// that read them.
+// nothing is coalesced — so Flushes and Requests report the same count
+// and AvgQueries is the mean request size; the block keeps both keys
+// for the consumers that read them.
 type BatchStats struct {
 	Flushes    int64   `json:"flushes"`
 	Requests   int64   `json:"requests"`
@@ -699,8 +568,7 @@ type StatsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires GET, got %s", r.URL.Path, r.Method)
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
 	uptime := time.Since(s.start)
@@ -720,9 +588,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SetDist:  st.setdistPairs.Load(),
 		}
 		qc.Total = qc.Estimate + qc.NextHop + qc.Route + qc.SetDist
+		requests := st.requests.Load()
 		bs := BatchStats{
-			Flushes:    st.batches.Load(),
-			Requests:   st.batchedRequests.Load(),
+			Flushes:    requests,
+			Requests:   requests,
 			Queries:    st.batchedQueries.Load(),
 			MaxQueries: st.maxBatch.Load(),
 		}
@@ -757,7 +626,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Shards[name] = status
 	}
-	writeJSON(w, &resp)
+	WriteJSON(w, &resp)
 }
 
 // HealthResponse is the reply of /healthz.
@@ -768,11 +637,10 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s requires GET, got %s", r.URL.Path, r.Method)
+	if !RequireMethod(w, r, http.MethodGet) {
 		return
 	}
-	writeJSON(w, &HealthResponse{
+	WriteJSON(w, &HealthResponse{
 		Status:   "ok",
 		UptimeNS: time.Since(s.start).Nanoseconds(),
 		Shards:   s.Shards(),

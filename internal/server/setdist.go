@@ -1,10 +1,8 @@
 package server
 
 import (
-	"io"
 	"math"
 	"net/http"
-	"strings"
 
 	"pde/internal/setdist"
 )
@@ -88,7 +86,7 @@ func setDistResponse(shard, fp string, res *setdist.Result) *SetDistResponse {
 // evaluation runs against one table snapshot and the response is stamped
 // with that generation's fingerprint.
 func (s *Server) handleSetDist(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
+	if !RequireMethod(w, r, http.MethodPost) {
 		return
 	}
 	binary := isBinary(r)
@@ -96,39 +94,22 @@ func (s *Server) handleSetDist(w http.ResponseWriter, r *http.Request) {
 	var a, b []int32
 	var naive bool
 	if binary {
-		shardName = r.URL.Query().Get("shard")
-		if shardName == "" {
-			writeError(w, http.StatusBadRequest, "bad_request", "binary batches name the shard in the ?shard= query parameter")
-			return
-		}
-		naive = r.URL.Query().Get("naive") == "1"
-		limit := int64(12 + 4*(2*s.cfg.MaxBatch+1))
-		var body []byte
-		var err error
-		if cl := r.ContentLength; cl >= 0 && cl <= limit {
-			body = make([]byte, cl)
-			_, err = io.ReadFull(r.Body, body)
-		} else if cl > limit {
-			writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "set sizes exceed the %d-member limit", s.cfg.MaxBatch)
-			return
-		} else {
-			body, err = io.ReadAll(io.LimitReader(r.Body, limit))
-		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "reading body: %v", err)
+		name, body, ok := s.readBinary(w, r, int64(12+4*(2*s.cfg.MaxBatch+1)), "set sizes exceed the %d-member limit")
+		if !ok {
 			return
 		}
 		// A body without a length (chunked) was cut at the cap, so its
 		// header's counts, not its length, say whether it was too large.
 		if countA, countB, ok := setDistCounts(body); ok && max(countA, countB) > s.cfg.MaxBatch {
-			writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "set carries %d members, limit is %d", max(countA, countB), s.cfg.MaxBatch)
+			WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "set carries %d members, limit is %d", max(countA, countB), s.cfg.MaxBatch)
 			return
 		}
-		a, b, err = DecodeSetDistQuery(body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "binary set-distance request: %v", err)
+		var err error
+		if a, b, err = DecodeSetDistQuery(body); err != nil {
+			WriteError(w, http.StatusBadRequest, "bad_request", "binary set-distance request: %v", err)
 			return
 		}
+		shardName, naive = name, r.URL.Query().Get("naive") == "1"
 	} else {
 		var req SetDistRequest
 		if !decodeJSON(w, r, &req, s.jsonBatchLimit()) {
@@ -136,39 +117,31 @@ func (s *Server) handleSetDist(w http.ResponseWriter, r *http.Request) {
 		}
 		shardName, a, b, naive = req.Shard, req.A, req.B, req.Naive
 	}
-	sl, ok := s.slots[shardName]
+	sl, ok := s.slotFor(w, shardName)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_shard", "no shard named %q (have %s)", shardName, strings.Join(s.names, ", "))
 		return
 	}
 	if len(a) == 0 || len(b) == 0 {
-		writeError(w, http.StatusBadRequest, "empty_batch", "set-distance needs non-empty sets (|A|=%d, |B|=%d)", len(a), len(b))
+		WriteError(w, http.StatusBadRequest, "empty_batch", "set-distance needs non-empty sets (|A|=%d, |B|=%d)", len(a), len(b))
 		return
 	}
 	if len(a) > s.cfg.MaxBatch || len(b) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "set carries %d members, limit is %d", max(len(a), len(b)), s.cfg.MaxBatch)
+		WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "set carries %d members, limit is %d", max(len(a), len(b)), s.cfg.MaxBatch)
 		return
 	}
 	// One snapshot answers the whole evaluation — the landmark keys, the
 	// estimates and the stamped fingerprint all come from the same table
-	// generation even if a hot-swap lands mid-request.
+	// generation even if a hot-swap lands mid-request. A member is one id,
+	// so it is passed twice and the message skips the copy.
 	sh := sl.load()
-	n := int32(sh.g.N())
-	for i, v := range a {
-		if v < 0 || v >= n {
-			writeError(w, http.StatusBadRequest, "out_of_range", "a[%d] = %d outside [0, %d)", i, v, n)
-			return
-		}
-	}
-	for i, v := range b {
-		if v < 0 || v >= n {
-			writeError(w, http.StatusBadRequest, "out_of_range", "b[%d] = %d outside [0, %d)", i, v, n)
-			return
-		}
+	n := sh.NodeCount()
+	member := func(v int32) (int32, int32) { return v, v }
+	if !inRange(w, a, n, member, "a[%d] = %d outside [0, %[4]d)") || !inRange(w, b, n, member, "b[%d] = %d outside [0, %[4]d)") {
+		return
 	}
 	res, err := setdist.Eval(sh.inst, a, b, setdist.Options{Naive: naive})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "set-distance evaluation: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad_request", "set-distance evaluation: %v", err)
 		return
 	}
 	// The stats unit is candidate pairs (2·|A|·|B|), the setdist analogue
@@ -179,5 +152,5 @@ func (s *Server) handleSetDist(w http.ResponseWriter, r *http.Request) {
 		writeBinary(w, sl.name, sh.fp, EncodeSetDistAnswer(res))
 		return
 	}
-	writeJSON(w, setDistResponse(sl.name, sh.fp, res))
+	WriteJSON(w, setDistResponse(sl.name, sh.fp, res))
 }

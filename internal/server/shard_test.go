@@ -187,10 +187,10 @@ func TestRouteCacheLRU(t *testing.T) {
 // unit tests directly.
 func TestShardStatsHelpers(t *testing.T) {
 	var st shardStats
-	st.recordBatch(2, 10)
-	st.recordBatch(1, 4)
-	if st.maxBatch.Load() != 10 || st.batches.Load() != 2 || st.batchedQueries.Load() != 14 {
-		t.Fatalf("batch counters: max=%d flushes=%d queries=%d",
-			st.maxBatch.Load(), st.batches.Load(), st.batchedQueries.Load())
+	st.recordRequest(10)
+	st.recordRequest(4)
+	if st.maxBatch.Load() != 10 || st.requests.Load() != 2 || st.batchedQueries.Load() != 14 {
+		t.Fatalf("batch counters: max=%d requests=%d queries=%d",
+			st.maxBatch.Load(), st.requests.Load(), st.batchedQueries.Load())
 	}
 }

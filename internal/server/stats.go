@@ -16,14 +16,13 @@ type shardStats struct {
 	routeQueries    atomic.Int64 // route expansions served by /v1/route
 	setdistPairs    atomic.Int64 // candidate pairs served by /v1/setdist
 
-	// HTTP point-query request shape: batches is AnswerInto calls,
-	// batchedRequests the requests they served (one each: nothing is
-	// coalesced), batchedQueries the point lookups they carried, maxBatch
-	// the largest single request.
-	batches         atomic.Int64
-	batchedRequests atomic.Int64
-	batchedQueries  atomic.Int64
-	maxBatch        atomic.Int64
+	// HTTP point-query request shape: requests is the requests served,
+	// each by its own AnswerInto call (nothing is coalesced),
+	// batchedQueries the point lookups they carried, maxBatch the largest
+	// single request.
+	requests       atomic.Int64
+	batchedQueries atomic.Int64
+	maxBatch       atomic.Int64
 
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
@@ -49,9 +48,8 @@ type shardStats struct {
 	lastUpdateUnixNS atomic.Int64
 }
 
-func (st *shardStats) recordBatch(requests, queries int) {
-	st.batches.Add(1)
-	st.batchedRequests.Add(int64(requests))
+func (st *shardStats) recordRequest(queries int) {
+	st.requests.Add(1)
 	st.batchedQueries.Add(int64(queries))
 	for {
 		cur := st.maxBatch.Load()

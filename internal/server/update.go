@@ -2,7 +2,6 @@ package server
 
 import (
 	"net/http"
-	"strings"
 	"time"
 
 	"pde/internal/graph"
@@ -24,8 +23,7 @@ type WireChange struct {
 // edge changes to apply as one atomic batch. Verify additionally
 // rebuilds the scheme from scratch on the updated graph and refuses to
 // publish unless the patched tables are fingerprint-identical — the
-// correctness contract, paid for on demand. A legacy damage_threshold
-// key is ignored like any unknown key: there is no cutoff to tune.
+// correctness contract, paid for on demand.
 type UpdateRequest struct {
 	Shard   string       `json:"shard"`
 	Changes []WireChange `json:"changes"`
@@ -54,31 +52,27 @@ type UpdateResponse struct {
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
 	var req UpdateRequest
-	if !decodeJSON(w, r, &req, s.jsonBatchLimit()) {
+	if !RequireMethod(w, r, http.MethodPost) || !decodeJSON(w, r, &req, s.jsonBatchLimit()) {
 		return
 	}
-	sl, ok := s.slots[req.Shard]
+	sl, ok := s.slotFor(w, req.Shard)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown_shard", "no shard named %q (have %s)", req.Shard, strings.Join(s.names, ", "))
 		return
 	}
 	if len(req.Changes) == 0 {
-		writeError(w, http.StatusBadRequest, "empty_batch", "update carries no changes")
+		WriteError(w, http.StatusBadRequest, "empty_batch", "update carries no changes")
 		return
 	}
 	if len(req.Changes) > s.cfg.MaxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "update carries %d changes, limit is %d", len(req.Changes), s.cfg.MaxBatch)
+		WriteError(w, http.StatusRequestEntityTooLarge, "batch_too_large", "update carries %d changes, limit is %d", len(req.Changes), s.cfg.MaxBatch)
 		return
 	}
 	changes := make([]graph.Change, len(req.Changes))
 	for i, c := range req.Changes {
 		op, err := graph.ParseChangeOp(c.Op)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "change %d: %v", i, err)
+			WriteError(w, http.StatusBadRequest, "bad_request", "change %d: %v", i, err)
 			return
 		}
 		changes[i] = graph.Change{Op: op, U: c.U, V: c.V, W: c.W}
@@ -94,29 +88,29 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	began := time.Now()
 	g2, sum, err := cur.g.ApplyChanges(changes)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", "applying changes: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad_request", "applying changes: %v", err)
 		return
 	}
 	// A weight-only batch keeps the edge set (ApplyChanges validated that
 	// and w >= 1), so only inserts and deletes can disconnect.
 	if sum.TopologyChanged && !g2.Connected() {
-		writeError(w, http.StatusBadRequest, "bad_request", "update would disconnect the graph; rejected")
+		WriteError(w, http.StatusBadRequest, "bad_request", "update would disconnect the graph; rejected")
 		return
 	}
 
 	ni, st, err := scheme.Update(cur.inst, g2)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "update_failed", "updating shard %q: %v", req.Shard, err)
+		WriteError(w, http.StatusInternalServerError, "update_failed", "updating shard %q: %v", req.Shard, err)
 		return
 	}
 	if req.Verify {
 		cold, err := scheme.BuildOn(cur.spec, g2)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "update_failed", "verify rebuild of shard %q: %v", req.Shard, err)
+			WriteError(w, http.StatusInternalServerError, "update_failed", "verify rebuild of shard %q: %v", req.Shard, err)
 			return
 		}
 		if got, want := ni.Fingerprint(), cold.Fingerprint(); got != want {
-			writeError(w, http.StatusInternalServerError, "update_failed",
+			WriteError(w, http.StatusInternalServerError, "update_failed",
 				"verify: %s tables fingerprint %016x != from-scratch build %016x; update not published", st.Path, got, want)
 			return
 		}
@@ -132,7 +126,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	sl.stats.lastUpdateUnixNS.Store(time.Now().UnixNano())
 
-	writeJSON(w, &UpdateResponse{
+	WriteJSON(w, &UpdateResponse{
 		Shard:           req.Shard,
 		OldFingerprint:  oldFP,
 		NewFingerprint:  sh.fp,

@@ -121,7 +121,7 @@ func TestUpdateDeltaEndToEnd(t *testing.T) {
 	}
 
 	// A rebuild regenerates from the spec and clears the mutated flag.
-	if resp := postJSON(t, ts.URL+"/v1/rebuild", RebuildRequest{Shard: "main"}, nil); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, ts.URL+"/v1/rebuild", map[string]any{"shard": "main"}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild after update: status %d", resp.StatusCode)
 	}
 	if sl.mutated.Load() {

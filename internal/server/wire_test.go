@@ -444,7 +444,7 @@ func TestChurnWireAllQueryTypesUnderRebuilds(t *testing.T) {
 		if cycle%2 == 1 {
 			spec = big
 		}
-		reqBody, _ := json.Marshal(RebuildRequest{Shard: "main", N: &spec.N, Seed: &spec.Seed})
+		reqBody, _ := json.Marshal(map[string]any{"shard": "main", "n": spec.N, "seed": spec.Seed})
 		resp, err := client.Post(ts.URL+"/v1/rebuild", "application/json", bytes.NewReader(reqBody))
 		if err != nil {
 			t.Fatalf("cycle %d: rebuild: %v", cycle, err)
