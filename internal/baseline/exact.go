@@ -44,16 +44,6 @@ type ExactResult struct {
 	Metrics *congest.Metrics
 }
 
-// Lookup returns v's entry for s, if present.
-func (r *ExactResult) Lookup(v int, s int32) (WEntry, bool) {
-	for _, e := range r.Lists[v] {
-		if e.Src == s {
-			return e, true
-		}
-	}
-	return WEntry{}, false
-}
-
 // wMsg carries an exact (distance, source) pair.
 type wMsg struct {
 	dist graph.Weight

@@ -43,9 +43,9 @@ func maxStretch(g *graph.Graph, res *core.Result, ap *graph.APSP) float64 {
 	return worst
 }
 
-// E1APSP reproduces Theorem 4.1: deterministic (1+ε)-APSP round scaling
+// e1APSP reproduces Theorem 4.1: deterministic (1+ε)-APSP round scaling
 // and stretch.
-func E1APSP(scale Scale) *Table {
+func e1APSP(scale Scale) *Table {
 	ns := []int{30, 45, 60}
 	if scale == Full {
 		ns = []int{40, 60, 80, 100}
@@ -81,9 +81,9 @@ func E1APSP(scale Scale) *Table {
 	return t
 }
 
-// E1Baselines compares Theorem 4.1 against the exact baselines and the
+// e1Baselines compares Theorem 4.1 against the exact baselines and the
 // randomized scheduling it derandomizes.
-func E1Baselines(scale Scale) *Table {
+func e1Baselines(scale Scale) *Table {
 	n := 40
 	if scale == Full {
 		n = 70
@@ -133,8 +133,8 @@ func E1Baselines(scale Scale) *Table {
 	return t
 }
 
-// E2PDESweep reproduces Corollary 3.5: rounds linear in h+σ.
-func E2PDESweep(scale Scale) *Table {
+// e2PDESweep reproduces Corollary 3.5: rounds linear in h+σ.
+func e2PDESweep(scale Scale) *Table {
 	n := 80
 	if scale == Full {
 		n = 120
@@ -171,9 +171,9 @@ func E2PDESweep(scale Scale) *Table {
 	return t
 }
 
-// E4Messages reproduces Lemma 3.4 / Corollary 3.5's per-node message
+// e4Messages reproduces Lemma 3.4 / Corollary 3.5's per-node message
 // bound: broadcasts grow quadratically in σ while rounds stay linear.
-func E4Messages(scale Scale) *Table {
+func e4Messages(scale Scale) *Table {
 	n := 80
 	if scale == Full {
 		n = 120
@@ -220,9 +220,9 @@ func E4Messages(scale Scale) *Table {
 	return t
 }
 
-// E3Figure1 reproduces Figure 1: exact detection needs ~σ·h rounds on the
+// e3Figure1 reproduces Figure 1: exact detection needs ~σ·h rounds on the
 // gadget while PDE's budget is additive.
-func E3Figure1(scale Scale) *Table {
+func e3Figure1(scale Scale) *Table {
 	configs := [][2]int{{4, 4}, {6, 6}, {8, 8}}
 	if scale == Full {
 		configs = [][2]int{{4, 4}, {6, 6}, {8, 8}, {10, 10}, {6, 18}}
@@ -284,8 +284,8 @@ func E3Figure1(scale Scale) *Table {
 	return t
 }
 
-// E5RTC reproduces Theorem 4.5: stretch, label size, rounds.
-func E5RTC(scale Scale) *Table {
+// e5RTC reproduces Theorem 4.5: stretch, label size, rounds.
+func e5RTC(scale Scale) *Table {
 	type cfg struct {
 		n, k int
 	}
@@ -297,7 +297,7 @@ func E5RTC(scale Scale) *Table {
 		ID:    "E5",
 		Title: "Routing tables with relabeling (skeleton + spanner)",
 		Ref:   "Theorem 4.5: stretch 6k−1+o(1), labels O(log n) bits, Õ(n^{1/2+1/(4k)}+D) rounds",
-		Header: []string{"n", "k", "|S|", "rounds", "n^{1/2+1/(4k)}·log₂²n",
+		Header: []string{"n", "k", "|S|", "rounds (§4 steps modelled)", "n^{1/2+1/(4k)}·log₂²n",
 			"max stretch", "mean stretch", "6k−1", "max label bits", "4·log₂n"},
 	}
 	for _, c := range cfgs {
@@ -341,12 +341,13 @@ func E5RTC(scale Scale) *Table {
 	t.Notes = append(t.Notes,
 		"Sampling probability fixed at 0.25 so the long-range (spanner) machinery is exercised at simulable n; the paper's p = n^{-1/2-1/(4k)} makes everything short-range below n ≈ 10⁴.",
 		"Max stretch stays below 6k−1 with room to spare (the bound is worst-case; means are near 1).",
-		"Labels are a small multiple of log₂ n bits, matching the O(log n) claim.")
+		"Labels are a small multiple of log₂ n bits, matching the O(log n) claim.",
+		"Rounds add the simulated PDE budgets to modelled charges for the §4 steps: the spanner's k·(|S|+D) simulation plus its |E|+D broadcast, and the multiplexed tree labelling's 2·(max depth+1)·(max trees/node). congest's and treelabel's tests run the pipelined broadcast and the two-sweep labelling and hold them to these charges.")
 	return t
 }
 
-// E7Trees reproduces Lemma 4.4's tree statistics.
-func E7Trees(scale Scale) *Table {
+// e7Trees reproduces Lemma 4.4's tree statistics.
+func e7Trees(scale Scale) *Table {
 	n := 50
 	if scale == Full {
 		n = 80
@@ -382,9 +383,9 @@ func E7Trees(scale Scale) *Table {
 	return t
 }
 
-// E6Compact reproduces §4.3: table size, label size, stretch per k, and
+// e6Compact reproduces §4.3: table size, label size, stretch per k, and
 // the truncation strategies of Theorem 4.13 / Corollary 4.14.
-func E6Compact(scale Scale) *Table {
+func e6Compact(scale Scale) *Table {
 	n := 40
 	if scale == Full {
 		n = 60
@@ -393,7 +394,7 @@ func E6Compact(scale Scale) *Table {
 		ID:    "E6",
 		Title: "Compact routing hierarchy",
 		Ref:   "Theorems 4.8/4.13, Corollary 4.14: stretch 4k−3+o(1), tables Õ(n^{1/k}), labels O(k log n)",
-		Header: []string{"k", "strategy", "rounds", "max stretch", "4k−3",
+		Header: []string{"k", "strategy", "rounds (§4 steps modelled)", "max stretch", "4k−3",
 			"mean table words", "n^{1/k}·log₂²n", "max label bits", "4k·log₂n"},
 	}
 	type cfg struct {
@@ -449,12 +450,13 @@ func E6Compact(scale Scale) *Table {
 	t.Notes = append(t.Notes,
 		"Larger k shrinks tables (the n^{1/k} factor) at the cost of stretch — the Thorup–Zwick trade-off the paper distributes.",
 		"Truncated strategies trade construction rounds differently (Theorem 4.13's simulation vs Corollary 4.14's broadcast) while producing equivalent tables; the shared skeleton state is reported separately by SharedWords.",
-		"Stretch stays below 4k−3 throughout.")
+		"Stretch stays below 4k−3 throughout.",
+		"Rounds add the simulated PDE budgets to modelled charges for the §4 steps: M + R·(D+1) for a simulated level's M broadcasts over R rounds (Lemma 4.12) or M + D for the G̃(l0) broadcast of M edges, and the multiplexed tree labelling; congest's and treelabel's tests hold the simulated broadcast and labelling to these charges.")
 	return t
 }
 
-// E8Spanner verifies the Baswana–Sen substrate.
-func E8Spanner(scale Scale) *Table {
+// e8Spanner verifies the Baswana–Sen substrate.
+func e8Spanner(scale Scale) *Table {
 	n := 36
 	if scale == Full {
 		n = 60
@@ -508,8 +510,8 @@ func E8Spanner(scale Scale) *Table {
 	return t
 }
 
-// E9Ablation compares announcement scheduling policies.
-func E9Ablation(scale Scale) *Table {
+// e9Ablation compares announcement scheduling policies.
+func e9Ablation(scale Scale) *Table {
 	n := 60
 	if scale == Full {
 		n = 100
@@ -591,6 +593,6 @@ var Experiments = []struct {
 	ID  string
 	Run func(Scale) *Table
 }{
-	{"E1", E1APSP}, {"E1b", E1Baselines}, {"E2", E2PDESweep}, {"E3", E3Figure1}, {"E4", E4Messages},
-	{"E5", E5RTC}, {"E6", E6Compact}, {"E7", E7Trees}, {"E8", E8Spanner}, {"E9", E9Ablation},
+	{"E1", e1APSP}, {"E1b", e1Baselines}, {"E2", e2PDESweep}, {"E3", e3Figure1}, {"E4", e4Messages},
+	{"E5", e5RTC}, {"E6", e6Compact}, {"E7", e7Trees}, {"E8", e8Spanner}, {"E9", e9Ablation},
 }

@@ -680,7 +680,7 @@ func churn(sp scheme.Spec, steps, probe int) func(*testing.T) pin {
 			inst = next
 		}
 		return pin{
-			"scheme": inst.Scheme(), "instances": core.NumInstances(graph.Weight(sp.MaxW), sp.Eps), "probe": probe,
+			"scheme": inst.Scheme(), "instances": len(inst.(*scheme.OracleInstance).Res.Instances), "probe": probe,
 			"updates": steps, "delta_updates": deltaSteps, "rebuild_updates": steps - deltaSteps,
 			"avg_damage": damage / float64(steps), "fingerprint": hex(inst.Fingerprint()),
 		}.describe(g, sp.Seed)

@@ -122,8 +122,8 @@ func (c *Ctx) Broadcast(m Message) {
 // are skipped, which lets the engine fast-forward quiescent rounds.
 func (c *Ctx) WakeNext() { c.wake = true }
 
-// DefaultB returns the bandwidth used when Config.B is zero:
+// defaultB returns the bandwidth used when Config.B is zero:
 // 32 + 2·⌈log₂(n+1)⌉ bits, a concrete Θ(log n) as the model requires.
-func DefaultB(n int) int {
+func defaultB(n int) int {
 	return 32 + 2*bits.Len(uint(n))
 }

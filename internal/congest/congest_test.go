@@ -1,7 +1,9 @@
 package congest
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -41,6 +43,14 @@ func newFlood(n, origin int) ([]Proc, []*floodProc) {
 	return procs, states
 }
 
+// hopDist returns hop distances from src (-1 when unreachable): Dijkstra
+// on a copy of g with every weight 1.
+func hopDist(g *graph.Graph, src int) []int32 {
+	b := graph.NewBuilder(g.N())
+	g.Edges(func(u, v int, _ graph.Weight, _ int32) { b.AddEdge(u, v, 1) })
+	return graph.Dijkstra(b.MustBuild(), src).Hops
+}
+
 func TestFloodReachesAllAtBFSDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnected(60, 0.06, 10, rng)
@@ -49,7 +59,7 @@ func TestFloodReachesAllAtBFSDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfs := graph.BFS(g, 0)
+	bfs := hopDist(g, 0)
 	for v, s := range states {
 		if int32(s.heard) != bfs[v] {
 			t.Fatalf("node %d heard at round %d, BFS distance %d", v, s.heard, bfs[v])
@@ -188,7 +198,7 @@ func TestBFSTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bfs := graph.BFS(g, 7)
+	bfs := hopDist(g, 7)
 	for v := 0; v < g.N(); v++ {
 		if tree.Depth[v] != bfs[v] {
 			t.Fatalf("node %d depth %d, BFS %d", v, tree.Depth[v], bfs[v])
@@ -283,34 +293,36 @@ func TestAggregateSingleNode(t *testing.T) {
 	}
 }
 
+// TestPipelinedBroadcast holds the simulated broadcast to the charge the
+// §4 round models use for it (Lemma 4.12): M items over a BFS tree of
+// height D take at most M + D active rounds, and every node receives them
+// in order.
 func TestPipelinedBroadcast(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := graph.RandomConnected(50, 0.06, 10, rng)
-	tree, _, err := BuildBFSTree(g, 0, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := make([]int64, 30)
-	for i := range items {
-		items[i] = int64(100 + i)
-	}
-	got, met, err := PipelinedBroadcast(g, tree, items, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range got {
-		if len(got[v]) != len(items) {
-			t.Fatalf("node %d received %d items", v, len(got[v]))
+	for seed := int64(1); seed <= 6; seed++ {
+		g := graph.RandomConnected(60, 0.08, 10, rand.New(rand.NewSource(seed)))
+		tree, _, err := BuildBFSTree(g, 0, Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range items {
-			if got[v][i] != items[i] {
-				t.Fatalf("node %d item %d = %d, want %d (pipelining must preserve order)", v, i, got[v][i], items[i])
+		for _, m := range []int{1, 5, 30} {
+			items := make([]int64, m)
+			for i := range items {
+				items[i] = int64(100 + i)
+			}
+			got, met, err := PipelinedBroadcast(g, tree, items, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := range got {
+				if !slices.Equal(got[v], items) {
+					t.Fatalf("seed %d M %d: node %d received %v (pipelining must preserve order)", seed, m, v, got[v])
+				}
+			}
+			if met.ActiveRounds > m+tree.Height {
+				t.Fatalf("seed %d: broadcast of M = %d over height D = %d took %d rounds; the model charges M + D = %d",
+					seed, m, tree.Height, met.ActiveRounds, m+tree.Height)
 			}
 		}
-	}
-	// The pipelined bound: K + height rounds.
-	if met.ActiveRounds > len(items)+tree.Height+2 {
-		t.Fatalf("broadcast took %d rounds; bound is %d", met.ActiveRounds, len(items)+tree.Height+2)
 	}
 }
 
@@ -331,12 +343,84 @@ func TestPipelinedBroadcastEmpty(t *testing.T) {
 	}
 }
 
-func TestDefaultB(t *testing.T) {
-	if DefaultB(0) < 32 {
-		t.Fatal("DefaultB must be at least the 32-bit header")
+type bcastProc struct {
+	tree   *Tree
+	items  []int64 // root only
+	got    []int64
+	cursor int // next item index to forward
+	queue  []int64
+}
+
+func (p *bcastProc) Init(ctx *Ctx) {
+	if ctx.Node() == p.tree.Root {
+		p.queue = append(p.queue, p.items...)
+		p.got = append(p.got, p.items...)
 	}
-	if DefaultB(1000) <= DefaultB(10) {
-		t.Fatal("DefaultB must grow with n")
+	if len(p.queue) > 0 {
+		ctx.WakeNext()
+	}
+}
+
+func (p *bcastProc) Round(ctx *Ctx) {
+	v := ctx.Node()
+	for _, in := range ctx.In() {
+		m := in.Msg.(ValueMsg)
+		p.got = append(p.got, m.Value)
+		p.queue = append(p.queue, m.Value)
+	}
+	if p.cursor < len(p.queue) {
+		item := p.queue[p.cursor]
+		p.cursor++
+		kids := make(map[int]bool, len(p.tree.Children[v]))
+		for _, c := range p.tree.Children[v] {
+			kids[int(c)] = true
+		}
+		for port, e := range ctx.Neighbors() {
+			if kids[e.To] {
+				ctx.Send(port, ValueMsg{Value: item})
+			}
+		}
+		if p.cursor < len(p.queue) {
+			ctx.WakeNext()
+		}
+	}
+}
+
+// PipelinedBroadcast floods the root's items down the tree, one item per
+// edge per round, completing in len(items) + height rounds: the standard
+// pipelined broadcast the paper charges O(M + D) for (Lemma 4.12).
+// It returns the items as received by every node, in delivery order.
+func PipelinedBroadcast(g *graph.Graph, t *Tree, items []int64, cfg Config) ([][]int64, *Metrics, error) {
+	n := g.N()
+	procs := make([]Proc, n)
+	states := make([]bcastProc, n)
+	for v := 0; v < n; v++ {
+		states[v] = bcastProc{tree: t}
+		if v == t.Root {
+			states[v].items = items
+		}
+		procs[v] = &states[v]
+	}
+	met, err := Run(g, procs, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([][]int64, n)
+	for v := 0; v < n; v++ {
+		if len(states[v].got) != len(items) {
+			return nil, nil, fmt.Errorf("congest: node %d received %d of %d items", v, len(states[v].got), len(items))
+		}
+		out[v] = states[v].got
+	}
+	return out, met, nil
+}
+
+func TestDefaultB(t *testing.T) {
+	if defaultB(0) < 32 {
+		t.Fatal("defaultB must be at least the 32-bit header")
+	}
+	if defaultB(1000) <= defaultB(10) {
+		t.Fatal("defaultB must grow with n")
 	}
 }
 

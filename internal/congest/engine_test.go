@@ -220,7 +220,7 @@ func TestParallelBandwidthFaultIsDeterministic(t *testing.T) {
 		}
 	}
 	_, err := Run(g, procs, Config{Parallel: true, Workers: 5})
-	want := fmt.Sprintf("congest: node 7 sent %d-bit message, bandwidth B=%d", hugeMsg{}.Bits(), DefaultB(80))
+	want := fmt.Sprintf("congest: node 7 sent %d-bit message, bandwidth B=%d", hugeMsg{}.Bits(), defaultB(80))
 	if err == nil || err.Error() != want {
 		t.Fatalf("err=%v, want %q", err, want)
 	}

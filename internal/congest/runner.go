@@ -12,7 +12,7 @@ import (
 // Config controls one execution of a distributed algorithm.
 type Config struct {
 	// B is the per-edge-direction bandwidth in bits per round.
-	// Zero means DefaultB(n).
+	// Zero means 32 + 2·⌈log₂(n+1)⌉ bits (defaultB).
 	B int
 	// MaxRounds is the round budget. The engine stops after this many
 	// rounds even if the network is still active. Zero means no budget
@@ -153,7 +153,7 @@ func (e *Engine) Run(g *graph.Graph, procs []Proc, cfg Config) (*Metrics, error)
 	}
 	b := cfg.B
 	if b == 0 {
-		b = DefaultB(n)
+		b = defaultB(n)
 	}
 	limit := cfg.MaxRounds
 	if limit == 0 {

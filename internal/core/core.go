@@ -172,20 +172,20 @@ func (r *Result) TableWords(v int) int {
 	return words
 }
 
-// HPrimeFor returns the virtual hop bound h' = ⌈(1+ε)²·h/ε⌉ that
+// hPrimeFor returns the virtual hop bound h' = ⌈(1+ε)²·h/ε⌉ that
 // Corollary 3.2 requires.
-func HPrimeFor(h int, eps float64) int {
+func hPrimeFor(h int, eps float64) int {
 	return int(math.Ceil((1 + eps) * (1 + eps) * float64(h) / eps))
 }
 
-// NumInstances returns i_max + 1 for the given maximum weight: i_max is the
+// numInstances returns i_max + 1 for the given maximum weight: i_max is the
 // smallest i with b(i) = (1+ε)^i ≥ w_max under the same math.Pow that Run
 // uses for the bases. A raw ⌈log(w_max)/log(1+ε)⌉ can round up at w_max
 // near exact powers of 1+ε and build a spurious extra detection instance
 // (wasted rounds and messages), so the log form only seeds the answer and
 // a few Pow probes settle the exact crossing — O(1) even for tiny ε,
 // where a pure multiplicative loop would spin ~ln(w_max)/ε iterations.
-func NumInstances(maxW graph.Weight, eps float64) int {
+func numInstances(maxW graph.Weight, eps float64) int {
 	if maxW <= 1 || 1+eps == 1 {
 		// Degenerate ε (positive but below float64 resolution) makes every
 		// base 1 and no i could ever reach w_max; Run rejects such ε up
@@ -271,7 +271,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 		return nil, ps, fmt.Errorf("core: the previous result was built with other params; build without it")
 	}
 	res := &Result{
-		HPrime:           HPrimeFor(p.H, p.Epsilon),
+		HPrime:           hPrimeFor(p.H, p.Epsilon),
 		BroadcastsByNode: make([]int64, n),
 		Params:           p,
 	}
@@ -313,7 +313,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	// bit-identical (Result.Fingerprint makes that checkable, and the
 	// bench build layer and the -race property tests enforce it rather
 	// than assume it).
-	num := NumInstances(maxW, p.Epsilon)
+	num := numInstances(maxW, p.Epsilon)
 	if num > maxHierarchyInstances {
 		return nil, ps, fmt.Errorf("core: epsilon %v needs %d rounding instances for w_max %d (limit %d)",
 			p.Epsilon, num, maxW, maxHierarchyInstances)

@@ -175,11 +175,11 @@ func TestRoundBudgetFormula(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	num := NumInstances(g.MaxWeight(), 0.5)
+	num := numInstances(g.MaxWeight(), 0.5)
 	if len(res.Instances) != num {
 		t.Fatalf("instances = %d, want %d", len(res.Instances), num)
 	}
-	wantHP := HPrimeFor(6, 0.5)
+	wantHP := hPrimeFor(6, 0.5)
 	if res.HPrime != wantHP {
 		t.Fatalf("h' = %d, want %d", res.HPrime, wantHP)
 	}
@@ -255,17 +255,17 @@ func TestValidation(t *testing.T) {
 }
 
 func TestHPrimeAndInstanceHelpers(t *testing.T) {
-	if hp := HPrimeFor(10, 1); hp != 40 {
-		t.Fatalf("HPrimeFor(10, 1) = %d, want 40", hp)
+	if hp := hPrimeFor(10, 1); hp != 40 {
+		t.Fatalf("hPrimeFor(10, 1) = %d, want 40", hp)
 	}
-	if hp := HPrimeFor(10, 0.5); hp != 45 {
-		t.Fatalf("HPrimeFor(10, 0.5) = %d, want 45", hp)
+	if hp := hPrimeFor(10, 0.5); hp != 45 {
+		t.Fatalf("hPrimeFor(10, 0.5) = %d, want 45", hp)
 	}
-	if ni := NumInstances(1, 0.5); ni != 1 {
-		t.Fatalf("NumInstances(1) = %d, want 1", ni)
+	if ni := numInstances(1, 0.5); ni != 1 {
+		t.Fatalf("numInstances(1) = %d, want 1", ni)
 	}
-	if ni := NumInstances(100, 1); ni != 8 { // ceil(log2 100) = 7, +1
-		t.Fatalf("NumInstances(100, 1) = %d, want 8", ni)
+	if ni := numInstances(100, 1); ni != 8 { // ceil(log2 100) = 7, +1
+		t.Fatalf("numInstances(100, 1) = %d, want 8", ni)
 	}
 }
 

@@ -49,8 +49,8 @@ func randomReweights(g *graph.Graph, rng *rand.Rand, k int) []graph.Change {
 // with lengths clamped at h′+1 no instance is re-detected.
 func excludedReweight(t *testing.T, g *graph.Graph, p Params) []graph.Change {
 	t.Helper()
-	hp := HPrimeFor(p.H, p.Epsilon)
-	num := NumInstances(g.MaxWeight(), p.Epsilon)
+	hp := hPrimeFor(p.H, p.Epsilon)
+	num := numInstances(g.MaxWeight(), p.Epsilon)
 	length := func(w graph.Weight, i int) int {
 		return max(1, int(math.Ceil(float64(w)/math.Pow(1+p.Epsilon, float64(i)))))
 	}

@@ -170,13 +170,13 @@ func TestLowestIndexErrorUnderLargestFirstClaims(t *testing.T) {
 		src[v] = v%4 == 0
 	}
 	p := Params{IsSource: src, H: 16, Sigma: 8, Epsilon: 0.5, SkipSetup: true}
-	insts := make([]*Instance, NumInstances(g.MaxWeight(), p.Epsilon))
+	insts := make([]*Instance, numInstances(g.MaxWeight(), p.Epsilon))
 	todo := make([]int, len(insts))
 	for i := range insts {
 		base := math.Pow(1+p.Epsilon, float64(i))
-		insts[i], todo[i] = &Instance{Base: base, Lengths: instanceLengths(g, base, HPrimeFor(p.H, p.Epsilon))}, i
+		insts[i], todo[i] = &Instance{Base: base, Lengths: instanceLengths(g, base, hPrimeFor(p.H, p.Epsilon))}, i
 	}
-	claimOrder(todo, insts, HPrimeFor(p.H, p.Epsilon))
+	claimOrder(todo, insts, hPrimeFor(p.H, p.Epsilon))
 	t.Logf("claim order %v", todo)
 	if todo[0] == 0 {
 		t.Fatalf("claim order %v starts at instance 0: the test needs a larger one first", todo)

@@ -84,14 +84,14 @@ func (prev *Result) reusable(i int, lengths []int32) *Instance {
 // true when instance i must be re-detected, in full or as a repair (its
 // subdivided lengths on g, clamped at h′+1, differ from prev's, or prev
 // has no instance i). The slice has
-// NumInstances(g.MaxWeight(), prev.Params.Epsilon) entries, so a w_max
+// numInstances(g.MaxWeight(), prev.Params.Epsilon) entries, so a w_max
 // change that deepens the hierarchy marks the new tail instances
 // affected and one that shrinks it just drops the prev tail.
 //
 // It predicts, at O(m·i_max) with no detection work, exactly the reuse
 // decisions Build makes; Build does not need it called first.
 func AffectedInstances(g *graph.Graph, prev *Result) []bool {
-	affected := make([]bool, NumInstances(g.MaxWeight(), prev.Params.Epsilon))
+	affected := make([]bool, numInstances(g.MaxWeight(), prev.Params.Epsilon))
 	for i := range affected {
 		base := math.Pow(1+prev.Params.Epsilon, float64(i))
 		affected[i] = prev.reusable(i, instanceLengths(g, base, prev.HPrime)) == nil

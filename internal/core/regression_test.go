@@ -33,20 +33,20 @@ func TestNumInstancesBoundaries(t *testing.T) {
 		{7, 0.25, 10},
 	}
 	for _, c := range cases {
-		if got := NumInstances(c.maxW, c.eps); got != c.want {
-			t.Errorf("NumInstances(%d, %g) = %d, want %d", c.maxW, c.eps, got, c.want)
+		if got := numInstances(c.maxW, c.eps); got != c.want {
+			t.Errorf("numInstances(%d, %g) = %d, want %d", c.maxW, c.eps, got, c.want)
 		}
 	}
 	// Small ε inside the regime Run accepts (≤ maxHierarchyInstances)
 	// must stay exact: the log seed and Pow agree to well under one
 	// iteration there.
 	for _, eps := range []float64{1e-3, 1e-4} {
-		num := NumInstances(16, eps)
+		num := numInstances(16, eps)
 		if math.Pow(1+eps, float64(num-1)) < 16 {
-			t.Fatalf("NumInstances(16, %g) = %d: top base below w_max", eps, num)
+			t.Fatalf("numInstances(16, %g) = %d: top base below w_max", eps, num)
 		}
 		if num >= 2 && math.Pow(1+eps, float64(num-2)) >= 16 {
-			t.Fatalf("NumInstances(16, %g) = %d: spurious extra instance", eps, num)
+			t.Fatalf("numInstances(16, %g) = %d: spurious extra instance", eps, num)
 		}
 	}
 	// Tiny-but-representable ε must answer in O(1) — not a multiplicative
@@ -54,17 +54,17 @@ func TestNumInstancesBoundaries(t *testing.T) {
 	// divergence (relative ~1e-8) of the ideal depth. Run rejects these
 	// hierarchies outright, so only totality and magnitude matter here.
 	for _, eps := range []float64{1e-6, 1e-9, 1e-12} {
-		num := NumInstances(16, eps)
+		num := numInstances(16, eps)
 		ideal := math.Log(16) / math.Log(1+eps)
 		if rel := math.Abs(float64(num-1)-ideal) / ideal; rel > 1e-6 {
-			t.Fatalf("NumInstances(16, %g) = %d, relative error %g vs ideal %g", eps, num, rel, ideal)
+			t.Fatalf("numInstances(16, %g) = %d, relative error %g vs ideal %g", eps, num, rel, ideal)
 		}
 	}
 	// Degenerate ε below float64 resolution must not hang the loop, and
 	// Run must reject it rather than build a hierarchy whose bases can
 	// never reach w_max.
-	if got := NumInstances(1<<20, 1e-18); got != 1 {
-		t.Errorf("NumInstances(2^20, 1e-18) = %d, want degenerate clamp 1", got)
+	if got := numInstances(1<<20, 1e-18); got != 1 {
+		t.Errorf("numInstances(2^20, 1e-18) = %d, want degenerate clamp 1", got)
 	}
 	g := graph.Path(3, 4, rand.New(rand.NewSource(1)))
 	if _, err := Run(g, APSPParams(g.N(), 1e-18), congest.Config{}); err == nil {
@@ -82,12 +82,12 @@ func TestNumInstancesBoundaries(t *testing.T) {
 	// the same math.Pow bases Run uses.
 	for _, eps := range []float64{0.25, 0.5, 1, 2} {
 		for maxW := graph.Weight(2); maxW <= 1000; maxW++ {
-			num := NumInstances(maxW, eps)
+			num := numInstances(maxW, eps)
 			if math.Pow(1+eps, float64(num-1)) < float64(maxW) {
-				t.Fatalf("NumInstances(%d, %g) = %d: top base below w_max", maxW, eps, num)
+				t.Fatalf("numInstances(%d, %g) = %d: top base below w_max", maxW, eps, num)
 			}
 			if num >= 2 && math.Pow(1+eps, float64(num-2)) >= float64(maxW) {
-				t.Fatalf("NumInstances(%d, %g) = %d: spurious extra instance", maxW, eps, num)
+				t.Fatalf("numInstances(%d, %g) = %d: spurious extra instance", maxW, eps, num)
 			}
 		}
 	}

@@ -649,10 +649,10 @@ func (n *nodeProc) emitPhase(ctx *congest.Ctx) {
 	}
 }
 
-// Budget returns the round budget detection uses for the given instance:
+// budget returns the round budget detection uses for the given instance:
 // h + min(σ, |S|) + 1 plus any configured slack — the R(h, σ) bound of
 // [10] that Theorem 3.3 plugs in.
-func Budget(p Params) int {
+func budget(p Params) int {
 	nsrc := 0
 	for _, s := range p.IsSource {
 		if s {
@@ -847,7 +847,7 @@ func (a *Arena) exec(g *graph.Graph, p Params, cfg congest.Config) (*congest.Met
 	run := cfg.Sub()
 	run.MaxRounds = cfg.MaxRounds
 	if run.MaxRounds == 0 {
-		run.MaxRounds = Budget(p)
+		run.MaxRounds = budget(p)
 	}
 	run.Observer = cfg.Observer
 	return a.eng.Run(g, a.procs, run)

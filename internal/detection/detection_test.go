@@ -55,6 +55,14 @@ func assertMatchesBruteForce(t *testing.T, g *graph.Graph, p Params) *Result {
 	return res
 }
 
+// hopDist returns hop distances from src (-1 when unreachable): Dijkstra
+// on a copy of g with every weight 1.
+func hopDist(g *graph.Graph, src int) []int32 {
+	b := graph.NewBuilder(g.N())
+	g.Edges(func(u, v int, _ graph.Weight, _ int32) { b.AddEdge(u, v, 1) })
+	return graph.Dijkstra(b.MustBuild(), src).Hops
+}
+
 func TestUnweightedSingleSourceIsBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := graph.RandomConnected(50, 0.07, 5, rng)
@@ -65,7 +73,7 @@ func TestUnweightedSingleSourceIsBFS(t *testing.T) {
 		CapMessages: true,
 	}
 	res := assertMatchesBruteForce(t, g, p)
-	bfs := graph.BFS(g, 0)
+	bfs := hopDist(g, 0)
 	for v := 0; v < 50; v++ {
 		if len(res.Lists[v]) != 1 || res.Lists[v][0].Dist != bfs[v] {
 			t.Fatalf("node %d: %v, want BFS dist %d", v, res.Lists[v], bfs[v])
@@ -363,11 +371,11 @@ func TestHopBoundBeyondKeyIsRejected(t *testing.T) {
 
 func TestBudgetFormula(t *testing.T) {
 	p := Params{IsSource: []bool{true, true, false}, H: 10, Sigma: 5}
-	if got := Budget(p); got != 10+2+1 {
+	if got := budget(p); got != 10+2+1 {
 		t.Fatalf("Budget = %d, want 13 (h + min(σ,|S|) + 1)", got)
 	}
 	p.ExtraRounds = 4
-	if got := Budget(p); got != 17 {
+	if got := budget(p); got != 17 {
 		t.Fatalf("Budget with slack = %d, want 17", got)
 	}
 }

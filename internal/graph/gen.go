@@ -169,9 +169,9 @@ func Clique(n int, maxW Weight, rng *rand.Rand) *Graph {
 	return b.MustBuild()
 }
 
-// Dumbbell generates two cliques of size k joined by a path of length
+// dumbbell generates two cliques of size k joined by a path of length
 // bridgeLen, a worst case for hop-bounded detection.
-func Dumbbell(k, bridgeLen int, maxW Weight, rng *rand.Rand) *Graph {
+func dumbbell(k, bridgeLen int, maxW Weight, rng *rand.Rand) *Graph {
 	n := 2*k + bridgeLen - 1
 	b := NewBuilder(n)
 	for u := 0; u < k; u++ {

@@ -58,8 +58,8 @@ func gridSide(n int) int {
 	return side
 }
 
-// GeneratorNames returns the sorted topology family names.
-func GeneratorNames() []string {
+// generatorNames returns the sorted topology family names.
+func generatorNames() []string {
 	names := make([]string, 0, len(generators))
 	for name := range generators {
 		names = append(names, name)
@@ -70,7 +70,7 @@ func GeneratorNames() []string {
 
 // GeneratorList renders the family names for error messages:
 // "community | grid | internet | ...".
-func GeneratorList() string { return strings.Join(GeneratorNames(), " | ") }
+func GeneratorList() string { return strings.Join(generatorNames(), " | ") }
 
 // IsGenerator reports whether name is a known topology family.
 func IsGenerator(name string) bool {

@@ -10,7 +10,7 @@ import (
 // result is connected and at least as large as requested (grid-shaped
 // families round up to the next perfect square).
 func TestGenerateEveryFamily(t *testing.T) {
-	for _, name := range GeneratorNames() {
+	for _, name := range generatorNames() {
 		g, err := Generate(name, 30, 10, rand.New(rand.NewSource(3)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -30,7 +30,7 @@ func TestGenerateEveryFamily(t *testing.T) {
 // TestGenerateDeterministic pins that the same (family, n, seed) always
 // yields the same graph — the property every serving Spec relies on.
 func TestGenerateDeterministic(t *testing.T) {
-	for _, name := range GeneratorNames() {
+	for _, name := range generatorNames() {
 		a, err := Generate(name, 24, 8, rand.New(rand.NewSource(11)))
 		if err != nil {
 			t.Fatal(err)

@@ -201,7 +201,7 @@ func TestDijkstraParentsFormShortestPaths(t *testing.T) {
 func TestBFSMatchesUnitWeightedDijkstra(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := RandomConnected(50, 0.08, 1, rng)
-	bfs := BFS(g, 5)
+	bfs := hopDist(g, 5)
 	dij := Dijkstra(g, 5)
 	for v := range bfs {
 		if Weight(bfs[v]) != dij.Dist[v] {
@@ -274,7 +274,7 @@ func TestGeneratorsConnectedAndSized(t *testing.T) {
 		{"path", Path(40, 10, rng), 40},
 		{"star", Star(40, 10, rng), 40},
 		{"clique", Clique(12, 10, rng), 12},
-		{"dumbbell", Dumbbell(10, 5, 10, rng), 24},
+		{"dumbbell", dumbbell(10, 5, 10, rng), 24},
 		{"internet", Internet(60, 100, rng), 60},
 		{"tree", RandomTree(40, 10, rng), 40},
 	}

@@ -63,7 +63,7 @@ func TestPropertyHopDistanceLowerBoundsShortestPathHops(t *testing.T) {
 		g := randomGraphFor(seed)
 		ap := AllPairs(g)
 		for u := 0; u < g.N(); u++ {
-			bfs := BFS(g, u)
+			bfs := hopDist(g, u)
 			for v := 0; v < g.N(); v++ {
 				if bfs[v] > ap.Hops(u, v) {
 					return false

@@ -113,9 +113,9 @@ func Dijkstra(g *Graph, src int) *SSSP {
 	return out
 }
 
-// BFS returns hop distances from src (-1 when unreachable), ignoring
+// hopDist returns hop distances from src (-1 when unreachable), ignoring
 // weights: the hop distance hd of §2.2.
-func BFS(g *Graph, src int) []int32 {
+func hopDist(g *Graph, src int) []int32 {
 	n := g.N()
 	dist := make([]int32, n)
 	for v := range dist {
@@ -188,7 +188,7 @@ func HopDiameter(g *Graph) int {
 	}
 	best := 0
 	for src := 0; src < n; src++ {
-		for _, d := range BFS(g, src) {
+		for _, d := range hopDist(g, src) {
 			if d < 0 {
 				return -1
 			}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"pde/internal/core"
@@ -96,7 +97,7 @@ func requireSameTables(t *testing.T, name string, got, want *Oracle) {
 // parameters, three seeds each. Each result's lists are the reference's
 // rows sorted by (Dist, Src) and cut at σ.
 func TestCompileMatchesSortReference(t *testing.T) {
-	for _, topo := range graph.GeneratorNames() {
+	for _, topo := range strings.Split(graph.GeneratorList(), " | ") {
 		for seed := int64(1); seed <= 3; seed++ {
 			g, err := graph.Generate(topo, 40, 24, rand.New(rand.NewSource(seed)))
 			if err != nil {

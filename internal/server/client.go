@@ -233,7 +233,7 @@ func (c *Client) NextHop(ctx context.Context, qs []oracle.Query, asJSON bool) ([
 	if err != nil {
 		return nil, "", err
 	}
-	hops, err := DecodeHops(data)
+	hops, err := decodeHops(data)
 	if err != nil {
 		return nil, "", err
 	}
@@ -254,11 +254,11 @@ func (c *Client) SetDist(ctx context.Context, a, b []int32, naive, asJSON bool) 
 	if naive {
 		path += "&naive=1"
 	}
-	data, h, err := c.roundTrip(ctx, path, ContentTypeBinary, EncodeSetDistQuery(a, b))
+	data, h, err := c.roundTrip(ctx, path, ContentTypeBinary, encodeSetDistQuery(a, b))
 	if err != nil {
 		return nil, err
 	}
-	res, err := DecodeSetDistAnswer(data)
+	res, err := decodeSetDistAnswer(data)
 	if err != nil {
 		return nil, err
 	}

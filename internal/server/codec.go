@@ -130,8 +130,8 @@ func DecodeAnswers(data []byte) ([]oracle.Answer, error) {
 	return answers, nil
 }
 
-// EncodeHops frames a next-hop answer batch.
-func EncodeHops(hops []Hop) []byte {
+// encodeHops frames a next-hop answer batch.
+func encodeHops(hops []Hop) []byte {
 	buf := make([]byte, 8+len(hops)*wire.HopRecordSize)
 	putHeader(buf, magicHops, len(hops))
 	for i, h := range hops {
@@ -140,9 +140,9 @@ func EncodeHops(hops []Hop) []byte {
 	return buf
 }
 
-// EncodeSetDistQuery frames the two member sets of a set-distance
+// encodeSetDistQuery frames the two member sets of a set-distance
 // request.
-func EncodeSetDistQuery(a, b []int32) []byte {
+func encodeSetDistQuery(a, b []int32) []byte {
 	buf := make([]byte, 12+4*(len(a)+len(b)))
 	copy(buf[:4], magicSetDistQueries)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(a)))
@@ -168,9 +168,9 @@ func setDistCounts(data []byte) (countA, countB int, ok bool) {
 	return int(binary.LittleEndian.Uint32(data[4:8])), int(binary.LittleEndian.Uint32(data[8:12])), true
 }
 
-// DecodeSetDistQuery parses a framed set-distance request, validating
+// decodeSetDistQuery parses a framed set-distance request, validating
 // the exact two-count length prefix before touching a member.
-func DecodeSetDistQuery(data []byte) (a, b []int32, err error) {
+func decodeSetDistQuery(data []byte) (a, b []int32, err error) {
 	countA, countB, ok := setDistCounts(data)
 	if !ok {
 		if len(data) < 12 {
@@ -213,8 +213,8 @@ func getAggregates(buf []byte) setdist.Aggregates {
 	}
 }
 
-// EncodeSetDistAnswer frames one set-distance result.
-func EncodeSetDistAnswer(res *setdist.Result) []byte {
+// encodeSetDistAnswer frames one set-distance result.
+func encodeSetDistAnswer(res *setdist.Result) []byte {
 	buf := make([]byte, 8+setDistAnswerRecordSize)
 	putHeader(buf, magicSetDistAnswers, 1)
 	rec := buf[8:]
@@ -227,8 +227,8 @@ func EncodeSetDistAnswer(res *setdist.Result) []byte {
 	return buf
 }
 
-// DecodeSetDistAnswer parses a framed set-distance result.
-func DecodeSetDistAnswer(data []byte) (*setdist.Result, error) {
+// decodeSetDistAnswer parses a framed set-distance result.
+func decodeSetDistAnswer(data []byte) (*setdist.Result, error) {
 	count, err := checkHeader(data, magicSetDistAnswers, setDistAnswerRecordSize)
 	if err != nil {
 		return nil, err
@@ -247,8 +247,8 @@ func DecodeSetDistAnswer(data []byte) (*setdist.Result, error) {
 	}, nil
 }
 
-// DecodeHops parses a framed next-hop answer batch.
-func DecodeHops(data []byte) ([]Hop, error) {
+// decodeHops parses a framed next-hop answer batch.
+func decodeHops(data []byte) ([]Hop, error) {
 	count, err := checkHeader(data, magicHops, wire.HopRecordSize)
 	if err != nil {
 		return nil, err

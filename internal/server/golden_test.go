@@ -150,11 +150,11 @@ func TestGoldenBinaryFrames(t *testing.T) {
 
 	hopFrame := post(ts.URL + "/v1/nexthop?shard=golden")
 	checkGolden(t, "hops.golden.bin", hopFrame)
-	hops, err := DecodeHops(hopFrame)
+	hops, err := decodeHops(hopFrame)
 	if err != nil {
 		t.Fatalf("decoding hop frame: %v", err)
 	}
-	if reencoded := EncodeHops(hops); !bytes.Equal(reencoded, hopFrame) {
+	if reencoded := encodeHops(hops); !bytes.Equal(reencoded, hopFrame) {
 		t.Fatal("hops do not re-encode to the same bytes")
 	}
 }
@@ -184,7 +184,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotH, err := DecodeHops(EncodeHops(hops))
+	gotH, err := decodeHops(encodeHops(hops))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		"bad magic":        append([]byte("NOPE"), frame[4:]...),
 		"truncated record": frame[:len(frame)-1],
 		"trailing bytes":   append(append([]byte{}, frame...), 0xFF),
-		"wrong frame kind": EncodeHops(hops),
+		"wrong frame kind": encodeHops(hops),
 	}
 	for name, data := range malformed {
 		if _, err := DecodeQueries(data); err == nil {
@@ -221,9 +221,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	if _, err := DecodeAnswers(bad); err == nil {
 		t.Error("DecodeAnswers accepted ok byte 2")
 	}
-	badHop := EncodeHops(hops[:1])
+	badHop := encodeHops(hops[:1])
 	badHop[8+4] = 7
-	if _, err := DecodeHops(badHop); err == nil {
-		t.Error("DecodeHops accepted ok byte 7")
+	if _, err := decodeHops(badHop); err == nil {
+		t.Error("decodeHops accepted ok byte 7")
 	}
 }

@@ -352,7 +352,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request, kind wire.F
 			hops[i] = wire.DeriveHop(q, answers[i])
 		}
 		if binary {
-			writeBinary(w, sl.name, sh.fp, EncodeHops(hops))
+			writeBinary(w, sl.name, sh.fp, encodeHops(hops))
 			return
 		}
 		WriteJSON(w, &NexthopResponse{Shard: sl.name, Fingerprint: sh.fp, Hops: hops})

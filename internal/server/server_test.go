@@ -242,7 +242,7 @@ func TestNextHopEndToEnd(t *testing.T) {
 	if _, err := buf.ReadFrom(binResp.Body); err != nil {
 		t.Fatalf("reading binary body: %v", err)
 	}
-	hops, err := DecodeHops(buf.Bytes())
+	hops, err := decodeHops(buf.Bytes())
 	if err != nil {
 		t.Fatalf("decoding hops: %v", err)
 	}

@@ -105,7 +105,7 @@ func (s *Server) handleSetDist(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var err error
-		if a, b, err = DecodeSetDistQuery(body); err != nil {
+		if a, b, err = decodeSetDistQuery(body); err != nil {
 			WriteError(w, http.StatusBadRequest, "bad_request", "binary set-distance request: %v", err)
 			return
 		}
@@ -149,7 +149,7 @@ func (s *Server) handleSetDist(w http.ResponseWriter, r *http.Request) {
 	// /v1/estimate queries.
 	sl.stats.setdistPairs.Add(res.Pairs)
 	if binary {
-		writeBinary(w, sl.name, sh.fp, EncodeSetDistAnswer(res))
+		writeBinary(w, sl.name, sh.fp, encodeSetDistAnswer(res))
 		return
 	}
 	WriteJSON(w, setDistResponse(sl.name, sh.fp, res))

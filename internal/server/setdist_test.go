@@ -134,14 +134,14 @@ func TestSetDistErrors(t *testing.T) {
 	wantErrorEnvelope(t, resp, http.StatusMethodNotAllowed, "method_not_allowed")
 
 	// Binary without ?shard=, and with a corrupt frame.
-	resp, err = http.Post(ts.URL+"/v1/setdist", ContentTypeBinary, bytes.NewReader(EncodeSetDistQuery([]int32{1}, []int32{2})))
+	resp, err = http.Post(ts.URL+"/v1/setdist", ContentTypeBinary, bytes.NewReader(encodeSetDistQuery([]int32{1}, []int32{2})))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	wantErrorEnvelope(t, resp, http.StatusBadRequest, "bad_request")
 
-	frame := EncodeSetDistQuery([]int32{1}, []int32{2})
+	frame := encodeSetDistQuery([]int32{1}, []int32{2})
 	resp, err = http.Post(ts.URL+"/v1/setdist?shard=main", ContentTypeBinary, bytes.NewReader(frame[:len(frame)-2]))
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestSetDistErrors(t *testing.T) {
 	}
 	chunked := func(a, b []int32) *http.Response {
 		// io.MultiReader hides the length, so the client sends chunked.
-		resp, err := http.Post(ts.URL+"/v1/setdist?shard=main", ContentTypeBinary, io.MultiReader(bytes.NewReader(EncodeSetDistQuery(a, b))))
+		resp, err := http.Post(ts.URL+"/v1/setdist?shard=main", ContentTypeBinary, io.MultiReader(bytes.NewReader(encodeSetDistQuery(a, b))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +178,7 @@ func TestSetDistErrors(t *testing.T) {
 func TestSetDistQueryCodecRoundTrip(t *testing.T) {
 	a := []int32{5, 0, 7, 7}
 	b := []int32{2}
-	gotA, gotB, err := DecodeSetDistQuery(EncodeSetDistQuery(a, b))
+	gotA, gotB, err := decodeSetDistQuery(encodeSetDistQuery(a, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +188,9 @@ func TestSetDistQueryCodecRoundTrip(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"short":      {1, 2, 3},
 		"bad magic":  append([]byte("PDEQ"), make([]byte, 16)...),
-		"bad length": append(EncodeSetDistQuery(a, b), 0),
+		"bad length": append(encodeSetDistQuery(a, b), 0),
 	} {
-		if _, _, err := DecodeSetDistQuery(data); err == nil {
+		if _, _, err := decodeSetDistQuery(data); err == nil {
 			t.Errorf("%s: want decode error", name)
 		}
 	}
@@ -206,19 +206,19 @@ func TestSetDistAnswerCodecRoundTrip(t *testing.T) {
 		Hausdorff: inf,
 		Pairs:     30, Evaluated: 11, Pruned: 19,
 	}
-	got, err := DecodeSetDistAnswer(EncodeSetDistAnswer(res))
+	got, err := decodeSetDistAnswer(encodeSetDistAnswer(res))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, res) {
 		t.Fatalf("round trip: %+v != %+v", got, res)
 	}
-	frame := EncodeSetDistAnswer(res)
+	frame := encodeSetDistAnswer(res)
 	for name, data := range map[string][]byte{
 		"truncated": frame[:20],
 		"bad magic": append([]byte("PDEA"), frame[4:]...),
 	} {
-		if _, err := DecodeSetDistAnswer(data); err == nil {
+		if _, err := decodeSetDistAnswer(data); err == nil {
 			t.Errorf("%s: want decode error", name)
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -72,17 +73,21 @@ func TestGoldenWirePDE2Session(t *testing.T) {
 	// The request stream: Bind("golden") corr=1, Estimate corr=2,
 	// NextHop corr=3, all written back to back as a pipelined client
 	// would.
+	// Each header is written out by hand from the layout in internal/wire's
+	// package doc: "PDE2" | type | flags, reserved = 0 | u64 corr | u32 len.
 	var req bytes.Buffer
-	bind := make([]byte, wire.HeaderSize+len("golden"))
-	wire.PutHeader(bind, wire.FrameBind, 1, len("golden"))
-	copy(bind[wire.HeaderSize:], "golden")
-	req.Write(bind)
-	qframe := make([]byte, wire.HeaderSize+wire.QueryPayloadLen(len(qs)))
-	wire.PutHeader(qframe, wire.FrameEstimate, 2, wire.QueryPayloadLen(len(qs)))
-	wire.PutQueryPayload(qframe[wire.HeaderSize:], qs)
-	req.Write(qframe)
-	wire.PutHeader(qframe, wire.FrameNextHop, 3, wire.QueryPayloadLen(len(qs)))
-	req.Write(qframe)
+	frame := func(t wire.FrameType, corr uint64, payload []byte) {
+		req.WriteString(wire.Magic)
+		req.Write([]byte{byte(t), 0, 0, 0})
+		req.Write(binary.LittleEndian.AppendUint64(nil, corr))
+		req.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(payload))))
+		req.Write(payload)
+	}
+	qpayload := make([]byte, wire.QueryPayloadLen(len(qs)))
+	wire.PutQueryPayload(qpayload, qs)
+	frame(wire.FrameBind, 1, []byte("golden"))
+	frame(wire.FrameEstimate, 2, qpayload)
+	frame(wire.FrameNextHop, 3, qpayload)
 	checkGolden(t, "pde2_session.golden.bin", req.Bytes())
 
 	nc, err := net.Dial("tcp", ws.Addr())
@@ -93,9 +98,10 @@ func TestGoldenWirePDE2Session(t *testing.T) {
 	if _, err := nc.Write(req.Bytes()); err != nil {
 		t.Fatalf("write session: %v", err)
 	}
+	hopsLen := 12 + len(qs)*wire.HopRecordSize // fingerprint | count | hops
 	respLen := (wire.HeaderSize + wire.BoundPayloadLen) +
 		(wire.HeaderSize + wire.AnswersPayloadLen(len(qs))) +
-		(wire.HeaderSize + wire.HopsPayloadLen(len(qs)))
+		(wire.HeaderSize + hopsLen)
 	resp := make([]byte, respLen)
 	if _, err := io.ReadFull(nc, resp); err != nil {
 		t.Fatalf("read responses: %v", err)
@@ -116,7 +122,7 @@ func TestGoldenWirePDE2Session(t *testing.T) {
 	if !bytes.Equal(ansPayload[12:], httpFrame[8:]) {
 		t.Fatal("PDE2 answer records differ from the HTTP binary codec records for the same answers")
 	}
-	hopPayload := resp[respLen-wire.HopsPayloadLen(len(qs)):]
+	hopPayload := resp[respLen-hopsLen:]
 	wantHops := make([]Hop, len(qs))
 	for i, q := range qs {
 		switch {
@@ -128,7 +134,7 @@ func TestGoldenWirePDE2Session(t *testing.T) {
 			wantHops[i] = Hop{Next: -1, OK: false}
 		}
 	}
-	httpHops := EncodeHops(wantHops)
+	httpHops := encodeHops(wantHops)
 	if !bytes.Equal(hopPayload[12:], httpHops[8:]) {
 		t.Fatal("PDE2 hop records differ from the HTTP binary codec records for the same hops")
 	}

@@ -25,7 +25,7 @@ func TestPropertyTreeRoutingDelivers(t *testing.T) {
 				parent[v] = int(sp.Parent[v])
 			}
 		}
-		lab, err := Build(parent, root)
+		lab, err := build(parent, root)
 		if err != nil {
 			return false
 		}
@@ -53,7 +53,7 @@ func TestPropertyIntervalsPartition(t *testing.T) {
 		for v := 1; v < n; v++ {
 			parent[v] = int(sp.Parent[v])
 		}
-		lab, err := Build(parent, 0)
+		lab, err := build(parent, 0)
 		if err != nil {
 			return false
 		}

@@ -5,20 +5,17 @@
 // contains it, or to the parent when none does.
 //
 // Labels are constructible distributedly in O(depth) rounds: a convergecast
-// accumulates subtree sizes, then a downcast assigns preorder offsets. Both
-// the centralized constructor (used inside the routing hierarchies, where
-// many overlapping trees are labeled and the paper multiplexes their rounds)
-// and a genuinely distributed congest implementation are provided; tests
-// pin them to each other.
+// accumulates subtree sizes, then a downcast assigns preorder offsets. The
+// routing hierarchies label many overlapping trees and the paper
+// multiplexes their rounds, so this package builds the labels centrally
+// and charges the modelled rounds (Labeling.Rounds, Forest.Rounds); the
+// tests run the two-sweep congest construction and hold it to them.
 package treelabel
 
 import (
 	"fmt"
 	"math/bits"
 	"slices"
-
-	"pde/internal/congest"
-	"pde/internal/graph"
 )
 
 // Label is a tree-node label: the half-open preorder interval
@@ -51,9 +48,9 @@ type Labeling struct {
 	Rounds int
 }
 
-// Build labels the tree given by parent pointers (root maps to -1 or is
+// build labels the tree given by parent pointers (root maps to -1 or is
 // absent). It validates that the structure is a tree rooted at root.
-func Build(parent map[int]int, root int) (*Labeling, error) {
+func build(parent map[int]int, root int) (*Labeling, error) {
 	children := make(map[int][]int, len(parent))
 	nodes := make(map[int]bool, len(parent)+1)
 	nodes[root] = true
@@ -233,7 +230,7 @@ func BuildForest(pivot []int32, next func(cur int, s int32) (int, bool)) (*Fores
 				cur = hop
 			}
 		}
-		lab, err := Build(parent, int(s))
+		lab, err := build(parent, int(s))
 		if err != nil {
 			return nil, fmt.Errorf("treelabel: tree T_%d: %w", s, err)
 		}
@@ -253,130 +250,4 @@ func BuildForest(pivot []int32, next func(cur int, s int32) (int, bool)) (*Fores
 // v was walked into T_s by BuildForest).
 func (f *Forest) Label(v int, s int32) Label {
 	return f.Trees[s].Labels[v]
-}
-
-// --- Distributed construction -------------------------------------------
-
-type labelMsg struct {
-	kind  uint8 // 1 = subtree size up, 2 = preorder offset down
-	value int32
-}
-
-func (m labelMsg) Bits() int { return 8 + bits.Len32(uint32(m.value)) }
-
-type labelProc struct {
-	tree    *congest.Tree
-	size    int32
-	waiting int
-	childSz map[int]int32
-	sentUp  bool
-	label   Label
-	has     bool
-	pushed  bool
-}
-
-func (p *labelProc) Init(ctx *congest.Ctx) {
-	v := ctx.Node()
-	p.waiting = len(p.tree.Children[v])
-	p.childSz = make(map[int]int32, p.waiting)
-	p.size = 1
-	p.advance(ctx)
-}
-
-func (p *labelProc) Round(ctx *congest.Ctx) {
-	for _, in := range ctx.In() {
-		m := in.Msg.(labelMsg)
-		switch m.kind {
-		case 1:
-			p.childSz[in.From] = m.value
-			p.size += m.value
-			p.waiting--
-		case 2:
-			p.label = Label{Pre: m.value, Size: p.size}
-			p.has = true
-		}
-	}
-	p.advance(ctx)
-}
-
-func (p *labelProc) advance(ctx *congest.Ctx) {
-	v := ctx.Node()
-	isRoot := p.tree.Parent[v] < 0
-	if p.waiting == 0 && !p.sentUp {
-		p.sentUp = true
-		if !isRoot {
-			parent := int(p.tree.Parent[v])
-			for port, e := range ctx.Neighbors() {
-				if e.To == parent {
-					ctx.Send(port, labelMsg{kind: 1, value: p.size})
-					break
-				}
-			}
-		} else {
-			p.label = Label{Pre: 0, Size: p.size}
-			p.has = true
-		}
-	}
-	if p.has && !p.pushed {
-		p.pushed = true
-		// Assign children offsets in increasing node order, matching the
-		// centralized Build.
-		kids := make([]int, 0, len(p.tree.Children[v]))
-		for _, c := range p.tree.Children[v] {
-			kids = append(kids, int(c))
-		}
-		sortInts(kids)
-		offset := p.label.Pre + 1
-		offsets := make(map[int]int32, len(kids))
-		for _, c := range kids {
-			offsets[c] = offset
-			offset += p.childSz[c]
-		}
-		for port, e := range ctx.Neighbors() {
-			if off, ok := offsets[e.To]; ok {
-				ctx.Send(port, labelMsg{kind: 2, value: off})
-			}
-		}
-	}
-}
-
-// BuildDistributed labels a spanning tree of g with the two-sweep congest
-// algorithm and returns the labeling plus execution metrics. It matches
-// Build exactly on the same tree.
-func BuildDistributed(g *graph.Graph, t *congest.Tree, cfg congest.Config) (*Labeling, *congest.Metrics, error) {
-	n := g.N()
-	procs := make([]congest.Proc, n)
-	states := make([]labelProc, n)
-	for v := 0; v < n; v++ {
-		states[v] = labelProc{tree: t}
-		procs[v] = &states[v]
-	}
-	met, err := congest.Run(g, procs, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	lab := &Labeling{
-		Root:     t.Root,
-		Labels:   make(map[int]Label, n),
-		Parent:   make(map[int]int, n),
-		Children: make(map[int][]int, n),
-		Height:   t.Height,
-		Rounds:   met.ActiveRounds,
-	}
-	for v := 0; v < n; v++ {
-		if !states[v].has {
-			return nil, nil, fmt.Errorf("treelabel: node %d was not labeled", v)
-		}
-		lab.Labels[v] = states[v].label
-		if p := t.Parent[v]; p >= 0 {
-			lab.Parent[v] = int(p)
-		}
-		kids := make([]int, 0, len(t.Children[v]))
-		for _, c := range t.Children[v] {
-			kids = append(kids, int(c))
-		}
-		sortInts(kids)
-		lab.Children[v] = kids
-	}
-	return lab, met, nil
 }

@@ -1,6 +1,8 @@
 package treelabel
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -18,7 +20,7 @@ func pathParents(n int) map[int]int {
 }
 
 func TestBuildPath(t *testing.T) {
-	lab, err := Build(pathParents(5), 0)
+	lab, err := build(pathParents(5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +37,11 @@ func TestBuildPath(t *testing.T) {
 
 func TestBuildValidatesStructure(t *testing.T) {
 	// Cycle.
-	if _, err := Build(map[int]int{0: -1, 1: 2, 2: 1}, 0); err == nil {
+	if _, err := build(map[int]int{0: -1, 1: 2, 2: 1}, 0); err == nil {
 		t.Fatal("expected cycle/unreachable error")
 	}
 	// Root with a parent.
-	if _, err := Build(map[int]int{0: 1, 1: -1}, 0); err == nil {
+	if _, err := build(map[int]int{0: 1, 1: -1}, 0); err == nil {
 		t.Fatal("expected bad-root error")
 	}
 }
@@ -52,7 +54,7 @@ func TestIntervalNesting(t *testing.T) {
 	for v := 1; v < 60; v++ {
 		parent[v] = int(sp.Parent[v])
 	}
-	lab, err := Build(parent, 0)
+	lab, err := build(parent, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestRouteBetweenAllPairs(t *testing.T) {
 			parent[v] = int(sp.Parent[v])
 		}
 	}
-	lab, err := Build(parent, 3)
+	lab, err := build(parent, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,33 +122,35 @@ func TestRouteBetweenAllPairs(t *testing.T) {
 	}
 }
 
+// TestDistributedMatchesCentralized runs the two-sweep congest labeling
+// on BFS spanning trees and holds it to the one-tree forest BuildForest
+// makes of the same tree: the same labels, in no more active rounds than
+// that forest's modelled Rounds, the charge the routing hierarchies add.
 func TestDistributedMatchesCentralized(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := graph.RandomConnected(50, 0.08, 7, rng)
-	tree, _, err := congest.BuildBFSTree(g, 0, congest.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent := map[int]int{0: -1}
-	for v := 1; v < 50; v++ {
-		parent[v] = int(tree.Parent[v])
-	}
-	want, err := Build(parent, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, met, err := BuildDistributed(g, tree, congest.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < 50; v++ {
-		if want.Labels[v] != got.Labels[v] {
-			t.Fatalf("node %d: distributed %+v, centralized %+v", v, got.Labels[v], want.Labels[v])
+	for seed := int64(1); seed <= 6; seed++ {
+		g := graph.RandomConnected(60, 0.08, 7, rand.New(rand.NewSource(seed)))
+		tree, _, err := congest.BuildBFSTree(g, 0, congest.Config{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Two sweeps over the tree: O(height) rounds.
-	if met.ActiveRounds > 2*(tree.Height+1)+2 {
-		t.Fatalf("distributed labeling took %d rounds, height %d", met.ActiveRounds, tree.Height)
+		f, err := BuildForest(make([]int32, g.N()), func(cur int, _ int32) (int, bool) {
+			return int(tree.Parent[cur]), tree.Parent[cur] >= 0
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, met, err := BuildDistributed(g, tree, congest.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < g.N(); v++ {
+			if want := f.Label(v, 0); got.Labels[v] != want {
+				t.Fatalf("seed %d node %d: distributed %+v, centralized %+v", seed, v, got.Labels[v], want)
+			}
+		}
+		if met.ActiveRounds > f.Rounds {
+			t.Fatalf("seed %d: distributed labeling took %d rounds, the model charges %d (height %d)", seed, met.ActiveRounds, f.Rounds, tree.Height)
+		}
 	}
 }
 
@@ -158,7 +162,7 @@ func TestLabelBits(t *testing.T) {
 }
 
 func TestTableWords(t *testing.T) {
-	lab, err := Build(map[int]int{0: -1, 1: 0, 2: 0, 3: 1}, 0)
+	lab, err := build(map[int]int{0: -1, 1: 0, 2: 0, 3: 1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +175,7 @@ func TestTableWords(t *testing.T) {
 }
 
 func TestSingleNodeTree(t *testing.T) {
-	lab, err := Build(map[int]int{}, 7)
+	lab, err := build(map[int]int{}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,4 +186,133 @@ func TestSingleNodeTree(t *testing.T) {
 	if err != nil || len(path) != 1 {
 		t.Fatalf("self route: %v %v", path, err)
 	}
+}
+
+// --- Distributed construction -------------------------------------------
+//
+// The two-sweep congest labeling the modelled rounds stand for: a
+// convergecast of subtree sizes, then a downcast of preorder offsets.
+
+type labelMsg struct {
+	kind  uint8 // 1 = subtree size up, 2 = preorder offset down
+	value int32
+}
+
+func (m labelMsg) Bits() int { return 8 + bits.Len32(uint32(m.value)) }
+
+type labelProc struct {
+	tree    *congest.Tree
+	size    int32
+	waiting int
+	childSz map[int]int32
+	sentUp  bool
+	label   Label
+	has     bool
+	pushed  bool
+}
+
+func (p *labelProc) Init(ctx *congest.Ctx) {
+	v := ctx.Node()
+	p.waiting = len(p.tree.Children[v])
+	p.childSz = make(map[int]int32, p.waiting)
+	p.size = 1
+	p.advance(ctx)
+}
+
+func (p *labelProc) Round(ctx *congest.Ctx) {
+	for _, in := range ctx.In() {
+		m := in.Msg.(labelMsg)
+		switch m.kind {
+		case 1:
+			p.childSz[in.From] = m.value
+			p.size += m.value
+			p.waiting--
+		case 2:
+			p.label = Label{Pre: m.value, Size: p.size}
+			p.has = true
+		}
+	}
+	p.advance(ctx)
+}
+
+func (p *labelProc) advance(ctx *congest.Ctx) {
+	v := ctx.Node()
+	isRoot := p.tree.Parent[v] < 0
+	if p.waiting == 0 && !p.sentUp {
+		p.sentUp = true
+		if !isRoot {
+			parent := int(p.tree.Parent[v])
+			for port, e := range ctx.Neighbors() {
+				if e.To == parent {
+					ctx.Send(port, labelMsg{kind: 1, value: p.size})
+					break
+				}
+			}
+		} else {
+			p.label = Label{Pre: 0, Size: p.size}
+			p.has = true
+		}
+	}
+	if p.has && !p.pushed {
+		p.pushed = true
+		// Assign children offsets in increasing node order, matching the
+		// centralized build.
+		kids := make([]int, 0, len(p.tree.Children[v]))
+		for _, c := range p.tree.Children[v] {
+			kids = append(kids, int(c))
+		}
+		sortInts(kids)
+		offset := p.label.Pre + 1
+		offsets := make(map[int]int32, len(kids))
+		for _, c := range kids {
+			offsets[c] = offset
+			offset += p.childSz[c]
+		}
+		for port, e := range ctx.Neighbors() {
+			if off, ok := offsets[e.To]; ok {
+				ctx.Send(port, labelMsg{kind: 2, value: off})
+			}
+		}
+	}
+}
+
+// BuildDistributed labels a spanning tree of g with the two-sweep congest
+// algorithm and returns the labeling plus execution metrics. It matches
+// build exactly on the same tree.
+func BuildDistributed(g *graph.Graph, t *congest.Tree, cfg congest.Config) (*Labeling, *congest.Metrics, error) {
+	n := g.N()
+	procs := make([]congest.Proc, n)
+	states := make([]labelProc, n)
+	for v := 0; v < n; v++ {
+		states[v] = labelProc{tree: t}
+		procs[v] = &states[v]
+	}
+	met, err := congest.Run(g, procs, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	lab := &Labeling{
+		Root:     t.Root,
+		Labels:   make(map[int]Label, n),
+		Parent:   make(map[int]int, n),
+		Children: make(map[int][]int, n),
+		Height:   t.Height,
+		Rounds:   met.ActiveRounds,
+	}
+	for v := 0; v < n; v++ {
+		if !states[v].has {
+			return nil, nil, fmt.Errorf("treelabel: node %d was not labeled", v)
+		}
+		lab.Labels[v] = states[v].label
+		if p := t.Parent[v]; p >= 0 {
+			lab.Parent[v] = int(p)
+		}
+		kids := make([]int, 0, len(t.Children[v]))
+		for _, c := range t.Children[v] {
+			kids = append(kids, int(c))
+		}
+		sortInts(kids)
+		lab.Children[v] = kids
+	}
+	return lab, met, nil
 }

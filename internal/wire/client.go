@@ -44,7 +44,7 @@ func Dial(addr string) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewConn(nc), nil
+	return newConn(nc), nil
 }
 
 // DialTimeout is Dial with a connect timeout.
@@ -53,12 +53,11 @@ func DialTimeout(addr string, timeout time.Duration) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewConn(nc), nil
+	return newConn(nc), nil
 }
 
-// NewConn wraps an established transport (the relay path dials its own
-// sockets) in a PDE2 client connection.
-func NewConn(nc net.Conn) *Conn {
+// newConn wraps an established transport in a PDE2 client connection.
+func newConn(nc net.Conn) *Conn {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
@@ -133,7 +132,7 @@ func (c *Conn) Bind(shard string) (n int32, fingerprint uint64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	bn, fp, err := ParseBoundPayload(payload)
+	bn, fp, err := parseBoundPayload(payload)
 	if err != nil {
 		return 0, 0, c.fatal(err)
 	}
@@ -155,7 +154,7 @@ func (c *Conn) control(t FrameType, body string, want FrameType) ([]byte, error)
 	}
 	c.corr++
 	frame := c.ensureWbuf(HeaderSize + len(body))
-	PutHeader(frame, t, c.corr, len(body))
+	putHeader(frame, t, c.corr, len(body))
 	copy(frame[HeaderSize:], body)
 	if err := c.flushFrame(frame); err != nil {
 		return nil, err
@@ -187,7 +186,7 @@ func (c *Conn) flushFrame(frame []byte) error {
 func (c *Conn) writeQueryFrame(t FrameType, corr uint64, qs []oracle.Query) error {
 	plen := QueryPayloadLen(len(qs))
 	frame := c.ensureWbuf(HeaderSize + plen)
-	PutHeader(frame, t, corr, plen)
+	putHeader(frame, t, corr, plen)
 	PutQueryPayload(frame[HeaderSize:], qs)
 	return c.flushFrame(frame)
 }
@@ -206,7 +205,7 @@ func (c *Conn) readFrame(corr uint64) (FrameType, []byte, error) {
 	if _, err := readFull(c.br, c.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	t, got, plen, err := ParseHeader(c.hdr[:])
+	t, got, plen, err := parseHeader(c.hdr[:])
 	if err != nil {
 		return 0, nil, err
 	}
@@ -218,7 +217,7 @@ func (c *Conn) readFrame(corr uint64) (FrameType, []byte, error) {
 		return 0, nil, err
 	}
 	if t == FrameError {
-		code, msg, err := ParseErrorPayload(payload)
+		code, msg, err := parseErrorPayload(payload)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -257,23 +256,22 @@ func (c *Conn) receive(kind FrameType, corr uint64, out []oracle.Answer, hops []
 // buffer, which must hold exactly the frame's record count.
 //
 //pde:hotpath
-func decodeInto(t FrameType, payload []byte, out []oracle.Answer, hops []Hop) (fp uint64, err error) {
-	var count int
+func decodeInto(t FrameType, payload []byte, out []oracle.Answer, hops []Hop) (uint64, error) {
+	rec, want := AnswerRecordSize, len(out)
+	if t == FrameHops {
+		rec, want = HopRecordSize, len(hops)
+	}
+	fp, count, err := checkStamp(payload, rec)
+	if err == nil && count != want {
+		err = ErrBadPayload
+	}
 	if t == FrameAnswers {
-		fp, count, err = CheckAnswersPayload(payload)
-		if err == nil && count != len(out) {
-			err = ErrBadPayload
-		}
 		for i := 0; err == nil && i < count; i++ {
 			err = AnswerAt(payload, i, &out[i])
 		}
 	} else {
-		fp, count, err = CheckHopsPayload(payload)
-		if err == nil && count != len(hops) {
-			err = ErrBadPayload
-		}
 		for i := 0; err == nil && i < count; i++ {
-			err = HopAt(payload, i, &hops[i])
+			err = hopAt(payload, i, &hops[i])
 		}
 	}
 	if err != nil {

@@ -17,7 +17,7 @@ func FuzzWireFrame(f *testing.F) {
 	// A well-formed frame of each type.
 	add := func(t FrameType, payload []byte) {
 		buf := make([]byte, HeaderSize+len(payload))
-		PutHeader(buf, t, 42, len(payload))
+		putHeader(buf, t, 42, len(payload))
 		copy(buf[HeaderSize:], payload)
 		f.Add(buf)
 	}
@@ -27,33 +27,33 @@ func FuzzWireFrame(f *testing.F) {
 	add(FrameNextHop, qbuf)
 	add(FrameBind, []byte("alpha"))
 	bound := make([]byte, BoundPayloadLen)
-	PutBoundPayload(bound, 512, 0xdeadbeef)
+	putBoundPayload(bound, 512, 0xdeadbeef)
 	add(FrameBound, bound)
 	abuf := make([]byte, AnswersPayloadLen(2))
 	PutAnswersPrefix(abuf, 7, 2)
 	PutAnswerAt(abuf, 0, oracle.Answer{OK: true})
 	PutAnswerAt(abuf, 1, oracle.Answer{})
 	add(FrameAnswers, abuf)
-	hbuf := make([]byte, HopsPayloadLen(2))
-	PutHopsPrefix(hbuf, 7, 2)
-	PutHopAt(hbuf, 0, Hop{Next: 3, OK: true})
-	PutHopAt(hbuf, 1, Hop{Next: -1})
+	hbuf := make([]byte, stampedLen(2, HopRecordSize))
+	putStamp(hbuf, 7, 2)
+	putHopAt(hbuf, 0, Hop{Next: 3, OK: true})
+	putHopAt(hbuf, 1, Hop{Next: -1})
 	add(FrameHops, hbuf)
-	add(FrameError, ErrorPayload(ErrCodeOutOfRange, "nope"))
+	add(FrameError, errorPayload(ErrCodeOutOfRange, "nope"))
 	add(FramePing, nil)
 
 	// Truncated header, truncated payload, lying length, oversized count.
 	f.Add([]byte("PDE2"))
 	f.Add([]byte("PDE2\x02\x00\x00\x00"))
 	lying := make([]byte, HeaderSize)
-	PutHeader(lying, FrameEstimate, 1, 1<<30)
+	putHeader(lying, FrameEstimate, 1, 1<<30)
 	f.Add(lying)
 	overcount := make([]byte, 4+QueryRecordSize)
 	binary.LittleEndian.PutUint32(overcount, 0xffffffff)
 	f.Add(overcount)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tt, _, plen, err := ParseHeader(data)
+		tt, _, plen, err := parseHeader(data)
 		if err == nil {
 			// A parsed header's payload may be truncated; the decoders
 			// must still be total functions over whatever bytes exist.
@@ -63,60 +63,60 @@ func FuzzWireFrame(f *testing.F) {
 			}
 			switch tt {
 			case FrameEstimate, FrameNextHop:
-				if count, err := CheckQueryPayload(payload); err == nil {
+				if count, err := checkQueryPayload(payload); err == nil {
 					for i := 0; i < count; i++ {
 						_ = QueryAt(payload, i)
 					}
 				}
 			case FrameBound:
-				_, _, _ = ParseBoundPayload(payload)
+				_, _, _ = parseBoundPayload(payload)
 			case FrameAnswers:
-				if _, count, err := CheckAnswersPayload(payload); err == nil {
+				if _, count, err := checkStamp(payload, AnswerRecordSize); err == nil {
 					var a oracle.Answer
 					for i := 0; i < count; i++ {
 						_ = AnswerAt(payload, i, &a)
 					}
 				}
 			case FrameHops:
-				if _, count, err := CheckHopsPayload(payload); err == nil {
+				if _, count, err := checkStamp(payload, HopRecordSize); err == nil {
 					var h Hop
 					for i := 0; i < count; i++ {
-						_ = HopAt(payload, i, &h)
+						_ = hopAt(payload, i, &h)
 					}
 				}
 			case FrameError:
-				_, _, _ = ParseErrorPayload(payload)
+				_, _, _ = parseErrorPayload(payload)
 			}
 		}
 
 		// Every validator must also be total on the raw input directly.
-		if count, err := CheckQueryPayload(data); err == nil {
+		if count, err := checkQueryPayload(data); err == nil {
 			if QueryPayloadLen(count) != len(data) {
-				t.Fatalf("CheckQueryPayload accepted a mis-sized payload: count=%d len=%d", count, len(data))
+				t.Fatalf("checkQueryPayload accepted a mis-sized payload: count=%d len=%d", count, len(data))
 			}
 			for i := 0; i < count; i++ {
 				_ = QueryAt(data, i)
 			}
 		}
-		if _, count, err := CheckAnswersPayload(data); err == nil {
+		if _, count, err := checkStamp(data, AnswerRecordSize); err == nil {
 			if AnswersPayloadLen(count) != len(data) {
-				t.Fatalf("CheckAnswersPayload accepted a mis-sized payload")
+				t.Fatalf("checkStamp(answers) accepted a mis-sized payload")
 			}
 			var a oracle.Answer
 			for i := 0; i < count; i++ {
 				_ = AnswerAt(data, i, &a)
 			}
 		}
-		if _, count, err := CheckHopsPayload(data); err == nil {
-			if HopsPayloadLen(count) != len(data) {
-				t.Fatalf("CheckHopsPayload accepted a mis-sized payload")
+		if _, count, err := checkStamp(data, HopRecordSize); err == nil {
+			if stampedLen(count, HopRecordSize) != len(data) {
+				t.Fatalf("checkStamp(hops) accepted a mis-sized payload")
 			}
 			var h Hop
 			for i := 0; i < count; i++ {
-				_ = HopAt(data, i, &h)
+				_ = hopAt(data, i, &h)
 			}
 		}
-		_, _, _ = ParseBoundPayload(data)
-		_, _, _ = ParseErrorPayload(data)
+		_, _, _ = parseBoundPayload(data)
+		_, _, _ = parseErrorPayload(data)
 	})
 }

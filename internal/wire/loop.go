@@ -203,7 +203,7 @@ func serveConn(conn net.Conn, maxBatch int, h Handler) {
 		if _, err := io.ReadFull(br, a.hdr[:]); err != nil {
 			return
 		}
-		t, corr, plen, err := ParseHeader(a.hdr[:])
+		t, corr, plen, err := parseHeader(a.hdr[:])
 		if err != nil {
 			writeErrorFrame(bw, corr, ErrCodeBadFrame, err.Error())
 			return
@@ -231,7 +231,7 @@ func serveConn(conn net.Conn, maxBatch int, h Handler) {
 				open = writeErrorFrame(bw, corr, ErrCodeNotBound, "no shard bound; send a Bind frame first")
 			}
 		case FramePing:
-			PutHeader(a.hdr[:], FramePong, corr, 0)
+			putHeader(a.hdr[:], FramePong, corr, 0)
 			_, err := bw.Write(a.hdr[:])
 			open = err == nil
 		default:
@@ -254,8 +254,8 @@ func serveBind(bw *bufio.Writer, h Handler, corr uint64, payload []byte) (bound,
 		return false, writeErrorFrame(bw, corr, refusal.Code, refusal.Message)
 	}
 	var buf [HeaderSize + BoundPayloadLen]byte
-	PutHeader(buf[:], FrameBound, corr, BoundPayloadLen)
-	PutBoundPayload(buf[HeaderSize:], n, fp)
+	putHeader(buf[:], FrameBound, corr, BoundPayloadLen)
+	putBoundPayload(buf[HeaderSize:], n, fp)
 	_, err := bw.Write(buf[:])
 	return true, err == nil
 }
@@ -266,7 +266,7 @@ func serveBind(bw *bufio.Writer, h Handler, corr uint64, payload []byte) (bound,
 //
 //pde:hotpath
 func (a *Batch) serveQueries(bw *bufio.Writer, h Handler, t FrameType, corr uint64, payload []byte, maxBatch int) bool {
-	count, err := CheckQueryPayload(payload)
+	count, err := checkQueryPayload(payload)
 	if err != nil {
 		return writeErrorFrame(bw, corr, ErrCodeBadFrame, err.Error())
 	}
@@ -288,12 +288,16 @@ func (a *Batch) serveQueries(bw *bufio.Writer, h Handler, t FrameType, corr uint
 	// Encode. A row-grouped batch is scattered back to wire positions here;
 	// answers are per-query independent, so the reordering is
 	// bit-invisible to the client.
-	var frame []byte
+	kind, rec := FrameAnswers, AnswerRecordSize
+	if t == FrameNextHop {
+		kind, rec = FrameHops, HopRecordSize
+	}
+	plen := stampedLen(count, rec)
+	frame := a.wbuf[:HeaderSize+plen]
+	putHeader(frame, kind, corr, plen)
+	body := frame[HeaderSize:]
+	putStamp(body, fp, count)
 	if t == FrameEstimate {
-		frame = a.wbuf[:HeaderSize+AnswersPayloadLen(count)]
-		PutHeader(frame, FrameAnswers, corr, AnswersPayloadLen(count))
-		body := frame[HeaderSize:]
-		PutAnswersPrefix(body, fp, count)
 		for i, ans := range a.Out {
 			at := i
 			if a.perm != nil {
@@ -302,16 +306,12 @@ func (a *Batch) serveQueries(bw *bufio.Writer, h Handler, t FrameType, corr uint
 			PutAnswerAt(body, at, ans)
 		}
 	} else {
-		frame = a.wbuf[:HeaderSize+HopsPayloadLen(count)]
-		PutHeader(frame, FrameHops, corr, HopsPayloadLen(count))
-		body := frame[HeaderSize:]
-		PutHopsPrefix(body, fp, count)
 		for i, hop := range a.Hops {
 			at := i
 			if a.perm != nil {
 				at = int(a.perm[i])
 			}
-			PutHopAt(body, at, hop)
+			putHopAt(body, at, hop)
 		}
 	}
 	_, err = bw.Write(frame)
@@ -322,9 +322,9 @@ func (a *Batch) serveQueries(bw *bufio.Writer, h Handler, t FrameType, corr uint
 // connection should stay open: false for the fatal codes and for a write
 // failure. Error frames are the cold path; they may allocate.
 func writeErrorFrame(bw *bufio.Writer, corr uint64, code uint16, msg string) bool {
-	payload := ErrorPayload(code, msg)
+	payload := errorPayload(code, msg)
 	var hdr [HeaderSize]byte
-	PutHeader(hdr[:], FrameError, corr, len(payload))
+	putHeader(hdr[:], FrameError, corr, len(payload))
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return false
 	}

@@ -159,11 +159,11 @@ var (
 	ErrCorrMismatch = errors.New("wire: response correlation id does not match request")
 )
 
-// PutHeader writes a frame header into buf, which must hold HeaderSize
+// putHeader writes a frame header into buf, which must hold HeaderSize
 // bytes.
 //
 //pde:hotpath
-func PutHeader(buf []byte, t FrameType, corr uint64, payloadLen int) {
+func putHeader(buf []byte, t FrameType, corr uint64, payloadLen int) {
 	_ = buf[HeaderSize-1]
 	buf[0], buf[1], buf[2], buf[3] = 'P', 'D', 'E', '2'
 	buf[4] = byte(t)
@@ -173,11 +173,11 @@ func PutHeader(buf []byte, t FrameType, corr uint64, payloadLen int) {
 	binary.LittleEndian.PutUint32(buf[16:20], uint32(payloadLen))
 }
 
-// ParseHeader validates a frame header and returns its fields. It never
+// parseHeader validates a frame header and returns its fields. It never
 // allocates: failures are the package's sentinel errors.
 //
 //pde:hotpath
-func ParseHeader(buf []byte) (t FrameType, corr uint64, payloadLen uint32, err error) {
+func parseHeader(buf []byte) (t FrameType, corr uint64, payloadLen uint32, err error) {
 	if len(buf) < HeaderSize {
 		return 0, 0, 0, ErrShortHeader
 	}
@@ -299,11 +299,11 @@ func PutQueryPayload(buf []byte, qs []oracle.Query) {
 	}
 }
 
-// CheckQueryPayload validates the count prefix against the payload
+// checkQueryPayload validates the count prefix against the payload
 // length and returns the record count without decoding.
 //
 //pde:hotpath
-func CheckQueryPayload(payload []byte) (int, error) {
+func checkQueryPayload(payload []byte) (int, error) {
 	if len(payload) < 4 {
 		return 0, ErrBadPayload
 	}
@@ -321,42 +321,57 @@ func QueryAt(payload []byte, i int) oracle.Query {
 	return QueryRecord(payload[4+i*QueryRecordSize:])
 }
 
-// --- answers payload ---------------------------------------------------
+// --- stamped payloads (Answers / Hops responses) ------------------------
+//
+// An Answers or a Hops payload opens with the same 12-byte stamp, the u64
+// fingerprint of the generation that answered and the u32 record count;
+// only the record size after it differs.
 
-// AnswersPayloadLen is the payload size of an Answers frame carrying
-// count records.
-func AnswersPayloadLen(count int) int { return 12 + count*AnswerRecordSize }
+const stampSize = 12
 
-// PutAnswersPrefix writes the fingerprint stamp and record count that
-// open an Answers payload.
+// stampedLen is the payload size of a stamped frame carrying count
+// records of rec bytes.
+func stampedLen(count, rec int) int { return stampSize + count*rec }
+
+// putStamp writes the fingerprint stamp and record count that open an
+// Answers or Hops payload.
 //
 //pde:hotpath
-func PutAnswersPrefix(buf []byte, fingerprint uint64, count int) {
+func putStamp(buf []byte, fingerprint uint64, count int) {
 	binary.LittleEndian.PutUint64(buf[0:8], fingerprint)
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(count))
 }
+
+// checkStamp validates a stamped payload of rec-byte records and returns
+// its fingerprint stamp and record count.
+//
+//pde:hotpath
+func checkStamp(payload []byte, rec int) (fingerprint uint64, count int, err error) {
+	if len(payload) < stampSize {
+		return 0, 0, ErrBadPayload
+	}
+	fingerprint = binary.LittleEndian.Uint64(payload[0:8])
+	count = int(binary.LittleEndian.Uint32(payload[8:12]))
+	if stampedLen(count, rec) != len(payload) {
+		return 0, 0, ErrBadPayload
+	}
+	return fingerprint, count, nil
+}
+
+// AnswersPayloadLen is the payload size of an Answers frame carrying
+// count records.
+func AnswersPayloadLen(count int) int { return stampedLen(count, AnswerRecordSize) }
+
+// PutAnswersPrefix writes the stamp that opens an Answers payload.
+//
+//pde:hotpath
+func PutAnswersPrefix(buf []byte, fingerprint uint64, count int) { putStamp(buf, fingerprint, count) }
 
 // PutAnswerAt encodes answer record i.
 //
 //pde:hotpath
 func PutAnswerAt(buf []byte, i int, a oracle.Answer) {
-	PutAnswerRecord(buf[12+i*AnswerRecordSize:], a)
-}
-
-// CheckAnswersPayload validates an Answers payload and returns its
-// fingerprint stamp and record count.
-//
-//pde:hotpath
-func CheckAnswersPayload(payload []byte) (fingerprint uint64, count int, err error) {
-	if len(payload) < 12 {
-		return 0, 0, ErrBadPayload
-	}
-	fingerprint = binary.LittleEndian.Uint64(payload[0:8])
-	count = int(binary.LittleEndian.Uint32(payload[8:12]))
-	if AnswersPayloadLen(count) != len(payload) {
-		return 0, 0, ErrBadPayload
-	}
-	return fingerprint, count, nil
+	PutAnswerRecord(buf[stampSize+i*AnswerRecordSize:], a)
 }
 
 // AnswerAt decodes answer record i of a validated payload into *a. The
@@ -364,52 +379,21 @@ func CheckAnswersPayload(payload []byte) (fingerprint uint64, count int, err err
 //
 //pde:hotpath
 func AnswerAt(payload []byte, i int, a *oracle.Answer) error {
-	return AnswerRecord(payload[12+i*AnswerRecordSize:], a)
+	return AnswerRecord(payload[stampSize+i*AnswerRecordSize:], a)
 }
 
-// --- hops payload ------------------------------------------------------
-
-// HopsPayloadLen is the payload size of a Hops frame carrying count
-// records.
-func HopsPayloadLen(count int) int { return 12 + count*HopRecordSize }
-
-// PutHopsPrefix writes the fingerprint stamp and record count that open
-// a Hops payload.
+// putHopAt encodes hop record i, writing every byte.
 //
 //pde:hotpath
-func PutHopsPrefix(buf []byte, fingerprint uint64, count int) {
-	binary.LittleEndian.PutUint64(buf[0:8], fingerprint)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(count))
+func putHopAt(buf []byte, i int, h Hop) {
+	PutHopRecord(buf[stampSize+i*HopRecordSize:], h)
 }
 
-// PutHopAt encodes hop record i, writing every byte.
+// hopAt decodes hop record i of a validated payload into *h.
 //
 //pde:hotpath
-func PutHopAt(buf []byte, i int, h Hop) {
-	PutHopRecord(buf[12+i*HopRecordSize:], h)
-}
-
-// CheckHopsPayload validates a Hops payload and returns its fingerprint
-// stamp and record count.
-//
-//pde:hotpath
-func CheckHopsPayload(payload []byte) (fingerprint uint64, count int, err error) {
-	if len(payload) < 12 {
-		return 0, 0, ErrBadPayload
-	}
-	fingerprint = binary.LittleEndian.Uint64(payload[0:8])
-	count = int(binary.LittleEndian.Uint32(payload[8:12]))
-	if HopsPayloadLen(count) != len(payload) {
-		return 0, 0, ErrBadPayload
-	}
-	return fingerprint, count, nil
-}
-
-// HopAt decodes hop record i of a validated payload into *h.
-//
-//pde:hotpath
-func HopAt(payload []byte, i int, h *Hop) error {
-	return HopRecord(payload[12+i*HopRecordSize:], h)
+func hopAt(payload []byte, i int, h *Hop) error {
+	return HopRecord(payload[stampSize+i*HopRecordSize:], h)
 }
 
 // --- bound / error payloads (cold path, may allocate) ------------------
@@ -417,14 +401,14 @@ func HopAt(payload []byte, i int, h *Hop) error {
 // BoundPayloadLen is the fixed payload size of a Bound frame.
 const BoundPayloadLen = 12
 
-// PutBoundPayload encodes a Bind reply.
-func PutBoundPayload(buf []byte, n int32, fingerprint uint64) {
+// putBoundPayload encodes a Bind reply.
+func putBoundPayload(buf []byte, n int32, fingerprint uint64) {
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(n))
 	binary.LittleEndian.PutUint64(buf[4:12], fingerprint)
 }
 
-// ParseBoundPayload decodes a Bind reply.
-func ParseBoundPayload(payload []byte) (n int32, fingerprint uint64, err error) {
+// parseBoundPayload decodes a Bind reply.
+func parseBoundPayload(payload []byte) (n int32, fingerprint uint64, err error) {
 	if len(payload) != BoundPayloadLen {
 		return 0, 0, ErrBadPayload
 	}
@@ -433,16 +417,16 @@ func ParseBoundPayload(payload []byte) (n int32, fingerprint uint64, err error) 
 	return n, fingerprint, nil
 }
 
-// ErrorPayload encodes an Error frame payload.
-func ErrorPayload(code uint16, msg string) []byte {
+// errorPayload encodes an Error frame payload.
+func errorPayload(code uint16, msg string) []byte {
 	buf := make([]byte, 2+len(msg))
 	binary.LittleEndian.PutUint16(buf[0:2], code)
 	copy(buf[2:], msg)
 	return buf
 }
 
-// ParseErrorPayload decodes an Error frame payload.
-func ParseErrorPayload(payload []byte) (code uint16, msg string, err error) {
+// parseErrorPayload decodes an Error frame payload.
+func parseErrorPayload(payload []byte) (code uint16, msg string, err error) {
 	if len(payload) < 2 {
 		return 0, "", ErrBadPayload
 	}

@@ -128,8 +128,8 @@ func wantAnswers(snap *fakeSnap, qs []oracle.Query) []oracle.Answer {
 
 func TestHeaderRoundTrip(t *testing.T) {
 	var buf [HeaderSize]byte
-	PutHeader(buf[:], FrameEstimate, 0xdeadbeefcafe, 12345)
-	tt, corr, plen, err := ParseHeader(buf[:])
+	putHeader(buf[:], FrameEstimate, 0xdeadbeefcafe, 12345)
+	tt, corr, plen, err := parseHeader(buf[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestHeaderRoundTrip(t *testing.T) {
 
 func TestParseHeaderRejects(t *testing.T) {
 	good := make([]byte, HeaderSize)
-	PutHeader(good, FramePing, 7, 0)
+	putHeader(good, FramePing, 7, 0)
 	cases := []struct {
 		name    string
 		mutate  func([]byte)
@@ -158,7 +158,7 @@ func TestParseHeaderRejects(t *testing.T) {
 			buf = buf[:HeaderSize-1]
 		}
 		tc.mutate(buf)
-		if _, _, _, err := ParseHeader(buf); !errors.Is(err, tc.wantErr) {
+		if _, _, _, err := parseHeader(buf); !errors.Is(err, tc.wantErr) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
 		}
 	}
@@ -168,9 +168,9 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 	qs := []oracle.Query{{V: 0, S: 0}, {V: 3, S: 1}, {V: -0x7fffffff, S: 0x7fffffff}}
 	qbuf := make([]byte, QueryPayloadLen(len(qs)))
 	PutQueryPayload(qbuf, qs)
-	count, err := CheckQueryPayload(qbuf)
+	count, err := checkQueryPayload(qbuf)
 	if err != nil || count != len(qs) {
-		t.Fatalf("CheckQueryPayload = (%d, %v)", count, err)
+		t.Fatalf("checkQueryPayload = (%d, %v)", count, err)
 	}
 	for i := range qs {
 		if got := QueryAt(qbuf, i); got != qs[i] {
@@ -189,9 +189,9 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 	for i, a := range as {
 		PutAnswerAt(abuf, i, a)
 	}
-	fp, count, err := CheckAnswersPayload(abuf)
+	fp, count, err := checkStamp(abuf, AnswerRecordSize)
 	if err != nil || fp != 0x1122334455667788 || count != len(as) {
-		t.Fatalf("CheckAnswersPayload = (%#x, %d, %v)", fp, count, err)
+		t.Fatalf("checkStamp(answers) = (%#x, %d, %v)", fp, count, err)
 	}
 	for i := range as {
 		var got oracle.Answer
@@ -204,18 +204,18 @@ func TestPayloadCodecsRoundTrip(t *testing.T) {
 	}
 
 	hs := []Hop{{Next: -1, OK: false}, {Next: 42, OK: true}}
-	hbuf := make([]byte, HopsPayloadLen(len(hs)))
-	PutHopsPrefix(hbuf, 99, len(hs))
+	hbuf := make([]byte, stampedLen(len(hs), HopRecordSize))
+	putStamp(hbuf, 99, len(hs))
 	for i, h := range hs {
-		PutHopAt(hbuf, i, h)
+		putHopAt(hbuf, i, h)
 	}
-	fp, count, err = CheckHopsPayload(hbuf)
+	fp, count, err = checkStamp(hbuf, HopRecordSize)
 	if err != nil || fp != 99 || count != len(hs) {
-		t.Fatalf("CheckHopsPayload = (%d, %d, %v)", fp, count, err)
+		t.Fatalf("checkStamp(hops) = (%d, %d, %v)", fp, count, err)
 	}
 	for i := range hs {
 		var got Hop
-		if err := HopAt(hbuf, i, &got); err != nil {
+		if err := hopAt(hbuf, i, &got); err != nil {
 			t.Fatal(err)
 		}
 		if got != hs[i] {
@@ -242,14 +242,14 @@ func TestRecordEncodersWriteEveryByte(t *testing.T) {
 		t.Fatalf("decoded %+v, want zero answer", a)
 	}
 
-	hbuf := make([]byte, HopsPayloadLen(1))
+	hbuf := make([]byte, stampedLen(1, HopRecordSize))
 	for i := range hbuf {
 		hbuf[i] = 0xFF
 	}
-	PutHopsPrefix(hbuf, 0, 1)
-	PutHopAt(hbuf, 0, Hop{})
+	putStamp(hbuf, 0, 1)
+	putHopAt(hbuf, 0, Hop{})
 	var h Hop
-	if err := HopAt(hbuf, 0, &h); err != nil {
+	if err := hopAt(hbuf, 0, &h); err != nil {
 		t.Fatalf("stale bytes leaked into hop record: %v", err)
 	}
 	if h != (Hop{}) {
@@ -654,7 +654,7 @@ func TestConnRejectsOversizedResponse(t *testing.T) {
 		buf := make([]byte, 1024)
 		nc.Read(buf)
 		var hdr [HeaderSize]byte
-		PutHeader(hdr[:], FrameBound, 1, 1<<30)
+		putHeader(hdr[:], FrameBound, 1, 1<<30)
 		nc.Write(hdr[:])
 	}()
 	c, err := Dial(ln.Addr().String())

@@ -11,8 +11,8 @@
 // re-exported here as aliases, so this file documents the intended entry
 // points.
 //
-// Every function here has a caller in examples/ or cmd/, which
-// TestFacadeExportsHaveCallers holds. The servable schemes — "oracle",
+// Every function here has a non-test caller outside the package, which
+// TestExportsHaveCallers holds. The servable schemes — "oracle",
 // "rtc" and "compact", behind internal/scheme's one Spec and one Instance
 // interface — are what the pde-serve daemon builds and serves; they are
 // not re-exported here.

@@ -45,7 +45,7 @@ func surface(t *testing.T) string {
 	decls := map[string]ast.Expr{} // "pkg.Type" -> its type expression, for the stats walk
 	fset := token.NewFileSet()
 
-	walkSource(t, fset, "cmd", func(pkg string, f *ast.File) {
+	walkSource(t, fset, "cmd", false, func(pkg string, f *ast.File) {
 		var fn string // the enclosing function, which owns the flag set
 		ast.Inspect(f, func(n ast.Node) bool {
 			if fd, ok := n.(*ast.FuncDecl); ok {
@@ -86,7 +86,7 @@ func surface(t *testing.T) string {
 		})
 	})
 
-	walkSource(t, fset, "internal", func(pkg string, f *ast.File) {
+	walkSource(t, fset, "internal", false, func(pkg string, f *ast.File) {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
 			if !ok || gd.Tok != token.TYPE {
@@ -122,7 +122,7 @@ func surface(t *testing.T) string {
 	})
 
 	for _, pkg := range []string{"internal/server", "internal/cluster"} {
-		walkSource(t, fset, pkg, func(pkg string, f *ast.File) {
+		walkSource(t, fset, pkg, false, func(pkg string, f *ast.File) {
 			// A path is a literal first argument, or the loop variable of
 			// a range over a literal slice of them.
 			ranged := map[string][]ast.Expr{}
@@ -157,7 +157,7 @@ func surface(t *testing.T) string {
 		})
 	}
 
-	walkSource(t, fset, "internal/wire", func(_ string, f *ast.File) {
+	walkSource(t, fset, "internal/wire", false, func(_ string, f *ast.File) {
 		for _, decl := range f.Decls {
 			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == token.CONST {
 				for _, spec := range gd.Specs {
@@ -237,15 +237,19 @@ func surface(t *testing.T) string {
 	return b.String()
 }
 
-// walkSource parses every non-test .go file under root and hands it to
-// visit with its directory.
-func walkSource(t *testing.T, fset *token.FileSet, root string, visit func(pkg string, f *ast.File)) {
+// walkSource parses every .go file under root, the _test.go files only
+// when tests is set, and hands it to visit with its directory. Like the go
+// tool, it skips directories whose names begin with a dot (build caches).
+func walkSource(t *testing.T, fset *token.FileSet, root string, tests bool, visit func(pkg string, f *ast.File)) {
 	t.Helper()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if err == nil && d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || (!tests && strings.HasSuffix(path, "_test.go")) {
 			return err
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
 		}
@@ -294,49 +298,75 @@ func TestSurface(t *testing.T) {
 	t.Errorf("the module's surface moved; if that is the point of the change, run go test -run TestSurface -update . and commit the diff")
 }
 
-// TestFacadeExportsHaveCallers holds two export surfaces to what is used.
-// Every function pde.go exports must be called as pde.Name( from a
-// non-test file under examples/ or cmd/, and every top-level function
-// internal/scheme exports as scheme.Name( from a non-test file of the
-// module or of benchmark/ outside the package. An export nothing outside
-// the tests calls is an orphan; delete it (or unexport it), or give it a
-// caller.
-func TestFacadeExportsHaveCallers(t *testing.T) {
-	for _, rule := range []struct {
-		pkg, dir string
-		roots    []string
-	}{
-		{"pde", ".", []string{"examples", "cmd"}},
-		{"scheme", "internal/scheme", []string{"."}},
-	} {
-		fset := token.NewFileSet()
-		called := map[string]bool{}
-		for _, root := range rule.roots {
-			walkSource(t, fset, root, func(dir string, f *ast.File) {
-				if dir == rule.dir || strings.Contains(dir+"/", "/testdata/") {
-					return
-				}
-				ast.Inspect(f, func(n ast.Node) bool {
-					if call, ok := n.(*ast.CallExpr); ok {
-						if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-							if x, ok := sel.X.(*ast.Ident); ok && x.Name == rule.pkg {
-								called[sel.Sel.Name] = true
-							}
-						}
-					}
-					return true
-				})
-			})
-		}
-		walkSource(t, fset, rule.dir, func(dir string, f *ast.File) {
-			if dir != rule.dir {
-				return
-			}
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() && !called[fd.Name.Name] {
-					t.Errorf("%s.%s has no non-test caller under %v", rule.pkg, fd.Name.Name, rule.roots)
-				}
-			}
-		})
+// TestExportsHaveCallers is the export rule: every exported top-level
+// function of package pde and of each package under internal/ is named by
+// a non-test file outside its own package — in the root module (cmd/,
+// examples/ and internal/ included) or in benchmark/. A reference is a
+// selector on the package's import, whatever the file calls it, so a
+// call, a map entry or a func-typed field all count. An export nothing
+// outside the tests names is an orphan: delete it, unexport it, or move
+// it into the test files that use it.
+func TestExportsHaveCallers(t *testing.T) {
+	// The one remainder: graph generators that other packages' tests build
+	// their fixtures with, while production reaches the families it serves
+	// through graph.Generate.
+	pinned := map[string]string{
+		"graph.Grid":           "rows×cols grids in congest, core, oracle, spanner and pin fixtures",
+		"graph.Torus":          "a wrap-around grid in core's pool-width tests",
+		"graph.Ring":           "the high-diameter cycle in congest's and core's engine tests",
+		"graph.Path":           "the diameter-n line in congest, core, detection and rtc edge cases",
+		"graph.Star":           "the one-hub degree extreme in congest's inbox and bandwidth tests",
+		"graph.RandomTree":     "spanning trees for treelabel's routing and congest's engine tests",
+		"graph.BarabasiAlbert": "power-law graphs at chosen m in core's width tests and the pins",
+		"graph.Community":      "community graphs at chosen k, pIn, pOut in core's width tests and the pins",
+		"graph.RoadGrid":       "road grids at chosen obstacle fractions in core's width tests and the pins",
 	}
+
+	fset := token.NewFileSet()
+	var exports [][2]string                                // "pkg.Name", "import/path.Name"
+	named := map[bool]map[string]bool{false: {}, true: {}} // by test file: "import/path.Name"
+	walkSource(t, fset, ".", true, func(dir string, f *ast.File) {
+		if strings.Contains(dir+"/", "/testdata/") {
+			return
+		}
+		test := strings.HasSuffix(fset.File(f.Pos()).Name(), "_test.go")
+		if !test && (dir == "." || strings.HasPrefix(dir, "internal/")) {
+			path := strings.TrimSuffix("pde/"+dir, "/.")
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+					exports = append(exports, [2]string{f.Name.Name + "." + fd.Name.Name, path + "." + fd.Name.Name})
+				}
+			}
+		}
+		imports := map[string]string{} // local name -> import path
+		for _, spec := range f.Imports {
+			path, _ := strconv.Unquote(spec.Path.Value)
+			name := path[strings.LastIndex(path, "/")+1:]
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			imports[name] = path
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Obj == nil && imports[x.Name] != "" {
+					named[test][imports[x.Name]+"."+sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	})
+	for _, e := range exports {
+		name, ref := e[0], e[1]
+		_, pin := pinned[name]
+		switch {
+		case pin && named[false][ref]:
+			t.Errorf("%s is pinned as a test fixture but has a non-test caller; drop its pin", name)
+		case pin && !named[true][ref]:
+			t.Errorf("%s is pinned as a test fixture but no test outside its package uses it; unexport it and drop its pin", name)
+		case !pin && !named[false][ref]:
+			t.Errorf("%s has no non-test reference outside its package", name)
+		}
+	}
+	t.Logf("%d exported top-level functions, %d pinned", len(exports), len(pinned))
 }
