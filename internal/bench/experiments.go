@@ -186,9 +186,8 @@ func e4Messages(scale Scale) *Table {
 	// Weighted virtual instance (G_0): pairs arrive over non-shortest
 	// paths first and improve later, so re-announcements occur and the
 	// cap becomes meaningful (on unweighted graphs each node announces
-	// each of its top-σ pairs exactly once).
-	lengths := make([]int32, g.M())
-	g.Edges(func(_, _ int, w graph.Weight, id int32) { lengths[id] = int32(w) })
+	// each of its top-σ pairs exactly once). Base 1 subdivides every
+	// edge into its weight.
 	t := &Table{
 		ID:    "E4",
 		Title: "Per-node broadcasts under the Lemma 3.4 cap",
@@ -198,7 +197,7 @@ func e4Messages(scale Scale) *Table {
 	}
 	for _, sigma := range []int{2, 4, 8, 16} {
 		res, err := detection.Run(g, detection.Params{
-			IsSource: src, H: 4 * n, Sigma: sigma, Lengths: lengths, CapMessages: true,
+			IsSource: src, H: 4 * n, Sigma: sigma, Base: 1, CapMessages: true,
 		}, congest.Config{})
 		if err != nil {
 			panic(err)
@@ -529,9 +528,8 @@ func e9Ablation(scale Scale) *Table {
 		Header: []string{"policy", "active rounds", "total messages",
 			"max broadcasts/node", "correct"},
 	}
-	lengths := make([]int32, g.M())
-	g.Edges(func(_, _ int, w graph.Weight, id int32) { lengths[id] = int32(w) })
-	want := detection.BruteForce(g, detection.Params{IsSource: src, H: 64, Sigma: sigma, Lengths: lengths})
+	base := detection.Params{IsSource: src, H: 64, Sigma: sigma, Base: 1}
+	want := detection.BruteForce(g, base)
 	check := func(res *detection.Result) string {
 		for v := range want {
 			if len(res.Lists[v]) != len(want[v]) {
@@ -560,7 +558,6 @@ func e9Ablation(scale Scale) *Table {
 			name, d(res.Metrics.ActiveRounds), d64(res.Metrics.Messages), d64(maxB), check(res),
 		})
 	}
-	base := detection.Params{IsSource: src, H: 64, Sigma: sigma, Lengths: lengths}
 	capped := base
 	capped.CapMessages = true
 	run("lexicographic + cap (paper)", capped)

@@ -66,14 +66,14 @@ func liveHeap() uint64 {
 // TestAllocsPerRunBuild holds what a build costs the allocator and what
 // it leaves behind. A worker's arena — the detection units and the engine
 // under them — is reused from instance to instance, so what a sequential
-// build allocates is a handful per instance (its lengths, its Result and
-// Metrics) and the setup and the row pass per node, nothing per cell
-// and nothing per instance and node; and the arenas die with Build — the
+// build allocates is a handful per instance (its Result and Metrics) and
+// the setup and the row pass per node, nothing per cell and nothing per
+// instance and node; and the arenas die with Build — the
 // benchmark's heap_mb is read one collection after the last build, where
 // a cache that outlives Build (a sync.Pool, a package-level free list)
 // shows up as several times the heap.
 func TestAllocsPerRunBuild(t *testing.T) {
-	// 2 093 measured for 400 nodes and 12 instances: the setup BFS tree
+	// 2 084 measured for 400 nodes and 12 instances: the setup BFS tree
 	// and aggregate and the lists are per node, each instance a
 	// dozen. It was 20 790 while the engine allocated four times per node
 	// and instance; one more per node and instance fails it.

@@ -80,12 +80,15 @@ type Estimate struct {
 // Instance is one level of the rounding hierarchy together with its
 // detection output (the per-instance routing table of Corollary 3.5).
 type Instance struct {
-	// Base is b(i) = (1+ε)^i.
+	// Base is b(i) = (1+ε)^i; detection.Params.Length derives each
+	// edge's subdivided length ⌈W(e)/b(i)⌉ from it.
 	Base float64
-	// Lengths[edgeID] is the subdivided length ⌈W(e)/b(i)⌉.
-	Lengths []int32
 	// Det is the (S, h', σ)-detection output on G_i.
 	Det *detection.Result
+
+	// cells is Σ ℓ(e) over the edges with ℓ(e) ≤ h′, about the number of
+	// relay cells the instance lays out: the key claimOrder sorts by.
+	cells int64
 
 	// digest memoizes the instance's share of Result.Fingerprint. It is
 	// filled on the first Fingerprint, not by a cold Build (digesting every
@@ -124,6 +127,10 @@ type Result struct {
 	BroadcastsByNode []int64
 	// Params echoes the configuration.
 	Params Params
+
+	// g is the graph the result was built on: a delta Build zips it
+	// against the new graph to find the edges whose weight moved.
+	g *graph.Graph
 
 	// rows memoizes one digest word per row of Lists for Fingerprint; a
 	// delta build from a digested prev takes the unmoved rows' words from
@@ -237,11 +244,13 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 // Build is the one build path: Run is Build without a previous result,
 // Patch is Build with one. When prev is non-nil it must be a result of
 // the same Params (Build refuses other ones, SkipSetup aside) on a graph
-// with g's structure (same nodes, edges and edge ids); every rounding
-// instance whose subdivided lengths on g (clamped at h′+1) are identical
-// to prev's is then reused by pointer instead of re-detected, and every
-// other instance prev has is repaired from prev's
-// (detection.Arena.Repair) unless the repair falls back to a full run. When
+// with g's structure (same nodes, edges and edge ids; Build refuses
+// another). One zip of prev's graph against g finds the edges whose
+// weight changed, and they alone decide each instance: one none of whose
+// subdivided lengths (clamped at h′+1) moved is reused by pointer instead
+// of re-detected, and every other instance prev has is repaired from
+// prev's (detection.Arena.Repair) unless the repair falls back to a full
+// run. When
 // the hierarchy kept its depth, each re-detected list is compared with
 // prev's — a repaired instance's only in its region — and only the rows
 // where one differs are computed again; the others are prev's rows, in
@@ -254,6 +263,16 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 // cost is in the stats, PatchStats.Repair* for the repairs.
 func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, PatchStats, error) {
 	var ps PatchStats
+	var changed []graph.Reweight
+	if prev != nil {
+		var same bool
+		if changed, same = g.Reweights(prev.g); !same {
+			return nil, ps, fmt.Errorf("core: the previous result was built on a graph of another structure; build without it")
+		}
+		if !sameRecipe(prev.Params, p) {
+			return nil, ps, fmt.Errorf("core: the previous result was built with other params; build without it")
+		}
+	}
 	n := g.N()
 	if len(p.IsSource) != n {
 		return nil, ps, fmt.Errorf("core: IsSource has %d entries for %d nodes", len(p.IsSource), n)
@@ -267,13 +286,11 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	if p.H < 0 || p.Sigma < 0 {
 		return nil, ps, fmt.Errorf("core: negative H=%d or Sigma=%d", p.H, p.Sigma)
 	}
-	if prev != nil && !sameRecipe(prev.Params, p) {
-		return nil, ps, fmt.Errorf("core: the previous result was built with other params; build without it")
-	}
 	res := &Result{
 		HPrime:           hPrimeFor(p.H, p.Epsilon),
 		BroadcastsByNode: make([]int64, n),
 		Params:           p,
+		g:                g,
 	}
 
 	// Setup: aggregate w_max over a BFS tree so every node can compute
@@ -306,7 +323,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 
 	// The rounding hierarchy. The i_max+1 instances are mutually
 	// independent — instance i reads only the graph, the (read-only)
-	// params and its own lengths/delays — so the ones not reused from prev
+	// params and its own base — so the ones not reused from prev
 	// are detected by a pool of min(EffectiveWorkers, re-detected)
 	// goroutines, each instance on one sequential engine. The merge below
 	// consumes results in ascending instance order, so every pool width is
@@ -320,24 +337,29 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	}
 	insts := make([]*Instance, num)
 	// from[i] is prev's instance i when the new one is re-detected, so
-	// that a worker can repair it instead; reps[i] is then what the repair
-	// did (a nil Result: detected in full). sameRecipe holds ε, and so
-	// every base, equal to prev's.
+	// that a worker can repair it instead around the edges moved[i];
+	// reps[i] is then what the repair did (a nil Result: detected in
+	// full). sameRecipe holds ε, and so every base, equal to prev's.
 	from := make([]*Instance, num)
+	moved := make([][]graph.Reweight, num)
 	reps := make([]detection.Repaired, num)
 	var todo []int
 	for i := range insts {
-		base := math.Pow(1+p.Epsilon, float64(i))
-		lengths := instanceLengths(g, base, res.HPrime)
-		if insts[i] = prev.reusable(i, lengths); insts[i] == nil {
-			insts[i] = &Instance{Base: base, Lengths: lengths}
-			todo = append(todo, i)
-			if prev != nil && i < len(prev.Instances) {
-				from[i] = prev.Instances[i]
+		dp := detection.Params{H: res.HPrime, Base: math.Pow(1+p.Epsilon, float64(i))}
+		if prev != nil && i < len(prev.Instances) {
+			old := prev.Instances[i]
+			var dcells int64
+			if moved[i], dcells = moves(changed, &dp); moved[i] == nil {
+				insts[i] = old
+				continue
 			}
+			insts[i], from[i] = &Instance{Base: dp.Base, cells: old.cells + dcells}, old
+		} else {
+			insts[i] = &Instance{Base: dp.Base, cells: relayCells(g, &dp)}
 		}
+		todo = append(todo, i)
 	}
-	claimOrder(todo, insts, res.HPrime)
+	claimOrder(todo, insts)
 
 	// Each worker keeps one detection.Arena — the units' storage and the
 	// engine under them — for the instances it builds, and drops it when
@@ -379,7 +401,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 					Flags:       p.Flags,
 					H:           res.HPrime,
 					Sigma:       p.Sigma,
-					Lengths:     inst.Lengths,
+					Base:        inst.Base,
 					CapMessages: true, // the Lemma 3.4 cap Theorem 3.3 counts under
 					Scheduling:  sched,
 					Delays:      p.Delays,
@@ -388,7 +410,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 				var det *detection.Result
 				var err error
 				if old := from[i]; old != nil {
-					reps[i], err = arena.Repair(g, dp, detCfg, old.Det, old.Lengths)
+					reps[i], err = arena.Repair(g, dp, detCfg, old.Det, moved[i])
 					det = reps[i].Result
 				}
 				if det == nil && err == nil {
@@ -440,7 +462,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	}
 	res.BudgetRounds += res.SetupRounds
 
-	if prev != nil && len(prev.Instances) == num && len(prev.Lists) == n {
+	if prev != nil && len(prev.Instances) == num {
 		res.moved = movedRows(insts, prev.Instances, todo, reps, n)
 	}
 	res.Table, res.Lists = layRows(insts, n, p.Sigma, prev, res.moved)
@@ -476,19 +498,10 @@ func movedRows(insts, prev []*Instance, todo []int, reps []detection.Repaired, n
 }
 
 // claimOrder sorts the indices of the instances to detect into the order
-// the pool claims them: by descending Σ ℓ(e) over the edges with ℓ(e) ≤ h′
-// — about the number of relay cells the instance lays out — and by
-// ascending index on a tie.
-func claimOrder(todo []int, insts []*Instance, hPrime int) {
-	cells := make([]int64, len(insts))
-	for _, i := range todo {
-		for _, l := range insts[i].Lengths {
-			if int(l) <= hPrime {
-				cells[i] += int64(l)
-			}
-		}
-	}
-	slices.SortStableFunc(todo, func(a, b int) int { return cmp.Compare(cells[b], cells[a]) })
+// the pool claims them: by descending cells, and by ascending index on a
+// tie.
+func claimOrder(todo []int, insts []*Instance) {
+	slices.SortStableFunc(todo, func(a, b int) int { return cmp.Compare(insts[b].cells, insts[a].cells) })
 }
 
 // layRows computes w̃d(v,s) = min_i b(i)·hd_i(v,s) for every source some

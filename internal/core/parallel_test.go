@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pde/internal/congest"
+	"pde/internal/detection"
 	"pde/internal/graph"
 )
 
@@ -173,10 +174,10 @@ func TestLowestIndexErrorUnderLargestFirstClaims(t *testing.T) {
 	insts := make([]*Instance, numInstances(g.MaxWeight(), p.Epsilon))
 	todo := make([]int, len(insts))
 	for i := range insts {
-		base := math.Pow(1+p.Epsilon, float64(i))
-		insts[i], todo[i] = &Instance{Base: base, Lengths: instanceLengths(g, base, hPrimeFor(p.H, p.Epsilon))}, i
+		dp := detection.Params{H: hPrimeFor(p.H, p.Epsilon), Base: math.Pow(1+p.Epsilon, float64(i))}
+		insts[i], todo[i] = &Instance{Base: dp.Base, cells: relayCells(g, &dp)}, i
 	}
-	claimOrder(todo, insts, hPrimeFor(p.H, p.Epsilon))
+	claimOrder(todo, insts)
 	t.Logf("claim order %v", todo)
 	if todo[0] == 0 {
 		t.Fatalf("claim order %v starts at instance 0: the test needs a larger one first", todo)

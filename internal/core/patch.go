@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"pde/internal/congest"
+	"pde/internal/detection"
 	"pde/internal/graph"
 )
 
@@ -40,18 +41,32 @@ func (ps PatchStats) Damage() float64 {
 	return float64(ps.Rebuilt) / float64(ps.Instances)
 }
 
-// instanceLengths returns the subdivided lengths ⌈W(e)/base⌉ (at least
-// 1) of one rounding instance on g, indexed by edge id — the only
-// definition of the §3 rounding — clamped at h′+1. Detection leaves out
-// every edge longer than h′, so two instances whose lengths differ only
-// beyond h′ are the same run, and the clamp lets reusable see that.
-func instanceLengths(g *graph.Graph, base float64, hPrime int) []int32 {
-	lengths := make([]int32, g.M())
-	beyond := float64(hPrime) + 1
-	g.Edges(func(_, _ int, w graph.Weight, id int32) {
-		lengths[id] = int32(max(1, min(math.Ceil(float64(w)/base), beyond)))
-	})
-	return lengths
+// relayCells returns an instance's cells on g under dp: Σ ℓ(e) over the
+// edges with ℓ(e) ≤ h′.
+func relayCells(g *graph.Graph, dp *detection.Params) (cells int64) {
+	g.Edges(func(_, _ int, w graph.Weight, _ int32) { cells += cellsOf(dp, w) })
+	return cells
+}
+
+// cellsOf is one edge's share of relayCells.
+func cellsOf(dp *detection.Params, w graph.Weight) int64 {
+	if l := dp.Length(w); int(l) <= dp.H {
+		return int64(l)
+	}
+	return 0
+}
+
+// moves returns the changed edges whose subdivided length under dp moved,
+// nil when none did and detection under dp would reproduce the previous
+// instance bit-for-bit, and what they change in its cells.
+func moves(changed []graph.Reweight, dp *detection.Params) (moved []graph.Reweight, dcells int64) {
+	for _, e := range changed {
+		if dp.Length(e.Was) != dp.Length(e.Now) {
+			moved = append(moved, e)
+			dcells += cellsOf(dp, e.Now) - cellsOf(dp, e.Was)
+		}
+	}
+	return moved, dcells
 }
 
 // sameRecipe reports whether prev's params build what p builds, up to the
@@ -64,37 +79,26 @@ func sameRecipe(a, b Params) bool {
 // Equal reports whether p and q agree in every field, SkipSetup included.
 func (p Params) Equal(q Params) bool { return sameRecipe(p, q) && p.SkipSetup == q.SkipSetup }
 
-// reusable returns prev's instance i when detection on a graph of the
-// same structure under these lengths would reproduce it bit-for-bit —
-// identical subdivided lengths, prev's base being this one since prev has
-// the same ε — and nil when the instance must be re-detected (or prev is
-// nil or has no instance i).
-func (prev *Result) reusable(i int, lengths []int32) *Instance {
-	if prev == nil || i >= len(prev.Instances) {
-		return nil
-	}
-	if pi := prev.Instances[i]; slices.Equal(pi.Lengths, lengths) {
-		return pi
-	}
-	return nil
-}
-
 // AffectedInstances reports, for each rounding instance the updated
 // graph g needs, whether prev's instance can NOT be reused: index i is
-// true when instance i must be re-detected, in full or as a repair (its
-// subdivided lengths on g, clamped at h′+1, differ from prev's, or prev
-// has no instance i). The slice has
+// true when instance i must be re-detected, in full or as a repair (some
+// changed edge's subdivided length, clamped at h′+1, moved, or prev has
+// no instance i). The slice has
 // numInstances(g.MaxWeight(), prev.Params.Epsilon) entries, so a w_max
 // change that deepens the hierarchy marks the new tail instances
-// affected and one that shrinks it just drops the prev tail.
+// affected and one that shrinks it just drops the prev tail. Every entry
+// is true when g and prev's graph differ in structure, which Build
+// refuses.
 //
-// It predicts, at O(m·i_max) with no detection work, exactly the reuse
-// decisions Build makes; Build does not need it called first.
+// It predicts, at O(m + changed·i_max) with no detection work, exactly
+// the reuse decisions Build makes; Build does not need it called first.
 func AffectedInstances(g *graph.Graph, prev *Result) []bool {
 	affected := make([]bool, numInstances(g.MaxWeight(), prev.Params.Epsilon))
+	changed, same := g.Reweights(prev.g)
 	for i := range affected {
-		base := math.Pow(1+prev.Params.Epsilon, float64(i))
-		affected[i] = prev.reusable(i, instanceLengths(g, base, prev.HPrime)) == nil
+		dp := detection.Params{H: prev.HPrime, Base: math.Pow(1+prev.Params.Epsilon, float64(i))}
+		moved, _ := moves(changed, &dp)
+		affected[i] = !same || i >= len(prev.Instances) || moved != nil
 	}
 	return affected
 }
@@ -108,24 +112,13 @@ func AffectedInstances(g *graph.Graph, prev *Result) []bool {
 // from the full instance set; the rows whose instance lists moved are
 // computed again, and the rest are taken from prev (see Build).
 //
-// prev must come from a Run (or Patch) with the same Params on a graph
-// with the same structure (same nodes, edges and edge ids — weight-only
-// changes, see graph.ApplyChanges); topology changes invalidate every
-// instance's detection and must take the full-rebuild path instead.
-// Patch validates what it can see cheaply (node and edge counts) and
-// leaves the structural guarantee to the caller, who holds both graphs.
+// prev must come from a Run (or Patch) on a graph with g's structure
+// (weight-only changes, see graph.ApplyChanges); Build refuses one built
+// on another, whose topology change invalidates every instance's
+// detection and must take the full-rebuild path instead.
 func Patch(g *graph.Graph, cfg congest.Config, prev *Result) (*Result, PatchStats, error) {
 	if prev == nil {
 		return nil, PatchStats{}, fmt.Errorf("core: Patch needs a previous result")
 	}
-	p := prev.Params
-	if len(p.IsSource) != g.N() {
-		return nil, PatchStats{}, fmt.Errorf("core: Patch across node-count change (%d -> %d): rebuild instead",
-			len(p.IsSource), g.N())
-	}
-	if len(prev.Instances) > 0 && len(prev.Instances[0].Lengths) != g.M() {
-		return nil, PatchStats{}, fmt.Errorf("core: Patch across edge-count change (%d -> %d): rebuild instead",
-			len(prev.Instances[0].Lengths), g.M())
-	}
-	return Build(g, p, cfg, prev)
+	return Build(g, prev.Params, cfg, prev)
 }

@@ -210,7 +210,7 @@ func TestPatchRejectsStructuralDrift(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ApplyChanges: %v", err)
 	}
-	if _, _, err := Patch(smaller, congest.Config{}, prev); err == nil || !strings.Contains(err.Error(), "edge-count change") {
+	if _, _, err := Patch(smaller, congest.Config{}, prev); err == nil || !strings.Contains(err.Error(), "another structure") {
 		t.Fatalf("edge-count drift: err = %v", err)
 	}
 	other := patchTestGraph(t, 18)
@@ -222,8 +222,38 @@ func TestPatchRejectsStructuralDrift(t *testing.T) {
 		}
 		other = b.MustBuild()
 	}
-	if _, _, err := Patch(other, congest.Config{}, prev); err == nil || !strings.Contains(err.Error(), "node-count change") {
+	if _, _, err := Patch(other, congest.Config{}, prev); err == nil || !strings.Contains(err.Error(), "another structure") {
 		t.Fatalf("node-count drift: err = %v", err)
+	}
+}
+
+// TestBuildRefusesAnotherStructure: two 6-node paths with the same n, m
+// and weights but other edges. Deciding reuse by edge id alone took every
+// instance of the one as the other's, and served its lists.
+func TestBuildRefusesAnotherStructure(t *testing.T) {
+	path := func(order ...int) *graph.Graph {
+		b := graph.NewBuilder(len(order))
+		for i := 1; i < len(order); i++ {
+			b.AddEdge(order[i-1], order[i], graph.Weight(i))
+		}
+		return b.MustBuild()
+	}
+	g1, g2 := path(0, 1, 2, 3, 4, 5), path(0, 2, 1, 3, 5, 4)
+	p := patchTestParams(g1.N())
+	prev, err := Run(g1, p, congest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Build(g2, p, congest.Config{}, prev); err == nil || !strings.Contains(err.Error(), "another structure") {
+		t.Fatalf("Build: err = %v", err)
+	}
+	if _, _, err := Patch(g2, congest.Config{}, prev); err == nil || !strings.Contains(err.Error(), "another structure") {
+		t.Fatalf("Patch: err = %v", err)
+	}
+	for i, a := range AffectedInstances(g2, prev) {
+		if !a {
+			t.Fatalf("AffectedInstances: instance %d reusable across a structure change", i)
+		}
 	}
 }
 

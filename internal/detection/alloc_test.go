@@ -19,9 +19,7 @@ func weightInstance(tb testing.TB, topology string, n int, seed int64) (*graph.G
 	if err != nil {
 		tb.Fatal(err)
 	}
-	lengths := make([]int32, g.M())
-	g.Edges(func(_, _ int, w graph.Weight, id int32) { lengths[id] = int32(w) })
-	return g, Params{IsSource: everyKth(g.N(), 3), H: 144, Sigma: 16, Lengths: lengths, CapMessages: true}
+	return g, Params{IsSource: everyKth(g.N(), 3), H: 144, Sigma: 16, Base: 1, CapMessages: true}
 }
 
 // allocInstance is build-dense's instance at a quarter of its size.

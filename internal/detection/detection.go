@@ -3,17 +3,20 @@
 // with the paper's Lemma 3.4 message cap, generalized to run on the virtual
 // subdivided graphs G_i of §3.
 //
-// In G_i every edge e of the real network becomes a path of ℓ(e) unit
-// edges. The relay nodes of such a path are simulated by the two real
-// endpoints (each owns its half), and only the emission that crosses the
-// midpoint of the line is charged as a real CONGEST message — exactly the
-// simulation the paper's round accounting assumes. Relay cells run the same
-// detection logic as real nodes, except that a cell hands a pair on only
-// away from where it came from. All cells of a run are laid out in one
-// Arena before it starts, but a round only visits the cells of each line
-// that announced something or are waiting to, so an idle cell costs memory
-// and no time. Edges with ℓ(e) > h are excluded: no source within h
-// virtual hops can be detected through them, so outputs are unchanged.
+// In G_i every edge e of the real network becomes a path of
+// ℓ(e) = ⌈W(e)/b(i)⌉ unit edges. A run is handed the base b(i), not the
+// lengths: Params.Length derives ℓ(e) from the edge's weight wherever it
+// is read, so no run stores a per-edge array of them. The relay nodes of
+// such a path are simulated by the two real endpoints (each owns its
+// half), and only the emission that crosses the midpoint of the line is
+// charged as a real CONGEST message — exactly the simulation the paper's
+// round accounting assumes. Relay cells run the same detection logic as
+// real nodes, except that a cell hands a pair on only away from where it
+// came from. All cells of a run are laid out in one Arena before it
+// starts, but a round only visits the cells of each line that announced
+// something or are waiting to, so an idle cell costs memory and no time.
+// Edges with ℓ(e) > h are excluded: no source within h virtual hops can
+// be detected through them, so outputs are unchanged.
 package detection
 
 import (
@@ -58,9 +61,10 @@ type Params struct {
 	H int
 	// Sigma is σ, the number of closest sources to detect.
 	Sigma int
-	// Lengths[edgeID] is the subdivided length ℓ(e) >= 1 of each edge.
-	// Nil means all ones (plain unweighted detection on the real graph).
-	Lengths []int32
+	// Base is the rounding base b of the instance: an edge of weight w is
+	// a line of Length(w) virtual edges. Zero makes every edge one hop
+	// (plain unweighted detection on the real graph).
+	Base float64
 	// CapMessages enforces the Lemma 3.4 per-unit cap of σ(σ+1)/2
 	// announcements.
 	CapMessages bool
@@ -71,6 +75,17 @@ type Params struct {
 	Delays []int32
 	// ExtraRounds adds slack to the H + min(σ,|S|) + 1 round budget.
 	ExtraRounds int
+}
+
+// Length returns the subdivided length ℓ(e) of an edge of weight w, the
+// §3 rounding ⌈w/Base⌉: at least 1 and clamped at H+1, since every edge
+// longer than H is excluded alike. It is 1 when Base is 0. Nothing else
+// computes ℓ(e): the line layout, BruteForce and Repair all read it here.
+func (p *Params) Length(w graph.Weight) int32 {
+	if p.Base == 0 {
+		return 1
+	}
+	return int32(max(1, min(math.Ceil(float64(w)/p.Base), float64(p.H)+1)))
 }
 
 // Entry is one detected source at a node.
@@ -695,10 +710,7 @@ func resize[T any](s []T, n int) []T {
 // sh, or -1 if the edge is longer than the hop bound and excluded. The
 // lower endpoint owns cells 1..ℓ/2 of the line; the higher owns the rest.
 func (sh *shared) ownCells(v int, e graph.Edge) int {
-	length := int32(1)
-	if sh.p.Lengths != nil {
-		length = sh.p.Lengths[e.ID]
-	}
+	length := sh.p.Length(e.W)
 	if pack(length, 0) >= sh.beyond {
 		return -1
 	}
@@ -820,15 +832,8 @@ func (a *Arena) exec(g *graph.Graph, p Params, cfg congest.Config) (*congest.Met
 	if p.H >= math.MaxInt32 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("detection: H=%d or n=%d is beyond the 31 bits a packed (dist, src) key gives each", p.H, n)
 	}
-	if p.Lengths != nil {
-		if len(p.Lengths) != g.M() {
-			return nil, fmt.Errorf("detection: Lengths has %d entries for %d edges", len(p.Lengths), g.M())
-		}
-		for id, l := range p.Lengths {
-			if l < 1 {
-				return nil, fmt.Errorf("detection: edge %d has non-positive length %d", id, l)
-			}
-		}
+	if !(p.Base >= 0) || math.IsInf(p.Base, 1) {
+		return nil, fmt.Errorf("detection: rounding base %v must be zero, or positive and finite", p.Base)
 	}
 	sched := p.Scheduling
 	if sched == 0 {
@@ -865,20 +870,15 @@ func (a *Arena) output(v int, out []Entry) []Entry {
 
 // BruteForce computes the exact (S, h, σ)-detection answer centrally, for
 // verification: virtual hop distances are shortest paths under the edge
-// lengths. Entries carry Via = -1 (routing is not part of the spec).
+// lengths p.Length. Entries carry Via = -1 (routing is not part of the
+// spec).
 func BruteForce(g *graph.Graph, p Params) [][]Entry {
 	n := g.N()
-	lengths := func(id int32) graph.Weight {
-		if p.Lengths == nil {
-			return 1
-		}
-		return graph.Weight(p.Lengths[id])
-	}
 	// Rebuild the graph with the virtual lengths as weights; shortest
 	// paths in it are virtual hop distances.
 	b := graph.NewBuilder(n)
-	g.Edges(func(u, v int, _ graph.Weight, id int32) {
-		b.AddEdge(u, v, lengths(id))
+	g.Edges(func(u, v int, w graph.Weight, _ int32) {
+		b.AddEdge(u, v, graph.Weight(p.Length(w)))
 	})
 	vg := b.MustBuild()
 	lists := make([][]Entry, n)

@@ -55,12 +55,19 @@ func assertMatchesBruteForce(t *testing.T, g *graph.Graph, p Params) *Result {
 	return res
 }
 
+// reweigh returns g with each edge's weight w replaced by fn(id, w): the
+// same nodes, neighbours and ports. Its edge ids may differ from g's, and
+// a run reads none.
+func reweigh(g *graph.Graph, fn func(id int32, w graph.Weight) graph.Weight) *graph.Graph {
+	b := graph.NewBuilder(g.N())
+	g.Edges(func(u, v int, w graph.Weight, id int32) { b.AddEdge(u, v, fn(id, w)) })
+	return b.MustBuild()
+}
+
 // hopDist returns hop distances from src (-1 when unreachable): Dijkstra
 // on a copy of g with every weight 1.
 func hopDist(g *graph.Graph, src int) []int32 {
-	b := graph.NewBuilder(g.N())
-	g.Edges(func(u, v int, _ graph.Weight, _ int32) { b.AddEdge(u, v, 1) })
-	return graph.Dijkstra(b.MustBuild(), src).Hops
+	return graph.Dijkstra(reweigh(g, func(int32, graph.Weight) graph.Weight { return 1 }), src).Hops
 }
 
 func TestUnweightedSingleSourceIsBFS(t *testing.T) {
@@ -143,16 +150,12 @@ func TestSubdividedMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		n := 16 + 4*trial
 		g := graph.RandomConnected(n, 0.12, 6, rng)
-		lengths := make([]int32, g.M())
-		g.Edges(func(_, _ int, w graph.Weight, id int32) {
-			lengths[id] = int32(w)
-		})
 		for _, sigma := range []int{1, 3, n} {
 			p := Params{
 				IsSource:    everyKth(n, 2),
 				H:           25,
 				Sigma:       sigma,
-				Lengths:     lengths,
+				Base:        1,
 				CapMessages: true,
 			}
 			assertMatchesBruteForce(t, g, p)
@@ -164,19 +167,11 @@ func TestSubdividedLongEdgesExcluded(t *testing.T) {
 	// A triangle where the direct edge is longer than H: the two-edge
 	// detour is within H, so the answer uses it.
 	g := graph.NewBuilder(3).
-		AddEdge(0, 1, 1).
-		AddEdge(1, 2, 1).
-		AddEdge(0, 2, 1).
+		AddEdge(0, 1, 3).
+		AddEdge(1, 2, 3).
+		AddEdge(0, 2, 100).
 		MustBuild()
-	lengths := make([]int32, g.M())
-	g.Edges(func(u, v int, _ graph.Weight, id int32) {
-		if (u == 0 && v == 2) || (u == 2 && v == 0) {
-			lengths[id] = 100
-		} else {
-			lengths[id] = 3
-		}
-	})
-	p := Params{IsSource: sourceMask(3, 0), H: 10, Sigma: 1, Lengths: lengths, CapMessages: true}
+	p := Params{IsSource: sourceMask(3, 0), H: 10, Sigma: 1, Base: 1, CapMessages: true}
 	res := assertMatchesBruteForce(t, g, p)
 	if len(res.Lists[2]) != 1 || res.Lists[2][0].Dist != 6 {
 		t.Fatalf("node 2 list = %v, want dist 6 via the detour", res.Lists[2])
@@ -203,11 +198,7 @@ func TestViaPointersFormExactRoutes(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 36
 	g := graph.RandomConnected(n, 0.1, 6, rng)
-	lengths := make([]int32, g.M())
-	g.Edges(func(_, _ int, w graph.Weight, id int32) {
-		lengths[id] = int32(w)
-	})
-	p := Params{IsSource: everyKth(n, 3), H: 30, Sigma: 4, Lengths: lengths, CapMessages: true}
+	p := Params{IsSource: everyKth(n, 3), H: 30, Sigma: 4, Base: 1, CapMessages: true}
 	res, err := Run(g, p, congest.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +222,7 @@ func TestViaPointersFormExactRoutes(t *testing.T) {
 				if !ok {
 					t.Fatalf("via %d is not a neighbor of %d", cure.Via, cur)
 				}
-				dist -= lengths[edge.ID]
+				dist -= p.Length(edge.W)
 				cur = int(cure.Via)
 			}
 			if dist != 0 {
@@ -322,8 +313,9 @@ func TestParamValidation(t *testing.T) {
 		{IsSource: []bool{true, false}, Flags: []uint8{1}, H: 1, Sigma: 1},                        // wrong flags size
 		{IsSource: []bool{true, false}, H: -1, Sigma: 1},                                          // negative H
 		{IsSource: []bool{true, false}, H: 1, Sigma: -1},                                          // negative sigma
-		{IsSource: []bool{true, false}, H: 1, Sigma: 1, Lengths: []int32{}},                       // wrong lengths size
-		{IsSource: []bool{true, false}, H: 1, Sigma: 1, Lengths: []int32{0}},                      // bad length
+		{IsSource: []bool{true, false}, H: 1, Sigma: 1, Base: -1},                                 // negative base
+		{IsSource: []bool{true, false}, H: 1, Sigma: 1, Base: math.NaN()},                         // NaN base
+		{IsSource: []bool{true, false}, H: 1, Sigma: 1, Base: math.Inf(1)},                        // infinite base
 		{IsSource: []bool{false, true}, H: 1, Sigma: 1, Scheduling: Priority, Delays: []int32{0}}, // short delays
 	}
 	for i, p := range cases {
@@ -390,15 +382,11 @@ func TestDetectionOnFigure1Gadget(t *testing.T) {
 	// exact hop-bounded detection (see the baseline package), which is
 	// precisely why approximate PDE escapes the Ω(hσ) bound.
 	f := graph.NewFigure1(3, 2)
-	lengths := make([]int32, f.G.M())
-	f.G.Edges(func(_, _ int, w graph.Weight, id int32) {
-		lengths[id] = int32(w)
-	})
 	isSource := make([]bool, f.G.N())
 	for _, s := range f.Sources {
 		isSource[s] = true
 	}
-	p := Params{IsSource: isSource, H: 40, Sigma: 2, Lengths: lengths, CapMessages: true}
+	p := Params{IsSource: isSource, H: 40, Sigma: 2, Base: 1, CapMessages: true}
 	res := assertMatchesBruteForce(t, f.G, p)
 	// Weight-closest sources for every u node are in column 1.
 	col1 := f.Column(1)

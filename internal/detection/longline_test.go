@@ -21,22 +21,23 @@ func TestLongLines(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const n = 64
 	g := graph.RandomConnected(n, 0.04, 1, rng)
-	long := []int32{131, 200, 257, 513}
-	lengths := make([]int32, g.M())
+	long := []graph.Weight{131, 200, 257, 513}
+	lengths := make([]graph.Weight, g.M())
 	for id := range lengths {
 		if id%3 == 0 {
 			lengths[id] = long[id/3%len(long)]
 		} else {
-			lengths[id] = 1 + int32(rng.Intn(40))
+			lengths[id] = graph.Weight(1 + rng.Intn(40))
 		}
 	}
+	g = reweigh(g, func(id int32, _ graph.Weight) graph.Weight { return lengths[id] })
 	flags := make([]uint8, n)
 	delays := make([]int32, n)
 	for v := range flags {
 		flags[v] = uint8(1 + rng.Intn(255))
 		delays[v] = int32(rng.Intn(10))
 	}
-	base := Params{IsSource: everyKth(n, 5), H: 600, Sigma: 6, Lengths: lengths}
+	base := Params{IsSource: everyKth(n, 5), H: 600, Sigma: 6, Base: 1}
 	want := BruteForce(g, base)
 	for _, sched := range []Scheduling{LexSmallest, FIFO, Priority} {
 		for _, capped := range []bool{false, true} {

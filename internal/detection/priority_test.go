@@ -12,8 +12,6 @@ func TestPriorityScheduleCorrectWithWidenedBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	n := 30
 	g := graph.RandomConnected(n, 0.12, 5, rng)
-	lengths := make([]int32, g.M())
-	g.Edges(func(_, _ int, w graph.Weight, id int32) { lengths[id] = int32(w) })
 	src := everyKth(n, 3)
 	maxDelay := 10
 	delays := make([]int32, n)
@@ -23,7 +21,7 @@ func TestPriorityScheduleCorrectWithWidenedBudget(t *testing.T) {
 		}
 	}
 	p := Params{
-		IsSource: src, H: 40, Sigma: 4, Lengths: lengths,
+		IsSource: src, H: 40, Sigma: 4, Base: 1,
 		Scheduling: Priority, Delays: delays,
 		// Delayed starts need the budget widened by the max delay plus
 		// the scheduling slack the deterministic analysis would give.
@@ -50,8 +48,6 @@ func TestPriorityDifferentSeedsDifferentTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 30
 	g := graph.RandomConnected(n, 0.12, 6, rng)
-	lengths := make([]int32, g.M())
-	g.Edges(func(_, _ int, w graph.Weight, id int32) { lengths[id] = int32(w) })
 	src := everyKth(n, 2)
 	run := func(seed int64) int64 {
 		delays := make([]int32, n)
@@ -62,7 +58,7 @@ func TestPriorityDifferentSeedsDifferentTraffic(t *testing.T) {
 			}
 		}
 		res, err := Run(g, Params{
-			IsSource: src, H: 60, Sigma: 4, Lengths: lengths,
+			IsSource: src, H: 60, Sigma: 4, Base: 1,
 			Scheduling: Priority, Delays: delays, ExtraRounds: 3 * n,
 		}, congest.Config{})
 		if err != nil {

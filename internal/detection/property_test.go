@@ -1,7 +1,9 @@
 package detection
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -29,18 +31,15 @@ func TestPropertyDetectionMatchesBruteForce(t *testing.T) {
 		if nsrc == 0 {
 			src[rng.Intn(n)] = true
 		}
-		var lengths []int32
+		var base float64 // every edge one hop, or as long as its weight
 		if rng.Intn(2) == 0 {
-			lengths = make([]int32, g.M())
-			g.Edges(func(_, _ int, w graph.Weight, id int32) {
-				lengths[id] = int32(w)
-			})
+			base = 1
 		}
 		p := Params{
 			IsSource:    src,
+			Base:        base,
 			H:           1 + rng.Intn(3*n),
 			Sigma:       1 + rng.Intn(n),
-			Lengths:     lengths,
 			CapMessages: rng.Intn(2) == 0,
 		}
 		res, err := Run(g, p, congest.Config{})
@@ -50,6 +49,47 @@ func TestPropertyDetectionMatchesBruteForce(t *testing.T) {
 		return sameDistSrc(res.Lists, BruteForce(g, p))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropertyBaseIsTheRounding guards Params.Length, the one definition
+// of the §3 rounding, from outside it: a run at the base b = (1+ε)^i of a
+// random instance i must be the run at base 1 on the graph whose weights
+// are the lengths min(⌈w/b⌉, H+1), rounded here, in its lists, SelfEmits
+// and Metrics; and a run at base 0 the run on the graph of unit weights.
+func TestPropertyBaseIsTheRounding(t *testing.T) {
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 6 + rng.Intn(26)
+		g := graph.RandomConnected(n, 0.05+rng.Float64()*0.2, graph.Weight(1+rng.Intn(200)), rng)
+		eps := 0.05 + rng.Float64()
+		levels := 1 + int(math.Ceil(math.Log(float64(g.MaxWeight()))/math.Log(1+eps)))
+		b := math.Pow(1+eps, float64(rng.Intn(levels)))
+		src := make([]bool, n)
+		for v := range src {
+			src[v] = rng.Float64() < 0.4
+		}
+		p := Params{IsSource: src, H: 1 + rng.Intn(2*n), Sigma: 1 + rng.Intn(n), CapMessages: rng.Intn(2) == 0}
+		same := func(base float64, rounded *graph.Graph) bool {
+			p.Base = base
+			got, err := Run(g, p, congest.Config{})
+			if err != nil {
+				return false
+			}
+			p.Base = 1
+			want, err := Run(rounded, p, congest.Config{})
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Logf("seed %d, base %v: err %v, or the run differs from base 1 on the rounded graph", seed, base, err)
+				return false
+			}
+			return true
+		}
+		return same(b, reweigh(g, func(_ int32, w graph.Weight) graph.Weight {
+			return graph.Weight(min(math.Ceil(float64(w)/b), float64(p.H+1)))
+		})) && same(0, reweigh(g, func(int32, graph.Weight) graph.Weight { return 1 }))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -79,10 +119,8 @@ func TestPropertyMessageCapNeverExceeded(t *testing.T) {
 			src[v] = true
 		}
 		sigma := 1 + rng.Intn(8)
-		lengths := make([]int32, g.M())
-		g.Edges(func(_, _ int, w graph.Weight, id int32) { lengths[id] = int32(w) })
 		res, err := Run(g, Params{
-			IsSource: src, H: 2 * n, Sigma: sigma, Lengths: lengths, CapMessages: true,
+			IsSource: src, H: 2 * n, Sigma: sigma, Base: 1, CapMessages: true,
 		}, congest.Config{})
 		if err != nil {
 			return false
@@ -114,13 +152,14 @@ func TestPropertyLongLinesEveryScheduler(t *testing.T) {
 		n := 8 + rng.Intn(25)
 		g := graph.RandomConnected(n, 0.05+rng.Float64()*0.2, 1, rng)
 		h := 6 + rng.Intn(40)
-		lengths := make([]int32, g.M())
+		lengths := make([]graph.Weight, g.M())
 		for id := range lengths {
-			lengths[id] = 1 + int32(rng.Intn(h))
+			lengths[id] = graph.Weight(1 + rng.Intn(h))
 			if rng.Intn(6) == 0 {
-				lengths[id] = int32(h + 1 + rng.Intn(h))
+				lengths[id] = graph.Weight(h + 1 + rng.Intn(h))
 			}
 		}
+		g = reweigh(g, func(id int32, _ graph.Weight) graph.Weight { return lengths[id] })
 		src := make([]bool, n)
 		src[rng.Intn(n)] = true
 		for v := range src {
@@ -133,7 +172,7 @@ func TestPropertyLongLinesEveryScheduler(t *testing.T) {
 		for v := range delays {
 			delays[v] = int32(rng.Intn(maxDelay))
 		}
-		p := Params{IsSource: src, H: h, Sigma: 1 + rng.Intn(8), Lengths: lengths}
+		p := Params{IsSource: src, H: h, Sigma: 1 + rng.Intn(8), Base: 1}
 		want := BruteForce(g, p)
 		for _, sched := range []Scheduling{LexSmallest, FIFO, Priority} {
 			for _, capped := range []bool{false, true} {

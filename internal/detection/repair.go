@@ -38,9 +38,8 @@ type repairScratch struct {
 	halo   []int32
 	seeds  []heapItem
 	// The sub-run's params, by halo position.
-	src     []bool
-	flags   []uint8
-	lengths []int32
+	src   []bool
+	flags []uint8
 }
 
 type heapItem struct{ d, v int32 }
@@ -59,9 +58,9 @@ func (s *repairScratch) grow(n int) {
 }
 
 // search runs Dijkstra from the seeds (node, start distance) over the edges
-// whose length is at most hPrime, and calls settle on every node in
+// whose length under p is at most p.H, and calls settle on every node in
 // order of distance while that distance is at most bound.
-func (s *repairScratch) search(g *graph.Graph, seeds []heapItem, length func(id int32) int32, hPrime, bound int32, settle func(v, d int32)) {
+func (s *repairScratch) search(g *graph.Graph, seeds []heapItem, p *Params, bound int32, settle func(v, d int32)) {
 	s.gen++
 	h := s.heap[:0]
 	relax := func(v, d int32) {
@@ -109,7 +108,7 @@ func (s *repairScratch) search(g *graph.Graph, seeds []heapItem, length func(id 
 		}
 		settle(top.v, top.d)
 		for _, e := range g.Neighbors(int(top.v)) {
-			if l := length(e.ID); l <= hPrime {
+			if l := p.Length(e.W); l <= int32(p.H) {
 				relax(int32(e.To), top.d+l)
 			}
 		}
@@ -127,17 +126,20 @@ func listRadius(l []Entry, sigma int, hPrime int32) int32 {
 }
 
 // Repair computes the run of p on g from prev, the result of a run of the
-// same parameters on a graph of g's structure under the lengths
-// prevLengths, by redoing only the nodes whose lists can have moved. It
-// returns a Repaired with a nil Result, and no error, when the instance
-// should be run in full instead.
+// same parameters on a graph of g's structure, by redoing only the nodes
+// whose lists can have moved. moved holds the edges whose length under p
+// differs between the two graphs; every other edge has the same length on
+// both. It returns a Repaired with a nil Result, and no error, when the
+// instance should be run in full instead.
 //
 // A node's list is its σ smallest (dist, src) keys within h, and a key
 // (d, s) at v — the round it arrives in, and so its Via, included —
 // depends only on the units within d of v. So v's list can move only if
-// an edge whose length moved lies within v's old list radius r(v) under
-// the smaller of the two lengths: the region, found by one search from
-// the endpoints of those edges. Each region node's new list is computed
+// a moved edge lies within v's old list radius r(v) under the smaller of
+// the two lengths: the region, found by one search from the endpoints of
+// those edges. Both endpoints of a moved edge start at distance 0, so no
+// shortest path from them crosses one, and the search reads the lengths
+// on g alone. Each region node's new list is computed
 // by the unchanged engine on the subgraph induced by the halo, every node
 // within r(v)+repairSlack of some region node v under the new lengths,
 // relabelled in ascending id order so that inbox order, cell ownership and
@@ -151,7 +153,7 @@ func listRadius(l []Entry, sigma int, hPrime int32) int32 {
 // p schedules LexSmallest, as core.Build sets it unless Delays are given;
 // Delays and a bandwidth limit (the halo's ids are shorter than g's, so
 // its messages are too) fall back to a full run.
-func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Result, prevLengths []int32) (Repaired, error) {
+func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Result, moved []graph.Reweight) (Repaired, error) {
 	if p.Delays != nil || cfg.B != 0 || p.Sigma == 0 {
 		return Repaired{}, nil
 	}
@@ -160,22 +162,18 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 	s.grow(n)
 	hPrime := int32(p.H)
 	sigma := p.Sigma
-	lengths, old := p.Lengths, prevLengths
 
-	// The region: nodes within their old radius of a moved edge, under
-	// the smaller length.
+	// The region: nodes within their old radius of a moved edge.
 	s.seeds = s.seeds[:0]
-	g.Edges(func(u, v int, _ graph.Weight, id int32) {
-		if lengths[id] != old[id] {
-			s.seeds = append(s.seeds, heapItem{0, int32(u)}, heapItem{0, int32(v)})
-		}
-	})
+	for _, e := range moved {
+		s.seeds = append(s.seeds, heapItem{0, e.U}, heapItem{0, e.V})
+	}
 	var maxR int32
 	for _, l := range prev.Lists {
 		maxR = max(maxR, listRadius(l, sigma, hPrime))
 	}
 	s.region = s.region[:0]
-	s.search(g, s.seeds, func(id int32) int32 { return min(lengths[id], old[id]) }, hPrime, maxR, func(v, d int32) {
+	s.search(g, s.seeds, &p, maxR, func(v, d int32) {
 		if d <= listRadius(prev.Lists[v], sigma, hPrime) {
 			s.region = append(s.region, v)
 		}
@@ -196,7 +194,7 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 			s.reach = append(s.reach, r)
 			s.seeds = append(s.seeds, heapItem{-r, v})
 		}
-		s.search(g, s.seeds, func(id int32) int32 { return lengths[id] }, hPrime, 0, func(v, _ int32) {
+		s.search(g, s.seeds, &p, 0, func(v, _ int32) {
 			s.halo = append(s.halo, v)
 		})
 		slices.Sort(s.halo)
@@ -275,16 +273,13 @@ func (a *Arena) subRun(g *graph.Graph, p Params, budget int) (*congest.Metrics, 
 	for j, v := range s.halo {
 		s.index[v] = int32(j)
 	}
-	hPrime := int32(p.H)
-	sg, ids := g.Induced(s.halo, s.index, func(e graph.Edge) bool { return p.Lengths[e.ID] <= hPrime })
+	// The subgraph keeps g's weights, so the sub-run derives g's lengths.
+	sg := g.Induced(s.halo, s.index, func(e graph.Edge) bool { return p.Length(e.W) <= int32(p.H) })
 	sp := p
-	s.src, s.lengths = resize(s.src, len(s.halo)), resize(s.lengths, len(ids))
-	sp.IsSource, sp.Lengths = s.src, s.lengths
+	s.src = resize(s.src, len(s.halo))
+	sp.IsSource = s.src
 	for j, v := range s.halo {
 		sp.IsSource[j] = p.IsSource[v]
-	}
-	for id, orig := range ids {
-		sp.Lengths[id] = p.Lengths[orig]
 	}
 	if p.Flags != nil {
 		s.flags = resize(s.flags, len(s.halo))

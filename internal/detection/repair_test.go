@@ -1,0 +1,120 @@
+package detection
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"pde/internal/congest"
+	"pde/internal/graph"
+)
+
+// TestRepairMatchesRun holds Repair to a full Run on the reweighted graph:
+// every list, Via and Flag included, over random graphs, bases, Flags nil
+// and set, and batches of ±1 nudges and random reweights, with the moved
+// edges found as core.Build finds them (graph.Reweights, then
+// Params.Length). A node outside the region keeps the previous list, and
+// the lists the sub-run computes are the full run's.
+func TestRepairMatchesRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var arena Arena
+	repaired, fellBack := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		n := 16 + rng.Intn(40)
+		g := graph.RandomConnected(n, 0.06+rng.Float64()*0.12, 24, rng)
+		src := make([]bool, n)
+		for v := range src {
+			src[v] = rng.Intn(3) == 0
+		}
+		p := Params{IsSource: src, H: 8 + rng.Intn(24), Sigma: 1 + rng.Intn(6), Base: 1 + 2*rng.Float64(), CapMessages: true}
+		if trial%2 == 0 {
+			p.Flags = make([]uint8, n)
+			for v := range p.Flags {
+				p.Flags[v] = uint8(rng.Intn(256))
+			}
+		}
+		prev, err := arena.Run(g, p, congest.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []graph.Change
+		g.Edges(func(u, v int, w graph.Weight, _ int32) {
+			all = append(all, graph.Change{Op: graph.OpReweight, U: u, V: v, W: w})
+		})
+		var batch []graph.Change
+		for _, k := range rng.Perm(len(all))[:1+rng.Intn(3)] {
+			c := all[k]
+			if rng.Intn(2) == 0 {
+				c.W = max(1, c.W+graph.Weight(2*rng.Intn(2)-1))
+			} else {
+				c.W = graph.Weight(1 + rng.Intn(24))
+			}
+			batch = append(batch, c)
+		}
+		ng, _, err := g.ApplyChanges(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changed, _ := ng.Reweights(g)
+		var moved []graph.Reweight
+		for _, e := range changed {
+			if p.Length(e.Was) != p.Length(e.Now) {
+				moved = append(moved, e)
+			}
+		}
+		rep, err := arena.Repair(ng, p, congest.Config{}, prev, moved)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Result == nil {
+			fellBack++
+			continue
+		}
+		repaired++
+		want, err := Run(ng, p, congest.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want.Lists {
+			if !slices.Equal(rep.Lists[v], want.Lists[v]) {
+				t.Fatalf("trial %d node %d: repaired list %v, full run %v", trial, v, rep.Lists[v], want.Lists[v])
+			}
+			if _, in := slices.BinarySearch(rep.Region, int32(v)); !in && !slices.Equal(rep.Lists[v], prev.Lists[v]) {
+				t.Fatalf("trial %d node %d: outside the region, yet the list moved", trial, v)
+			}
+		}
+		if len(moved) == 0 && (len(rep.Region) != 0 || rep.Halo != 0) {
+			t.Fatalf("trial %d: no length moved, yet region %v and a halo of %d", trial, rep.Region, rep.Halo)
+		}
+	}
+	t.Logf("%d repaired, %d ran in full", repaired, fellBack)
+	if repaired == 0 {
+		t.Fatal("no trial was repaired")
+	}
+}
+
+// TestRepairDeclines: Delays, a bandwidth limit and σ = 0 are the cases
+// Repair leaves to a full run.
+func TestRepairDeclines(t *testing.T) {
+	g := graph.Path(4, 3, rand.New(rand.NewSource(1)))
+	p := Params{IsSource: everyKth(4, 2), H: 12, Sigma: 2, Base: 1}
+	prev, err := Run(g, p, congest.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delayed := p
+	delayed.Delays = make([]int32, 4)
+	none := p
+	none.Sigma = 0
+	var arena Arena
+	for _, c := range []struct {
+		name string
+		p    Params
+		cfg  congest.Config
+	}{{"delays", delayed, congest.Config{}}, {"bandwidth", p, congest.Config{B: 64}}, {"sigma 0", none, congest.Config{}}} {
+		rep, err := arena.Repair(g, c.p, c.cfg, prev, nil)
+		if err != nil || rep.Result != nil {
+			t.Fatalf("%s: Repair = %+v, %v; want a full run", c.name, rep, err)
+		}
+	}
+}

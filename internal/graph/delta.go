@@ -155,24 +155,37 @@ func (g *Graph) ApplyChanges(changes []Change) (*Graph, ChangeSummary, error) {
 	return ng, sum, nil
 }
 
-// SameStructure reports whether g and o have identical node and edge
-// structure — same n, same m, and the same (neighbor, edge-id) adjacency
-// at every node — ignoring weights. Per-edge tables indexed by edge id
-// are interchangeable between two graphs exactly when this holds.
-func (g *Graph) SameStructure(o *Graph) bool {
-	if g.N() != o.N() || g.M() != o.M() {
-		return false
+// Reweight is an edge whose weight differs between two graphs of one
+// structure: U < V, Was its weight on the older graph, Now on the newer.
+type Reweight struct {
+	U, V     int32
+	Was, Now Weight
+}
+
+// Reweights zips the adjacency of old, an earlier graph, against g's. The
+// two have the same structure when they have the same n and the same
+// (neighbor, edge id) adjacency at every node, weights aside; per-edge
+// tables indexed by id are interchangeable between them exactly then.
+// When they do, Reweights returns every edge whose weight differs, once,
+// in ascending (U, V) order, and true; otherwise nil and false.
+func (g *Graph) Reweights(old *Graph) ([]Reweight, bool) {
+	if g.N() != old.N() {
+		return nil, false
 	}
-	for v := range g.adj {
-		a, b := g.adj[v], o.adj[v]
-		if len(a) != len(b) {
-			return false
+	var out []Reweight
+	for v, now := range g.adj {
+		was := old.adj[v]
+		if len(was) != len(now) {
+			return nil, false
 		}
-		for i := range a {
-			if a[i].To != b[i].To || a[i].ID != b[i].ID {
-				return false
+		for i, e := range now {
+			if was[i].To != e.To || was[i].ID != e.ID {
+				return nil, false
+			}
+			if was[i].W != e.W && v < e.To {
+				out = append(out, Reweight{U: int32(v), V: int32(e.To), Was: was[i].W, Now: e.W})
 			}
 		}
 	}
-	return true
+	return out, true
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -30,8 +31,15 @@ func TestApplyChangesReweightKeepsIDs(t *testing.T) {
 	if sum.Reweights != 2 || sum.Inserts != 0 || sum.Deletes != 0 || sum.TopologyChanged {
 		t.Fatalf("summary = %+v, want 2 weight-only reweights", sum)
 	}
-	if !g.SameStructure(ng) {
+	rw, ok := ng.Reweights(g)
+	if !ok {
 		t.Fatal("weight-only change must preserve structure")
+	}
+	if want := []Reweight{{U: 0, V: 2, Was: 11, Now: 1}, {U: 1, V: 2, Was: 5, Now: 6}}; !slices.Equal(rw, want) {
+		t.Fatalf("Reweights = %+v, want %+v", rw, want)
+	}
+	if rw, ok := g.Reweights(g); !ok || rw != nil {
+		t.Fatalf("a graph against itself: Reweights = %+v, %v", rw, ok)
 	}
 	// Same ids, updated weights; g untouched.
 	type want struct {
@@ -76,8 +84,11 @@ func TestApplyChangesInsertDelete(t *testing.T) {
 	if e, ok := ng.EdgeBetween(0, 3); !ok || e.W != 2 {
 		t.Fatalf("inserted edge {0,3} = %+v ok=%v, want w=2", e, ok)
 	}
-	if g.SameStructure(ng) {
-		t.Fatal("SameStructure must detect a topology change")
+	if _, ok := ng.Reweights(g); ok {
+		t.Fatal("Reweights must detect a topology change")
+	}
+	if _, ok := NewBuilder(5).MustBuild().Reweights(g); ok {
+		t.Fatal("Reweights must detect a node-count change")
 	}
 }
 
@@ -150,14 +161,19 @@ func TestApplyChangesRandomizedAgainstRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: ApplyChanges: %v", trial, err)
 		}
-		if !g.SameStructure(ng) {
+		rw, ok := ng.Reweights(g)
+		if !ok {
 			t.Fatalf("trial %d: structure drift on weight-only batch", trial)
 		}
+		var moved []Reweight
 		ng.Edges(func(u, v int, w Weight, id int32) {
 			want := newW[pair{u, v}]
+			e, _ := g.EdgeBetween(u, v)
 			if want == 0 {
-				e, _ := g.EdgeBetween(u, v)
 				want = e.W
+			}
+			if w != e.W {
+				moved = append(moved, Reweight{U: int32(u), V: int32(v), Was: e.W, Now: w})
 			}
 			if w != want {
 				t.Fatalf("trial %d: edge {%d,%d} w=%d, want %d", trial, u, v, w, want)
@@ -166,5 +182,8 @@ func TestApplyChangesRandomizedAgainstRebuild(t *testing.T) {
 				t.Fatalf("trial %d: edge {%d,%d} id %d != original %d", trial, u, v, id, e.ID)
 			}
 		})
+		if !slices.Equal(rw, moved) {
+			t.Fatalf("trial %d: Reweights = %+v, want %+v", trial, rw, moved)
+		}
 	}
 }

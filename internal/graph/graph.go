@@ -229,12 +229,11 @@ func (g *Graph) Connected() bool {
 
 // Induced returns the subgraph on nodes (ascending ids of g, no repeats)
 // with nodes[j] relabelled j, keeping the edges between two of them for
-// which keep holds, together with each kept edge's id in g, indexed by its
-// id in the subgraph. index[v] must be v's position in nodes, or -1 when v
-// is not one of them. The relabelling keeps the order of the ids, so
-// every adjacency list keeps its order and an edge's lower endpoint stays
-// the lower one.
-func (g *Graph) Induced(nodes, index []int32, keep func(Edge) bool) (*Graph, []int32) {
+// which keep holds, with their weights. index[v] must be v's position in
+// nodes, or -1 when v is not one of them. The relabelling keeps the order
+// of the ids, so every adjacency list keeps its order and an edge's lower
+// endpoint stays the lower one.
+func (g *Graph) Induced(nodes, index []int32, keep func(Edge) bool) *Graph {
 	deg := 0
 	for _, v := range nodes {
 		for _, e := range g.adj[v] {
@@ -245,7 +244,7 @@ func (g *Graph) Induced(nodes, index []int32, keep func(Edge) bool) (*Graph, []i
 	}
 	adj := make([][]Edge, len(nodes))
 	slab := make([]Edge, 0, deg)
-	ids := make([]int32, 0, deg/2)
+	var m int32
 	var maxW Weight
 	for j, v := range nodes {
 		from := len(slab)
@@ -267,11 +266,10 @@ func (g *Graph) Induced(nodes, index []int32, keep func(Edge) bool) (*Graph, []i
 			}
 			back := adj[e.To]
 			q := sort.Search(len(back), func(i int) bool { return back[i].To >= j })
-			id := int32(len(ids))
-			ids = append(ids, e.ID)
-			e.ID, e.Back = id, int32(q)
-			back[q].ID, back[q].Back = id, int32(p)
+			e.ID, e.Back = m, int32(q)
+			back[q].ID, back[q].Back = m, int32(p)
+			m++
 		}
 	}
-	return &Graph{adj: adj, m: len(ids), max: maxW}, ids
+	return &Graph{adj: adj, m: int(m), max: maxW}
 }

@@ -384,3 +384,33 @@ func TestFigure1PanicsOnBadParams(t *testing.T) {
 	}()
 	NewFigure1(0, 3)
 }
+
+// dumbbell generates two cliques of size k joined by a path of length
+// bridgeLen, a worst case for hop-bounded detection.
+func dumbbell(k, bridgeLen int, maxW Weight, rng *rand.Rand) *Graph {
+	n := 2*k + bridgeLen - 1
+	b := NewBuilder(n)
+	for u := 0; u < k; u++ {
+		for v := u + 1; v < k; v++ {
+			b.AddEdge(u, v, randWeight(rng, maxW))
+		}
+	}
+	right := k + bridgeLen - 1
+	for u := right; u < right+k; u++ {
+		for v := u + 1; v < right+k; v++ {
+			b.AddEdge(u, v, randWeight(rng, maxW))
+		}
+	}
+	prev := k - 1
+	for i := 0; i < bridgeLen; i++ {
+		var next int
+		if i == bridgeLen-1 {
+			next = right
+		} else {
+			next = k + i
+		}
+		b.AddEdge(prev, next, randWeight(rng, maxW))
+		prev = next
+	}
+	return b.MustBuild()
+}

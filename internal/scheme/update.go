@@ -72,7 +72,7 @@ func Update(inst Instance, g *graph.Graph, _ ...UpdateOptions) (Instance, Update
 func (in *OracleInstance) UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error) {
 	st := UpdateStats{Path: "rebuild"}
 	var prev *core.Result
-	if g.SameStructure(in.Gr) {
+	if _, same := g.Reweights(in.Gr); same {
 		prev, st.Path = in.Res, "delta"
 	}
 	ni, ps, err := buildOracle(in.Sp, g, prev)

@@ -305,7 +305,10 @@ func TestSurface(t *testing.T) {
 // selector on the package's import, whatever the file calls it, so a
 // call, a map entry or a func-typed field all count. An export nothing
 // outside the tests names is an orphan: delete it, unexport it, or move
-// it into the test files that use it.
+// it into the test files that use it. The rule holds for unexported
+// top-level functions under internal/ too, inside their package: each is
+// named by a non-test file of it (as an identifier, not as a field or
+// method selector), or it belongs in the tests.
 func TestExportsHaveCallers(t *testing.T) {
 	// The one remainder: graph generators that other packages' tests build
 	// their fixtures with, while production reaches the families it serves
@@ -325,6 +328,8 @@ func TestExportsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
 	var exports [][2]string                                // "pkg.Name", "import/path.Name"
 	named := map[bool]map[string]bool{false: {}, true: {}} // by test file: "import/path.Name"
+	var helpers []string                                   // "dir.name" of every unexported top-level function under internal/
+	local := map[string]bool{}                             // "dir.name" of every identifier a non-test file under internal/ names
 	walkSource(t, fset, ".", true, func(dir string, f *ast.File) {
 		if strings.Contains(dir+"/", "/testdata/") {
 			return
@@ -337,6 +342,28 @@ func TestExportsHaveCallers(t *testing.T) {
 					exports = append(exports, [2]string{f.Name.Name + "." + fd.Name.Name, path + "." + fd.Name.Name})
 				}
 			}
+		}
+		if !test && strings.HasPrefix(dir, "internal/") {
+			skip := map[*ast.Ident]bool{}
+			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok {
+					skip[fd.Name] = true
+					if fd.Recv == nil && !fd.Name.IsExported() && fd.Name.Name != "init" {
+						helpers = append(helpers, dir+"."+fd.Name.Name)
+					}
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					skip[n.Sel] = true
+				case *ast.Ident:
+					if !skip[n] {
+						local[dir+"."+n.Name] = true
+					}
+				}
+				return true
+			})
 		}
 		imports := map[string]string{} // local name -> import path
 		for _, spec := range f.Imports {
@@ -368,5 +395,10 @@ func TestExportsHaveCallers(t *testing.T) {
 			t.Errorf("%s has no non-test reference outside its package", name)
 		}
 	}
-	t.Logf("%d exported top-level functions, %d pinned", len(exports), len(pinned))
+	for _, h := range helpers {
+		if !local[h] {
+			t.Errorf("%s is unexported and no non-test file of its package names it", h)
+		}
+	}
+	t.Logf("%d exported top-level functions, %d pinned; %d unexported ones under internal/", len(exports), len(pinned), len(helpers))
 }
