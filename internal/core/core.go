@@ -21,6 +21,7 @@ package core
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -132,6 +133,10 @@ type Result struct {
 	// against the new graph to find the edges whose weight moved.
 	g *graph.Graph
 
+	// setup is the +D setup's tree and what it cost, which a delta Build
+	// reuses; its tree is nil under SkipSetup.
+	setup setup
+
 	// rows memoizes one digest word per row of Lists for Fingerprint; a
 	// delta build from a digested prev takes the unmoved rows' words from
 	// it.
@@ -241,33 +246,48 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 	return res, err
 }
 
+// ErrOtherStructure is Build's refusal of a previous result built on a
+// graph of another structure: the caller builds without it.
+var ErrOtherStructure = errors.New("core: the previous result was built on a graph of another structure; build without it")
+
 // Build is the one build path: Run is Build without a previous result,
 // Patch is Build with one. When prev is non-nil it must be a result of
 // the same Params (Build refuses other ones, SkipSetup aside) on a graph
 // with g's structure (same nodes, edges and edge ids; Build refuses
-// another). One zip of prev's graph against g finds the edges whose
-// weight changed, and they alone decide each instance: one none of whose
-// subdivided lengths (clamped at h′+1) moved is reused by pointer instead
-// of re-detected, and every other instance prev has is repaired from
-// prev's (detection.Arena.Repair) unless the repair falls back to a full
-// run. When
-// the hierarchy kept its depth, each re-detected list is compared with
-// prev's — a repaired instance's only in its region — and only the rows
-// where one differs are computed again; the others are prev's rows, in
-// Lists and in Table. The lists and table are bit-identical to a fresh
-// Run on g either way, and so is everything Fingerprint covers. The
-// accounting (ActiveRounds, Messages, MessageBits, BroadcastsByNode) sums
-// each instance's own Metrics and SelfEmits, those of whatever built it: a
-// cold run, a full re-detection or a repair, in this build or an earlier
-// one. It is a cold run's only for a cold build; what this update itself
-// cost is in the stats, PatchStats.Repair* for the repairs.
+// another with ErrOtherStructure). One zip of prev's graph against g
+// finds the edges whose weight changed, and they alone decide each
+// instance: one none of whose subdivided lengths (clamped at h′+1) moved
+// is reused by pointer instead of re-detected, and every other instance
+// prev has is repaired from prev's (detection.Arena.Repair) unless the
+// repair falls back to a full run. When the hierarchy kept its depth,
+// each re-detected list is compared with prev's — a repaired instance's
+// only in its region — and only the rows where one differs are computed
+// again; the others are prev's rows, in Lists and in Table. The lists and
+// table are bit-identical to a fresh Run on g either way, and so is
+// everything Fingerprint covers.
+//
+// The setup is reused too. Its BFS tree depends on the structure alone,
+// so a delta build takes prev's (it builds one only when prev has none,
+// having been built under SkipSetup), and it re-runs the w_max aggregate
+// over the tree only when a changed edge was at prev's w_max or rose
+// above it; otherwise w_max is prev's. Tree and aggregate rounds depend
+// on the structure alone as well, so SetupRounds is a cold run's.
+//
+// The accounting (ActiveRounds, Messages, MessageBits, BroadcastsByNode)
+// sums each instance's own Metrics and SelfEmits, those of whatever built
+// it: a cold run, a full re-detection or a repair, in this build or an
+// earlier one. Messages and MessageBits carry the setup's the same way:
+// the tree's and the aggregate's share are those of the build that last
+// ran them. The accounting is a cold run's only for a cold build; what
+// this update itself cost is in the stats, PatchStats.Setup* for the
+// setup and PatchStats.Repair* for the repairs.
 func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result, PatchStats, error) {
 	var ps PatchStats
 	var changed []graph.Reweight
 	if prev != nil {
 		var same bool
 		if changed, same = g.Reweights(prev.g); !same {
-			return nil, ps, fmt.Errorf("core: the previous result was built on a graph of another structure; build without it")
+			return nil, ps, ErrOtherStructure
 		}
 		if !sameRecipe(prev.Params, p) {
 			return nil, ps, fmt.Errorf("core: the previous result was built with other params; build without it")
@@ -297,28 +317,15 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	// i_max locally — the +D term of Corollary 3.5.
 	maxW := g.MaxWeight()
 	if !p.SkipSetup && n > 0 {
-		tree, tm, err := congest.BuildBFSTree(g, 0, cfg.Sub())
-		if err != nil {
-			return nil, ps, fmt.Errorf("core: setup BFS tree: %w", err)
+		var spent cost
+		var err error
+		if res.setup, spent, err = setUp(g, cfg, prev, changed); err != nil {
+			return nil, ps, err
 		}
-		local := make([]int64, n)
-		for v := 0; v < n; v++ {
-			for _, e := range g.Neighbors(v) {
-				if int64(e.W) > local[v] {
-					local[v] = int64(e.W)
-				}
-			}
-		}
-		agg, am, err := congest.Aggregate(g, tree, local, func(a, b int64) int64 { return max(a, b) }, cfg.Sub())
-		if err != nil {
-			return nil, ps, fmt.Errorf("core: setup aggregate: %w", err)
-		}
-		if graph.Weight(agg) != maxW {
-			return nil, ps, fmt.Errorf("core: aggregated w_max %d != %d", agg, maxW)
-		}
-		res.SetupRounds = tm.ActiveRounds + am.ActiveRounds
-		res.Messages += tm.Messages + am.Messages
-		res.MessageBits += tm.MessageBits + am.MessageBits
+		res.SetupRounds = res.setup.tree.rounds + res.setup.agg.rounds
+		res.Messages += res.setup.tree.messages + res.setup.agg.messages
+		res.MessageBits += res.setup.tree.bits + res.setup.agg.bits
+		ps.SetupRounds, ps.SetupMessages = spent.rounds, spent.messages
 	}
 
 	// The rounding hierarchy. The i_max+1 instances are mutually

@@ -270,3 +270,95 @@ func TestAllocsPerRunDeltaChainRetains(t *testing.T) {
 		t.Fatalf("20 delta builds left %d bytes live, budget %d: is an earlier generation retained?", after-before, retainBudget)
 	}
 }
+
+// TestDeltaBuildReusesSetup holds the setup reuse to its three cases and
+// to a prev that has no setup: reweights that avoid w_max reuse prev's
+// tree and w_max and run no setup round; lowering the edges at w_max and
+// raising an edge above it re-run the aggregate over prev's tree (the
+// raise deepens the hierarchy); a prev built under SkipSetup has no tree,
+// so the build makes one. Every result is fingerprint-equal to a cold
+// Run, and its setup — tree and aggregate, rounds, messages and bits —
+// is the cold run's, except that a reused aggregate's is prev's.
+func TestDeltaBuildReusesSetup(t *testing.T) {
+	g, p := deltaGraph(t, 144)
+	cfg := congest.Config{}
+	prev, err := Run(g, p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxW := g.MaxWeight()
+	var atMax, belowMax []graph.Change
+	g.Edges(func(u, v int, w graph.Weight, _ int32) {
+		switch {
+		case w == maxW:
+			atMax = append(atMax, graph.Change{Op: graph.OpReweight, U: u, V: v, W: maxW / 2})
+		case w > 1 && w < maxW-1 && len(belowMax) < 4:
+			belowMax = append(belowMax, graph.Change{Op: graph.OpReweight, U: u, V: v, W: w + 1 - 2*(w%2)})
+		}
+	})
+	u0, v0, _ := firstEdge(g)
+	skip := p
+	skip.SkipSetup = true
+	skipPrev, err := Run(g, skip, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		prev      *Result
+		batch     []graph.Change
+		aggregate bool // the aggregate re-runs
+		tree      bool // the tree is built
+	}{
+		{"avoids-max", prev, belowMax, false, false},
+		{"lowers-max", prev, atMax, true, false},
+		{"raises-max", prev, []graph.Change{{Op: graph.OpReweight, U: u0, V: v0, W: 4 * maxW}}, true, false},
+		{"skip-setup-prev", skipPrev, belowMax, true, true},
+	} {
+		ng, _, err := g.ApplyChanges(c.batch)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		res, ps, err := Build(ng, p, cfg, c.prev)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		cold, err := Run(ng, p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fingerprint() != cold.Fingerprint() || res.SetupRounds != cold.SetupRounds {
+			t.Fatalf("%s: fingerprint %016x, setup rounds %d; cold %016x, %d", c.name, res.Fingerprint(), res.SetupRounds, cold.Fingerprint(), cold.SetupRounds)
+		}
+		if res.setup.tree != cold.setup.tree {
+			t.Fatalf("%s: tree cost %+v, cold %+v", c.name, res.setup.tree, cold.setup.tree)
+		}
+		var want PatchStats
+		if c.aggregate {
+			if res.setup.agg != cold.setup.agg {
+				t.Fatalf("%s: aggregate cost %+v, cold %+v", c.name, res.setup.agg, cold.setup.agg)
+			}
+			want.SetupRounds, want.SetupMessages = res.setup.agg.rounds, res.setup.agg.messages
+		} else if res.setup.agg != c.prev.setup.agg {
+			t.Fatalf("%s: aggregate cost %+v, prev's %+v", c.name, res.setup.agg, c.prev.setup.agg)
+		}
+		if c.tree {
+			want.SetupRounds, want.SetupMessages = res.SetupRounds, res.setup.tree.messages+res.setup.agg.messages
+		} else if res.setup.bfs != c.prev.setup.bfs {
+			t.Fatalf("%s: the tree was built again", c.name)
+		}
+		if ps.SetupRounds != want.SetupRounds || ps.SetupMessages != want.SetupMessages || (c.aggregate && ps.SetupRounds == 0) {
+			t.Fatalf("%s: this build's setup ran %d rounds and %d messages, want %d and %d", c.name, ps.SetupRounds, ps.SetupMessages, want.SetupRounds, want.SetupMessages)
+		}
+		switch c.name {
+		case "lowers-max":
+			if ng.MaxWeight() == maxW {
+				t.Fatalf("%s: w_max did not move", c.name)
+			}
+		case "raises-max":
+			if len(res.Instances) == len(prev.Instances) {
+				t.Fatalf("%s: the hierarchy kept its depth %d", c.name, len(res.Instances))
+			}
+		}
+	}
+}

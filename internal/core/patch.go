@@ -30,6 +30,12 @@ type PatchStats struct {
 	RepairRounds   int
 	RepairMessages int64
 	RepairNodes    int
+	// SetupRounds and SetupMessages total the setup's active rounds and
+	// real messages that this build ran: all of the setup on a cold
+	// build, the w_max aggregate alone on a delta build that re-ran it,
+	// none on one that reused prev's w_max.
+	SetupRounds   int
+	SetupMessages int64
 }
 
 // Damage is Rebuilt/Instances — the affected fraction of the hierarchy

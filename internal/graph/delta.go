@@ -76,24 +76,19 @@ type ChangeSummary struct {
 // one, touching the same pair twice, out-of-range endpoints, self-loops
 // and non-positive weights are all errors, and no partial application
 // happens — on error the caller keeps g.
+//
+// A weight-only batch copies g's adjacency and patches each changed edge
+// at both its ports, so it costs one copy of the lists; only a batch
+// that inserts or deletes rebuilds the graph through a Builder.
 func (g *Graph) ApplyChanges(changes []Change) (*Graph, ChangeSummary, error) {
 	var sum ChangeSummary
 	if len(changes) == 0 {
 		return nil, sum, errors.New("graph: empty change batch")
 	}
 	n := g.N()
-	type edge struct {
-		u, v    int
-		w       Weight
-		deleted bool
-	}
-	edges := make([]edge, g.M())
-	byPair := make(map[[2]int]int, g.M())
-	g.Edges(func(u, v int, w Weight, id int32) {
-		edges[id] = edge{u: u, v: v, w: w}
-		byPair[[2]int{u, v}] = int(id)
-	})
-	var inserts []edge
+	// at[i] is change i's edge as seen from c.V, for a reweight or a
+	// delete: its ID, and Back its port in c.U's list.
+	at := make([]Edge, len(changes))
 	touched := make(map[[2]int]struct{}, len(changes))
 	for i, c := range changes {
 		if c.U < 0 || c.U >= n || c.V < 0 || c.V >= n {
@@ -107,7 +102,8 @@ func (g *Graph) ApplyChanges(changes []Change) (*Graph, ChangeSummary, error) {
 			return nil, sum, fmt.Errorf("graph: change %d: edge {%d,%d} changed twice in one batch", i, c.U, c.V)
 		}
 		touched[key] = struct{}{}
-		id, exists := byPair[key]
+		e, exists := g.EdgeBetween(c.V, c.U)
+		at[i] = e
 		switch c.Op {
 		case OpReweight:
 			if !exists {
@@ -116,7 +112,6 @@ func (g *Graph) ApplyChanges(changes []Change) (*Graph, ChangeSummary, error) {
 			if c.W < 1 {
 				return nil, sum, fmt.Errorf("graph: change %d: non-positive weight %d for {%d,%d}", i, c.W, c.U, c.V)
 			}
-			edges[id].w = c.W
 			sum.Reweights++
 		case OpInsert:
 			if exists {
@@ -125,34 +120,76 @@ func (g *Graph) ApplyChanges(changes []Change) (*Graph, ChangeSummary, error) {
 			if c.W < 1 {
 				return nil, sum, fmt.Errorf("graph: change %d: non-positive weight %d for {%d,%d}", i, c.W, c.U, c.V)
 			}
-			inserts = append(inserts, edge{u: key[0], v: key[1], w: c.W})
 			sum.Inserts++
 		case OpDelete:
 			if !exists {
 				return nil, sum, fmt.Errorf("graph: change %d: delete of missing edge {%d,%d}", i, c.U, c.V)
 			}
-			edges[id].deleted = true
 			sum.Deletes++
 		default:
 			return nil, sum, fmt.Errorf("graph: change %d: unknown op %d", i, c.Op)
 		}
 	}
 	sum.TopologyChanged = sum.Inserts+sum.Deletes > 0
-	// Rebuild in id order so weight-only batches preserve every id.
+	if !sum.TopologyChanged {
+		return g.reweighted(changes, at), sum, nil
+	}
+	// Rebuild in id order, so that the surviving edges keep their
+	// relative order, then append the inserts.
+	type edge struct {
+		u, v    int
+		w       Weight
+		deleted bool
+	}
+	edges := make([]edge, g.M())
+	g.Edges(func(u, v int, w Weight, id int32) { edges[id] = edge{u: u, v: v, w: w} })
 	b := NewBuilder(n)
+	for i, c := range changes {
+		switch c.Op {
+		case OpReweight:
+			edges[at[i].ID].w = c.W
+		case OpDelete:
+			edges[at[i].ID].deleted = true
+		}
+	}
 	for _, e := range edges {
 		if !e.deleted {
 			b.AddEdge(e.u, e.v, e.w)
 		}
 	}
-	for _, e := range inserts {
-		b.AddEdge(e.u, e.v, e.w)
+	for _, c := range changes {
+		if c.Op == OpInsert {
+			b.AddEdge(min(c.U, c.V), max(c.U, c.V), c.W)
+		}
 	}
 	ng, err := b.Build()
 	if err != nil {
 		return nil, sum, fmt.Errorf("graph: rebuilding after changes: %w", err)
 	}
 	return ng, sum, nil
+}
+
+// reweighted returns a copy of g with each change's new weight patched
+// in at both ports of its edge, at[i] being change i's edge as
+// ApplyChanges found it from c.V. Every id and port stays g's.
+func (g *Graph) reweighted(changes []Change, at []Edge) *Graph {
+	adj := make([][]Edge, len(g.adj))
+	slab := make([]Edge, 0, 2*g.m)
+	for v, l := range g.adj {
+		from := len(slab)
+		slab = append(slab, l...)
+		adj[v] = slab[from:len(slab):len(slab)]
+	}
+	for i, c := range changes {
+		fromU := &adj[c.U][at[i].Back]
+		fromU.W = c.W
+		adj[c.V][fromU.Back].W = c.W
+	}
+	var maxW Weight
+	for _, e := range slab {
+		maxW = max(maxW, e.W)
+	}
+	return &Graph{adj: adj, m: g.m, max: maxW}
 }
 
 // Reweight is an edge whose weight differs between two graphs of one

@@ -187,3 +187,54 @@ func TestApplyChangesRandomizedAgainstRebuild(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyChangesReweightMatchesBuilder: a weight-only batch, patched
+// into a copy of the lists, is the graph a Builder makes of the same
+// edges in id order, in every adjacency field, M and MaxWeight. The
+// batches raise and lower weights across w_max, so both ways the
+// maximum can move are covered.
+func TestApplyChangesReweightMatchesBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, family := range generatorNames() {
+		g, err := Generate(family, 64, 32, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 20; trial++ {
+			type edge struct {
+				u, v int
+				w    Weight
+			}
+			edges := make([]edge, g.M())
+			g.Edges(func(u, v int, w Weight, id int32) { edges[id] = edge{u, v, w} })
+			var batch []Change
+			for _, id := range rng.Perm(len(edges))[:min(len(edges), 1+rng.Intn(6))] {
+				e := &edges[id]
+				e.w = 1 + Weight(rng.Intn(int(2*g.MaxWeight())))
+				if rng.Intn(2) == 0 {
+					batch = append(batch, Change{Op: OpReweight, U: e.u, V: e.v, W: e.w})
+				} else {
+					batch = append(batch, Change{Op: OpReweight, U: e.v, V: e.u, W: e.w})
+				}
+			}
+			ng, _, err := g.ApplyChanges(batch)
+			if err != nil {
+				t.Fatalf("%s trial %d: %v", family, trial, err)
+			}
+			b := NewBuilder(g.N())
+			for _, e := range edges {
+				b.AddEdge(e.u, e.v, e.w)
+			}
+			ref := b.MustBuild()
+			if ng.M() != ref.M() || ng.MaxWeight() != ref.MaxWeight() {
+				t.Fatalf("%s trial %d: M %d, MaxWeight %d; Builder %d, %d", family, trial, ng.M(), ng.MaxWeight(), ref.M(), ref.MaxWeight())
+			}
+			for v := range ref.adj {
+				if !slices.Equal(ng.adj[v], ref.adj[v]) {
+					t.Fatalf("%s trial %d: node %d lists %+v, Builder %+v", family, trial, v, ng.adj[v], ref.adj[v])
+				}
+			}
+			g = ng
+		}
+	}
+}

@@ -77,7 +77,14 @@ func (h *dijkstraHeap) pop() dijkstraItem {
 // Dijkstra computes exact (weight, hops)-lexicographic shortest paths from
 // src. The hop counts are exactly the h_{src,v} values the paper's
 // guarantees are stated in terms of.
-func Dijkstra(g *Graph, src int) *SSSP {
+func Dijkstra(g *Graph, src int) *SSSP { return DijkstraTo(g, src, nil) }
+
+// DijkstraTo is Dijkstra that stops once every node of targets is
+// settled, the early exit of a search that needs only those distances.
+// Each target's Dist, Hops and Parent are then Dijkstra's; another node's
+// are an upper bound on its own, or unset. A nil targets settles every
+// node, and an empty one none but src.
+func DijkstraTo(g *Graph, src int, targets []int32) *SSSP {
 	n := g.N()
 	out := &SSSP{
 		Source: src,
@@ -92,12 +99,32 @@ func Dijkstra(g *Graph, src int) *SSSP {
 	}
 	out.Dist[src] = 0
 	out.Hops[src] = 0
+	// pending[v] marks a target not yet settled, and left counts them.
+	var pending []bool
+	left := 0
+	if targets != nil {
+		pending = make([]bool, n)
+		for _, t := range targets {
+			if !pending[t] {
+				pending[t] = true
+				left++
+			}
+		}
+		if left == 0 {
+			return out
+		}
+	}
 	h := dijkstraHeap{{dist: 0, hops: 0, node: int32(src)}}
 	for len(h) > 0 {
 		it := h.pop()
 		v := int(it.node)
 		if it.dist != out.Dist[v] || it.hops != out.Hops[v] {
 			continue // stale entry
+		}
+		if pending != nil && pending[v] {
+			if pending[v], left = false, left-1; left == 0 {
+				break
+			}
 		}
 		for _, e := range g.Neighbors(v) {
 			nd := it.dist + e.W

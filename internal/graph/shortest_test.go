@@ -85,3 +85,38 @@ func BenchmarkDijkstra(b *testing.B) {
 		Dijkstra(g, i%g.N())
 	}
 }
+
+// TestDijkstraToMatchesDijkstraOnTargets: a search stopped once its
+// targets are settled gives each target the Dist, Hops and Parent of the
+// full search, on every generator family, for target sets from a single
+// node to every node, with repeats and with src among them.
+func TestDijkstraToMatchesDijkstraOnTargets(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, family := range generatorNames() {
+		g, err := Generate(family, 96, 16, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.N()
+		for src := 0; src < n; src += 11 {
+			full := Dijkstra(g, src)
+			for _, k := range []int{1, 3, 8, n} {
+				targets := make([]int32, k)
+				for j := range targets {
+					targets[j] = int32(rng.Intn(n))
+				}
+				targets[0] = int32(src)
+				got := DijkstraTo(g, src, targets)
+				for _, s := range targets {
+					if got.Dist[s] != full.Dist[s] || got.Hops[s] != full.Hops[s] || got.Parent[s] != full.Parent[s] {
+						t.Fatalf("%s src=%d k=%d: target %d = (%d, %d, %d), full search (%d, %d, %d)", family, src, k, s,
+							got.Dist[s], got.Hops[s], got.Parent[s], full.Dist[s], full.Hops[s], full.Parent[s])
+					}
+				}
+			}
+			if got := DijkstraTo(g, src, []int32{}); got.Dist[src] != 0 {
+				t.Fatalf("%s src=%d: no targets leaves src at %d", family, src, got.Dist[src])
+			}
+		}
+	}
+}

@@ -371,9 +371,10 @@ const (
 
 // measureStretch routes a seeded probe set and compares each delivered
 // weight against the exact Dijkstra distance. candidates(v) lists the
-// destinations the scheme guarantees routable from v (nil = every node).
-// A route error on a guaranteed-routable pair is a build error: the
-// accounting doubles as a construction sanity check.
+// destinations the scheme guarantees routable from v (nil = every node);
+// the probe draws its targets from them, so its search from v stops once
+// they are all settled. A route error on a guaranteed-routable pair is a
+// build error: the accounting doubles as a construction sanity check.
 func measureStretch(g *graph.Graph, seed int64, route func(v int, s int32) (*core.Route, error), candidates func(v int) []int32) (maxS, meanS float64, routes int, err error) {
 	n := g.N()
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed5eed))
@@ -384,7 +385,7 @@ func measureStretch(g *graph.Graph, seed int64, route func(v int, s int32) (*cor
 		if candidates != nil {
 			targets = candidates(v)
 		}
-		sp := graph.Dijkstra(g, v)
+		sp := graph.DijkstraTo(g, v, targets)
 		for j := 0; j < probeTargets; j++ {
 			var s int32
 			if targets != nil {

@@ -1,6 +1,8 @@
 package scheme
 
 import (
+	"errors"
+
 	"pde/internal/core"
 	"pde/internal/graph"
 )
@@ -63,19 +65,20 @@ func Update(inst Instance, g *graph.Graph, _ ...UpdateOptions) (Instance, Update
 	return ni, UpdateStats{Path: "rebuild", Damage: 1}, nil
 }
 
-// UpdateGraph implements Updatable: the oracle build of in's spec on g.
-// When the update was weight-only the previous result is handed in, so
-// every rounding instance whose subdivided lengths did not move is reused
-// and only the rows it moved are computed again; when the structure
-// changed everything is built afresh. Either way the tables equal a cold
+// UpdateGraph implements Updatable: the oracle build of in's spec on g,
+// handed the served result. When the update was weight-only, every
+// rounding instance whose subdivided lengths did not move is reused and
+// only the rows it moved are computed again; when the structure changed,
+// core.Build refuses the result with core.ErrOtherStructure and
+// everything is built afresh. Either way the tables equal a cold
 // core.Run of the spec's params on g, compiled.
 func (in *OracleInstance) UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error) {
-	st := UpdateStats{Path: "rebuild"}
-	var prev *core.Result
-	if _, same := g.Reweights(in.Gr); same {
-		prev, st.Path = in.Res, "delta"
+	st := UpdateStats{Path: "delta"}
+	ni, ps, err := buildOracle(in.Sp, g, in.Res)
+	if errors.Is(err, core.ErrOtherStructure) {
+		st.Path = "rebuild"
+		ni, ps, err = buildOracle(in.Sp, g, nil)
 	}
-	ni, ps, err := buildOracle(in.Sp, g, prev)
 	if err != nil {
 		return nil, st, err
 	}
