@@ -3,14 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -22,8 +26,8 @@ import (
 
 // The tests boot the coordinator the way main does — run(ctx, args, …) —
 // on ephemeral ports in front of in-process daemons, find the bound
-// addresses in its log, and drive it over loopback: the local twin of what
-// CI's cluster-smoke job does to the binary.
+// addresses in its log, and drive it over loopback; the SIGTERM test runs
+// main in a child process. They are the coordinator's smoke test.
 
 var apspSpec = server.Spec{Topology: "random", N: 24, Eps: 1, MaxW: 4, Seed: 2}
 
@@ -311,5 +315,44 @@ func TestDrainOrder(t *testing.T) {
 	}
 	if _, err := net.Dial("tcp", relayAddr); err == nil {
 		t.Error("relay still accepts after run returned")
+	}
+}
+
+// TestSIGTERMDrainsAndExitsZero: a SIGTERM to the real process reaches
+// run through main's signal.NotifyContext, and the coordinator drains and
+// exits 0. The test binary re-execs itself into main with the flags in
+// $PDE_MAIN_ARGS.
+func TestSIGTERMDrainsAndExitsZero(t *testing.T) {
+	if args := os.Getenv("PDE_MAIN_ARGS"); args != "" {
+		if err := json.Unmarshal([]byte(args), &os.Args); err != nil {
+			t.Fatal(err)
+		}
+		main()
+	}
+	argv, _ := json.Marshal([]string{os.Args[0], "-addr", "127.0.0.1:0", "-daemons", bootDaemon(t)})
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
+	log := &syncLog{}
+	cmd.Env, cmd.Stderr = append(os.Environ(), "PDE_MAIN_ARGS="+string(argv)), log
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	for deadline, signalled := time.Now().Add(20*time.Second), false; ; time.Sleep(2 * time.Millisecond) {
+		if !signalled && strings.Contains(log.String(), "listening on") {
+			signalled = cmd.Process.Signal(syscall.SIGTERM) == nil
+		}
+		select {
+		case err := <-exited:
+			if !signalled || err != nil || !strings.Contains(log.String(), "shutting down") {
+				t.Fatalf("exit %v (signalled %t):\n%s", err, signalled, log)
+			}
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatalf("no drain and exit within 20s (signalled %t):\n%s", signalled, log)
+		}
 	}
 }

@@ -18,10 +18,10 @@ import (
 	"pde/internal/wire"
 )
 
-// The tests boot what the CI serve-smoke and cluster-smoke jobs boot —
-// server.Server behind HTTP, wire.Serve on a loopback listener,
-// cluster.New in front — in-process, and drive every mode through run(),
-// the function main calls.
+// The tests boot what pde-serve and pde-cluster run — server.Server
+// behind HTTP, wire.Serve on a loopback listener, cluster.New in front —
+// in-process, and drive every mode through run(), the function main
+// calls.
 
 // sweepSpec is a partial (h, σ) shard: most uniform pairs have no table
 // entry, so "delivered" is a number the codecs can disagree on.
@@ -152,7 +152,7 @@ func TestSetDist(t *testing.T) {
 	fp := shardStatus(t, ts.URL, "main").Fingerprint
 	base := []string{"-remote", ts.URL, "-setdist", "-set-a", "8", "-set-b", "12"}
 	bin := queryJSON[setDistReport](t, append(base, "-codec", "binary")...)
-	if !bin.AB.Finite || !bin.BA.Finite || bin.Pairs != 2*8*12 || bin.Evaluated > bin.Pairs ||
+	if !bin.AB.Finite || !bin.BA.Finite || bin.Pairs != 2*8*12 || bin.Evaluated >= bin.Pairs ||
 		bin.Fingerprint != fp || bin.WallNS <= 0 {
 		t.Fatalf("binary setdist: %+v", bin)
 	}
@@ -175,7 +175,8 @@ func TestSetDist(t *testing.T) {
 }
 
 // TestUpdates: a verified churn stream ends on the fingerprint the
-// daemon then serves, and a shard it has mutated is refused.
+// daemon then serves and stamps on every frame, and a shard it has
+// mutated is refused.
 func TestUpdates(t *testing.T) {
 	ts := bootDaemon(t, map[string]server.Spec{"main": apspSpec}, nil)
 	before := shardStatus(t, ts.URL, "main").Fingerprint
@@ -186,6 +187,9 @@ func TestUpdates(t *testing.T) {
 	after := shardStatus(t, ts.URL, "main")
 	if sum.Fingerprint != after.Fingerprint || sum.Fingerprint == before || !after.Mutated {
 		t.Errorf("summary ends on %s; daemon went %s -> %s (mutated %t)", sum.Fingerprint, before, after.Fingerprint, after.Mutated)
+	}
+	if wire := queryJSON[summary](t, "-remote", ts.URL, "-codec", "wire", "-queries", "1000"); !slices.Equal(wire.WireFPs, []string{sum.Fingerprint}) {
+		t.Errorf("frames after the churn stamped %v, want [%s]", wire.WireFPs, sum.Fingerprint)
 	}
 	code, stdout, stderr := query("-remote", ts.URL, "-updates", "1")
 	if code != 1 || stdout != "" || !strings.Contains(stderr, "already mutated") {
@@ -292,7 +296,7 @@ func TestCluster(t *testing.T) {
 
 // TestWireStreamAcrossRebuild: a pipelined stream that a /v1/rebuild
 // hot-swaps under finishes clean and reports the old generation, the new
-// one, or both — never a third.
+// one, or both — never a third; a stream after the swap sees only the new.
 func TestWireStreamAcrossRebuild(t *testing.T) {
 	ts := bootDaemon(t, map[string]server.Spec{"main": apspSpec}, nil)
 	old := shardStatus(t, ts.URL, "main").Fingerprint
@@ -328,6 +332,10 @@ func TestWireStreamAcrossRebuild(t *testing.T) {
 		if fp != old && fp != resp.NewFingerprint {
 			t.Errorf("frames stamped %s; the swap was %s -> %s", fp, old, resp.NewFingerprint)
 		}
+	}
+	after := queryJSON[summary](t, "-remote", ts.URL, "-codec", "wire", "-queries", "2000", "-batch", "256")
+	if !slices.Equal(after.WireFPs, []string{resp.NewFingerprint}) || after.RemoteFP != resp.NewFingerprint {
+		t.Errorf("a stream after the swap: %+v, want every frame and /v1/stats on %s", after, resp.NewFingerprint)
 	}
 }
 

@@ -3,14 +3,18 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -21,7 +25,8 @@ import (
 
 // The tests boot the daemon the way main does — run(ctx, args, …) — on
 // ephemeral ports, find the bound addresses in its log, and drive it over
-// loopback: the local twin of what CI's serve-smoke job does to the binary.
+// loopback; TestSIGTERMDrainsAndExitsZero runs main in a child process.
+// With cmd/pde-query's tests they are the serving stack's smoke test.
 
 // syncLog is the daemon's stderr: written by run's goroutine, read by the
 // test's.
@@ -164,16 +169,18 @@ func TestNoFlagsServeTheDefaultShard(t *testing.T) {
 }
 
 // TestBootServesWhatTheFlagsSay boots on :0 and checks the running daemon
-// against its flags: the shards of -shards with their specs, the PDE2
-// endpoint advertised under the address it really bound, pprof on its own
-// listener only, and -max-batch enforced on both transports.
+// against its flags: the shards of -shards, one per scheme, with their
+// specs, the PDE2 endpoint advertised under the address it really bound,
+// pprof on its own listener only, and -max-batch enforced on both
+// transports.
 func TestBootServesWhatTheFlagsSay(t *testing.T) {
 	p := boot(t, "-addr", "127.0.0.1:0", "-wire-addr", "127.0.0.1:0", "-pprof-addr", "127.0.0.1:0", "-max-batch", "8",
 		"-shards", `{"main": {"topology": "ring", "n": 12, "eps": 1, "maxw": 3, "seed": 5},
-		             "rtc":  {"scheme": "rtc", "topology": "random", "n": 16, "eps": 0.5, "maxw": 4, "seed": 2, "k": 2}}`)
+		             "rtc":  {"scheme": "rtc", "topology": "random", "n": 16, "eps": 0.5, "maxw": 4, "seed": 2, "k": 2},
+		             "compact": {"scheme": "compact", "topology": "random", "n": 16, "eps": 0.5, "maxw": 4, "seed": 3, "k": 3}}`)
 	st := p.stats(t)
-	if len(st.Shards) != 2 || st.Shards["main"].N != 12 || st.Shards["main"].Spec.Topology != "ring" ||
-		st.Shards["rtc"].Scheme != "rtc" || st.Shards["rtc"].Spec.K != 2 {
+	if len(st.Shards) != 3 || st.Shards["main"].N != 12 || st.Shards["main"].Spec.Topology != "ring" ||
+		st.Shards["rtc"].Scheme != "rtc" || st.Shards["rtc"].Spec.K != 2 || st.Shards["compact"].Scheme != "compact" {
 		t.Errorf("daemon serves %+v", st.Shards)
 	}
 	wireAddr := p.log.after("pde-serve: PDE2 wire protocol on ")
@@ -372,5 +379,44 @@ func TestDrainOrder(t *testing.T) {
 	}
 	if _, err := net.Dial("tcp", wireAddr); err == nil {
 		t.Error("PDE2 listener still accepts after run returned")
+	}
+}
+
+// TestSIGTERMDrainsAndExitsZero: a SIGTERM to the real process reaches
+// run through main's signal.NotifyContext, and the daemon drains and
+// exits 0. The test binary re-execs itself into main with the flags in
+// $PDE_MAIN_ARGS.
+func TestSIGTERMDrainsAndExitsZero(t *testing.T) {
+	if args := os.Getenv("PDE_MAIN_ARGS"); args != "" {
+		if err := json.Unmarshal([]byte(args), &os.Args); err != nil {
+			t.Fatal(err)
+		}
+		main()
+	}
+	argv, _ := json.Marshal([]string{os.Args[0], "-addr", "127.0.0.1:0", "-shards", tinyShards})
+	cmd := exec.Command(os.Args[0], "-test.run=^"+t.Name()+"$")
+	log := &syncLog{}
+	cmd.Env, cmd.Stderr = append(os.Environ(), "PDE_MAIN_ARGS="+string(argv)), log
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	for deadline, signalled := time.Now().Add(20*time.Second), false; ; time.Sleep(2 * time.Millisecond) {
+		if !signalled && strings.Contains(log.String(), "listening on") {
+			signalled = cmd.Process.Signal(syscall.SIGTERM) == nil
+		}
+		select {
+		case err := <-exited:
+			if !signalled || err != nil || !strings.Contains(log.String(), "shutting down") {
+				t.Fatalf("exit %v (signalled %t):\n%s", err, signalled, log)
+			}
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			cmd.Process.Kill()
+			t.Fatalf("no drain and exit within 20s (signalled %t):\n%s", signalled, log)
+		}
 	}
 }

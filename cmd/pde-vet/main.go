@@ -1,7 +1,7 @@
 // Command pde-vet runs the repo's static-analysis suite (see
-// internal/analysis and docs/analysis.md): five analyzers proving the
-// determinism, hot-swap, wire-layout, +Inf-unreachable and
-// error-envelope invariants at build time.
+// internal/analysis and docs/analysis.md): six analyzers proving the
+// determinism, hot-swap, wire-layout, +Inf-unreachable, error-envelope
+// and allocation-free hot-path invariants at build time.
 //
 // Two modes:
 //

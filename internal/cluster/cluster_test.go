@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -136,12 +137,12 @@ func TestRendezvousPlacement(t *testing.T) {
 	if len(full) != 3 {
 		t.Fatalf("placement dropped replicas: %v", full)
 	}
-	if again := order("hot", urls); !equalStrings(full, again) {
+	if again := order("hot", urls); !slices.Equal(full, again) {
 		t.Fatalf("placement is not deterministic: %v vs %v", full, again)
 	}
 	// Remove the primary: the rest keep their relative order.
 	without := order("hot", []string{full[1], full[2]})
-	if !equalStrings(without, []string{full[1], full[2]}) {
+	if !slices.Equal(without, []string{full[1], full[2]}) {
 		t.Fatalf("removing the primary reordered survivors: %v", without)
 	}
 }
@@ -165,7 +166,7 @@ func TestClusterRoutesQueriesByShard(t *testing.T) {
 	if got := coord.Placement("solo"); len(got) != 1 || got[0] != daemons[1].url() {
 		t.Fatalf("solo placed on %v, want exactly %s", got, daemons[1].url())
 	}
-	if got := coord.Shards(); !equalStrings(got, []string{"hot", "solo"}) {
+	if got := coord.Shards(); !slices.Equal(got, []string{"hot", "solo"}) {
 		t.Fatalf("Shards() = %v", got)
 	}
 
@@ -250,7 +251,7 @@ func TestClusterStatusEndpoint(t *testing.T) {
 		t.Fatalf("status daemons: %+v", st.Daemons)
 	}
 	for _, d := range st.Daemons {
-		if !d.Healthy || !equalStrings(d.Shards, []string{"hot"}) {
+		if !d.Healthy || !slices.Equal(d.Shards, []string{"hot"}) {
 			t.Fatalf("daemon status %+v", d)
 		}
 	}
@@ -271,12 +272,12 @@ func TestClusterStatusEndpoint(t *testing.T) {
 // TestClusterRebuildAndUpdatePropagation drives the admin plane
 // through the coordinator: a rebuild with a seed override and then a
 // churn update must land on every replica, with all replicas
-// fingerprint-identical after each operation.
+// fingerprint-identical after each operation and after one of them dies.
 func TestClusterRebuildAndUpdatePropagation(t *testing.T) {
 	daemons := bootDaemons(t, []map[string]server.Spec{
 		{"hot": hotSpec}, {"hot": hotSpec}, {"hot": hotSpec},
 	})
-	_, cts := newCoordinator(t, daemons)
+	coord, cts := newCoordinator(t, daemons)
 	ctx := context.Background()
 
 	seed := int64(77)
@@ -319,6 +320,33 @@ func TestClusterRebuildAndUpdatePropagation(t *testing.T) {
 	}
 	if pl := st.Shards["hot"]; !pl.Agree || pl.Healthy != 3 {
 		t.Fatalf("post-admin placement: %+v", pl)
+	}
+
+	// Kill the primary: the survivors still agree on the churned
+	// generation, queries are stamped with it, and /healthz stays ok.
+	primary := coord.Placement("hot")[0]
+	for _, d := range daemons {
+		if d.url() == primary {
+			d.kill()
+		}
+	}
+	waitFor(t, "prober to mark the killed primary down", func() bool {
+		st, err = FetchStatus(ctx, cts.URL)
+		return err == nil && st.Shards["hot"].Healthy == 2
+	})
+	if pl := st.Shards["hot"]; !pl.Agree || len(pl.Fingerprints) != 2 {
+		t.Fatalf("survivors after the kill: %+v", pl)
+	}
+	for url, fp := range st.Shards["hot"].Fingerprints {
+		if fp != ur.NewFingerprint {
+			t.Fatalf("survivor %s serves %s after the kill, want the churned %s", url, fp, ur.NewFingerprint)
+		}
+	}
+	if _, fp, err := cl.Estimate(ctx, []oracle.Query{{V: 1, S: 2}}, false); err != nil || fp != ur.NewFingerprint {
+		t.Fatalf("post-kill estimate stamped %s (%v), want %s", fp, err, ur.NewFingerprint)
+	}
+	if h, err := cl.Health(ctx); err != nil || h.Status != "ok" {
+		t.Fatalf("healthz after the kill: %+v, %v", h, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 )
@@ -37,7 +38,7 @@ func (c *Coordinator) probe(b *backend) {
 	shards := append([]string(nil), h.Shards...)
 	sort.Strings(shards)
 	b.mu.Lock()
-	changed := !equalStrings(b.shards, shards)
+	changed := !slices.Equal(b.shards, shards)
 	if changed {
 		b.shards = shards
 	}
@@ -46,16 +47,4 @@ func (c *Coordinator) probe(b *backend) {
 	if changed {
 		c.rebuildTable()
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -155,7 +155,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleHealthz answers like a daemon: "ok" while every placed shard
 // has at least one healthy replica, "degraded" with a 503 otherwise —
-// load balancers and the CI smoke read the status code alone.
+// load balancers read the status code alone.
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !server.RequireMethod(w, r, http.MethodGet) {
 		return

@@ -459,17 +459,23 @@ func TestConcurrentFirstUse(t *testing.T) {
 
 // BenchmarkEval is the grid behind the landmark-pruning row of the
 // keep-or-delete ledger (docs/architecture.md): pruned against naive, on
-// a cheap-estimate instance (the compiled oracle) and an
-// expensive-estimate one (the compact hierarchy), at the three set sizes
-// callers send. One op is one request; eight seeded requests are cycled.
+// a cheap-estimate instance (the compiled oracle), an expensive-estimate
+// one (the compact hierarchy) and churn-mixed's partial (h, σ) oracle
+// ("oracle-partial"), at the three set sizes callers send. One op is one
+// request; eight seeded requests are cycled.
 func BenchmarkEval(b *testing.B) {
 	base := scheme.Spec{Topology: "community", N: 256, Eps: 0.5, MaxW: 8, Seed: 21}
 	compactSpec := base
 	compactSpec.Scheme, compactSpec.K = "compact", 3
-	for _, sp := range []scheme.Spec{base, compactSpec} {
+	churnSpec := scheme.Spec{Topology: "roadgrid", N: 576, Eps: 0.5, MaxW: 1024, H: 16, Sigma: 8, Seed: 21}
+	for _, sp := range []scheme.Spec{base, compactSpec, churnSpec} {
 		inst, err := scheme.Build(sp)
 		if err != nil {
 			b.Fatal(err)
+		}
+		name := inst.Scheme()
+		if sp.H > 0 {
+			name += "-partial"
 		}
 		n := inst.Graph().N()
 		for _, size := range [][2]int{{32, 64}, {48, 128}, {64, 224}} {
@@ -487,7 +493,7 @@ func BenchmarkEval(b *testing.B) {
 				if naive {
 					mode = "naive"
 				}
-				b.Run(fmt.Sprintf("%s/%dx%d/%s", inst.Scheme(), size[0], size[1], mode), func(b *testing.B) {
+				b.Run(fmt.Sprintf("%s/%dx%d/%s", name, size[0], size[1], mode), func(b *testing.B) {
 					var issued, pairs int64
 					for i := 0; i < b.N; i++ {
 						r := reqs[i%len(reqs)]

@@ -66,7 +66,7 @@ func build(parent map[int]int, root int) (*Labeling, error) {
 	}
 	// Deterministic child order.
 	for p := range children {
-		sortInts(children[p])
+		slices.Sort(children[p])
 	}
 	lab := &Labeling{
 		Root:     root,
@@ -119,14 +119,6 @@ func build(parent map[int]int, root int) (*Labeling, error) {
 	}
 	lab.Rounds = 2 * (lab.Height + 1)
 	return lab, nil
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // NextHop returns the neighbor of x on the tree path toward target.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pde/internal/congest"
@@ -261,7 +262,7 @@ func (p *labelProc) advance(ctx *congest.Ctx) {
 		for _, c := range p.tree.Children[v] {
 			kids = append(kids, int(c))
 		}
-		sortInts(kids)
+		slices.Sort(kids)
 		offset := p.label.Pre + 1
 		offsets := make(map[int]int32, len(kids))
 		for _, c := range kids {
@@ -311,7 +312,7 @@ func BuildDistributed(g *graph.Graph, t *congest.Tree, cfg congest.Config) (*Lab
 		for _, c := range t.Children[v] {
 			kids = append(kids, int(c))
 		}
-		sortInts(kids)
+		slices.Sort(kids)
 		lab.Children[v] = kids
 	}
 	return lab, met, nil
