@@ -106,8 +106,8 @@ type Result struct {
 	// L_v of Definition 2.2, the σ-prefix of Table's row v in that order.
 	Lists [][]Estimate
 	// Table holds every node's row: w̃d(v,s) for each source some instance
-	// detected at v, laid out by source id. It is immutable, and package
-	// oracle serves from it.
+	// detected at v, laid out by source id in pages of rows. It is
+	// immutable, and package oracle serves from it.
 	Table Table
 	// Instances are the per-level tables, in increasing i.
 	Instances []*Instance
@@ -133,6 +133,10 @@ type Result struct {
 	// against the new graph to find the edges whose weight moved.
 	g *graph.Graph
 
+	// changed holds the edges whose weight differs between the graph of
+	// the previous result Build was handed and g, nil for a cold build.
+	changed []graph.Reweight
+
 	// setup is the +D setup's tree and what it cost, which a delta Build
 	// reuses; its tree is nil under SkipSetup.
 	setup setup
@@ -144,23 +148,22 @@ type Result struct {
 
 	// moved[v] is false when v's row is prev's: every instance's list at v
 	// equals the list of the previous result Build was handed, so Lists[v]
-	// is prev.Lists[v] and Table's row v a copy of prev's. It is nil when
-	// every row was computed afresh (a cold build, or a hierarchy whose
-	// depth changed).
+	// is prev.Lists[v] and Table's row v is prev's. It is nil when every
+	// row was computed afresh (a cold build, or a hierarchy whose depth
+	// changed).
 	moved []bool
 }
 
-// Table is the by-source layout of every node's row: the entries of node
-// v occupy Off[v]..Off[v+1] of the five parallel columns, sorted by
-// source id, and each holds the best estimate over all instances.
-type Table struct {
-	Off   []int64
-	Srcs  []int32
-	Dists []float64
-	Vias  []int32
-	Insts []int32
-	Flags []uint8
-}
+// Changed returns the edges whose weight differs between the graph of
+// the previous result Build was handed and the result's own, in
+// ascending (U, V) order; nil for a cold build.
+func (r *Result) Changed() []graph.Reweight { return r.changed }
+
+// RowMoved reports whether node v's row — its list and its table row —
+// may differ from the previous result's. It is false only where every
+// instance's list at v equals prev's, and true everywhere after a cold
+// build or one whose hierarchy changed depth.
+func (r *Result) RowMoved(v int) bool { return r.moved == nil || r.moved[v] }
 
 // MaxBroadcasts returns the per-node maximum of BroadcastsByNode.
 func (r *Result) MaxBroadcasts() int64 {
@@ -311,6 +314,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 		BroadcastsByNode: make([]int64, n),
 		Params:           p,
 		g:                g,
+		changed:          changed,
 	}
 
 	// Setup: aggregate w_max over a BFS tree so every node can compute
@@ -469,39 +473,15 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	}
 	res.BudgetRounds += res.SetupRounds
 
-	if prev != nil && len(prev.Instances) == num {
-		res.moved = movedRows(insts, prev.Instances, todo, reps, n)
+	if prev == nil || len(prev.Instances) != num {
+		res.Table, res.Lists = layRows(insts, n, p.Sigma, nil, nil)
+		return res, ps, nil
 	}
-	res.Table, res.Lists = layRows(insts, n, p.Sigma, prev, res.moved)
-	if res.moved != nil {
-		res.carryRowDigests(prev)
-	}
+	var rows []int32
+	res.moved, rows = movedRows(insts, prev.Instances, todo, reps, n)
+	res.Table, res.Lists = layRows(insts, n, p.Sigma, prev, rows)
+	res.carryRowDigests(prev, rows)
 	return res, ps, nil
-}
-
-// movedRows marks the nodes at which some re-detected instance's list
-// differs from the same instance's list in prev. Instances reused by
-// pointer are equal by construction and are not compared, and a repaired
-// instance is compared only in its region: every other list of it is a
-// copy of prev's. Equal depth means equal bases, b(i) = (1+ε)^i for the
-// same ε.
-func movedRows(insts, prev []*Instance, todo []int, reps []detection.Repaired, n int) []bool {
-	moved := make([]bool, n)
-	for _, i := range todo {
-		cur, old := insts[i].Det.Lists, prev[i].Det.Lists
-		if reps[i].Result != nil {
-			for _, v := range reps[i].Region {
-				moved[v] = moved[v] || !slices.Equal(cur[v], old[v])
-			}
-			continue
-		}
-		for v := range moved {
-			if !moved[v] && !slices.Equal(cur[v], old[v]) {
-				moved[v] = true
-			}
-		}
-	}
-	return moved
 }
 
 // claimOrder sorts the indices of the instances to detect into the order
@@ -509,90 +489,6 @@ func movedRows(insts, prev []*Instance, todo []int, reps []detection.Repaired, n
 // tie.
 func claimOrder(todo []int, insts []*Instance) {
 	slices.SortStableFunc(todo, func(a, b int) int { return cmp.Compare(insts[b].cells, insts[a].cells) })
-}
-
-// layRows computes w̃d(v,s) = min_i b(i)·hd_i(v,s) for every source some
-// instance detected at v, lays row v out by source id in the table, and
-// outputs its σ smallest by (Dist, Src) as Lists[v], one allocation per
-// row. Ascending instances replace an entry only on a strictly smaller
-// product, so the lowest instance wins a tie.
-//
-// A row is a function of v's instance lists alone, so a row whose moved
-// mark is false is prev's: its list is shared, and its table run is
-// copied, so that sharing pins nothing else of prev. A nil moved computes
-// every row.
-func layRows(insts []*Instance, n, sigma int, prev *Result, moved []bool) (Table, [][]Estimate) {
-	t := Table{Off: make([]int64, n+1)}
-	if moved != nil {
-		// Few rows move on an update, so prev's size, with some room, is
-		// the size to expect.
-		k := len(prev.Table.Srcs) + len(prev.Table.Srcs)/8
-		t.Srcs, t.Dists, t.Vias = make([]int32, 0, k), make([]float64, 0, k), make([]int32, 0, k)
-		t.Insts, t.Flags = make([]int32, 0, k), make([]uint8, 0, k)
-	}
-	lists := make([][]Estimate, n)
-	seen := make([]int32, n) // seen[s] == v+1: s is in v's row, at slot[s]
-	slot := make([]int32, n)
-	var row []Estimate
-	for v := 0; v < n; v++ {
-		if moved != nil && !moved[v] {
-			// Take the whole run of unmoved rows from v at once; prev's
-			// table segments for it are contiguous.
-			w := v + 1
-			for w < n && !moved[w] {
-				w++
-			}
-			pt := &prev.Table
-			lo, hi := pt.Off[v], pt.Off[w]
-			shift := int64(len(t.Srcs)) - lo
-			t.Srcs = append(t.Srcs, pt.Srcs[lo:hi]...)
-			t.Dists = append(t.Dists, pt.Dists[lo:hi]...)
-			t.Vias = append(t.Vias, pt.Vias[lo:hi]...)
-			t.Insts = append(t.Insts, pt.Insts[lo:hi]...)
-			t.Flags = append(t.Flags, pt.Flags[lo:hi]...)
-			for x := v; x < w; x++ {
-				t.Off[x+1] = pt.Off[x+1] + shift
-			}
-			copy(lists[v:w], prev.Lists[v:w])
-			v = w - 1 // the loop's v++ goes on at row w
-			continue
-		}
-		row = row[:0]
-		for i, inst := range insts {
-			for _, e := range inst.Det.Lists[v] {
-				c := Estimate{Dist: float64(e.Dist) * inst.Base, Src: e.Src, Via: e.Via, Instance: int32(i), Flag: e.Flag}
-				if seen[e.Src] != int32(v)+1 {
-					seen[e.Src] = int32(v) + 1
-					slot[e.Src] = int32(len(row))
-					row = append(row, c)
-				} else if k := slot[e.Src]; c.Dist < row[k].Dist {
-					row[k] = c
-				}
-			}
-		}
-		first := len(t.Srcs)
-		for _, c := range row {
-			t.Srcs = append(t.Srcs, c.Src)
-		}
-		slices.Sort(t.Srcs[first:])
-		for _, s := range t.Srcs[first:] {
-			c := &row[slot[s]]
-			t.Dists = append(t.Dists, c.Dist)
-			t.Vias = append(t.Vias, c.Via)
-			t.Insts = append(t.Insts, c.Instance)
-			t.Flags = append(t.Flags, c.Flag)
-		}
-		t.Off[v+1] = int64(len(t.Srcs))
-		slices.SortFunc(row, func(a, b Estimate) int {
-			if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.Src, b.Src)
-		})
-		top := row[:min(sigma, len(row))]
-		lists[v] = append(make([]Estimate, 0, len(top)), top...)
-	}
-	return t, lists
 }
 
 // APSPParams returns the Theorem 4.1 configuration: S = V, h = σ = n.

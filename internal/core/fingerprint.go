@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"pde/internal/detection"
 	"pde/internal/fingerprint"
 )
@@ -117,20 +119,16 @@ func (r *Result) rowDigests() []uint64 {
 }
 
 // carryRowDigests gives a delta build its row words when prev has them:
-// an unmoved row's is prev's. It leaves them for the first Fingerprint
-// otherwise.
-func (r *Result) carryRowDigests(prev *Result) {
+// an unmoved row's is prev's, and the moved rows (ascending) are digested
+// again. It leaves them for the first Fingerprint otherwise.
+func (r *Result) carryRowDigests(prev *Result, moved []int32) {
 	old := prev.rows.Load()
 	if old == nil {
 		return
 	}
-	rows := make([]uint64, len(r.Lists))
-	for v := range rows {
-		if r.moved[v] {
-			rows[v] = digestRow(r.Lists[v])
-		} else {
-			rows[v] = (*old)[v]
-		}
+	rows := slices.Clone(*old)
+	for _, v := range moved {
+		rows[v] = digestRow(r.Lists[v])
 	}
 	r.rows.Store(&rows)
 }

@@ -68,6 +68,9 @@ func cellsOf(dp *detection.Params, w graph.Weight) int64 {
 func moves(changed []graph.Reweight, dp *detection.Params) (moved []graph.Reweight, dcells int64) {
 	for _, e := range changed {
 		if dp.Length(e.Was) != dp.Length(e.Now) {
+			if moved == nil {
+				moved = make([]graph.Reweight, 0, len(changed))
+			}
 			moved = append(moved, e)
 			dcells += cellsOf(dp, e.Now) - cellsOf(dp, e.Was)
 		}

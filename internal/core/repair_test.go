@@ -201,13 +201,15 @@ func churnShape(tb testing.TB, n int) (*graph.Graph, Params) {
 // BenchmarkDeltaBuild times one delta core.Build at churn-mixed's shape:
 // four ±1 reweights from the previous generation, one worker. The
 // updates are drawn ahead and applied in turn, each from the last
-// result. -short skips n = 10⁴.
+// result. -short skips n = 10⁴ and n = 10⁵, whose cold build, outside the
+// timer, takes tens of seconds.
 func BenchmarkDeltaBuild(b *testing.B) {
-	for _, n := range []int{576, 10000} {
+	for _, n := range []int{576, 10000, 100000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			if n > 1000 && testing.Short() {
-				b.Skip("n = 10⁴ under -short")
+				b.Skip("n > 10³ under -short")
 			}
+			b.ReportAllocs()
 			g, p := churnShape(b, n)
 			prev, err := Run(g, p, congest.Config{})
 			if err != nil {

@@ -13,9 +13,10 @@ import (
 
 // tableRow reads node v's row of t back as estimates, in source order.
 func tableRow(t Table, v int) []Estimate {
+	pg, r := t.Pages[v>>PageShift], v&(PageRows-1)
 	var row []Estimate
-	for k := t.Off[v]; k < t.Off[v+1]; k++ {
-		row = append(row, Estimate{Dist: t.Dists[k], Src: t.Srcs[k], Via: t.Vias[k], Instance: t.Insts[k], Flag: t.Flags[k]})
+	for k := pg.Off[r]; k < pg.Off[r+1]; k++ {
+		row = append(row, Estimate{Dist: pg.Dists[k], Src: pg.Srcs[k], Via: pg.Vias[k], Instance: pg.Insts[k], Flag: pg.Flags[k]})
 	}
 	return row
 }
@@ -107,31 +108,40 @@ var (
 	listsSink [][]Estimate
 )
 
+// movedList lists the rows of res that moved, ascending.
+func movedList(res *Result) []int32 {
+	var rows []int32
+	for v := range res.Lists {
+		if res.RowMoved(v) {
+			rows = append(rows, int32(v))
+		}
+	}
+	return rows
+}
+
 // TestAllocsPerRunDeltaRows: the row pass of a few-row delta allocates
-// its arrays — the offsets, the five columns sized from prev, the lists,
-// the two stamp arrays and the row buffer — plus one list per moved row,
-// and nothing per unmoved row, whose list is prev's and whose table run
-// is copied.
+// its arrays — the page index, the lists, the two stamp arrays — and its
+// scratch, one list per moved row and one page (a header and three
+// column arrays) per page that holds a moved row, and nothing per unmoved row,
+// whose list is prev's and whose page is prev's or a copy.
 func TestAllocsPerRunDeltaRows(t *testing.T) {
 	prev, res := churnMixedDelta(t)
 	n := len(res.Lists)
-	moved := 0
-	for v := range n {
-		if rowMoved(res, v) {
-			moved++
-		}
+	moved := movedList(res)
+	pages := map[int32]bool{}
+	for _, v := range moved {
+		pages[v>>PageShift] = true
 	}
-	// 14 measured beside the moved rows: the arrays, and the row buffer
-	// growing to the longest computed row; five more if the columns
-	// outgrow prev's size by an eighth.
-	bound := 20 + moved
-	if n-moved <= bound {
-		t.Fatalf("%d of %d rows unmoved: the bound of %d would not notice an allocation per unmoved row", n-moved, n, bound)
+	// 19 measured beside the moved rows and pages: the arrays, and the
+	// row buffer and the page columns growing to their longest.
+	bound := 30 + len(moved) + 4*len(pages)
+	if n-len(moved) <= bound {
+		t.Fatalf("%d of %d rows unmoved: the bound of %d would not notice an allocation per unmoved row", n-len(moved), n, bound)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
-		tableSink, listsSink = layRows(res.Instances, n, res.Params.Sigma, prev, res.moved)
+		tableSink, listsSink = layRows(res.Instances, n, res.Params.Sigma, prev, moved)
 	})
-	t.Logf("%.0f allocations per delta row pass, %d of %d rows moved", allocs, moved, n)
+	t.Logf("%.0f allocations per delta row pass, %d of %d rows moved on %d pages", allocs, len(moved), n, len(pages))
 	if allocs > float64(bound) {
 		t.Fatalf("the delta row pass allocates %.0f times, want <= %d", allocs, bound)
 	}
@@ -153,9 +163,9 @@ func BenchmarkRows(b *testing.B) {
 		{"churn-mixed/delta", churn, prev},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			moved := c.res.moved
-			if c.prev == nil {
-				moved = nil
+			var moved []int32
+			if c.prev != nil {
+				moved = movedList(c.res)
 			}
 			b.ReportAllocs()
 			for b.Loop() {

@@ -218,44 +218,52 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 		met.MaxBusyPorts, met.Quiesced = m.MaxBusyPorts, m.Quiesced
 	}
 
-	// Every node's list in one fresh slab: the region's from the sub-run,
-	// ids mapped back, and the rest copied from prev.
+	// The region's lists from the sub-run, ids mapped back; every other
+	// list, and every region list the sub-run left as it was, is prev's.
+	// A list prev shares may lie in the slab of the cold run that built
+	// it, which then stays live while any of its lists is served: a chain
+	// of repairs keeps at most that one slab of an earlier generation.
 	res := &Result{
-		Lists:     make([][]Entry, n),
+		Lists:     slices.Clone(prev.Lists),
 		SelfEmits: make([]int64, n),
 		Budget:    prev.Budget,
 		Metrics:   met,
 	}
-	total := 0
-	for _, l := range prev.Lists {
-		total += len(l)
-	}
 	for _, v := range region {
-		total += int(a.states[s.index[v]].self.n) - len(prev.Lists[v])
-	}
-	slab := make([]Entry, 0, total)
-	next := 0
-	for v, l := range prev.Lists {
-		from := len(slab)
-		if next < len(region) && region[next] == int32(v) {
-			next++
-			slab = a.output(int(s.index[v]), slab)
-			for i := from; i < len(slab); i++ {
-				e := &slab[i]
-				e.Src = s.halo[e.Src]
-				if e.Via >= 0 {
-					e.Via = s.halo[e.Via]
-				}
-			}
-		} else {
-			slab = append(slab, l...)
-		}
-		res.Lists[v] = slab[from:len(slab):len(slab)]
+		res.Lists[v] = a.regionList(int(s.index[v]), prev.Lists[v])
 	}
 	for j, v := range s.halo {
 		res.SelfEmits[v] = int64(a.states[j].self.sentCnt)
 	}
 	return Repaired{Result: res, Region: region, Halo: len(s.halo)}, nil
+}
+
+// regionList returns the list the sub-run left at halo position j, ids
+// mapped back to g's: old itself when the two are equal, so that an
+// unchanged list stays shared, and otherwise a list of its own.
+func (a *Arena) regionList(j int, old []Entry) []Entry {
+	st, halo := &a.states[j], a.rs.halo
+	keys := st.list(&st.self)
+	entry := func(i int) Entry {
+		m := a.sh.msg(keys[i])
+		e := Entry{Dist: m.dist, Src: halo[m.src], Via: st.via[i], Flag: m.flag}
+		if e.Via >= 0 {
+			e.Via = halo[e.Via]
+		}
+		return e
+	}
+	same := len(keys) == len(old)
+	for i := 0; same && i < len(keys); i++ {
+		same = entry(i) == old[i]
+	}
+	if same {
+		return old
+	}
+	l := make([]Entry, len(keys))
+	for i := range l {
+		l[i] = entry(i)
+	}
+	return l
 }
 
 // unindex clears the halo's positions.

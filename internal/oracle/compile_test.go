@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -17,77 +16,59 @@ import (
 // compileBySort is the Compile this package shipped until the linear
 // pass replaced it: gather every instance's candidates for a node, sort
 // them by (source, distance, instance) and keep the first of each source.
-// It stays as the differential reference.
-func compileBySort(res *core.Result) *Oracle {
-	n := len(res.Lists)
-	o := &Oracle{n: n, off: make([]int64, n+1)}
-
-	type cand struct {
-		src  int32
-		dist float64
-		via  int32
-		inst int32
-		flag uint8
-	}
-	var buf []cand
-	for v := 0; v < n; v++ {
+// It stays as the differential reference, one row per node.
+func compileBySort(res *core.Result) [][]core.Estimate {
+	rows := make([][]core.Estimate, len(res.Lists))
+	var buf []core.Estimate
+	for v := range rows {
 		buf = buf[:0]
 		for i, inst := range res.Instances {
 			for _, e := range inst.Det.Lists[v] {
-				buf = append(buf, cand{
-					src:  e.Src,
-					dist: float64(e.Dist) * inst.Base,
-					via:  e.Via,
-					inst: int32(i),
-					flag: e.Flag,
+				buf = append(buf, core.Estimate{
+					Src:      e.Src,
+					Dist:     float64(e.Dist) * inst.Base,
+					Via:      e.Via,
+					Instance: int32(i),
+					Flag:     e.Flag,
 				})
 			}
 		}
 		sort.Slice(buf, func(a, b int) bool {
-			if buf[a].src != buf[b].src {
-				return buf[a].src < buf[b].src
+			if buf[a].Src != buf[b].Src {
+				return buf[a].Src < buf[b].Src
 			}
-			if buf[a].dist != buf[b].dist {
-				return buf[a].dist < buf[b].dist
+			if buf[a].Dist != buf[b].Dist {
+				return buf[a].Dist < buf[b].Dist
 			}
-			return buf[a].inst < buf[b].inst
+			return buf[a].Instance < buf[b].Instance
 		})
 		for k := range buf {
-			if k > 0 && buf[k].src == buf[k-1].src {
-				continue
+			if k == 0 || buf[k].Src != buf[k-1].Src {
+				rows[v] = append(rows[v], buf[k])
 			}
-			o.srcs = append(o.srcs, buf[k].src)
-			o.dists = append(o.dists, buf[k].dist)
-			o.vias = append(o.vias, buf[k].via)
-			o.insts = append(o.insts, buf[k].inst)
-			o.flags = append(o.flags, buf[k].flag)
 		}
-		o.off[v+1] = int64(len(o.srcs))
 	}
-	return o
+	return rows
 }
 
-// requireSameTables fails unless the two oracles hold the same six
-// arrays, slice for slice.
-func requireSameTables(t *testing.T, name string, got, want *Oracle) {
+// requireSameTables fails unless the oracle holds exactly the reference
+// rows, entry for entry, and counts their entries.
+func requireSameTables(t *testing.T, name string, got *Oracle, want [][]core.Estimate) {
 	t.Helper()
-	if got.n != want.n {
-		t.Fatalf("%s: n = %d, want %d", name, got.n, want.n)
+	if got.n != len(want) {
+		t.Fatalf("%s: n = %d, want %d", name, got.n, len(want))
 	}
-	for _, c := range []struct {
-		field     string
-		got, want any
-	}{
-		{"off", got.off, want.off},
-		{"srcs", got.srcs, want.srcs},
-		{"dists", got.dists, want.dists},
-		{"vias", got.vias, want.vias},
-		{"insts", got.insts, want.insts},
-		{"flags", got.flags, want.flags},
-	} {
-		if !reflect.DeepEqual(c.got, c.want) {
-			t.Fatalf("%s: %s differs from the sort-based reference", name, c.field)
+	entries := 0
+	for v, row := range want {
+		var have []core.Estimate
+		sourcesOf(got, v, func(e core.Estimate) { have = append(have, e) })
+		if !slices.Equal(have, row) {
+			t.Fatalf("%s: row %d is %+v, the sort-based reference's %+v", name, v, have, row)
 		}
+		entries += len(row)
+	}
+	if got.Entries() != entries {
+		t.Fatalf("%s: %d entries, the reference has %d", name, got.Entries(), entries)
 	}
 }
 
@@ -119,8 +100,7 @@ func TestCompileMatchesSortReference(t *testing.T) {
 				ref := compileBySort(res)
 				requireSameTables(t, name, got, ref)
 				for v := range res.Lists {
-					var row []core.Estimate
-					sourcesOf(ref, v, func(e core.Estimate) { row = append(row, e) })
+					row := slices.Clone(ref[v])
 					slices.SortFunc(row, func(a, b core.Estimate) int {
 						return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.Src, b.Src))
 					})

@@ -5,10 +5,11 @@
 //
 // The tables are the result's own: core.Build computes the
 // min-over-instances w̃d(v,s) = min_i b(i)·hd_i(v,s) once per (node,
-// source) pair and lays it out in CSR-style parallel arrays sorted by
-// source id (core.Table). Compile shares them and performs no combine, so
-// Estimate and NextHop are a single binary search over one node's
-// contiguous segment (a direct index when the row holds every source):
+// source) pair and lays it out in pages of CSR-style parallel arrays
+// sorted by source id (core.Table, core.Page). Compile shares them and
+// performs no combine, so Estimate and NextHop are a page lookup and a
+// single binary search over one node's contiguous segment (a direct
+// index when the row holds every source):
 // O(log σ) with cache-friendly access, where a scan of the instance lists
 // costs Õ(σ·i_max) per query. The tables are read-only and therefore safe
 // for any number of concurrent readers without locking (exercised under
@@ -30,64 +31,69 @@ import (
 
 // Oracle is a read-only index over a *core.Result's table.
 //
-// Entries for node v occupy the half-open range off[v]..off[v+1] of the
-// parallel arrays, sorted by source id; each entry already holds the best
-// estimate over all instances.
+// The table is paged: node v's entries occupy Off[r]..Off[r+1] of the
+// parallel columns of page v>>core.PageShift, r = v&(core.PageRows-1),
+// sorted by source id; each entry already holds the best estimate over
+// all instances.
 type Oracle struct {
-	n     int
-	off   []int64
-	srcs  []int32
-	dists []float64
-	vias  []int32
-	insts []int32
-	flags []uint8
+	n       int
+	pages   []*core.Page
+	entries int
 }
 
-// Compile returns the oracle over res's table, which it shares: it copies
-// the column headers and nothing else. res must come from core.Build
+// Compile returns the oracle over res's table, which it shares: it keeps
+// the page index of res and nothing else. res must come from core.Build
 // (core.Run and core.Patch are Build), which lays the table out; both are
 // immutable.
 func Compile(res *core.Result) *Oracle {
-	t := &res.Table
-	return &Oracle{n: len(res.Lists), off: t.Off, srcs: t.Srcs, dists: t.Dists, vias: t.Vias, insts: t.Insts, flags: t.Flags}
+	return &Oracle{n: len(res.Lists), pages: res.Table.Pages, entries: res.Table.Entries()}
 }
 
 // N returns the number of nodes the oracle serves.
 func (o *Oracle) N() int { return o.n }
 
 // Entries returns the total number of compiled (node, source) pairs.
-func (o *Oracle) Entries() int { return len(o.srcs) }
+func (o *Oracle) Entries() int { return o.entries }
 
-// Bytes returns the memory footprint of the compiled arrays.
+// Bytes returns the memory footprint of the table in the units of a flat
+// layout: 8 bytes of offset per node and one more, and 21 per entry
+// (source, distance, next hop, instance, flag). The page headers — the
+// index and one 192-byte header per core.PageRows nodes — are not
+// counted.
 func (o *Oracle) Bytes() int64 {
-	return int64(len(o.off))*8 +
-		int64(len(o.srcs))*4 +
-		int64(len(o.dists))*8 +
-		int64(len(o.vias))*4 +
-		int64(len(o.insts))*4 +
-		int64(len(o.flags))
+	return int64(o.n+1)*8 + int64(o.entries)*(4+8+4+4+1)
 }
 
-// dense reports whether node v's row holds every source: its ids are
-// unique, sorted and in [0, n), so a row of length n is exactly 0..n-1
-// and the entry for s sits at off[v]+s. APSP tables are dense in every
-// row.
+// row returns node v's page and the bounds of its entries there; v must
+// be in [0, n).
 //
 //pde:hotpath
-func (o *Oracle) dense(v int) bool { return o.off[v+1]-o.off[v] == int64(o.n) }
+func (o *Oracle) row(v int) (pg *core.Page, lo, hi int32) {
+	pg = o.pages[v>>core.PageShift]
+	r := v & (core.PageRows - 1)
+	return pg, pg.Off[r], pg.Off[r+1]
+}
+
+// dense reports whether a row spanning lo..hi holds every source: its
+// ids are unique, sorted and in [0, n), so a row of length n is exactly
+// 0..n-1 and the entry for s sits at lo+s. APSP tables are dense in
+// every row.
+//
+//pde:hotpath
+func (o *Oracle) dense(lo, hi int32) bool { return int(hi-lo) == o.n }
 
 // denseAt returns the entry for s in the dense row starting at lo, or -1
 // when s is outside [0, n).
 //
 //pde:hotpath
-func (o *Oracle) denseAt(lo int64, s int32) int64 {
+func (o *Oracle) denseAt(lo int32, s int32) int32 {
 	if uint32(s) < uint32(o.n) {
-		return lo + int64(s)
+		return lo + s
 	}
 	return -1
 }
 
-// find returns the entry index of source s in node v's segment, or -1:
+// find returns v's page and the index of source s's entry there, or -1:
 // a direct index into a dense row, a binary search otherwise.
 // Out-of-range v is a miss, not a panic: serving layers
 // (internal/server) validate queries against one table snapshot but may
@@ -97,47 +103,48 @@ func (o *Oracle) denseAt(lo int64, s int32) int64 {
 // found".
 //
 //pde:hotpath
-func (o *Oracle) find(v int, s int32) int64 {
+func (o *Oracle) find(v int, s int32) (*core.Page, int32) {
 	if v < 0 || v >= o.n {
-		return -1
+		return nil, -1
 	}
-	lo, hi := o.off[v], o.off[v+1]
-	if o.dense(v) {
-		return o.denseAt(lo, s)
+	pg, lo, hi := o.row(v)
+	if o.dense(lo, hi) {
+		return pg, o.denseAt(lo, s)
 	}
-	return o.search(lo, hi, s)
+	return pg, search(pg, lo, hi, s)
 }
 
-// search binary-searches the sorted row srcs[lo:hi) for s and returns
+// search binary-searches the sorted row pg.Srcs[lo:hi) for s and returns
 // its entry index, or -1.
 //
 //pde:hotpath
-func (o *Oracle) search(lo, hi int64, s int32) int64 {
+func search(pg *core.Page, lo, hi int32, s int32) int32 {
+	srcs := pg.Srcs[:hi]
 	end := hi
 	for lo < hi {
-		mid := int64(uint64(lo+hi) >> 1)
-		if o.srcs[mid] < s {
+		mid := int32(uint32(lo+hi) >> 1)
+		if srcs[mid] < s {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < end && o.srcs[lo] == s {
+	if lo < end && srcs[lo] == s {
 		return lo
 	}
 	return -1
 }
 
-// at materializes entry k as a core.Estimate.
+// at materializes entry k of page pg as a core.Estimate.
 //
 //pde:hotpath
-func (o *Oracle) at(k int64) core.Estimate {
+func at(pg *core.Page, k int32) core.Estimate {
 	return core.Estimate{
-		Dist:     o.dists[k],
-		Src:      o.srcs[k],
-		Via:      o.vias[k],
-		Instance: o.insts[k],
-		Flag:     o.flags[k],
+		Dist:     pg.Dists[k],
+		Src:      pg.Srcs[k],
+		Via:      pg.Vias[k],
+		Instance: pg.Insts[k],
+		Flag:     pg.Flags[k],
 	}
 }
 
@@ -146,11 +153,11 @@ func (o *Oracle) at(k int64) core.Estimate {
 //
 //pde:hotpath
 func (o *Oracle) Estimate(v int, s int32) (core.Estimate, bool) {
-	k := o.find(v, s)
+	pg, k := o.find(v, s)
 	if k < 0 {
 		return core.Estimate{}, false
 	}
-	return o.at(k), true
+	return at(pg, k), true
 }
 
 // Dist returns Estimate(v, s)'s distance alone and reads only the source
@@ -159,11 +166,11 @@ func (o *Oracle) Estimate(v int, s int32) (core.Estimate, bool) {
 //
 //pde:hotpath
 func (o *Oracle) Dist(v int, s int32) (float64, bool) {
-	k := o.find(v, s)
+	pg, k := o.find(v, s)
 	if k < 0 {
 		return 0, false
 	}
-	return o.dists[k], true
+	return pg.Dists[k], true
 }
 
 // NextHop returns the neighbor to which v forwards a packet destined for
@@ -177,11 +184,11 @@ func (o *Oracle) NextHop(v int, s int32) (int, bool) {
 	if v == int(s) {
 		return v, true
 	}
-	k := o.find(v, s)
-	if k < 0 || o.vias[k] < 0 {
+	pg, k := o.find(v, s)
+	if k < 0 || pg.Vias[k] < 0 {
 		return -1, false
 	}
-	return int(o.vias[k]), true
+	return int(pg.Vias[k]), true
 }
 
 // Route forwards a packet from v to s over g, the graph the oracle's

@@ -84,8 +84,9 @@ func sourcesOf(o *Oracle, v int, fn func(core.Estimate)) {
 	if v < 0 || v >= o.n {
 		return
 	}
-	for k := o.off[v]; k < o.off[v+1]; k++ {
-		fn(o.at(k))
+	pg, lo, hi := o.row(v)
+	for k := lo; k < hi; k++ {
+		fn(at(pg, k))
 	}
 }
 

@@ -57,8 +57,8 @@ func (o *Oracle) AnswerAll(qs []Query, out []Answer) {
 
 // AnswerSorted serves qs sequentially into out, exploiting queries
 // grouped into runs of equal V (S in any order inside a run): a run
-// loads node v's row bounds once and answers every query of it from
-// that row — a dense row by direct index, any other by binary search —
+// resolves node v's page and row bounds once and answers every query of
+// it from that row — a dense row by direct index, any other by binary search —
 // while the row stays in cache. This is the answering half of the wire
 // layer's frame-local row grouping. Answers are bit-identical to
 // AnswerAll's for any input; grouping is a speed lever, never a
@@ -76,17 +76,17 @@ func (o *Oracle) AnswerSorted(qs []Query, out []Answer) {
 			i++
 			continue
 		}
-		lo, hi := o.off[v], o.off[v+1]
-		dense := o.dense(v)
+		pg, lo, hi := o.row(v)
+		dense := o.dense(lo, hi)
 		for ; i < len(qs) && int(qs[i].V) == v; i++ {
-			var k int64
+			var k int32
 			if dense {
 				k = o.denseAt(lo, qs[i].S)
 			} else {
-				k = o.search(lo, hi, qs[i].S)
+				k = search(pg, lo, hi, qs[i].S)
 			}
 			if k >= 0 {
-				out[i].Est, out[i].OK = o.at(k), true
+				out[i].Est, out[i].OK = at(pg, k), true
 			} else {
 				out[i].Est, out[i].OK = core.Estimate{}, false
 			}

@@ -3,6 +3,7 @@ package scheme
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pde/internal/congest"
 	"pde/internal/core"
@@ -17,60 +18,113 @@ type OracleInstance struct {
 	record
 	Res *core.Result
 	O   *oracle.Oracle
+
+	// probes is what the stretch probe measured, source by source, for
+	// the next update to take over; nil on a prebuilt instance.
+	probes []*probeSource
 }
 
 func buildOracleOn(sp Spec, g *graph.Graph) (Instance, error) {
 	in, _, err := buildOracle(sp, g, nil)
-	return in, err
+	if err != nil {
+		return nil, err
+	}
+	return in, nil
 }
 
 // buildOracle is the one oracle build — cold, rebuild and update alike —
 // of the result for sp's params on g. prev, when non-nil, is the served
-// result for a graph of g's structure: core.Build reuses its untouched
-// rounding instances and takes the rows they did not move from it. A nil
-// prev builds everything.
-func buildOracle(sp Spec, g *graph.Graph, prev *core.Result) (Instance, core.PatchStats, error) {
+// instance on a graph of g's structure: core.Build reuses its untouched
+// rounding instances and takes the rows they did not move from it, and
+// the stretch probe takes over every probe source the update did not
+// touch. A nil prev builds everything. The stats are what the build ran,
+// Path aside.
+func buildOracle(sp Spec, g *graph.Graph, prev *OracleInstance) (*OracleInstance, UpdateStats, error) {
+	var st UpdateStats
+	var from *core.Result
+	if prev != nil {
+		from = prev.Res
+	}
 	var ps core.PatchStats
 	res, buildNS, err := buildCost(func() (res *core.Result, err error) {
-		res, ps, err = core.Build(g, sp.Params(g.N()), congest.Config{Parallel: true, Workers: sp.BuildWorkers}, prev)
+		res, ps, err = core.Build(g, sp.Params(g.N()), congest.Config{Parallel: true, Workers: sp.BuildWorkers}, from)
 		return res, err
 	})
 	if err != nil {
-		return nil, ps, fmt.Errorf("pde build: %w", err)
+		return nil, st, fmt.Errorf("pde build: %w", err)
 	}
-	in, err := NewOracleInstance(sp, g, res, buildNS)
-	if err != nil {
-		return nil, ps, err
+	st.InstancesTotal, st.InstancesRebuilt, st.InstancesReused = ps.Instances, ps.Rebuilt, ps.Reused
+	st.InstancesRepaired, st.RepairRounds, st.RepairMessages, st.RepairNodes = ps.Repaired, ps.RepairRounds, ps.RepairMessages, ps.RepairNodes
+	st.SetupRounds, st.SetupMessages = ps.SetupRounds, ps.SetupMessages
+	st.Damage = ps.Damage()
+	pb := prober{record: true}
+	if prev != nil {
+		pb.prev, pb.keep = prev.probes, unmoved(res)
 	}
-	return in, ps, nil
+	in, reused, err := newOracleInstance(sp, g, res, buildNS, pb)
+	st.ProbesReused = reused
+	return in, st, err
+}
+
+// unmoved accepts a probe source of the generation res was built from
+// when nothing it read moved: neither v's row nor a route node's, and no
+// changed edge has an endpoint among its settled or route nodes. Its
+// distances are then the same on the new graph — a shorter path to a
+// node within its radius would leave that radius on an unchanged edge —
+// and each of its routes takes the same hops over the same weights.
+func unmoved(res *core.Result) func(*probeSource) bool {
+	changed := res.Changed()
+	return func(src *probeSource) bool {
+		if res.RowMoved(int(src.v)) {
+			return false
+		}
+		for _, u := range src.route {
+			if res.RowMoved(int(u)) {
+				return false
+			}
+		}
+		for _, e := range changed {
+			for _, u := range [2]int32{e.U, e.V} {
+				if _, ok := slices.BinarySearch(src.settled, u); ok {
+					return false
+				}
+				if _, ok := slices.BinarySearch(src.route, u); ok {
+					return false
+				}
+			}
+		}
+		return true
+	}
 }
 
 // NewOracleInstance wraps an already-built PDE result into a serving
-// instance over its tables and measures its accounting: the end of every
-// oracle build, and the prebuilt path for callers (bench, tests) that
-// paid for the construction elsewhere. The spec is the instance's only
-// recipe, so res must have been built under sp.Params(g.N()) exactly:
-// a cold BuildOn(sp, g) then reproduces its fingerprint, and updates and
-// their verification build what it serves.
+// instance over its tables and measures its accounting: the prebuilt
+// path for callers (bench, tests) that paid for the construction
+// elsewhere. The spec is the instance's only recipe, so res must have
+// been built under sp.Params(g.N()) exactly: a cold BuildOn(sp, g) then
+// reproduces its fingerprint, and updates and their verification build
+// what it serves. Its stretch probe runs in full and keeps nothing, so
+// its first update probes in full as well.
 func NewOracleInstance(sp Spec, g *graph.Graph, res *core.Result, buildNS int64) (*OracleInstance, error) {
+	in, _, err := newOracleInstance(sp, g, res, buildNS, prober{})
+	return in, err
+}
+
+// newOracleInstance is the end of every oracle build: it checks the
+// spec, compiles res and probes it with pb (route and candidates are
+// filled in here), and returns how many probe sources it took over.
+func newOracleInstance(sp Spec, g *graph.Graph, res *core.Result, buildNS int64, pb prober) (*OracleInstance, int, error) {
 	sp = sp.Normalized()
 	if sp.Scheme != "oracle" {
-		return nil, fmt.Errorf("prebuilt tables are oracle tables, spec says scheme %q", sp.Scheme)
+		return nil, 0, fmt.Errorf("prebuilt tables are oracle tables, spec says scheme %q", sp.Scheme)
 	}
 	if !res.Params.Equal(sp.Params(g.N())) {
-		return nil, fmt.Errorf("prebuilt tables were built under other params than the spec's; build them from Spec.Params(n)")
+		return nil, 0, fmt.Errorf("prebuilt tables were built under other params than the spec's; build them from Spec.Params(n)")
 	}
 	in := &OracleInstance{Res: res, O: oracle.Compile(res)}
 	idBits := graph.IDBits(g.N())
-	err := in.init(sp, g, buildNS, res.Fingerprint, Accounting{
-		Scheme:       "oracle",
-		TableBytes:   in.O.Bytes(),
-		Entries:      in.O.Entries(),
-		MaxLabelBits: idBits,
-		AvgLabelBits: float64(idBits),
-		StretchBound: 1 + sp.Eps,
-		BuildRounds:  res.BudgetRounds,
-	}, in.Route, func(v int) []int32 {
+	pb.route = in.Route
+	pb.candidates = func(v int) []int32 {
 		// Only list members are guaranteed routable (Corollary 3.5);
 		// partial sweeps leave most uniform pairs without an entry.
 		srcs := make([]int32, 0, len(res.Lists[v]))
@@ -78,11 +132,21 @@ func NewOracleInstance(sp Spec, g *graph.Graph, res *core.Result, buildNS int64)
 			srcs = append(srcs, e.Src)
 		}
 		return srcs
-	})
-	if err != nil {
-		return nil, err
 	}
-	return in, nil
+	pr, err := in.init(sp, g, buildNS, res.Fingerprint, Accounting{
+		Scheme:       "oracle",
+		TableBytes:   in.O.Bytes(),
+		Entries:      in.O.Entries(),
+		MaxLabelBits: idBits,
+		AvgLabelBits: float64(idBits),
+		StretchBound: 1 + sp.Eps,
+		BuildRounds:  res.BudgetRounds,
+	}, pb)
+	if err != nil {
+		return nil, 0, err
+	}
+	in.probes = pr.sources
+	return in, pr.reused, nil
 }
 
 // AnswerInto delegates to the compiled oracle's batch path — the same

@@ -31,6 +31,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -308,15 +309,14 @@ type record struct {
 }
 
 // init records a build, then completes its accounting with the stretch
-// the instance's routes measure (see measureStretch); route may read the
-// record.
-func (r *record) init(sp Spec, g *graph.Graph, buildNS int64, fp func() uint64, acct Accounting,
-	route func(v int, s int32) (*core.Route, error), candidates func(v int) []int32) error {
+// the instance's routes measure (see measureStretch) and returns that
+// probe; pb.route may read the record.
+func (r *record) init(sp Spec, g *graph.Graph, buildNS int64, fp func() uint64, acct Accounting, pb prober) (stretchProbe, error) {
 	*r = record{Sp: sp, Gr: g, buildNS: buildNS, fp: sync.OnceValue(fp)}
-	var err error
-	acct.MeasuredStretch, acct.MeanStretch, acct.ProbeRoutes, err = measureStretch(g, sp.Seed, route, candidates)
+	pr, err := measureStretch(g, sp.Seed, pb)
+	acct.MeasuredStretch, acct.MeanStretch, acct.ProbeRoutes = pr.max, pr.mean, pr.routes
 	r.acct = acct
-	return err
+	return pr, err
 }
 
 func (r *record) Scheme() string         { return r.acct.Scheme }
@@ -369,55 +369,157 @@ const (
 	probeTargets = 24
 )
 
+// prober is how an instance is probed. route expands a route;
+// candidates(v) lists the destinations the scheme guarantees routable
+// from v (nil = every node). With record set the probe keeps each
+// source's measurement, and prev, when keep is non-nil, is the previous
+// generation's: a source whose measurement keep accepts is taken over
+// instead of measured again.
+type prober struct {
+	route      func(v int, s int32) (*core.Route, error)
+	candidates func(v int) []int32
+	record     bool
+	prev       []*probeSource
+	keep       func(*probeSource) bool
+}
+
+// probeSource is what the probe measured from one source.
+type probeSource struct {
+	v int32
+	// count is the number of v's candidates: the draws its targets took
+	// from the probe's rng.
+	count int
+	// settled holds, ascending, every node the search from v settles
+	// within the distance of the farthest target it routed to; route, the
+	// nodes of its routes, ascending and once each. Its distances depend
+	// on the weights of the edges at settled nodes alone, and its routes
+	// on the rows of the route nodes and the weights of their edges.
+	settled, route []int32
+	// stretches holds each route's stretch, in draw order.
+	stretches []float64
+}
+
+// stretchProbe is a probe's accounting, and with prober.record its
+// sources in draw order and how many of them it took over.
+type stretchProbe struct {
+	max, mean float64
+	routes    int
+	sources   []*probeSource
+	reused    int
+}
+
 // measureStretch routes a seeded probe set and compares each delivered
-// weight against the exact Dijkstra distance. candidates(v) lists the
-// destinations the scheme guarantees routable from v (nil = every node);
-// the probe draws its targets from them, so its search from v stops once
-// they are all settled. A route error on a guaranteed-routable pair is a
-// build error: the accounting doubles as a construction sanity check.
-func measureStretch(g *graph.Graph, seed int64, route func(v int, s int32) (*core.Route, error), candidates func(v int) []int32) (maxS, meanS float64, routes int, err error) {
+// weight against the exact Dijkstra distance. The probe draws its targets
+// from v's candidates, so its search from v stops once they are all
+// settled. A route error on a guaranteed-routable pair is a build error:
+// the accounting doubles as a construction sanity check.
+//
+// A source pb.keep accepts is taken over from pb.prev: its stretches are
+// added in draw order, so the accounting is bit-identical to measuring
+// it, and the rng draws, before the next source it measures, what
+// measuring it would have drawn. Only a source measured with as many
+// candidates as its predecessor leaves the rng where the previous probe
+// had it, so after one that was not, no source is taken over.
+func measureStretch(g *graph.Graph, seed int64, pb prober) (stretchProbe, error) {
 	n := g.N()
-	rng := rand.New(rand.NewSource(seed ^ 0x5eed5eed))
+	// Seeding the rng costs more than taking a source over, so it is
+	// seeded at the first source measured, and then makes the draws of
+	// the sources taken over before it (drawn counts the sources whose
+	// draws it has made).
+	var rng *rand.Rand
+	drawn := 0
+	var pr stretchProbe
+	if pb.record {
+		pr.sources = make([]*probeSource, 0, probeSources)
+	}
+	aligned := pb.keep != nil
 	var sum float64
 	for i := 0; i < probeSources; i++ {
-		v := rng.Intn(n)
-		var targets []int32
-		if candidates != nil {
-			targets = candidates(v)
-		}
-		sp := graph.DijkstraTo(g, v, targets)
-		for j := 0; j < probeTargets; j++ {
-			var s int32
-			if targets != nil {
-				if len(targets) == 0 {
-					break
+		var src *probeSource
+		if aligned && i < len(pb.prev) && pb.keep(pb.prev[i]) {
+			src = pb.prev[i]
+			pr.reused++
+		} else {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(seed ^ 0x5eed5eed))
+			}
+			for ; drawn < i; drawn++ {
+				rng.Intn(n)
+				for j, c := 0, pb.prev[drawn].count; j < probeTargets && c > 0; j++ {
+					rng.Intn(c)
 				}
-				s = targets[rng.Intn(len(targets))]
-			} else {
-				s = int32(rng.Intn(n))
 			}
-			if int(s) == v || sp.Dist[s] == graph.Infinity {
-				continue
+			var err error
+			if src, err = probeFrom(g, rng.Intn(n), rng, pb); err != nil {
+				return stretchProbe{}, err
 			}
-			rt, rerr := route(v, s)
-			if rerr != nil {
-				return 0, 0, 0, fmt.Errorf("probe route %d->%d: %w", v, s, rerr)
-			}
-			st := graph.Stretch(rt.Weight, sp.Dist[s])
-			if math.IsInf(st, 1) {
-				continue
-			}
-			if st > maxS {
-				maxS = st
-			}
+			drawn = i + 1
+			aligned = aligned && i < len(pb.prev) && src.count == pb.prev[i].count
+		}
+		for _, st := range src.stretches {
+			pr.max = max(pr.max, st)
 			sum += st
-			routes++
+			pr.routes++
+		}
+		if pb.record {
+			pr.sources = append(pr.sources, src)
 		}
 	}
-	if routes > 0 {
-		meanS = sum / float64(routes)
+	if pr.routes > 0 {
+		pr.mean = sum / float64(pr.routes)
 	}
-	return maxS, meanS, routes, nil
+	return pr, nil
+}
+
+// probeFrom measures the probe's routes from v, drawing its targets from
+// rng; the nodes it read are kept with pb.record.
+func probeFrom(g *graph.Graph, v int, rng *rand.Rand, pb prober) (*probeSource, error) {
+	var targets []int32
+	if pb.candidates != nil {
+		targets = pb.candidates(v)
+	}
+	src := &probeSource{v: int32(v), count: len(targets)}
+	sp := graph.DijkstraTo(g, v, targets)
+	var far graph.Weight
+	for j := 0; j < probeTargets; j++ {
+		var s int32
+		if targets != nil {
+			if len(targets) == 0 {
+				break
+			}
+			s = targets[rng.Intn(len(targets))]
+		} else {
+			s = int32(rng.Intn(g.N()))
+		}
+		if int(s) == v || sp.Dist[s] == graph.Infinity {
+			continue
+		}
+		rt, err := pb.route(v, s)
+		if err != nil {
+			return nil, fmt.Errorf("probe route %d->%d: %w", v, s, err)
+		}
+		if pb.record {
+			far = max(far, sp.Dist[s])
+			for _, u := range rt.Path {
+				src.route = append(src.route, int32(u))
+			}
+		}
+		st := graph.Stretch(rt.Weight, sp.Dist[s])
+		if math.IsInf(st, 1) {
+			continue
+		}
+		src.stretches = append(src.stretches, st)
+	}
+	if pb.record {
+		slices.Sort(src.route)
+		src.route = slices.Clip(slices.Compact(src.route))
+		for u, d := range sp.Dist {
+			if d <= far {
+				src.settled = append(src.settled, int32(u))
+			}
+		}
+	}
+	return src, nil
 }
 
 // buildCost measures one backend construction. The wall clock is

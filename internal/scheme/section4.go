@@ -46,7 +46,7 @@ func (h *hier) init(sp Spec, g *graph.Graph, buildNS int64, sch tables, scheme s
 		maxBits = max(maxBits, b)
 		words += sch.TableWords(v)
 	}
-	return h.record.init(sp, g, buildNS, sch.Fingerprint, Accounting{
+	_, err := h.record.init(sp, g, buildNS, sch.Fingerprint, Accounting{
 		Scheme:       scheme,
 		TableBytes:   8 * int64(words),
 		Entries:      words,
@@ -54,7 +54,8 @@ func (h *hier) init(sp Spec, g *graph.Graph, buildNS int64, sch tables, scheme s
 		AvgLabelBits: float64(sumBits) / float64(n),
 		StretchBound: bound,
 		BuildRounds:  rounds,
-	}, h.Route, nil)
+	}, prober{route: h.Route})
+	return err
 }
 
 // AnswerInto fans the batch across workers; answers read only immutable

@@ -38,6 +38,16 @@ type UpdateStats struct {
 	RepairRounds      int   `json:"repair_rounds"`
 	RepairMessages    int64 `json:"repair_messages"`
 	RepairNodes       int   `json:"repair_nodes"`
+	// SetupRounds and SetupMessages are the setup's active rounds and real
+	// messages that the update itself ran (core.PatchStats): all of it on
+	// the rebuild path, the w_max aggregate alone when a delta update
+	// re-ran it, none when it reused the served w_max.
+	SetupRounds   int   `json:"setup_rounds"`
+	SetupMessages int64 `json:"setup_messages"`
+	// ProbesReused counts the stretch probe's sources that the update took
+	// over from the served instance instead of measuring them again, none
+	// on the rebuild path.
+	ProbesReused int `json:"probes_reused"`
 }
 
 // Updatable is the incremental-maintenance capability: backends that can
@@ -66,24 +76,23 @@ func Update(inst Instance, g *graph.Graph, _ ...UpdateOptions) (Instance, Update
 }
 
 // UpdateGraph implements Updatable: the oracle build of in's spec on g,
-// handed the served result. When the update was weight-only, every
-// rounding instance whose subdivided lengths did not move is reused and
-// only the rows it moved are computed again; when the structure changed,
-// core.Build refuses the result with core.ErrOtherStructure and
-// everything is built afresh. Either way the tables equal a cold
-// core.Run of the spec's params on g, compiled.
+// handed the served instance. When the update was weight-only, every
+// rounding instance whose subdivided lengths did not move is reused, only
+// the rows it moved are computed again, and the stretch probe measures
+// only the sources whose routes or distances the update can have moved;
+// when the structure changed, core.Build refuses the result with
+// core.ErrOtherStructure and everything is built and probed afresh.
+// Either way the tables and the accounting equal a cold BuildOn of the
+// spec on g.
 func (in *OracleInstance) UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error) {
-	st := UpdateStats{Path: "delta"}
-	ni, ps, err := buildOracle(in.Sp, g, in.Res)
+	ni, st, err := buildOracle(in.Sp, g, in)
+	st.Path = "delta"
 	if errors.Is(err, core.ErrOtherStructure) {
+		ni, st, err = buildOracle(in.Sp, g, nil)
 		st.Path = "rebuild"
-		ni, ps, err = buildOracle(in.Sp, g, nil)
 	}
 	if err != nil {
 		return nil, st, err
 	}
-	st.InstancesTotal, st.InstancesRebuilt, st.InstancesReused = ps.Instances, ps.Rebuilt, ps.Reused
-	st.InstancesRepaired, st.RepairRounds, st.RepairMessages, st.RepairNodes = ps.Repaired, ps.RepairRounds, ps.RepairMessages, ps.RepairNodes
-	st.Damage = ps.Damage()
 	return ni, st, nil
 }
