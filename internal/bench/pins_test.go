@@ -265,10 +265,12 @@ var pinCases = []pinCase{
 	{"setdist_community-n256", 256, setDistances(scheme.Spec{Topology: "community", N: 256, Eps: 0.5, MaxW: 8, Seed: 21, Scheme: "compact", K: 3}, "community0", 64, 224)},
 	{"setdist_roadgrid-16x16", 256, setDistances(scheme.Spec{Topology: "roadgrid", N: 256, Eps: 0.5, MaxW: 8, Seed: 21, Scheme: "compact", K: 3}, "block", 48, 128)},
 
-	// Incremental updates: the generation a seeded churn stream of eight
-	// single-edge reweights ends on (probe > 1: localized jitter).
-	{"update_community-n512", 512, churn(scheme.Spec{Topology: "community", N: 512, Eps: 0.5, MaxW: 4096, Seed: 31, Scheme: "oracle", H: 48, Sigma: 16}, 8, 16)},
-	{"update_roadgrid-16x16", 256, churn(scheme.Spec{Topology: "roadgrid", N: 256, Eps: 0.5, MaxW: 1024, Seed: 31, Scheme: "oracle", H: 32, Sigma: 12}, 8, 0)},
+	// Incremental updates: the generation a seeded churn stream ends on and
+	// the work it did — eight single-edge reweights (probe > 1: localized
+	// jitter), and churn-mixed's shard under 32 batches of four nudges.
+	{"update_community-n512", 512, churn(scheme.Spec{Topology: "community", N: 512, Eps: 0.5, MaxW: 4096, Seed: 31, Scheme: "oracle", H: 48, Sigma: 16}, 8, 16, 0)},
+	{"update_roadgrid-16x16", 256, churn(scheme.Spec{Topology: "roadgrid", N: 256, Eps: 0.5, MaxW: 1024, Seed: 31, Scheme: "oracle", H: 32, Sigma: 12}, 8, 0, 0)},
+	{"update_roadgrid-n576", 576, churn(scheme.Spec{Topology: "roadgrid", N: 576, Eps: 0.5, MaxW: 1024, Seed: 1, Scheme: "oracle", H: 16, Sigma: 8}, 32, 0, 4)},
 }
 
 func (p pin) describe(g *graph.Graph, seed int64) pin {
@@ -655,21 +657,29 @@ func churnStep(g *graph.Graph, maxW graph.Weight, probe int, prev *core.Result, 
 	return best
 }
 
-// churn applies the seeded stream through scheme.Update and pins the
-// generation it ends on. That every step equals a cold build of its graph
-// is core.TestPatchBitIdenticalToRunOnReweight's and
-// scheme.TestOracleUpdateDeltaMatchesColdBuild's to show, not this row's.
-func churn(sp scheme.Spec, steps, probe int) func(*testing.T) pin {
+// churn applies a seeded stream of steps updates through scheme.Update
+// and pins the generation it ends on and, summed over the stream, every
+// scheme.UpdateStats counter: the work the updates did. Each update is one
+// churnStep reweight, or with nudges > 0 that many ±1 nudges from
+// graph.RandomChanges. That every step equals a cold build of its graph
+// is FuzzDeltaChain's to show, in core and scheme, not this row's.
+func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
 	return func(t *testing.T) pin {
 		inst := buildScheme(t, sp)
 		g := inst.Graph()
 		r := rng(sp.Seed + 7707)
 		deltaSteps, damage := 0, 0.0
+		work := map[string]float64{}
 		for step := 0; step < steps; step++ {
-			change := churnStep(inst.Graph(), graph.Weight(sp.MaxW), probe, inst.(*scheme.OracleInstance).Res, r)
-			g2, sum, err := inst.Graph().ApplyChanges([]graph.Change{change})
+			var batch []graph.Change
+			if nudges > 0 {
+				batch = graph.RandomChanges(inst.Graph(), graph.ChangeNudge, nudges, r)
+			} else {
+				batch = []graph.Change{churnStep(inst.Graph(), graph.Weight(sp.MaxW), probe, inst.(*scheme.OracleInstance).Res, r)}
+			}
+			g2, sum, err := inst.Graph().ApplyChanges(batch)
 			if err != nil || sum.TopologyChanged {
-				t.Fatalf("step %d: reweight %+v: err %v, summary %+v", step, change, err, sum)
+				t.Fatalf("step %d: reweights %+v: err %v, summary %+v", step, batch, err, sum)
 			}
 			next, st, err := scheme.Update(inst, g2)
 			noErr(t, err)
@@ -677,12 +687,21 @@ func churn(sp scheme.Spec, steps, probe int) func(*testing.T) pin {
 				deltaSteps++
 			}
 			damage += st.Damage
+			for k, v := range fields(t, st) {
+				if x, ok := v.(float64); ok && k != "damage" && k != "instances_total" {
+					work[k] += x
+				}
+			}
 			inst = next
 		}
-		return pin{
-			"scheme": inst.Scheme(), "instances": len(inst.(*scheme.OracleInstance).Res.Instances), "probe": probe,
+		p := pin{
+			"scheme": inst.Scheme(), "instances": len(inst.(*scheme.OracleInstance).Res.Instances), "probe": probe, "batch": max(1, nudges),
 			"updates": steps, "delta_updates": deltaSteps, "rebuild_updates": steps - deltaSteps,
 			"avg_damage": damage / float64(steps), "fingerprint": hex(inst.Fingerprint()),
-		}.describe(g, sp.Seed)
+		}
+		for k, x := range work {
+			p[k] = x
+		}
+		return p.describe(g, sp.Seed)
 	}
 }

@@ -71,7 +71,7 @@ func memoSound(t *testing.T, label string, r *Result) {
 // TestInstanceDigestMemo: the memo is sound after a cold build and after
 // a patched one whose reused instances arrive with their digests already
 // taken. (That a patched result fingerprints like a cold build of its
-// graph is TestPatchBitIdenticalToRunOnReweight's to show.)
+// graph is FuzzDeltaChain's to show.)
 func TestInstanceDigestMemo(t *testing.T) {
 	g := patchTestGraph(t, 7)
 	p := patchTestParams(g.N())
@@ -81,7 +81,7 @@ func TestInstanceDigestMemo(t *testing.T) {
 	}
 	memoSound(t, "run", prev)
 
-	next, ps, err := Build(reweightFirstEdge(t, g), p, congest.Config{}, prev)
+	next, ps, err := Build(drawn(t, g, graph.ChangeNudge, 1, rand.New(rand.NewSource(7))), p, congest.Config{}, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,23 +89,6 @@ func TestInstanceDigestMemo(t *testing.T) {
 		t.Fatalf("want a patch that reuses some instances and rebuilds others, got %+v", ps)
 	}
 	memoSound(t, "patch", next)
-}
-
-// reweightFirstEdge moves the weight of g's first edge by one, staying in
-// [1, w_max]: a change that moves the rounded length in some instances only.
-func reweightFirstEdge(t *testing.T, g *graph.Graph) *graph.Graph {
-	t.Helper()
-	u, v, w := firstEdge(g)
-	if w < g.MaxWeight() {
-		w++
-	} else {
-		w--
-	}
-	g2, _, err := g.ApplyChanges([]graph.Change{{Op: graph.OpReweight, U: u, V: v, W: w}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g2
 }
 
 // TestFingerprintConcurrentFirstCallers: eight goroutines racing to take
@@ -150,7 +133,7 @@ func TestBuildTakesNoDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, _, err := Build(reweightFirstEdge(t, g), p, congest.Config{}, prev)
+	next, _, err := Build(drawn(t, g, graph.ChangeNudge, 1, rand.New(rand.NewSource(7))), p, congest.Config{}, prev)
 	if err != nil {
 		t.Fatal(err)
 	}

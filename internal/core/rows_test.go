@@ -81,22 +81,12 @@ func serveBulkResult(tb testing.TB) *Result {
 // churnMixedDelta is one seeded four-edge update on churn-mixed's partial
 // roadgrid tables: the previous result and the delta build from it.
 func churnMixedDelta(tb testing.TB) (prev, res *Result) {
-	g, err := graph.Generate("roadgrid", 576, 1024, rand.New(rand.NewSource(1)))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	src := make([]bool, g.N())
-	for v := 0; v < g.N(); v += 3 {
-		src[v] = true
-	}
-	p := Params{IsSource: src, H: 16, Sigma: 8, Epsilon: 0.5}
+	g, p := churnShape(tb, 576)
+	var err error
 	if prev, err = Run(g, p, congest.Config{}); err != nil {
 		tb.Fatal(err)
 	}
-	ng, _, err := g.ApplyChanges(randomReweights(g, rand.New(rand.NewSource(3)), 4))
-	if err != nil {
-		tb.Fatal(err)
-	}
+	ng := drawn(tb, g, graph.ChangeReweight, 4, rand.New(rand.NewSource(3)))
 	if res, _, err = Build(ng, p, congest.Config{}, prev); err != nil {
 		tb.Fatal(err)
 	}

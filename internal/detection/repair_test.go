@@ -11,10 +11,11 @@ import (
 
 // TestRepairMatchesRun holds Repair to a full Run on the reweighted graph:
 // every list, Via and Flag included, over random graphs, bases, Flags nil
-// and set, and batches of ±1 nudges and random reweights, with the moved
-// edges found as core.Build finds them (graph.Reweights, then
-// Params.Length). A node outside the region keeps the previous list, and
-// the lists the sub-run computes are the full run's.
+// and set, and batches of ±1 nudges or random reweights
+// (graph.RandomChanges), with the moved edges found as core.Build finds
+// them (graph.Reweights, then Params.Length). A node outside the region
+// keeps the previous list, and the lists the sub-run computes are the
+// full run's.
 func TestRepairMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var arena Arena
@@ -37,21 +38,8 @@ func TestRepairMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var all []graph.Change
-		g.Edges(func(u, v int, w graph.Weight, _ int32) {
-			all = append(all, graph.Change{Op: graph.OpReweight, U: u, V: v, W: w})
-		})
-		var batch []graph.Change
-		for _, k := range rng.Perm(len(all))[:1+rng.Intn(3)] {
-			c := all[k]
-			if rng.Intn(2) == 0 {
-				c.W = max(1, c.W+graph.Weight(2*rng.Intn(2)-1))
-			} else {
-				c.W = graph.Weight(1 + rng.Intn(24))
-			}
-			batch = append(batch, c)
-		}
-		ng, _, err := g.ApplyChanges(batch)
+		kind := [2]graph.ChangeKind{graph.ChangeNudge, graph.ChangeReweight}[rng.Intn(2)]
+		ng, _, err := g.ApplyChanges(graph.RandomChanges(g, kind, 1+rng.Intn(3), rng))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,47 +18,6 @@ func churnSpec() Spec {
 	return Spec{Topology: "roadgrid", N: 576, Eps: 0.5, MaxW: 1024, H: 16, Sigma: 8, Seed: 11, BuildWorkers: 1}
 }
 
-// churnBatch reweights four distinct seeded edges of g by ±1 within
-// [1, maxW], as churn-mixed's updates do.
-func churnBatch(g *graph.Graph, rng *rand.Rand, maxW graph.Weight) []graph.Change {
-	var edges []graph.Change
-	g.Edges(func(u, v int, w graph.Weight, _ int32) {
-		edges = append(edges, graph.Change{Op: graph.OpReweight, U: u, V: v, W: w})
-	})
-	picked := map[int]bool{}
-	var batch []graph.Change
-	for len(batch) < 4 {
-		k := rng.Intn(len(edges))
-		if picked[k] {
-			continue
-		}
-		picked[k] = true
-		c := edges[k]
-		if c.W <= 1 || (c.W < maxW && rng.Intn(2) == 0) {
-			c.W++
-		} else {
-			c.W--
-		}
-		batch = append(batch, c)
-	}
-	return batch
-}
-
-// churnChain applies k seeded churn batches to g in turn and returns the
-// graphs, each from the last.
-func churnChain(t testing.TB, g *graph.Graph, seed int64, k int) []*graph.Graph {
-	rng := rand.New(rand.NewSource(seed))
-	gs := make([]*graph.Graph, k)
-	for i := range gs {
-		var err error
-		if g, _, err = g.ApplyChanges(churnBatch(g, rng, 1024)); err != nil {
-			t.Fatal(err)
-		}
-		gs[i] = g
-	}
-	return gs
-}
-
 // unevenSpec is a shard whose probe routes are not all shortest paths
 // (about one stretch in twelve is above 1), so that the order in which
 // an update adds the stretches it takes over shows in MeanStretch.
@@ -94,8 +53,8 @@ func probeAll(t *testing.T, in *OracleInstance) []*probeSource {
 // count among it — to a cold BuildOn's on the same graph, field for
 // field. Both the rebuild and the prebuilt instance probe in full, and
 // the delta updates take most probe sources over. It runs at
-// churn-mixed's shape, and on unevenSpec with every fifth batch also
-// setting one edge to a random weight.
+// churn-mixed's shape and on unevenSpec; each update is four nudges from
+// graph.RandomChanges, or every fifth one random reweight.
 //
 // The probe draws only eight sources, so delta updates also probe from
 // every node of both generations: a source the update would take over
@@ -128,30 +87,22 @@ func TestProbeReuseMatchesColdProbe(t *testing.T) {
 			// depend on the width.
 			wide := c.sp
 			wide.BuildWorkers = 0
-			maxW := graph.Weight(c.sp.MaxW)
 			rng := rand.New(rand.NewSource(5))
 			reused, probed, checked, witnesses := 0, 0, 0, 0
 			for i := range steps {
 				g := inst.Graph()
-				var batch []graph.Change
-				switch i {
-				case steps / 3:
-					for v := 2; v < g.N() && batch == nil; v++ {
-						if _, ok := g.EdgeBetween(0, v); !ok {
-							batch = []graph.Change{{Op: graph.OpInsert, U: 0, V: v, W: 7}}
-						}
-					}
-				case 2 * steps / 3:
+				kind, k := graph.ChangeNudge, 4
+				switch {
+				case i == steps/3:
+					kind, k = graph.ChangeInsert, 1
+				case i == 2*steps/3:
 					if inst, err = NewOracleInstance(c.sp, g, inst.(*OracleInstance).Res, 0); err != nil {
 						t.Fatal(err)
 					}
-					fallthrough
-				default:
-					batch = churnBatch(g, rng, maxW)
-					if i%5 == 4 {
-						batch[0].W = 1 + rng.Int63n(maxW)
-					}
+				case i%5 == 4:
+					kind, k = graph.ChangeReweight, 1
 				}
+				batch := graph.RandomChanges(g, kind, k, rng)
 				var all []*probeSource
 				if i%c.every == 0 {
 					all = probeAll(t, inst.(*OracleInstance))
@@ -274,14 +225,24 @@ func addsInDrawOrder(t *testing.T, in *OracleInstance) {
 // stretch probe ran in full (~100 KB more), so either coming back fails
 // it.
 func TestAllocsPerRunUpdate(t *testing.T) {
-	// 246 KB measured per update over this chain, one build worker.
+	// 277 KB measured per update over this chain, one build worker (246 KB
+	// on the chain drawn before graph.RandomChanges; other seeds of it
+	// measure 194–280 KB).
 	const budget = 290 << 10
 	sp := churnSpec()
 	inst, err := Build(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gs := churnChain(t, inst.Graph(), 5, 40)
+	rng := rand.New(rand.NewSource(5))
+	gs := make([]*graph.Graph, 40)
+	g := inst.Graph()
+	for i := range gs {
+		if g, _, err = g.ApplyChanges(graph.RandomChanges(g, graph.ChangeNudge, 4, rng)); err != nil {
+			t.Fatal(err)
+		}
+		gs[i] = g
+	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for _, g := range gs {

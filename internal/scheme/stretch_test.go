@@ -117,7 +117,7 @@ func TestProbeMatchesFullSearch(t *testing.T) {
 			mustBuild(t, Spec{Topology: family, N: 32, Eps: 1, MaxW: 8, Seed: 17}))
 	}
 	base := insts[0]
-	updated, _, err := Update(base, mutateWeights(t, base.Graph()))
+	updated, _, err := Update(base, drawn(t, base.Graph(), graph.ChangeNudge, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

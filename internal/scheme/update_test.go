@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,31 +11,6 @@ import (
 	"pde/internal/graph"
 	"pde/internal/oracle"
 )
-
-// mutateWeights bumps one edge weight by +1, preferring an odd-weight
-// edge: an odd w never crosses a multiple of any 2^i when incremented,
-// so with eps=1 only rounding instance 0 is affected and the damage
-// stays deterministically small.
-func mutateWeights(t *testing.T, g *graph.Graph) *graph.Graph {
-	t.Helper()
-	var u, v int
-	var w graph.Weight
-	got := false
-	g.Edges(func(eu, ev int, ew graph.Weight, _ int32) {
-		if !got || (w%2 == 0 && ew%2 == 1) {
-			u, v, w = eu, ev, ew
-			got = true
-		}
-	})
-	ng, sum, err := g.ApplyChanges([]graph.Change{{Op: graph.OpReweight, U: u, V: v, W: w + 1}})
-	if err != nil {
-		t.Fatalf("ApplyChanges: %v", err)
-	}
-	if sum.TopologyChanged {
-		t.Fatal("weight-only batch reported topology change")
-	}
-	return ng
-}
 
 // TestBuildOnMatchesBuild and TestRegistryNames together guard the one
 // registry: exactly three backends, each giving Build and BuildOn the
@@ -72,57 +48,10 @@ func TestBuildOnRejectsUnknownScheme(t *testing.T) {
 	}
 }
 
-func TestOracleUpdateDeltaMatchesColdBuild(t *testing.T) {
-	sp := oracleSpec()
-	inst := mustBuild(t, sp)
-	g2 := mutateWeights(t, inst.Graph())
-	ni, st, err := Update(inst, g2)
-	if err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	if st.Path != "delta" {
-		t.Fatalf("path = %q (stats %+v), want delta", st.Path, st)
-	}
-	if st.InstancesReused == 0 || st.InstancesRebuilt == 0 ||
-		st.InstancesReused+st.InstancesRebuilt != st.InstancesTotal {
-		t.Fatalf("implausible delta stats %+v", st)
-	}
-	cold, err := BuildOn(sp, g2)
-	if err != nil {
-		t.Fatalf("BuildOn: %v", err)
-	}
-	if ni.Fingerprint() != cold.Fingerprint() {
-		t.Fatalf("delta fingerprint %016x != cold build %016x", ni.Fingerprint(), cold.Fingerprint())
-	}
-	if ni.Fingerprint() == inst.Fingerprint() {
-		t.Fatal("update changed the graph but not the fingerprint")
-	}
-	if ni.Graph() != g2 {
-		t.Fatal("updated instance must serve the updated graph")
-	}
-}
-
 func TestOracleUpdateTopologyChangeRebuilds(t *testing.T) {
 	sp := oracleSpec()
 	inst := mustBuild(t, sp)
-	g := inst.Graph()
-	// Insert a fresh edge between the two lowest-degree non-adjacent nodes.
-	var changes []graph.Change
-	for u := 0; u < g.N() && changes == nil; u++ {
-		for v := u + 1; v < g.N(); v++ {
-			if _, ok := g.EdgeBetween(u, v); !ok {
-				changes = []graph.Change{{Op: graph.OpInsert, U: u, V: v, W: 2}}
-				break
-			}
-		}
-	}
-	if changes == nil {
-		t.Skip("graph is complete")
-	}
-	g2, _, err := g.ApplyChanges(changes)
-	if err != nil {
-		t.Fatalf("ApplyChanges: %v", err)
-	}
+	g2 := drawn(t, inst.Graph(), graph.ChangeInsert, 1, 1)
 	ni, st, err := Update(inst, g2)
 	if err != nil {
 		t.Fatalf("Update: %v", err)
@@ -142,7 +71,7 @@ func TestOracleUpdateTopologyChangeRebuilds(t *testing.T) {
 func TestUpdateFallbackForNonUpdatableSchemes(t *testing.T) {
 	for _, sp := range []Spec{rtcSpec(), compactSpec()} {
 		inst := mustBuild(t, sp)
-		g2 := mutateWeights(t, inst.Graph())
+		g2 := drawn(t, inst.Graph(), graph.ChangeNudge, 1, 1)
 		ni, st, err := Update(inst, g2)
 		if err != nil {
 			t.Fatalf("Update(%s): %v", sp.Scheme, err)
@@ -206,25 +135,12 @@ func TestOracleUpdateKeepsPrebuiltRecipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	insert := func(g *graph.Graph) *graph.Graph {
-		for v := 2; v < g.N(); v++ {
-			if _, ok := g.EdgeBetween(0, v); !ok {
-				g2, _, err := g.ApplyChanges([]graph.Change{{Op: graph.OpInsert, U: 0, V: v, W: 2}})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return g2
-			}
-		}
-		t.Fatal("node 0 is adjacent to every node")
-		return nil
-	}
 	for _, c := range []struct {
 		path string
 		g2   *graph.Graph
 	}{
-		{"delta", mutateWeights(t, g)},
-		{"rebuild", insert(g)},
+		{"delta", drawn(t, g, graph.ChangeNudge, 1, 1)},
+		{"rebuild", drawn(t, g, graph.ChangeInsert, 1, 1)},
 	} {
 		ni, st, err := Update(inst, c.g2)
 		if err != nil {
@@ -245,4 +161,15 @@ func TestOracleUpdateKeepsPrebuiltRecipe(t *testing.T) {
 			t.Fatalf("%s: updated tables differ from the cold build's", c.path)
 		}
 	}
+}
+
+// drawn applies one batch of kind from graph.RandomChanges, drawn from a
+// seeded rng, to g.
+func drawn(t *testing.T, g *graph.Graph, kind graph.ChangeKind, k int, seed int64) *graph.Graph {
+	t.Helper()
+	g2, _, err := g.ApplyChanges(graph.RandomChanges(g, kind, k, rand.New(rand.NewSource(seed))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g2
 }

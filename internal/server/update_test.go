@@ -2,40 +2,30 @@ package server
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"pde/internal/congest"
+	"pde/internal/core"
 	"pde/internal/graph"
 	"pde/internal/oracle"
 	"pde/internal/scheme"
 )
 
-// oddEdgeChange picks a +1 reweight on an odd-weight edge of the shard's
-// serving graph: an odd weight never crosses a multiple of any 2^i when
-// incremented, so with the test spec's eps=1 only rounding instance 0 is
-// affected and most of the hierarchy is deterministically reused.
-func oddEdgeChange(t *testing.T, g *graph.Graph) WireChange {
-	t.Helper()
-	var c WireChange
-	found := false
-	g.Edges(func(u, v int, w graph.Weight, _ int32) {
-		if !found && w%2 == 1 {
-			c = WireChange{Op: "reweight", U: u, V: v, W: w + 1}
-			found = true
-		}
-	})
-	if !found {
-		t.Fatal("test graph has no odd-weight edge")
-	}
-	return c
+// drawn is one change of kind from graph.RandomChanges against g, as a
+// wire change.
+func drawn(g *graph.Graph, kind graph.ChangeKind) WireChange {
+	c := graph.RandomChanges(g, kind, 1, rand.New(rand.NewSource(1)))[0]
+	return WireChange{Op: c.Op.String(), U: c.U, V: c.V, W: c.W}
 }
 
 func TestUpdateDeltaEndToEnd(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	sl := srv.slots["main"]
 	before := sl.load()
-	change := oddEdgeChange(t, before.g)
+	change := drawn(before.g, graph.ChangeNudge)
 
 	var ur UpdateResponse
 	resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
@@ -135,21 +125,7 @@ func TestUpdateDeltaEndToEnd(t *testing.T) {
 func TestUpdateTopologyChangeTakesRebuildPath(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	sl := srv.slots["main"]
-	g := sl.load().g
-	var change WireChange
-	found := false
-	for u := 0; u < g.N() && !found; u++ {
-		for v := u + 1; v < g.N(); v++ {
-			if _, ok := g.EdgeBetween(u, v); !ok {
-				change = WireChange{Op: "insert", U: u, V: v, W: 2}
-				found = true
-				break
-			}
-		}
-	}
-	if !found {
-		t.Skip("test graph is complete")
-	}
+	change := drawn(sl.load().g, graph.ChangeInsert)
 	var ur UpdateResponse
 	resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
 		Shard: "main", Changes: []WireChange{change}, Verify: true,
@@ -221,11 +197,11 @@ func TestUpdateHighDamageReweightIsDelta(t *testing.T) {
 // TestUpdateVerifyRefusesDivergentTables: verify compares the patched
 // tables with a from-scratch build, and a difference must keep the old
 // generation serving. The divergence is planted in a rounding instance the
-// update reuses by pointer (oddEdgeChange re-detects only instance 0), at
-// an entry the combined list takes from that instance. The reused
+// update reuses by pointer (one AffectedInstances leaves out), at an entry
+// that a row the update moves takes from that instance. The reused
 // instance's digest was memoized when its generation was published, so
-// the tampering reaches the fingerprint through the combined list, which
-// the patched build merges afresh and the cold build does not share. The
+// the tampering reaches the fingerprint through that row, which the
+// patched build lays afresh and the cold build does not share. The
 // shard is a partial sweep: on APSP tables instance 0 is exact and
 // supplies every combined entry.
 func TestUpdateVerifyRefusesDivergentTables(t *testing.T) {
@@ -238,13 +214,22 @@ func TestUpdateVerifyRefusesDivergentTables(t *testing.T) {
 	srv, ts := newTestServer(t, Config{}, Prebuilt{Name: "partial", Spec: sh.spec, G: sh.g, Res: sh.oracle().Res})
 	sl := srv.slots["partial"]
 	before := sl.load()
-	change := oddEdgeChange(t, before.g)
+	change := drawn(before.g, graph.ChangeNudge)
+	g2, _, err := before.g.ApplyChanges([]graph.Change{{Op: graph.OpReweight, U: change.U, V: change.V, W: change.W}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	res := before.oracle().Res
+	next, _, err := core.Build(g2, res.Params, congest.Config{}, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	affected := core.AffectedInstances(g2, res)
 	plant := func() bool {
-		for v, list := range res.Lists {
+		for v, list := range next.Lists {
 			for _, e := range list {
-				if e.Instance == 0 {
+				if !next.RowMoved(v) || affected[e.Instance] {
 					continue
 				}
 				det := res.Instances[e.Instance].Det.Lists[v]
@@ -287,7 +272,7 @@ func TestUpdateErrors(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	g := srv.slots["main"].load().g
 	before, _ := srv.Fingerprint("main")
-	valid := oddEdgeChange(t, g)
+	valid := drawn(g, graph.ChangeNudge)
 
 	// A batch severing every edge of one node would disconnect the graph;
 	// it must be rejected whole with the tables untouched.

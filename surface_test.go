@@ -312,7 +312,8 @@ func TestSurface(t *testing.T) {
 func TestExportsHaveCallers(t *testing.T) {
 	// The one remainder: graph generators that other packages' tests build
 	// their fixtures with, while production reaches the families it serves
-	// through graph.Generate.
+	// through graph.Generate, and the change-batch generator their delta
+	// tests draw from.
 	pinned := map[string]string{
 		"graph.Grid":           "rows×cols grids in congest, core, oracle, spanner and pin fixtures",
 		"graph.Torus":          "a wrap-around grid in core's pool-width tests",
@@ -323,6 +324,7 @@ func TestExportsHaveCallers(t *testing.T) {
 		"graph.BarabasiAlbert": "power-law graphs at chosen m in core's width tests and the pins",
 		"graph.Community":      "community graphs at chosen k, pIn, pOut in core's width tests and the pins",
 		"graph.RoadGrid":       "road grids at chosen obstacle fractions in core's width tests and the pins",
+		"graph.RandomChanges":  "seeded change batches for the delta tests, FuzzDeltaChain in core and scheme, and the update pins",
 	}
 
 	fset := token.NewFileSet()
