@@ -302,9 +302,9 @@ func e5RTC(scale Scale) *Table {
 	for _, c := range cfgs {
 		g := graph.RandomConnected(c.n, 6.0/float64(c.n), 16, rand.New(rand.NewSource(int64(c.n))))
 		ap := graph.AllPairs(g)
-		sch, err := rtc.Build(g, rtc.Params{
+		sch, _, err := rtc.Build(g, rtc.Params{
 			K: c.k, Epsilon: 0.25, SampleProb: 0.25, Seed: 3,
-		}, congest.Config{Parallel: true})
+		}, congest.Config{Parallel: true}, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -352,9 +352,9 @@ func e7Trees(scale Scale) *Table {
 		n = 80
 	}
 	g := graph.RandomConnected(n, 6.0/float64(n), 16, rand.New(rand.NewSource(5)))
-	sch, err := rtc.Build(g, rtc.Params{
+	sch, _, err := rtc.Build(g, rtc.Params{
 		K: 2, Epsilon: 0.5, SampleProb: 0.25, Seed: 9,
-	}, congest.Config{Parallel: true})
+	}, congest.Config{Parallel: true}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -413,9 +413,9 @@ func e6Compact(scale Scale) *Table {
 	for _, c := range cfgs {
 		g := graph.RandomConnected(n, 6.0/float64(n), 12, rand.New(rand.NewSource(21)))
 		ap := graph.AllPairs(g)
-		sch, err := compact.Build(g, compact.Params{
+		sch, _, err := compact.Build(g, compact.Params{
 			K: c.k, Epsilon: 0.25, C: 1.5, L0: c.l0, Strategy: c.strat, Seed: 5,
-		}, congest.Config{Parallel: true})
+		}, congest.Config{Parallel: true}, nil)
 		if err != nil {
 			panic(err)
 		}

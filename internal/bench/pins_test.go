@@ -267,10 +267,13 @@ var pinCases = []pinCase{
 
 	// Incremental updates: the generation a seeded churn stream ends on and
 	// the work it did — eight single-edge reweights (probe > 1: localized
-	// jitter), and churn-mixed's shard under 32 batches of four nudges.
+	// jitter), churn-mixed's shard under 32 batches of four nudges, and the
+	// two §4 schemes of the scheme_ rows under eight batches of two.
 	{"update_community-n512", 512, churn(scheme.Spec{Topology: "community", N: 512, Eps: 0.5, MaxW: 4096, Seed: 31, Scheme: "oracle", H: 48, Sigma: 16}, 8, 16, 0)},
 	{"update_roadgrid-16x16", 256, churn(scheme.Spec{Topology: "roadgrid", N: 256, Eps: 0.5, MaxW: 1024, Seed: 31, Scheme: "oracle", H: 32, Sigma: 12}, 8, 0, 0)},
 	{"update_roadgrid-n576", 576, churn(scheme.Spec{Topology: "roadgrid", N: 576, Eps: 0.5, MaxW: 1024, Seed: 1, Scheme: "oracle", H: 16, Sigma: 8}, 32, 0, 4)},
+	{"update_rtc-random-n64-k2", 64, churn(scheme.Spec{Topology: "random", N: 64, Eps: 0.5, MaxW: 8, Seed: 21, Scheme: "rtc", K: 2, SampleProb: 0.25}, 8, 0, 2)},
+	{"update_compact-random-n64-k3", 64, churn(scheme.Spec{Topology: "random", N: 64, Eps: 0.5, MaxW: 8, Seed: 21, Scheme: "compact", K: 3}, 8, 0, 2)},
 }
 
 func (p pin) describe(g *graph.Graph, seed int64) pin {
@@ -373,7 +376,7 @@ func stagesPin(budget int, fp uint64, stages ...*core.Result) pin {
 
 func rtcTables(k int, eps, sampleProb float64, seed int64) algorithm {
 	return func(t *testing.T, g *graph.Graph, cfg congest.Config) pin {
-		sch, err := rtc.Build(g, rtc.Params{K: k, Epsilon: eps, SampleProb: sampleProb, Seed: seed}, cfg)
+		sch, _, err := rtc.Build(g, rtc.Params{K: k, Epsilon: eps, SampleProb: sampleProb, Seed: seed}, cfg, nil)
 		noErr(t, err)
 		f := fingerprint.New()
 		for v := range sch.Labels {
@@ -389,7 +392,7 @@ func rtcTables(k int, eps, sampleProb float64, seed int64) algorithm {
 
 func compactTables(k int, eps float64, seed int64) algorithm {
 	return func(t *testing.T, g *graph.Graph, cfg congest.Config) pin {
-		sch, err := compact.Build(g, compact.Params{K: k, Epsilon: eps, C: 1.5, Strategy: compact.StrategyNone, Seed: seed}, cfg)
+		sch, _, err := compact.Build(g, compact.Params{K: k, Epsilon: eps, C: 1.5, Strategy: compact.StrategyNone, Seed: seed}, cfg, nil)
 		noErr(t, err)
 		f := fingerprint.New()
 		var words int64
@@ -659,8 +662,9 @@ func churnStep(g *graph.Graph, maxW graph.Weight, probe int, prev *core.Result, 
 
 // churn applies a seeded stream of steps updates through scheme.Update
 // and pins the generation it ends on and, summed over the stream, every
-// scheme.UpdateStats counter: the work the updates did. Each update is one
-// churnStep reweight, or with nudges > 0 that many ±1 nudges from
+// scheme.UpdateStats counter: the work the updates did, and the last
+// update's instance count. Each update is one churnStep reweight (oracle
+// only), or with nudges > 0 that many ±1 nudges from
 // graph.RandomChanges. That every step equals a cold build of its graph
 // is FuzzDeltaChain's to show, in core and scheme, not this row's.
 func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
@@ -668,7 +672,7 @@ func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
 		inst := buildScheme(t, sp)
 		g := inst.Graph()
 		r := rng(sp.Seed + 7707)
-		deltaSteps, damage := 0, 0.0
+		deltaSteps, instances, damage := 0, 0, 0.0
 		work := map[string]float64{}
 		for step := 0; step < steps; step++ {
 			var batch []graph.Change
@@ -686,7 +690,7 @@ func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
 			if st.Path == "delta" {
 				deltaSteps++
 			}
-			damage += st.Damage
+			damage, instances = damage+st.Damage, st.InstancesTotal
 			for k, v := range fields(t, st) {
 				if x, ok := v.(float64); ok && k != "damage" && k != "instances_total" {
 					work[k] += x
@@ -695,7 +699,7 @@ func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
 			inst = next
 		}
 		p := pin{
-			"scheme": inst.Scheme(), "instances": len(inst.(*scheme.OracleInstance).Res.Instances), "probe": probe, "batch": max(1, nudges),
+			"scheme": inst.Scheme(), "instances": instances, "probe": probe, "batch": max(1, nudges),
 			"updates": steps, "delta_updates": deltaSteps, "rebuild_updates": steps - deltaSteps,
 			"avg_damage": damage / float64(steps), "fingerprint": hex(inst.Fingerprint()),
 		}

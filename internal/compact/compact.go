@@ -151,23 +151,29 @@ type Scheme struct {
 	skelOracle *oracle.Oracle
 }
 
-// Build constructs the hierarchy.
-func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
+// Build constructs the hierarchy. prev, nil for a cold build, is a
+// hierarchy built under p: each PDE build on g gets prev's result of that
+// PDE as its predecessor (core.Build refuses it with core.ErrOtherStructure
+// on a graph of another structure), and what is derived from them, the
+// levels simulated on G̃(l0) among it, is built again. The stats sum every
+// PDE build's.
+func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Scheme) (*Scheme, core.PatchStats, error) {
+	var ps core.PatchStats
 	n := g.N()
 	if n == 0 {
-		return nil, fmt.Errorf("compact: empty graph")
+		return nil, ps, fmt.Errorf("compact: empty graph")
 	}
 	if p.K < 2 {
-		return nil, fmt.Errorf("compact: k=%d must be >= 2", p.K)
+		return nil, ps, fmt.Errorf("compact: k=%d must be >= 2", p.K)
 	}
 	if !(p.Epsilon > 0) {
-		return nil, fmt.Errorf("compact: epsilon must be positive")
+		return nil, ps, fmt.Errorf("compact: epsilon must be positive")
 	}
 	if p.C <= 0 {
 		p.C = 1
 	}
 	if p.L0 < 0 || p.L0 > p.K-1 {
-		return nil, fmt.Errorf("compact: l0=%d out of range [0,%d]", p.L0, p.K-1)
+		return nil, ps, fmt.Errorf("compact: l0=%d out of range [0,%d]", p.L0, p.K-1)
 	}
 	if p.L0 > 0 && p.Strategy == StrategyNone {
 		p.Strategy = StrategySimulate
@@ -176,6 +182,9 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 		p.Strategy = StrategyNone
 	}
 	sch := &Scheme{G: g, K: p.K, Eps: p.Epsilon, L0: p.L0, Strategy: p.Strategy}
+	if prev == nil {
+		prev = &Scheme{R: make([]*core.Result, p.K)}
+	}
 
 	// Geometric level sampling.
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -247,13 +256,14 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 				flags[s] = 1
 			}
 		}
-		r, err := core.Run(g, core.Params{
+		r, st, err := core.Build(g, core.Params{
 			IsSource: sch.InLevel[l], Flags: flags,
 			H: hFor(l + 1), Sigma: sig,
 			Epsilon: p.Epsilon, SkipSetup: l > 0,
-		}, cfg.Sub())
+		}, cfg.Sub(), prev.R[l])
+		ps.Add(st)
 		if err != nil {
-			return nil, fmt.Errorf("compact: level %d PDE: %w", l, err)
+			return nil, ps, fmt.Errorf("compact: level %d PDE: %w", l, err)
 		}
 		sch.R[l] = r
 		sch.oracles[l] = oracle.Compile(r)
@@ -262,20 +272,20 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 
 	// Truncated levels.
 	if p.L0 > 0 {
-		if err := sch.buildTruncated(p, hFor, sigma, lnN, cfg); err != nil {
-			return nil, err
+		if err := sch.buildTruncated(p, hFor, sigma, lnN, cfg, prev, &ps); err != nil {
+			return nil, ps, err
 		}
 	}
 
 	if err := sch.computePivots(); err != nil {
-		return nil, err
+		return nil, ps, err
 	}
 	if err := sch.buildTreesAndLabels(); err != nil {
-		return nil, err
+		return nil, ps, err
 	}
 	sch.Rounds.Total = sch.Rounds.DirectLevels + sch.Rounds.SkeletonPDE +
 		sch.Rounds.TruncatedSim + sch.Rounds.TreeLabeling
-	return sch, nil
+	return sch, ps, nil
 }
 
 // Fingerprint digests everything the hierarchy serves queries from: every
@@ -331,8 +341,9 @@ func overlayCfg(cfg congest.Config) congest.Config {
 	return sub
 }
 
-// buildTruncated constructs G̃(l0) and the level instances on it.
-func (sch *Scheme) buildTruncated(p Params, hFor func(int) int, sigma int, lnN float64, cfg congest.Config) error {
+// buildTruncated constructs G̃(l0) and the level instances on it, and
+// adds their builds' stats to ps.
+func (sch *Scheme) buildTruncated(p Params, hFor func(int) int, sigma int, lnN float64, cfg congest.Config, prev *Scheme, ps *core.PatchStats) error {
 	l0 := p.L0
 	sch.Skel = append([]int32(nil), sch.Levels[l0]...)
 	sch.SkelIdx = make(map[int32]int, len(sch.Skel))
@@ -340,14 +351,15 @@ func (sch *Scheme) buildTruncated(p Params, hFor func(int) int, sigma int, lnN f
 		sch.SkelIdx[s] = i
 	}
 	// Skeleton instance on G: (S_l0, h_l0, |S_l0|).
-	var err error
-	sch.SkelR, err = core.Run(sch.G, core.Params{
+	sr, st, err := core.Build(sch.G, core.Params{
 		IsSource: sch.InLevel[l0], H: hFor(l0), Sigma: len(sch.Skel),
 		Epsilon: sch.Eps, SkipSetup: true,
-	}, cfg.Sub())
+	}, cfg.Sub(), prev.SkelR)
+	ps.Add(st)
 	if err != nil {
 		return fmt.Errorf("compact: skeleton PDE: %w", err)
 	}
+	sch.SkelR = sr
 	sch.skelOracle = oracle.Compile(sch.SkelR)
 	sch.Rounds.SkeletonPDE = sch.SkelR.BudgetRounds
 
@@ -411,10 +423,11 @@ func (sch *Scheme) buildTruncated(p Params, hFor func(int) int, sigma int, lnN f
 			if l == sch.K-1 && len(sch.Levels[l]) > sig {
 				sig = len(sch.Levels[l])
 			}
-			r, err := core.Run(sch.Gl0, core.Params{
+			r, st, err := core.Build(sch.Gl0, core.Params{
 				IsSource: isSrc, H: hSim, Sigma: sig,
 				Epsilon: epsPrime, SkipSetup: true,
-			}, overlayCfg(cfg)) // overlay messages ride the BFS tree
+			}, overlayCfg(cfg), nil) // overlay messages ride the BFS tree
+			ps.Add(st)
 			if err != nil {
 				return fmt.Errorf("compact: simulated level %d: %w", l, err)
 			}

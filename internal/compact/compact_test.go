@@ -10,7 +10,7 @@ import (
 
 func build(t *testing.T, g *graph.Graph, p Params) *Scheme {
 	t.Helper()
-	sch, err := Build(g, p, congest.Config{})
+	sch, _, err := Build(g, p, congest.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,12 +185,12 @@ func TestValidation(t *testing.T) {
 		{K: 2, Epsilon: 0.5, L0: -1},
 	}
 	for i, p := range bad {
-		if _, err := Build(g, p, congest.Config{}); err == nil {
+		if _, _, err := Build(g, p, congest.Config{}, nil); err == nil {
 			t.Fatalf("case %d: expected error", i)
 		}
 	}
 	empty := graph.NewBuilder(0).MustBuild()
-	if _, err := Build(empty, Params{K: 2, Epsilon: 0.5}, congest.Config{}); err == nil {
+	if _, _, err := Build(empty, Params{K: 2, Epsilon: 0.5}, congest.Config{}, nil); err == nil {
 		t.Fatal("expected empty-graph error")
 	}
 }

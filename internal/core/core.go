@@ -165,17 +165,6 @@ func (r *Result) Changed() []graph.Reweight { return r.changed }
 // build or one whose hierarchy changed depth.
 func (r *Result) RowMoved(v int) bool { return r.moved == nil || r.moved[v] }
 
-// MaxBroadcasts returns the per-node maximum of BroadcastsByNode.
-func (r *Result) MaxBroadcasts() int64 {
-	var best int64
-	for _, b := range r.BroadcastsByNode {
-		if b > best {
-			best = b
-		}
-	}
-	return best
-}
-
 // TableWords returns node v's stored table size in words: three (source,
 // distance, next hop) per entry of every instance's detection list, the
 // per-instance routing tables of Corollary 3.5.

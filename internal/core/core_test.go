@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pde/internal/congest"
@@ -204,7 +205,7 @@ func TestBroadcastBound(t *testing.T) {
 	}
 	// Corollary 3.5: each node broadcasts at most (i_max+1)·σ(σ+1)/2.
 	bound := int64(len(res.Instances)) * int64(sigma) * int64(sigma+1) / 2
-	if got := res.MaxBroadcasts(); got > bound {
+	if got := slices.Max(res.BroadcastsByNode); got > bound {
 		t.Fatalf("max broadcasts %d exceeds bound %d", got, bound)
 	}
 }

@@ -38,6 +38,15 @@ type PatchStats struct {
 	SetupMessages int64
 }
 
+// Add sums o into ps, counter by counter: the stats of a construction
+// made of several builds.
+func (ps *PatchStats) Add(o PatchStats) {
+	ps.Instances, ps.Rebuilt, ps.Reused = ps.Instances+o.Instances, ps.Rebuilt+o.Rebuilt, ps.Reused+o.Reused
+	ps.Repaired, ps.RepairNodes = ps.Repaired+o.Repaired, ps.RepairNodes+o.RepairNodes
+	ps.RepairRounds, ps.RepairMessages = ps.RepairRounds+o.RepairRounds, ps.RepairMessages+o.RepairMessages
+	ps.SetupRounds, ps.SetupMessages = ps.SetupRounds+o.SetupRounds, ps.SetupMessages+o.SetupMessages
+}
+
 // Damage is Rebuilt/Instances — the affected fraction of the hierarchy
 // (1 for an empty hierarchy, which cannot happen for valid params).
 func (ps PatchStats) Damage() float64 {

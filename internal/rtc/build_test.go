@@ -31,7 +31,7 @@ func TestBuildRejects(t *testing.T) {
 		// one-hop horizon: the far end never hears of it.
 		{"starved", graph.Path(60, 1, rand.New(rand.NewSource(1))), Params{K: 2, Epsilon: 0.5, SampleProb: 1e-9, HOverride: 1, SigmaOverride: 1}, "detected no skeleton node"},
 	} {
-		if _, err := Build(tc.g, tc.p, congest.Config{}); err == nil || !strings.Contains(err.Error(), tc.frag) {
+		if _, _, err := Build(tc.g, tc.p, congest.Config{}, nil); err == nil || !strings.Contains(err.Error(), tc.frag) {
 			t.Errorf("%s: Build = %v, want an error containing %q", tc.name, err, tc.frag)
 		}
 	}
@@ -45,7 +45,7 @@ func TestFingerprintIsTheRecipe(t *testing.T) {
 	p := Params{K: 2, Epsilon: 0.25, SampleProb: 0.25, Seed: 4}
 	build := func(p Params, cfg congest.Config) uint64 {
 		t.Helper()
-		sch, err := Build(g, p, cfg)
+		sch, _, err := Build(g, p, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,17 +132,22 @@ type Scheme struct {
 	phiArg [][]int32
 }
 
-// Build constructs the scheme.
-func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
+// Build constructs the scheme. prev, nil for a cold build, is a scheme
+// built under p: each PDE build gets prev's result of that PDE as its
+// predecessor (core.Build refuses it with core.ErrOtherStructure on a graph
+// of another structure), and what is derived from them is built again.
+// The stats sum the two PDE builds'.
+func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Scheme) (*Scheme, core.PatchStats, error) {
+	var ps core.PatchStats
 	n := g.N()
 	if n == 0 {
-		return nil, fmt.Errorf("rtc: empty graph")
+		return nil, ps, fmt.Errorf("rtc: empty graph")
 	}
 	if p.K < 1 {
-		return nil, fmt.Errorf("rtc: k=%d must be >= 1", p.K)
+		return nil, ps, fmt.Errorf("rtc: k=%d must be >= 1", p.K)
 	}
 	if !(p.Epsilon > 0) {
-		return nil, fmt.Errorf("rtc: epsilon must be positive")
+		return nil, ps, fmt.Errorf("rtc: epsilon must be positive")
 	}
 	if p.C <= 0 {
 		p.C = 1
@@ -194,42 +199,48 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 			flags[v] = 1
 		}
 	}
+	if prev == nil {
+		prev = &Scheme{}
+	}
 	var err error
-	sch.A, err = core.Run(g, core.Params{
+	var st core.PatchStats
+	sch.A, st, err = core.Build(g, core.Params{
 		IsSource: all, Flags: flags, H: h, Sigma: sigma,
 		Epsilon: p.Epsilon,
-	}, cfg.Sub())
+	}, cfg.Sub(), prev.A)
+	ps.Add(st)
 	if err != nil {
-		return nil, fmt.Errorf("rtc: short-range PDE: %w", err)
+		return nil, ps, fmt.Errorf("rtc: short-range PDE: %w", err)
 	}
 
 	// 3. Skeleton PDE: (S, h, |S|).
 	isSkel := make([]bool, n)
 	copy(isSkel, sch.InSkel)
-	sch.B, err = core.Run(g, core.Params{
+	sch.B, st, err = core.Build(g, core.Params{
 		IsSource: isSkel, H: h, Sigma: len(sch.Skeleton),
 		Epsilon: p.Epsilon, SkipSetup: true,
-	}, cfg.Sub())
+	}, cfg.Sub(), prev.B)
+	ps.Add(st)
 	if err != nil {
-		return nil, fmt.Errorf("rtc: skeleton PDE: %w", err)
+		return nil, ps, fmt.Errorf("rtc: skeleton PDE: %w", err)
 	}
 
 	// 4. Skeleton graph and spanner.
 	if sch.H, err = sch.B.SkeletonOverlay(sch.Skeleton, sch.SkelIndex); err != nil {
-		return nil, fmt.Errorf("rtc: skeleton graph: %w", err)
+		return nil, ps, fmt.Errorf("rtc: skeleton graph: %w", err)
 	}
 	sch.Span, err = spanner.BaswanaSen(sch.H, p.K, rng)
 	if err != nil {
-		return nil, fmt.Errorf("rtc: spanner: %w", err)
+		return nil, ps, fmt.Errorf("rtc: spanner: %w", err)
 	}
 	d := graph.HopDiameter(g)
 	if d < 0 {
-		return nil, fmt.Errorf("rtc: graph is disconnected")
+		return nil, ps, fmt.Errorf("rtc: graph is disconnected")
 	}
 	sch.Rounds.Spanner = sch.Span.ModelSimRounds(len(sch.Skeleton), d)
 	sub, err := sch.Span.Subgraph(sch.H.N())
 	if err != nil {
-		return nil, fmt.Errorf("rtc: spanner subgraph: %w", err)
+		return nil, ps, fmt.Errorf("rtc: spanner subgraph: %w", err)
 	}
 	sch.SpanSP = make([]*graph.SSSP, sch.H.N())
 	sch.spanTail = make([][]float64, sch.H.N())
@@ -252,14 +263,14 @@ func Build(g *graph.Graph, p Params, cfg congest.Config) (*Scheme, error) {
 	sch.oraB = oracle.Compile(sch.B)
 	sch.buildPhiTables()
 	if err := sch.buildTreesAndLabels(); err != nil {
-		return nil, err
+		return nil, ps, err
 	}
 
 	sch.Rounds.ShortRangePDE = sch.A.BudgetRounds
 	sch.Rounds.SkeletonPDE = sch.B.BudgetRounds
 	sch.Rounds.Total = sch.Rounds.ShortRangePDE + sch.Rounds.SkeletonPDE +
 		sch.Rounds.Spanner + sch.Rounds.TreeLabeling
-	return sch, nil
+	return sch, ps, nil
 }
 
 // buildTreesAndLabels assembles λ(v): s'_v is the skeleton node minimizing

@@ -15,12 +15,12 @@ import (
 // tables.
 func buildScheme(t *testing.T, g *graph.Graph, k int, seed int64) *Scheme {
 	t.Helper()
-	sch, err := Build(g, Params{
+	sch, _, err := Build(g, Params{
 		K:          k,
 		Epsilon:    0.25,
 		SampleProb: 0.25,
 		Seed:       seed,
-	}, congest.Config{})
+	}, congest.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,10 +76,10 @@ func TestRoutingStretchBound(t *testing.T) {
 func TestLongRangePhaseIsExercised(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := graph.RandomConnected(50, 0.07, 12, rng)
-	sch, err := Build(g, Params{
+	sch, _, err := Build(g, Params{
 		K: 2, Epsilon: 0.25, SampleProb: 0.2,
 		HOverride: 6, SigmaOverride: 6, Seed: 5,
-	}, congest.Config{})
+	}, congest.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +198,14 @@ func TestTableWordsPositive(t *testing.T) {
 func TestBuildValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	g := graph.RandomConnected(10, 0.3, 5, rng)
-	if _, err := Build(g, Params{K: 0, Epsilon: 0.5}, congest.Config{}); err == nil {
+	if _, _, err := Build(g, Params{K: 0, Epsilon: 0.5}, congest.Config{}, nil); err == nil {
 		t.Fatal("expected k validation error")
 	}
-	if _, err := Build(g, Params{K: 2, Epsilon: 0}, congest.Config{}); err == nil {
+	if _, _, err := Build(g, Params{K: 2, Epsilon: 0}, congest.Config{}, nil); err == nil {
 		t.Fatal("expected epsilon validation error")
 	}
 	empty := graph.NewBuilder(0).MustBuild()
-	if _, err := Build(empty, Params{K: 2, Epsilon: 0.5}, congest.Config{}); err == nil {
+	if _, _, err := Build(empty, Params{K: 2, Epsilon: 0.5}, congest.Config{}, nil); err == nil {
 		t.Fatal("expected empty-graph error")
 	}
 }

@@ -11,10 +11,10 @@ import (
 func TestTreeDescentPhaseIsExercised(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	g := graph.RandomConnected(60, 0.06, 12, rng)
-	sch, err := Build(g, Params{
+	sch, _, err := Build(g, Params{
 		K: 2, Epsilon: 0.25, SampleProb: 0.15,
 		HOverride: 5, SigmaOverride: 5, Seed: 2,
-	}, congest.Config{})
+	}, congest.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

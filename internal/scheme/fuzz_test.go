@@ -18,17 +18,17 @@ func step(kind graph.ChangeKind, k int) byte {
 // same graph along a chain of seeded change batches (graph.RandomChanges)
 // for every backend: at each step the updated instance serves the new
 // graph with the cold build's fingerprint and Accounting, field by field
-// (the stretch probe's taken-over sources among it), an oracle update
-// takes the delta path exactly when the structure held and the others
-// rebuild, and a batch BuildOn refuses Update refuses too.
+// (the stretch probe's taken-over sources among it), every backend's
+// update takes the delta path exactly when the structure held, and a
+// batch BuildOn refuses Update refuses too.
 //
 // An input is a seed for the spec and the draws, a backend (oracle, rtc,
 // compact, or an oracle on churn-mixed's shard) and up to six steps, one
 // byte each: kind byte%ChangeKinds, batch size 1+byte/ChangeKinds. Run
 // over exactly the committed seeds, the chains must also draw every kind
-// and take every path: a delta update that reuses some instances and
-// re-detects others, a probe source taken over, a rebuild, a refused
-// batch.
+// and take every path: for each backend a delta update that reuses some
+// instances and re-detects others, a probe source taken over, a rebuild,
+// a refused batch.
 func FuzzDeltaChain(f *testing.F) {
 	const seeds = 5
 	f.Add(int64(3), uint8(0), []byte{step(graph.ChangeNudge, 1), step(graph.ChangeReweight, 2), step(graph.ChangeRaiseMax, 1),
@@ -39,7 +39,8 @@ func FuzzDeltaChain(f *testing.F) {
 	f.Add(int64(7), uint8(2), []byte{step(graph.ChangeNudge, 1), step(graph.ChangeRewire, 1)})
 	f.Add(int64(11), uint8(3), []byte{step(graph.ChangeNudge, 4), step(graph.ChangeNudge, 4), step(graph.ChangeReweight, 1)})
 	var kinds [graph.ChangeKinds]int
-	var mixed, probes, rebuilds, refused, ran int
+	mixed := map[string]int{}
+	var probes, rebuilds, refused, ran int
 	f.Cleanup(func() {
 		if fz := flag.Lookup("test.fuzz"); ran != seeds || fz.Value.String() != "" {
 			return
@@ -49,8 +50,8 @@ func FuzzDeltaChain(f *testing.F) {
 				f.Errorf("no seed draws a %v batch", graph.ChangeKind(k))
 			}
 		}
-		if mixed == 0 || probes == 0 || rebuilds == 0 || refused == 0 {
-			f.Errorf("the seeds leave a path untaken: %d mixed deltas, %d probe sources taken over, %d rebuilds, %d refused", mixed, probes, rebuilds, refused)
+		if mixed["oracle"] == 0 || mixed["rtc"] == 0 || mixed["compact"] == 0 || probes == 0 || rebuilds == 0 || refused == 0 {
+			f.Errorf("the seeds leave a path untaken: mixed deltas %v, %d probe sources taken over, %d rebuilds, %d refused", mixed, probes, rebuilds, refused)
 		}
 	})
 	f.Fuzz(func(t *testing.T, seed int64, backend uint8, steps []byte) {
@@ -81,7 +82,7 @@ func FuzzDeltaChain(f *testing.F) {
 				continue
 			}
 			path := "rebuild"
-			if inst.Scheme() == "oracle" && !sum.TopologyChanged {
+			if !sum.TopologyChanged {
 				path = "delta"
 			}
 			if st.Path != path || st.InstancesRebuilt+st.InstancesReused != st.InstancesTotal || next.Graph() != g2 {
@@ -94,7 +95,7 @@ func FuzzDeltaChain(f *testing.F) {
 				t.Fatalf("step %d (%d× %v, %d probe sources taken over): accounting %+v, cold build %+v", i, k, kind, st.ProbesReused, got, want)
 			}
 			if st.InstancesReused > 0 && st.InstancesRebuilt > 0 {
-				mixed++
+				mixed[inst.Scheme()]++
 			}
 			if st.Path == "rebuild" {
 				rebuilds++

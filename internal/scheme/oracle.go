@@ -24,46 +24,28 @@ type OracleInstance struct {
 	probes []*probeSource
 }
 
-func buildOracleOn(sp Spec, g *graph.Graph) (Instance, error) {
-	in, _, err := buildOracle(sp, g, nil)
-	if err != nil {
-		return nil, err
+// buildOracle is the oracle backend: the result for sp's params on g,
+// compiled and probed. With prev, the served instance on a graph of g's
+// structure, core.Build reuses its untouched rounding instances and takes
+// the rows they did not move from it, and the stretch probe takes over
+// every probe source the update did not touch.
+func buildOracle(sp Spec, g *graph.Graph, prev Instance) (Instance, UpdateStats, error) {
+	p, _ := prev.(*OracleInstance)
+	if p == nil {
+		p = &OracleInstance{} // a cold build: no result or probe to take over
 	}
-	return in, nil
-}
-
-// buildOracle is the one oracle build — cold, rebuild and update alike —
-// of the result for sp's params on g. prev, when non-nil, is the served
-// instance on a graph of g's structure: core.Build reuses its untouched
-// rounding instances and takes the rows they did not move from it, and
-// the stretch probe takes over every probe source the update did not
-// touch. A nil prev builds everything. The stats are what the build ran,
-// Path aside.
-func buildOracle(sp Spec, g *graph.Graph, prev *OracleInstance) (*OracleInstance, UpdateStats, error) {
-	var st UpdateStats
-	var from *core.Result
-	if prev != nil {
-		from = prev.Res
-	}
-	var ps core.PatchStats
-	res, buildNS, err := buildCost(func() (res *core.Result, err error) {
-		res, ps, err = core.Build(g, sp.Params(g.N()), congest.Config{Parallel: true, Workers: sp.BuildWorkers}, from)
-		return res, err
+	res, st, buildNS, err := buildCost(func() (*core.Result, core.PatchStats, error) {
+		return core.Build(g, sp.Params(g.N()), congest.Config{Parallel: true, Workers: sp.BuildWorkers}, p.Res)
 	})
 	if err != nil {
 		return nil, st, fmt.Errorf("pde build: %w", err)
 	}
-	st.InstancesTotal, st.InstancesRebuilt, st.InstancesReused = ps.Instances, ps.Rebuilt, ps.Reused
-	st.InstancesRepaired, st.RepairRounds, st.RepairMessages, st.RepairNodes = ps.Repaired, ps.RepairRounds, ps.RepairMessages, ps.RepairNodes
-	st.SetupRounds, st.SetupMessages = ps.SetupRounds, ps.SetupMessages
-	st.Damage = ps.Damage()
-	pb := prober{record: true}
-	if prev != nil {
-		pb.prev, pb.keep = prev.probes, unmoved(res)
-	}
-	in, reused, err := newOracleInstance(sp, g, res, buildNS, pb)
+	in, reused, err := newOracleInstance(sp, g, res, buildNS, prober{record: true, prev: p.probes, keep: unmoved(res)})
 	st.ProbesReused = reused
-	return in, st, err
+	if err != nil {
+		return nil, st, err
+	}
+	return in, st, nil
 }
 
 // unmoved accepts a probe source of the generation res was built from

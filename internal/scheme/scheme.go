@@ -257,12 +257,15 @@ type Instance interface {
 	Accounting() Accounting
 }
 
-// backends is the one registry: each backend builds its Instance from a
-// normalized, validated spec over an explicit graph.
-var backends = map[string]func(sp Spec, g *graph.Graph) (Instance, error){
-	"oracle":  buildOracleOn,
-	"rtc":     buildRTCOn,
-	"compact": buildCompactOn,
+// backends is the one registry of builds and updates: each backend builds
+// its Instance from a normalized, validated spec over an explicit graph,
+// handing each PDE it runs the matching result of prev, the served
+// instance on an update (nil for a cold build). The stats are what the
+// build ran, Path aside.
+var backends = map[string]func(sp Spec, g *graph.Graph, prev Instance) (Instance, UpdateStats, error){
+	"oracle":  buildOracle,
+	"rtc":     buildRTC,
+	"compact": buildCompact,
 }
 
 // Build generates sp's topology and builds its backend over it. The
@@ -280,15 +283,21 @@ func Build(sp Spec) (Instance, error) {
 // The graph must use dense ids [0, g.N()) and be connected, like every
 // generated topology.
 func BuildOn(sp Spec, g *graph.Graph) (Instance, error) {
+	inst, _, err := build(sp, g, nil)
+	return inst, err
+}
+
+// build is BuildOn handed a predecessor (see backends).
+func build(sp Spec, g *graph.Graph, prev Instance) (Instance, UpdateStats, error) {
 	sp = sp.Normalized()
 	if err := sp.Validate(); err != nil {
-		return nil, err
+		return nil, UpdateStats{}, err
 	}
-	inst, err := backends[sp.Scheme](sp, g)
+	inst, st, err := backends[sp.Scheme](sp, g, prev)
 	if err != nil {
-		return nil, fmt.Errorf("scheme %s: %w", sp.Scheme, err)
+		return nil, st, fmt.Errorf("scheme %s: %w", sp.Scheme, err)
 	}
-	return inst, nil
+	return inst, st, nil
 }
 
 // --- shared backend plumbing -------------------------------------------
@@ -522,11 +531,17 @@ func probeFrom(g *graph.Graph, v int, rng *rand.Rand, pb prober) (*probeSource, 
 	return src, nil
 }
 
-// buildCost measures one backend construction. The wall clock is
-// deliberate: BuildNS is timing metadata reported by /v1/stats and the
-// bench layer, and never feeds a fingerprint or a served answer.
-func buildCost[T any](f func() (T, error)) (T, int64, error) {
+// buildCost measures one backend construction: the work its PDE builds
+// report, summed, and its wall clock. The wall clock is deliberate:
+// BuildNS is timing metadata reported by /v1/stats and the bench layer,
+// and never feeds a fingerprint or a served answer.
+func buildCost[T any](f func() (T, core.PatchStats, error)) (T, UpdateStats, int64, error) {
 	t0 := time.Now() //pde:allow(determinism) BuildNS is timing metadata, not fingerprinted
-	built, err := f()
-	return built, time.Since(t0).Nanoseconds(), err
+	built, ps, err := f()
+	return built, UpdateStats{
+		Damage:         ps.Damage(),
+		InstancesTotal: ps.Instances, InstancesRebuilt: ps.Rebuilt, InstancesReused: ps.Reused,
+		InstancesRepaired: ps.Repaired, RepairRounds: ps.RepairRounds, RepairMessages: ps.RepairMessages, RepairNodes: ps.RepairNodes,
+		SetupRounds: ps.SetupRounds, SetupMessages: ps.SetupMessages,
+	}, time.Since(t0).Nanoseconds(), err
 }

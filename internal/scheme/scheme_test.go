@@ -17,7 +17,8 @@ import (
 )
 
 func compactBuildLegacy(g *graph.Graph, sp Spec) (*compact.Scheme, error) {
-	return compact.Build(g, compactParams(sp), congest.Config{Parallel: true})
+	sch, _, err := compact.Build(g, compactParams(sp), congest.Config{Parallel: true}, nil)
+	return sch, err
 }
 
 func oracleSpec() Spec {
@@ -249,7 +250,7 @@ func buildLegacyRTC(t *testing.T, sp Spec) *rtc.Scheme {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := rtc.Build(g, rtcParams(sp), congest.Config{Parallel: true})
+	legacy, _, err := rtc.Build(g, rtcParams(sp), congest.Config{Parallel: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -136,12 +136,18 @@ type RTCInstance struct {
 	Sch *rtc.Scheme
 }
 
-func buildRTCOn(sp Spec, g *graph.Graph) (Instance, error) {
-	sch, buildNS, err := buildCost(func() (*rtc.Scheme, error) {
-		return rtc.Build(g, rtcParams(sp), congest.Config{Parallel: true, Workers: sp.BuildWorkers})
+// buildRTC is the rtc backend; prev's scheme is the construction's
+// predecessor (see rtc.Build).
+func buildRTC(sp Spec, g *graph.Graph, prev Instance) (Instance, UpdateStats, error) {
+	var from *rtc.Scheme
+	if p, ok := prev.(*RTCInstance); ok {
+		from = p.Sch
+	}
+	sch, st, buildNS, err := buildCost(func() (*rtc.Scheme, core.PatchStats, error) {
+		return rtc.Build(g, rtcParams(sp), congest.Config{Parallel: true, Workers: sp.BuildWorkers}, from)
 	})
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	in := &RTCInstance{Sch: sch}
 	// Dist is the local table answer (§2.4), Via the stateless forwarding
@@ -167,9 +173,9 @@ func buildRTCOn(sp Spec, g *graph.Graph) (Instance, error) {
 		return &rt.Route, nil
 	}
 	if err := in.init(sp, g, buildNS, sch, "rtc", float64(6*sp.K-1), sch.Rounds.Total, 0); err != nil {
-		return nil, err
+		return nil, st, err
 	}
-	return in, nil
+	return in, st, nil
 }
 
 // compactC matches the C the E6 experiment table and examples/compact
@@ -206,12 +212,18 @@ type CompactInstance struct {
 	Sch *compact.Scheme
 }
 
-func buildCompactOn(sp Spec, g *graph.Graph) (Instance, error) {
-	sch, buildNS, err := buildCost(func() (*compact.Scheme, error) {
-		return compact.Build(g, compactParams(sp), congest.Config{Parallel: true, Workers: sp.BuildWorkers})
+// buildCompact is the compact backend; prev's hierarchy is the
+// construction's predecessor (see compact.Build).
+func buildCompact(sp Spec, g *graph.Graph, prev Instance) (Instance, UpdateStats, error) {
+	var from *compact.Scheme
+	if p, ok := prev.(*CompactInstance); ok {
+		from = p.Sch
+	}
+	sch, st, buildNS, err := buildCost(func() (*compact.Scheme, core.PatchStats, error) {
+		return compact.Build(g, compactParams(sp), congest.Config{Parallel: true, Workers: sp.BuildWorkers}, from)
 	})
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	in := &CompactInstance{Sch: sch}
 	// One pass over the hierarchy (compact.Scheme.Answer) gives the §2.4
@@ -231,7 +243,7 @@ func buildCompactOn(sp Spec, g *graph.Graph) (Instance, error) {
 		return &rt.Route, nil
 	}
 	if err := in.init(sp, g, buildNS, sch, "compact", float64(4*sp.K-3), sch.Rounds.Total, sch.SharedWords()); err != nil {
-		return nil, err
+		return nil, st, err
 	}
-	return in, nil
+	return in, st, nil
 }

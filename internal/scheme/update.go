@@ -16,16 +16,16 @@ type UpdateOptions struct{}
 // build it reused. The server's /v1/update reply embeds it, so its JSON
 // keys are that reply's.
 type UpdateStats struct {
-	// Path is "delta" (the graph's structure held, so the previous
-	// build's rounding instances were offered for reuse) or "rebuild"
-	// (structure changed, or the backend has no incremental path:
+	// Path is "delta" (the graph's structure held, so every PDE of the
+	// construction, whatever the backend, was offered its predecessor's
+	// rounding instances for reuse) or "rebuild" (the structure changed:
 	// everything was built from scratch on the updated graph).
 	Path string `json:"path"`
 	// Damage is InstancesRebuilt/InstancesTotal, the fraction of the
 	// hierarchy that was re-detected (1 on the rebuild path).
 	Damage float64 `json:"damage"`
-	// InstancesTotal, InstancesRebuilt and InstancesReused break the
-	// rounding hierarchy down (all zero for backends without one).
+	// InstancesTotal, InstancesRebuilt and InstancesReused break down the
+	// rounding hierarchies of the construction's PDEs, summed over them.
 	// InstancesRebuilt counts full re-detections and repairs alike.
 	InstancesTotal   int `json:"instances_total"`
 	InstancesRebuilt int `json:"instances_rebuilt"`
@@ -50,49 +50,16 @@ type UpdateStats struct {
 	ProbesReused int `json:"probes_reused"`
 }
 
-// Updatable is the incremental-maintenance capability: backends that can
-// patch their compiled tables against a mutated graph implement it. The
-// returned instance must be fingerprint-identical to a cold
-// BuildOn(inst.Spec(), g) — incremental is an optimization, never a
-// different answer.
-type Updatable interface {
-	Instance
-	UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error)
-}
-
-// Update rebuilds inst's backend for the updated graph g, taking the
-// backend's incremental path when it has one and an explicit-graph full
-// rebuild, BuildOn(inst.Spec(), g), otherwise. Either way the result is
-// what that cold build would produce.
+// Update builds inst's spec on the updated graph g with inst as the
+// predecessor (Path "delta"), or cold when core.Build refuses it because
+// g's structure differs (Path "rebuild"). Either way the result is what
+// BuildOn(inst.Spec(), g) builds.
 func Update(inst Instance, g *graph.Graph, _ ...UpdateOptions) (Instance, UpdateStats, error) {
-	if up, ok := inst.(Updatable); ok {
-		return up.UpdateGraph(g)
-	}
-	ni, err := BuildOn(inst.Spec(), g)
-	if err != nil {
-		return nil, UpdateStats{}, err
-	}
-	return ni, UpdateStats{Path: "rebuild", Damage: 1}, nil
-}
-
-// UpdateGraph implements Updatable: the oracle build of in's spec on g,
-// handed the served instance. When the update was weight-only, every
-// rounding instance whose subdivided lengths did not move is reused, only
-// the rows it moved are computed again, and the stretch probe measures
-// only the sources whose routes or distances the update can have moved;
-// when the structure changed, core.Build refuses the result with
-// core.ErrOtherStructure and everything is built and probed afresh.
-// Either way the tables and the accounting equal a cold BuildOn of the
-// spec on g.
-func (in *OracleInstance) UpdateGraph(g *graph.Graph) (Instance, UpdateStats, error) {
-	ni, st, err := buildOracle(in.Sp, g, in)
+	ni, st, err := build(inst.Spec(), g, inst)
 	st.Path = "delta"
 	if errors.Is(err, core.ErrOtherStructure) {
-		ni, st, err = buildOracle(in.Sp, g, nil)
+		ni, st, err = build(inst.Spec(), g, nil)
 		st.Path = "rebuild"
 	}
-	if err != nil {
-		return nil, st, err
-	}
-	return ni, st, nil
+	return ni, st, err
 }

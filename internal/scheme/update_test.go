@@ -68,28 +68,6 @@ func TestOracleUpdateTopologyChangeRebuilds(t *testing.T) {
 	}
 }
 
-func TestUpdateFallbackForNonUpdatableSchemes(t *testing.T) {
-	for _, sp := range []Spec{rtcSpec(), compactSpec()} {
-		inst := mustBuild(t, sp)
-		g2 := drawn(t, inst.Graph(), graph.ChangeNudge, 1, 1)
-		ni, st, err := Update(inst, g2)
-		if err != nil {
-			t.Fatalf("Update(%s): %v", sp.Scheme, err)
-		}
-		if st.Path != "rebuild" {
-			t.Fatalf("scheme %s: path = %q, want rebuild fallback", sp.Scheme, st.Path)
-		}
-		cold, err := BuildOn(sp, g2)
-		if err != nil {
-			t.Fatalf("BuildOn(%s): %v", sp.Scheme, err)
-		}
-		if ni.Fingerprint() != cold.Fingerprint() {
-			t.Fatalf("scheme %s: fallback fingerprint %016x != cold build %016x",
-				sp.Scheme, ni.Fingerprint(), cold.Fingerprint())
-		}
-	}
-}
-
 // TestOracleUpdateKeepsPrebuiltRecipe: a prebuilt oracle instance's
 // recipe is its spec. NewOracleInstance refuses a result built under any
 // other params (APSP tables under a partial h=σ=4 spec, sources on every

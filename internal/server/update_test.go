@@ -21,15 +21,38 @@ func drawn(g *graph.Graph, kind graph.ChangeKind) WireChange {
 	return WireChange{Op: c.Op.String(), U: c.U, V: c.V, W: c.W}
 }
 
+// TestUpdateDeltaEndToEnd sends one weight-only /v1/update with verify
+// to a shard of every backend — the prebuilt oracle "main" and an rtc and
+// a compact shard built from their specs — and follows it through the
+// published generation, the answers, /v1/stats and a /v1/rebuild.
 func TestUpdateDeltaEndToEnd(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	sl := srv.slots["main"]
+	specs := schemeSpecs()
+	hier, err := New(map[string]Spec{"rtc": specs["rtc"], "compact": specs["compact"]}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hts := httptest.NewServer(hier)
+	t.Cleanup(func() {
+		hts.Close()
+		hier.Close()
+	})
+	for _, c := range []struct {
+		srv        *Server
+		url, shard string
+	}{{srv, ts.URL, "main"}, {hier, hts.URL, "rtc"}, {hier, hts.URL, "compact"}} {
+		t.Run(c.shard, func(t *testing.T) { updateDeltaEndToEnd(t, c.srv, c.url, c.shard) })
+	}
+}
+
+func updateDeltaEndToEnd(t *testing.T, srv *Server, url, shard string) {
+	sl := srv.slots[shard]
 	before := sl.load()
 	change := drawn(before.g, graph.ChangeNudge)
 
 	var ur UpdateResponse
-	resp := postJSON(t, ts.URL+"/v1/update", UpdateRequest{
-		Shard: "main", Changes: []WireChange{change}, Verify: true,
+	resp := postJSON(t, url+"/v1/update", UpdateRequest{
+		Shard: shard, Changes: []WireChange{change}, Verify: true,
 	}, &ur)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("update status %d: %+v", resp.StatusCode, ur)
@@ -75,8 +98,8 @@ func TestUpdateDeltaEndToEnd(t *testing.T) {
 	// Queries now serve the new generation, answers consistent with it.
 	probes := []oracle.Query{{V: 1, S: 2}, {V: int32(change.U), S: int32(change.V)}}
 	var er EstimateResponse
-	if resp := postJSON(t, ts.URL+"/v1/estimate", BatchRequest{
-		Shard: "main", Queries: []WireQuery{{V: 1, S: 2}, {V: int32(change.U), S: int32(change.V)}},
+	if resp := postJSON(t, url+"/v1/estimate", BatchRequest{
+		Shard: shard, Queries: []WireQuery{{V: 1, S: 2}, {V: int32(change.U), S: int32(change.V)}},
 	}, &er); resp.StatusCode != http.StatusOK {
 		t.Fatalf("estimate after update: status %d", resp.StatusCode)
 	}
@@ -96,7 +119,7 @@ func TestUpdateDeltaEndToEnd(t *testing.T) {
 	// Stats: the update is counted, attributed to the delta path, and the
 	// shard is flagged as drifted from its spec.
 	var st StatsResponse
-	resp2, err := http.Get(ts.URL + "/v1/stats")
+	resp2, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,19 +128,19 @@ func TestUpdateDeltaEndToEnd(t *testing.T) {
 	if derr != nil {
 		t.Fatal(derr)
 	}
-	ss := st.Shards["main"]
+	ss := st.Shards[shard]
 	if ss.Updates != 1 || ss.DeltaUpdates != 1 || !ss.Mutated || ss.LastUpdateUnixNS == 0 {
 		t.Fatalf("stats after delta update: %+v", ss)
 	}
 
 	// A rebuild regenerates from the spec and clears the mutated flag.
-	if resp := postJSON(t, ts.URL+"/v1/rebuild", map[string]any{"shard": "main"}, nil); resp.StatusCode != http.StatusOK {
+	if resp := postJSON(t, url+"/v1/rebuild", map[string]any{"shard": shard}, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("rebuild after update: status %d", resp.StatusCode)
 	}
 	if sl.mutated.Load() {
 		t.Fatal("rebuild did not clear the mutated flag")
 	}
-	if got, _ := srv.Fingerprint("main"); got != before.fp {
+	if got, _ := srv.Fingerprint(shard); got != before.fp {
 		t.Fatalf("rebuild from spec produced %s, want the original generation %s", got, before.fp)
 	}
 }

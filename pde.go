@@ -142,13 +142,15 @@ func CompileOracle(res *Estimation) *Oracle { return oracle.Compile(res) }
 // BuildRoutingScheme constructs Theorem 4.5 routing tables: stretch
 // 6k−1+o(1), O(log n)-bit labels, Õ(n^{1/2+1/(4k)} + D) rounds.
 func BuildRoutingScheme(g *Graph, p RoutingParams, cfg Config) (*RoutingScheme, error) {
-	return rtc.Build(g, p, cfg)
+	sch, _, err := rtc.Build(g, p, cfg, nil)
+	return sch, err
 }
 
 // BuildCompactScheme constructs the §4.3 hierarchy: stretch 4k−3+o(1),
 // tables Õ(n^{1/k}), labels O(k log n) bits.
 func BuildCompactScheme(g *Graph, p CompactParams, cfg Config) (*CompactScheme, error) {
-	return compact.Build(g, p, cfg)
+	sch, _, err := compact.Build(g, p, cfg, nil)
+	return sch, err
 }
 
 // BellmanFordAPSP runs the exact pipelined Bellman–Ford baseline.
