@@ -260,15 +260,25 @@ func TestDrainOrder(t *testing.T) {
 	relayAddr := p.log.after("pde-cluster: PDE2 wire protocol on ")
 
 	// In flight before the cancel: an estimate whose body is half sent.
+	// It asks for a 100 Continue, which the coordinator writes when its
+	// handler first reads the body: once that arrives the connection is
+	// accepted and its request active, not waiting in the listen backlog,
+	// where closing the listener would refuse it.
 	inflight, err := net.Dial("tcp", host)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer inflight.Close()
 	body := `{"shard": "main", "queries": [{"v": 1, "s": 2}]}`
-	req := fmt.Sprintf("POST /v1/estimate HTTP/1.1\r\nHost: pde\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	req := fmt.Sprintf("POST /v1/estimate HTTP/1.1\r\nHost: pde\r\nContent-Type: application/json\r\nExpect: 100-continue\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
 	if _, err := io.WriteString(inflight, req[:len(req)-5]); err != nil {
 		t.Fatal(err)
+	}
+	const continued = "HTTP/1.1 100 Continue\r\n\r\n"
+	inflight.SetReadDeadline(time.Now().Add(20 * time.Second))
+	got := make([]byte, len(continued))
+	if _, err := io.ReadFull(inflight, got); err != nil || string(got) != continued {
+		t.Fatalf("waiting for the coordinator to read the body: %v %q", err, got)
 	}
 
 	p.cancel()

@@ -38,10 +38,10 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"slices"
 	"sync/atomic"
 	"time"
@@ -49,6 +49,7 @@ import (
 	"pde/internal/cluster"
 	"pde/internal/graph"
 	"pde/internal/oracle"
+	"pde/internal/par"
 	"pde/internal/server"
 	"pde/internal/wire"
 )
@@ -105,9 +106,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pde-query: %v\n", err)
 		return 2
 	}
-	if o.workers <= 0 {
-		o.workers = runtime.GOMAXPROCS(0)
-	}
+	o.workers = par.Width(o.workers, math.MaxInt)
 	if err := o.exec(context.Background()); err != nil {
 		fmt.Fprintf(stderr, "pde-query: %v\n", err)
 		return 1
@@ -233,10 +232,26 @@ type summary struct {
 	WireFPs []string `json:"wire_fingerprints,omitempty"`
 }
 
+// span is one batch-sized [lo, hi) index range of the query stream.
+type span struct{ lo, hi int }
+
+// splitSpans cuts n stream items into spans of batch items (the last one
+// shorter; batch <= 0 is one span of all n).
+func splitSpans(n, batch int) []span {
+	if batch <= 0 {
+		batch = n
+	}
+	spans := make([]span, 0, (n+batch-1)/batch)
+	for lo := 0; lo < n; lo += batch {
+		spans = append(spans, span{lo: lo, hi: min(lo+batch, n)})
+	}
+	return spans
+}
+
 // lane is one worker's warm connection to the shard: it sends a run of
 // consecutive spans of the stream — one HTTP request, or one pipelined
 // window of PDE2 frames — and counts the answers that came back ok.
-type lane func(ctx context.Context, qs []oracle.Query, spans []server.Span) (delivered int, err error)
+type lane func(ctx context.Context, qs []oracle.Query, spans []span) (delivered int, err error)
 
 // runStream fires the query stream at the shard and reports what came
 // back. Any failed request fails the run: lost answers measure nothing.
@@ -285,12 +300,12 @@ func (o *options) runStream(ctx context.Context) error {
 	for i := range qs {
 		qs[i] = oracle.Query{V: next(), S: next()}
 	}
-	spans := server.SplitSpans(len(qs), o.batch)
-	windows := server.SplitSpans(len(spans), window)
+	spans := splitSpans(len(qs), o.batch)
+	windows := splitSpans(len(spans), window)
 	var delivered atomic.Int64
 	t0 := time.Now()
-	err = server.DriveBatches(o.workers, len(windows), func(w, i int) error {
-		got, err := lanes[w](ctx, qs, spans[windows[i].Lo:windows[i].Hi])
+	err = par.For(o.workers, len(windows), func(w, i int) error {
+		got, err := lanes[w](ctx, qs, spans[windows[i].lo:windows[i].hi])
 		delivered.Add(int64(got))
 		return err
 	})
@@ -341,9 +356,9 @@ func countHops(hops []wire.Hop) (ok int) {
 // the rest per batch); DefaultTransport's dial and response-header
 // timeouts make a hung daemon fail the run instead of blocking it.
 func httpLane(workload string, asJSON bool, c *server.Client) lane {
-	return func(ctx context.Context, qs []oracle.Query, spans []server.Span) (ok int, err error) {
+	return func(ctx context.Context, qs []oracle.Query, spans []span) (ok int, err error) {
 		for _, sp := range spans {
-			part := qs[sp.Lo:sp.Hi]
+			part := qs[sp.lo:sp.hi]
 			switch workload {
 			case "estimate":
 				answers, _, err := c.Estimate(ctx, part, asJSON)
@@ -413,9 +428,9 @@ func openWireLane(addr, shard string, depth, batch int, nexthop bool) (*wireLane
 	return l, nil
 }
 
-func (l *wireLane) fire(_ context.Context, qs []oracle.Query, spans []server.Span) (ok int, err error) {
+func (l *wireLane) fire(_ context.Context, qs []oracle.Query, spans []span) (ok int, err error) {
 	for j, sp := range spans {
-		part, lo := qs[sp.Lo:sp.Hi], j*l.batch
+		part, lo := qs[sp.lo:sp.hi], j*l.batch
 		if l.nexthop {
 			err = l.pipe.NextHop(part, l.hops[lo:lo+len(part)], &l.results[j])
 		} else {
@@ -433,7 +448,7 @@ func (l *wireLane) fire(_ context.Context, qs []oracle.Query, spans []server.Spa
 			return ok, fmt.Errorf("frame: %w", err)
 		}
 		l.seen[l.results[j].FP] = true
-		if lo, hi := j*l.batch, j*l.batch+sp.Hi-sp.Lo; l.nexthop {
+		if lo, hi := j*l.batch, j*l.batch+sp.hi-sp.lo; l.nexthop {
 			ok += countHops(l.hops[lo:hi])
 		} else {
 			ok += countAnswers(l.answers[lo:hi])

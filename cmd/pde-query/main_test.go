@@ -456,3 +456,17 @@ func mustServer(t *testing.T, specs map[string]server.Spec) *server.Server {
 	t.Cleanup(srv.Close)
 	return srv
 }
+
+// TestSplitSpans: the spans cover the stream exactly, the last one short;
+// a batch of 0 is one span, an empty stream none.
+func TestSplitSpans(t *testing.T) {
+	if spans := splitSpans(10, 4); !slices.Equal(spans, []span{{0, 4}, {4, 8}, {8, 10}}) {
+		t.Errorf("splitSpans(10, 4) = %v", spans)
+	}
+	if spans := splitSpans(5, 0); !slices.Equal(spans, []span{{0, 5}}) {
+		t.Errorf("splitSpans(5, 0) = %v", spans)
+	}
+	if spans := splitSpans(0, 4); len(spans) != 0 {
+		t.Errorf("splitSpans(0, 4) = %v", spans)
+	}
+}

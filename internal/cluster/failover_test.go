@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pde/internal/oracle"
+	"pde/internal/par"
 	"pde/internal/server"
 )
 
@@ -78,7 +79,7 @@ func TestClusterKillOneReplicaMidStream(t *testing.T) {
 	got := make([][]oracle.Answer, batches)
 	fps := make([]string, batches)
 	var killOnce sync.Once
-	err := server.DriveBatches(len(cls), batches, func(c, i int) error {
+	err := par.For(len(cls), batches, func(c, i int) error {
 		if i >= batches/2 {
 			killOnce.Do(victim.kill)
 		}

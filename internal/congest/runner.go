@@ -3,10 +3,11 @@ package congest
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
-	"runtime"
 
 	"pde/internal/graph"
+	"pde/internal/par"
 )
 
 // Config controls one execution of a distributed algorithm.
@@ -19,13 +20,14 @@ type Config struct {
 	// (run to quiescence); a run that never quiesces then fails after a
 	// safety cap.
 	MaxRounds int
-	// Parallel and Workers size the goroutine pool of callers that run
-	// independent executions side by side — core.Build's rounding
-	// instances — and are resolved by EffectiveWorkers. A single Run
-	// always executes on the caller's goroutine and ignores both.
+	// Parallel and Workers size core.Build's par.For over its rounding
+	// instances, the one caller that runs executions side by side, through
+	// EffectiveWorkers; the pool never has more goroutines than instances
+	// to detect. A single Run always executes on the caller's goroutine
+	// and ignores both.
 	Parallel bool
 	// Workers is the pool width when Parallel is set. Zero means
-	// GOMAXPROCS. Ignored when Parallel is false.
+	// GOMAXPROCS (par.Width's rule). Ignored when Parallel is false.
 	Workers int
 	// Observer, when non-nil, runs after each round's delivery with the
 	// 1-based round number. It runs on the caller's goroutine and may
@@ -42,16 +44,14 @@ func (c Config) Sub() Config {
 	return Config{B: c.B, Parallel: c.Parallel, Workers: c.Workers}
 }
 
-// EffectiveWorkers returns the pool width this config resolves to: 1 when
-// Parallel is false, Workers when set, else GOMAXPROCS.
+// EffectiveWorkers returns the pool width this config resolves to before
+// a caller caps it by its item count: 1 when Parallel is false, else
+// Workers under par.Width's rule (0 = GOMAXPROCS).
 func (c Config) EffectiveWorkers() int {
 	if !c.Parallel {
 		return 1
 	}
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
+	return par.Width(c.Workers, math.MaxInt)
 }
 
 // safetyCap bounds unbudgeted runs so a non-terminating algorithm is

@@ -25,12 +25,12 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"pde/internal/congest"
 	"pde/internal/detection"
 	"pde/internal/graph"
+	"pde/internal/par"
 )
 
 // Params configures one (1+ε)-approximate (S, h, σ)-estimation.
@@ -324,7 +324,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	// The rounding hierarchy. The i_max+1 instances are mutually
 	// independent — instance i reads only the graph, the (read-only)
 	// params and its own base — so the ones not reused from prev
-	// are detected by a pool of min(EffectiveWorkers, re-detected)
+	// are detected by par.For on min(EffectiveWorkers, re-detected)
 	// goroutines, each instance on one sequential engine. The merge below
 	// consumes results in ascending instance order, so every pool width is
 	// bit-identical (Result.Fingerprint makes that checkable, and the
@@ -361,85 +361,77 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	}
 	claimOrder(todo, insts)
 
-	// Each worker keeps one detection.Arena — the units' storage and the
-	// engine under them — for the instances it builds, and drops it when
-	// Build returns. Claiming the largest instances first sizes a worker's
-	// arena at its first claim, and is longest-first load balancing.
+	// Each pool worker keeps one detection.Arena — the units' storage and
+	// the engine under them — for the instances it builds, and drops it
+	// when Build returns. Claiming the largest instances first sizes a
+	// worker's arena at its first claim, and is longest-first load
+	// balancing.
 	detCfg := congest.Config{B: cfg.B}
 	sched := detection.LexSmallest
 	if p.Delays != nil {
 		sched = detection.Priority
 	}
 	errs := make([]error, num)
-	width := min(cfg.EffectiveWorkers(), len(todo))
+	width := par.Width(cfg.EffectiveWorkers(), len(todo))
 	if poolWidthHook != nil {
 		poolWidthHook(width)
 	}
-	// failedAt is the lowest failed index so far. An instance above it is
-	// skipped; every one below it runs, so the error reported below — the
-	// lowest-index one — is the same at every width and claim order.
-	var next, failedAt atomic.Int64
+	arenas := make([]detection.Arena, width)
+	// failedAt is the lowest failed instance index so far. An instance
+	// above it is skipped; every one below it runs, so the error reported
+	// below — the lowest-index one — is the same at every width and claim
+	// order. fn reports no error to par.For, whose claim order is not the
+	// instance order.
+	var failedAt atomic.Int64
 	failedAt.Store(int64(num))
-	var wg sync.WaitGroup
-	for w := 0; w < width; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var arena detection.Arena
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= len(todo) {
-					return
+	par.For(width, len(todo), func(w, k int) error {
+		i := todo[k]
+		if int64(i) > failedAt.Load() {
+			return nil
+		}
+		inst := insts[i]
+		dp := detection.Params{
+			IsSource:    p.IsSource,
+			Flags:       p.Flags,
+			H:           res.HPrime,
+			Sigma:       p.Sigma,
+			Base:        inst.Base,
+			CapMessages: true, // the Lemma 3.4 cap Theorem 3.3 counts under
+			Scheduling:  sched,
+			Delays:      p.Delays,
+			ExtraRounds: p.ExtraRounds,
+		}
+		var det *detection.Result
+		var err error
+		if old := from[i]; old != nil {
+			reps[i], err = arenas[w].Repair(g, dp, detCfg, old.Det, moved[i])
+			det = reps[i].Result
+		}
+		if det == nil && err == nil {
+			det, err = arenas[w].Run(g, dp, detCfg)
+		}
+		if err != nil {
+			errs[i] = fmt.Errorf("core: instance %d: %w", i, err)
+			for f := failedAt.Load(); int64(i) < f; f = failedAt.Load() {
+				if failedAt.CompareAndSwap(f, int64(i)) {
+					break
 				}
-				i := todo[k]
-				if int64(i) > failedAt.Load() {
-					continue
-				}
-				inst := insts[i]
-				dp := detection.Params{
-					IsSource:    p.IsSource,
-					Flags:       p.Flags,
-					H:           res.HPrime,
-					Sigma:       p.Sigma,
-					Base:        inst.Base,
-					CapMessages: true, // the Lemma 3.4 cap Theorem 3.3 counts under
-					Scheduling:  sched,
-					Delays:      p.Delays,
-					ExtraRounds: p.ExtraRounds,
-				}
-				var det *detection.Result
-				var err error
-				if old := from[i]; old != nil {
-					reps[i], err = arena.Repair(g, dp, detCfg, old.Det, moved[i])
-					det = reps[i].Result
-				}
-				if det == nil && err == nil {
-					det, err = arena.Run(g, dp, detCfg)
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("core: instance %d: %w", i, err)
-					for f := failedAt.Load(); int64(i) < f; f = failedAt.Load() {
-						if failedAt.CompareAndSwap(f, int64(i)) {
-							break
-						}
-					}
-					continue
-				}
-				inst.Det = det
 			}
-		}()
-	}
-	wg.Wait()
+			return nil
+		}
+		inst.Det = det
+		return nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, ps, err
 		}
 	}
 
-	ps.Instances, ps.Rebuilt, ps.Reused = num, len(todo), num-len(todo)
+	ps.InstancesTotal, ps.InstancesRebuilt, ps.InstancesReused = num, len(todo), num-len(todo)
 	for _, i := range todo {
 		if rep := reps[i]; rep.Result != nil {
-			ps.Repaired++
+			ps.InstancesRepaired++
 			ps.RepairRounds += rep.Metrics.ActiveRounds
 			ps.RepairMessages += rep.Metrics.Messages
 			ps.RepairNodes += rep.Halo

@@ -85,7 +85,7 @@ func TestInstanceDigestMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Reused == 0 || ps.Rebuilt == 0 {
+	if ps.InstancesReused == 0 || ps.InstancesRebuilt == 0 {
 		t.Fatalf("want a patch that reuses some instances and rebuilds others, got %+v", ps)
 	}
 	memoSound(t, "patch", next)

@@ -199,6 +199,7 @@ func deltaChain(t *testing.T, g *graph.Graph, p Params, seed int64, steps []byte
 			}
 		}
 		sameAsCold(t, label, res, cold)
+		withinBounds(t, label, ng, p, res, ps)
 
 		moved := 0
 		for v, w := range wantMoved(res, from) {
@@ -217,15 +218,15 @@ func deltaChain(t *testing.T, g *graph.Graph, p Params, seed int64, steps []byte
 				t.Fatalf("%s: unaffected instance %d was not reused by pointer", label, i)
 			}
 		}
-		if d := ps.Damage(); ps.Instances != len(cold.Instances) || ps.Rebuilt+ps.Reused != ps.Instances || ps.Rebuilt != rebuilt || d < 0 || d > 1 {
+		if d := ps.Damage(); ps.InstancesTotal != len(cold.Instances) || ps.InstancesRebuilt+ps.InstancesReused != ps.InstancesTotal || ps.InstancesRebuilt != rebuilt || d < 0 || d > 1 {
 			t.Fatalf("%s: stats %+v (damage %v) for %d instances, %d affected", label, ps, d, len(cold.Instances), rebuilt)
 		}
 
-		if ps.Repaired > 0 {
+		if ps.InstancesRepaired > 0 {
 			tally.repairs++
 		}
 		if from != nil && len(prev.Instances) == len(res.Instances) {
-			tally.fellBack += ps.Rebuilt - ps.Repaired
+			tally.fellBack += ps.InstancesRebuilt - ps.InstancesRepaired
 		}
 		if from != nil && ps.Damage() > 0.5 {
 			tally.heavy++
@@ -242,6 +243,51 @@ func deltaChain(t *testing.T, g *graph.Graph, p Params, seed int64, steps []byte
 		t.Fatalf("last step: fingerprint %016x, cold %016x", got, want)
 	}
 	return tally
+}
+
+// withinBounds holds a build to the bounds the code proves in the
+// paper's currency, with c = σ(σ+1)/2, the Lemma 3.4 cap on each unit's
+// announcements that core.Build always sets (CapMessages):
+//   - every instance's active rounds are at most its Budget, a repair's
+//     sub-run included: the engine stops there (MaxRounds);
+//   - no unit, a node's own or a relay cell, announces more than c times,
+//     so every instance's SelfEmits[v] ≤ c;
+//   - a real message over the directed edge (v, u) is the announcement of
+//     one unit, the cell of v's half of the line that borders u's half
+//     (v's own unit when v owns no cell of it), so an instance sends at
+//     most Σ_v deg(v)·c = 2m·c messages, and a repair's sub-run, on the
+//     subgraph its halo induces, at most Σ over halo nodes of deg(v)·c ≤
+//     |halo|·Δ·c; summed over a build's repairs, RepairMessages ≤
+//     RepairNodes·Δ·c.
+//
+// Lemma 3.4 restricted to the region, Σ over region nodes of deg(v)·c,
+// is not a bound the code proves: the halo nodes around the region send
+// too, so it is not asserted.
+func withinBounds(t *testing.T, label string, g *graph.Graph, p Params, res *Result, ps PatchStats) {
+	t.Helper()
+	sigma := int64(p.Sigma)
+	c := sigma * (sigma + 1) / 2
+	maxDeg := 0
+	for v := range g.N() {
+		maxDeg = max(maxDeg, g.Degree(v))
+	}
+	for i, inst := range res.Instances {
+		det := inst.Det
+		if det.Metrics.ActiveRounds > det.Budget {
+			t.Fatalf("%s: instance %d ran %d active rounds, budget %d", label, i, det.Metrics.ActiveRounds, det.Budget)
+		}
+		if m := det.Metrics.Messages; m > 2*int64(g.M())*c {
+			t.Fatalf("%s: instance %d sent %d messages, more than 2m·σ(σ+1)/2 = %d", label, i, m, 2*int64(g.M())*c)
+		}
+		for v, e := range det.SelfEmits {
+			if e > c {
+				t.Fatalf("%s: instance %d: node %d announced %d times, Lemma 3.4 caps it at %d", label, i, v, e, c)
+			}
+		}
+	}
+	if bound := int64(ps.RepairNodes) * int64(maxDeg) * c; ps.RepairMessages > bound {
+		t.Fatalf("%s: repairs sent %d messages on %d halo nodes, more than |halo|·Δ·σ(σ+1)/2 = %d", label, ps.RepairMessages, ps.RepairNodes, bound)
+	}
 }
 
 // sameAsCold fails unless res has cold's lists, table, every instance's

@@ -112,7 +112,7 @@ func TestParallelBuildUsesInstancePool(t *testing.T) {
 	// The pool is sized by the instances to re-detect: none, on a rebuild
 	// of the same graph from its own result.
 	widths = nil
-	if _, ps, err := Build(g, p, congest.Config{Parallel: true, Workers: 4}, res); err != nil || ps.Rebuilt != 0 {
+	if _, ps, err := Build(g, p, congest.Config{Parallel: true, Workers: 4}, res); err != nil || ps.InstancesRebuilt != 0 {
 		t.Fatalf("rebuild from its own result: %+v, %v", ps, err)
 	}
 	if len(widths) != 1 || widths[0] != 0 {

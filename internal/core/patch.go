@@ -13,47 +13,52 @@ import (
 // PatchStats accounts one Build: how many rounding instances the
 // hierarchy has and how many of them were rebuilt versus reused from the
 // previous result (none reused when there was no previous result), and
-// what the repaired ones cost in the paper's currency.
+// what the repaired ones and the setup cost in the paper's currency. A
+// construction made of several builds (§4's rtc and compact) sums them
+// with Add, and scheme.UpdateStats embeds the sum, so these JSON keys
+// are /v1/update's.
 type PatchStats struct {
-	// Instances is i_max+1 on the updated graph.
-	Instances int
-	// Rebuilt counts instances whose detection re-ran, in full or as a
-	// repair.
-	Rebuilt int
-	// Reused counts instances carried over from prev by pointer.
-	Reused int
-	// Repaired counts the rebuilt instances that detection.Arena.Repair
-	// redid on a halo around the moved edges instead of on all n nodes.
-	Repaired int
+	// InstancesTotal is i_max+1 on the updated graph.
+	InstancesTotal int `json:"instances_total"`
+	// InstancesRebuilt counts instances whose detection re-ran, in full
+	// or as a repair.
+	InstancesRebuilt int `json:"instances_rebuilt"`
+	// InstancesReused counts instances carried over from prev by pointer.
+	InstancesReused int `json:"instances_reused"`
+	// InstancesRepaired counts the rebuilt instances that
+	// detection.Arena.Repair redid on a halo around the moved edges
+	// instead of on all n nodes.
+	InstancesRepaired int `json:"instances_repaired"`
 	// RepairRounds and RepairMessages total the repairs' active rounds and
 	// real messages, and RepairNodes the nodes their sub-runs ran on.
-	RepairRounds   int
-	RepairMessages int64
-	RepairNodes    int
+	RepairRounds   int   `json:"repair_rounds"`
+	RepairMessages int64 `json:"repair_messages"`
+	RepairNodes    int   `json:"repair_nodes"`
 	// SetupRounds and SetupMessages total the setup's active rounds and
 	// real messages that this build ran: all of the setup on a cold
 	// build, the w_max aggregate alone on a delta build that re-ran it,
 	// none on one that reused prev's w_max.
-	SetupRounds   int
-	SetupMessages int64
+	SetupRounds   int   `json:"setup_rounds"`
+	SetupMessages int64 `json:"setup_messages"`
 }
 
 // Add sums o into ps, counter by counter: the stats of a construction
 // made of several builds.
 func (ps *PatchStats) Add(o PatchStats) {
-	ps.Instances, ps.Rebuilt, ps.Reused = ps.Instances+o.Instances, ps.Rebuilt+o.Rebuilt, ps.Reused+o.Reused
-	ps.Repaired, ps.RepairNodes = ps.Repaired+o.Repaired, ps.RepairNodes+o.RepairNodes
-	ps.RepairRounds, ps.RepairMessages = ps.RepairRounds+o.RepairRounds, ps.RepairMessages+o.RepairMessages
+	ps.InstancesTotal, ps.InstancesRebuilt = ps.InstancesTotal+o.InstancesTotal, ps.InstancesRebuilt+o.InstancesRebuilt
+	ps.InstancesReused, ps.InstancesRepaired = ps.InstancesReused+o.InstancesReused, ps.InstancesRepaired+o.InstancesRepaired
+	ps.RepairRounds, ps.RepairMessages, ps.RepairNodes = ps.RepairRounds+o.RepairRounds, ps.RepairMessages+o.RepairMessages, ps.RepairNodes+o.RepairNodes
 	ps.SetupRounds, ps.SetupMessages = ps.SetupRounds+o.SetupRounds, ps.SetupMessages+o.SetupMessages
 }
 
-// Damage is Rebuilt/Instances — the affected fraction of the hierarchy
-// (1 for an empty hierarchy, which cannot happen for valid params).
+// Damage is InstancesRebuilt/InstancesTotal — the affected fraction of
+// the hierarchy (1 for an empty hierarchy, which cannot happen for valid
+// params).
 func (ps PatchStats) Damage() float64 {
-	if ps.Instances == 0 {
+	if ps.InstancesTotal == 0 {
 		return 1
 	}
-	return float64(ps.Rebuilt) / float64(ps.Instances)
+	return float64(ps.InstancesRebuilt) / float64(ps.InstancesTotal)
 }
 
 // relayCells returns an instance's cells on g under dp: Σ ℓ(e) over the

@@ -115,7 +115,7 @@ func TestPatchStatsOnFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
-	if st.Reused != 0 || st.Rebuilt != st.Instances || st.Instances != len(res.Instances) {
+	if st.InstancesReused != 0 || st.InstancesRebuilt != st.InstancesTotal || st.InstancesTotal != len(res.Instances) {
 		t.Fatalf("fresh run stats = %+v for %d instances", st, len(res.Instances))
 	}
 }

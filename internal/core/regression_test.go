@@ -163,7 +163,7 @@ func TestBuildRejectsPrevOfOtherParams(t *testing.T) {
 		}
 	}
 	q := other(func(q *Params) { q.SkipSetup = true })
-	if _, ps, err := Build(g, q, congest.Config{}, prev); err != nil || ps.Reused != ps.Instances {
+	if _, ps, err := Build(g, q, congest.Config{}, prev); err != nil || ps.InstancesReused != ps.InstancesTotal {
 		t.Errorf("prev differing in SkipSetup only: %+v, %v; want every instance reused", ps, err)
 	}
 }

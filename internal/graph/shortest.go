@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-)
+import "pde/internal/par"
 
 // SSSP holds single-source shortest-path ground truth for one source.
 //
@@ -176,33 +173,13 @@ func (a *APSP) Dist(u, v int) Weight { return a.BySource[u].Dist[v] }
 func (a *APSP) Hops(u, v int) int32 { return a.BySource[u].Hops[v] }
 
 // AllPairs computes exact APSP ground truth by running Dijkstra from every
-// source on a worker pool.
+// source, the sources claimed by par.For at GOMAXPROCS.
 func AllPairs(g *Graph) *APSP {
-	n := g.N()
-	out := &APSP{BySource: make([]*SSSP, n)}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for v := 0; v < n; v++ {
-		next <- v
-	}
-	close(next)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for src := range next {
-				out.BySource[src] = Dijkstra(g, src)
-			}
-		}()
-	}
-	wg.Wait()
+	out := &APSP{BySource: make([]*SSSP, g.N())}
+	par.For(0, g.N(), func(_, src int) error {
+		out.BySource[src] = Dijkstra(g, src)
+		return nil
+	})
 	return out
 }
 

@@ -2,10 +2,9 @@ package oracle
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"pde/internal/core"
+	"pde/internal/par"
 )
 
 // Query is one point lookup: node V asking about source S. Both ids are
@@ -94,36 +93,21 @@ func (o *Oracle) AnswerSorted(qs []Query, out []Answer) {
 	}
 }
 
-// AnswerInto serves qs across workers goroutines (GOMAXPROCS when
-// workers <= 0) into out, which must have exactly len(qs) entries (it
-// shares AnswerAll's length contract). The oracle is immutable, so the
-// workers share it without synchronization; only the disjoint output
-// chunks are written. Callers that batch continuously reuse out across
-// calls.
+// AnswerInto serves qs into out, cut into par.Chunks across workers
+// goroutines (GOMAXPROCS when workers <= 0); out must have exactly
+// len(qs) entries (it shares AnswerAll's length contract). The oracle is
+// immutable, so the workers share it without synchronization; only the
+// disjoint output chunks are written. Callers that batch continuously
+// reuse out across calls. A batch that resolves to one worker is
+// answered inline, before the closure par.Chunks takes is built: it
+// escapes through par's go statement.
 func (o *Oracle) AnswerInto(qs []Query, out []Answer, workers int) {
 	if len(out) != len(qs) {
 		panic(fmt.Sprintf("oracle: AnswerInto called with %d queries but %d answer slots", len(qs), len(out)))
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(qs) < 2*workers {
+	if par.Width(workers, len(qs)) <= 1 {
 		o.AnswerAll(qs, out)
 		return
 	}
-	var wg sync.WaitGroup
-	chunk := (len(qs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, len(qs))
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			o.AnswerAll(qs[lo:hi], out[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.Chunks(workers, len(qs), func(lo, hi int) { o.AnswerAll(qs[lo:hi], out[lo:hi]) })
 }

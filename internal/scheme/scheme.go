@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -335,41 +334,6 @@ func (r *record) BuildNS() int64         { return r.buildNS }
 func (r *record) Accounting() Accounting { return r.acct }
 func (r *record) Fingerprint() uint64    { return r.fp() }
 
-// width resolves a workers setting against a batch of total items: the
-// number of goroutines FanOut would use (0 = GOMAXPROCS, never more than
-// one per item).
-func width(total, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return min(workers, total)
-}
-
-// FanOut splits [0, total) across workers goroutines (0 = GOMAXPROCS,
-// 1 = sequential). Each chunk is independent, so the result is identical
-// at any width.
-func FanOut(total, workers int, fn func(lo, hi int)) {
-	workers = width(total, workers)
-	if workers <= 1 {
-		fn(0, total)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (total + workers - 1) / workers
-	for lo := 0; lo < total; lo += chunk {
-		hi := lo + chunk
-		if hi > total {
-			hi = total
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
 // probe parameters: sources × targets sampled per instance for the
 // measured-stretch accounting. Small enough to keep Build cheap, large
 // enough that a broken scheme cannot hide.
@@ -538,10 +502,5 @@ func probeFrom(g *graph.Graph, v int, rng *rand.Rand, pb prober) (*probeSource, 
 func buildCost[T any](f func() (T, core.PatchStats, error)) (T, UpdateStats, int64, error) {
 	t0 := time.Now() //pde:allow(determinism) BuildNS is timing metadata, not fingerprinted
 	built, ps, err := f()
-	return built, UpdateStats{
-		Damage:         ps.Damage(),
-		InstancesTotal: ps.Instances, InstancesRebuilt: ps.Rebuilt, InstancesReused: ps.Reused,
-		InstancesRepaired: ps.Repaired, RepairRounds: ps.RepairRounds, RepairMessages: ps.RepairMessages, RepairNodes: ps.RepairNodes,
-		SetupRounds: ps.SetupRounds, SetupMessages: ps.SetupMessages,
-	}, time.Since(t0).Nanoseconds(), err
+	return built, UpdateStats{Damage: ps.Damage(), PatchStats: ps}, time.Since(t0).Nanoseconds(), err
 }

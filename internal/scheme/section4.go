@@ -8,6 +8,7 @@ import (
 	"pde/internal/core"
 	"pde/internal/graph"
 	"pde/internal/oracle"
+	"pde/internal/par"
 	"pde/internal/rtc"
 )
 
@@ -58,17 +59,17 @@ func (h *hier) init(sp Spec, g *graph.Graph, buildNS int64, sch tables, scheme s
 	return err
 }
 
-// AnswerInto fans the batch across workers; answers read only immutable
-// tables, so the result is identical at any width. A batch that resolves
-// to one worker is answered inline: the closure FanOut takes escapes
-// through its go statement, and the pruned set-distance evaluation sends
-// hundreds of ≤16-query batches per request.
+// AnswerInto fans the batch across workers in par.Chunks; answers read
+// only immutable tables, so the result is identical at any width. A batch
+// that resolves to one worker is answered inline: the closure par.Chunks
+// takes escapes through par's go statement, and the pruned set-distance
+// evaluation sends hundreds of ≤16-query batches per request.
 func (h *hier) AnswerInto(qs []oracle.Query, out []oracle.Answer, workers int) {
-	if width(len(qs), workers) <= 1 {
+	if par.Width(workers, len(qs)) <= 1 {
 		h.answerAll(qs, out)
 		return
 	}
-	FanOut(len(qs), workers, func(lo, hi int) { h.answerAll(qs[lo:hi], out[lo:hi]) })
+	par.Chunks(workers, len(qs), func(lo, hi int) { h.answerAll(qs[lo:hi], out[lo:hi]) })
 }
 
 // answerAll answers each query in turn. Out-of-range ids and misses

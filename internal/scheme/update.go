@@ -24,26 +24,10 @@ type UpdateStats struct {
 	// Damage is InstancesRebuilt/InstancesTotal, the fraction of the
 	// hierarchy that was re-detected (1 on the rebuild path).
 	Damage float64 `json:"damage"`
-	// InstancesTotal, InstancesRebuilt and InstancesReused break down the
-	// rounding hierarchies of the construction's PDEs, summed over them.
-	// InstancesRebuilt counts full re-detections and repairs alike.
-	InstancesTotal   int `json:"instances_total"`
-	InstancesRebuilt int `json:"instances_rebuilt"`
-	InstancesReused  int `json:"instances_reused"`
-	// InstancesRepaired counts the rebuilt instances that were repaired
-	// on a halo around the moved edges; RepairRounds, RepairMessages and
-	// RepairNodes total the active rounds, real messages and nodes of
-	// their sub-runs (core.PatchStats).
-	InstancesRepaired int   `json:"instances_repaired"`
-	RepairRounds      int   `json:"repair_rounds"`
-	RepairMessages    int64 `json:"repair_messages"`
-	RepairNodes       int   `json:"repair_nodes"`
-	// SetupRounds and SetupMessages are the setup's active rounds and real
-	// messages that the update itself ran (core.PatchStats): all of it on
-	// the rebuild path, the w_max aggregate alone when a delta update
-	// re-ran it, none when it reused the served w_max.
-	SetupRounds   int   `json:"setup_rounds"`
-	SetupMessages int64 `json:"setup_messages"`
+	// PatchStats breaks down the rounding hierarchies of the
+	// construction's PDEs and what their repairs and setups ran, summed
+	// over them (core.PatchStats.Add).
+	core.PatchStats
 	// ProbesReused counts the stretch probe's sources that the update took
 	// over from the served instance instead of measuring them again, none
 	// on the rebuild path.

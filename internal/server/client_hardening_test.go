@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"pde/internal/oracle"
+	"pde/internal/par"
 )
 
 // TestClientRejectsOversizedAnnouncedResponse: a daemon announcing a
@@ -117,11 +118,11 @@ func TestClientContextCancelsHungDaemon(t *testing.T) {
 	}
 }
 
-// TestDriveBatchesStopsFleetOnServerError drives the fan-out harness
-// against a daemon that starts failing mid-stream and checks the fleet
-// actually stops: the error surfaces with the server's envelope code
-// and the batches claimed after it stay unserved.
-func TestDriveBatchesStopsFleetOnServerError(t *testing.T) {
+// TestFleetStopsOnServerError drives a par.For fleet of clients, as
+// pde-query does, against a daemon that starts failing mid-stream and
+// checks the fleet actually stops: the error surfaces with the server's
+// envelope code and the batches claimed after it stay unserved.
+func TestFleetStopsOnServerError(t *testing.T) {
 	var served atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if served.Add(1) > 3 {
@@ -139,7 +140,7 @@ func TestDriveBatchesStopsFleetOnServerError(t *testing.T) {
 		cls[i] = &Client{BaseURL: ts.URL, Shard: "main", HTTP: ts.Client()}
 	}
 	var attempted atomic.Int64
-	err := DriveBatches(clients, batches, func(c, i int) error {
+	err := par.For(clients, batches, func(c, i int) error {
 		attempted.Add(1)
 		_, _, err := cls[c].Estimate(context.Background(), []oracle.Query{{V: 0, S: 1}}, false)
 		return err

@@ -70,6 +70,7 @@ import (
 
 	"pde/internal/graph"
 	"pde/internal/oracle"
+	"pde/internal/par"
 	"pde/internal/scheme"
 )
 
@@ -143,9 +144,12 @@ type Result struct {
 // Eval computes the set-to-set aggregates between a and b over the
 // scheme instance's estimate surface. Both sets must be non-empty and
 // every id in [0, n); the instance is read-only, so concurrent Evals
-// against one instance are safe. The per-member work fans out across
-// GOMAXPROCS goroutines and is reduced in member order, so the result is
-// bit-identical at any width.
+// against one instance are safe. Each direction cuts its members into
+// par.Chunks at GOMAXPROCS (never more chunks than members), and each
+// chunk queries the instance inline (AnswerInto at one worker, or
+// DistsWithin); the minima are reduced in member order and the counts
+// summed, so the result, Evaluated included, is bit-identical at any
+// width.
 func Eval(inst scheme.Instance, a, b []int32, opt Options) (*Result, error) {
 	if len(a) == 0 || len(b) == 0 {
 		return nil, fmt.Errorf("setdist: both sets must be non-empty (|A|=%d, |B|=%d)", len(a), len(b))
@@ -219,7 +223,7 @@ func estimate(ans oracle.Answer) float64 {
 // x[i], evaluating every non-self candidate — the |X|×|Y| reference.
 func naiveMins(inst scheme.Instance, x, y []int32, minD []float64) int64 {
 	var evaluated atomic.Int64
-	scheme.FanOut(len(x), 0, func(lo, hi int) {
+	par.Chunks(0, len(x), func(lo, hi int) {
 		qs := make([]oracle.Query, len(y))
 		out := make([]oracle.Answer, len(y))
 		var local int64
@@ -296,7 +300,7 @@ func sortedCandidates(lm *graph.Landmarks, set []int32) candidates {
 // exactly the minima of naiveMins.
 func prunedMins(inst scheme.Instance, x []int32, y candidates, lm *graph.Landmarks, member []uint8, yBit uint8, minD []float64) int64 {
 	var evaluated atomic.Int64
-	scheme.FanOut(len(x), 0, func(lo, hi int) {
+	par.Chunks(0, len(x), func(lo, hi int) {
 		var qs [evalChunk]oracle.Query
 		var out [evalChunk]float64
 		var local int64
