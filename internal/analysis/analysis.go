@@ -1,7 +1,7 @@
 // Package analysis is the repo's static-analysis suite: a small,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// shape (Analyzer, Pass, diagnostics) plus the six pde-vet analyzers
-// that mechanically enforce the coding invariants every differential
+// shape (Analyzer, Pass, diagnostics) plus the six analyzers that
+// mechanically enforce the coding invariants every differential
 // test in this repo otherwise only samples:
 //
 //   - determinism:    no map-iteration order, wall clocks or unseeded
@@ -17,19 +17,22 @@
 //   - hotpathalloc:   //pde:hotpath-marked serving functions contain no
 //     allocating constructs (append, make, string<->[]byte conversions)
 //
-// The suite runs from cmd/pde-vet both standalone (pde-vet ./...) and as
-// a `go vet -vettool` backend. It is stdlib-only by design: the build
-// environment has no module proxy, so the x/tools analysis framework is
-// out of reach and this package carries the minimal slice of it the six
-// analyzers need.
+// The package's non-test code is the analyzers; its one driver is
+// TestRepoIsVetClean, so `go test ./...` runs the suite over every
+// non-test file of the module (vet_clean_test.go; the loader and the
+// runner are driver_test.go). It is stdlib-only by design: the module
+// has no dependencies, so the x/tools analysis framework is out of reach
+// and this package carries the minimal slice of it the six analyzers
+// need.
 //
 // # Escape hatch
 //
 // A diagnostic is suppressed by a //pde:allow(<analyzer>) comment on the
 // flagged line or on the line directly above it. Every allow is expected
 // to carry a justification; docs/analysis.md catalogues the syntax and
-// the audited allows in the tree. Suppressed findings are still counted
-// (Diagnostic.Suppressed) so the driver can list them with -show-allowed.
+// the audited allows in the tree. Suppressed findings are still reported
+// (Diagnostic.Suppressed), so TestRepoIsVetClean can hold their inventory
+// and log each one under -v.
 package analysis
 
 import (
@@ -37,15 +40,12 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
-	"sort"
 	"strings"
 )
 
 // Analyzer is one named invariant check. The zero Scope means the
 // analyzer applies to every package it is run over; otherwise Scope
-// gates on the package import path (suffix-matched, so the same rule
-// fires for pde/internal/core and for a fixture module's internal/core).
+// gates on the package import path (suffix-matched on path segments).
 type Analyzer struct {
 	Name  string
 	Doc   string
@@ -71,7 +71,7 @@ type Diagnostic struct {
 	Pos      token.Position
 	Message  string
 	// Suppressed marks findings matched by a //pde:allow comment; the
-	// driver skips them when deciding the exit status but can list them.
+	// driver counts them against the audited inventory, not as failures.
 	Suppressed bool
 }
 
@@ -100,11 +100,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.sink = append(*p.sink, d)
 }
 
-// allowRx matches the escape hatch: //pde:allow(name) or
-// //pde:allow(name1,name2). Anything after the closing paren is the
-// justification and is free-form.
-var allowRx = regexp.MustCompile(`pde:allow\(([A-Za-z0-9_, ]+)\)`)
-
 // allowIndex maps file → line → set of analyzer names allowed there.
 type allowIndex map[string]map[int]map[string]bool
 
@@ -122,93 +117,10 @@ func (ai allowIndex) allows(file string, line int, analyzer string) bool {
 	return false
 }
 
-func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
-	ai := allowIndex{}
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowRx.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				lines := ai[pos.Filename]
-				if lines == nil {
-					lines = map[int]map[string]bool{}
-					ai[pos.Filename] = lines
-				}
-				set := lines[pos.Line]
-				if set == nil {
-					set = map[string]bool{}
-					lines[pos.Line] = set
-				}
-				for _, name := range strings.Split(m[1], ",") {
-					set[strings.TrimSpace(name)] = true
-				}
-			}
-		}
-	}
-	return ai
-}
-
-// RunAnalyzers applies every in-scope analyzer to pkg and returns the
-// findings (suppressed ones included, flagged as such) sorted by
-// position. pkgPath is the import path used for scope decisions; go
-// vet's test-variant suffix ("pkg [pkg.test]") is stripped first.
-func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, pkgPath string, files []*ast.File, tpkg *types.Package, info *types.Info) []Diagnostic {
-	if i := strings.Index(pkgPath, " ["); i >= 0 {
-		pkgPath = pkgPath[:i]
-	}
-	// Shipped-code invariants: test files are exempt (they measure wall
-	// clocks, drive randomness and poke internals on purpose).
-	var nonTest []*ast.File
-	for _, f := range files {
-		name := fset.Position(f.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		nonTest = append(nonTest, f)
-	}
-	if len(nonTest) == 0 {
-		return nil
-	}
-	allow := buildAllowIndex(fset, nonTest)
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if a.Scope != nil && !a.Scope(pkgPath) {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     fset,
-			Files:    nonTest,
-			Pkg:      tpkg,
-			Info:     info,
-			allow:    allow,
-			sink:     &diags,
-		}
-		a.Run(pass)
-	}
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i], diags[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	return diags
-}
-
 // scopeSuffix builds a Scope predicate matching import paths that end in
 // (or contain, as a path segment prefix) one of the given suffixes —
 // "internal/core" matches both "pde/internal/core" and
-// "vetfixture/internal/core/sub".
+// "pde/internal/core/sub".
 func scopeSuffix(suffixes ...string) func(string) bool {
 	return func(path string) bool {
 		for _, s := range suffixes {

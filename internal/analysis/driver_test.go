@@ -1,5 +1,10 @@
 package analysis
 
+// The suite's one driver. loadClosure type-checks packages from source;
+// runAnalyzers applies analyzers to one of them. TestRepoIsVetClean runs
+// the whole suite over the module with them, and the golden tests run
+// one analyzer over a testdata fixture.
+
 import (
 	"bytes"
 	"encoding/json"
@@ -11,21 +16,20 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"sort"
+	"strings"
 )
 
-// Package is one type-checked package as the analyzers see it.
+// Package is one type-checked module package as the analyzers see it.
 type Package struct {
 	PkgPath string
-	Dir     string
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
-	// InModule marks packages belonging to the module under analysis
-	// (dependencies are type-checked signatures-only and never analyzed).
-	InModule bool
-	// TypeErrors collects go/types errors; the driver surfaces them but
-	// analysis still runs on whatever type information was recovered.
+	// TypeErrors collects go/types errors; analysis still runs on
+	// whatever type information was recovered.
 	TypeErrors []error
 }
 
@@ -37,30 +41,18 @@ type listPackage struct {
 	ImportMap  map[string]string
 	Standard   bool
 	Module     *struct{ Path string }
-	Incomplete bool
 	Error      *struct{ Err string }
 }
 
-// LoadModule loads and type-checks the packages matched by patterns
-// (default "./...") in the module rooted at dir, resolving the entire
-// dependency closure from source via `go list -json -deps`. It needs no
-// network and no pre-built export data: dependencies (in this module's
-// case, only the standard library) are type-checked with
-// IgnoreFuncBodies, which the prototype measured at ~1.5s for the whole
-// closure. Only module packages are returned.
-func LoadModule(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	fset := token.NewFileSet()
-	pkgs, _, err := loadClosure(fset, dir, patterns)
-	return pkgs, fset, err
-}
-
-// loadClosure is the engine behind LoadModule: it returns the module
-// packages for analysis plus the full map of type-checked packages
-// (dependencies included), which the golden-test harness uses as an
-// import universe for type-checking testdata fixtures.
+// loadClosure loads and type-checks the packages matched by patterns in
+// the module rooted at dir, resolving the entire dependency closure from
+// source via `go list -json -deps`. It needs no network and no pre-built
+// export data: dependencies (in this module's case, only the standard
+// library) are type-checked with IgnoreFuncBodies, ~1.5 s for the whole
+// closure. It returns the module packages for analysis — their GoFiles,
+// so test files are never analyzed — plus every type-checked package,
+// dependencies included, which the golden tests use as the import
+// universe for their fixtures.
 func loadClosure(fset *token.FileSet, dir string, patterns []string) ([]*Package, map[string]*types.Package, error) {
 	args := append([]string{"list", "-e", "-json", "-deps"}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -106,16 +98,14 @@ func loadClosure(fset *token.FileSet, dir string, patterns []string) ([]*Package
 			files = append(files, af)
 		}
 		imp := mapImporter{importMap: lp.ImportMap, typed: typed}
-		tpkg, info, errs := TypeCheckFiles(fset, lp.ImportPath, files, imp, inModule)
+		tpkg, info, errs := typeCheckFiles(fset, lp.ImportPath, files, imp, inModule)
 		typed[lp.ImportPath] = tpkg
 		if inModule {
 			pkgs = append(pkgs, &Package{
 				PkgPath:    lp.ImportPath,
-				Dir:        lp.Dir,
 				Files:      files,
 				Types:      tpkg,
 				Info:       info,
-				InModule:   true,
 				TypeErrors: errs,
 			})
 		} else if len(errs) > 0 {
@@ -142,11 +132,11 @@ func (m mapImporter) Import(path string) (*types.Package, error) {
 	return nil, fmt.Errorf("package %s not loaded", path)
 }
 
-// TypeCheckFiles type-checks one package. full=false checks signatures
+// typeCheckFiles type-checks one package. full=false checks signatures
 // only (IgnoreFuncBodies) — enough to import from, much faster, and the
 // mode every dependency is checked in. full=true records the complete
 // types.Info the analyzers need.
-func TypeCheckFiles(fset *token.FileSet, pkgPath string, files []*ast.File, imp types.Importer, full bool) (*types.Package, *types.Info, []error) {
+func typeCheckFiles(fset *token.FileSet, pkgPath string, files []*ast.File, imp types.Importer, full bool) (*types.Package, *types.Info, []error) {
 	var errs []error
 	conf := types.Config{
 		Importer:         imp,
@@ -166,12 +156,64 @@ func TypeCheckFiles(fset *token.FileSet, pkgPath string, files []*ast.File, imp 
 	return tpkg, info, errs
 }
 
-// AnalyzePackages runs the analyzers over every module package and
-// returns all findings in deterministic order.
-func AnalyzePackages(analyzers []*Analyzer, pkgs []*Package, fset *token.FileSet) []Diagnostic {
+// runAnalyzers applies every analyzer whose scope takes pkgPath to the
+// package and returns the findings (suppressed ones included, flagged as
+// such) sorted by position.
+func runAnalyzers(analyzers []*Analyzer, fset *token.FileSet, pkgPath string, files []*ast.File, tpkg *types.Package, info *types.Info) []Diagnostic {
+	allow := buildAllowIndex(fset, files)
 	var diags []Diagnostic
-	for _, p := range pkgs {
-		diags = append(diags, RunAnalyzers(analyzers, fset, p.PkgPath, p.Files, p.Types, p.Info)...)
+	for _, a := range analyzers {
+		if a.Scope != nil && !a.Scope(pkgPath) {
+			continue
+		}
+		a.Run(&Pass{Analyzer: a, Fset: fset, Files: files, Pkg: tpkg, Info: info, allow: allow, sink: &diags})
 	}
+	sort.Slice(diags, func(i, j int) bool {
+		a, b := diags[i], diags[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		return a.Analyzer < b.Analyzer
+	})
 	return diags
+}
+
+// allowRx matches the escape hatch: //pde:allow(name) or
+// //pde:allow(name1,name2). Anything after the closing paren is the
+// justification and is free-form.
+var allowRx = regexp.MustCompile(`pde:allow\(([A-Za-z0-9_, ]+)\)`)
+
+func buildAllowIndex(fset *token.FileSet, files []*ast.File) allowIndex {
+	ai := allowIndex{}
+	for _, f := range files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				m := allowRx.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				lines := ai[pos.Filename]
+				if lines == nil {
+					lines = map[int]map[string]bool{}
+					ai[pos.Filename] = lines
+				}
+				set := lines[pos.Line]
+				if set == nil {
+					set = map[string]bool{}
+					lines[pos.Line] = set
+				}
+				for _, name := range strings.Split(m[1], ",") {
+					set[strings.TrimSpace(name)] = true
+				}
+			}
+		}
+	}
+	return ai
 }

@@ -5,7 +5,7 @@ package analysis
 // line a diagnostic must appear on, and every diagnostic must be
 // matched by a want. The fixtures type-check against the real standard
 // library (and pde/internal/fingerprint), loaded from source once per
-// test process via the same loader the driver uses.
+// test process via the driver's loader (driver_test.go).
 
 import (
 	"go/ast"
@@ -100,7 +100,7 @@ func runGolden(t *testing.T, a *Analyzer, dir, pkgPath string) []Diagnostic {
 		}
 	}
 
-	tpkg, info, errs := TypeCheckFiles(fset, pkgPath, files, mapImporter{typed: typed}, true)
+	tpkg, info, errs := typeCheckFiles(fset, pkgPath, files, mapImporter{typed: typed}, true)
 	for _, e := range errs {
 		t.Errorf("type error in fixture: %v", e)
 	}
@@ -108,7 +108,7 @@ func runGolden(t *testing.T, a *Analyzer, dir, pkgPath string) []Diagnostic {
 		t.Fatalf("fixture %s does not type-check", dir)
 	}
 
-	diags := RunAnalyzers([]*Analyzer{a}, fset, pkgPath, files, tpkg, info)
+	diags := runAnalyzers([]*Analyzer{a}, fset, pkgPath, files, tpkg, info)
 	var suppressed []Diagnostic
 	for _, d := range diags {
 		if d.Suppressed {
@@ -157,8 +157,8 @@ func TestDeterminismScope(t *testing.T) {
 			files = append(files, af)
 		}
 	}
-	tpkg, info, _ := TypeCheckFiles(fset, "example.com/outside/bench", files, mapImporter{typed: typed}, true)
-	if diags := RunAnalyzers([]*Analyzer{Determinism}, fset, "example.com/outside/bench", files, tpkg, info); len(diags) != 0 {
+	tpkg, info, _ := typeCheckFiles(fset, "example.com/outside/bench", files, mapImporter{typed: typed}, true)
+	if diags := runAnalyzers([]*Analyzer{Determinism}, fset, "example.com/outside/bench", files, tpkg, info); len(diags) != 0 {
 		t.Errorf("determinism fired outside its scope: %v", diags)
 	}
 }
@@ -205,8 +205,8 @@ func TestHotPathAllocScope(t *testing.T) {
 			files = append(files, af)
 		}
 	}
-	tpkg, info, _ := TypeCheckFiles(fset, "pde/internal/cluster", files, mapImporter{typed: typed}, true)
-	if diags := RunAnalyzers([]*Analyzer{HotPathAlloc}, fset, "pde/internal/cluster", files, tpkg, info); len(diags) != 0 {
+	tpkg, info, _ := typeCheckFiles(fset, "pde/internal/cluster", files, mapImporter{typed: typed}, true)
+	if diags := runAnalyzers([]*Analyzer{HotPathAlloc}, fset, "pde/internal/cluster", files, tpkg, info); len(diags) != 0 {
 		t.Errorf("hotpathalloc fired outside its scope: %v", diags)
 	}
 }

@@ -663,8 +663,10 @@ func churnStep(g *graph.Graph, maxW graph.Weight, probe int, prev *core.Result, 
 // churn applies a seeded stream of steps updates through scheme.Update
 // and pins the generation it ends on and, summed over the stream, every
 // scheme.UpdateStats counter: the work the updates did, and the last
-// update's instance count. Each update is one churnStep reweight (oracle
-// only), or with nudges > 0 that many ±1 nudges from
+// update's instance count. Oracle rows also sum the rows the row pass
+// marked moved and the table pages it laid out again rather than shared
+// with the predecessor by pointer. Each update is one churnStep reweight
+// (oracle only), or with nudges > 0 that many ±1 nudges from
 // graph.RandomChanges. That every step equals a cold build of its graph
 // is FuzzDeltaChain's to show, in core and scheme, not this row's.
 func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
@@ -673,6 +675,7 @@ func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
 		g := inst.Graph()
 		r := rng(sp.Seed + 7707)
 		deltaSteps, instances, damage := 0, 0, 0.0
+		rowsMoved, pagesRelaid := 0, 0
 		work := map[string]float64{}
 		for step := 0; step < steps; step++ {
 			var batch []graph.Change
@@ -690,6 +693,19 @@ func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
 			if st.Path == "delta" {
 				deltaSteps++
 			}
+			if sp.Scheme == "oracle" {
+				prev, res := inst.(*scheme.OracleInstance).Res, next.(*scheme.OracleInstance).Res
+				for v := range g2.N() {
+					if res.RowMoved(v) {
+						rowsMoved++
+					}
+				}
+				for i, pg := range res.Table.Pages {
+					if pg != prev.Table.Pages[i] {
+						pagesRelaid++
+					}
+				}
+			}
 			damage, instances = damage+st.Damage, st.InstancesTotal
 			for k, v := range fields(t, st) {
 				if x, ok := v.(float64); ok && k != "damage" && k != "instances_total" {
@@ -705,6 +721,9 @@ func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
 		}
 		for k, x := range work {
 			p[k] = x
+		}
+		if sp.Scheme == "oracle" {
+			p["rows_moved"], p["pages_relaid"] = rowsMoved, pagesRelaid
 		}
 		return p.describe(g, sp.Seed)
 	}

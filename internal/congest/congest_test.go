@@ -169,8 +169,8 @@ func TestBroadcastCountsOncePerCall(t *testing.T) {
 	if total != 10 {
 		t.Fatalf("total broadcasts = %d, want 10", total)
 	}
-	if met.MaxBroadcasts() != 1 {
-		t.Fatalf("max broadcasts = %d, want 1", met.MaxBroadcasts())
+	if m := slices.Max(met.Broadcasts); m != 1 {
+		t.Fatalf("max broadcasts = %d, want 1", m)
 	}
 }
 

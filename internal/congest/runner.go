@@ -87,17 +87,6 @@ type Metrics struct {
 	MaxBusyPorts int
 }
 
-// MaxBroadcasts returns the per-node maximum of Broadcasts.
-func (m *Metrics) MaxBroadcasts() int64 {
-	var best int64
-	for _, b := range m.Broadcasts {
-		if b > best {
-			best = b
-		}
-	}
-	return best
-}
-
 // Run executes procs (one per node of g) under cfg and returns metrics. It
 // is new(Engine).Run; a caller that makes many runs keeps one Engine.
 //
