@@ -6,7 +6,7 @@
 // measured values; the cmd/pde-experiments binary and the root
 // bench_test.go both drive these runners.
 //
-// pins_test.go holds every deterministic output of 31 seeded scenarios to
+// pins_test.go holds every deterministic output of 32 seeded scenarios to
 // the exact values in testdata/pins.json. Nothing in this package reports
 // a wall clock: those numbers come from the benchmark/ module only
 // (docs/benchmarks.md).

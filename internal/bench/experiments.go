@@ -204,10 +204,8 @@ func e4Messages(scale Scale) *Table {
 		}
 		var maxB, sum int64
 		for _, b := range res.SelfEmits {
-			sum += b
-			if b > maxB {
-				maxB = b
-			}
+			sum += int64(b)
+			maxB = max(maxB, int64(b))
 		}
 		t.Rows = append(t.Rows, []string{
 			d(sigma), d64(maxB), d(sigma * (sigma + 1) / 2),
@@ -531,12 +529,13 @@ func e9Ablation(scale Scale) *Table {
 	base := detection.Params{IsSource: src, H: 64, Sigma: sigma, Base: 1}
 	want := detection.BruteForce(g, base)
 	check := func(res *detection.Result) string {
+		var got []detection.Entry
 		for v := range want {
-			if len(res.Lists[v]) != len(want[v]) {
+			if got = res.List(v, got); len(got) != len(want[v]) {
 				return "NO"
 			}
 			for i := range want[v] {
-				if res.Lists[v][i].Dist != want[v][i].Dist || res.Lists[v][i].Src != want[v][i].Src {
+				if got[i].Dist != want[v][i].Dist || got[i].Src != want[v][i].Src {
 					return "NO"
 				}
 			}
@@ -550,9 +549,7 @@ func e9Ablation(scale Scale) *Table {
 		}
 		var maxB int64
 		for _, b := range res.SelfEmits {
-			if b > maxB {
-				maxB = b
-			}
+			maxB = max(maxB, int64(b))
 		}
 		t.Rows = append(t.Rows, []string{
 			name, d(res.Metrics.ActiveRounds), d64(res.Metrics.Messages), d64(maxB), check(res),

@@ -270,6 +270,7 @@ var pinCases = []pinCase{
 	// jitter), churn-mixed's shard under 32 batches of four nudges, and the
 	// two §4 schemes of the scheme_ rows under eight batches of two.
 	{"update_community-n512", 512, churn(scheme.Spec{Topology: "community", N: 512, Eps: 0.5, MaxW: 4096, Seed: 31, Scheme: "oracle", H: 48, Sigma: 16}, 8, 16, 0)},
+	{"update_community-n256-nudge", 256, churn(scheme.Spec{Topology: "community", N: 256, Eps: 0.5, MaxW: 4096, Seed: 31, Scheme: "oracle", H: 48, Sigma: 16}, 8, 16, 4)},
 	{"update_roadgrid-16x16", 256, churn(scheme.Spec{Topology: "roadgrid", N: 256, Eps: 0.5, MaxW: 1024, Seed: 31, Scheme: "oracle", H: 32, Sigma: 12}, 8, 0, 0)},
 	{"update_roadgrid-n576", 576, churn(scheme.Spec{Topology: "roadgrid", N: 576, Eps: 0.5, MaxW: 1024, Seed: 1, Scheme: "oracle", H: 16, Sigma: 8}, 32, 0, 4)},
 	{"update_rtc-random-n64-k2", 64, churn(scheme.Spec{Topology: "random", N: 64, Eps: 0.5, MaxW: 8, Seed: 21, Scheme: "rtc", K: 2, SampleProb: 0.25}, 8, 0, 2)},
@@ -660,6 +661,29 @@ func churnStep(g *graph.Graph, maxW graph.Weight, probe int, prev *core.Result, 
 	return best
 }
 
+// movingNudges draws one batch of k ±1 nudges from graph.RandomChanges.
+// With probe > 0 (oracle only) it draws up to probe batches and returns
+// the first that moves some rounding instance of the served result; the
+// update that applies it then fails the row if it re-detected none.
+func movingNudges(inst scheme.Instance, k, probe int, r *rand.Rand) []graph.Change {
+	g := inst.Graph()
+	batch := graph.RandomChanges(g, graph.ChangeNudge, k, r)
+	for i := 1; i < probe && !slices.Contains(affected(g, batch, inst), true); i++ {
+		batch = graph.RandomChanges(g, graph.ChangeNudge, k, r)
+	}
+	return batch
+}
+
+// affected is core.AffectedInstances of the oracle instance's result on g
+// with batch applied, nil for a batch that does not apply.
+func affected(g *graph.Graph, batch []graph.Change, inst scheme.Instance) []bool {
+	g2, _, err := g.ApplyChanges(batch)
+	if err != nil {
+		return nil
+	}
+	return core.AffectedInstances(g2, inst.(*scheme.OracleInstance).Res)
+}
+
 // churn applies a seeded stream of steps updates through scheme.Update
 // and pins the generation it ends on and, summed over the stream, every
 // scheme.UpdateStats counter: the work the updates did, and the last
@@ -667,8 +691,9 @@ func churnStep(g *graph.Graph, maxW graph.Weight, probe int, prev *core.Result, 
 // marked moved and the table pages it laid out again rather than shared
 // with the predecessor by pointer. Each update is one churnStep reweight
 // (oracle only), or with nudges > 0 that many ±1 nudges from
-// graph.RandomChanges. That every step equals a cold build of its graph
-// is FuzzDeltaChain's to show, in core and scheme, not this row's.
+// graph.RandomChanges (movingNudges). That every step equals a cold
+// build of its graph is FuzzDeltaChain's to show, in core and scheme, not
+// this row's.
 func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
 	return func(t *testing.T) pin {
 		inst := buildScheme(t, sp)
@@ -680,7 +705,7 @@ func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
 		for step := 0; step < steps; step++ {
 			var batch []graph.Change
 			if nudges > 0 {
-				batch = graph.RandomChanges(inst.Graph(), graph.ChangeNudge, nudges, r)
+				batch = movingNudges(inst, nudges, probe, r)
 			} else {
 				batch = []graph.Change{churnStep(inst.Graph(), graph.Weight(sp.MaxW), probe, inst.(*scheme.OracleInstance).Res, r)}
 			}
@@ -690,6 +715,9 @@ func churn(sp scheme.Spec, steps, probe, nudges int) func(*testing.T) pin {
 			}
 			next, st, err := scheme.Update(inst, g2)
 			noErr(t, err)
+			if nudges > 0 && probe > 0 && st.InstancesRebuilt == 0 {
+				t.Fatalf("step %d: none of %d batches of nudges moved a rounding instance", step, probe)
+			}
 			if st.Path == "delta" {
 				deltaSteps++
 			}

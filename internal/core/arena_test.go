@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"pde/internal/congest"
+	"pde/internal/detection"
 	"pde/internal/graph"
 )
 
@@ -78,8 +80,10 @@ func TestAllocsPerRunBuild(t *testing.T) {
 	// dozen. It was 20 790 while the engine allocated four times per node
 	// and instance; one more per node and instance fails it.
 	const buildBudget = 2450
-	// ~340 KB measured, the Result; one worker's arena is over 2 MB.
-	const retainBudget = 1 << 20
+	// 234 568 bytes measured, the Result, plus 25 % (it was ~340 KB while
+	// detection entries took 16 bytes and a slice header per node and
+	// instance); one worker's arena is over 2 MB.
+	const retainBudget = 234_568 * 5 / 4
 	g, p := arenaGraph(t)
 	allocs := testing.AllocsPerRun(2, func() {
 		if _, err := Run(g, p, congest.Config{}); err != nil {
@@ -102,5 +106,118 @@ func TestAllocsPerRunBuild(t *testing.T) {
 		if after > before+retainBudget {
 			t.Fatalf("workers=%d: a build left %d bytes live, budget %d: is an arena retained?", workers, after-before, retainBudget)
 		}
+	}
+}
+
+// retained is what one generation keeps, in bytes, by component: its
+// instances' detection pages (page headers, offsets and both columns) and
+// SelfEmits, its output Lists (headers and estimates), its table (page
+// pointers, headers and columns) and its fingerprint digests (a word per
+// node and instance and one per row of Lists).
+type retained struct {
+	pages, selfEmits, lists, table, digests int64
+}
+
+func (r retained) total() int64 { return r.pages + r.selfEmits + r.lists + r.table + r.digests }
+
+// retainedBytes sizes res's components from their lengths, a page shared
+// between instances counted once.
+func retainedBytes(res *Result) retained {
+	var r retained
+	seen := make(map[*[detection.PageRows + 1]int32]bool)
+	for _, inst := range res.Instances {
+		det := inst.Det
+		r.pages += int64(len(det.Pages)) * int64(unsafe.Sizeof(detection.Page{}))
+		for _, pg := range det.Pages {
+			if !seen[pg.Off] {
+				seen[pg.Off] = true
+				r.pages += int64(unsafe.Sizeof(*pg.Off)) + 8*int64(len(pg.Keys)) + 4*int64(len(pg.Vias))
+			}
+		}
+		r.selfEmits += 4 * int64(len(det.SelfEmits))
+		if d := inst.digest.Load(); d != nil {
+			r.digests += 8 * int64(len(d.rows))
+		}
+	}
+	r.lists = int64(len(res.Lists)) * int64(unsafe.Sizeof([]Estimate(nil)))
+	for _, l := range res.Lists {
+		r.lists += int64(len(l)) * int64(unsafe.Sizeof(Estimate{}))
+	}
+	for _, pg := range res.Table.Pages {
+		k := int64(len(pg.Srcs))
+		r.table += 8 + int64(unsafe.Sizeof(*pg)) + k*(4+8+4+4+1)
+	}
+	if rows := res.rows.Load(); rows != nil {
+		r.digests += 8 * int64(len(*rows))
+	}
+	return r
+}
+
+// TestAllocsPerRunRetainedHeap holds what one fingerprinted generation
+// keeps live: each component of retainedBytes, and the live heap the
+// build leaves behind, within 15 % of what this layout measured. One
+// generation is build-sparse's (a road grid of 1 024 nodes, maxw 64,
+// h = 32, σ = 16, every third node a source, ε = 0.5, seed 1); the other,
+// churn-mixed's shape at n = 10⁴, needs a cold build of some seconds, so
+// -short skips it. The instance lists are the largest part. As 16-byte
+// entries under a slice header per node and instance they were 3.32 MB
+// of build-sparse's 4.67 MB live heap (19.9 of 31.5 MB at n = 10⁴), with
+// 8-byte SelfEmits; in pages of 12-byte entries they are 2.37 MB of
+// 3.72 MB (13.0 of 23.9 MB).
+func TestAllocsPerRunRetainedHeap(t *testing.T) {
+	sparse := func(t *testing.T) (*graph.Graph, Params) {
+		g, err := graph.Generate("roadgrid", 1024, 64, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := make([]bool, g.N())
+		for v := 0; v < g.N(); v += 3 {
+			src[v] = true
+		}
+		return g, Params{IsSource: src, H: 32, Sigma: 16, Epsilon: 0.5}
+	}
+	for _, c := range []struct {
+		name  string
+		short bool
+		shape func(*testing.T) (*graph.Graph, Params)
+		want  retained
+		live  int64
+	}{
+		{"build-sparse", true, sparse, retained{2366520, 49152, 417792, 439310, 106496}, 3722520},
+		{"churn-n10000", false, func(t *testing.T) (*graph.Graph, Params) { return churnShape(t, 10000) },
+			retained{12992632, 760000, 2160000, 2312192, 1600000}, 23892120},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if !c.short && testing.Short() {
+				t.Skip("a cold build at n = 10⁴")
+			}
+			g, p := c.shape(t)
+			before := liveHeap()
+			res, err := Run(g, p, congest.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Fingerprint()
+			live := int64(liveHeap()) - int64(before)
+			runtime.KeepAlive(res)
+			got := retainedBytes(res)
+			t.Logf("instance pages %d, SelfEmits %d, Lists %d, table %d, digests %d: %d bytes; live heap %d bytes",
+				got.pages, got.selfEmits, got.lists, got.table, got.digests, got.total(), live)
+			for _, k := range []struct {
+				name      string
+				got, want int64
+			}{
+				{"instance pages", got.pages, c.want.pages},
+				{"SelfEmits", got.selfEmits, c.want.selfEmits},
+				{"Lists", got.lists, c.want.lists},
+				{"table", got.table, c.want.table},
+				{"digests", got.digests, c.want.digests},
+				{"live heap", live, c.live},
+			} {
+				if budget := k.want + k.want*15/100; k.got > budget {
+					t.Errorf("%s: %d bytes, budget %d (%d measured, plus 15 %%)", k.name, k.got, budget, k.want)
+				}
+			}
+		})
 	}
 }

@@ -170,8 +170,10 @@ func (r *Result) RowMoved(v int) bool { return r.moved == nil || r.moved[v] }
 // per-instance routing tables of Corollary 3.5.
 func (r *Result) TableWords(v int) int {
 	words := 0
+	var buf []detection.Entry
 	for _, inst := range r.Instances {
-		words += 3 * len(inst.Det.Lists[v])
+		buf = inst.Det.List(v, buf)
+		words += 3 * len(buf)
 	}
 	return words
 }
@@ -449,7 +451,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 		res.Messages += det.Metrics.Messages
 		res.MessageBits += det.Metrics.MessageBits
 		for v := 0; v < n; v++ {
-			res.BroadcastsByNode[v] += det.SelfEmits[v]
+			res.BroadcastsByNode[v] += int64(det.SelfEmits[v])
 		}
 	}
 	res.BudgetRounds += res.SetupRounds

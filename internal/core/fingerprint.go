@@ -31,7 +31,7 @@ func (r *Result) Fingerprint() uint64 {
 	f.I64(int64(r.SetupRounds))
 	f.I64(int64(r.BudgetRounds))
 	for _, inst := range r.Instances {
-		f.U64(inst.fingerprint())
+		f.U64(inst.fingerprint(len(r.Lists)))
 	}
 	for _, w := range r.rowDigests() {
 		f.U64(w)
@@ -45,22 +45,25 @@ type instDigest struct {
 	rows []uint64
 }
 
-// fingerprint returns the instance's memoized digest, computing it on the
-// first call; concurrent first callers compute the same value.
-func (inst *Instance) fingerprint() uint64 {
+// fingerprint returns the digest of the instance, whose lists are of n
+// nodes, memoized: it is computed on the first call, and concurrent first
+// callers compute the same value.
+func (inst *Instance) fingerprint(n int) uint64 {
 	d := inst.digest.Load()
 	if d == nil {
-		d = digestInstance(inst)
+		d = digestInstance(inst, n)
 		inst.digest.Store(d)
 	}
 	return d.sum
 }
 
 // digestInstance digests every row of the instance afresh.
-func digestInstance(inst *Instance) *instDigest {
-	rows := make([]uint64, len(inst.Det.Lists))
-	for v, l := range inst.Det.Lists {
-		rows[v] = digestDetRow(l)
+func digestInstance(inst *Instance, n int) *instDigest {
+	rows := make([]uint64, n)
+	var buf []detection.Entry
+	for v := range rows {
+		buf = inst.Det.List(v, buf)
+		rows[v] = digestDetRow(buf)
 	}
 	return inst.seal(rows)
 }
@@ -78,16 +81,21 @@ func (inst *Instance) seal(rows []uint64) *instDigest {
 }
 
 // carryDigest gives a repaired instance its digest when the instance it
-// was repaired from has one: the rows outside the region are that one's.
-// It leaves the digest for the first Fingerprint otherwise.
+// was repaired from has one: the rows outside the region, and the region
+// rows the repair left as they were, are that one's. It leaves the digest
+// for the first Fingerprint otherwise.
 func (inst *Instance) carryDigest(from *Instance, region []int32) {
 	old := from.digest.Load()
 	if old == nil {
 		return
 	}
 	rows := append([]uint64(nil), old.rows...)
+	var buf []detection.Entry
 	for _, v := range region {
-		rows[v] = digestDetRow(inst.Det.Lists[v])
+		if !inst.Det.SameList(int(v), from.Det) {
+			buf = inst.Det.List(int(v), buf)
+			rows[v] = digestDetRow(buf)
+		}
 	}
 	inst.digest.Store(inst.seal(rows))
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pde/internal/congest"
+	"pde/internal/detection"
 	"pde/internal/graph"
 )
 
@@ -280,7 +281,7 @@ func withinBounds(t *testing.T, label string, g *graph.Graph, p Params, res *Res
 			t.Fatalf("%s: instance %d sent %d messages, more than 2m·σ(σ+1)/2 = %d", label, i, m, 2*int64(g.M())*c)
 		}
 		for v, e := range det.SelfEmits {
-			if e > c {
+			if int64(e) > c {
 				t.Fatalf("%s: instance %d: node %d announced %d times, Lemma 3.4 caps it at %d", label, i, v, e, c)
 			}
 		}
@@ -299,7 +300,7 @@ func sameAsCold(t *testing.T, label string, res, cold *Result) {
 			res.HPrime, res.SetupRounds, res.BudgetRounds, len(res.Instances), cold.HPrime, cold.SetupRounds, cold.BudgetRounds, len(cold.Instances))
 	}
 	for i, inst := range cold.Instances {
-		if !reflect.DeepEqual(res.Instances[i].Det.Lists, inst.Det.Lists) {
+		if !reflect.DeepEqual(detLists(res.Instances[i].Det), detLists(inst.Det)) {
 			t.Fatalf("%s: instance %d: detection lists differ from a cold run's", label, i)
 		}
 	}
@@ -313,10 +314,12 @@ func sameAsCold(t *testing.T, label string, res, cold *Result) {
 // otherwise the rows at which some instance's list differs from prev's.
 func wantMoved(res, prev *Result) []bool {
 	moved := make([]bool, len(res.Lists))
+	var a, b []detection.Entry
 	for v := range moved {
 		moved[v] = prev == nil || len(prev.Instances) != len(res.Instances)
 		for i := 0; !moved[v] && i < len(res.Instances); i++ {
-			moved[v] = !slices.Equal(res.Instances[i].Det.Lists[v], prev.Instances[i].Det.Lists[v])
+			a, b = res.Instances[i].Det.List(v, a), prev.Instances[i].Det.List(v, b)
+			moved[v] = !slices.Equal(a, b)
 		}
 	}
 	return moved

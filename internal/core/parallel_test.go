@@ -81,7 +81,7 @@ func TestParallelBuildFingerprintAcrossFamilies(t *testing.T) {
 				}
 				sameAccounting(t, fmt.Sprintf("workers=%d", workers), seq, par)
 				for i := range seq.Instances {
-					if !reflect.DeepEqual(seq.Instances[i].Det.Lists, par.Instances[i].Det.Lists) {
+					if !reflect.DeepEqual(detLists(seq.Instances[i].Det), detLists(par.Instances[i].Det)) {
 						t.Fatalf("workers=%d: instance %d detection lists diverge", workers, i)
 					}
 				}
@@ -223,7 +223,7 @@ func TestFingerprintDetectsTampering(t *testing.T) {
 	}
 
 	fresh = build()
-	fresh.Instances[0].Det.Lists[3] = fresh.Instances[0].Det.Lists[3][:0]
+	fresh.Instances[0].Det.Pages[0].Vias[0] ^= 1
 	if fresh.Fingerprint() == base {
 		t.Error("fingerprint ignores instance detection lists")
 	}

@@ -21,20 +21,50 @@ func tableRow(t Table, v int) []Estimate {
 	return row
 }
 
+// detLists reads every node's list of det.
+func detLists(det *detection.Result) [][]detection.Entry {
+	out := make([][]detection.Entry, len(det.SelfEmits))
+	for v := range out {
+		out[v] = det.List(v, nil)
+	}
+	return out
+}
+
+// detResult lays hand-built lists, each sorted by (Dist, Src), out in a
+// detection result's pages; an entry's flag is flags[Src].
+func detResult(flags []uint8, lists ...[]detection.Entry) *detection.Result {
+	det := &detection.Result{Flags: flags, SelfEmits: make([]int32, len(lists))}
+	for lo := 0; lo < len(lists); lo += detection.PageRows {
+		pg := detection.Page{Off: new([detection.PageRows + 1]int32)}
+		for r := range detection.PageRows {
+			if lo+r < len(lists) {
+				for _, e := range lists[lo+r] {
+					pg.Keys = append(pg.Keys, uint64(e.Dist)<<32|uint64(e.Src))
+					pg.Vias = append(pg.Vias, e.Via)
+				}
+			}
+			pg.Off[r+1] = int32(len(pg.Keys))
+		}
+		det.Pages = append(det.Pages, pg)
+	}
+	return det
+}
+
 // TestRowsHandBuilt pins the row pass's corner cases on instances small
 // enough to read: a cross-instance tie (the lower instance wins), a later
 // instance that is strictly smaller (it wins), a source only one instance
 // detected, an instance with an empty list, and a node with no entries.
-// At σ = 1 each list is its row's smallest entry.
+// At σ = 1 each list is its row's smallest entry. Source 3 is flagged.
 func TestRowsHandBuilt(t *testing.T) {
+	flags := []uint8{0, 0, 0, 1}
 	inst := func(base float64, lists ...[]detection.Entry) *Instance {
-		return &Instance{Base: base, Det: &detection.Result{Lists: lists}}
+		return &Instance{Base: base, Det: detResult(flags, lists...)}
 	}
 	insts := []*Instance{
 		// node 0, node 1, node 2, node 3
-		inst(1, []detection.Entry{{Dist: 4, Src: 3, Via: 1, Flag: 1}, {Dist: 8, Src: 1, Via: 1}}, nil, nil, nil),
-		inst(2, []detection.Entry{{Dist: 2, Src: 3, Via: 2, Flag: 2}, {Dist: 3, Src: 1, Via: 2}}, []detection.Entry{{Dist: 1, Src: 2, Via: 2}}, nil, nil),
-		inst(4, []detection.Entry{{Dist: 1, Src: 3, Via: 3, Flag: 3}, {Dist: 5, Src: 0, Via: -1}}, nil, nil, []detection.Entry{{Dist: 0, Src: 3, Via: -1}}),
+		inst(1, []detection.Entry{{Dist: 4, Src: 3, Via: 1}, {Dist: 8, Src: 1, Via: 1}}, nil, nil, nil),
+		inst(2, []detection.Entry{{Dist: 2, Src: 3, Via: 2}, {Dist: 3, Src: 1, Via: 2}}, []detection.Entry{{Dist: 1, Src: 2, Via: 2}}, nil, nil),
+		inst(4, []detection.Entry{{Dist: 1, Src: 3, Via: 3}, {Dist: 5, Src: 0, Via: -1}}, nil, nil, []detection.Entry{{Dist: 0, Src: 3, Via: -1}}),
 	}
 	table, lists := layRows(insts, 4, 1, nil, nil)
 
@@ -46,13 +76,13 @@ func TestRowsHandBuilt(t *testing.T) {
 		},
 		1: {{Dist: 2, Src: 2, Via: 2, Instance: 1}}, // instances 0 and 2 hold an empty list here
 		2: nil,
-		3: {{Dist: 0, Src: 3, Via: -1, Instance: 2}},
+		3: {{Dist: 0, Src: 3, Via: -1, Instance: 2, Flag: 1}},
 	}
 	wantLists := [][]Estimate{
 		{{Dist: 4, Src: 3, Via: 1, Instance: 0, Flag: 1}},
 		{{Dist: 2, Src: 2, Via: 2, Instance: 1}},
 		nil,
-		{{Dist: 0, Src: 3, Via: -1, Instance: 2}},
+		{{Dist: 0, Src: 3, Via: -1, Instance: 2, Flag: 1}},
 	}
 	for v := 0; v < 4; v++ {
 		if got := tableRow(table, v); !reflect.DeepEqual(got, want[v]) {

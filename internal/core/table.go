@@ -8,9 +8,10 @@ import (
 )
 
 // A Table holds its rows in pages of PageRows consecutive nodes: row v is
-// row v&(PageRows-1) of Pages[v>>PageShift].
+// row v&(PageRows-1) of Pages[v>>PageShift]. They are the pages the
+// instances' detection lists are held in.
 const (
-	PageShift = 4
+	PageShift = detection.PageShift
 	PageRows  = 1 << PageShift
 )
 
@@ -46,26 +47,27 @@ func (t *Table) Entries() int { return t.entries }
 // differs from the same instance's list in prev, and lists them in
 // ascending order. Instances reused by pointer are equal by construction
 // and are not compared, and a repaired instance is compared only in its
-// region: every other list of it is prev's. Equal depth means equal
-// bases, b(i) = (1+ε)^i for the same ε.
+// region, and there only on the pages it did not share with prev: every
+// other list of it is prev's. Equal depth means equal bases,
+// b(i) = (1+ε)^i for the same ε.
 func movedRows(insts, prev []*Instance, todo []int, reps []detection.Repaired, n int) (marks []bool, rows []int32) {
 	marks = make([]bool, n)
-	mark := func(v int32, cur, old []detection.Entry) {
-		if !marks[v] && !slices.Equal(cur, old) {
+	mark := func(v int32, cur, old *detection.Result) {
+		if !marks[v] && !cur.SameList(int(v), old) {
 			marks[v] = true
 			rows = append(rows, v)
 		}
 	}
 	for _, i := range todo {
-		cur, old := insts[i].Det.Lists, prev[i].Det.Lists
+		cur, old := insts[i].Det, prev[i].Det
 		if reps[i].Result != nil {
 			for _, v := range reps[i].Region {
-				mark(v, cur[v], old[v])
+				mark(v, cur, old)
 			}
 			continue
 		}
 		for v := range marks {
-			mark(int32(v), cur[v], old[v])
+			mark(int32(v), cur, old)
 		}
 	}
 	slices.Sort(rows)
@@ -85,7 +87,7 @@ func movedRows(insts, prev []*Instance, todo []int, reps []detection.Repaired, n
 // its unmoved rows copied from prev's page, so that sharing pins nothing
 // else of prev.
 func layRows(insts []*Instance, n, sigma int, prev *Result, moved []int32) (Table, [][]Estimate) {
-	rp := rowPass{insts: insts, sigma: sigma, seen: make([]int32, n), slot: make([]int32, n)}
+	rp := rowPass{insts: insts, sigma: sigma, seen: make([]int32, n), slot: make([]int32, n), det: make([]detection.Entry, 0, min(sigma, n))}
 	t := Table{Pages: make([]*Page, (n+PageRows-1)>>PageShift)}
 	lists := make([][]Estimate, n)
 	if prev == nil {
@@ -120,6 +122,7 @@ type rowPass struct {
 	sigma      int
 	seen, slot []int32
 	row        []Estimate
+	det        []detection.Entry
 	col        Page
 }
 
@@ -175,7 +178,8 @@ func (rp *rowPass) lay(v int) []Estimate {
 	c := &rp.col
 	row := rp.row[:0]
 	for i, inst := range rp.insts {
-		for _, e := range inst.Det.Lists[v] {
+		rp.det = inst.Det.List(v, rp.det)
+		for _, e := range rp.det {
 			est := Estimate{Dist: float64(e.Dist) * inst.Base, Src: e.Src, Via: e.Via, Instance: int32(i), Flag: e.Flag}
 			if rp.seen[e.Src] != int32(v)+1 {
 				rp.seen[e.Src] = int32(v) + 1

@@ -32,8 +32,8 @@ func allocInstance(t *testing.T) (*graph.Graph, Params) {
 // cells, whatever n and the cell count: the Arena, its slabs (cells, keys,
 // Via windows, node states, their lines, procs), the engine's (contexts,
 // send and receive slots, worklist, bitmap), and what the run hands back
-// (the Result with its two slices and one slab of entries, the Metrics
-// with one slab of counters). When every list grew one append at a time
+// (the Result with its pages, a slab of keys and a slab of int32s, the
+// Metrics with one slab of counters). When every list grew one append at a time
 // and Init made three slices per edge this run allocated 48 791 times,
 // 1 385 times when Init made two slabs per node, and 879 while the engine
 // made its contexts, out slots, inboxes and back ports per node and run.
@@ -55,8 +55,8 @@ func TestAllocsPerRunDetection(t *testing.T) {
 // TestAllocsPerRunWarmArena: a second Run on a used Arena finds all of its
 // storage — the engine's included — large enough and makes none of it
 // again. What it still allocates is what the Result holds: the Result, its
-// Lists and SelfEmits, one slab of entries, the Metrics and one slab of
-// its counters.
+// pages, the slab of their keys, one slab of int32s (SelfEmits, then each
+// page's offsets and Vias), the Metrics and one slab of its counters.
 func TestAllocsPerRunWarmArena(t *testing.T) {
 	const held = 6
 	g, p := allocInstance(t)

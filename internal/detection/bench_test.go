@@ -47,7 +47,7 @@ func announcements(tb testing.TB, g *graph.Graph, p Params) int64 {
 	}
 	var total int64
 	for _, s := range res.SelfEmits {
-		total += s
+		total += int64(s)
 	}
 	for i := range a.cells {
 		total += int64(a.cells[i].sentCnt)

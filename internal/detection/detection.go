@@ -17,6 +17,13 @@
 // something or are waiting to, so an idle cell costs memory and no time.
 // Edges with ℓ(e) > h are excluded: no source within h virtual hops can
 // be detected through them, so outputs are unchanged.
+//
+// A Result holds the σ entries per node of Corollary 3.5 in pages of
+// PageRows nodes, 12 bytes an entry: the (distance, source) pair packed in
+// one word and the next hop beside it. A source's flag bits are
+// Params.Flags[src] wherever the pair travels, so no entry stores them.
+// Repair lays out again only the pages on which some list changed and
+// shares every other page with the result it repairs.
 package detection
 
 import (
@@ -86,33 +93,6 @@ func (p *Params) Length(w graph.Weight) int32 {
 		return 1
 	}
 	return int32(max(1, min(math.Ceil(float64(w)/p.Base), float64(p.H)+1)))
-}
-
-// Entry is one detected source at a node.
-type Entry struct {
-	// Dist is the virtual hop distance to the source (its weighted
-	// meaning is Dist·b(i) on instance G_i).
-	Dist int32
-	// Src is the source node.
-	Src int32
-	// Via is the real neighbor from which the best pair arrived
-	// (the next hop toward Src), or -1 for the node's own entry.
-	Via int32
-	// Flag carries the source's metadata bits.
-	Flag uint8
-}
-
-// Result is the output of one detection run.
-type Result struct {
-	// Lists[v] is v's output list: up to σ entries sorted by (Dist, Src).
-	Lists [][]Entry
-	// SelfEmits[v] counts the announcements made by v's own unit: the
-	// "broadcasts" of Lemma 3.4.
-	SelfEmits []int64
-	// Budget is the round budget the run was given.
-	Budget int
-	// Metrics is the CONGEST execution accounting.
-	Metrics *congest.Metrics
 }
 
 // pairMsg is the on-wire format: one (distance, source) pair plus the
@@ -792,23 +772,42 @@ func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	// The output is cut from two slabs: the keys, and the int32s — the
+	// SelfEmits, then every page's offsets followed by its Vias.
 	n := g.N()
-	res := &Result{
-		Lists:     make([][]Entry, n),
-		SelfEmits: make([]int64, n),
-		Budget:    met.BudgetRounds,
-		Metrics:   met,
-	}
-	// The output lists are copies, cut from one slab.
+	np := (n + PageRows - 1) >> PageShift
 	total := 0
 	for v := range a.states {
 		total += int(a.states[v].self.n)
 	}
-	out := make([]Entry, total)
-	for v := range a.states {
-		l := len(a.output(v, out[:0]))
-		res.Lists[v], out = out[:l:l], out[l:]
-		res.SelfEmits[v] = int64(a.states[v].self.sentCnt)
+	keys := make([]uint64, total)
+	ints := make([]int32, n+np*(PageRows+1)+total)
+	res := &Result{
+		Pages:     make([]Page, np),
+		Flags:     p.Flags,
+		SelfEmits: ints[:n:n],
+		Budget:    met.BudgetRounds,
+		Metrics:   met,
+	}
+	ints = ints[n:]
+	for pi := range res.Pages {
+		off := (*[PageRows + 1]int32)(ints)
+		ints = ints[PageRows+1:]
+		lo := pi << PageShift
+		k := 0
+		for r := range PageRows {
+			if v := lo + r; v < n {
+				st := &a.states[v]
+				for i, key := range st.list(&st.self) {
+					keys[k], ints[k] = pageKey(key), st.via[i]
+					k++
+				}
+				res.SelfEmits[v] = st.self.sentCnt
+			}
+			off[r+1] = int32(k)
+		}
+		res.Pages[pi] = Page{Off: off, Keys: keys[:k:k], Vias: ints[:k:k]}
+		keys, ints = keys[k:], ints[k:]
 	}
 	return res, nil
 }
@@ -856,16 +855,6 @@ func (a *Arena) exec(g *graph.Graph, p Params, cfg congest.Config) (*congest.Met
 	}
 	run.Observer = cfg.Observer
 	return a.eng.Run(g, a.procs, run)
-}
-
-// output appends node v's list as the last run left it to out.
-func (a *Arena) output(v int, out []Entry) []Entry {
-	st := &a.states[v]
-	for i, k := range st.list(&st.self) {
-		m := a.sh.msg(k)
-		out = append(out, Entry{Dist: m.dist, Src: m.src, Via: st.via[i], Flag: m.flag})
-	}
-	return out
 }
 
 // BruteForce computes the exact (S, h, σ)-detection answer centrally, for

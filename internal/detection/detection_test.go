@@ -36,13 +36,14 @@ func assertMatchesBruteForce(t *testing.T, g *graph.Graph, p Params) *Result {
 		t.Fatal(err)
 	}
 	want := BruteForce(g, p)
+	ls := lists(res)
 	for v := range want {
-		if len(res.Lists[v]) != len(want[v]) {
+		if len(ls[v]) != len(want[v]) {
 			t.Fatalf("node %d: got %d entries, want %d\n got=%v\nwant=%v",
-				v, len(res.Lists[v]), len(want[v]), res.Lists[v], want[v])
+				v, len(ls[v]), len(want[v]), ls[v], want[v])
 		}
 		for i := range want[v] {
-			got := res.Lists[v][i]
+			got := ls[v][i]
 			if got.Dist != want[v][i].Dist || got.Src != want[v][i].Src {
 				t.Fatalf("node %d entry %d: got (%d,%d), want (%d,%d)",
 					v, i, got.Dist, got.Src, want[v][i].Dist, want[v][i].Src)
@@ -82,8 +83,8 @@ func TestUnweightedSingleSourceIsBFS(t *testing.T) {
 	res := assertMatchesBruteForce(t, g, p)
 	bfs := hopDist(g, 0)
 	for v := 0; v < 50; v++ {
-		if len(res.Lists[v]) != 1 || res.Lists[v][0].Dist != bfs[v] {
-			t.Fatalf("node %d: %v, want BFS dist %d", v, res.Lists[v], bfs[v])
+		if len(lists(res)[v]) != 1 || lists(res)[v][0].Dist != bfs[v] {
+			t.Fatalf("node %d: %v, want BFS dist %d", v, lists(res)[v], bfs[v])
 		}
 	}
 }
@@ -119,9 +120,9 @@ func TestUnweightedAllSourcesAllPairs(t *testing.T) {
 	res := assertMatchesBruteForce(t, g, p)
 	// With S = V, h = σ = n, every node detects every node: this is the
 	// unweighted APSP configuration behind Theorem 4.1.
-	for v := range res.Lists {
-		if len(res.Lists[v]) != n {
-			t.Fatalf("node %d detected %d of %d nodes", v, len(res.Lists[v]), n)
+	for v, l := range lists(res) {
+		if len(l) != n {
+			t.Fatalf("node %d detected %d of %d nodes", v, len(l), n)
 		}
 	}
 }
@@ -136,8 +137,8 @@ func TestFlagsAreCarried(t *testing.T) {
 	}
 	p := Params{IsSource: everyKth(n, 2), Flags: flags, H: n, Sigma: 5, CapMessages: true}
 	res := assertMatchesBruteForce(t, g, p)
-	for v := range res.Lists {
-		for _, e := range res.Lists[v] {
+	for v, l := range lists(res) {
+		for _, e := range l {
 			if e.Flag != flags[e.Src] {
 				t.Fatalf("node %d: source %d flag %d, want %d", v, e.Src, e.Flag, flags[e.Src])
 			}
@@ -173,11 +174,11 @@ func TestSubdividedLongEdgesExcluded(t *testing.T) {
 		MustBuild()
 	p := Params{IsSource: sourceMask(3, 0), H: 10, Sigma: 1, Base: 1, CapMessages: true}
 	res := assertMatchesBruteForce(t, g, p)
-	if len(res.Lists[2]) != 1 || res.Lists[2][0].Dist != 6 {
-		t.Fatalf("node 2 list = %v, want dist 6 via the detour", res.Lists[2])
+	if len(lists(res)[2]) != 1 || lists(res)[2][0].Dist != 6 {
+		t.Fatalf("node 2 list = %v, want dist 6 via the detour", lists(res)[2])
 	}
-	if res.Lists[2][0].Via != 1 {
-		t.Fatalf("node 2 via = %d, want 1", res.Lists[2][0].Via)
+	if lists(res)[2][0].Via != 1 {
+		t.Fatalf("node 2 via = %d, want 1", lists(res)[2][0].Via)
 	}
 }
 
@@ -203,15 +204,16 @@ func TestViaPointersFormExactRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ls := lists(res)
 	for v := 0; v < n; v++ {
-		for _, e := range res.Lists[v] {
+		for _, e := range ls[v] {
 			cur := v
 			dist := e.Dist
 			for step := 0; cur != int(e.Src); step++ {
 				if step > n {
 					t.Fatalf("route from %d to %d does not terminate", v, e.Src)
 				}
-				cure, ok := entryFor(res.Lists[cur], e.Src)
+				cure, ok := entryFor(ls[cur], e.Src)
 				if !ok {
 					t.Fatalf("node %d lost source %d on route from %d", cur, e.Src, v)
 				}
@@ -241,7 +243,7 @@ func TestMessageCapRespected(t *testing.T) {
 		res := assertMatchesBruteForce(t, g, p)
 		capLimit := int64(sigma) * int64(sigma+1) / 2
 		for v, c := range res.SelfEmits {
-			if c > capLimit {
+			if int64(c) > capLimit {
 				t.Fatalf("node %d announced %d pairs, Lemma 3.4 cap is %d (σ=%d)", v, c, capLimit, sigma)
 			}
 		}
@@ -264,8 +266,8 @@ func TestFIFOAblationStillCorrectButChattier(t *testing.T) {
 	fifoRes := assertMatchesBruteForce(t, g, fifo)
 	var lexTotal, fifoTotal int64
 	for v := range lexRes.SelfEmits {
-		lexTotal += lexRes.SelfEmits[v]
-		fifoTotal += fifoRes.SelfEmits[v]
+		lexTotal += int64(lexRes.SelfEmits[v])
+		fifoTotal += int64(fifoRes.SelfEmits[v])
 	}
 	if fifoTotal < lexTotal {
 		t.Fatalf("expected FIFO (%d) to announce at least as much as lex (%d)", fifoTotal, lexTotal)
@@ -278,9 +280,9 @@ func TestSigmaZeroAndEmptySources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range res.Lists {
-		if len(res.Lists[v]) != 0 {
-			t.Fatalf("σ=0 should produce empty lists, node %d has %v", v, res.Lists[v])
+	for v, l := range lists(res) {
+		if len(l) != 0 {
+			t.Fatalf("σ=0 should produce empty lists, node %d has %v", v, l)
 		}
 	}
 	res, err = Run(g, Params{IsSource: make([]bool, 4), H: 4, Sigma: 2, CapMessages: true}, congest.Config{})
@@ -298,11 +300,11 @@ func TestHZeroDetectsOnlySelf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Lists[0]) != 1 || res.Lists[0][0].Src != 0 || res.Lists[0][0].Dist != 0 {
-		t.Fatalf("node 0 with h=0: %v", res.Lists[0])
+	if len(lists(res)[0]) != 1 || lists(res)[0][0].Src != 0 || lists(res)[0][0].Dist != 0 {
+		t.Fatalf("node 0 with h=0: %v", lists(res)[0])
 	}
-	if len(res.Lists[2]) != 0 {
-		t.Fatalf("node 2 with h=0: %v", res.Lists[2])
+	if len(lists(res)[2]) != 0 {
+		t.Fatalf("node 2 with h=0: %v", lists(res)[2])
 	}
 }
 
@@ -334,7 +336,7 @@ func TestLargeSigmaCapDoesNotWrap(t *testing.T) {
 	for _, sigma := range []int{46341, 50000, math.MaxInt32, math.MaxInt} {
 		p := Params{IsSource: []bool{true, true, true}, H: 5, Sigma: sigma, CapMessages: true}
 		res := assertMatchesBruteForce(t, g, p)
-		for v, l := range res.Lists {
+		for v, l := range lists(res) {
 			if len(l) != 3 {
 				t.Fatalf("σ=%d: node %d detected %d sources, want 3", sigma, v, len(l))
 			}
@@ -356,7 +358,7 @@ func TestHopBoundBeyondKeyIsRejected(t *testing.T) {
 	}
 	p.H = math.MaxInt32 - 1
 	res := assertMatchesBruteForce(t, g, p)
-	if e, ok := entryFor(res.Lists[2], 0); !ok || e.Dist != 2 {
+	if e, ok := entryFor(lists(res)[2], 0); !ok || e.Dist != 2 {
 		t.Fatalf("H=%d: node 2 holds %+v, %v", p.H, e, ok)
 	}
 }
@@ -392,13 +394,22 @@ func TestDetectionOnFigure1Gadget(t *testing.T) {
 	col1 := f.Column(1)
 	for i := 1; i <= 3; i++ {
 		u := f.UNode[i-1]
-		if len(res.Lists[u]) != 2 {
-			t.Fatalf("u_%d detected %d sources", i, len(res.Lists[u]))
+		if len(lists(res)[u]) != 2 {
+			t.Fatalf("u_%d detected %d sources", i, len(lists(res)[u]))
 		}
-		for j, e := range res.Lists[u] {
+		for j, e := range lists(res)[u] {
 			if int(e.Src) != col1[j] {
 				t.Fatalf("u_%d entry %d = %+v, want column-1 source %d", i, j, e, col1[j])
 			}
 		}
 	}
+}
+
+// lists reads every node's list of res.
+func lists(res *Result) [][]Entry {
+	out := make([][]Entry, len(res.SelfEmits))
+	for v := range out {
+		out[v] = res.List(v, nil)
+	}
+	return out
 }

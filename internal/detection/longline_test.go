@@ -59,10 +59,10 @@ func TestLongLines(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !sameDistSrc(res.Lists, want) {
+					if !sameDistSrc(lists(res), want) {
 						t.Error("lists differ from BruteForce")
 					}
-					for v, l := range res.Lists {
+					for v, l := range lists(res) {
 						for _, e := range l {
 							if wantFlag := p.Flags != nil; wantFlag && e.Flag != flags[e.Src] || !wantFlag && e.Flag != 0 {
 								t.Fatalf("node %d source %d: flag %d", v, e.Src, e.Flag)

@@ -46,7 +46,7 @@ func TestPropertyDetectionMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return sameDistSrc(res.Lists, BruteForce(g, p))
+		return sameDistSrc(lists(res), BruteForce(g, p))
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestPropertyMessageCapNeverExceeded(t *testing.T) {
 		}
 		capLimit := int64(sigma) * int64(sigma+1) / 2
 		for _, c := range res.SelfEmits {
-			if c > capLimit {
+			if int64(c) > capLimit {
 				return false
 			}
 		}
@@ -189,7 +189,7 @@ func TestPropertyLongLinesEveryScheduler(t *testing.T) {
 					p.Delays = delays
 				}
 				res, err := Run(g, p, congest.Config{})
-				if err != nil || !sameDistSrc(res.Lists, want) {
+				if err != nil || !sameDistSrc(lists(res), want) {
 					t.Logf("seed %d scheduling %d capped %v: err %v, or lists differ from BruteForce", seed, sched, capped, err)
 					return false
 				}

@@ -116,13 +116,14 @@ func (s *repairScratch) search(g *graph.Graph, seeds []heapItem, p *Params, boun
 	s.heap = h[:0]
 }
 
-// listRadius is how far a list reaches: the distance of its σ-th entry,
-// or the hop bound when it holds fewer than σ.
-func listRadius(l []Entry, sigma int, hPrime int32) int32 {
-	if len(l) < sigma {
+// listRadius is how far node v's list in r reaches: the distance of its
+// σ-th entry, or the hop bound when it holds fewer than σ.
+func listRadius(r *Result, v, sigma int, hPrime int32) int32 {
+	keys, _ := r.row(v)
+	if len(keys) < sigma {
 		return hPrime
 	}
-	return l[sigma-1].Dist
+	return int32(keys[sigma-1] >> 32)
 }
 
 // Repair computes the run of p on g from prev, the result of a run of the
@@ -168,13 +169,15 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 	for _, e := range moved {
 		s.seeds = append(s.seeds, heapItem{0, e.U}, heapItem{0, e.V})
 	}
+	// No radius exceeds the hop bound, so the first list that reaches it
+	// ends the scan.
 	var maxR int32
-	for _, l := range prev.Lists {
-		maxR = max(maxR, listRadius(l, sigma, hPrime))
+	for v := 0; v < n && maxR < hPrime; v++ {
+		maxR = max(maxR, listRadius(prev, v, sigma, hPrime))
 	}
 	s.region = s.region[:0]
 	s.search(g, s.seeds, &p, maxR, func(v, d int32) {
-		if d <= listRadius(prev.Lists[v], sigma, hPrime) {
+		if d <= listRadius(prev, int(v), sigma, hPrime) {
 			s.region = append(s.region, v)
 		}
 	})
@@ -190,7 +193,7 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 		// some v's reach.
 		s.seeds, s.reach = s.seeds[:0], s.reach[:0]
 		for _, v := range region {
-			r := listRadius(prev.Lists[v], sigma, hPrime) + repairSlack
+			r := listRadius(prev, int(v), sigma, hPrime) + repairSlack
 			s.reach = append(s.reach, r)
 			s.seeds = append(s.seeds, heapItem{-r, v})
 		}
@@ -219,51 +222,99 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 	}
 
 	// The region's lists from the sub-run, ids mapped back; every other
-	// list, and every region list the sub-run left as it was, is prev's.
-	// A list prev shares may lie in the slab of the cold run that built
-	// it, which then stays live while any of its lists is served: a chain
-	// of repairs keeps at most that one slab of an earlier generation.
+	// list is prev's. Only a page on which the sub-run changed some region
+	// list is laid out again, in columns of its own; every other page is
+	// prev's, shared, whatever region lists it holds. A page prev
+	// shares may lie in the slabs of the cold run that built it, which
+	// then stay live while any of its pages is served: a chain of repairs
+	// keeps at most those slabs of an earlier generation.
 	res := &Result{
-		Lists:     slices.Clone(prev.Lists),
-		SelfEmits: make([]int64, n),
+		Pages:     slices.Clone(prev.Pages),
+		Flags:     p.Flags,
+		SelfEmits: make([]int32, n),
 		Budget:    prev.Budget,
 		Metrics:   met,
 	}
-	for _, v := range region {
-		res.Lists[v] = a.regionList(int(s.index[v]), prev.Lists[v])
+	for rest := region; len(rest) > 0; {
+		pi := int(rest[0] >> PageShift)
+		k := 1
+		for k < len(rest) && int(rest[k]>>PageShift) == pi {
+			k++
+		}
+		if !a.sameRows(prev, rest[:k]) {
+			res.Pages[pi] = a.relay(prev.Pages[pi], rest[:k])
+		}
+		rest = rest[k:]
 	}
 	for j, v := range s.halo {
-		res.SelfEmits[v] = int64(a.states[j].self.sentCnt)
+		res.SelfEmits[v] = a.states[j].self.sentCnt
 	}
 	return Repaired{Result: res, Region: region, Halo: len(s.halo)}, nil
 }
 
-// regionList returns the list the sub-run left at halo position j, ids
-// mapped back to g's: old itself when the two are equal, so that an
-// unchanged list stays shared, and otherwise a list of its own.
-func (a *Arena) regionList(j int, old []Entry) []Entry {
-	st, halo := &a.states[j], a.rs.halo
-	keys := st.list(&st.self)
-	entry := func(i int) Entry {
-		m := a.sh.msg(keys[i])
-		e := Entry{Dist: m.dist, Src: halo[m.src], Via: st.via[i], Flag: m.flag}
-		if e.Via >= 0 {
-			e.Via = halo[e.Via]
+// subRow returns region node v's list as the sub-run left it, in the
+// halo's ids: its keys and Vias.
+func (a *Arena) subRow(v int32) ([]uint64, []int32) {
+	st := &a.states[a.rs.index[v]]
+	l := st.list(&st.self)
+	return l, st.via[:len(l)]
+}
+
+// mapped returns a sub-run key and Via as a Page stores them, with the
+// halo's ids mapped back to g's.
+func (s *repairScratch) mapped(k uint64, via int32) (uint64, int32) {
+	if via >= 0 {
+		via = s.halo[via]
+	}
+	return uint64(keyDist(k))<<32 | uint64(s.halo[keySrc(k)]), via
+}
+
+// sameRows reports whether the sub-run left every node of rows (region
+// nodes, all on one page) the list prev holds.
+func (a *Arena) sameRows(prev *Result, rows []int32) bool {
+	for _, v := range rows {
+		keys, vias := prev.row(int(v))
+		sub, subVias := a.subRow(v)
+		if len(sub) != len(keys) {
+			return false
 		}
-		return e
+		for i, k := range sub {
+			if mk, mv := a.rs.mapped(k, subVias[i]); mk != keys[i] || mv != vias[i] {
+				return false
+			}
+		}
 	}
-	same := len(keys) == len(old)
-	for i := 0; same && i < len(keys); i++ {
-		same = entry(i) == old[i]
+	return true
+}
+
+// relay lays out again the page old in columns of its own, with the rows
+// of the region nodes rows (all on it, ascending) from the sub-run and
+// every other row from old.
+func (a *Arena) relay(old Page, rows []int32) Page {
+	lo := int(rows[0]) &^ (PageRows - 1)
+	total := int(old.Off[PageRows])
+	for _, v := range rows {
+		sub, _ := a.subRow(v)
+		r := int(v) - lo
+		total += len(sub) - int(old.Off[r+1]-old.Off[r])
 	}
-	if same {
-		return old
+	ints := make([]int32, PageRows+1+total)
+	pg := Page{Off: (*[PageRows + 1]int32)(ints), Keys: make([]uint64, 0, total), Vias: ints[PageRows+1 : PageRows+1]}
+	for r := range PageRows {
+		if len(rows) > 0 && int(rows[0]) == lo+r {
+			sub, subVias := a.subRow(rows[0])
+			for i, k := range sub {
+				mk, mv := a.rs.mapped(k, subVias[i])
+				pg.Keys, pg.Vias = append(pg.Keys, mk), append(pg.Vias, mv)
+			}
+			rows = rows[1:]
+		} else {
+			pg.Keys = append(pg.Keys, old.Keys[old.Off[r]:old.Off[r+1]]...)
+			pg.Vias = append(pg.Vias, old.Vias[old.Off[r]:old.Off[r+1]]...)
+		}
+		pg.Off[r+1] = int32(len(pg.Keys))
 	}
-	l := make([]Entry, len(keys))
-	for i := range l {
-		l[i] = entry(i)
-	}
-	return l
+	return pg
 }
 
 // unindex clears the halo's positions.

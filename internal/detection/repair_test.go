@@ -63,11 +63,12 @@ func TestRepairMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for v := range want.Lists {
-			if !slices.Equal(rep.Lists[v], want.Lists[v]) {
-				t.Fatalf("trial %d node %d: repaired list %v, full run %v", trial, v, rep.Lists[v], want.Lists[v])
+		got, old := lists(rep.Result), lists(prev)
+		for v, l := range lists(want) {
+			if !slices.Equal(got[v], l) {
+				t.Fatalf("trial %d node %d: repaired list %v, full run %v", trial, v, got[v], l)
 			}
-			if _, in := slices.BinarySearch(rep.Region, int32(v)); !in && !slices.Equal(rep.Lists[v], prev.Lists[v]) {
+			if _, in := slices.BinarySearch(rep.Region, int32(v)); !in && !slices.Equal(got[v], old[v]) {
 				t.Fatalf("trial %d node %d: outside the region, yet the list moved", trial, v)
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pde/internal/core"
+	"pde/internal/detection"
 	"pde/internal/graph"
 )
 
@@ -20,10 +21,12 @@ import (
 func compileBySort(res *core.Result) [][]core.Estimate {
 	rows := make([][]core.Estimate, len(res.Lists))
 	var buf []core.Estimate
+	var det []detection.Entry
 	for v := range rows {
 		buf = buf[:0]
 		for i, inst := range res.Instances {
-			for _, e := range inst.Det.Lists[v] {
+			det = inst.Det.List(v, det)
+			for _, e := range det {
 				buf = append(buf, core.Estimate{
 					Src:      e.Src,
 					Dist:     float64(e.Dist) * inst.Base,

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"pde/internal/core"
+	"pde/internal/detection"
 	"pde/internal/graph"
 )
 
@@ -19,8 +20,10 @@ import (
 func scanEstimate(res *core.Result, v int, s int32) (core.Estimate, bool) {
 	best := core.Estimate{Dist: math.Inf(1)}
 	found := false
+	var buf []detection.Entry
 	for i, inst := range res.Instances {
-		for _, e := range inst.Det.Lists[v] {
+		buf = inst.Det.List(v, buf)
+		for _, e := range buf {
 			if e.Src != s {
 				continue
 			}

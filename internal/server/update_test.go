@@ -9,6 +9,7 @@ import (
 
 	"pde/internal/congest"
 	"pde/internal/core"
+	"pde/internal/detection"
 	"pde/internal/graph"
 	"pde/internal/oracle"
 	"pde/internal/scheme"
@@ -255,10 +256,11 @@ func TestUpdateVerifyRefusesDivergentTables(t *testing.T) {
 				if !next.RowMoved(v) || affected[e.Instance] {
 					continue
 				}
-				det := res.Instances[e.Instance].Det.Lists[v]
-				for j := range det {
-					if det[j].Src == e.Src {
-						det[j].Via ^= 1
+				det := res.Instances[e.Instance].Det
+				for i, d := range det.List(v, nil) {
+					if d.Src == e.Src {
+						pg := &det.Pages[v>>detection.PageShift]
+						pg.Vias[pg.Off[v&(detection.PageRows-1)]+int32(i)] ^= 1
 						return true
 					}
 				}
