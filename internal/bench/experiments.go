@@ -209,7 +209,7 @@ func e4Messages(scale Scale) *Table {
 		}
 		t.Rows = append(t.Rows, []string{
 			d(sigma), d64(maxB), d(sigma * (sigma + 1) / 2),
-			f1(float64(sum) / float64(n)), d(res.Budget),
+			f1(float64(sum) / float64(n)), d(res.Metrics.BudgetRounds),
 		})
 	}
 	t.Notes = append(t.Notes,

@@ -61,8 +61,6 @@ type Ctx struct {
 	received int32
 	wake     bool
 	fault    error
-	nsends   int64
-	nbcasts  int64
 }
 
 // Node returns this node's identifier.
@@ -102,18 +100,13 @@ func (c *Ctx) Send(port int, m Message) {
 		return
 	}
 	c.out[port] = m
-	c.nsends++
 }
 
-// Broadcast sends m on every port. Point-to-point sends are accounted per
-// port, and the call additionally counts as one broadcast operation — the
-// quantity Lemma 3.4 bounds.
+// Broadcast sends m on every port: one point-to-point message per port,
+// each counted in Metrics.Messages like any Send.
 func (c *Ctx) Broadcast(m Message) {
 	for p := range c.nbrs {
 		c.Send(p, m)
-	}
-	if c.fault == nil {
-		c.nbcasts++
 	}
 }
 

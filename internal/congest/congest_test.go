@@ -12,6 +12,7 @@ import (
 
 // floodProc is a tiny test algorithm: the origin broadcasts a token; every
 // node re-broadcasts the first time it hears it, recording the round.
+// Every node sends the one boxed token, so a run allocates nothing of it.
 type floodProc struct {
 	origin bool
 	heard  int // round first heard (0 for origin, -1 never)
@@ -21,7 +22,7 @@ func (p *floodProc) Init(ctx *Ctx) {
 	p.heard = -1
 	if p.origin {
 		p.heard = 0
-		ctx.Broadcast(ValueMsg{Value: 1})
+		ctx.Broadcast(floodToken)
 	}
 }
 
@@ -30,8 +31,10 @@ func (p *floodProc) Round(ctx *Ctx) {
 		return
 	}
 	p.heard = ctx.Round()
-	ctx.Broadcast(ValueMsg{Value: 1})
+	ctx.Broadcast(floodToken)
 }
+
+var floodToken Message = ValueMsg{Value: 1}
 
 func newFlood(n, origin int) ([]Proc, []*floodProc) {
 	procs := make([]Proc, n)
@@ -145,32 +148,6 @@ func TestObserverStopsRun(t *testing.T) {
 	}
 	if !met.Stopped || met.ActiveRounds != 3 {
 		t.Fatalf("met=%+v, want stopped at round 3", met)
-	}
-}
-
-func TestBroadcastCountsOncePerCall(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := graph.Star(10, 1, rng)
-	procs, _ := newFlood(10, 0)
-	met, err := Run(g, procs, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if met.Broadcasts[0] != 1 {
-		t.Fatalf("center broadcasts = %d, want 1", met.Broadcasts[0])
-	}
-	if met.Sends[0] != 9 {
-		t.Fatalf("center sends = %d, want 9", met.Sends[0])
-	}
-	var total int64
-	for _, b := range met.Broadcasts {
-		total += b
-	}
-	if total != 10 {
-		t.Fatalf("total broadcasts = %d, want 10", total)
-	}
-	if m := slices.Max(met.Broadcasts); m != 1 {
-		t.Fatalf("max broadcasts = %d, want 1", m)
 	}
 }
 

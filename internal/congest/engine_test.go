@@ -163,9 +163,9 @@ func TestQuiescenceFastForward(t *testing.T) {
 }
 
 // TestWorklistSkipsIdleNodes checks that a quiet node never takes a step:
-// on a star, only the center and one leaf ever exchange messages when the
-// flood starts at a leaf... every node is woken exactly once by the flood,
-// so per-node Sends reflect a single broadcast each.
+// when the flood starts at a leaf of a star, every node is woken exactly
+// once by it, so each broadcasts once and the run delivers one message per
+// port of each broadcast.
 func TestWorklistSkipsIdleNodes(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	g := graph.Star(64, 1, rng)
@@ -181,8 +181,8 @@ func TestWorklistSkipsIdleNodes(t *testing.T) {
 	}
 	// Leaf origin sends 1 (to center), center broadcasts to 63 leaves,
 	// every other leaf echoes 1 back to the center.
-	if met.Sends[1] != 1 || met.Sends[0] != 63 {
-		t.Fatalf("sends: origin=%d center=%d, want 1 and 63", met.Sends[1], met.Sends[0])
+	if met.Messages != 1+63+62 {
+		t.Fatalf("Messages=%d, want 126 (origin 1, center 63, 62 echoes)", met.Messages)
 	}
 	// Round 1: center hears. Round 2: leaves hear and echo. Round 3: the
 	// center consumes the echoes (it received, so it must step once more).
@@ -398,5 +398,22 @@ func TestIdleBudgetIsFree(t *testing.T) {
 	looseAllocs := testing.AllocsPerRun(5, func() { run(8 * last) })
 	if tightAllocs != looseAllocs {
 		t.Fatalf("%.0f allocations with the budget it needs, %.0f with 8x", tightAllocs, looseAllocs)
+	}
+}
+
+// TestAllocsPerRunEngine: a run on a warm Engine allocates its Metrics and
+// nothing else, whatever the graph's size: no per-node or per-round state.
+func TestAllocsPerRunEngine(t *testing.T) {
+	g := graph.Grid(12, 12, 10, rand.New(rand.NewSource(23)))
+	procs, _ := newFlood(g.N(), 0)
+	var eng Engine
+	run := func() {
+		if _, err := eng.Run(g, procs, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs != 1 {
+		t.Fatalf("a warm Engine.Run allocates %.0f objects, want 1 (its Metrics)", allocs)
 	}
 }

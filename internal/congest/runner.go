@@ -77,14 +77,6 @@ type Metrics struct {
 	Messages int64
 	// MessageBits is the total number of bits delivered.
 	MessageBits int64
-	// Broadcasts[v] counts Broadcast calls by node v (Lemma 3.4's
-	// per-node quantity).
-	Broadcasts []int64
-	// Sends[v] counts point-to-point sends by node v.
-	Sends []int64
-	// MaxBusyPorts is the largest number of distinct (node, port) sends
-	// in any single round, a congestion indicator.
-	MaxBusyPorts int
 }
 
 // Run executes procs (one per node of g) under cfg and returns metrics. It
@@ -184,12 +176,6 @@ func (e *Engine) Run(g *graph.Graph, procs []Proc, cfg Config) (*Metrics, error)
 	if cfg.MaxRounds == 0 {
 		met.BudgetRounds = met.ActiveRounds
 	}
-	// Per-node send/broadcast counters accumulate inside each Ctx; publish
-	// them once at the end of the run.
-	for v := range e.ctxs {
-		met.Broadcasts[v] = e.ctxs[v].nbcasts
-		met.Sends[v] = e.ctxs[v].nsends
-	}
 	return met, nil
 }
 
@@ -200,8 +186,7 @@ func (e *Engine) Run(g *graph.Graph, procs []Proc, cfg Config) (*Metrics, error)
 func (e *Engine) reset(g *graph.Graph, procs []Proc, b int) {
 	n, ports := g.N(), 2*g.M()
 	e.procs, e.b, e.epoch = procs, b, 0
-	counts := make([]int64, 2*n)
-	e.met = &Metrics{Broadcasts: counts[:n:n], Sends: counts[n:]}
+	e.met = new(Metrics)
 	e.ctxs = resize(e.ctxs, n)
 	e.out = resize(e.out, ports)
 	clear(e.out)
@@ -257,7 +242,6 @@ func (e *Engine) step(round int, init bool) error {
 //pde:hotpath
 func (e *Engine) deliver() error {
 	ep := e.epoch
-	var busy int
 	var msgs, msgBits int64
 	for _, v := range e.active[:e.nactive] {
 		c := &e.ctxs[v]
@@ -282,14 +266,12 @@ func (e *Engine) deliver() error {
 			}
 			r.inbox[r.nin] = Incoming{From: int(v), Port: int(ed.Back), Msg: m}
 			r.nin++
-			busy++
 			msgs++
 			msgBits += int64(nb)
 		}
 	}
 	e.met.Messages += msgs
 	e.met.MessageBits += msgBits
-	e.met.MaxBusyPorts = max(e.met.MaxBusyPorts, busy)
 
 	k := 0
 	for w, word := range e.next {

@@ -312,15 +312,16 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	// i_max locally — the +D term of Corollary 3.5.
 	maxW := g.MaxWeight()
 	if !p.SkipSetup && n > 0 {
-		var spent cost
+		var spent congest.Metrics
 		var err error
 		if res.setup, spent, err = setUp(g, cfg, prev, changed); err != nil {
 			return nil, ps, err
 		}
-		res.SetupRounds = res.setup.tree.rounds + res.setup.agg.rounds
-		res.Messages += res.setup.tree.messages + res.setup.agg.messages
-		res.MessageBits += res.setup.tree.bits + res.setup.agg.bits
-		ps.SetupRounds, ps.SetupMessages = spent.rounds, spent.messages
+		tree, agg := res.setup.tree, res.setup.agg
+		res.SetupRounds = tree.ActiveRounds + agg.ActiveRounds
+		res.Messages += tree.Messages + agg.Messages
+		res.MessageBits += tree.MessageBits + agg.MessageBits
+		ps.SetupRounds, ps.SetupMessages = spent.ActiveRounds, spent.Messages
 	}
 
 	// The rounding hierarchy. The i_max+1 instances are mutually
@@ -446,7 +447,7 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	res.Instances = insts
 	for _, inst := range insts {
 		det := inst.Det
-		res.BudgetRounds += det.Budget
+		res.BudgetRounds += det.Metrics.BudgetRounds
 		res.ActiveRounds += det.Metrics.ActiveRounds
 		res.Messages += det.Metrics.Messages
 		res.MessageBits += det.Metrics.MessageBits

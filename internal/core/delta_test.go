@@ -157,20 +157,20 @@ func TestDeltaBuildReusesSetup(t *testing.T) {
 		if res.Fingerprint() != cold.Fingerprint() || res.SetupRounds != cold.SetupRounds {
 			t.Fatalf("%s: fingerprint %016x, setup rounds %d; cold %016x, %d", c.name, res.Fingerprint(), res.SetupRounds, cold.Fingerprint(), cold.SetupRounds)
 		}
-		if res.setup.tree != cold.setup.tree {
+		if *res.setup.tree != *cold.setup.tree {
 			t.Fatalf("%s: tree cost %+v, cold %+v", c.name, res.setup.tree, cold.setup.tree)
 		}
 		var want PatchStats
 		if c.aggregate {
-			if res.setup.agg != cold.setup.agg {
+			if *res.setup.agg != *cold.setup.agg {
 				t.Fatalf("%s: aggregate cost %+v, cold %+v", c.name, res.setup.agg, cold.setup.agg)
 			}
-			want.SetupRounds, want.SetupMessages = res.setup.agg.rounds, res.setup.agg.messages
+			want.SetupRounds, want.SetupMessages = res.setup.agg.ActiveRounds, res.setup.agg.Messages
 		} else if res.setup.agg != c.prev.setup.agg {
 			t.Fatalf("%s: aggregate cost %+v, prev's %+v", c.name, res.setup.agg, c.prev.setup.agg)
 		}
 		if c.tree {
-			want.SetupRounds, want.SetupMessages = res.SetupRounds, res.setup.tree.messages+res.setup.agg.messages
+			want.SetupRounds, want.SetupMessages = res.SetupRounds, res.setup.tree.Messages+res.setup.agg.Messages
 		} else if res.setup.bfs != c.prev.setup.bfs {
 			t.Fatalf("%s: the tree was built again", c.name)
 		}

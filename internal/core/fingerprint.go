@@ -73,7 +73,7 @@ func digestInstance(inst *Instance, n int) *instDigest {
 func (inst *Instance) seal(rows []uint64) *instDigest {
 	f := fingerprint.New()
 	f.F64(inst.Base)
-	f.I64(int64(inst.Det.Budget))
+	f.I64(int64(inst.Det.Metrics.BudgetRounds))
 	for _, w := range rows {
 		f.U64(w)
 	}

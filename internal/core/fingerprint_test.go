@@ -28,7 +28,7 @@ func linearFingerprint(r *Result) uint64 {
 	}
 	for _, inst := range r.Instances {
 		f.F64(inst.Base)
-		f.I64(int64(inst.Det.Budget))
+		f.I64(int64(inst.Det.Metrics.BudgetRounds))
 		f.I64(int64(inst.Det.Metrics.ActiveRounds))
 		for v, l := range detLists(inst.Det) {
 			for _, e := range l {

@@ -274,8 +274,8 @@ func withinBounds(t *testing.T, label string, g *graph.Graph, p Params, res *Res
 	}
 	for i, inst := range res.Instances {
 		det := inst.Det
-		if det.Metrics.ActiveRounds > det.Budget {
-			t.Fatalf("%s: instance %d ran %d active rounds, budget %d", label, i, det.Metrics.ActiveRounds, det.Budget)
+		if det.Metrics.ActiveRounds > det.Metrics.BudgetRounds {
+			t.Fatalf("%s: instance %d ran %d active rounds, budget %d", label, i, det.Metrics.ActiveRounds, det.Metrics.BudgetRounds)
 		}
 		if m := det.Metrics.Messages; m > 2*int64(g.M())*c {
 			t.Fatalf("%s: instance %d sent %d messages, more than 2m·σ(σ+1)/2 = %d", label, i, m, 2*int64(g.M())*c)

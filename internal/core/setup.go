@@ -7,36 +7,27 @@ import (
 	"pde/internal/graph"
 )
 
-// cost is what one CONGEST phase of the setup ran: its active rounds,
-// real messages and their bits.
-type cost struct {
-	rounds         int
-	messages, bits int64
-}
-
-func costOf(m *congest.Metrics) cost { return cost{m.ActiveRounds, m.Messages, m.MessageBits} }
-
 // setup is the +D setup of Corollary 3.5: a BFS tree from node 0 and the
 // w_max aggregate over it. tree and agg are what the two phases cost in
 // the build that last ran them.
 type setup struct {
 	bfs       *congest.Tree
-	tree, agg cost
+	tree, agg *congest.Metrics
 }
 
 // setUp runs the setup on g, reusing what of prev's it can: prev's tree
 // when prev has one, and prev's w_max as well unless a changed edge was
 // at it or rose above it. Either way the w_max the setup concludes must
-// be g's. spent is what this call ran itself.
-func setUp(g *graph.Graph, cfg congest.Config, prev *Result, changed []graph.Reweight) (s setup, spent cost, err error) {
+// be g's. spent sums the active rounds and messages this call ran itself.
+func setUp(g *graph.Graph, cfg congest.Config, prev *Result, changed []graph.Reweight) (s setup, spent congest.Metrics, err error) {
 	fresh := prev == nil || prev.setup.bfs == nil
 	if fresh {
 		tree, tm, err := congest.BuildBFSTree(g, 0, cfg.Sub())
 		if err != nil {
 			return s, spent, fmt.Errorf("core: setup BFS tree: %w", err)
 		}
-		s.bfs, s.tree = tree, costOf(tm)
-		spent = s.tree
+		s.bfs, s.tree = tree, tm
+		spent.ActiveRounds, spent.Messages = tm.ActiveRounds, tm.Messages
 	} else {
 		s = prev.setup
 	}
@@ -52,10 +43,9 @@ func setUp(g *graph.Graph, cfg congest.Config, prev *Result, changed []graph.Rew
 		if agg, am, err = congest.Aggregate(g, s.bfs, local, func(a, b int64) int64 { return max(a, b) }, cfg.Sub()); err != nil {
 			return s, spent, fmt.Errorf("core: setup aggregate: %w", err)
 		}
-		s.agg = costOf(am)
-		spent.rounds += s.agg.rounds
-		spent.messages += s.agg.messages
-		spent.bits += s.agg.bits
+		s.agg = am
+		spent.ActiveRounds += am.ActiveRounds
+		spent.Messages += am.Messages
 	} else {
 		agg = prev.g.MaxWeight()
 	}

@@ -28,12 +28,12 @@ func allocInstance(t *testing.T) (*graph.Graph, Params) {
 }
 
 // TestAllocsPerRunDetection holds the arena layout: one sequential Run on
-// a fresh Arena allocates 19 times for these 128 nodes and 8 572 relay
+// a fresh Arena allocates 18 times for these 128 nodes and 8 572 relay
 // cells, whatever n and the cell count: the Arena, its slabs (cells, keys,
 // Via windows, node states, their lines, procs), the engine's (contexts,
 // send and receive slots, worklist, bitmap), and what the run hands back
 // (the Result with its pages, a slab of keys and a slab of int32s, the
-// Metrics with one slab of counters). When every list grew one append at a time
+// Metrics). When every list grew one append at a time
 // and Init made three slices per edge this run allocated 48 791 times,
 // 1 385 times when Init made two slabs per node, and 879 while the engine
 // made its contexts, out slots, inboxes and back ports per node and run.
@@ -56,9 +56,9 @@ func TestAllocsPerRunDetection(t *testing.T) {
 // storage — the engine's included — large enough and makes none of it
 // again. What it still allocates is what the Result holds: the Result, its
 // pages, the slab of their keys, one slab of int32s (SelfEmits, then each
-// page's offsets and Vias), the Metrics and one slab of its counters.
+// page's offsets and Vias) and the Metrics.
 func TestAllocsPerRunWarmArena(t *testing.T) {
-	const held = 6
+	const held = 5
 	g, p := allocInstance(t)
 	cold := testing.AllocsPerRun(3, func() {
 		if _, err := Run(g, p, congest.Config{}); err != nil {

@@ -60,8 +60,9 @@ type Params struct {
 	// IsSource marks the nodes of S.
 	IsSource []bool
 	// Flags carries per-source metadata bits (e.g. membership in the next
-	// sampling level, §4.3); they ride along in every message about the
-	// source. May be nil.
+	// sampling level, §4.3). In the model they ride along in every message
+	// about the source, and each is charged 8 bits for them; being the
+	// source's, they are read from here rather than carried. May be nil.
 	Flags []uint8
 	// H is the hop bound h, counted in virtual hops of the subdivided
 	// graph.
@@ -95,12 +96,12 @@ func (p *Params) Length(w graph.Weight) int32 {
 	return int32(max(1, min(math.Ceil(float64(w)/p.Base), float64(p.H)+1)))
 }
 
-// pairMsg is the on-wire format: one (distance, source) pair plus the
-// source's flag bits.
+// pairMsg is the on-wire format: one (distance, source) pair. The
+// source's flag bits are Params.Flags[src], so the pair does not hold
+// them, but Bits charges for them as the model sends them.
 type pairMsg struct {
 	dist int32
 	src  int32
-	flag uint8
 }
 
 // Bits is 8 flag bits plus the minimal binary lengths of the distance and
@@ -248,13 +249,7 @@ type shared struct {
 // msg is the wire form of an announced key.
 //
 //pde:hotpath
-func (sh *shared) msg(k uint64) pairMsg {
-	m := pairMsg{dist: keyDist(k), src: keySrc(k)}
-	if sh.p.Flags != nil {
-		m.flag = sh.p.Flags[m.src]
-	}
-	return m
-}
+func msg(k uint64) pairMsg { return pairMsg{dist: keyDist(k), src: keySrc(k)} }
 
 // edgeSim is one real edge's virtual line as seen from one endpoint: the
 // endpoint's own relay cells ordered by distance from it. cells[len-1] is
@@ -595,12 +590,11 @@ func (n *nodeProc) Round(ctx *congest.Ctx) {
 //
 //pde:hotpath
 func (n *nodeProc) emitPhase(ctx *congest.Ctx) {
-	sh := n.sh
 	par := ctx.Round() & 1
 	self := &n.self
 	var wake bool
 	if n.selfEmit, wake = n.announce(self); n.selfEmit {
-		n.selfWire[par] = sh.msg(self.emit)
+		n.selfWire[par] = msg(self.emit)
 		wake = true
 	}
 	for p := range n.edges {
@@ -635,7 +629,7 @@ func (n *nodeProc) emitPhase(ctx *congest.Ctx) {
 		wake = true
 		// The boundary cell's emission crosses the real edge.
 		if last := len(c) - 1; es.emitting[last>>6]>>(last&63)&1 != 0 {
-			es.wire[par] = sh.msg(c[last].emit)
+			es.wire[par] = msg(c[last].emit)
 			ctx.Send(p, &es.wire[par])
 		}
 	}
@@ -766,9 +760,10 @@ func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
 	return new(Arena).Run(g, p, cfg)
 }
 
-// Run is the package's Run with the units' storage taken from a.
+// Run is the package's Run with the units' storage taken from a. The run
+// is given budget(p) rounds; of cfg it takes only the bandwidth B.
 func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
-	met, err := a.exec(g, p, cfg)
+	met, err := a.exec(g, p, cfg.B, budget(p))
 	if err != nil {
 		return nil, err
 	}
@@ -786,7 +781,6 @@ func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, erro
 		Pages:     make([]Page, np),
 		Flags:     p.Flags,
 		SelfEmits: ints[:n:n],
-		Budget:    met.BudgetRounds,
 		Metrics:   met,
 	}
 	ints = ints[n:]
@@ -812,9 +806,10 @@ func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, erro
 	return res, nil
 }
 
-// exec validates p, lays the run out in a and runs it; the node states
-// hold its outcome until the next run.
-func (a *Arena) exec(g *graph.Graph, p Params, cfg congest.Config) (*congest.Metrics, error) {
+// exec validates p, lays the run out in a and runs it under bandwidth b
+// (0: the engine's default) for the given number of rounds; the node
+// states hold its outcome until the next run.
+func (a *Arena) exec(g *graph.Graph, p Params, b, rounds int) (*congest.Metrics, error) {
 	n := g.N()
 	if len(p.IsSource) != n {
 		return nil, fmt.Errorf("detection: IsSource has %d entries for %d nodes", len(p.IsSource), n)
@@ -846,15 +841,7 @@ func (a *Arena) exec(g *graph.Graph, p Params, cfg congest.Config) (*congest.Met
 	}
 	a.sh = shared{p: p, sigma: p.Sigma, beyond: pack(int32(p.H)+1, 0), capLimit: int32(capLimit), sched: sched}
 	a.layout(g)
-	// Derive the engine config explicitly: keep the caller's engine knobs
-	// plus budget/observer, so nothing else ever leaks into the run.
-	run := cfg.Sub()
-	run.MaxRounds = cfg.MaxRounds
-	if run.MaxRounds == 0 {
-		run.MaxRounds = budget(p)
-	}
-	run.Observer = cfg.Observer
-	return a.eng.Run(g, a.procs, run)
+	return a.eng.Run(g, a.procs, congest.Config{B: b, MaxRounds: rounds})
 }
 
 // BruteForce computes the exact (S, h, σ)-detection answer centrally, for

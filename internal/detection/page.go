@@ -53,9 +53,8 @@ type Result struct {
 	// SelfEmits[v] counts the announcements made by v's own unit: the
 	// "broadcasts" of Lemma 3.4.
 	SelfEmits []int32
-	// Budget is the round budget the run was given.
-	Budget int
-	// Metrics is the CONGEST execution accounting.
+	// Metrics is the CONGEST execution accounting; its BudgetRounds is
+	// the round budget the run was given.
 	Metrics *congest.Metrics
 }
 

@@ -37,9 +37,7 @@ type repairScratch struct {
 	region []int32
 	halo   []int32
 	seeds  []heapItem
-	// The sub-run's params, by halo position.
-	src   []bool
-	flags []uint8
+	src    []bool // the sub-run's IsSource, by halo position
 }
 
 type heapItem struct{ d, v int32 }
@@ -149,8 +147,8 @@ func listRadius(r *Result, v, sigma int, hPrime int32) int32 {
 // node whose new list reaches beyond that makes the instance run in full.
 // Every other node keeps prev's list.
 //
-// The Result's Budget is prev's, and its Metrics and SelfEmits count the
-// sub-run alone (zero outside the halo; Metrics has no per-node arrays).
+// The Result's Metrics count the sub-run alone, under prev's budget, and
+// so do its SelfEmits (zero outside the halo).
 // p schedules LexSmallest, as core.Build sets it unless Delays are given;
 // Delays and a bandwidth limit (the halo's ids are shorter than g's, so
 // its messages are too) fall back to a full run.
@@ -184,7 +182,7 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 	region := slices.Clone(s.region)
 	slices.Sort(region)
 
-	met := &congest.Metrics{BudgetRounds: prev.Budget, Quiesced: true}
+	var met *congest.Metrics
 	s.halo = s.halo[:0]
 	defer s.unindex()
 	if len(region) > 0 {
@@ -201,8 +199,8 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 			s.halo = append(s.halo, v)
 		})
 		slices.Sort(s.halo)
-		m, err := a.subRun(g, p, prev.Budget)
-		if err != nil {
+		var err error
+		if met, err = a.subRun(g, p, prev.Metrics.BudgetRounds); err != nil {
 			return Repaired{}, err
 		}
 		// A region node whose sub-run list reaches beyond its halo may
@@ -217,8 +215,9 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 				return Repaired{}, nil
 			}
 		}
-		met.ActiveRounds, met.Messages, met.MessageBits = m.ActiveRounds, m.Messages, m.MessageBits
-		met.MaxBusyPorts, met.Quiesced = m.MaxBusyPorts, m.Quiesced
+	} else {
+		// An empty region runs nothing.
+		met = &congest.Metrics{BudgetRounds: prev.Metrics.BudgetRounds, Quiesced: true}
 	}
 
 	// The region's lists from the sub-run, ids mapped back; every other
@@ -232,7 +231,6 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 		Pages:     slices.Clone(prev.Pages),
 		Flags:     p.Flags,
 		SelfEmits: make([]int32, n),
-		Budget:    prev.Budget,
 		Metrics:   met,
 	}
 	for rest := region; len(rest) > 0; {
@@ -326,7 +324,8 @@ func (s *repairScratch) unindex() {
 
 // subRun runs p within the given budget on the subgraph induced by the
 // halo (s.halo, ascending), numbering s.index by halo position. The
-// arena's node states hold the outcome, by halo position.
+// arena's node states hold the outcome, by halo position. It runs without
+// Flags: no run reads them but the Result's List.
 func (a *Arena) subRun(g *graph.Graph, p Params, budget int) (*congest.Metrics, error) {
 	s := &a.rs
 	for j, v := range s.halo {
@@ -337,15 +336,9 @@ func (a *Arena) subRun(g *graph.Graph, p Params, budget int) (*congest.Metrics, 
 	sp := p
 	s.src = resize(s.src, len(s.halo))
 	sp.IsSource = s.src
+	sp.Flags = nil
 	for j, v := range s.halo {
 		sp.IsSource[j] = p.IsSource[v]
 	}
-	if p.Flags != nil {
-		s.flags = resize(s.flags, len(s.halo))
-		sp.Flags = s.flags
-		for j, v := range s.halo {
-			sp.Flags[j] = p.Flags[v]
-		}
-	}
-	return a.exec(sg, sp, congest.Config{MaxRounds: budget})
+	return a.exec(sg, sp, 0, budget)
 }

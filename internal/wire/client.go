@@ -25,7 +25,7 @@ type Conn struct {
 	// arbitrary allocation.
 	MaxBatch int
 
-	shard string
+	shard string // "" until Bind: NewPipeline refuses an unbound Conn
 	n     int32
 	fp    uint64
 	corr  uint64
@@ -73,9 +73,6 @@ func (c *Conn) Close() error { return c.nc.Close() }
 
 // SetDeadline bounds every subsequent read and write on the transport.
 func (c *Conn) SetDeadline(t time.Time) error { return c.nc.SetDeadline(t) }
-
-// Shard is the currently bound shard name.
-func (c *Conn) Shard() string { return c.shard }
 
 // N is the bound shard's node count at Bind time.
 func (c *Conn) N() int32 { return c.n }
