@@ -151,9 +151,6 @@ func TestQuiescenceFastForward(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("run took %v; quiescent rounds were not fast-forwarded", elapsed)
 	}
-	if !met.Quiesced {
-		t.Fatal("run must report quiescence")
-	}
 	if met.ActiveRounds < 49 || met.ActiveRounds > 51 {
 		t.Fatalf("ActiveRounds=%d, want ~49 (flood depth of a 50-path)", met.ActiveRounds)
 	}
@@ -336,8 +333,8 @@ func TestEngineReuse(t *testing.T) {
 		for _, d := range got {
 			handed += len(d)
 		}
-		if !met.Quiesced || int64(handed) != met.Messages {
-			t.Fatalf("run %d: %d messages delivered, %d handed to Round, quiesced %v", step, met.Messages, handed, met.Quiesced)
+		if met.ActiveRounds >= met.BudgetRounds || int64(handed) != met.Messages {
+			t.Fatalf("run %d: %d messages delivered, %d handed to Round, %d of %d rounds active", step, met.Messages, handed, met.ActiveRounds, met.BudgetRounds)
 		}
 	}
 	for i, g := range graphs {

@@ -67,12 +67,6 @@ type Metrics struct {
 	// else equal to ActiveRounds. Paper round-complexity claims refer to
 	// the budget an algorithm must be given.
 	BudgetRounds int
-	// Quiesced reports whether no node had work left when the run ended,
-	// whether or not the budget ran out in the same round; an Observer
-	// stop is not quiescence.
-	Quiesced bool
-	// Stopped reports whether the Observer ended the run.
-	Stopped bool
 	// Messages is the total number of point-to-point messages delivered.
 	Messages int64
 	// MessageBits is the total number of bits delivered.
@@ -155,6 +149,7 @@ func (e *Engine) Run(g *graph.Graph, procs []Proc, cfg Config) (*Metrics, error)
 		return nil, err
 	}
 
+	stopped := false
 	for r := 1; r <= limit && e.nactive > 0; r++ {
 		if err := e.step(r, false); err != nil {
 			return nil, err
@@ -164,12 +159,11 @@ func (e *Engine) Run(g *graph.Graph, procs []Proc, cfg Config) (*Metrics, error)
 		}
 		met.ActiveRounds = r
 		if cfg.Observer != nil && cfg.Observer(r) {
-			met.Stopped = true
+			stopped = true
 			break
 		}
 	}
-	met.Quiesced = e.nactive == 0 && !met.Stopped
-	if cfg.MaxRounds == 0 && !met.Quiesced && !met.Stopped {
+	if cfg.MaxRounds == 0 && e.nactive > 0 && !stopped {
 		return nil, errors.New("congest: run exceeded safety cap without quiescing")
 	}
 	met.BudgetRounds = cfg.MaxRounds

@@ -167,10 +167,9 @@ func retainedBytes(res *Result) retained {
 // 8-byte SelfEmits; in pages of 12-byte entries they are 2.37 MB of
 // 3.72 MB (13.0 of 23.9 MB). The gap was 0.34 MB (4.07 MB at n = 10⁴)
 // while every run's Metrics kept a send and a broadcast count per node;
-// without them the live heap is 3.56 MB (20.8 MB). The figures are those
-// of `go test ./internal/core`. Under a -run pattern the first case reads
-// 37 KB lower: the heap it starts from is that much higher, and the heap
-// after the build the same.
+// without them the live heap is 3.56 MB (20.8 MB). The live heap is read
+// as what dropping the generation frees, so a package run and a -run
+// pattern log the same figures.
 func TestAllocsPerRunRetainedHeap(t *testing.T) {
 	sparse := func(t *testing.T) (*graph.Graph, Params) {
 		g, err := graph.Generate("roadgrid", 1024, 64, rand.New(rand.NewSource(1)))
@@ -191,24 +190,32 @@ func TestAllocsPerRunRetainedHeap(t *testing.T) {
 		live  int64
 		gap   int64
 	}{
-		{"build-sparse", true, sparse, retained{2366520, 49152, 417792, 439310, 106496}, 3562544, 183274},
+		{"build-sparse", true, sparse, retained{2366520, 49152, 417792, 439310, 106496}, 3562872, 183602},
 		{"churn-n10000", false, func(t *testing.T) (*graph.Graph, Params) { return churnShape(t, 10000) },
-			retained{12992632, 760000, 2160000, 2312192, 1600000}, 20778008, 953184},
+			retained{12992632, 760000, 2160000, 2312192, 1600000}, 20777656, 952832},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if !c.short && testing.Short() {
 				t.Skip("a cold build at n = 10⁴")
 			}
 			g, p := c.shape(t)
-			before := liveHeap()
-			res, err := Run(g, p, congest.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			res.Fingerprint()
-			live := int64(liveHeap()) - int64(before)
-			runtime.KeepAlive(res)
-			got := retainedBytes(res)
+			// Both readings follow the build, and g and p stay live, so
+			// their difference is the generation alone.
+			var got retained
+			held := func() uint64 {
+				res, err := Run(g, p, congest.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Fingerprint()
+				got = retainedBytes(res)
+				h := liveHeap()
+				runtime.KeepAlive(res)
+				return h
+			}()
+			live := int64(held) - int64(liveHeap())
+			runtime.KeepAlive(g)
+			runtime.KeepAlive(p)
 			t.Logf("instance pages %d, SelfEmits %d, Lists %d, table %d, digests %d: %d bytes; live heap %d bytes",
 				got.pages, got.selfEmits, got.lists, got.table, got.digests, got.total(), live)
 			for _, k := range []struct {

@@ -369,7 +369,6 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 	// when Build returns. Claiming the largest instances first sizes a
 	// worker's arena at its first claim, and is longest-first load
 	// balancing.
-	detCfg := congest.Config{B: cfg.B}
 	sched := detection.LexSmallest
 	if p.Delays != nil {
 		sched = detection.Priority
@@ -407,11 +406,11 @@ func Build(g *graph.Graph, p Params, cfg congest.Config, prev *Result) (*Result,
 		var det *detection.Result
 		var err error
 		if old := from[i]; old != nil {
-			reps[i], err = arenas[w].Repair(g, dp, detCfg, old.Det, moved[i])
+			reps[i], err = arenas[w].Repair(g, dp, cfg.B, old.Det, moved[i])
 			det = reps[i].Result
 		}
 		if det == nil && err == nil {
-			det, err = arenas[w].Run(g, dp, detCfg)
+			det, err = arenas[w].Run(g, dp, cfg.B)
 		}
 		if err != nil {
 			errs[i] = fmt.Errorf("core: instance %d: %w", i, err)

@@ -67,7 +67,7 @@ func TestAllocsPerRunWarmArena(t *testing.T) {
 	})
 	var a Arena
 	warm := testing.AllocsPerRun(3, func() { // AllocsPerRun's warm-up call fills a
-		if _, err := a.Run(g, p, congest.Config{}); err != nil {
+		if _, err := a.Run(g, p, 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -96,7 +96,7 @@ func TestArenaReuse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := a.Run(r.g, r.p, congest.Config{})
+		got, err := a.Run(r.g, r.p, 0)
 		if err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}

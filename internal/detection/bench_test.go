@@ -41,7 +41,7 @@ func BenchmarkRun(b *testing.B) {
 // arena the run left behind.
 func announcements(tb testing.TB, g *graph.Graph, p Params) int64 {
 	var a Arena
-	res, err := a.Run(g, p, congest.Config{})
+	res, err := a.Run(g, p, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -755,15 +755,16 @@ func (a *Arena) layout(g *graph.Graph) {
 }
 
 // Run executes one (S, h, σ)-detection instance and returns each node's
-// output list.
+// output list. Of cfg it takes only the bandwidth B.
 func Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
-	return new(Arena).Run(g, p, cfg)
+	return new(Arena).Run(g, p, cfg.B)
 }
 
-// Run is the package's Run with the units' storage taken from a. The run
-// is given budget(p) rounds; of cfg it takes only the bandwidth B.
-func (a *Arena) Run(g *graph.Graph, p Params, cfg congest.Config) (*Result, error) {
-	met, err := a.exec(g, p, cfg.B, budget(p))
+// Run is the package's Run with the units' storage taken from a, under
+// bandwidth b (0: the engine's default). The run is given budget(p)
+// rounds.
+func (a *Arena) Run(g *graph.Graph, p Params, b int) (*Result, error) {
+	met, err := a.exec(g, p, b, budget(p))
 	if err != nil {
 		return nil, err
 	}

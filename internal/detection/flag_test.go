@@ -53,7 +53,7 @@ func TestFlagIsTheSourcesFlag(t *testing.T) {
 				p.Flags[v] = uint8(rng.Intn(256))
 			}
 		}
-		prev, err := arena.Run(g, p, congest.Config{})
+		prev, err := arena.Run(g, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestFlagIsTheSourcesFlag(t *testing.T) {
 				moved = append(moved, e)
 			}
 		}
-		rep, err := arena.Repair(ng, p, congest.Config{}, prev, moved)
+		rep, err := arena.Repair(ng, p, 0, prev, moved)
 		if err != nil {
 			t.Fatal(err)
 		}

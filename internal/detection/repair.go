@@ -152,8 +152,8 @@ func listRadius(r *Result, v, sigma int, hPrime int32) int32 {
 // p schedules LexSmallest, as core.Build sets it unless Delays are given;
 // Delays and a bandwidth limit (the halo's ids are shorter than g's, so
 // its messages are too) fall back to a full run.
-func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Result, moved []graph.Reweight) (Repaired, error) {
-	if p.Delays != nil || cfg.B != 0 || p.Sigma == 0 {
+func (a *Arena) Repair(g *graph.Graph, p Params, b int, prev *Result, moved []graph.Reweight) (Repaired, error) {
+	if p.Delays != nil || b != 0 || p.Sigma == 0 {
 		return Repaired{}, nil
 	}
 	n := g.N()
@@ -217,7 +217,7 @@ func (a *Arena) Repair(g *graph.Graph, p Params, cfg congest.Config, prev *Resul
 		}
 	} else {
 		// An empty region runs nothing.
-		met = &congest.Metrics{BudgetRounds: prev.Metrics.BudgetRounds, Quiesced: true}
+		met = &congest.Metrics{BudgetRounds: prev.Metrics.BudgetRounds}
 	}
 
 	// The region's lists from the sub-run, ids mapped back; every other

@@ -34,7 +34,7 @@ func TestRepairMatchesRun(t *testing.T) {
 				p.Flags[v] = uint8(rng.Intn(256))
 			}
 		}
-		prev, err := arena.Run(g, p, congest.Config{})
+		prev, err := arena.Run(g, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestRepairMatchesRun(t *testing.T) {
 				moved = append(moved, e)
 			}
 		}
-		rep, err := arena.Repair(ng, p, congest.Config{}, prev, moved)
+		rep, err := arena.Repair(ng, p, 0, prev, moved)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,9 +99,9 @@ func TestRepairDeclines(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		p    Params
-		cfg  congest.Config
-	}{{"delays", delayed, congest.Config{}}, {"bandwidth", p, congest.Config{B: 64}}, {"sigma 0", none, congest.Config{}}} {
-		rep, err := arena.Repair(g, c.p, c.cfg, prev, nil)
+		b    int
+	}{{"delays", delayed, 0}, {"bandwidth", p, 64}, {"sigma 0", none, 0}} {
+		rep, err := arena.Repair(g, c.p, c.b, prev, nil)
 		if err != nil || rep.Result != nil {
 			t.Fatalf("%s: Repair = %+v, %v; want a full run", c.name, rep, err)
 		}
